@@ -35,7 +35,7 @@ for prf_rule in ("G", "RG"):
     for task_rule in ("SAR", "SLA", "SAP"):
         sched = hied(table, HeuristicConfig(prf_rule=prf_rule,
                                             task_rule=task_rule))
-        obj = sched.objective_fraction(cfg.pulses_per_look)
+        obj = exact_objective(sched, inst)
         assert obj >= opt            # the oracle bound, on every instance
         print(f"{prf_rule + '+' + task_rule:>10} {float(obj) * 1e3:>15.3f} "
               f"{float(obj / opt):>7.3f}")

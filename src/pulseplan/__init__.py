@@ -49,13 +49,12 @@ from .ip import (
     check_feasible,
     exact_objective,
     export_lp,
-    objective,
     parse_lp,
     solve_exact,
 )
 from .structures import BucketList, OpCounters, build_backend
-from .edbf import HeuristicConfig, backward_interleaving, hied, prf_select, task_select
-from .sdbf import DiskHeuristicConfig, disk_select, hisd
+from .edbf import HeuristicConfig, hied, prf_select
+from .sdbf import DiskHeuristicConfig, hisd
 from .scenario import ScenarioSpec, ScalingReport, fit_complexity, gen_scenario, run_scaling
 
 __version__ = "0.1.0"
@@ -85,7 +84,6 @@ __all__ = [
     "TrackTask",
     "Violation",
     "ambiguous_frequency",
-    "backward_interleaving",
     "ambiguous_range",
     "blind_widths",
     "build_availability_table",
@@ -95,7 +93,6 @@ __all__ = [
     "dedup_disks",
     "default_prf_set",
     "default_radar_config",
-    "disk_select",
     "enumerate_disks",
     "exact_objective",
     "export_lp",
@@ -105,14 +102,12 @@ __all__ = [
     "hisd",
     "is_trackable",
     "leftward_availability",
-    "objective",
     "parse_lp",
     "prf_select",
     "project_to_scan_plane",
     "rightward_availability",
     "run_scaling",
     "solve_exact",
-    "task_select",
     "unambiguous_range",
     "validate_prf",
 ]

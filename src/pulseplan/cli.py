@@ -233,15 +233,8 @@ def _cmd_oracle_compare(args) -> int:
              f"seed={args.seed} tasks={len(tasks)}"]
     grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
     for mode in modes:
-        if mode == "sdbf":
-            catalog = enumerate_disks(table, grid)
-            source = catalog
-        else:
-            catalog = None
-            source = table
-
+        source = enumerate_disks(table, grid) if mode == "sdbf" else table
         results = []
-        best = None
         for rules in _heuristic_grid(mode):
             if mode == "edbf":
                 schedule = EdbfRun(
@@ -249,19 +242,16 @@ def _cmd_oracle_compare(args) -> int:
                 ).run()
             else:
                 schedule = SdbfRun(
-                    catalog,
+                    source,
                     DiskHeuristicConfig(backend="rangetree", seed=args.seed, **rules),
                 ).run()
             results.append((rules, schedule))
-            obj = schedule.objective_fraction(cfg.pulses_per_look)
-            if best is None or obj < best[0]:
-                best = (obj, schedule)
 
+        check_inst = build_instance(source, copies=len(tasks))
         optimal = None
         if not args.heuristic_only:
-            inst_source = dedup_disks(source) if mode == "sdbf" else source
-            inst = build_instance(inst_source, copies=len(tasks))
-            check_inst = build_instance(source, copies=len(tasks)) if mode == "sdbf" else inst
+            inst = (build_instance(dedup_disks(source), copies=len(tasks))
+                    if mode == "sdbf" else check_inst)
             exact = solve_exact(inst, warm=None)
             if exact is None:
                 raise InfeasibleError("instance admits no feasible schedule")
@@ -270,13 +260,11 @@ def _cmd_oracle_compare(args) -> int:
                 f"{mode} exact objective={float(optimal):.9f} "
                 f"looks={exact.n_looks_used()}"
             )
-        else:
-            check_inst = build_instance(source, copies=len(tasks))
 
         for rules, schedule in results:
             combo = "+".join(rules[k] for k in sorted(rules))
             violations = check_feasible(schedule, check_inst)
-            obj = schedule.objective_fraction(cfg.pulses_per_look)
+            obj = exact_objective(schedule, check_inst)
             ratio = "" if optimal is None else f" ratio={float(obj / optimal):.4f}"
             verdict = "feasible" if not violations else f"INFEASIBLE({len(violations)})"
             lines.append(

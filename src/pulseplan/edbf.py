@@ -1,10 +1,18 @@
-"""Element-level scheduler: greedy PRF selection plus backward slot packing.
+"""Element-level scheduler and the look loop both schedulers share.
 
-Each round selects a PRF by a cardinality rule, then packs tasks into the
-look's slots scanning from the rightmost slot leftward.  When no task fits
-the current slot the partial schedule is shifted left to free room at its
-right end (one slot at a time, or all the way when nothing can extend it on
-the left), and the freed slots are filled by a bounded recursion.  The
+Element and subarray scheduling solve the same integer program by the same
+procedure, written once in ``run_looks``: a look source selects the base of
+the next look and hands over a selection backend over its live tasks, an
+``Episode`` packs that backend into the look's slots, and the source then
+consumes every placed task from all of its structures.  ``EdbfRun`` is the
+element-level source (PRF cardinality rules over a bucket list, one backend
+per PRF built up front); ``sdbf.SdbfRun`` is the subarray-level source
+(re-steering disks, one backend per selected disk built on demand).
+
+Packing scans the look's slots from the rightmost leftward.  When no task
+fits the current slot the partial schedule is shifted left to free room at
+its right end (one slot at a time, or all the way when nothing can extend it
+on the left), and the freed slots are filled by a bounded recursion.  The
 procedure visits at most twice the interleaving capacity of loop iterations
 per look, which an instrumented counter enforces.
 """
@@ -51,10 +59,15 @@ def derive_rngs(seed: int) -> dict[str, random.Random]:
     }
 
 
-def random_task_values(task_ids, rng: random.Random) -> dict[int, int]:
-    """Per-task random priorities, drawn in ascending id order so every
-    backend kind sees identical values for one seed."""
-    return {tid: rng.getrandbits(63) for tid in sorted(task_ids)}
+def random_priorities(table: AvailabilityTable, task_rule: str,
+                      rng: random.Random) -> dict[int, int] | None:
+    """Per-task random priorities for the ``R`` task rule (None for the
+    other rules), drawn in ascending id order so every backend kind sees
+    identical values for one seed."""
+    if task_rule != "R":
+        return None
+    ids = sorted(table.tasks[row].id for row in table.schedulable_rows())
+    return {tid: rng.getrandbits(63) for tid in ids}
 
 
 def task_priority(rule: str, table: AvailabilityTable, row: int, prf_index: int,
@@ -93,11 +106,23 @@ def prf_select(rule: str, buckets: BucketList, rng: random.Random):
     raise ValueError(f"unknown PRF rule {rule!r}")
 
 
-def task_select(rule: str, backend, l_min: int, r_min: int):
-    """Best task satisfying both thresholds under the backend's rule."""
-    if rule not in TASK_RULES:
-        raise ValueError(f"unknown task rule {rule!r}")
-    return backend.best_in(l_min, r_min)
+def task_backend(table: AvailabilityTable, cfg, p: int, rows, rand_values,
+                 counters: OpCounters):
+    """Selection backend over the given table rows at PRF ``p``.
+
+    Entries are (task id, A_l, A_r, priority) with the priority of
+    ``cfg.task_rule``; ``cfg.backend`` picks the structure.
+    """
+    entries = [
+        (
+            table.tasks[row].id,
+            int(table.al[row, p]),
+            int(table.ar[row, p]),
+            task_priority(cfg.task_rule, table, row, p, rand_values),
+        )
+        for row in rows
+    ]
+    return build_backend(cfg.backend, table.cfg.n_intlv, entries, counters)
 
 
 class _Run:
@@ -279,28 +304,48 @@ class Episode:
             cursor -= 1
 
 
-def backward_interleaving(backend, n_intlv: int, e_l: int = 1,
-                          e_r: int | None = None,
-                          counters: OpCounters | None = None):
-    """One look's backward packing pass over the backend's live tasks.
+def run_looks(source, table: AvailabilityTable, counters: OpCounters,
+              meta: dict) -> Schedule:
+    """The look loop of both schedulers.
 
-    Returns the (task, slot) placements; the schedulers always call over
-    the full slot range [1, n_intlv], where the placements are guaranteed
-    to form the prefix 1..m.  Placed tasks are deleted from the backend.
+    ``source.next_look(j)`` selects the base of look ``j`` and returns a
+    selection backend over its live tasks plus the ``ScheduledLook``;
+    ``source.consume(tid)`` removes a placed task from every structure of
+    the source.  Every selected base must hold a live task and every look
+    must place at least one, which bounds the loop by the number of
+    schedulable tasks.
     """
-    episode = Episode(backend, n_intlv, counters if counters is not None else OpCounters())
-    if e_r is None:
-        e_r = n_intlv
-    if e_l == 1 and e_r == n_intlv:
-        return episode.run()
-    episode.counters.bi_calls += 1
-    episode._bi(e_l, e_r)
-    return sorted(((tid, slot) for slot, tid in episode.look.items()),
-                  key=lambda x: x[1])
+    looks: list[ScheduledLook] = []
+    assignments: list[tuple[int, int, int]] = []
+    live = len(table.schedulable_rows())
+    while live > 0:
+        j = len(looks) + 1
+        backend, look = source.next_look(j)
+        if backend.live_count == 0:
+            raise InternalInvariantError(
+                f"look {j}: the selected base has no task left")
+        placed = Episode(backend, table.cfg.n_intlv, counters).run()
+        if not placed:
+            raise InternalInvariantError("a look scheduled no task")
+        looks.append(look)
+        for tid, slot in placed:
+            assignments.append((tid, j, slot))
+            source.consume(tid)
+        live -= len(placed)
+    return Schedule(
+        looks=looks,
+        assignments=assignments,
+        meta={**meta, "n_intlv": str(table.cfg.n_intlv)},
+        unschedulable=table.unschedulable,
+    )
 
 
 class EdbfRun:
-    """Preprocessing and main loop split so benchmarks can time them apart."""
+    """Element-level look source: PRF selection over per-PRF backends.
+
+    Preprocessing (``__init__``) and the look loop (``run``) are split so
+    benchmarks can time them apart.
+    """
 
     def __init__(self, table: AvailabilityTable, cfg: HeuristicConfig,
                  counters: OpCounters | None = None):
@@ -308,26 +353,13 @@ class EdbfRun:
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.rngs = derive_rngs(cfg.seed)
-        n = table.cfg.n_intlv
-        rand_values = None
-        if cfg.task_rule == "R":
-            ids = [table.tasks[r].id for r in table.schedulable_rows()]
-            rand_values = random_task_values(ids, self.rngs["task"])
-        self.backends = []
-        for p in range(table.n_prfs):
-            entries = [
-                (
-                    table.tasks[row].id,
-                    int(table.al[row, p]),
-                    int(table.ar[row, p]),
-                    task_priority(cfg.task_rule, table, row, p, rand_values),
-                )
-                for row in table.task_sets[p]
-            ]
-            self.backends.append(build_backend(cfg.backend, n, entries, self.counters))
+        rand_values = random_priorities(table, cfg.task_rule, self.rngs["task"])
+        self.backends = [
+            task_backend(table, cfg, p, table.task_sets[p], rand_values, self.counters)
+            for p in range(table.n_prfs)
+        ]
         memberships = [p for p in range(table.n_prfs) for _ in table.task_sets[p]]
         self.buckets = BucketList(range(table.n_prfs), memberships, counters=self.counters)
-        self.live = len(table.schedulable_rows())
 
     def dump_structures(self) -> str:
         """Indented snapshot of the live selection structures (debug aid)."""
@@ -337,47 +369,26 @@ class EdbfRun:
             parts.append("  " + backend.dump().replace("\n", "\n  "))
         return "\n".join(parts)
 
+    def next_look(self, j: int):
+        p = prf_select(self.cfg.prf_rule, self.buckets, self.rngs["prf"])
+        if p is None:
+            raise InternalInvariantError("PRF selection returned an empty task set")
+        table = self.table
+        look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
+                             dwell=table.dwell(p))
+        return self.backends[p], look
+
+    def consume(self, tid: int) -> None:
+        for p in self.table.prf_sets[self.table.row_of(tid)]:
+            self.backends[p].delete(tid)
+            self.buckets.adjust(p, -1)
+
     def run(self) -> Schedule:
-        table, cfg = self.table, self.cfg
-        looks: list[ScheduledLook] = []
-        assignments: list[tuple[int, int, int]] = []
-        j = 0
-        while self.live > 0:
-            j += 1
-            p = prf_select(cfg.prf_rule, self.buckets, self.rngs["prf"])
-            if p is None or self.backends[p].live_count == 0:
-                raise InternalInvariantError("PRF selection returned an empty task set")
-            episode = Episode(self.backends[p], table.cfg.n_intlv, self.counters)
-            placed = episode.run()
-            if not placed:
-                raise InternalInvariantError("a look scheduled no task")
-            looks.append(
-                ScheduledLook(
-                    index=j,
-                    prf_index=p,
-                    f_r=table.prfs[p].f_r,
-                    dwell=table.dwell(p),
-                )
-            )
-            for tid, slot in placed:
-                assignments.append((tid, j, slot))
-                row = table.row_of(tid)
-                for p2 in table.prf_sets[row]:
-                    self.backends[p2].delete(tid)
-                    self.buckets.adjust(p2, -1)
-            self.live -= len(placed)
-        return Schedule(
-            looks=looks,
-            assignments=assignments,
-            meta={
-                "mode": "edbf",
-                "prf_rule": cfg.prf_rule,
-                "task_rule": cfg.task_rule,
-                "seed": str(cfg.seed),
-                "n_intlv": str(table.cfg.n_intlv),
-            },
-            unschedulable=table.unschedulable,
-        )
+        cfg = self.cfg
+        return run_looks(self, self.table, self.counters, {
+            "mode": "edbf", "prf_rule": cfg.prf_rule, "task_rule": cfg.task_rule,
+            "seed": str(cfg.seed),
+        })
 
 
 def hied(table: AvailabilityTable, cfg: HeuristicConfig,

@@ -87,50 +87,67 @@ def scenario_to_text(cfg: RadarConfig, prfs, tasks) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCENARIO_RECORDS = {
+    # record kind -> (constructor, {field key: converter} in the
+    # constructor's positional order)
+    "radar": (RadarConfig, dict(c=float, wavelength=float, pulse_width=float,
+                                n_r=float, n_f=float, n_intlv=int,
+                                pulses_per_look=int)),
+    "prf": (PrfConfig, dict(f_r=float, c_r_plus=float, c_r_minus=float,
+                            c_f_plus=float, c_f_minus=float)),
+    "task": (TrackTask, dict(id=int, range=float, sigma_r=float, velocity=float,
+                             sigma_f=float, u=float, v=float)),
+}
+
+
+def _record_args(kind: str, tokens, fields) -> list:
+    """Constructor arguments, in ``fields`` order, from ``k=v`` tokens in
+    any order; each field must appear exactly once."""
+    f = _parse_fields(tokens)
+    if len(f) != len(tokens) or f.keys() != fields.keys():
+        missing = " ".join(k for k in fields if k not in f) or "none"
+        unknown = " ".join(k for k in f if k not in fields) or "none"
+        raise ScenarioError(
+            f"{kind} record needs each of {' '.join(fields)} exactly once "
+            f"(missing: {missing}; unknown: {unknown})"
+        )
+    return [conv(f[k]) for k, conv in fields.items()]
+
+
 def parse_scenario(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != SCENARIO_TAG:
+    """Scenario file text to (RadarConfig, prfs, tasks).
+
+    A malformed line (unknown record or field, a missing or repeated field,
+    a non-numeric value, a value the dataclass checks reject, NaN and inf
+    included, or a second radar record) raises ``ScenarioError`` naming its
+    line number.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0][1] != SCENARIO_TAG:
         raise ScenarioError(f"not a scenario file (expected {SCENARIO_TAG!r})")
     cfg = None
     prfs = []
     tasks = []
-    for line in lines[1:]:
-        kind, *rest = line.split()
-        f = _parse_fields(rest)
-        if kind == "radar":
-            cfg = RadarConfig(
-                c=float(f["c"]),
-                wavelength=float(f["wavelength"]),
-                pulse_width=float(f["pulse_width"]),
-                n_r=float(f["n_r"]),
-                n_f=float(f["n_f"]),
-                n_intlv=int(f["n_intlv"]),
-                pulses_per_look=int(f["pulses_per_look"]),
-            )
+    for n, line in lines[1:]:
+        kind, *tokens = line.split()
+        try:
+            if kind not in _SCENARIO_RECORDS:
+                raise ScenarioError(f"unknown scenario record {kind!r}")
+            make, fields = _SCENARIO_RECORDS[kind]
+            record = make(*_record_args(kind, tokens, fields))
+        except ValueError as exc:
+            raise ScenarioError(f"line {n}: {kind} record: {exc}") from None
+        except ScenarioError as exc:
+            raise ScenarioError(f"line {n}: {exc}") from None
+        if kind == "task":
+            tasks.append(record)
         elif kind == "prf":
-            prfs.append(
-                PrfConfig(
-                    f_r=float(f["f_r"]),
-                    c_r_plus=float(f["c_r_plus"]),
-                    c_r_minus=float(f["c_r_minus"]),
-                    c_f_plus=float(f["c_f_plus"]),
-                    c_f_minus=float(f["c_f_minus"]),
-                )
-            )
-        elif kind == "task":
-            tasks.append(
-                TrackTask(
-                    id=int(f["id"]),
-                    range_m=float(f["range"]),
-                    sigma_r=float(f["sigma_r"]),
-                    velocity=float(f["velocity"]),
-                    sigma_f=float(f["sigma_f"]),
-                    u=float(f["u"]),
-                    v=float(f["v"]),
-                )
-            )
+            prfs.append(record)
+        elif cfg is None:
+            cfg = record
         else:
-            raise ScenarioError(f"unknown scenario record {kind!r}")
+            raise ScenarioError(f"line {n}: second radar record")
     if cfg is None:
         raise ScenarioError("scenario file has no radar record")
     if not prfs:

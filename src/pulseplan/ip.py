@@ -69,16 +69,10 @@ class Schedule:
     unschedulable: tuple[int, ...] = ()
 
     def objective(self) -> float:
+        """Total dwell (s) of the looks that carry an assignment; the exact
+        rational form is ``exact_objective``."""
         used = {j for _, j, _ in self.assignments}
         return sum(lk.dwell for lk in self.looks if lk.index in used)
-
-    def objective_fraction(self, pulses_per_look: int) -> Fraction:
-        used = {j for _, j, _ in self.assignments}
-        total = Fraction(0)
-        for lk in self.looks:
-            if lk.index in used:
-                total += Fraction(pulses_per_look) / Fraction(lk.f_r)
-        return total
 
     def n_looks_used(self) -> int:
         return len({j for _, j, _ in self.assignments})
@@ -299,17 +293,8 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
     return out
 
 
-def objective(schedule: Schedule, inst: IpInstance) -> float:
-    """Sum of dwell times of looks with at least one assignment."""
-    used = {j for _, j, _ in schedule.assignments}
-    total = 0.0
-    for lk in schedule.looks:
-        if lk.index in used:
-            total += inst.table.dwell(lk.prf_index)
-    return total
-
-
 def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
+    """Exact rational sum of the dwell times of looks with an assignment."""
     used = {j for _, j, _ in schedule.assignments}
     total = Fraction(0)
     for lk in schedule.looks:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ScenarioError
 
 WAVE_SPEED = 299_792_458.0
+INF = math.inf      # dataclass checks read "lo < x < INF", which NaN fails too
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,13 @@ class RadarConfig:
     pulses_per_look: int = 64          # pulses per look, sets dwell time
 
     def __post_init__(self):
-        if self.c <= 0 or self.wavelength <= 0 or self.pulse_width <= 0:
-            raise ScenarioError("c, wavelength and pulse_width must be positive")
-        if self.n_r < 0 or self.n_f < 0:
-            raise ScenarioError("sigma multiples must be nonnegative")
-        if self.n_intlv < 1 or self.pulses_per_look < 1:
+        if not (0 < self.c < INF and 0 < self.wavelength < INF
+                and 0 < self.pulse_width < INF):
+            raise ScenarioError("c, wavelength and pulse_width must be positive and finite")
+        if not (0 <= self.n_r < INF and 0 <= self.n_f < INF):
+            raise ScenarioError("sigma multiples must be nonnegative and finite")
+        if not (self.n_intlv >= 1 and self.pulses_per_look >= 1):
             raise ScenarioError("n_intlv and pulses_per_look must be >= 1")
-
-    @property
-    def slot_width_m(self) -> float:
-        """Range extent of one transmit-pulse slot, c*t_p/2."""
-        return self.c * self.pulse_width / 2.0
 
 
 @dataclass(frozen=True)
@@ -65,14 +62,11 @@ class PrfConfig:
     c_f_minus: float = 0.0             # high-edge Doppler clutter, Hz
 
     def __post_init__(self):
-        if self.f_r <= 0:
-            raise ScenarioError("f_r must be positive")
-        if min(self.c_r_plus, self.c_r_minus, self.c_f_plus, self.c_f_minus) < 0:
-            raise ScenarioError("clutter widths must be nonnegative")
-
-    @property
-    def pri(self) -> float:
-        return 1.0 / self.f_r
+        if not 0 < self.f_r < INF:
+            raise ScenarioError("f_r must be positive and finite")
+        if not (0 <= self.c_r_plus < INF and 0 <= self.c_r_minus < INF
+                and 0 <= self.c_f_plus < INF and 0 <= self.c_f_minus < INF):
+            raise ScenarioError("clutter widths must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -88,15 +82,14 @@ class TrackTask:
     v: float = 0.0                     # direction cosine, vertical
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise ScenarioError(f"task {self.id}: range must be positive")
-        if self.sigma_r < 0 or self.sigma_f < 0:
-            raise ScenarioError(f"task {self.id}: sigmas must be nonnegative")
-        if self.u * self.u + self.v * self.v > 1.0 + 1e-12:
-            raise ScenarioError(f"task {self.id}: (u, v) outside the unit disk")
-
-    def scan_point(self) -> tuple[float, float]:
-        return (self.u, self.v)
+        if not 0 < self.range_m < INF:
+            raise ScenarioError(f"task {self.id}: range must be positive and finite")
+        if not (0 <= self.sigma_r < INF and 0 <= self.sigma_f < INF):
+            raise ScenarioError(f"task {self.id}: sigmas must be nonnegative and finite")
+        if not -INF < self.velocity < INF:
+            raise ScenarioError(f"task {self.id}: velocity must be finite")
+        if not self.u * self.u + self.v * self.v <= 1.0 + 1e-12:
+            raise ScenarioError(f"task {self.id}: (u, v) must lie in the unit disk")
 
 
 def unambiguous_range(prf: PrfConfig, cfg: RadarConfig) -> float:

@@ -1,9 +1,11 @@
-"""Subarray-level scheduler: disk selection plus backward slot packing.
+"""Subarray-level scheduler: the disk look source of the shared look loop.
 
-Looks are tied to re-steering disks from the catalog.  Each round selects a
-disk by cardinality (greedy, reverse greedy) or weighted cardinality, packs
-its enclosed tasks with the same backward procedure as the element-level
-scheduler, and removes the scheduled tasks from every disk.  Duplicate and
+Looks are tied to re-steering disks from the catalog.  ``SdbfRun`` plugs
+into ``edbf.run_looks``, the loop both schedulers share: each round it
+selects a disk by cardinality (greedy, reverse greedy) or weighted
+cardinality and builds a selection backend over the disk's still-unscheduled
+tasks; the loop packs them with the backward procedure, and the source then
+removes each scheduled task from every disk that encloses it.  Duplicate and
 subset disks stay in play; consuming tasks empties them out naturally.
 """
 
@@ -15,16 +17,10 @@ from dataclasses import dataclass
 from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
-from .edbf import (
-    TASK_RULES,
-    Episode,
-    derive_rngs,
-    random_task_values,
-    task_priority,
-)
+from .edbf import TASK_RULES, derive_rngs, random_priorities, run_looks, task_backend
 from .geometry import DiskCatalog
 from .ip import Schedule, ScheduledLook
-from .structures import BACKEND_KINDS, BucketList, OpCounters, build_backend
+from .structures import BACKEND_KINDS, BucketList, OpCounters
 
 DISK_RULES = ("GD", "RGD", "WGD")
 SUB_RULES = ("R", "SD")
@@ -114,14 +110,12 @@ class DiskSelector:
             self.weighted.add((self.weight[disk_id], self.dwell[disk_id], disk_id))
 
 
-def disk_select(cfg: DiskHeuristicConfig, selector: DiskSelector,
-                rng: random.Random):
-    """Pick the disk for the next look among disks with live tasks."""
-    return selector.select(rng)
-
-
 class SdbfRun:
-    """Preprocessing and main loop split so benchmarks can time them apart."""
+    """Subarray-level look source: disk selection plus per-look backends.
+
+    Preprocessing (``__init__``) and the look loop (``run``) are split so
+    benchmarks can time them apart.
+    """
 
     def __init__(self, catalog: DiskCatalog, cfg: DiskHeuristicConfig,
                  counters: OpCounters | None = None):
@@ -130,17 +124,12 @@ class SdbfRun:
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.rngs = derive_rngs(cfg.seed)
-        table = self.table
-        self.rand_values = None
-        if cfg.task_rule == "R":
-            ids = [table.tasks[r].id for r in table.schedulable_rows()]
-            self.rand_values = random_task_values(ids, self.rngs["task"])
+        self.rand_values = random_priorities(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
         self.reciprocal = {
             tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
         }
         self.scheduled: set[int] = set()
-        self.live = len(table.schedulable_rows())
 
     def _disk_backend(self, disk):
         """Selection structure over the disk's still-unscheduled tasks.
@@ -149,22 +138,10 @@ class SdbfRun:
         proportional to the live task list, so the total across a run stays
         within the per-look structure costs the schedulers are budgeted for.
         """
-        table = self.table
-        p = disk.prf_index
-        entries = []
-        for tid in disk.tasks:
-            if tid in self.scheduled:
-                continue
-            row = table.row_of(tid)
-            entries.append(
-                (
-                    tid,
-                    int(table.al[row, p]),
-                    int(table.ar[row, p]),
-                    task_priority(self.cfg.task_rule, table, row, p, self.rand_values),
-                )
-            )
-        return build_backend(self.cfg.backend, table.cfg.n_intlv, entries, self.counters)
+        row_of = self.table.row_of
+        rows = [row_of(tid) for tid in disk.tasks if tid not in self.scheduled]
+        return task_backend(self.table, self.cfg, disk.prf_index, rows,
+                            self.rand_values, self.counters)
 
     def dump_structures(self, max_disks: int = 20) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
@@ -184,58 +161,30 @@ class SdbfRun:
             )
         return "\n".join(parts)
 
+    def next_look(self, j: int):
+        d = self.selector.select(self.rngs["disk"])
+        if d is None:
+            raise InternalInvariantError("disk selection returned an empty disk")
+        disk = self.catalog.disks[d]
+        p = disk.prf_index
+        table = self.table
+        look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
+                             dwell=table.dwell(p), disk_id=d,
+                             disk_center=self.catalog.center(d))
+        return self._disk_backend(disk), look
+
+    def consume(self, tid: int) -> None:
+        self.scheduled.add(tid)
+        recip = self.reciprocal[tid]
+        for d in self.catalog.task_disks[tid]:
+            self.selector.remove_member(d, recip)
+
     def run(self) -> Schedule:
-        table, cfg, catalog = self.table, self.cfg, self.catalog
-        looks: list[ScheduledLook] = []
-        assignments: list[tuple[int, int, int]] = []
-        j = 0
-        rounds = 0
-        while self.live > 0:
-            rounds += 1
-            if rounds > len(table.tasks) + 1:
-                raise InternalInvariantError("disk loop exceeded the task count")
-            j += 1
-            d = disk_select(cfg, self.selector, self.rngs["disk"])
-            if d is None:
-                raise InternalInvariantError("disk selection returned an empty disk")
-            disk = catalog.disks[d]
-            backend = self._disk_backend(disk)
-            if backend.live_count == 0:
-                raise InternalInvariantError("disk selection returned an empty disk")
-            episode = Episode(backend, table.cfg.n_intlv, self.counters)
-            placed = episode.run()
-            if not placed:
-                raise InternalInvariantError("a look scheduled no task")
-            looks.append(
-                ScheduledLook(
-                    index=j,
-                    prf_index=disk.prf_index,
-                    f_r=table.prfs[disk.prf_index].f_r,
-                    dwell=table.dwell(disk.prf_index),
-                    disk_id=d,
-                    disk_center=catalog.center(d),
-                )
-            )
-            for tid, slot in placed:
-                assignments.append((tid, j, slot))
-                self.scheduled.add(tid)
-                recip = self.reciprocal[tid]
-                for d2 in catalog.task_disks[tid]:
-                    self.selector.remove_member(d2, recip)
-            self.live -= len(placed)
-        return Schedule(
-            looks=looks,
-            assignments=assignments,
-            meta={
-                "mode": "sdbf",
-                "disk_rule": cfg.disk_rule,
-                "sub_rule": cfg.sub_rule,
-                "task_rule": cfg.task_rule,
-                "seed": str(cfg.seed),
-                "n_intlv": str(table.cfg.n_intlv),
-            },
-            unschedulable=table.unschedulable,
-        )
+        cfg = self.cfg
+        return run_looks(self, self.table, self.counters, {
+            "mode": "sdbf", "disk_rule": cfg.disk_rule, "sub_rule": cfg.sub_rule,
+            "task_rule": cfg.task_rule, "seed": str(cfg.seed),
+        })
 
 
 def hisd(catalog: DiskCatalog, cfg: DiskHeuristicConfig,

@@ -123,10 +123,6 @@ class BucketList:
         for k in memberships:
             self.adjust(k, +1)
 
-    @classmethod
-    def build(cls, keys, memberships, member_order=None, counters=None):
-        return cls(keys, memberships, member_order=member_order, counters=counters)
-
     def _insert_member(self, bucket, key):
         if self._order is not None:
             bucket.members.add((self._order(key), key))
@@ -207,10 +203,6 @@ class BucketList:
 
     def max_value(self, skip_zero=False):
         b = self._max_bucket(skip_zero)
-        return None if b is None else b.value
-
-    def min_value(self, skip_zero=False):
-        b = self._min_bucket(skip_zero)
         return None if b is None else b.value
 
     def select(self, extreme="max", skip_zero=False, tie="min_id", rng=None):

@@ -140,7 +140,7 @@ class TestAcceptance:
             for prf_rule, task_rule in itertools.product(PRF_RULES, TASK_RULES):
                 sched = EdbfRun(table, HeuristicConfig(
                     prf_rule=prf_rule, task_rule=task_rule, seed=trial)).run()
-                obj = sched.objective_fraction(cfg.pulses_per_look)
+                obj = exact_objective(sched, inst)
                 assert obj >= opt, (trial, prf_rule, task_rule)
                 mean_num += obj / opt
                 count += 1
@@ -150,18 +150,15 @@ class TestAcceptance:
                 catalog = enumerate_disks(table, GridSpec(spacing=0.04,
                                                           disk_radius=0.06))
                 t0 = time.perf_counter()
-                exact_sd = solve_exact(
-                    build_instance(dedup_disks(catalog), copies=n_t)
-                )
+                inst_sd = build_instance(dedup_disks(catalog), copies=n_t)
+                exact_sd = solve_exact(inst_sd)
                 worst_exact_s = max(worst_exact_s, time.perf_counter() - t0)
-                opt_sd = exact_objective(
-                    exact_sd, build_instance(dedup_disks(catalog), copies=n_t)
-                )
+                opt_sd = exact_objective(exact_sd, inst_sd)
                 for disk_rule, sub_rule in itertools.product(DISK_RULES, SUB_RULES):
                     sched = SdbfRun(catalog, DiskHeuristicConfig(
                         disk_rule=disk_rule, sub_rule=sub_rule,
                         seed=trial)).run()
-                    obj = sched.objective_fraction(cfg.pulses_per_look)
+                    obj = exact_objective(sched, inst_sd)
                     assert obj >= opt_sd, (trial, disk_rule, sub_rule)
             assert worst_exact_s < 5.0
         mean_ratio = float(mean_num / count)

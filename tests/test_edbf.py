@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import pytest
+
 from pulseplan import (
     HeuristicConfig,
+    InternalInvariantError,
     PrfConfig,
     RadarConfig,
+    ScheduledLook,
     TrackTask,
     BucketList,
     build_availability_table,
@@ -15,9 +19,8 @@ from pulseplan import (
     gen_scenario,
     hied,
     solve_exact,
-    task_select,
 )
-from pulseplan.edbf import Episode, backward_interleaving, prf_select, task_priority
+from pulseplan.edbf import Episode, prf_select, run_looks, task_priority
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters, build_backend
 
@@ -39,10 +42,11 @@ class TestBackwardInterleaving:
         placed = ep.run()
         assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
 
-    def test_function_form_matches_episode(self):
+    def test_episode_deletes_placed_tasks(self):
         entries = [(1, 1, 2, 2.0), (2, 1, 2, 1.0)]
-        backend = build_backend("pairwise", 2, entries)
-        placed = backward_interleaving(backend, 2)
+        counters = OpCounters()
+        backend = build_backend("pairwise", 2, entries, counters)
+        placed = Episode(backend, 2, counters).run()
         assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
         assert backend.live_count == 0
 
@@ -139,8 +143,8 @@ class TestTaskRules:
 
     def test_task_select_uses_backend_thresholds(self):
         backend = build_backend("rangetree", 8, [(1, 3, 2, 5.0), (2, 1, 4, 9.0)])
-        assert task_select("SAR", backend, 2, 1) == 1
-        assert task_select("SAR", backend, 0, 1) == 2
+        assert backend.best_in(2, 1) == 1
+        assert backend.best_in(0, 1) == 2
 
 
 class TestHied:
@@ -201,8 +205,8 @@ class TestHied:
         inst = build_instance(table)
         assert check_feasible(g, inst) == [] and check_feasible(rg, inst) == []
         opt = exact_objective(solve_exact(inst), inst)
-        assert g.objective_fraction(cfg.pulses_per_look) == opt
-        assert rg.objective_fraction(cfg.pulses_per_look) > opt
+        assert exact_objective(g, inst) == opt
+        assert exact_objective(rg, inst) > opt
 
     def test_greedy_vs_reverse_greedy_against_oracle(self):
         cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
@@ -249,6 +253,24 @@ class TestHied:
             outs.append((tuple(sched.assignments),
                          tuple((lk.index, lk.prf_index) for lk in sched.looks)))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_look_loop_rejects_a_look_without_tasks(self, cfg, prfs):
+        # the loop ends only because every look consumes a live task
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=3, seed=6), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+
+        class EmptyLooks:
+            def next_look(self, j):
+                look = ScheduledLook(index=j, prf_index=0, f_r=prfs[0].f_r,
+                                     dwell=table.dwell(0))
+                return build_backend("brute", cfg.n_intlv, []), look
+
+            def consume(self, tid):
+                raise AssertionError("nothing was placed")
+
+        with pytest.raises(InternalInvariantError,
+                           match="look 1: the selected base has no task left"):
+            run_looks(EmptyLooks(), table, OpCounters(), {})
 
     def test_counters_track_iteration_cap(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)

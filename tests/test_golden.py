@@ -1,0 +1,139 @@
+"""Pinned schedule bytes for every rule combination.
+
+The digests were recorded before the element and subarray look loops were
+merged; any change to selection, packing, tie-breaking or serialization
+shows up here as a digest mismatch.  Acceptance 03 only compares backends
+with each other and the CLI tests only compare repeat runs, so this is the
+check that schedule bytes stay the same across commits.
+"""
+
+import hashlib
+
+import pytest
+
+from pulseplan import (
+    DiskHeuristicConfig,
+    GridSpec,
+    HeuristicConfig,
+    ScenarioSpec,
+    build_availability_table,
+    enumerate_disks,
+    gen_scenario,
+    hied,
+    hisd,
+)
+from pulseplan.edbf import PRF_RULES, TASK_RULES
+from pulseplan.io import schedule_to_text
+from pulseplan.sdbf import DISK_RULES, SUB_RULES
+
+EDBF_SPEC = ScenarioSpec(n_tasks=60, seed=3, keep_unschedulable=True)
+SDBF_SPEC = ScenarioSpec(n_tasks=60, seed=4, cluster_count=3)
+SEED = 5
+
+EDBF_DIGESTS = {
+    ('G', 'SAR'): "2f35e8426b94aae85dc85b5ccd0c73069a00a649c6927dbaab71c0ae6e6e8807",
+    ('G', 'LAR'): "1754d3ca9672cc8984b5dfd558a622dfbc20e186e60a0b536b3a0a6e2b50485a",
+    ('G', 'R'): "ed0cdd8d6d2810cef331231b4f1596a8729705c691af7e55100f358a6f2a14ef",
+    ('G', 'SAP'): "fdfe4d167d7862976e883a42472d0b2216a8ad5ac9d7eb764908ea6add577b5a",
+    ('G', 'SLA'): "2b38d6a09d74300d5a81b3b786a2c9571314f52a7c4b2f8f71932b05ebc9f5e3",
+    ('G', 'SRA'): "8c9bdee7a1073561a24b8a4642ed1dcc2ec3adad47a4f124ea95262762e8ff30",
+    ('RG', 'SAR'): "0bd0ef96efb60c4dde7b205a43fcb668de246b044e5c33059119249a3d3f01e5",
+    ('RG', 'LAR'): "90fd0ad46224d7c167d7274eb7b1481efc1f709de9b1b68d0391173938a72313",
+    ('RG', 'R'): "2ce27dc339b9124a0a7c793b979c6f6dc8887b1226848e3d95034dbd40a75773",
+    ('RG', 'SAP'): "af466912fa7ab967b60e953899648127be974f2779f5d1a2f7ca3ca66217ff51",
+    ('RG', 'SLA'): "4c425c8405966892420ec6d3039da0dcc00f25b0d9ecec313178c2a094fc04c0",
+    ('RG', 'SRA'): "bc2bf84c8fe08628cc2e65656f6e47cd25065c1870532a31a0a32fe3c3fd65be",
+    ('R', 'SAR'): "03ee7d99a4f54ea15d0d1b12d0426eb2e4693aa7eed84e20adcb3d5c38936da2",
+    ('R', 'LAR'): "9ff828fc4ca8e7e20713ff0db49a2b6b3e6f4b3551c1a4a759d12dd335b1a307",
+    ('R', 'R'): "59d69fcc85e0e0ef506b0f9be0a50b5f7ee07abd19ba51a356dd65f29b84a06a",
+    ('R', 'SAP'): "77b9b0a46183e00406090a4c07f19bd5bbecb17aa975604ce6f2428b07550d0b",
+    ('R', 'SLA'): "079ae33da698e6ca2179f5043d8f49db009dd1ef1b5aab49609bde9048294a1e",
+    ('R', 'SRA'): "fe8f65a26fc76e3f930caa165ff0c1fc9c8017648001440a91cf91d390c342ba",
+}
+
+SDBF_DIGESTS = {
+    ('GD', 'R', 'SAR'): "c0b8f2fc243792da087b23de92580929913bc88186ae9304d9a7d94ac3110c28",
+    ('GD', 'R', 'LAR'): "53d6dcbb8167598ea0a583c4a83ca66243502bb9e2e603c13c6a3842193e2419",
+    ('GD', 'R', 'R'): "0ed9612af5e6c79130cef866312e3a54d7404dfc24193c3ebdbe0544684fb376",
+    ('GD', 'R', 'SAP'): "8ba9bb47de80ecfcea4a015ad0abc59674c48127ed5e69485a890c4ccdf8c9cb",
+    ('GD', 'R', 'SLA'): "4a53669f3fc80b6fd27dbeb1b7e0e5c608ae7ef154eb016dc9a63d0a23fc343d",
+    ('GD', 'R', 'SRA'): "4ca7fbbd48dafe6f73f6992bedf49550eed09f5bfa3acc84511b2b42a3096c00",
+    ('GD', 'SD', 'SAR'): "5ebf37ceae70e607b7f3d0e27767ae846331fd9fcc348cfa96ffeb405b445af1",
+    ('GD', 'SD', 'LAR'): "1d1b335b152457261ac8626e60b6b0912cc9ab7c1a24d4460f36a6b324f888d1",
+    ('GD', 'SD', 'R'): "1ba1bf6edd559823744bd75b6130e570f1387f280030e861d08cb124f9928397",
+    ('GD', 'SD', 'SAP'): "008e59d055f40555febc88c588fa1844e2564e36e5800948e6922a67e5fd2251",
+    ('GD', 'SD', 'SLA'): "800c4fe21bbfa0f92d1fb2f99ceb9e94188163907f157fc6360f4370f6ebc6df",
+    ('GD', 'SD', 'SRA'): "8d058c1238b9f8c15316decc40b7c978305bf74f0635c01984d455f221cc8fec",
+    ('RGD', 'R', 'SAR'): "1096d8fcf6ace39e26f29adc044a4e77e6f10cd253ded1bec3a04f3991c19a55",
+    ('RGD', 'R', 'LAR'): "b80ff7c42edae9acfa056f068ab5e85c00e6c4da24aa6e92dd20c97d95357caa",
+    ('RGD', 'R', 'R'): "8f4a5dbf48e517b210c099dc26b9ce4ac70f9616005a7ef73d5172b432b6c452",
+    ('RGD', 'R', 'SAP'): "6976c6a272c173043580ff316c0e77e7aa0acab17a3a316bea197fc00c2ab410",
+    ('RGD', 'R', 'SLA'): "0aafa806201355ba7f10b8b7f7d783121352f4c9b4358c1a80295cfdc576f1f9",
+    ('RGD', 'R', 'SRA'): "54ffaaac16544e1e90e52b28ca3f97408fdd9aa15a6b38f0dbbfb055a090b0ff",
+    ('RGD', 'SD', 'SAR'): "78d258582295a3b8829cf81e3a0790d93459acaa70d67a36876b4b9946536311",
+    ('RGD', 'SD', 'LAR'): "8f60aa5a7eb94b8b05a550f5e6bcdbef6182eb383ee01f284a8058127dd86832",
+    ('RGD', 'SD', 'R'): "83a75aca70d7f423f3c3106b04764fd4c7a8dbc06f9149a042b3edd15db53e0e",
+    ('RGD', 'SD', 'SAP'): "372fbd951c4625ec99d0d7bce6a14f33c5c89974d490035c5a4a97788f3feddc",
+    ('RGD', 'SD', 'SLA'): "254f40e2f5f55adfe000e70aabdf5b5910e43b2b0afc35895a786dfa5a7dc57f",
+    ('RGD', 'SD', 'SRA'): "cf5dc280ed078ca1fba0103a233319e806416bbe195d53289c6b606513aa6170",
+    ('WGD', 'R', 'SAR'): "e5677075a96d9a92be187ef4ba231a9a7fc49c3e83daadfc293f595dcae675e9",
+    ('WGD', 'R', 'LAR'): "d7ef073c952858a6e87854693a2d24057f278665666732b102adada7b7a42ad8",
+    ('WGD', 'R', 'R'): "0a717b8ce402906b42f76489ddf4dba1225fdbce6de7b0aa6d77fedcde9161ae",
+    ('WGD', 'R', 'SAP'): "9d7509b6ae7335775ddda029b730c108bc619ec05ffc40cdd89736d9d670f31d",
+    ('WGD', 'R', 'SLA'): "b37538ed514eee83083c730099d71eb52610bd40819307212cc01e88959b75d8",
+    ('WGD', 'R', 'SRA'): "eb1015664d7a9a4753f8ed8d5589fa327059ee76cb3905d609564580b7b91648",
+    ('WGD', 'SD', 'SAR'): "38a77534d0a8be565324a525937d8a3fe2a7341c47da4dd85dbca38bf07e8c8f",
+    ('WGD', 'SD', 'LAR'): "a7d6468c32369b0ec0bf823cfac0c317b5246b3579b2c5793e3cb71caaa50b4c",
+    ('WGD', 'SD', 'R'): "64cb443a5497e95253281ae306255c8eff36c70cfc2e468a0a6418c399bf14c1",
+    ('WGD', 'SD', 'SAP'): "70720e6f9a81334a851c9fb68a0034f0da7e6db0a5604efbbaa8df0ccbf5a282",
+    ('WGD', 'SD', 'SLA'): "a813628b89cae81ed6b3b5324191026d0d60d4e3bf151968aabc28ba75c8b4ae",
+    ('WGD', 'SD', 'SRA'): "45756918a8eaf33a38c6b74341a4c89d7217e4f0300b99332e957cb01e6a6ea0",
+}
+
+
+def _digest(schedule) -> str:
+    return hashlib.sha256(schedule_to_text(schedule).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def edbf_table():
+    cfg, prfs, tasks = gen_scenario(EDBF_SPEC)
+    return build_availability_table(tasks, prfs, cfg)
+
+
+@pytest.fixture(scope="module")
+def sdbf_catalog():
+    cfg, prfs, tasks = gen_scenario(SDBF_SPEC)
+    return enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+
+
+def edbf_digests(table):
+    return {
+        (prf_rule, task_rule, backend): _digest(hied(
+            table, HeuristicConfig(prf_rule=prf_rule, task_rule=task_rule,
+                                   backend=backend, seed=SEED)))
+        for prf_rule in PRF_RULES
+        for task_rule in TASK_RULES
+        for backend in ("rangetree", "pairwise")
+    }
+
+
+def sdbf_digests(catalog):
+    return {
+        (disk_rule, sub_rule, task_rule): _digest(hisd(
+            catalog, DiskHeuristicConfig(disk_rule=disk_rule, sub_rule=sub_rule,
+                                         task_rule=task_rule, seed=SEED)))
+        for disk_rule in DISK_RULES
+        for sub_rule in SUB_RULES
+        for task_rule in TASK_RULES
+    }
+
+
+def test_edbf_schedule_bytes_pinned(edbf_table):
+    got = edbf_digests(edbf_table)
+    want = {(p, t, b): EDBF_DIGESTS[p, t] for p, t, b in got}
+    assert got == want
+
+
+def test_sdbf_schedule_bytes_pinned(sdbf_catalog):
+    assert sdbf_digests(sdbf_catalog) == SDBF_DIGESTS

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pulseplan import (
@@ -42,7 +44,37 @@ def small_scenario_file(tmp_path):
     return path
 
 
+# (record kind, pattern, replacement) applied to the first record of that
+# kind in a valid scenario file; each result must be rejected with exit 2,
+# naming the last line of the edited text
+MALFORMED = {
+    "missing field": ("task", r" sigma_f=\S+", ""),
+    "non-numeric field": ("task", r"range=\S+", "range=far"),
+    "unknown field": ("task", r"$", " color=red"),
+    "repeated field": ("task", r"( v=\S+)", r"\1\1"),
+    "field without value": ("task", r"velocity=\S+", "velocity"),
+    "nan range": ("task", r"range=\S+", "range=nan"),
+    "inf velocity": ("task", r"velocity=\S+", "velocity=inf"),
+    "nan direction cosine": ("task", r" u=\S+", " u=nan"),
+    "fractional capacity": ("radar", r"n_intlv=\S+", "n_intlv=8.5"),
+    "nan sigma multiple": ("radar", r"n_r=\S+", "n_r=nan"),
+    "inf prf": ("prf", r"f_r=\S+", "f_r=inf"),
+    "nan clutter": ("prf", r"c_r_minus=\S+", "c_r_minus=nan"),
+    "unknown record": ("task", r"^task", "track"),
+    "second radar record": ("radar", r"^.*$", "\\g<0>\n\\g<0>"),
+}
+
+
 class TestScenarioFormat:
+    def test_fields_in_any_order(self):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=3, seed=1))
+        text = scenario_to_text(cfg, prfs, tasks)
+        shuffled = "\n".join(
+            " ".join([ln.split()[0], *reversed(ln.split()[1:])]) if "=" in ln else ln
+            for ln in text.splitlines()
+        )
+        assert parse_scenario(shuffled) == parse_scenario(text)
+
     def test_round_trip(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=9, seed=1))
         text = scenario_to_text(cfg, prfs, tasks)
@@ -216,6 +248,19 @@ class TestCli:
                      "--dump-structures"])
         assert code == 0
         assert "weighted disk order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_scenario_exits_two(self, case, mode, scenario_file, capsys):
+        kind, pattern, repl = MALFORMED[case]
+        lines = scenario_file.read_text().splitlines()
+        n = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        lines[n] = re.sub(pattern, repl, lines[n], count=1)
+        bad_line = n + 1 + lines[n].count("\n")
+        scenario_file.write_text("\n".join(lines) + "\n")
+        assert main(["schedule", str(scenario_file), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line {bad_line}: " in err and "Traceback" not in err
 
     def test_internal_invariant_maps_to_exit_three(self, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError

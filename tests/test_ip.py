@@ -18,7 +18,6 @@ from pulseplan import (
     export_lp,
     gen_scenario,
     hied,
-    objective,
     parse_lp,
     solve_exact,
 )
@@ -87,7 +86,7 @@ class TestChecker:
         inst = build_instance(table, copies=1)
         empty = Schedule(looks=[], assignments=[])
         assert check_feasible(empty, inst) == []
-        assert objective(empty, inst) == 0.0
+        assert empty.objective() == 0.0
 
     def test_two_tasks_one_slot_is_c3(self):
         table, inst = small_instance(2, seed=3)
@@ -191,21 +190,21 @@ class TestObjective:
     def test_single_look(self):
         table, inst, p = shared_prf_instance(2, start_seed=7)
         rows = [(1, 1, 1), (2, 1, 2)]
-        assert objective(manual_schedule(inst, rows, p), inst) == pytest.approx(
+        assert manual_schedule(inst, rows, p).objective() == pytest.approx(
             table.dwell(p)
         )
 
     def test_two_looks_add(self):
         table, inst, p = shared_prf_instance(2, start_seed=8)
         rows = [(1, 1, 1), (2, 2, 1)]
-        assert objective(manual_schedule(inst, rows, p), inst) == pytest.approx(
+        assert manual_schedule(inst, rows, p).objective() == pytest.approx(
             2 * table.dwell(p)
         )
 
     def test_merging_looks_strictly_cheaper(self):
         table, inst, p = shared_prf_instance(2, start_seed=9)
-        split = objective(manual_schedule(inst, [(1, 1, 1), (2, 2, 1)], p), inst)
-        merged = objective(manual_schedule(inst, [(1, 1, 1), (2, 1, 2)], p), inst)
+        split = manual_schedule(inst, [(1, 1, 1), (2, 2, 1)], p).objective()
+        merged = manual_schedule(inst, [(1, 1, 1), (2, 1, 2)], p).objective()
         assert merged < split
 
 

@@ -15,7 +15,7 @@ from pulseplan import (
     gen_scenario,
     hisd,
 )
-from pulseplan.sdbf import DiskSelector, disk_select
+from pulseplan.sdbf import DiskSelector
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters
 
@@ -159,8 +159,7 @@ class TestDiskSelector:
     def test_single_nonempty_disk_always_chosen(self):
         for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
             sel = self.selector([3], {0: 0.005}, main, sub, weights=[1.5])
-            cfg = DiskHeuristicConfig(disk_rule=main, sub_rule=sub)
-            assert disk_select(cfg, sel, random.Random(0)) == 0
+            assert sel.select(random.Random(0)) == 0
 
     def test_random_sub_rule_seeded(self):
         sel = self.selector([4, 4, 4], {0: 0.01, 1: 0.01, 2: 0.01}, "GD", "R")
