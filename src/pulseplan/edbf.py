@@ -23,6 +23,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInvariantError
 from .ip import Schedule, ScheduledLook
 from .radar import AvailabilityTable
@@ -70,25 +72,29 @@ def random_priorities(table: AvailabilityTable, task_rule: str,
     return {tid: rng.getrandbits(63) for tid in ids}
 
 
-def task_priority(rule: str, table: AvailabilityTable, row: int, prf_index: int,
-                  rand_values=None):
-    """Priority of one task for one PRF's structure; larger wins.
+def task_priorities(rule: str, table: AvailabilityTable, rows, prf_index: int,
+                    rand_values=None):
+    """Priorities of the given table rows for one PRF's structure; larger
+    wins.
 
     Ambiguous-range rules use the fold at the structure's own PRF; the
-    availability-sum rules are frozen sums over the whole table.
+    availability-sum rules are frozen sums over the whole table.  Each rule
+    reads one column slice, and the values equal the per-task definitions
+    exactly (the ``R`` values stay Python integers).
     """
+    rows = np.asarray(rows, dtype=np.intp)
     if rule == "SAR":
-        return -float(table.ra[row, prf_index])
+        return -table.ra[rows, prf_index]
     if rule == "LAR":
-        return float(table.ra[row, prf_index])
+        return table.ra[rows, prf_index]
     if rule == "R":
-        return rand_values[table.tasks[row].id]
+        return [rand_values[table.tasks[row].id] for row in rows.tolist()]
     if rule == "SAP":
-        return -len(table.prf_sets[row])
+        return -table.av[rows].sum(axis=1)
     if rule == "SLA":
-        return -int(table.al[row].sum())
+        return -table.al[rows].sum(axis=1)
     if rule == "SRA":
-        return -int(table.ar[row].sum())
+        return -table.ar[rows].sum(axis=1)
     raise ValueError(f"unknown task rule {rule!r}")
 
 
@@ -110,18 +116,15 @@ def task_backend(table: AvailabilityTable, cfg, p: int, rows, rand_values,
                  counters: OpCounters):
     """Selection backend over the given table rows at PRF ``p``.
 
-    Entries are (task id, A_l, A_r, priority) with the priority of
-    ``cfg.task_rule``; ``cfg.backend`` picks the structure.
+    The entries are the rows' task ids, A_l and A_r at ``p`` and the
+    priorities of ``cfg.task_rule``, one column each; ``cfg.backend`` picks
+    the structure.
     """
-    entries = [
-        (
-            table.tasks[row].id,
-            int(table.al[row, p]),
-            int(table.ar[row, p]),
-            task_priority(cfg.task_rule, table, row, p, rand_values),
-        )
-        for row in rows
-    ]
+    tasks = table.tasks
+    ids = [tasks[row].id for row in rows]
+    cols = np.asarray(rows, dtype=np.intp)
+    entries = (ids, table.al[cols, p], table.ar[cols, p],
+               task_priorities(cfg.task_rule, table, cols, p, rand_values))
     return build_backend(cfg.backend, table.cfg.n_intlv, entries, counters)
 
 
@@ -358,8 +361,9 @@ class EdbfRun:
             task_backend(table, cfg, p, table.task_sets[p], rand_values, self.counters)
             for p in range(table.n_prfs)
         ]
-        memberships = [p for p in range(table.n_prfs) for _ in table.task_sets[p]]
-        self.buckets = BucketList(range(table.n_prfs), memberships, counters=self.counters)
+        self.buckets = BucketList(
+            {p: len(rows) for p, rows in enumerate(table.task_sets)},
+            counters=self.counters)
 
     def dump_structures(self) -> str:
         """Indented snapshot of the live selection structures (debug aid)."""

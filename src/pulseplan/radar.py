@@ -126,6 +126,20 @@ def validate_prf(prf: PrfConfig, cfg: RadarConfig) -> None:
         raise ScenarioError(f"PRF {prf.f_r:g} Hz has no clear Doppler region")
 
 
+def slot_cap(prfs, cfg: RadarConfig) -> int:
+    """Largest interleaving capacity any of the PRFs can use.
+
+    A PRI holds floor(R_u / slot) slots of width slot = c * t_p / 2, and
+    every availability counts slots inside one PRI, so no task reaches a
+    slot beyond the largest of these over the PRFs.  The relative slack
+    absorbs rounding: R_u / slot reads 7.999999999999999 at 12.5 kHz and
+    10 us, where the exact quotient is 8.
+    """
+    slot = cfg.c * cfg.pulse_width / 2.0
+    return max(math.floor(unambiguous_range(prf, cfg) / slot * (1.0 + 1e-9))
+               for prf in prfs)
+
+
 def ambiguous_range(range_m: float, prf: PrfConfig, cfg: RadarConfig) -> float:
     """Fold a true range into [0, R_u)."""
     ru = unambiguous_range(prf, cfg)
@@ -270,8 +284,9 @@ def build_availability_table(
 ) -> AvailabilityTable:
     """Evaluate availabilities for all task-PRF pairs in one vectorized pass.
 
-    PRFs with an empty clear region are rejected here.  Tasks trackable with
-    no PRF are reported, not failed.
+    PRFs with an empty clear region are rejected here, and so is an
+    ``n_intlv`` above ``slot_cap``, before anything is sized by it.  Tasks
+    trackable with no PRF are reported, not failed.
     """
     prfs = tuple(prfs)
     tasks = tuple(tasks)
@@ -279,6 +294,12 @@ def build_availability_table(
         raise ScenarioError("at least one PRF is required")
     for prf in prfs:
         validate_prf(prf, cfg)
+    cap = slot_cap(prfs, cfg)
+    if cfg.n_intlv > cap:
+        raise ScenarioError(
+            f"n_intlv={cfg.n_intlv} exceeds {cap}, the most slots any PRF's "
+            f"unambiguous range holds"
+        )
     ids = [t.id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate task ids")

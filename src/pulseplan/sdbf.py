@@ -70,11 +70,8 @@ class DiskSelector:
         self.weighted = None
         if main_rule in ("GD", "RGD"):
             order = (lambda d: self.dwell[d]) if sub_rule == "SD" else None
-            memberships = [d.id for d in catalog.disks for _ in d.tasks]
-            self.buckets = BucketList(
-                [d.id for d in catalog.disks], memberships,
-                member_order=order, counters=counters,
-            )
+            self.buckets = BucketList(self.count, member_order=order,
+                                      counters=counters)
         else:
             self.weight = {d.id: d.weight for d in catalog.disks}
             self.weighted = SortedList(

@@ -13,12 +13,18 @@ priority live task with A_l >= a and A_r >= b":
 
 A doubly linked bucket list keyed by integer cardinality provides constant
 time greedy / reverse-greedy selection of PRFs and disks.
+
+Every structure is built in bulk: the backends from columns of task ids,
+availabilities and priorities, the bucket list from one count per key.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
@@ -54,10 +60,8 @@ class IndexedSet:
     __slots__ = ("_items", "_pos")
 
     def __init__(self, items=()):
-        self._items = []
-        self._pos = {}
-        for x in items:
-            self.add(x)
+        self._items = list(dict.fromkeys(items))
+        self._pos = dict(zip(self._items, range(len(self._items))))
 
     def __len__(self):
         return len(self._items)
@@ -92,9 +96,9 @@ class IndexedSet:
 class _Bucket:
     __slots__ = ("value", "members", "prev", "next")
 
-    def __init__(self, value, ordered):
+    def __init__(self, value, members):
         self.value = value
-        self.members = SortedList() if ordered else IndexedSet()
+        self.members = members
         self.prev = None
         self.next = None
 
@@ -107,21 +111,52 @@ class BucketList:
     adjustments are constant time.  With ``member_order`` given, each bucket
     keeps its keys ordered by that sub-key (logarithmic adjustments) so ties
     on the cardinality can be broken by e.g. smallest dwell time.
+
+    ``counts`` maps every key, in key order, to its starting cardinality.
+    The buckets are built from it in bulk: one pass over the keys plus a sort
+    of the distinct values, with no per-membership step and no
+    ``bucket_ops``.  Members, their order inside each bucket and the order of
+    ``nonzero`` are those of counting every membership up from zero, one
+    ``adjust(key, +1)`` at a time, key after key; the ``random`` tie-break
+    reads those orders.
     """
 
-    def __init__(self, keys, memberships, member_order=None, counters=None):
+    def __init__(self, counts, member_order=None, counters=None):
         self.counters = counters if counters is not None else OpCounters()
         self._order = member_order
-        self._bucket_of = {}
-        self.nonzero = IndexedSet()
-        zero = _Bucket(0, member_order is not None)
-        self._head = zero
-        self._tail = zero
-        for k in keys:
-            self._insert_member(zero, k)
-            self._bucket_of[k] = zero
-        for k in memberships:
-            self.adjust(k, +1)
+        by_value = {}
+        for k, c in counts.items():
+            if c < 0:
+                raise ValueError(f"key {k!r} has a negative count")
+            by_value.setdefault(c, []).append(k)
+        zeros = by_value.pop(0, [])
+        buckets = []
+        if zeros or not by_value:
+            if member_order is None and len(zeros) < len(counts):
+                # Counting up from zero takes the nonzero keys out of a
+                # bucket that held every key, and IndexedSet's swap-remove
+                # leaves the zero keys in the order this replays.
+                members = IndexedSet(counts)
+                for k, c in counts.items():
+                    if c:
+                        members.discard(k)
+            else:
+                members = self._members(zeros)
+            buckets.append(_Bucket(0, members))
+        for v in sorted(by_value):
+            buckets.append(_Bucket(v, self._members(by_value[v])))
+        for lo, hi in zip(buckets, buckets[1:]):
+            lo.next, hi.prev = hi, lo
+        self._head = buckets[0]
+        self._tail = buckets[-1]
+        bucket_at = {b.value: b for b in buckets}
+        self._bucket_of = {k: bucket_at[c] for k, c in counts.items()}
+        self.nonzero = IndexedSet(k for k, c in counts.items() if c)
+
+    def _members(self, keys):
+        if self._order is not None:
+            return SortedList((self._order(k), k) for k in keys)
+        return IndexedSet(keys)
 
     def _insert_member(self, bucket, key):
         if self._order is not None:
@@ -142,19 +177,26 @@ class BucketList:
         return {k: b.value for k, b in self._bucket_of.items()}
 
     def adjust(self, key, delta: int) -> None:
-        """Move a key to the adjacent bucket; splice links as needed."""
+        """Move a key to the adjacent bucket; splice links as needed.
+
+        A key alone in its bucket relabels that bucket when no neighbour
+        holds the target value, so no bucket is allocated.
+        """
         if delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
         self.counters.bucket_ops += 1
         bucket = self._bucket_of[key]
-        target_value = bucket.value + delta
+        value = bucket.value
+        target_value = value + delta
         if target_value < 0:
             raise InternalInvariantError(f"key {key!r} decremented below zero")
         neighbor = bucket.next if delta == 1 else bucket.prev
         if neighbor is not None and neighbor.value == target_value:
-            target = neighbor
+            self._move(key, bucket, neighbor)
+        elif len(bucket.members) == 1:
+            bucket.value = target_value
         else:
-            target = _Bucket(target_value, self._order is not None)
+            target = _Bucket(target_value, self._members(()))
             if delta == 1:
                 target.prev, target.next = bucket, bucket.next
                 if bucket.next is not None:
@@ -169,15 +211,18 @@ class BucketList:
                 else:
                     self._head = target
                 bucket.prev = target
+            self._move(key, bucket, target)
+        if value == 0:
+            self.nonzero.add(key)
+        elif target_value == 0:
+            self.nonzero.discard(key)
+
+    def _move(self, key, bucket, target):
         self._remove_member(bucket, key)
         self._insert_member(target, key)
         self._bucket_of[key] = target
         if len(bucket.members) == 0:
             self._unlink(bucket)
-        if bucket.value == 0 and target_value == 1:
-            self.nonzero.add(key)
-        elif bucket.value == 1 and target_value == 0:
-            self.nonzero.discard(key)
 
     def _unlink(self, bucket):
         if bucket.prev is not None:
@@ -272,31 +317,62 @@ def _leaf_path(key: int, leaves: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Below this many tasks numpy's per-call cost outweighs appending each task
+# to its node sequences one at a time.
+_BULK_MIN_TASKS = 32
+
+
+@functools.lru_cache(maxsize=8)
+def _tree_shape(n_intlv: int):
+    """Leaf count, suffix covers and leaf paths of the key universe
+    {0..n_intlv}, shared by every range tree of that capacity.  The paths
+    also come as a read-only (keys, depth) node array."""
+    leaves = 1
+    while leaves < n_intlv + 1:
+        leaves <<= 1
+    canon = tuple(_suffix_nodes(k, leaves) for k in range(n_intlv + 1))
+    paths = tuple(_leaf_path(k, leaves) for k in range(n_intlv + 1))
+    path_nodes = np.array(paths, dtype=np.min_scalar_type(4 * leaves * leaves))
+    path_nodes.flags.writeable = False
+    return leaves, canon, paths, path_nodes
+
+
 class _BackendBase:
     """Common storage for the three backend kinds.
 
-    ``entries`` is a list of (task_id, a_l, a_r, priority); higher priority
-    wins and ties go to the lowest task id.  Deletion is idempotent.
+    ``entries`` holds four equal-length columns: task ids, A_l, A_r and
+    priorities; higher priority wins and ties go to the lowest task id.
+    Deletion is idempotent.  The range checks, the priority order and the
+    per-kind index (``_index``) are built a column at a time.
     """
 
     kind = "base"
 
     def __init__(self, n_intlv, entries, counters=None):
+        ids, al, ar, prio = entries
         self.n_intlv = n_intlv
         self.counters = counters if counters is not None else OpCounters()
-        self.al = {}
-        self.ar = {}
-        self.prio = {}
-        for tid, a, b, p in entries:
-            if not 0 <= a <= n_intlv:
-                raise InternalInvariantError(f"task {tid}: A_l={a} outside [0, n_intlv]")
-            if not 1 <= b <= n_intlv:
-                raise InternalInvariantError(f"task {tid}: A_r={b} outside [1, n_intlv]")
-            self.al[tid] = a
-            self.ar[tid] = b
-            self.prio[tid] = p
+        al = np.asarray(al, dtype=np.int64)
+        ar = np.asarray(ar, dtype=np.int64)
+        prio = np.asarray(prio)
+        al_list, ar_list = al.tolist(), ar.tolist()
+        for name, values, lo in (("A_l", al_list, 0), ("A_r", ar_list, 1)):
+            if values and not (lo <= min(values) and max(values) <= n_intlv):
+                i = next(i for i, v in enumerate(values) if not lo <= v <= n_intlv)
+                raise InternalInvariantError(
+                    f"task {ids[i]}: {name}={values[i]} outside [{lo}, n_intlv]")
+        self.al = dict(zip(ids, al_list))
+        self.ar = dict(zip(ids, ar_list))
+        self.prio = dict(zip(ids, prio.tolist()))
         self._dead = set()
-        self._order = sorted(self.prio, key=lambda t: (-self.prio[t], t))
+        # the caller's id objects in priority order; node sequences share them
+        rank = np.lexsort((np.asarray(ids), -prio))
+        order = np.array(ids, dtype=object)[rank]
+        self._order = order.tolist()
+        self._index(order, al[rank], ar[rank])
+
+    def _index(self, order, al, ar):
+        """Build the kind's index from the columns in priority order."""
 
     @property
     def live_count(self):
@@ -368,9 +444,8 @@ class PairwiseBackend(_BackendBase):
 
     kind = "pairwise"
 
-    def __init__(self, n_intlv, entries, counters=None):
-        super().__init__(n_intlv, entries, counters)
-        n = n_intlv
+    def _index(self, order, al, ar):
+        n = self.n_intlv
         self._pairs = [
             (a, b) for a in range(n) for b in range(1, n - a + 1)
         ]
@@ -382,7 +457,7 @@ class PairwiseBackend(_BackendBase):
         self._pairs_of = {t: [] for t in self.prio}
         for pair in self._pairs:
             a, b = pair
-            members = [t for t in self._order if self.al[t] >= a and self.ar[t] >= b]
+            members = order[(al >= a) & (ar >= b)].tolist()
             nxt, prv = {}, {}
             prev_t = None
             for t in members:
@@ -450,42 +525,53 @@ class RangeTreeBackend(_BackendBase):
     build time; deletion marks a task dead and heads skip dead entries
     lazily, which keeps the per-operation cost within the advertised
     O(log^2 n_intlv) amortized bound.
+
+    The build writes all q * depth^2 node entries (depth = log2 of the
+    leaf count) at once: one stable numpy sort of the (node pair, priority
+    rank) entries groups them by node and keeps each node's tasks in
+    priority order.  Up to 128 leaves the keys fit 16 bits and the sort is
+    a radix sort, O(q log^2 n_intlv) time with no per-entry Python call.
+    Below ``_BULK_MIN_TASKS`` tasks, as in the per-disk backends of subarray
+    mode, numpy's per-call cost outweighs that, and each task is appended to
+    its node sequences in priority order instead.
     """
 
     kind = "rangetree"
 
-    def __init__(self, n_intlv, entries, counters=None):
-        super().__init__(n_intlv, entries, counters)
-        leaves = 1
-        while leaves < n_intlv + 1:
-            leaves <<= 1
+    def _index(self, order, al, ar):
+        leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
         self._leaves = leaves
-        self._canon = [_suffix_nodes(k, leaves) for k in range(n_intlv + 1)]
-        self._paths = [_leaf_path(k, leaves) for k in range(n_intlv + 1)]
-        depth = leaves.bit_length() - 1
-        self._visit_cap = max(depth * depth, 4)
+        paths = self._paths
+        per_task = path_nodes.shape[1] ** 2
+        self._visit_cap = max(per_task, 4)
         self._cnt1 = [0] * (2 * leaves)
-        self._lists = {}
-        self._cursor = {}
-        pair_cache = {}
-        for t in self._order:
-            a, b = self.al[t], self.ar[t]
-            key = (a, b)
-            node_pairs = pair_cache.get(key)
-            if node_pairs is None:
-                node_pairs = [
-                    (n1, n2) for n1 in self._paths[a] for n2 in self._paths[b]
-                ]
-                pair_cache[key] = node_pairs
-            for np_ in node_pairs:
-                lst = self._lists.get(np_)
-                if lst is None:
-                    self._lists[np_] = [t]
-                    self._cursor[np_] = 0
-                else:
-                    lst.append(t)
-            for n1 in self._paths[a]:
-                self._cnt1[n1] += 1
+        for a, size in Counter(al.tolist()).items():
+            for n1 in paths[a]:
+                self._cnt1[n1] += size
+        if len(order) < _BULK_MIN_TASKS:
+            self._lists = {}
+            for t, a, b in zip(order.tolist(), al.tolist(), ar.tolist()):
+                for n1 in paths[a]:
+                    for n2 in paths[b]:
+                        self._lists.setdefault((n1, n2), []).append(t)
+        else:
+            # One entry per (task, node pair), row-major in rank order, so a
+            # stable sort by node pair keeps each node's tasks in priority
+            # order.  Node numbers below 2 * leaves make n1 * 2 * leaves + n2
+            # fit the node array's narrow dtype; numpy's stable sort is a
+            # radix sort for 8- and 16-bit keys (up to 128 leaves).
+            pair = (path_nodes[al] * (2 * leaves))[:, :, None] + path_nodes[ar][:, None, :]
+            pair = pair.reshape(-1)
+            by_pair = np.argsort(pair, kind="stable")
+            ids = order[by_pair // per_task].tolist()
+            pair = pair[by_pair]
+            cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
+            starts = [0, *cuts]
+            self._lists = {
+                divmod(node, 2 * leaves): ids[s:e]
+                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(ids)])
+            }
+        self._cursor = dict.fromkeys(self._lists, 0)
 
     def max_lists_per_task(self):
         return max(
@@ -549,7 +635,8 @@ _BACKENDS = {
 
 
 def build_backend(kind, n_intlv, entries, counters=None) -> _BackendBase:
-    """Construct a selection backend over (task_id, a_l, a_r, priority) rows."""
+    """Construct a selection backend over (task ids, A_l, A_r, priorities)
+    columns."""
     try:
         cls = _BACKENDS[kind]
     except KeyError:

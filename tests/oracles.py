@@ -9,6 +9,20 @@ import itertools
 import math
 from fractions import Fraction
 
+from pulseplan.errors import InternalInvariantError
+from pulseplan.structures import (
+    BucketList,
+    IndexedSet,
+    OpCounters,
+    _Bucket,
+    _leaf_path,
+)
+
+
+def columns(rows):
+    """(tid, al, ar, prio) rows as the four entry columns of a backend."""
+    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
+
 
 def linear_best(entries, dead, l_min, r_min):
     """Max-priority live entry with al >= l_min and ar >= r_min.
@@ -180,3 +194,79 @@ def exhaustive_optimum(inst):
         if ok and (best is None or total < best):
             best = total
     return best
+
+
+class StepwiseBucketList(BucketList):
+    """The bucket list built by counting every membership up from zero.
+
+    All keys start in one zero bucket and ``memberships`` (key repeated
+    once per member) is applied one ``adjust(key, +1)`` at a time.
+    ``adjust`` here always allocates a target bucket when no neighbour
+    holds the target value, so comparing against it checks both the bulk
+    build of ``BucketList`` and its relabel-in-place path.
+    """
+
+    def __init__(self, keys, memberships, member_order=None):
+        self.counters = OpCounters()
+        self._order = member_order
+        self._bucket_of = {}
+        self.nonzero = IndexedSet()
+        zero = _Bucket(0, self._members(()))
+        self._head = zero
+        self._tail = zero
+        for k in keys:
+            self._insert_member(zero, k)
+            self._bucket_of[k] = zero
+        for k in memberships:
+            self.adjust(k, +1)
+
+    def adjust(self, key, delta):
+        bucket = self._bucket_of[key]
+        target_value = bucket.value + delta
+        if target_value < 0:
+            raise InternalInvariantError(f"key {key!r} decremented below zero")
+        neighbor = bucket.next if delta == 1 else bucket.prev
+        if neighbor is not None and neighbor.value == target_value:
+            target = neighbor
+        else:
+            target = _Bucket(target_value, self._members(()))
+            if delta == 1:
+                target.prev, target.next = bucket, bucket.next
+                if bucket.next is not None:
+                    bucket.next.prev = target
+                else:
+                    self._tail = target
+                bucket.next = target
+            else:
+                target.prev, target.next = bucket.prev, bucket
+                if bucket.prev is not None:
+                    bucket.prev.next = target
+                else:
+                    self._head = target
+                bucket.prev = target
+        self._remove_member(bucket, key)
+        self._insert_member(target, key)
+        self._bucket_of[key] = target
+        if len(bucket.members) == 0:
+            self._unlink(bucket)
+        if bucket.value == 0 and target_value == 1:
+            self.nonzero.add(key)
+        elif bucket.value == 1 and target_value == 0:
+            self.nonzero.discard(key)
+
+
+def incremental_node_lists(entries, n_intlv):
+    """Range-tree node sequences and first-level counts, built with one
+    append per (task, node pair) in priority order."""
+    leaves = 1
+    while leaves < n_intlv + 1:
+        leaves <<= 1
+    paths = [_leaf_path(k, leaves) for k in range(n_intlv + 1)]
+    lists = {}
+    cnt1 = [0] * (2 * leaves)
+    for tid, a, b, _ in sorted(entries, key=lambda e: (-e[3], e[0])):
+        for n1 in paths[a]:
+            cnt1[n1] += 1
+            for n2 in paths[b]:
+                lists.setdefault((n1, n2), []).append(tid)
+    return lists, cnt1

@@ -35,6 +35,7 @@ from pulseplan.structures import BACKEND_KINDS, OpCounters, build_backend
 from oracles import (
     brute_grid_disks,
     clear_region_trackable,
+    columns,
     linear_best,
     linear_has_left,
     timeline_feasible,
@@ -238,7 +239,7 @@ class TestAcceptance:
                      rng.randrange(1, n_intlv + 1), rng.uniform(-10, 10))
                     for tid in range(1, n + 1)
                 ]
-                backend = build_backend(kind, n_intlv, entries)
+                backend = build_backend(kind, n_intlv, columns(entries))
                 dead = set()
                 alive = [e[0] for e in entries]
                 for _ in range(rng.randrange(20, 200)):

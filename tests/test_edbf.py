@@ -20,14 +20,15 @@ from pulseplan import (
     hied,
     solve_exact,
 )
-from pulseplan.edbf import Episode, prf_select, run_looks, task_priority
+from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters, build_backend
+from oracles import columns
 
 
 def episode_over(entries, n_intlv):
     counters = OpCounters()
-    backend = build_backend("brute", n_intlv, entries, counters)
+    backend = build_backend("brute", n_intlv, columns(entries), counters)
     return Episode(backend, n_intlv, counters), counters
 
 
@@ -45,7 +46,7 @@ class TestBackwardInterleaving:
     def test_episode_deletes_placed_tasks(self):
         entries = [(1, 1, 2, 2.0), (2, 1, 2, 1.0)]
         counters = OpCounters()
-        backend = build_backend("pairwise", 2, entries, counters)
+        backend = build_backend("pairwise", 2, columns(entries), counters)
         placed = Episode(backend, 2, counters).run()
         assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
         assert backend.live_count == 0
@@ -95,17 +96,17 @@ class TestBackwardInterleaving:
 
 class TestPrfSelect:
     def test_greedy_and_reverse_greedy(self):
-        buckets = BucketList([0, 1], [0] * 5 + [1] * 2)
+        buckets = BucketList({0: 5, 1: 2})
         assert prf_select("G", buckets, random.Random(0)) == 0
         assert prf_select("RG", buckets, random.Random(0)) == 1
 
     def test_single_nonempty_prf(self):
-        buckets = BucketList([0, 1], [1])
+        buckets = BucketList({0: 0, 1: 1})
         for rule in ("G", "RG", "R"):
             assert prf_select(rule, buckets, random.Random(0)) == 1
 
     def test_random_rule_reproducible(self):
-        buckets = BucketList(list(range(6)), [p for p in range(6) for _ in range(p + 1)])
+        buckets = BucketList({p: p + 1 for p in range(6)})
         a = [prf_select("R", buckets, random.Random(42)) for _ in range(10)]
         b = [prf_select("R", buckets, random.Random(42)) for _ in range(10)]
         assert a == b
@@ -123,8 +124,8 @@ class TestTaskRules:
 
     def test_ambiguous_range_rules(self):
         table = self.build_two_task_table()
-        sar = [task_priority("SAR", table, row, 0) for row in range(2)]
-        lar = [task_priority("LAR", table, row, 0) for row in range(2)]
+        sar = task_priorities("SAR", table, range(2), 0).tolist()
+        lar = task_priorities("LAR", table, range(2), 0).tolist()
         assert sar[0] > sar[1]        # shortest folded range wins under SAR
         assert lar[1] > lar[0]
 
@@ -132,17 +133,17 @@ class TestTaskRules:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=12, seed=0), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         rows = range(len(tasks))
-        sap = {r: task_priority("SAP", table, r, 0) for r in rows}
+        sap = dict(zip(rows, task_priorities("SAP", table, rows, 0).tolist()))
         for r in rows:
             assert sap[r] == -len(table.prf_sets[r])
-        sla = {r: task_priority("SLA", table, r, 0) for r in rows}
-        sra = {r: task_priority("SRA", table, r, 0) for r in rows}
+        sla = dict(zip(rows, task_priorities("SLA", table, rows, 0).tolist()))
+        sra = dict(zip(rows, task_priorities("SRA", table, rows, 0).tolist()))
         for r in rows:
             assert sla[r] == -int(table.al[r].sum())
             assert sra[r] == -int(table.ar[r].sum())
 
     def test_task_select_uses_backend_thresholds(self):
-        backend = build_backend("rangetree", 8, [(1, 3, 2, 5.0), (2, 1, 4, 9.0)])
+        backend = build_backend("rangetree", 8, columns([(1, 3, 2, 5.0), (2, 1, 4, 9.0)]))
         assert backend.best_in(2, 1) == 1
         assert backend.best_in(0, 1) == 2
 
@@ -159,7 +160,8 @@ class TestHied:
         assert p in table.prf_sets[0]
 
     def test_mutually_non_interleavable_tasks_get_one_look_each(self):
-        cfg = RadarConfig(c=3e8, n_intlv=8, pulses_per_look=64)
+        # a 22 kHz PRI holds 4 slots of 10 us, so n_intlv=4 is the cap
+        cfg = RadarConfig(c=3e8, n_intlv=4, pulses_per_look=64)
         prf = PrfConfig(f_r=22000.0, c_r_plus=2000.0, c_r_minus=500.0,
                         c_f_plus=2000.0, c_f_minus=2000.0)
         tasks = [
@@ -263,7 +265,7 @@ class TestHied:
             def next_look(self, j):
                 look = ScheduledLook(index=j, prf_index=0, f_r=prfs[0].f_r,
                                      dwell=table.dwell(0))
-                return build_backend("brute", cfg.n_intlv, []), look
+                return build_backend("brute", cfg.n_intlv, columns([])), look
 
             def consume(self, tid):
                 raise AssertionError("nothing was placed")
@@ -279,6 +281,16 @@ class TestHied:
         hied(table, HeuristicConfig(), counters)
         assert 0 < counters.bi_max_iterations <= 2 * cfg.n_intlv
         assert counters.bi_calls >= 1
+
+    def test_bucket_ops_count_consumes_only(self, cfg, prfs):
+        # the PRF bucket list is built from counts; every adjust after that
+        # is one consumed (task, PRF) membership
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        run = EdbfRun(table, HeuristicConfig())
+        assert run.counters.bucket_ops == 0
+        run.run()
+        assert run.counters.bucket_ops == table.q_p
 
     def test_tiny_capacity_fuzz(self):
         # capacities 1..3 drive the degenerate recursion branches

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from pulseplan import (
     hied,
 )
 from pulseplan.cli import main
+from pulseplan.radar import slot_cap
 from pulseplan.io import (
     availability_text,
     disks_text,
@@ -261,6 +264,32 @@ class TestCli:
         assert main(["schedule", str(scenario_file), "--mode", mode]) == 2
         err = capsys.readouterr().err
         assert f"error: line {bad_line}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_capacity_beyond_every_prf_exits_two(self, mode, tmp_path, capsys):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=6, seed=8))
+        path = tmp_path / "wide.txt"
+        path.write_text(re.sub(r"n_intlv=\S+", "n_intlv=100000",
+                               scenario_to_text(cfg, prfs, tasks)))
+        tracemalloc.start()
+        try:
+            code = main(["schedule", str(path), "--mode", mode])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "n_intlv=100000 exceeds" in capsys.readouterr().err
+        # rejected before any structure sized by n_intlv exists
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_capacity_at_the_slot_cap_is_accepted(self, mode, tmp_path):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=6, seed=8))
+        cap = slot_cap(prfs, cfg)
+        path = tmp_path / "full.txt"
+        for n_intlv, want in ((cap, 0), (cap + 1, 2)):
+            path.write_text(scenario_to_text(replace(cfg, n_intlv=n_intlv), prfs, tasks))
+            assert main(["schedule", str(path), "--mode", mode]) == want, n_intlv
 
     def test_internal_invariant_maps_to_exit_three(self, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError

@@ -2,10 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseplan import BucketList, OpCounters, build_backend
 from pulseplan.structures import BACKEND_KINDS
-from oracles import linear_best, linear_has_left
+from oracles import (
+    StepwiseBucketList,
+    columns,
+    incremental_node_lists,
+    linear_best,
+    linear_has_left,
+)
 
 
 def random_entries(rng, n, n_intlv, prio_pool=None):
@@ -20,27 +27,27 @@ def random_entries(rng, n, n_intlv, prio_pool=None):
 
 class TestBucketList:
     def test_all_empty_keys_share_zero_bucket(self):
-        b = BucketList(["a", "b", "c"], [])
+        b = BucketList({"a": 0, "b": 0, "c": 0})
         assert b.counts() == {"a": 0, "b": 0, "c": 0}
         assert b.select("max") in ("a", "b", "c")
         assert b.max_value() == 0
 
     def test_membership_counting_and_tie_break(self):
-        b = BucketList([1, 2, 3], [1, 1, 1, 2, 3, 3, 3])
+        b = BucketList({1: 3, 2: 1, 3: 3})
         assert b.counts() == {1: 3, 2: 1, 3: 3}
         assert sorted({bk.value for bk in b._walk()}) == [1, 3]
         assert b.select("max") == 1          # lowest key among the ties
         assert b.select("min") == 2
 
     def test_adjust_round_trip(self):
-        b = BucketList([1, 2], [1, 2, 2])
+        b = BucketList({1: 1, 2: 2})
         before = b.counts()
         b.adjust(1, +1)
         b.adjust(1, -1)
         assert b.counts() == before
 
     def test_max_bucket_created_and_removed(self):
-        b = BucketList([1, 2], [1, 2])
+        b = BucketList({1: 1, 2: 1})
         b.adjust(2, +1)
         assert b.max_value() == 2 and b.select("max") == 2
         b.adjust(2, -1)
@@ -52,7 +59,7 @@ class TestBucketList:
         rng = random.Random(0)
         keys = list(range(12))
         counts = {k: 0 for k in keys}
-        b = BucketList(keys, [])
+        b = BucketList(dict.fromkeys(keys, 0))
         for _ in range(100_000):
             k = rng.choice(keys)
             if counts[k] == 0 or rng.random() < 0.55:
@@ -66,20 +73,96 @@ class TestBucketList:
 
     def test_ordered_tie_break(self):
         dwell = {10: 0.5, 11: 0.2, 12: 0.9}
-        b = BucketList([10, 11, 12], [10, 11, 12], member_order=lambda k: dwell[k])
+        b = BucketList({10: 1, 11: 1, 12: 1}, member_order=lambda k: dwell[k])
         assert b.select("max", tie="ordered") == 11
 
     def test_random_tie_break_is_seeded(self):
-        b = BucketList([1, 2, 3], [1, 2, 3])
+        b = BucketList({1: 1, 2: 1, 3: 1})
         picks = [b.select("max", tie="random", rng=random.Random(7)) for _ in range(5)]
         again = [b.select("max", tie="random", rng=random.Random(7)) for _ in range(5)]
         assert picks == again
 
 
+def bucket_state(b):
+    """Everything the selections can read: bucket values in link order,
+    each bucket's members in their stored order, and the nonzero order."""
+    return ([(bk.value, list(bk.members)) for bk in b._walk()],
+            list(b.nonzero), b.counts())
+
+
+def selections(b, ordered):
+    picks = []
+    for extreme in ("max", "min"):
+        for skip_zero in (False, True):
+            picks.append(b.select(extreme, skip_zero, tie="min_id"))
+            picks.append(b.select(extreme, skip_zero, tie="random",
+                                  rng=random.Random(len(picks))))
+            if ordered:
+                picks.append(b.select(extreme, skip_zero, tie="ordered"))
+    return picks
+
+
+class TestBucketListBulkBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 6), max_size=12),
+        ordered=st.booleans(),
+        steps=st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=60),
+    )
+    def test_counts_build_matches_stepwise_build(self, counts, ordered, steps):
+        keys = [10 * i + 3 for i in range(len(counts))]
+        sub = (lambda k: (k * 7) % 5) if ordered else None
+        bulk = BucketList(dict(zip(keys, counts)), member_order=sub)
+        ref = StepwiseBucketList(
+            keys, [k for k, c in zip(keys, counts) for _ in range(c)],
+            member_order=sub)
+        assert bulk.counters.bucket_ops == 0
+        assert bucket_state(bulk) == bucket_state(ref)
+        assert selections(bulk, ordered) == selections(ref, ordered)
+        for i, up in steps:
+            if not keys:
+                break
+            k = keys[i % len(keys)]
+            delta = +1 if up or ref.count(k) == 0 else -1
+            bulk.adjust(k, delta)
+            ref.adjust(k, delta)
+            assert bucket_state(bulk) == bucket_state(ref)
+            assert selections(bulk, ordered) == selections(ref, ordered)
+
+    def test_lone_key_relabels_its_bucket(self):
+        b = BucketList({1: 1, 2: 3})
+        before = b._bucket_of[1]
+        b.adjust(1, +1)
+        assert b._bucket_of[1] is before and before.value == 2
+        b.adjust(1, +1)             # the neighbour holds 3: join it
+        assert b._bucket_of[1] is b._bucket_of[2]
+
+
+class TestRangeTreeBulkBuild:
+    @pytest.mark.parametrize("n_intlv", [1, 8, 11, 16])
+    def test_node_lists_match_incremental_build(self, n_intlv):
+        rng = random.Random(n_intlv)
+        for n in (0, 1, 2, 5, 31, 32, 33, 90, 400):
+            ids = rng.sample(range(10**6, 10**6 + 10 * n + 1), n)
+            entries = [
+                (tid, rng.randrange(0, n_intlv + 1), rng.randrange(1, n_intlv + 1),
+                 rng.choice([0.5, 1.0, 2.0]))
+                for tid in ids
+            ]
+            b = build_backend("rangetree", n_intlv, columns(entries))
+            lists, cnt1 = incremental_node_lists(entries, n_intlv)
+            assert b._lists == lists, (n_intlv, n)
+            assert b._cnt1 == cnt1
+            assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
+            # node sequences hold the caller's id objects, not copies
+            given_ids = {id(t) for t in ids}
+            assert all(id(t) in given_ids for lst in b._lists.values() for t in lst)
+
+
 class TestBackendExamples:
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_single_task(self, kind):
-        b = build_backend(kind, 8, [(5, 3, 4, 1.0)])
+        b = build_backend(kind, 8, columns([(5, 3, 4, 1.0)]))
         for a in range(0, 4):
             for r in range(1, 5):
                 assert b.best_in(a, r) == 5
@@ -88,13 +171,13 @@ class TestBackendExamples:
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_empty(self, kind):
-        b = build_backend(kind, 8, [])
+        b = build_backend(kind, 8, columns([]))
         assert b.best_in(0, 1) is None
         assert not b.has_left(0)
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_threshold_filtering(self, kind):
-        b = build_backend(kind, 8, [(1, 3, 2, 5.0), (2, 1, 4, 9.0)])
+        b = build_backend(kind, 8, columns([(1, 3, 2, 5.0), (2, 1, 4, 9.0)]))
         assert b.best_in(2, 1) == 1
         assert b.best_in(0, 1) == 2
         assert b.best_in(0, 3) == 2
@@ -102,7 +185,7 @@ class TestBackendExamples:
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_delete_then_next_best(self, kind):
-        b = build_backend(kind, 8, [(1, 2, 2, 5.0), (2, 2, 2, 3.0)])
+        b = build_backend(kind, 8, columns([(1, 2, 2, 5.0), (2, 2, 2, 3.0)]))
         assert b.best_in(0, 1) == 1
         b.delete(1)
         assert b.best_in(0, 1) == 2
@@ -113,7 +196,7 @@ class TestBackendExamples:
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_ties_break_to_lowest_id(self, kind):
-        b = build_backend(kind, 4, [(9, 2, 2, 1.5), (3, 2, 2, 1.5), (7, 2, 2, 1.5)])
+        b = build_backend(kind, 4, columns([(9, 2, 2, 1.5), (3, 2, 2, 1.5), (7, 2, 2, 1.5)]))
         assert b.best_in(0, 1) == 3
 
 
@@ -124,7 +207,7 @@ class TestBackendEquivalence:
             n_intlv = rng.choice([2, 3, 4, 8, 11])
             entries = random_entries(rng, rng.randrange(1, 40), n_intlv,
                                      prio_pool=[1.0, 2.0, 3.0] if trial % 3 else None)
-            backends = [build_backend(k, n_intlv, entries) for k in BACKEND_KINDS]
+            backends = [build_backend(k, n_intlv, columns(entries)) for k in BACKEND_KINDS]
             for a in range(0, n_intlv + 1):
                 for r in range(1, n_intlv + 1):
                     answers = {b.best_in(a, r) for b in backends}
@@ -136,7 +219,7 @@ class TestBackendEquivalence:
         while ops < 100_000:
             n_intlv = rng.choice([3, 4, 8])
             entries = random_entries(rng, rng.randrange(1, 60), n_intlv)
-            backends = {k: build_backend(k, n_intlv, entries) for k in BACKEND_KINDS}
+            backends = {k: build_backend(k, n_intlv, columns(entries)) for k in BACKEND_KINDS}
             dead = set()
             alive = [e[0] for e in entries]
             for _ in range(rng.randrange(10, 120)):
@@ -167,7 +250,7 @@ class TestStructuralBounds:
         rng = random.Random(13)
         for n_intlv in (3, 4, 6, 8, 12):
             entries = random_entries(rng, 30, n_intlv)
-            b = build_backend("pairwise", n_intlv, entries)
+            b = build_backend("pairwise", n_intlv, columns(entries))
             assert b.total_entries() <= n_intlv * (n_intlv - 1) * len(entries)
 
     def test_pairwise_deletion_touch_cap(self):
@@ -175,7 +258,7 @@ class TestStructuralBounds:
         for n_intlv in (3, 4, 8):
             entries = random_entries(rng, 25, n_intlv)
             counters = OpCounters()
-            b = build_backend("pairwise", n_intlv, entries, counters)
+            b = build_backend("pairwise", n_intlv, columns(entries), counters)
             for tid, *_ in entries:
                 before = counters.pairwise_touches
                 b.delete(tid)
@@ -185,7 +268,7 @@ class TestStructuralBounds:
         rng = random.Random(15)
         for n_intlv in (2, 3, 4, 8, 16):
             entries = random_entries(rng, 40, n_intlv)
-            b = build_backend("rangetree", n_intlv, entries)
+            b = build_backend("rangetree", n_intlv, columns(entries))
             cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2 if n_intlv > 1 else 4
             assert b.max_lists_per_task() <= cap
             depth = b._leaves.bit_length() - 1
@@ -196,7 +279,7 @@ class TestStructuralBounds:
         n_intlv = 8
         entries = random_entries(rng, 50, n_intlv)
         counters = OpCounters()
-        b = build_backend("rangetree", n_intlv, entries, counters)
+        b = build_backend("rangetree", n_intlv, columns(entries), counters)
         cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2
         for a in range(0, n_intlv + 1):
             for r in range(1, n_intlv + 1):
@@ -209,7 +292,7 @@ class TestStructuralBounds:
         entries = random_entries(rng, 30, 8)
         seq = []
         for k in BACKEND_KINDS:
-            b = build_backend(k, 8, entries)
+            b = build_backend(k, 8, columns(entries))
             trace = []
             for a, r in [(0, 1), (2, 3), (5, 2), (0, 8)]:
                 t = b.best_in(a, r)
