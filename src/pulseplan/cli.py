@@ -276,8 +276,21 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    workers = int(os.environ.get(BENCH_WORKERS_ENV, "1"))
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise UsageError(f"--sizes must list integers, got {args.sizes!r}")
+    if len(sizes) < 4:
+        raise UsageError("--sizes needs at least four task counts")
+    if sizes[0] < 1 or sorted(set(sizes)) != sizes:
+        raise UsageError("--sizes must be positive and strictly increasing")
+    if args.reps < 1:
+        raise UsageError("--reps must be at least 1")
+    raw_workers = os.environ.get(BENCH_WORKERS_ENV, "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        raise UsageError(f"{BENCH_WORKERS_ENV} must be an integer, got {raw_workers!r}")
     if workers > 1:
         print(f"note: {BENCH_WORKERS_ENV}={workers}; timings of co-scheduled "
               "repetitions are not exclusive", file=sys.stderr)

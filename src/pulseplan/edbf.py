@@ -383,9 +383,10 @@ class EdbfRun:
         return self.backends[p], look
 
     def consume(self, tid: int) -> None:
-        for p in self.table.prf_sets[self.table.row_of(tid)]:
+        prf_set = self.table.prf_sets[self.table.row_of(tid)]
+        for p in prf_set:
             self.backends[p].delete(tid)
-            self.buckets.adjust(p, -1)
+        self.buckets.decrement(prf_set)
 
     def run(self) -> Schedule:
         cfg = self.cfg

@@ -55,7 +55,9 @@ class DiskSelector:
     their selections cost a logarithm of the live disk count.  Weights are
     sums of frozen reciprocals 1/|available disks of task|, decremented as
     members are consumed; emptiness is tracked by exact counts, never by
-    float weight.
+    float weight.  Only what the rules read is built: dwell times for SD or
+    WGD, weights and member counts for WGD (the bucket list holds the
+    greedy rules' counts).
     """
 
     def __init__(self, main_rule, sub_rule, catalog: DiskCatalog,
@@ -63,19 +65,21 @@ class DiskSelector:
         self.main_rule = main_rule
         self.sub_rule = sub_rule
         self.counters = counters
-        table = catalog.table
-        self.dwell = {d.id: table.dwell(d.prf_index) for d in catalog.disks}
-        self.count = {d.id: len(d.tasks) for d in catalog.disks}
-        self.buckets = None
-        self.weighted = None
+        disks = catalog.disks
+        self.dwell = self.count = self.weight = None
+        self.buckets = self.weighted = None
+        if sub_rule == "SD" or main_rule == "WGD":
+            table = catalog.table
+            self.dwell = {d.id: table.dwell(d.prf_index) for d in disks}
         if main_rule in ("GD", "RGD"):
             order = (lambda d: self.dwell[d]) if sub_rule == "SD" else None
-            self.buckets = BucketList(self.count, member_order=order,
-                                      counters=counters)
+            self.buckets = BucketList({d.id: len(d.tasks) for d in disks},
+                                      member_order=order, counters=counters)
         else:
-            self.weight = {d.id: d.weight for d in catalog.disks}
+            self.count = {d.id: len(d.tasks) for d in disks}
+            self.weight = {d.id: d.weight for d in disks}
             self.weighted = SortedList(
-                (self.weight[d.id], self.dwell[d.id], d.id) for d in catalog.disks
+                (self.weight[d.id], self.dwell[d.id], d.id) for d in disks
             )
 
     def select(self, rng: random.Random):
@@ -93,13 +97,11 @@ class DiskSelector:
         return self.weighted[rng.randrange(lo, len(self.weighted))][2]
 
     def remove_member(self, disk_id: int, reciprocal: float):
-        """A task enclosed by this disk was scheduled somewhere."""
+        """WGD: a task enclosed by this disk was scheduled somewhere.  The
+        greedy rules consume through ``buckets.decrement`` instead."""
         self.count[disk_id] -= 1
         if self.count[disk_id] < 0:
             raise InternalInvariantError("disk member count went negative")
-        if self.buckets is not None:
-            self.buckets.adjust(disk_id, -1)
-            return
         entry = (self.weight[disk_id], self.dwell[disk_id], disk_id)
         self.weighted.remove(entry)
         if self.count[disk_id] > 0:
@@ -123,9 +125,11 @@ class SdbfRun:
         self.rngs = derive_rngs(cfg.seed)
         self.rand_values = random_priorities(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
-        self.reciprocal = {
-            tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
-        }
+        self.reciprocal = None
+        if self.selector.weighted is not None:
+            self.reciprocal = {
+                tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
+            }
         self.scheduled: set[int] = set()
 
     def _disk_backend(self, disk):
@@ -172,8 +176,12 @@ class SdbfRun:
 
     def consume(self, tid: int) -> None:
         self.scheduled.add(tid)
+        disks = self.catalog.task_disks[tid]
+        if self.selector.buckets is not None:
+            self.selector.buckets.decrement(disks)
+            return
         recip = self.reciprocal[tid]
-        for d in self.catalog.task_disks[tid]:
+        for d in disks:
             self.selector.remove_member(d, recip)
 
     def run(self) -> Schedule:

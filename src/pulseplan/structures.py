@@ -89,9 +89,6 @@ class IndexedSet:
     def choose(self, rng):
         return self._items[rng.randrange(len(self._items))]
 
-    def min(self):
-        return min(self._items)
-
 
 class _Bucket:
     __slots__ = ("value", "members", "prev", "next")
@@ -103,14 +100,28 @@ class _Bucket:
         self.next = None
 
 
+def _swap_remove(members, pos, key):
+    """Remove ``key`` from the list ``members``: the last member fills its
+    slot, as in ``IndexedSet.discard``."""
+    i = pos.pop(key)
+    last = members.pop()
+    if last != key:
+        members[i] = last
+        pos[last] = i
+
+
 class BucketList:
     """Doubly linked buckets of keys sharing one integer cardinality.
 
     Bucket values are strictly increasing along the links and a bucket exists
     only while some key holds its value, so min/max selection and +-1
-    adjustments are constant time.  With ``member_order`` given, each bucket
-    keeps its keys ordered by that sub-key (logarithmic adjustments) so ties
-    on the cardinality can be broken by e.g. smallest dwell time.
+    adjustments are constant time.  Each bucket keeps its keys in a plain
+    list, and one dict shared by all buckets (``_pos``) maps each key to its
+    index in its bucket's list: a key leaves by swap-remove (the last member
+    fills its slot) and joins by append.  With ``member_order`` given, each
+    bucket instead keeps its keys ordered by that sub-key in a SortedList
+    (logarithmic adjustments) so ties on the cardinality can be broken by
+    e.g. smallest dwell time.
 
     ``counts`` maps every key, in key order, to its starting cardinality.
     The buckets are built from it in bulk: one pass over the keys plus a sort
@@ -119,6 +130,10 @@ class BucketList:
     ``nonzero`` are those of counting every membership up from zero, one
     ``adjust(key, +1)`` at a time, key after key; the ``random`` tie-break
     reads those orders.
+
+    ``decrement(keys)`` consumes one membership of each key in turn, the
+    look loop's bookkeeping for one placed task, in a single call: O(1) per
+    key (O(log) with ``member_order``), one ``bucket_ops`` each.
     """
 
     def __init__(self, counts, member_order=None, counters=None):
@@ -134,15 +149,14 @@ class BucketList:
         if zeros or not by_value:
             if member_order is None and len(zeros) < len(counts):
                 # Counting up from zero takes the nonzero keys out of a
-                # bucket that held every key, and IndexedSet's swap-remove
-                # leaves the zero keys in the order this replays.
-                members = IndexedSet(counts)
+                # bucket that held every key, and the swap-remove leaves the
+                # zero keys in the order this replays.
+                zeros = list(counts)
+                pos = dict(zip(zeros, range(len(zeros))))
                 for k, c in counts.items():
                     if c:
-                        members.discard(k)
-            else:
-                members = self._members(zeros)
-            buckets.append(_Bucket(0, members))
+                        _swap_remove(zeros, pos, k)
+            buckets.append(_Bucket(0, self._members(zeros)))
         for v in sorted(by_value):
             buckets.append(_Bucket(v, self._members(by_value[v])))
         for lo, hi in zip(buckets, buckets[1:]):
@@ -151,24 +165,27 @@ class BucketList:
         self._tail = buckets[-1]
         bucket_at = {b.value: b for b in buckets}
         self._bucket_of = {k: bucket_at[c] for k, c in counts.items()}
+        if member_order is None:
+            self._pos = {k: i for b in buckets for i, k in enumerate(b.members)}
         self.nonzero = IndexedSet(k for k, c in counts.items() if c)
 
     def _members(self, keys):
         if self._order is not None:
             return SortedList((self._order(k), k) for k in keys)
-        return IndexedSet(keys)
+        return list(keys)
 
     def _insert_member(self, bucket, key):
         if self._order is not None:
             bucket.members.add((self._order(key), key))
         else:
-            bucket.members.add(key)
+            self._pos[key] = len(bucket.members)
+            bucket.members.append(key)
 
     def _remove_member(self, bucket, key):
         if self._order is not None:
             bucket.members.remove((self._order(key), key))
         else:
-            bucket.members.discard(key)
+            _swap_remove(bucket.members, self._pos, key)
 
     def count(self, key) -> int:
         return self._bucket_of[key].value
@@ -177,14 +194,22 @@ class BucketList:
         return {k: b.value for k, b in self._bucket_of.items()}
 
     def adjust(self, key, delta: int) -> None:
-        """Move a key to the adjacent bucket; splice links as needed.
+        """Move a key to the adjacent bucket; ``adjust(key, -1)`` is
+        ``decrement((key,))``."""
+        if delta == -1:
+            self.decrement((key,))
+        elif delta == 1:
+            self.counters.bucket_ops += 1
+            self._step(key, 1)
+        else:
+            raise ValueError("delta must be +1 or -1")
+
+    def _step(self, key, delta):
+        """One +-1 move through the member methods; splice links as needed.
 
         A key alone in its bucket relabels that bucket when no neighbour
         holds the target value, so no bucket is allocated.
         """
-        if delta not in (1, -1):
-            raise ValueError("delta must be +1 or -1")
-        self.counters.bucket_ops += 1
         bucket = self._bucket_of[key]
         value = bucket.value
         target_value = value + delta
@@ -216,6 +241,64 @@ class BucketList:
             self.nonzero.add(key)
         elif target_value == 0:
             self.nonzero.discard(key)
+
+    def decrement(self, keys) -> None:
+        """``adjust(key, -1)`` for each key of the sequence ``keys`` in turn.
+
+        The list-member kind runs one fused loop: a key joins the previous
+        bucket when it holds value - 1, a lone key relabels its bucket
+        otherwise, and a new bucket is spliced in front only when neither
+        applies.  All ``len(keys)`` ``bucket_ops`` are counted up front.
+        """
+        self.counters.bucket_ops += len(keys)
+        if self._order is not None:
+            for key in keys:
+                self._step(key, -1)
+            return
+        bucket_of = self._bucket_of
+        pos = self._pos
+        nonzero = self.nonzero
+        for key in keys:
+            bucket = bucket_of[key]
+            value = bucket.value - 1
+            if value < 0:
+                raise InternalInvariantError(f"key {key!r} decremented below zero")
+            members = bucket.members
+            prev = bucket.prev
+            if len(members) == 1:
+                if prev is None or prev.value != value:
+                    # a lone key relabels its bucket
+                    bucket.value = value
+                    if value == 0:
+                        nonzero.discard(key)
+                    continue
+                # a lone key joins prev and its bucket empties: unlink it
+                nxt = bucket.next
+                prev.next = nxt
+                if nxt is not None:
+                    nxt.prev = prev
+                else:
+                    self._tail = prev
+            else:
+                i = pos[key]
+                last = members.pop()
+                if last != key:
+                    members[i] = last
+                    pos[last] = i
+                if prev is None or prev.value != value:
+                    target = _Bucket(value, [])
+                    target.prev, target.next = prev, bucket
+                    if prev is not None:
+                        prev.next = target
+                    else:
+                        self._head = target
+                    bucket.prev = prev = target
+            dest = prev.members
+            pos[key] = len(dest)
+            dest.append(key)
+            bucket_of[key] = prev
+            if value == 0:
+                nonzero.discard(key)
 
     def _move(self, key, bucket, target):
         self._remove_member(bucket, key)
@@ -261,17 +344,15 @@ class BucketList:
         bucket = self._max_bucket(skip_zero) if extreme == "max" else self._min_bucket(skip_zero)
         if bucket is None or len(bucket.members) == 0:
             return None
+        members = bucket.members
         if tie == "ordered":
             if self._order is None:
                 raise InternalInvariantError("ordered tie-break without member_order")
-            return bucket.members[0][1]
-        if self._order is not None:
-            if tie == "random":
-                return bucket.members[rng.randrange(len(bucket.members))][1]
-            return min(m[1] for m in bucket.members)
+            return members[0][1]
         if tie == "random":
-            return bucket.members.choose(rng)
-        return bucket.members.min()
+            pick = members[rng.randrange(len(members))]
+            return pick if self._order is None else pick[1]
+        return min(members) if self._order is None else min(m[1] for m in members)
 
     def _walk(self):
         b = self._head

@@ -9,9 +9,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from sortedcontainers import SortedList
+
 from pulseplan.errors import InternalInvariantError
 from pulseplan.structures import (
-    BucketList,
     IndexedSet,
     OpCounters,
     _Bucket,
@@ -196,18 +197,21 @@ def exhaustive_optimum(inst):
     return best
 
 
-class StepwiseBucketList(BucketList):
+class StepwiseBucketList:
     """The bucket list built by counting every membership up from zero.
 
-    All keys start in one zero bucket and ``memberships`` (key repeated
-    once per member) is applied one ``adjust(key, +1)`` at a time.
-    ``adjust`` here always allocates a target bucket when no neighbour
-    holds the target value, so comparing against it checks both the bulk
-    build of ``BucketList`` and its relabel-in-place path.
+    A standalone reference with ``BucketList``'s interface: each bucket
+    keeps its keys in its own ``IndexedSet`` (or a SortedList of
+    (sub-key, key) with ``member_order``), all keys start in one zero bucket
+    and ``memberships`` (key repeated once per member) is applied one
+    ``adjust(key, +1)`` at a time; ``bucket_ops`` counts the adjusts made
+    after that.  ``adjust`` here always allocates a target bucket when no
+    neighbour holds the target value, so comparing against it checks the
+    bulk build of ``BucketList``, its relabel-in-place path and its fused
+    ``decrement``.
     """
 
     def __init__(self, keys, memberships, member_order=None):
-        self.counters = OpCounters()
         self._order = member_order
         self._bucket_of = {}
         self.nonzero = IndexedSet()
@@ -217,10 +221,68 @@ class StepwiseBucketList(BucketList):
         for k in keys:
             self._insert_member(zero, k)
             self._bucket_of[k] = zero
+        self.counters = OpCounters()
         for k in memberships:
             self.adjust(k, +1)
+        self.counters = OpCounters()
+
+    def _members(self, keys):
+        if self._order is not None:
+            return SortedList((self._order(k), k) for k in keys)
+        return IndexedSet(keys)
+
+    def _insert_member(self, bucket, key):
+        if self._order is not None:
+            bucket.members.add((self._order(key), key))
+        else:
+            bucket.members.add(key)
+
+    def _remove_member(self, bucket, key):
+        if self._order is not None:
+            bucket.members.remove((self._order(key), key))
+        else:
+            bucket.members.discard(key)
+
+    def _unlink(self, bucket):
+        if bucket.prev is not None:
+            bucket.prev.next = bucket.next
+        else:
+            self._head = bucket.next
+        if bucket.next is not None:
+            bucket.next.prev = bucket.prev
+        else:
+            self._tail = bucket.prev
+
+    def _walk(self):
+        b = self._head
+        while b is not None:
+            yield b
+            b = b.next
+
+    def count(self, key):
+        return self._bucket_of[key].value
+
+    def counts(self):
+        return {k: b.value for k, b in self._bucket_of.items()}
+
+    def select(self, extreme="max", skip_zero=False, tie="min_id", rng=None):
+        bucket = self._head if extreme == "min" else self._tail
+        if skip_zero and bucket is not None and bucket.value == 0:
+            bucket = bucket.next if extreme == "min" else None
+        if bucket is None or len(bucket.members) == 0:
+            return None
+        if tie == "ordered":
+            return bucket.members[0][1]
+        if self._order is not None:
+            if tie == "random":
+                return bucket.members[rng.randrange(len(bucket.members))][1]
+            return min(m[1] for m in bucket.members)
+        if tie == "random":
+            return bucket.members.choose(rng)
+        return min(bucket.members)
 
     def adjust(self, key, delta):
+        self.counters.bucket_ops += 1
         bucket = self._bucket_of[key]
         target_value = bucket.value + delta
         if target_value < 0:

@@ -239,6 +239,21 @@ class TestCli:
         assert "not exclusive" in capsys.readouterr().err
         assert "fit exponent=" in out.read_text()
 
+    @pytest.mark.parametrize("argv, workers", [
+        (["--sizes", "10,x"], None),
+        (["--sizes", "10,20,30"], None),
+        (["--sizes", "10,30,20,40"], None),
+        (["--sizes", "10,20,30,40", "--reps", "0"], None),
+        (["--sizes", "10,20,30,40"], "two"),
+    ], ids=["non-integer", "three-sizes", "not-increasing", "zero-reps",
+            "non-integer-workers"])
+    def test_bench_bad_input_is_usage_error(self, argv, workers, monkeypatch, capsys):
+        if workers is not None:
+            monkeypatch.setenv("PULSEPLAN_BENCH_WORKERS", workers)
+        assert main(["bench", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage" in err and "Traceback" not in err
+
     def test_dump_structures_flag(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "s.txt"
         code = main(["schedule", str(scenario_file), "--out", str(out),

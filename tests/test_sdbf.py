@@ -15,7 +15,7 @@ from pulseplan import (
     gen_scenario,
     hisd,
 )
-from pulseplan.sdbf import DiskSelector
+from pulseplan.sdbf import DiskSelector, SdbfRun
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters
 
@@ -116,6 +116,18 @@ class TestHisd:
         hisd(catalog, DiskHeuristicConfig(), counters)
         assert counters.bi_max_iterations <= 2 * cfg.n_intlv
 
+    def test_bucket_ops_count_consumes_only(self, cfg, prfs):
+        # every placed task decrements each disk that encloses it, once
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        catalog = enumerate_disks(table, GridSpec())
+        for disk_rule, sub_rule in itertools.product(("GD", "RGD"), ("R", "SD")):
+            run = SdbfRun(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
+                                                       sub_rule=sub_rule))
+            assert run.counters.bucket_ops == 0 and run.reciprocal is None
+            run.run()
+            assert run.counters.bucket_ops == catalog.q_d, (disk_rule, sub_rule)
+
 
 class TestDiskSelector:
     def selector(self, cardinalities, dwells, main, sub, weights=None):
@@ -176,6 +188,17 @@ class TestDiskSelector:
         sel.remove_member(1, 0.1)
         sel.remove_member(1, 0.8)           # disk 1 empties entirely
         assert sel.select(random.Random(0)) == 0
+
+    def test_builds_only_what_the_rule_reads(self):
+        built = {}
+        for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
+            sel = self.selector([2, 1], {0: 0.005, 1: 0.004}, main, sub,
+                                weights=[1.0, 0.5])
+            built[main, sub] = {a for a in ("dwell", "weight", "count")
+                                if getattr(sel, a) is not None}
+        assert built[("GD", "R")] == built[("RGD", "R")] == set()
+        assert built[("GD", "SD")] == built[("RGD", "SD")] == {"dwell"}
+        assert built[("WGD", "R")] == built[("WGD", "SD")] == {"dwell", "weight", "count"}
 
     def test_greedy_cost_does_not_scale_with_disk_count(self):
         # bucket-backed selection touches the extreme bucket only

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulseplan import BucketList, OpCounters, build_backend
+from pulseplan.errors import InternalInvariantError
 from pulseplan.structures import BACKEND_KINDS
 from oracles import (
     StepwiseBucketList,
@@ -136,6 +137,63 @@ class TestBucketListBulkBuild:
         assert b._bucket_of[1] is before and before.value == 2
         b.adjust(1, +1)             # the neighbour holds 3: join it
         assert b._bucket_of[1] is b._bucket_of[2]
+
+
+class TestBucketListDecrement:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        ordered=st.booleans(),
+        calls=st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 11), max_size=8)),
+                       max_size=25),
+    )
+    def test_decrement_matches_sequential_adjusts(self, counts, ordered, calls):
+        # keys may repeat within a call and reach zero part-way through it
+        keys = [10 * i + 3 for i in range(len(counts))]
+        sub = (lambda k: (k * 7) % 5) if ordered else None
+        fused = BucketList(dict(zip(keys, counts)), member_order=sub)
+        ref = StepwiseBucketList(
+            keys, [k for k, c in zip(keys, counts) for _ in range(c)],
+            member_order=sub)
+        left = dict(zip(keys, counts))
+        for bump, picks in calls:
+            if bump:
+                k = keys[picks[0] % len(keys)] if picks else keys[0]
+                fused.adjust(k, +1)
+                ref.adjust(k, +1)
+                left[k] += 1
+            call = []
+            for i in picks:
+                k = keys[i % len(keys)]
+                if left[k]:
+                    left[k] -= 1
+                    call.append(k)
+            fused.decrement(call)
+            for k in call:
+                ref.adjust(k, -1)
+            assert fused.counters.bucket_ops == ref.counters.bucket_ops
+            assert bucket_state(fused) == bucket_state(ref)
+            assert selections(fused, ordered) == selections(ref, ordered)
+            if not ordered:
+                assert fused._pos == {k: i for bk in fused._walk()
+                                      for i, k in enumerate(bk.members)}
+
+    def test_decrement_through_zero_mid_call(self):
+        b = BucketList({1: 2, 2: 1, 3: 3})
+        b.decrement([1, 2, 1, 3])
+        assert b.counts() == {1: 0, 2: 0, 3: 2}
+        assert list(b.nonzero) == [3] and b.counters.bucket_ops == 4
+        assert b.select("max", skip_zero=True) == 3
+        assert b.select("min", skip_zero=True) == 3
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_decrement_below_zero_raises(self, ordered):
+        sub = (lambda k: -k) if ordered else None
+        b = BucketList({1: 1, 2: 0}, member_order=sub)
+        with pytest.raises(InternalInvariantError):
+            b.decrement([1, 1])
+        with pytest.raises(InternalInvariantError):
+            b.adjust(2, -1)
 
 
 class TestRangeTreeBulkBuild:
