@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import InternalInvariantError, ScenarioError
 from .radar import AvailabilityTable
@@ -40,11 +43,19 @@ class GridSpec:
             raise ScenarioError("grid spacing must satisfy 0 < spacing <= disk_radius")
         if self.disk_radius >= 1.0:
             raise ScenarioError("disk radius must be below 1")
+        if self.spacing < 2.0 ** -60:
+            # the catalog build keeps grid indices of the unit disk in int64
+            raise ScenarioError("grid spacing must be at least 2**-60")
 
 
-@dataclass
+@dataclass(slots=True)
 class Disk:
-    """A grid-centered re-steering region and the task ids it encloses."""
+    """A grid-centered re-steering region and the task ids it encloses.
+
+    ``tasks`` lists the enclosed task ids in the order the catalog build
+    reached them (task-set row order of the disk's PRF); the ids are the
+    tasks' own ``id`` objects.
+    """
 
     id: int
     prf_index: int
@@ -92,56 +103,129 @@ class DiskCatalog:
         return self.disks[disk_id].center(self.grid)
 
 
-def _grid_candidates(u: float, v: float, grid: GridSpec):
-    """Integer grid points within disk_radius of (u, v).
+# Box cells tested per numpy step of the stencil: 2**17 float64 cells keep
+# each temporary near 1 MB whatever the radius/spacing ratio.
+_STENCIL_CELLS = 1 << 17
 
-    The integer box is padded by one cell and filtered with the exact
-    Euclidean predicate, so float edge cases resolve identically everywhere.
+
+def _stencil(us: np.ndarray, vs: np.ndarray, grid: GridSpec):
+    """Integer grid points within disk_radius of each point (us[i], vs[i]).
+
+    Returns ``(point, gu, gv)`` arrays, point-major and in (gu, gv) order
+    within a point.  Each point's integer box is padded by one cell and
+    filtered with the exact Euclidean predicate (``du * du + dv * dv <=
+    r * r`` on ``gu * spacing - u``), the float expressions of a scalar
+    scan, so float edge cases resolve identically everywhere.  The boxes
+    are tested one (point, gu) row at a time, in chunks of rows.
     """
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
-    lo_u = math.floor((u - r) / eps) - 1
-    hi_u = math.ceil((u + r) / eps) + 1
-    lo_v = math.floor((v - r) / eps) - 1
-    hi_v = math.ceil((v + r) / eps) + 1
-    for gu in range(lo_u, hi_u + 1):
-        du = gu * eps - u
-        for gv in range(lo_v, hi_v + 1):
-            dv = gv * eps - v
-            if du * du + dv * dv <= r2:
-                yield (gu, gv)
+    lo_u = np.floor((us - r) / eps).astype(np.int64) - 1
+    n_u = np.ceil((us + r) / eps).astype(np.int64) + 2 - lo_u
+    lo_v = np.floor((vs - r) / eps).astype(np.int64) - 1
+    n_v = np.ceil((vs + r) / eps).astype(np.int64) + 2 - lo_v
+    row_pt = np.repeat(np.arange(len(us)), n_u)
+    row_gu = (np.arange(len(row_pt)) - np.repeat(np.cumsum(n_u) - n_u, n_u)
+              + lo_u[row_pt])
+    width = int(n_v.max(initial=0))
+    cols = np.arange(width)
+    step = max(1, _STENCIL_CELLS // max(1, width))
+    parts = []
+    for a in range(0, len(row_pt), step):
+        pt, gu = row_pt[a:a + step], row_gu[a:a + step]
+        du = gu * eps - us[pt]
+        gv = lo_v[pt, None] + cols
+        dv = gv * eps - vs[pt, None]
+        inside = (du * du)[:, None] + dv * dv <= r2
+        inside &= cols < n_v[pt, None]
+        i, j = np.nonzero(inside)
+        parts.append((pt[i], gu[i], gv[i, j]))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _first_touch(keys: np.ndarray):
+    """Number the distinct keys in order of first occurrence.
+
+    Returns each entry's group number and, per group, the index of its
+    first occurrence.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
 
 
 def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
-    """Build the disk catalog: per PRF, per trackable task, all enclosing
-    grid points become disk centers and accumulate the task in their list.
+    """Build the disk catalog: per PRF, every grid point within the disk
+    radius of a task trackable at that PRF becomes a disk of that PRF.
 
     Every disk is nonempty by construction and no two disks share
-    (PRF, center).  Disk ids are assigned in (PRF, first-touch) order, which
-    is deterministic for a fixed table.
+    (PRF, center).  The build is bulk: one vectorized stencil per task,
+    then one numpy grouping per PRF.  Its result equals that of a scalar
+    scan over the PRFs, each PRF's task-set rows and each row's cells in
+    (gu, gv) order, which gives a new cell the next disk id and appends the
+    task to the cell's disk.  So disk ids are in (PRF, first-touch) order,
+    each disk's ``tasks`` and each ``task_disks`` list are in scan order,
+    and weights are summed left to right over ``tasks``.  Members are the
+    tasks' own id objects, and each disk id is one int object shared by
+    ``Disk.id``, ``by_prf`` and ``task_disks``.
     """
+    tasks = table.tasks
+    rows = table.schedulable_rows()
+    slot = np.full(len(tasks), -1, dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    us = np.array([tasks[i].u for i in rows], dtype=np.float64)
+    vs = np.array([tasks[i].v for i in rows], dtype=np.float64)
+    point, cell_gu, cell_gv = _stencil(us, vs, grid)
+    n_cells = np.bincount(point, minlength=len(rows))
+    first_cell = np.cumsum(n_cells) - n_cells
+    # one key per cell from the ranks of its indices, which cannot overflow
+    gu_values, gu_rank = np.unique(cell_gu, return_inverse=True)
+    gv_values, gv_rank = np.unique(cell_gv, return_inverse=True)
+    span = len(gv_values)
+    key = gu_rank * span + gv_rank
+    del point, cell_gu, cell_gv, gu_rank, gv_rank
+    ids = np.empty(len(tasks), dtype=object)
+    ids[:] = [t.id for t in tasks]
+
     disks: list[Disk] = []
     by_prf: list[list[int]] = []
-    task_disks: dict[int, list[int]] = {t.id: [] for t in table.tasks}
-    for p in range(table.n_prfs):
-        index: dict[tuple[int, int], int] = {}
-        prf_disks: list[int] = []
-        for row in table.task_sets[p]:
-            task = table.tasks[row]
-            tid = task.id
-            for cell in _grid_candidates(task.u, task.v, grid):
-                did = index.get(cell)
-                if did is None:
-                    did = len(disks)
-                    index[cell] = did
-                    disks.append(Disk(id=did, prf_index=p, gu=cell[0], gv=cell[1]))
-                    prf_disks.append(did)
-                disks[did].tasks.append(tid)
-                task_disks[tid].append(did)
-        by_prf.append(prf_disks)
+    task_disks: dict[int, list[int]] = {t.id: [] for t in tasks}
+    for p, prf_rows in enumerate(table.task_sets):
+        if not prf_rows:
+            by_prf.append([])
+            continue
+        prf_rows = np.asarray(prf_rows, dtype=np.intp)
+        count = n_cells[slot[prf_rows]]
+        ends = np.cumsum(count)
+        cell = np.arange(ends[-1]) + np.repeat(
+            first_cell[slot[prf_rows]] - (ends - count), count)
+        local, first = _first_touch(key[cell])
+        dids = list(range(len(disks), len(disks) + len(first)))
+        members = ids[np.repeat(prf_rows, count)[
+            np.argsort(local, kind="stable")]].tolist()
+        centers = key[cell[first]]
+        del cell
+        lo = 0
+        for did, gu, gv, hi in zip(dids, gu_values[centers // span].tolist(),
+                                   gv_values[centers % span].tolist(),
+                                   accumulate(np.bincount(local).tolist())):
+            disks.append(Disk(did, p, gu, gv, members[lo:hi]))
+            lo = hi
+        by_prf.append(dids)
+        cell_disks = np.array(dids, dtype=object)[local].tolist()
+        lo = 0
+        for tid, hi in zip(ids[prf_rows].tolist(), ends.tolist()):
+            task_disks[tid].extend(cell_disks[lo:hi])
+            lo = hi
 
+    recip = {tid: 1.0 / len(d) for tid, d in task_disks.items() if d}
     for disk in disks:
-        disk.weight = sum(1.0 / len(task_disks[t]) for t in disk.tasks)
+        disk.weight = sum(map(recip.__getitem__, disk.tasks))
 
     catalog = DiskCatalog(
         grid=grid, table=table, disks=disks, by_prf=by_prf, task_disks=task_disks

@@ -83,11 +83,13 @@ class DiskSelector:
             )
 
     def select(self, rng: random.Random):
-        self.counters.selector_ops += 1
+        """One selection, counted once in ``selector_ops`` (by the bucket
+        list for the greedy rules)."""
         if self.buckets is not None:
             extreme = "max" if self.main_rule == "GD" else "min"
             tie = "ordered" if self.sub_rule == "SD" else "random"
             return self.buckets.select(extreme, skip_zero=True, tie=tie, rng=rng)
+        self.counters.selector_ops += 1
         if not self.weighted:
             return None
         top = self.weighted[-1][0]

@@ -132,6 +132,54 @@ def brute_grid_disks(table, grid):
     return found
 
 
+def stepwise_disks(table, grid):
+    """The disk catalog built one (PRF, task, cell) step at a time.
+
+    The ordered reference for ``enumerate_disks``: per PRF, per task-set
+    row, per cell of the padded box in (gu, gv) order that passes the exact
+    Euclidean predicate, a new cell takes the next disk id and the task is
+    appended to the cell's disk.  Returns ``(disks, by_prf, task_disks)``
+    with disks as ``(id, prf_index, gu, gv, tasks, weight)`` tuples; weights
+    are summed left to right over each disk's tasks.
+    """
+    eps, r = grid.spacing, grid.disk_radius
+    r2 = r * r
+    disks = []
+    by_prf = []
+    task_disks = {t.id: [] for t in table.tasks}
+    for p in range(table.n_prfs):
+        index = {}
+        prf_disks = []
+        for row in table.task_sets[p]:
+            task = table.tasks[row]
+            tid, u, v = task.id, task.u, task.v
+            lo_u = math.floor((u - r) / eps) - 1
+            hi_u = math.ceil((u + r) / eps) + 1
+            lo_v = math.floor((v - r) / eps) - 1
+            hi_v = math.ceil((v + r) / eps) + 1
+            for gu in range(lo_u, hi_u + 1):
+                du = gu * eps - u
+                for gv in range(lo_v, hi_v + 1):
+                    dv = gv * eps - v
+                    if du * du + dv * dv > r2:
+                        continue
+                    did = index.get((gu, gv))
+                    if did is None:
+                        did = len(disks)
+                        index[(gu, gv)] = did
+                        disks.append((did, p, gu, gv, []))
+                        prf_disks.append(did)
+                    disks[did][4].append(tid)
+                    task_disks[tid].append(did)
+        by_prf.append(prf_disks)
+    disks = [
+        (did, p, gu, gv, members,
+         sum(1.0 / len(task_disks[t]) for t in members))
+        for did, p, gu, gv, members in disks
+    ]
+    return disks, by_prf, task_disks
+
+
 def _group_feasible(group, base_look, inst):
     """Cheapest slot bijection existence test for one look's task set."""
     m = len(group)

@@ -292,6 +292,14 @@ class TestHied:
         run.run()
         assert run.counters.bucket_ops == table.q_p
 
+    def test_selector_ops_count_one_per_look(self, cfg, prfs):
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        for prf_rule in ("G", "RG", "R"):
+            counters = OpCounters()
+            sched = hied(table, HeuristicConfig(prf_rule=prf_rule, seed=2), counters)
+            assert counters.selector_ops == len(sched.looks), prf_rule
+
     def test_tiny_capacity_fuzz(self):
         # capacities 1..3 drive the degenerate recursion branches
         for n_intlv in (1, 2, 3):

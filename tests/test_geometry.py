@@ -1,21 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
     GridSpec,
     ScenarioError,
     TrackTask,
     build_availability_table,
+    default_prf_set,
+    default_radar_config,
     dedup_disks,
     enumerate_disks,
     gen_scenario,
     project_to_scan_plane,
 )
-from pulseplan.geometry import DISK_DENSITY_BOUND
+from pulseplan.geometry import DISK_DENSITY_BOUND, _stencil
 from pulseplan.scenario import ScenarioSpec
-from oracles import brute_grid_disks
+from oracles import brute_grid_disks, stepwise_disks
 
 
 def scan_task(tid, u, v, r=30000.0):
@@ -58,6 +62,11 @@ class TestGridSpec:
             GridSpec(spacing=0.0, disk_radius=0.05)
         with pytest.raises(ScenarioError):
             GridSpec(spacing=0.5, disk_radius=1.0)
+
+    def test_spacing_must_keep_grid_indices_in_64_bits(self):
+        with pytest.raises(ScenarioError):
+            GridSpec(spacing=1e-20, disk_radius=1e-20)
+        GridSpec(spacing=2.0 ** -60, disk_radius=2.0 ** -60)
 
 
 class TestEnumerateDisks:
@@ -143,6 +152,134 @@ class TestEnumerateDisks:
         for d in catalog.disks:
             want = sum(1.0 / len(catalog.task_disks[t]) for t in d.tasks)
             assert d.weight == pytest.approx(want)
+
+
+def catalog_fields(catalog):
+    disks = [(d.id, d.prf_index, d.gu, d.gv, d.tasks, d.weight)
+             for d in catalog.disks]
+    return disks, catalog.by_prf, catalog.task_disks
+
+
+@st.composite
+def scan_points(draw, n, eps, r):
+    """``n`` scan-plane points: free, on grid lines, a radius off a grid
+    point, on or near the unit circle, clustered and duplicated."""
+    points = []
+    k = int(0.6 / eps)
+    for _ in range(n):
+        kind = draw(st.sampled_from(
+            ("free", "grid", "circle", "rim", "cluster", "duplicate")))
+        if kind == "grid":
+            u = draw(st.integers(-k, k)) * eps
+            v = draw(st.integers(-k, k)) * eps
+        elif kind == "circle":
+            u = draw(st.integers(-k, k)) * eps
+            v = draw(st.integers(-k, k)) * eps
+            du, dv = draw(st.sampled_from(((r, 0.0), (0.0, -r), (0.6 * r, 0.8 * r))))
+            u, v = u + du, v + dv
+        elif kind == "rim":
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            shrink = draw(st.sampled_from((0.0, 1e-12, 1e-6, 0.01)))
+            u = math.cos(theta) * (1.0 - shrink)
+            v = math.sin(theta) * (1.0 - shrink)
+        elif kind in ("cluster", "duplicate") and points:
+            u, v = draw(st.sampled_from(points))
+            if kind == "cluster":
+                u += draw(st.floats(-0.5 * r, 0.5 * r))
+                v += draw(st.floats(-0.5 * r, 0.5 * r))
+        else:
+            u = draw(st.floats(-0.7, 0.7))
+            v = draw(st.floats(-0.7, 0.7))
+        if u * u + v * v > 1.0:
+            u, v = 0.5 * u, 0.5 * v
+        points.append((u, v))
+    return points
+
+
+@st.composite
+def catalog_inputs(draw):
+    r = draw(st.sampled_from((0.05, 0.1, 0.2)))
+    eps = r / draw(st.sampled_from((1.0, 1.5, 2.5, 4.0, 10.0, 16.0)))
+    n = draw(st.integers(0, 10))
+    prfs = default_prf_set()
+    if draw(st.booleans()):
+        prfs = prfs[:1]
+    tasks = []
+    for i, (u, v) in enumerate(draw(scan_points(n, eps, r))):
+        # ids above 256 so the identity checks see uncached ints; a wide
+        # range sigma makes a task unschedulable at every PRF
+        sigma_r = draw(st.sampled_from((100.0, 100.0, 100.0, 9000.0)))
+        tasks.append(TrackTask(id=1000 + i, range_m=draw(st.floats(20000.0, 120000.0)),
+                               sigma_r=sigma_r, velocity=-90.0, sigma_f=10.0,
+                               u=u, v=v))
+    table = build_availability_table(tasks, prfs, default_radar_config())
+    return table, GridSpec(spacing=eps, disk_radius=r)
+
+
+class TestBulkCatalog:
+    @settings(max_examples=200, deadline=None)
+    @given(catalog_inputs())
+    def test_equals_the_stepwise_build(self, inputs):
+        table, grid = inputs
+        catalog = enumerate_disks(table, grid)
+        disks, by_prf, task_disks = stepwise_disks(table, grid)
+        got_disks, got_by_prf, got_task_disks = catalog_fields(catalog)
+        assert got_disks == disks
+        assert got_by_prf == by_prf
+        assert got_task_disks == task_disks
+        assert list(got_task_disks) == list(task_disks)
+        own_id = {t.id: t.id for t in table.tasks}
+        for d in catalog.disks:
+            assert type(d.gu) is int and type(d.gv) is int
+            assert all(t is own_id[t] for t in d.tasks)
+        for did in [*(x for ids in got_by_prf for x in ids),
+                    *(x for ids in got_task_disks.values() for x in ids)]:
+            assert did is catalog.disks[did].id
+
+    @pytest.mark.parametrize("eps", [1e-10, 2.0 ** -60])
+    def test_fine_grid_far_apart_tasks(self, cfg, prfs, eps):
+        # grid indices near 1/eps: a (gu, gv) key packed into one int64
+        # would overflow
+        tasks = [scan_task(1000 + i, u, v) for i, (u, v) in
+                 enumerate([(-0.9, -0.4), (0.9, 0.4), (0.3, -0.9), (-0.2, 0.95)])]
+        table = build_availability_table(tasks, prfs, cfg)
+        grid = GridSpec(spacing=eps, disk_radius=eps)
+        catalog = enumerate_disks(table, grid)
+        assert catalog.n_disks > 0
+        assert catalog_fields(catalog) == stepwise_disks(table, grid)
+
+    def test_build_peak_stays_near_the_retained_size(self, cfg, prfs):
+        # about 300 cells per task at one PRF: the grouping's temporaries
+        # stay small next to the disks the build keeps
+        _, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=2), cfg, prfs[:1])
+        table = build_availability_table(tasks, prfs, cfg)
+        grid = GridSpec(spacing=0.005, disk_radius=0.05)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            catalog = enumerate_disks(table, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert catalog.q_d > 250 * len(tasks)
+        assert peak - base < 1.5 * (retained - base)
+
+    def test_stencil_tests_its_boxes_in_chunks(self):
+        # 50 boxes of 84 x 84 cells: tested at once, their float
+        # temporaries would take about 10 MB on top of the output and the
+        # chunks it is concatenated from
+        rng = np.random.default_rng(0)
+        us, vs = rng.uniform(-0.5, 0.5, (2, 50))
+        grid = GridSpec(spacing=0.00125, disk_radius=0.05)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cells = _stencil(us, vs, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells[0]) > 2000 * 50
+        assert peak - base - 2 * (retained - base) < 5_000_000
 
 
 class TestDedup:

@@ -183,6 +183,26 @@ class TestCli:
         assert main(["schedule", str(path), "--allow-unschedulable",
                      "--out", str(tmp_path / "ok.txt")]) == 0
 
+    @pytest.mark.parametrize("sigma_rs", [(), (9000.0, 9000.0)],
+                             ids=["no-tasks", "all-unschedulable"])
+    def test_sdbf_without_schedulable_tasks(self, tmp_path, sigma_rs):
+        from pulseplan import PrfConfig, RadarConfig, TrackTask
+
+        cfg = RadarConfig(c=3e8)
+        prf = PrfConfig(f_r=12500.0, c_r_plus=2000.0, c_r_minus=500.0,
+                        c_f_plus=2000.0, c_f_minus=2000.0)
+        tasks = [TrackTask(id=i + 1, range_m=30000.0, sigma_r=sr, velocity=-90.0,
+                           sigma_f=10.0, u=0.3 * i)
+                 for i, sr in enumerate(sigma_rs)]
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_to_text(cfg, [prf], tasks))
+        out = tmp_path / "schedule.txt"
+        assert main(["schedule", str(path), "--mode", "sdbf",
+                     "--allow-unschedulable", "--out", str(out)]) == 0
+        sched = parse_schedule(out.read_text())
+        assert sched.looks == [] and sched.assignments == []
+        assert sched.unschedulable == tuple(t.id for t in tasks)
+
     def test_availability_and_disks_dumps(self, scenario_file, tmp_path):
         out = tmp_path / "avail.txt"
         assert main(["availability", str(scenario_file), "--out", str(out)]) == 0

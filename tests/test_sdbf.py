@@ -129,6 +129,16 @@ class TestHisd:
             assert run.counters.bucket_ops == catalog.q_d, (disk_rule, sub_rule)
 
 
+    def test_selector_ops_count_one_per_look(self, cfg, prfs):
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        catalog = enumerate_disks(table, GridSpec())
+        for disk_rule, sub_rule in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
+            counters = OpCounters()
+            sched = hisd(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
+                                                      sub_rule=sub_rule), counters)
+            assert counters.selector_ops == len(sched.looks), (disk_rule, sub_rule)
+
 class TestDiskSelector:
     def selector(self, cardinalities, dwells, main, sub, weights=None):
         """Bare selector over a synthetic catalog-like layout."""
@@ -225,4 +235,4 @@ class TestDiskSelector:
         for _ in range(100):
             sel.select(random.Random(1))
         assert counters.bucket_ops == before    # selection never relinks buckets
-        assert counters.selector_ops >= 100
+        assert counters.selector_ops == 100
