@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 infeasible or unschedulable input
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from . import io as pio
@@ -24,8 +23,6 @@ from .radar import build_availability_table
 from .scenario import ScenarioSpec, run_scaling
 from .sdbf import DISK_RULES, SUB_RULES, DiskHeuristicConfig, SdbfRun
 from .structures import BACKEND_KINDS, OpCounters
-
-BENCH_WORKERS_ENV = "PULSEPLAN_BENCH_WORKERS"
 
 
 class UsageError(Exception):
@@ -116,11 +113,14 @@ def _read_scenario(path: str):
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
 
 
 def _cmd_schedule(args) -> int:
@@ -192,6 +192,8 @@ def _cmd_disks(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
+    if args.copies is not None and args.copies < 1:
+        raise UsageError(f"--copies must be at least 1, got {args.copies}")
     cfg, prfs, tasks = _read_scenario(args.scenario)
     table = build_availability_table(tasks, prfs, cfg)
     if args.mode == "sdbf":
@@ -232,6 +234,7 @@ def _cmd_oracle_compare(args) -> int:
     lines = ["pulseplan-oracle-compare v1",
              f"seed={args.seed} tasks={len(tasks)}"]
     grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
+    copies = max(1, len(tasks))
     for mode in modes:
         source = enumerate_disks(table, grid) if mode == "sdbf" else table
         results = []
@@ -247,10 +250,10 @@ def _cmd_oracle_compare(args) -> int:
                 ).run()
             results.append((rules, schedule))
 
-        check_inst = build_instance(source, copies=len(tasks))
+        check_inst = build_instance(source, copies=copies)
         optimal = None
         if not args.heuristic_only:
-            inst = (build_instance(dedup_disks(source), copies=len(tasks))
+            inst = (build_instance(dedup_disks(source), copies=copies)
                     if mode == "sdbf" else check_inst)
             exact = solve_exact(inst, warm=None)
             if exact is None:
@@ -286,14 +289,6 @@ def _cmd_bench(args) -> int:
         raise UsageError("--sizes must be positive and strictly increasing")
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
-    raw_workers = os.environ.get(BENCH_WORKERS_ENV, "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        raise UsageError(f"{BENCH_WORKERS_ENV} must be an integer, got {raw_workers!r}")
-    if workers > 1:
-        print(f"note: {BENCH_WORKERS_ENV}={workers}; timings of co-scheduled "
-              "repetitions are not exclusive", file=sys.stderr)
     report = run_scaling(
         mode=args.mode,
         backend=args.backend,
@@ -301,7 +296,6 @@ def _cmd_bench(args) -> int:
         reps=args.reps,
         template=ScenarioSpec(n_tasks=0, seed=args.seed),
         grid=GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius),
-        workers=max(1, workers),
     )
     _write_out(report.to_text(), args.out)
     return 0

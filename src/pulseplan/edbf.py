@@ -4,10 +4,16 @@ Element and subarray scheduling solve the same integer program by the same
 procedure, written once in ``run_looks``: a look source selects the base of
 the next look and hands over a selection backend over its live tasks, an
 ``Episode`` packs that backend into the look's slots, and the source then
-consumes every placed task from all of its structures.  ``EdbfRun`` is the
+consumes every placed task from the rest of its structures.  Each run keeps
+one ``TaskStore`` (``task_store``): the table rows' liveness plus their
+A_l, A_r and priority-rank columns, shared by all the run's backends, which
+index table rows.  ``Episode`` kills a placed row in the store and deletes
+it from the look's backend; consuming it deletes it once from each other
+backend that holds it and updates the base selector.  ``EdbfRun`` is the
 element-level source (PRF cardinality rules over a bucket list, one backend
 per PRF built up front); ``sdbf.SdbfRun`` is the subarray-level source
-(re-steering disks, one backend per selected disk built on demand).
+(re-steering disks, one backend per selected disk built on demand from the
+store's live rows).
 
 Packing scans the look's slots from the rightmost leftward.  When no task
 fits the current slot the partial schedule is shifted left to free room at
@@ -28,7 +34,7 @@ import numpy as np
 from .errors import InternalInvariantError
 from .ip import Schedule, ScheduledLook
 from .radar import AvailabilityTable
-from .structures import BACKEND_KINDS, OpCounters, BucketList, build_backend
+from .structures import BACKEND_KINDS, BucketList, OpCounters, TaskStore, build_backend
 
 PRF_RULES = ("G", "RG", "R")
 TASK_RULES = ("SAR", "LAR", "R", "SAP", "SLA", "SRA")
@@ -61,41 +67,39 @@ def derive_rngs(seed: int) -> dict[str, random.Random]:
     }
 
 
-def random_priorities(table: AvailabilityTable, task_rule: str,
-                      rng: random.Random) -> dict[int, int] | None:
-    """Per-task random priorities for the ``R`` task rule (None for the
-    other rules), drawn in ascending id order so every backend kind sees
-    identical values for one seed."""
-    if task_rule != "R":
-        return None
-    ids = sorted(table.tasks[row].id for row in table.schedulable_rows())
-    return {tid: rng.getrandbits(63) for tid in ids}
+def task_priorities(rule: str, table: AvailabilityTable,
+                    rng: random.Random | None = None):
+    """Priorities of every table row under a task rule; larger wins.
 
-
-def task_priorities(rule: str, table: AvailabilityTable, rows, prf_index: int,
-                    rand_values=None):
-    """Priorities of the given table rows for one PRF's structure; larger
-    wins.
-
-    Ambiguous-range rules use the fold at the structure's own PRF; the
-    availability-sum rules are frozen sums over the whole table.  Each rule
-    reads one column slice, and the values equal the per-task definitions
-    exactly (the ``R`` values stay Python integers).
+    The ambiguous-range rules give a [row, PRF] array, the fold at each
+    PRF; the others give one column that every PRF shares: frozen sums over
+    the whole table, or for ``R`` random values drawn from ``rng`` in
+    ascending id order over the schedulable rows, so every backend kind
+    sees identical values for one seed.
     """
-    rows = np.asarray(rows, dtype=np.intp)
     if rule == "SAR":
-        return -table.ra[rows, prf_index]
+        return -table.ra
     if rule == "LAR":
-        return table.ra[rows, prf_index]
+        return table.ra
     if rule == "R":
-        return [rand_values[table.tasks[row].id] for row in rows.tolist()]
+        tasks = table.tasks
+        rows = sorted(table.schedulable_rows(), key=lambda row: tasks[row].id)
+        prio = np.zeros(table.n_tasks, dtype=np.int64)
+        prio[rows] = [rng.getrandbits(63) for _ in rows]
+        return prio
     if rule == "SAP":
-        return -table.av[rows].sum(axis=1)
+        return -table.av.sum(axis=1)
     if rule == "SLA":
-        return -table.al[rows].sum(axis=1)
+        return -table.al.sum(axis=1)
     if rule == "SRA":
-        return -table.ar[rows].sum(axis=1)
+        return -table.ar.sum(axis=1)
     raise ValueError(f"unknown task rule {rule!r}")
+
+
+def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> TaskStore:
+    """The live-task store of one run over every table row."""
+    return TaskStore(table.cfg.n_intlv, [t.id for t in table.tasks], table.av,
+                     table.al, table.ar, task_priorities(task_rule, table, rng))
 
 
 def prf_select(rule: str, buckets: BucketList, rng: random.Random):
@@ -110,22 +114,6 @@ def prf_select(rule: str, buckets: BucketList, rng: random.Random):
         buckets.counters.selector_ops += 1
         return buckets.nonzero.choose(rng)
     raise ValueError(f"unknown PRF rule {rule!r}")
-
-
-def task_backend(table: AvailabilityTable, cfg, p: int, rows, rand_values,
-                 counters: OpCounters):
-    """Selection backend over the given table rows at PRF ``p``.
-
-    The entries are the rows' task ids, A_l and A_r at ``p`` and the
-    priorities of ``cfg.task_rule``, one column each; ``cfg.backend`` picks
-    the structure.
-    """
-    tasks = table.tasks
-    ids = [tasks[row].id for row in rows]
-    cols = np.asarray(rows, dtype=np.intp)
-    entries = (ids, table.al[cols, p], table.ar[cols, p],
-               task_priorities(cfg.task_rule, table, cols, p, rand_values))
-    return build_backend(cfg.backend, table.cfg.n_intlv, entries, counters)
 
 
 class _Run:
@@ -243,9 +231,10 @@ class _LookBuild:
 class Episode:
     """One look's scheduling pass over a selection backend.
 
-    The backend plays the role of the available-task set: placed tasks are
-    deleted from it immediately.  ``tail`` and the partial schedule are
-    shared across the recursion.
+    The backend plays the role of the available-task set: a placed row is
+    killed in the backend's store and deleted from the backend at once.
+    ``tail`` and the partial schedule are shared across the recursion.
+    ``run`` returns the placed (row, slot) pairs.
     """
 
     def __init__(self, backend, n_intlv, counters: OpCounters):
@@ -280,10 +269,11 @@ class Episode:
             gap = self.tail - cursor
             als = self.look.als(self.tail, self.n)
             if self.backend.has_left(gap):
-                tid = self.backend.best_in(gap, cursor)
-                if tid is not None:
-                    self.look.place(tid, self.backend.al[tid], cursor)
-                    self.backend.delete(tid)
+                row = self.backend.best_in(gap, cursor)
+                if row is not None:
+                    self.look.place(row, self.backend.al[row], cursor)
+                    self.backend.store.kill(row)
+                    self.backend.delete(row)
                 elif cursor == e_r:
                     self.tail -= 1
                 else:
@@ -312,11 +302,11 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
     """The look loop of both schedulers.
 
     ``source.next_look(j)`` selects the base of look ``j`` and returns a
-    selection backend over its live tasks plus the ``ScheduledLook``;
-    ``source.consume(tid)`` removes a placed task from every structure of
-    the source.  Every selected base must hold a live task and every look
-    must place at least one, which bounds the loop by the number of
-    schedulable tasks.
+    selection backend over its live rows plus the ``ScheduledLook``;
+    ``source.consume(row)`` removes a placed row from the source's other
+    structures, in slot order after the look.  Every selected base must
+    hold a live task and every look must place at least one, which bounds
+    the loop by the number of schedulable tasks.
     """
     looks: list[ScheduledLook] = []
     assignments: list[tuple[int, int, int]] = []
@@ -331,9 +321,10 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
         if not placed:
             raise InternalInvariantError("a look scheduled no task")
         looks.append(look)
-        for tid, slot in placed:
-            assignments.append((tid, j, slot))
-            source.consume(tid)
+        ids = backend.store.ids
+        for row, slot in placed:
+            assignments.append((ids[row], j, slot))
+            source.consume(row)
         live -= len(placed)
     return Schedule(
         looks=looks,
@@ -356,11 +347,12 @@ class EdbfRun:
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.rngs = derive_rngs(cfg.seed)
-        rand_values = random_priorities(table, cfg.task_rule, self.rngs["task"])
+        self.store = task_store(table, cfg.task_rule, self.rngs["task"])
         self.backends = [
-            task_backend(table, cfg, p, table.task_sets[p], rand_values, self.counters)
-            for p in range(table.n_prfs)
+            build_backend(cfg.backend, self.store, p, rows, self.counters)
+            for p, rows in enumerate(table.task_sets)
         ]
+        self._look_prf = None
         self.buckets = BucketList(
             {p: len(rows) for p, rows in enumerate(table.task_sets)},
             counters=self.counters)
@@ -380,12 +372,15 @@ class EdbfRun:
         table = self.table
         look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
                              dwell=table.dwell(p))
+        self._look_prf = p
         return self.backends[p], look
 
-    def consume(self, tid: int) -> None:
-        prf_set = self.table.prf_sets[self.table.row_of(tid)]
+    def consume(self, row: int) -> None:
+        """The look's own backend dropped the row when it was placed."""
+        prf_set = self.table.prf_sets[row]
         for p in prf_set:
-            self.backends[p].delete(tid)
+            if p != self._look_prf:
+                self.backends[p].delete(row)
         self.buckets.decrement(prf_set)
 
     def run(self) -> Schedule:

@@ -171,9 +171,12 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
 
     ``copies`` is the number of identical candidate looks per PRF or disk;
     element mode defaults to the task count (always enough), subarray mode
-    defaults to one look per disk.  Raises when some task has no available
-    look; drop unschedulable tasks before building.
+    defaults to one look per disk; an explicit ``copies`` below one raises
+    ``ValueError``.  Raises when some task has no available look; drop
+    unschedulable tasks before building.
     """
+    if copies is not None and copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
     if isinstance(source, DiskCatalog):
         catalog, table, mode = source, source.table, "sdbf"
     elif isinstance(source, AvailabilityTable):
@@ -190,10 +193,10 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
 
     looks: list[Look] = []
     if mode == "edbf":
-        n_copies = len(task_ids) if copies is None else copies
+        n_copies = max(1, len(task_ids)) if copies is None else copies
         for p in range(table.n_prfs):
             frac = dwell_fraction(table, p)
-            for _ in range(max(1, n_copies)):
+            for _ in range(n_copies):
                 looks.append(
                     Look(
                         index=len(looks) + 1,
@@ -214,7 +217,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             )
         for disk in catalog.disks:
             frac = dwell_fraction(table, disk.prf_index)
-            for _ in range(max(1, n_copies)):
+            for _ in range(n_copies):
                 looks.append(
                     Look(
                         index=len(looks) + 1,

@@ -197,10 +197,6 @@ def _time_one(mode, backend, spec, cfg, prfs, grid, rules):
     return t1 - t0, t2 - t1, counters, schedule.n_looks_used()
 
 
-def _time_one_star(args):
-    return _time_one(*args)
-
-
 def run_scaling(
     mode: str,
     backend: str,
@@ -211,15 +207,13 @@ def run_scaling(
     prfs=None,
     grid: GridSpec | None = None,
     rules: dict | None = None,
-    workers: int = 1,
 ) -> ScalingReport:
     """Median-of-reps timings across strictly increasing sizes.
 
     Radar configuration, PRF set, interleaving capacity, and the grid stay
     fixed across sizes so only the task count scales.  Refuses to fit fewer
-    than four sizes.  With ``workers`` above one, repetitions run in
-    parallel processes; counters stay exact but co-scheduled timings are no
-    longer exclusive, so keep workers at one for exponent measurements.
+    than four sizes.  Repetitions run one after another in this process,
+    so each timing is exclusive.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 4:
@@ -232,47 +226,32 @@ def run_scaling(
     grid = grid if grid is not None else GridSpec()
     rules = dict(rules) if rules else {}
 
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        rows = []
-        for size in sizes:
-            preps, scheds, totals, ops, iters, bi_max, looks = [], [], [], [], [], [], []
-            specs = [
-                replace(template, n_tasks=size, seed=template.seed + 1000 * rep)
-                for rep in range(reps)
-            ]
-            jobs = [(mode, backend, spec, cfg, prfs, grid, rules) for spec in specs]
-            if pool is not None:
-                results = list(pool.map(_time_one_star, jobs))
-            else:
-                results = [_time_one(*job) for job in jobs]
-            for prep_s, sched_s, counters, n_looks in results:
-                preps.append(prep_s * 1e3)
-                scheds.append(sched_s * 1e3)
-                totals.append((prep_s + sched_s) * 1e3)
-                ops.append(counters.total_backend_ops())
-                iters.append(counters.bi_iterations)
-                bi_max.append(counters.bi_max_iterations)
-                looks.append(n_looks)
-            rows.append(
-                ScalingRow(
-                    size=size,
-                    prep_ms=statistics.median(preps),
-                    sched_ms=statistics.median(scheds),
-                    total_ms=statistics.median(totals),
-                    backend_ops=int(statistics.median(ops)),
-                    bi_iterations=int(statistics.median(iters)),
-                    bi_max_iterations=max(bi_max),
-                    looks=int(statistics.median(looks)),
-                )
+    rows = []
+    for size in sizes:
+        preps, scheds, totals, ops, iters, bi_max, looks = [], [], [], [], [], [], []
+        for rep in range(reps):
+            spec = replace(template, n_tasks=size, seed=template.seed + 1000 * rep)
+            prep_s, sched_s, counters, n_looks = _time_one(
+                mode, backend, spec, cfg, prfs, grid, rules)
+            preps.append(prep_s * 1e3)
+            scheds.append(sched_s * 1e3)
+            totals.append((prep_s + sched_s) * 1e3)
+            ops.append(counters.total_backend_ops())
+            iters.append(counters.bi_iterations)
+            bi_max.append(counters.bi_max_iterations)
+            looks.append(n_looks)
+        rows.append(
+            ScalingRow(
+                size=size,
+                prep_ms=statistics.median(preps),
+                sched_ms=statistics.median(scheds),
+                total_ms=statistics.median(totals),
+                backend_ops=int(statistics.median(ops)),
+                bi_iterations=int(statistics.median(iters)),
+                bi_max_iterations=max(bi_max),
+                looks=int(statistics.median(looks)),
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
 
     exponent, residual = fit_complexity(
         [r.size for r in rows], [r.total_ms for r in rows]

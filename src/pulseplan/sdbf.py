@@ -3,9 +3,10 @@
 Looks are tied to re-steering disks from the catalog.  ``SdbfRun`` plugs
 into ``edbf.run_looks``, the loop both schedulers share: each round it
 selects a disk by cardinality (greedy, reverse greedy) or weighted
-cardinality and builds a selection backend over the disk's still-unscheduled
-tasks; the loop packs them with the backward procedure, and the source then
-removes each scheduled task from every disk that encloses it.  Duplicate and
+cardinality and builds a selection backend over the disk's rows that the
+run's task store still holds live; the loop packs them with the backward
+procedure, and the source then removes each scheduled task from every disk
+that encloses it.  Duplicate and
 subset disks stay in play; consuming tasks empties them out naturally.
 """
 
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
-from .edbf import TASK_RULES, derive_rngs, random_priorities, run_looks, task_backend
+from .edbf import TASK_RULES, derive_rngs, run_looks, task_store
 from .geometry import DiskCatalog
 from .ip import Schedule, ScheduledLook
-from .structures import BACKEND_KINDS, BucketList, OpCounters
+from .structures import BACKEND_KINDS, BucketList, OpCounters, build_backend
 
 DISK_RULES = ("GD", "RGD", "WGD")
 SUB_RULES = ("R", "SD")
@@ -125,26 +126,29 @@ class SdbfRun:
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.rngs = derive_rngs(cfg.seed)
-        self.rand_values = random_priorities(self.table, cfg.task_rule, self.rngs["task"])
+        self.store = task_store(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
         self.reciprocal = None
         if self.selector.weighted is not None:
             self.reciprocal = {
                 tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
             }
-        self.scheduled: set[int] = set()
+
+    def _live_rows(self, disk):
+        live = self.store.live
+        rows = map(self.table.task_rows.__getitem__, disk.tasks)
+        return [row for row in rows if live[row]]
 
     def _disk_backend(self, disk):
-        """Selection structure over the disk's still-unscheduled tasks.
+        """Selection structure over the disk's live rows.
 
-        Built when the disk is selected rather than up front; the work is
-        proportional to the live task list, so the total across a run stays
-        within the per-look structure costs the schedulers are budgeted for.
+        Built when the disk is selected rather than up front, from the
+        store's shared columns; the work is proportional to the disk's task
+        list, so the total across a run stays within the per-look structure
+        costs the schedulers are budgeted for.
         """
-        row_of = self.table.row_of
-        rows = [row_of(tid) for tid in disk.tasks if tid not in self.scheduled]
-        return task_backend(self.table, self.cfg, disk.prf_index, rows,
-                            self.rand_values, self.counters)
+        return build_backend(self.cfg.backend, self.store, disk.prf_index,
+                             self._live_rows(disk), self.counters)
 
     def dump_structures(self, max_disks: int = 20) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
@@ -157,7 +161,7 @@ class SdbfRun:
                 parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
         parts.append(f"catalog: {self.catalog.n_disks} disks, first {max_disks}:")
         for disk in self.catalog.disks[:max_disks]:
-            live = [t for t in disk.tasks if t not in self.scheduled]
+            live = [self.store.ids[row] for row in self._live_rows(disk)]
             parts.append(
                 f"  disk {disk.id} prf {disk.prf_index} "
                 f"center {disk.center(self.catalog.grid)}: live {live}"
@@ -176,8 +180,10 @@ class SdbfRun:
                              disk_center=self.catalog.center(d))
         return self._disk_backend(disk), look
 
-    def consume(self, tid: int) -> None:
-        self.scheduled.add(tid)
+    def consume(self, row: int) -> None:
+        """The store and the look's backend dropped the row when it was
+        placed; only the disk selector is left."""
+        tid = self.store.ids[row]
         disks = self.catalog.task_disks[tid]
         if self.selector.buckets is not None:
             self.selector.buckets.decrement(disks)

@@ -3,19 +3,24 @@
 Three interchangeable backends answer the task-selection query "highest
 priority live task with A_l >= a and A_r >= b":
 
-* ``brute``      -- unsorted list, linear scan per query.
+* ``brute``      -- priority-ordered row list, linear scan per query.
 * ``pairwise``   -- one priority-sorted doubly linked list per reachable
   (a, b) threshold pair; query is a head lookup, deletion unlinks the task
   from every list it belongs to.
 * ``rangetree``  -- two-level static range tree keyed by A_l then A_r, with
-  priority-sorted task sequences at the nodes; query compares the heads of
+  priority-sorted row sequences at the nodes; query compares the heads of
   the O(log^2 n_intlv) node sequences covering the threshold box.
+
+The backends of one run index table rows of one shared ``TaskStore``: the
+rows' liveness flags plus per-PRF A_l, A_r and priority-rank columns.  A
+placed task is marked dead in the store once, and each backend holding it
+updates its own index once.
 
 A doubly linked bucket list keyed by integer cardinality provides constant
 time greedy / reverse-greedy selection of PRFs and disks.
 
-Every structure is built in bulk: the backends from columns of task ids,
-availabilities and priorities, the bucket list from one count per key.
+Every structure is built in bulk: the store from the table's columns, the
+backends from a PRF's rows of it, the bucket list from one count per key.
 """
 
 from __future__ import annotations
@@ -398,8 +403,8 @@ def _leaf_path(key: int, leaves: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Below this many tasks numpy's per-call cost outweighs appending each task
-# to its node sequences one at a time.
+# Below this many rows numpy's per-call cost outweighs sorting a backend's
+# rows and appending each to its node sequences in Python.
 _BULK_MIN_TASKS = 32
 
 
@@ -418,105 +423,128 @@ def _tree_shape(n_intlv: int):
     return leaves, canon, paths, path_nodes
 
 
-class _BackendBase:
-    """Common storage for the three backend kinds.
+class TaskStore:
+    """The live-task state of one scheduler run, shared by all its backends.
 
-    ``entries`` holds four equal-length columns: task ids, A_l, A_r and
-    priorities; higher priority wins and ties go to the lowest task id.
-    Deletion is idempotent.  The range checks, the priority order and the
-    per-kind index (``_index``) are built a column at a time.
+    Rows are availability-table rows; ``ids[row]`` is the row's task id and
+    ``live[row]`` its liveness flag.  Per PRF p, ``al[p]``, ``ar[p]`` and
+    ``rank[p]`` are row-indexed lists of A_l, A_r and the priority rank: the
+    row's position in (-priority, task id) order, so the smallest rank wins
+    and priority ties go to the lowest id.  ``prio`` is a [row, PRF] array,
+    or one column that every PRF shares.  ``av`` marks the (row, PRF) pairs
+    a backend may hold; their A_l and A_r must lie in [0, n_intlv] and
+    [1, n_intlv].
+
+    ``rows`` holds one int object per row; the rank lists and the range
+    trees' node sequences share these objects.  The ``*_table`` arrays are
+    the same columns as [row, PRF] numpy arrays, for bulk builds.
+    """
+
+    def __init__(self, n_intlv, ids, av, al, ar, prio):
+        n, n_prfs = av.shape
+        for name, col, lo in (("A_l", al, 0), ("A_r", ar, 1)):
+            bad = np.argwhere(av & ((col < lo) | (col > n_intlv)))
+            if len(bad):
+                row, p = bad[0].tolist()
+                raise InternalInvariantError(
+                    f"task {ids[row]}: {name}={col[row, p]} outside [{lo}, n_intlv]")
+        self.n_intlv = n_intlv
+        self.ids = list(ids)
+        self.live = [True] * n
+        self.rows = np.array(range(n), dtype=object)
+        self.al_table, self.ar_table = al, ar
+        self.al, self.ar = al.T.tolist(), ar.T.tolist()
+        prio = np.asarray(prio)
+        columns = prio[:, None] if prio.ndim == 1 else prio
+        key = np.asarray(self.ids)
+        rank = np.empty(columns.shape, dtype=np.intp)
+        for c in range(columns.shape[1]):
+            rank[np.lexsort((key, -columns[:, c])), c] = np.arange(n)
+        self.prio_table = np.broadcast_to(columns, (n, n_prfs))
+        self.rank_table = np.broadcast_to(rank, (n, n_prfs))
+        ranks = [self.rows[col].tolist() for col in rank.T]
+        self.rank = ranks * n_prfs if len(ranks) == 1 else ranks
+
+    def kill(self, row):
+        """Mark a placed row dead; each row is placed once."""
+        if not self.live[row]:
+            raise InternalInvariantError(f"task {self.ids[row]} placed twice")
+        self.live[row] = False
+
+
+class _BackendBase:
+    """Common part of the three backend kinds: a PRF's rows of a shared
+    ``TaskStore``.
+
+    A backend keeps only its kind's index over its rows plus ``_order``,
+    the rows in priority order; A_l, A_r, rank and liveness are read from
+    the store.  A placed row is killed in the store once and then deleted
+    from the index of every backend that holds it, once each; queries skip
+    rows the store marks dead.  Below ``_BULK_MIN_TASKS`` rows the order is
+    one Python sort by rank, otherwise one numpy sort (``idx``).  The
+    queries here are the brute kind's linear scans of ``_order``.
     """
 
     kind = "base"
 
-    def __init__(self, n_intlv, entries, counters=None):
-        ids, al, ar, prio = entries
-        self.n_intlv = n_intlv
+    def __init__(self, store, p, rows, counters=None):
+        self.store, self.p = store, p
+        self.n_intlv = store.n_intlv
         self.counters = counters if counters is not None else OpCounters()
-        al = np.asarray(al, dtype=np.int64)
-        ar = np.asarray(ar, dtype=np.int64)
-        prio = np.asarray(prio)
-        al_list, ar_list = al.tolist(), ar.tolist()
-        for name, values, lo in (("A_l", al_list, 0), ("A_r", ar_list, 1)):
-            if values and not (lo <= min(values) and max(values) <= n_intlv):
-                i = next(i for i, v in enumerate(values) if not lo <= v <= n_intlv)
-                raise InternalInvariantError(
-                    f"task {ids[i]}: {name}={values[i]} outside [{lo}, n_intlv]")
-        self.al = dict(zip(ids, al_list))
-        self.ar = dict(zip(ids, ar_list))
-        self.prio = dict(zip(ids, prio.tolist()))
-        self._dead = set()
-        # the caller's id objects in priority order; node sequences share them
-        rank = np.lexsort((np.asarray(ids), -prio))
-        order = np.array(ids, dtype=object)[rank]
-        self._order = order.tolist()
-        self._index(order, al[rank], ar[rank])
+        self.al, self.ar, self.rank = store.al[p], store.ar[p], store.rank[p]
+        if len(rows) < _BULK_MIN_TASKS:
+            idx = None
+            self._order = sorted(rows, key=self.rank.__getitem__)
+        else:
+            idx = np.asarray(rows, dtype=np.intp)
+            idx = idx[np.argsort(store.rank_table[idx, p])]
+            self._order = store.rows[idx].tolist()
+        self.live_count = len(self._order)
+        self._index(p, idx)
 
-    def _index(self, order, al, ar):
-        """Build the kind's index from the columns in priority order."""
-
-    @property
-    def live_count(self):
-        return len(self.prio) - len(self._dead)
-
-    def alive(self, tid):
-        return tid in self.prio and tid not in self._dead
-
-    def live_tasks(self):
-        return [t for t in self._order if t not in self._dead]
+    def _index(self, p, idx):
+        """Build the kind's index over ``_order``."""
 
     def _scan_best(self, l_min, r_min):
-        best = None
-        for t in self.prio:
-            if t in self._dead or self.al[t] < l_min or self.ar[t] < r_min:
-                continue
-            if best is None or (self.prio[t], -t) > (self.prio[best], -best):
-                best = t
-        return best
+        live, al, ar = self.store.live, self.al, self.ar
+        return next((r for r in self._order
+                     if live[r] and al[r] >= l_min and ar[r] >= r_min), None)
 
-    def delete(self, tid):
-        raise NotImplementedError
+    def _scan_left(self, l_min):
+        live, al = self.store.live, self.al
+        return any(live[r] and al[r] >= l_min for r in self._order)
 
-    def best_in(self, l_min, r_min):
-        raise NotImplementedError
-
-    def has_left(self, l_min):
-        raise NotImplementedError
-
-    def dump(self) -> str:
-        lines = [f"{self.kind} backend: {self.live_count} live tasks"]
-        for tid in self.live_tasks():
-            lines.append(
-                f"  task {tid}: a_l={self.al[tid]} a_r={self.ar[tid]} "
-                f"priority={self.prio[tid]}"
-            )
-        return "\n".join(lines)
-
-
-class BruteBackend(_BackendBase):
-    """Unsorted task list; every query is a linear scan."""
-
-    kind = "brute"
-
-    def has_left(self, l_min):
-        self.counters.backend_queries += 1
-        return any(
-            t not in self._dead and self.al[t] >= l_min for t in self.prio
-        )
+    def delete(self, row):
+        """Drop a row the store has killed from this index."""
+        self.counters.backend_deletes += 1
+        self.live_count -= 1
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
         return self._scan_best(l_min, r_min)
 
-    def delete(self, tid):
-        if tid in self._dead or tid not in self.prio:
-            return
-        self.counters.backend_deletes += 1
-        self._dead.add(tid)
+    def has_left(self, l_min):
+        self.counters.backend_queries += 1
+        return self._scan_left(l_min)
+
+    def dump(self) -> str:
+        lines = [f"{self.kind} backend: {self.live_count} live tasks"]
+        store = self.store
+        for r in self._order:
+            if store.live[r]:
+                lines.append(f"  task {store.ids[r]}: a_l={self.al[r]} a_r={self.ar[r]} "
+                             f"priority={store.prio_table[r, self.p].item()}")
+        return "\n".join(lines)
+
+
+class BruteBackend(_BackendBase):
+    """Priority-ordered row list; every query is a linear scan."""
+
+    kind = "brute"
 
 
 class PairwiseBackend(_BackendBase):
-    """One sorted doubly linked task list per reachable (a, b) threshold pair.
+    """One sorted doubly linked row list per reachable (a, b) threshold pair.
 
     Stored pairs are those the backward scheduler can query: a + b never
     exceeds n_intlv because a counts already occupied slots to the right of
@@ -525,7 +553,7 @@ class PairwiseBackend(_BackendBase):
 
     kind = "pairwise"
 
-    def _index(self, order, al, ar):
+    def _index(self, p, idx):
         n = self.n_intlv
         self._pairs = [
             (a, b) for a in range(n) for b in range(1, n - a + 1)
@@ -535,26 +563,16 @@ class PairwiseBackend(_BackendBase):
         self._head = {}
         self._next = {}
         self._prev = {}
-        self._pairs_of = {t: [] for t in self.prio}
+        al, ar = self.al, self.ar
         for pair in self._pairs:
             a, b = pair
-            members = order[(al >= a) & (ar >= b)].tolist()
-            nxt, prv = {}, {}
-            prev_t = None
-            for t in members:
-                prv[t] = prev_t
-                if prev_t is not None:
-                    nxt[prev_t] = t
-                prev_t = t
-                self._pairs_of[t].append(pair)
-            if prev_t is not None:
-                nxt[prev_t] = None
+            members = [r for r in self._order if al[r] >= a and ar[r] >= b]
             self._head[pair] = members[0] if members else None
-            self._next[pair] = nxt
-            self._prev[pair] = prv
+            self._next[pair] = dict(zip(members, [*members[1:], None]))
+            self._prev[pair] = dict(zip(members, [None, *members[:-1]]))
 
     def total_entries(self):
-        return sum(len(p) for p in self._pairs_of.values())
+        return sum(map(len, self._next.values()))
 
     def has_left(self, l_min):
         self.counters.backend_queries += 1
@@ -563,7 +581,7 @@ class PairwiseBackend(_BackendBase):
         if (l_min, 1) in self._next:
             return self._head[(l_min, 1)] is not None
         self.counters.fallback_scans += 1
-        return any(t not in self._dead and self.al[t] >= l_min for t in self.prio)
+        return self._scan_left(l_min)
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
@@ -574,22 +592,24 @@ class PairwiseBackend(_BackendBase):
         self.counters.fallback_scans += 1
         return self._scan_best(l_min, r_min)
 
-    def delete(self, tid):
-        if tid in self._dead or tid not in self.prio:
-            return
-        self.counters.backend_deletes += 1
-        self._dead.add(tid)
+    def delete(self, row):
+        """Unlink the row from every pair list it belongs to: the pairs
+        (a, b) with a <= A_l and 1 <= b <= A_r."""
+        super().delete(row)
+        n = self.n_intlv
         touches = 0
-        for pair in self._pairs_of[tid]:
-            nxt, prv = self._next[pair], self._prev[pair]
-            before, after = prv[tid], nxt[tid]
-            if before is None:
-                self._head[pair] = after
-            else:
-                nxt[before] = after
-            if after is not None:
-                prv[after] = before
-            touches += 1
+        for a in range(min(self.al[row], n - 1) + 1):
+            for b in range(1, min(self.ar[row], n - a) + 1):
+                pair = (a, b)
+                nxt, prv = self._next[pair], self._prev[pair]
+                before, after = prv[row], nxt[row]
+                if before is None:
+                    self._head[pair] = after
+                else:
+                    nxt[before] = after
+                if after is not None:
+                    prv[after] = before
+                touches += 1
         self.counters.pairwise_touches += touches
         if touches > self._touch_cap:
             raise InternalInvariantError(
@@ -602,61 +622,66 @@ class RangeTreeBackend(_BackendBase):
 
     Both levels are power-of-two segment trees over the fixed key universe
     {0..n_intlv}; nodes never rebalance and emptiness is tracked by live
-    counts on the first level.  Node task sequences are priority-sorted at
-    build time; deletion marks a task dead and heads skip dead entries
-    lazily, which keeps the per-operation cost within the advertised
-    O(log^2 n_intlv) amortized bound.
+    counts on the first level.  Node row sequences are priority-sorted at
+    build time; deletion decrements the first-level counts, and heads skip
+    rows the store marks dead lazily, which keeps the per-operation cost
+    within the advertised O(log^2 n_intlv) amortized bound.
 
     The build writes all q * depth^2 node entries (depth = log2 of the
     leaf count) at once: one stable numpy sort of the (node pair, priority
-    rank) entries groups them by node and keeps each node's tasks in
+    rank) entries groups them by node and keeps each node's rows in
     priority order.  Up to 128 leaves the keys fit 16 bits and the sort is
     a radix sort, O(q log^2 n_intlv) time with no per-entry Python call.
-    Below ``_BULK_MIN_TASKS`` tasks, as in the per-disk backends of subarray
-    mode, numpy's per-call cost outweighs that, and each task is appended to
-    its node sequences in priority order instead.
+    Below ``_BULK_MIN_TASKS`` rows, as in the per-disk backends of subarray
+    mode, numpy's per-call cost outweighs that, and each row is appended to
+    its node sequences in priority order instead.  Node sequences hold the
+    store's row objects.
     """
 
     kind = "rangetree"
 
-    def _index(self, order, al, ar):
+    def _index(self, p, idx):
         leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
         self._leaves = leaves
         paths = self._paths
         per_task = path_nodes.shape[1] ** 2
         self._visit_cap = max(per_task, 4)
         self._cnt1 = [0] * (2 * leaves)
-        for a, size in Counter(al.tolist()).items():
+        al, ar = self.al, self.ar
+        for a, size in Counter(map(al.__getitem__, self._order)).items():
             for n1 in paths[a]:
                 self._cnt1[n1] += size
-        if len(order) < _BULK_MIN_TASKS:
+        if idx is None:
             self._lists = {}
-            for t, a, b in zip(order.tolist(), al.tolist(), ar.tolist()):
-                for n1 in paths[a]:
-                    for n2 in paths[b]:
-                        self._lists.setdefault((n1, n2), []).append(t)
+            for r in self._order:
+                for n1 in paths[al[r]]:
+                    for n2 in paths[ar[r]]:
+                        self._lists.setdefault((n1, n2), []).append(r)
         else:
-            # One entry per (task, node pair), row-major in rank order, so a
-            # stable sort by node pair keeps each node's tasks in priority
+            # One entry per (row, node pair), row-major in rank order, so a
+            # stable sort by node pair keeps each node's rows in priority
             # order.  Node numbers below 2 * leaves make n1 * 2 * leaves + n2
             # fit the node array's narrow dtype; numpy's stable sort is a
             # radix sort for 8- and 16-bit keys (up to 128 leaves).
-            pair = (path_nodes[al] * (2 * leaves))[:, :, None] + path_nodes[ar][:, None, :]
+            store = self.store
+            pair = ((path_nodes[store.al_table[idx, p]] * (2 * leaves))[:, :, None]
+                    + path_nodes[store.ar_table[idx, p]][:, None, :])
             pair = pair.reshape(-1)
             by_pair = np.argsort(pair, kind="stable")
-            ids = order[by_pair // per_task].tolist()
+            rows = store.rows[idx[by_pair // per_task]].tolist()
             pair = pair[by_pair]
             cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
             starts = [0, *cuts]
             self._lists = {
-                divmod(node, 2 * leaves): ids[s:e]
-                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(ids)])
+                divmod(node, 2 * leaves): rows[s:e]
+                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
             }
         self._cursor = dict.fromkeys(self._lists, 0)
 
     def max_lists_per_task(self):
+        paths = self._paths
         return max(
-            (len(self._paths[self.al[t]]) * len(self._paths[self.ar[t]]) for t in self.prio),
+            (len(paths[self.al[r]]) * len(paths[self.ar[r]]) for r in self._order),
             default=0,
         )
 
@@ -665,8 +690,8 @@ class RangeTreeBackend(_BackendBase):
         if lst is None:
             return None
         i = self._cursor[key]
-        dead = self._dead
-        while i < len(lst) and lst[i] in dead:
+        live = self.store.live
+        while i < len(lst) and not live[lst[i]]:
             i += 1
         self._cursor[key] = i
         return lst[i] if i < len(lst) else None
@@ -679,7 +704,7 @@ class RangeTreeBackend(_BackendBase):
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
         best = None
-        best_key = None
+        rank = self.rank
         inspected = 0
         canon2 = self._canon[r_min]
         for n1 in self._canon[max(l_min, 0)]:
@@ -687,11 +712,9 @@ class RangeTreeBackend(_BackendBase):
                 continue
             for n2 in canon2:
                 inspected += 1
-                t = self._peek((n1, n2))
-                if t is not None:
-                    key = (self.prio[t], -t)
-                    if best_key is None or key > best_key:
-                        best, best_key = t, key
+                r = self._peek((n1, n2))
+                if r is not None and (best is None or rank[r] < rank[best]):
+                    best = r
         self.counters.list_inspections += inspected
         if inspected > self._visit_cap:
             raise InternalInvariantError(
@@ -699,13 +722,11 @@ class RangeTreeBackend(_BackendBase):
             )
         return best
 
-    def delete(self, tid):
-        if tid in self._dead or tid not in self.prio:
-            return
-        self.counters.backend_deletes += 1
-        self._dead.add(tid)
-        for n1 in self._paths[self.al[tid]]:
-            self._cnt1[n1] -= 1
+    def delete(self, row):
+        super().delete(row)
+        cnt = self._cnt1
+        for n1 in self._paths[self.al[row]]:
+            cnt[n1] -= 1
 
 
 _BACKENDS = {
@@ -715,11 +736,11 @@ _BACKENDS = {
 }
 
 
-def build_backend(kind, n_intlv, entries, counters=None) -> _BackendBase:
-    """Construct a selection backend over (task ids, A_l, A_r, priorities)
-    columns."""
+def build_backend(kind, store, p, rows, counters=None) -> _BackendBase:
+    """Construct a selection backend over the given rows of ``store`` at
+    PRF ``p``."""
     try:
         cls = _BACKENDS[kind]
     except KeyError:
         raise ValueError(f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
-    return cls(n_intlv, entries, counters)
+    return cls(store, p, rows, counters)

@@ -9,20 +9,47 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from pulseplan.errors import InternalInvariantError
 from pulseplan.structures import (
     IndexedSet,
     OpCounters,
+    TaskStore,
     _Bucket,
     _leaf_path,
+    build_backend,
 )
 
 
-def columns(rows):
-    """(tid, al, ar, prio) rows as the four entry columns of a backend."""
-    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
+def task_store(entries, n_intlv):
+    """A one-PRF ``TaskStore`` holding (tid, A_l, A_r, priority) entries,
+    each at the row equal to its task id (ids are small non-negative ints).
+    Rows no entry names are padding that no backend holds."""
+    n = max((e[0] for e in entries), default=-1) + 1
+    av = np.zeros((n, 1), dtype=bool)
+    al = np.zeros((n, 1), dtype=np.int64)
+    ar = np.zeros((n, 1), dtype=np.int64)
+    prio = np.zeros(n)
+    for tid, a, b, pr in entries:
+        av[tid], al[tid], ar[tid], prio[tid] = True, a, b, pr
+    return TaskStore(n_intlv, range(n), av, al, ar, prio)
+
+
+def backend_over(kind, n_intlv, entries, counters=None):
+    """A backend over the entries of its own ``task_store``; rows are task
+    ids."""
+    store = task_store(entries, n_intlv)
+    return build_backend(kind, store, 0, [e[0] for e in entries], counters)
+
+
+def kill(backends, row):
+    """Place a row: kill it in the backends' shared store, then delete it
+    from each backend once."""
+    backends[0].store.kill(row)
+    for b in backends:
+        b.delete(row)
 
 
 def linear_best(entries, dead, l_min, r_min):

@@ -31,11 +31,12 @@ from pulseplan import (
 from pulseplan.edbf import PRF_RULES, TASK_RULES, EdbfRun
 from pulseplan.io import schedule_to_text
 from pulseplan.sdbf import DISK_RULES, SUB_RULES, SdbfRun
-from pulseplan.structures import BACKEND_KINDS, OpCounters, build_backend
+from pulseplan.structures import BACKEND_KINDS, OpCounters
 from oracles import (
+    backend_over,
     brute_grid_disks,
     clear_region_trackable,
-    columns,
+    kill,
     linear_best,
     linear_has_left,
     timeline_feasible,
@@ -239,7 +240,7 @@ class TestAcceptance:
                      rng.randrange(1, n_intlv + 1), rng.uniform(-10, 10))
                     for tid in range(1, n + 1)
                 ]
-                backend = build_backend(kind, n_intlv, columns(entries))
+                backend = backend_over(kind, n_intlv, entries)
                 dead = set()
                 alive = [e[0] for e in entries]
                 for _ in range(rng.randrange(20, 200)):
@@ -258,7 +259,7 @@ class TestAcceptance:
                         tid = rng.choice(alive)
                         alive.remove(tid)
                         dead.add(tid)
-                        backend.delete(tid)
+                        kill([backend], tid)
             assert mismatches == 0, kind
             report(5, f"{kind}: {ops} trace ops, exact-match rate 100%")
 

@@ -22,13 +22,13 @@ from pulseplan import (
 )
 from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
-from pulseplan.structures import OpCounters, build_backend
-from oracles import columns
+from pulseplan.structures import OpCounters
+from oracles import backend_over
 
 
 def episode_over(entries, n_intlv):
     counters = OpCounters()
-    backend = build_backend("brute", n_intlv, columns(entries), counters)
+    backend = backend_over("brute", n_intlv, entries, counters)
     return Episode(backend, n_intlv, counters), counters
 
 
@@ -46,10 +46,12 @@ class TestBackwardInterleaving:
     def test_episode_deletes_placed_tasks(self):
         entries = [(1, 1, 2, 2.0), (2, 1, 2, 1.0)]
         counters = OpCounters()
-        backend = build_backend("pairwise", 2, columns(entries), counters)
+        backend = backend_over("pairwise", 2, entries, counters)
         placed = Episode(backend, 2, counters).run()
         assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
         assert backend.live_count == 0
+        assert not backend.store.live[1] and not backend.store.live[2]
+        assert counters.backend_deletes == 2
 
     def test_total_left_shift_with_recursive_fill(self):
         # the first task parks at the rightmost slot; nothing tolerates a
@@ -124,8 +126,8 @@ class TestTaskRules:
 
     def test_ambiguous_range_rules(self):
         table = self.build_two_task_table()
-        sar = task_priorities("SAR", table, range(2), 0).tolist()
-        lar = task_priorities("LAR", table, range(2), 0).tolist()
+        sar = task_priorities("SAR", table)[:, 0].tolist()
+        lar = task_priorities("LAR", table)[:, 0].tolist()
         assert sar[0] > sar[1]        # shortest folded range wins under SAR
         assert lar[1] > lar[0]
 
@@ -133,17 +135,17 @@ class TestTaskRules:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=12, seed=0), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         rows = range(len(tasks))
-        sap = dict(zip(rows, task_priorities("SAP", table, rows, 0).tolist()))
+        sap = dict(zip(rows, task_priorities("SAP", table).tolist()))
         for r in rows:
             assert sap[r] == -len(table.prf_sets[r])
-        sla = dict(zip(rows, task_priorities("SLA", table, rows, 0).tolist()))
-        sra = dict(zip(rows, task_priorities("SRA", table, rows, 0).tolist()))
+        sla = dict(zip(rows, task_priorities("SLA", table).tolist()))
+        sra = dict(zip(rows, task_priorities("SRA", table).tolist()))
         for r in rows:
             assert sla[r] == -int(table.al[r].sum())
             assert sra[r] == -int(table.ar[r].sum())
 
     def test_task_select_uses_backend_thresholds(self):
-        backend = build_backend("rangetree", 8, columns([(1, 3, 2, 5.0), (2, 1, 4, 9.0)]))
+        backend = backend_over("rangetree", 8, [(1, 3, 2, 5.0), (2, 1, 4, 9.0)])
         assert backend.best_in(2, 1) == 1
         assert backend.best_in(0, 1) == 2
 
@@ -265,7 +267,7 @@ class TestHied:
             def next_look(self, j):
                 look = ScheduledLook(index=j, prf_index=0, f_r=prfs[0].f_r,
                                      dwell=table.dwell(0))
-                return build_backend("brute", cfg.n_intlv, columns([])), look
+                return backend_over("brute", cfg.n_intlv, []), look
 
             def consume(self, tid):
                 raise AssertionError("nothing was placed")
@@ -291,6 +293,18 @@ class TestHied:
         assert run.counters.bucket_ops == 0
         run.run()
         assert run.counters.bucket_ops == table.q_p
+
+    def test_backend_deletes_one_per_membership(self, cfg, prfs):
+        # a placed task is deleted once from each of its PRFs' backends,
+        # which all read the run's one store
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        for backend in ("brute", "pairwise", "rangetree"):
+            run = EdbfRun(table, HeuristicConfig(backend=backend))
+            assert all(b.store is run.store for b in run.backends)
+            run.run()
+            assert run.counters.backend_deletes == table.q_p, backend
+            assert all(b.live_count == 0 for b in run.backends)
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)

@@ -232,6 +232,15 @@ class TestCli:
         assert ratios and all(r >= 1.0 - 1e-12 for r in ratios)
         assert "INFEASIBLE" not in text
 
+    def test_oracle_compare_without_tasks(self, tmp_path):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=0, seed=1))
+        path = tmp_path / "empty.txt"
+        path.write_text(scenario_to_text(cfg, prfs, tasks))
+        out = tmp_path / "cmp.txt"
+        assert main(["oracle-compare", str(path), "--mode", "both", "--heuristic-only",
+                     "--out", str(out)]) == 0
+        assert "tasks=0" in out.read_text()
+
     def test_oracle_compare_limit_exit(self, scenario_file, capsys):
         code = main(["oracle-compare", str(scenario_file)])
         assert code == 2
@@ -250,29 +259,42 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith("pulseplan-scaling v1")
 
-    def test_bench_worker_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PULSEPLAN_BENCH_WORKERS", "2")
-        out = tmp_path / "bench2.txt"
-        code = main(["bench", "--sizes", "50,100,200,400", "--reps", "2",
-                     "--out", str(out)])
-        assert code == 0
-        assert "not exclusive" in capsys.readouterr().err
-        assert "fit exponent=" in out.read_text()
-
-    @pytest.mark.parametrize("argv, workers", [
-        (["--sizes", "10,x"], None),
-        (["--sizes", "10,20,30"], None),
-        (["--sizes", "10,30,20,40"], None),
-        (["--sizes", "10,20,30,40", "--reps", "0"], None),
-        (["--sizes", "10,20,30,40"], "two"),
-    ], ids=["non-integer", "three-sizes", "not-increasing", "zero-reps",
-            "non-integer-workers"])
-    def test_bench_bad_input_is_usage_error(self, argv, workers, monkeypatch, capsys):
-        if workers is not None:
-            monkeypatch.setenv("PULSEPLAN_BENCH_WORKERS", workers)
+    @pytest.mark.parametrize("argv", [
+        ["--sizes", "10,x"],
+        ["--sizes", "10,20,30"],
+        ["--sizes", "10,30,20,40"],
+        ["--sizes", "10,20,30,40", "--reps", "0"],
+    ], ids=["non-integer", "three-sizes", "not-increasing", "zero-reps"])
+    def test_bench_bad_input_is_usage_error(self, argv, capsys):
         assert main(["bench", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "usage" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "SCENARIO"],
+        ["availability", "SCENARIO"],
+        ["disks", "SCENARIO"],
+        ["export-lp", "SCENARIO"],
+        ["oracle-compare", "SCENARIO", "--heuristic-only"],
+        ["bench", "--sizes", "20,40,60,80", "--reps", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_usage_error(self, argv, small_scenario_file, tmp_path,
+                                           capsys):
+        argv = [str(small_scenario_file) if a == "SCENARIO" else a for a in argv]
+        out = tmp_path / "no-such-dir" / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: ")
+        assert "usage" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("copies", ["0", "-3"])
+    def test_export_lp_copies_below_one_is_usage_error(self, copies, small_scenario_file,
+                                                       tmp_path, capsys):
+        out = tmp_path / "model.lp"
+        assert main(["export-lp", str(small_scenario_file), "--copies", copies,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --copies must be at least 1")
+        assert not out.exists()
 
     def test_dump_structures_flag(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "s.txt"

@@ -75,6 +75,16 @@ class TestInstanceShape:
         inst = build_instance(catalog)
         assert inst.n_looks == catalog.n_disks
 
+    @pytest.mark.parametrize("copies", [0, -3])
+    def test_copies_below_one_rejected(self, cfg, prfs, copies):
+        from pulseplan import GridSpec, enumerate_disks
+
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=4, seed=1), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        for source in (table, enumerate_disks(table, GridSpec())):
+            with pytest.raises(ValueError, match="copies must be at least 1"):
+                build_instance(source, copies=copies)
+
     def test_l_inf_exceeds_capacity_plus_max_leftward(self):
         table, inst = small_instance(5, seed=2)
         assert inst.l_inf == table.cfg.n_intlv + int(table.al.max()) + 1

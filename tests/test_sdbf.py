@@ -128,6 +128,18 @@ class TestHisd:
             run.run()
             assert run.counters.bucket_ops == catalog.q_d, (disk_rule, sub_rule)
 
+    def test_backend_deletes_one_per_placed_task(self, cfg, prfs):
+        # a placed task leaves the look's backend once; later disks build
+        # their backends from the run's store, which no longer holds it
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        catalog = enumerate_disks(table, GridSpec())
+        for backend in ("brute", "pairwise", "rangetree"):
+            run = SdbfRun(catalog, DiskHeuristicConfig(backend=backend))
+            assert run._disk_backend(catalog.disks[0]).store is run.store
+            sched = run.run()
+            assert run.counters.backend_deletes == len(sched.assignments) == len(tasks)
+            assert not any(run.store.live[table.row_of(t.id)] for t in tasks)
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)

@@ -1,18 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulseplan import BucketList, OpCounters, build_backend
 from pulseplan.errors import InternalInvariantError
-from pulseplan.structures import BACKEND_KINDS
+from pulseplan.structures import BACKEND_KINDS, TaskStore
 from oracles import (
     StepwiseBucketList,
-    columns,
+    backend_over,
     incremental_node_lists,
+    kill,
     linear_best,
     linear_has_left,
+    task_store,
 )
 
 
@@ -201,26 +204,27 @@ class TestRangeTreeBulkBuild:
     def test_node_lists_match_incremental_build(self, n_intlv):
         rng = random.Random(n_intlv)
         for n in (0, 1, 2, 5, 31, 32, 33, 90, 400):
-            ids = rng.sample(range(10**6, 10**6 + 10 * n + 1), n)
+            # rows above 256, so no row is a cached small int
+            ids = rng.sample(range(300, 300 + 10 * n + 1), n)
             entries = [
                 (tid, rng.randrange(0, n_intlv + 1), rng.randrange(1, n_intlv + 1),
                  rng.choice([0.5, 1.0, 2.0]))
                 for tid in ids
             ]
-            b = build_backend("rangetree", n_intlv, columns(entries))
+            store = task_store(entries, n_intlv)
+            b = build_backend("rangetree", store, 0, store.rows[ids].tolist())
             lists, cnt1 = incremental_node_lists(entries, n_intlv)
             assert b._lists == lists, (n_intlv, n)
             assert b._cnt1 == cnt1
             assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
-            # node sequences hold the caller's id objects, not copies
-            given_ids = {id(t) for t in ids}
-            assert all(id(t) in given_ids for lst in b._lists.values() for t in lst)
+            # node sequences hold the store's row objects, not copies
+            assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
 
 
 class TestBackendExamples:
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_single_task(self, kind):
-        b = build_backend(kind, 8, columns([(5, 3, 4, 1.0)]))
+        b = backend_over(kind, 8, [(5, 3, 4, 1.0)])
         for a in range(0, 4):
             for r in range(1, 5):
                 assert b.best_in(a, r) == 5
@@ -229,13 +233,13 @@ class TestBackendExamples:
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_empty(self, kind):
-        b = build_backend(kind, 8, columns([]))
+        b = backend_over(kind, 8, [])
         assert b.best_in(0, 1) is None
         assert not b.has_left(0)
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_threshold_filtering(self, kind):
-        b = build_backend(kind, 8, columns([(1, 3, 2, 5.0), (2, 1, 4, 9.0)]))
+        b = backend_over(kind, 8, [(1, 3, 2, 5.0), (2, 1, 4, 9.0)])
         assert b.best_in(2, 1) == 1
         assert b.best_in(0, 1) == 2
         assert b.best_in(0, 3) == 2
@@ -243,19 +247,80 @@ class TestBackendExamples:
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_delete_then_next_best(self, kind):
-        b = build_backend(kind, 8, columns([(1, 2, 2, 5.0), (2, 2, 2, 3.0)]))
+        b = backend_over(kind, 8, [(1, 2, 2, 5.0), (2, 2, 2, 3.0)])
         assert b.best_in(0, 1) == 1
-        b.delete(1)
+        kill([b], 1)
         assert b.best_in(0, 1) == 2
-        b.delete(1)  # idempotent
-        b.delete(2)
+        with pytest.raises(InternalInvariantError, match="placed twice"):
+            b.store.kill(1)
+        kill([b], 2)
         assert b.best_in(0, 1) is None
         assert not b.has_left(0)
+        assert b.live_count == 0
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_ties_break_to_lowest_id(self, kind):
-        b = build_backend(kind, 4, columns([(9, 2, 2, 1.5), (3, 2, 2, 1.5), (7, 2, 2, 1.5)]))
+        b = backend_over(kind, 4, [(9, 2, 2, 1.5), (3, 2, 2, 1.5), (7, 2, 2, 1.5)])
         assert b.best_in(0, 1) == 3
+
+
+class TestSharedStore:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_backends_over_one_store_match_linear_scans(self, data):
+        """Backends of every kind over overlapping PRF row sets share one
+        store; rows are killed through any one of them."""
+        n_intlv = data.draw(st.sampled_from([1, 2, 3, 4, 8, 11]), label="n_intlv")
+        n_prfs = data.draw(st.integers(1, 3), label="n_prfs")
+        prio_st = (st.sampled_from([0.0, 1.0, 2.0]) if data.draw(st.booleans())
+                   else st.floats(-100, 100))
+        each = lambda s: st.lists(s, min_size=n_prfs, max_size=n_prfs)
+        dense = data.draw(st.booleans(), label="dense")
+        # both sides of the 32-row switch between Python and numpy builds
+        size = data.draw(st.one_of(st.integers(0, 31), st.integers(32, 80)), label="size")
+        table = data.draw(st.lists(st.tuples(
+            each(st.just(True) if dense else st.booleans()),
+            each(st.integers(0, n_intlv)), each(st.integers(1, n_intlv)),
+            each(prio_st)), min_size=size, max_size=size), label="rows")
+        n = len(table)
+        ids = data.draw(st.permutations(range(100, 100 + n)), label="ids")
+        av, al, ar, prio = (
+            np.array([row[k] for row in table], dtype=dtype).reshape(n, n_prfs)
+            for k, dtype in enumerate((bool, np.int64, np.int64, float)))
+        if data.draw(st.booleans(), label="shared priority column"):
+            prio = prio[:, 0]
+        store = TaskStore(n_intlv, ids, av, al, ar, prio)
+        counters = OpCounters()
+        backends, entries = [], []
+        for p in range(n_prfs):
+            rows = np.flatnonzero(av[:, p]).tolist()
+            for kind in BACKEND_KINDS:
+                backends.append(build_backend(kind, store, p, rows, counters))
+                entries.append([(ids[r], al[r, p], ar[r, p],
+                                 prio[r] if prio.ndim == 1 else prio[r, p])
+                                for r in rows])
+        dead = set()
+        memberships = 0
+        for _ in range(data.draw(st.integers(0, 40), label="steps")):
+            i = data.draw(st.integers(0, len(backends) - 1))
+            live = [r for r in backends[i]._order if store.live[r]]
+            if live and data.draw(st.booleans()):
+                row = data.draw(st.sampled_from(live))
+                backends[i].store.kill(row)
+                dead.add(ids[row])
+                for b in backends:
+                    if row in b._order:
+                        b.delete(row)
+                        memberships += 1
+            a = data.draw(st.integers(0, n_intlv))
+            r = data.draw(st.integers(1, n_intlv))
+            for b, own in zip(backends, entries):
+                best = b.best_in(a, r)
+                assert (None if best is None else ids[best]) == \
+                    linear_best(own, dead, a, r), (b.kind, a, r)
+                assert b.has_left(a) == linear_has_left(own, dead, a), (b.kind, a)
+                assert b.live_count == sum(e[0] not in dead for e in own)
+        assert counters.backend_deletes == memberships
 
 
 class TestBackendEquivalence:
@@ -265,7 +330,7 @@ class TestBackendEquivalence:
             n_intlv = rng.choice([2, 3, 4, 8, 11])
             entries = random_entries(rng, rng.randrange(1, 40), n_intlv,
                                      prio_pool=[1.0, 2.0, 3.0] if trial % 3 else None)
-            backends = [build_backend(k, n_intlv, columns(entries)) for k in BACKEND_KINDS]
+            backends = [backend_over(k, n_intlv, entries) for k in BACKEND_KINDS]
             for a in range(0, n_intlv + 1):
                 for r in range(1, n_intlv + 1):
                     answers = {b.best_in(a, r) for b in backends}
@@ -277,7 +342,9 @@ class TestBackendEquivalence:
         while ops < 100_000:
             n_intlv = rng.choice([3, 4, 8])
             entries = random_entries(rng, rng.randrange(1, 60), n_intlv)
-            backends = {k: build_backend(k, n_intlv, columns(entries)) for k in BACKEND_KINDS}
+            store = task_store(entries, n_intlv)
+            rows = [e[0] for e in entries]
+            backends = {k: build_backend(k, store, 0, rows) for k in BACKEND_KINDS}
             dead = set()
             alive = [e[0] for e in entries]
             for _ in range(rng.randrange(10, 120)):
@@ -298,8 +365,7 @@ class TestBackendEquivalence:
                     tid = rng.choice(alive)
                     alive.remove(tid)
                     dead.add(tid)
-                    for b in backends.values():
-                        b.delete(tid)
+                    kill(list(backends.values()), tid)
         assert ops >= 100_000
 
 
@@ -308,7 +374,7 @@ class TestStructuralBounds:
         rng = random.Random(13)
         for n_intlv in (3, 4, 6, 8, 12):
             entries = random_entries(rng, 30, n_intlv)
-            b = build_backend("pairwise", n_intlv, columns(entries))
+            b = backend_over("pairwise", n_intlv, entries)
             assert b.total_entries() <= n_intlv * (n_intlv - 1) * len(entries)
 
     def test_pairwise_deletion_touch_cap(self):
@@ -316,17 +382,17 @@ class TestStructuralBounds:
         for n_intlv in (3, 4, 8):
             entries = random_entries(rng, 25, n_intlv)
             counters = OpCounters()
-            b = build_backend("pairwise", n_intlv, columns(entries), counters)
+            b = backend_over("pairwise", n_intlv, entries, counters)
             for tid, *_ in entries:
                 before = counters.pairwise_touches
-                b.delete(tid)
+                kill([b], tid)
                 assert counters.pairwise_touches - before <= n_intlv * (n_intlv - 1)
 
     def test_rangetree_membership_and_depth_bounds(self):
         rng = random.Random(15)
         for n_intlv in (2, 3, 4, 8, 16):
             entries = random_entries(rng, 40, n_intlv)
-            b = build_backend("rangetree", n_intlv, columns(entries))
+            b = backend_over("rangetree", n_intlv, entries)
             cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2 if n_intlv > 1 else 4
             assert b.max_lists_per_task() <= cap
             depth = b._leaves.bit_length() - 1
@@ -337,7 +403,7 @@ class TestStructuralBounds:
         n_intlv = 8
         entries = random_entries(rng, 50, n_intlv)
         counters = OpCounters()
-        b = build_backend("rangetree", n_intlv, columns(entries), counters)
+        b = backend_over("rangetree", n_intlv, entries, counters)
         cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2
         for a in range(0, n_intlv + 1):
             for r in range(1, n_intlv + 1):
@@ -350,12 +416,12 @@ class TestStructuralBounds:
         entries = random_entries(rng, 30, 8)
         seq = []
         for k in BACKEND_KINDS:
-            b = build_backend(k, 8, columns(entries))
+            b = backend_over(k, 8, entries)
             trace = []
             for a, r in [(0, 1), (2, 3), (5, 2), (0, 8)]:
                 t = b.best_in(a, r)
                 trace.append(t)
                 if t is not None:
-                    b.delete(t)
+                    kill([b], t)
             seq.append(trace)
         assert seq[0] == seq[1] == seq[2]
