@@ -105,9 +105,9 @@ def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> 
 def prf_select(rule: str, buckets: BucketList, rng: random.Random):
     """Pick the PRF for the next look among PRFs with live trackable tasks."""
     if rule == "G":
-        return buckets.select("max", skip_zero=True, tie="min_id")
+        return buckets.select("max", tie="min_id")
     if rule == "RG":
-        return buckets.select("min", skip_zero=True, tie="min_id")
+        return buckets.select("min", tie="min_id")
     if rule == "R":
         if len(buckets.nonzero) == 0:
             return None
@@ -268,13 +268,15 @@ class Episode:
                 )
             gap = self.tail - cursor
             als = self.look.als(self.tail, self.n)
-            if self.backend.has_left(gap):
-                row = self.backend.best_in(gap, cursor)
-                if row is not None:
-                    self.look.place(row, self.backend.al[row], cursor)
-                    self.backend.store.kill(row)
-                    self.backend.delete(row)
-                elif cursor == e_r:
+            # a row from best_in implies has_left, so has_left is asked
+            # only when best_in finds nothing
+            row = self.backend.best_in(gap, cursor)
+            if row is not None:
+                self.look.place(row, self.backend.al[row], cursor)
+                self.backend.store.kill(row)
+                self.backend.delete(row)
+            elif self.backend.has_left(gap):
+                if cursor == e_r:
                     self.tail -= 1
                 else:
                     # One-step left shift frees the slot at the old tail for
@@ -285,15 +287,14 @@ class Episode:
                     self._bi(freed, freed + min(0, als - 1))
                     work = self.look.work
                     self.tail = work.end if work is not None else freed - 1
-            else:
-                if cursor != e_r and self.look.work is not None:
-                    # Nothing can extend the schedule on the left: push it
-                    # flush left and fill, once, the slots that the shift
-                    # opened on its right.
-                    new_el = e_l + self.tail - cursor
-                    self.look.compact_work(e_l)
-                    self._bi(new_el, min(self.tail, als + new_el - 1))
-                    return
+            elif cursor != e_r and self.look.work is not None:
+                # Nothing can extend the schedule on the left: push it
+                # flush left and fill, once, the slots that the shift
+                # opened on its right.
+                new_el = e_l + self.tail - cursor
+                self.look.compact_work(e_l)
+                self._bi(new_el, min(self.tail, als + new_el - 1))
+                return
             cursor -= 1
 
 

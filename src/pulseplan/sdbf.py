@@ -51,14 +51,17 @@ class DiskHeuristicConfig:
 class DiskSelector:
     """Orders live disks by the main index with the configured tie-break.
 
-    Greedy rules ride on the integer bucket list (constant-time selection);
-    the weighted rule and the dwell sub-index need ordered structures, so
-    their selections cost a logarithm of the live disk count.  Weights are
-    sums of frozen reciprocals 1/|available disks of task|, decremented as
-    members are consumed; emptiness is tracked by exact counts, never by
-    float weight.  Only what the rules read is built: dwell times for SD or
-    WGD, weights and member counts for WGD (the bucket list holds the
-    greedy rules' counts).
+    GD and RGD with the random sub-rule ride on the integer bucket list
+    (constant-time selection).  The dwell sub-index and the weighted rule
+    need an ordered structure: one SortedList of (primary, dwell, disk id)
+    entries, whose primary is the weight (WGD), the live member count (GD)
+    or minus it (RGD), so the selection takes the largest primary, then the
+    smallest dwell and id, at a logarithm of the live disk count.  Weights
+    are sums of frozen reciprocals 1/|available disks of task|, decremented
+    as members are consumed; an entry leaves when its member count reaches
+    0, never by float weight.  Only what the rules read is built: dwell
+    times, member counts and primaries for the ordered list (the bucket
+    list holds the other greedy counts).
     """
 
     def __init__(self, main_rule, sub_rule, catalog: DiskCatalog,
@@ -67,49 +70,58 @@ class DiskSelector:
         self.sub_rule = sub_rule
         self.counters = counters
         disks = catalog.disks
-        self.dwell = self.count = self.weight = None
-        self.buckets = self.weighted = None
-        if sub_rule == "SD" or main_rule == "WGD":
-            table = catalog.table
-            self.dwell = {d.id: table.dwell(d.prf_index) for d in disks}
-        if main_rule in ("GD", "RGD"):
-            order = (lambda d: self.dwell[d]) if sub_rule == "SD" else None
-            self.buckets = BucketList({d.id: len(d.tasks) for d in disks},
-                                      member_order=order, counters=counters)
+        self.dwell = self.count = self.primary = None
+        self.buckets = self.ordered = None
+        counts = {d.id: len(d.tasks) for d in disks}
+        if sub_rule == "R" and main_rule != "WGD":
+            self.buckets = BucketList(counts, counters=counters)
+            return
+        table = catalog.table
+        self.dwell = {d.id: table.dwell(d.prf_index) for d in disks}
+        self.count = counts
+        if main_rule == "WGD":
+            self.primary = {d.id: d.weight for d in disks}
         else:
-            self.count = {d.id: len(d.tasks) for d in disks}
-            self.weight = {d.id: d.weight for d in disks}
-            self.weighted = SortedList(
-                (self.weight[d.id], self.dwell[d.id], d.id) for d in disks
-            )
+            sign = 1 if main_rule == "GD" else -1
+            self.primary = {d: sign * c for d, c in counts.items()}
+        # what one consumed member takes off the primary; WGD passes the
+        # task's reciprocal instead
+        self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
+        self.ordered = SortedList(
+            (self.primary[d], self.dwell[d], d) for d, c in counts.items() if c)
 
     def select(self, rng: random.Random):
         """One selection, counted once in ``selector_ops`` (by the bucket
-        list for the greedy rules)."""
+        list for GD and RGD with the random sub-rule)."""
         if self.buckets is not None:
             extreme = "max" if self.main_rule == "GD" else "min"
-            tie = "ordered" if self.sub_rule == "SD" else "random"
-            return self.buckets.select(extreme, skip_zero=True, tie=tie, rng=rng)
+            return self.buckets.select(extreme, tie="random", rng=rng)
         self.counters.selector_ops += 1
-        if not self.weighted:
+        if not self.ordered:
             return None
-        top = self.weighted[-1][0]
-        lo = self.weighted.bisect_left((top,))
+        top = self.ordered[-1][0]
+        lo = self.ordered.bisect_left((top,))
         if self.sub_rule == "SD":
-            return self.weighted[lo][2]
-        return self.weighted[rng.randrange(lo, len(self.weighted))][2]
+            return self.ordered[lo][2]
+        return self.ordered[rng.randrange(lo, len(self.ordered))][2]
 
-    def remove_member(self, disk_id: int, reciprocal: float):
-        """WGD: a task enclosed by this disk was scheduled somewhere.  The
-        greedy rules consume through ``buckets.decrement`` instead."""
-        self.count[disk_id] -= 1
-        if self.count[disk_id] < 0:
+    def remove_member(self, disk_id: int, reciprocal: float | None):
+        """A task enclosed by this disk was scheduled somewhere: one
+        ``bucket_ops``.  ``reciprocal`` is the task's weight share (WGD
+        only).  The bucket list consumes through ``buckets.decrement``
+        instead."""
+        self.counters.bucket_ops += 1
+        count = self.count[disk_id]
+        if count == 0:
             raise InternalInvariantError("disk member count went negative")
-        entry = (self.weight[disk_id], self.dwell[disk_id], disk_id)
-        self.weighted.remove(entry)
-        if self.count[disk_id] > 0:
-            self.weight[disk_id] -= reciprocal
-            self.weighted.add((self.weight[disk_id], self.dwell[disk_id], disk_id))
+        self.count[disk_id] = count - 1
+        primary = self.primary[disk_id]
+        dwell = self.dwell[disk_id]
+        self.ordered.remove((primary, dwell, disk_id))
+        if count > 1:
+            primary -= reciprocal if self._drop is None else self._drop
+            self.primary[disk_id] = primary
+            self.ordered.add((primary, dwell, disk_id))
 
 
 class SdbfRun:
@@ -129,7 +141,7 @@ class SdbfRun:
         self.store = task_store(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
         self.reciprocal = None
-        if self.selector.weighted is not None:
+        if cfg.disk_rule == "WGD":
             self.reciprocal = {
                 tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
             }
@@ -152,12 +164,15 @@ class SdbfRun:
 
     def dump_structures(self, max_disks: int = 20) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
-        parts = []
-        if self.selector.buckets is not None:
-            parts.append(self.selector.buckets.dump())
+        selector = self.selector
+        if selector.buckets is not None:
+            parts = [selector.buckets.dump()]
+        elif selector.main_rule != "WGD":
+            # GD/RGD with SD: the live counts, grouped as a bucket list
+            parts = [BucketList(selector.count).dump()]
         else:
-            parts.append("weighted disk order (top of list selected)")
-            for w, dwell, d in list(self.selector.weighted)[-max_disks:]:
+            parts = ["weighted disk order (top of list selected)"]
+            for w, dwell, d in list(selector.ordered)[-max_disks:]:
                 parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
         parts.append(f"catalog: {self.catalog.n_disks} disks, first {max_disks}:")
         for disk in self.catalog.disks[:max_disks]:
@@ -188,7 +203,7 @@ class SdbfRun:
         if self.selector.buckets is not None:
             self.selector.buckets.decrement(disks)
             return
-        recip = self.reciprocal[tid]
+        recip = self.reciprocal[tid] if self.reciprocal is not None else None
         for d in disks:
             self.selector.remove_member(d, recip)
 

@@ -17,7 +17,9 @@ placed task is marked dead in the store once, and each backend holding it
 updates its own index once.
 
 A doubly linked bucket list keyed by integer cardinality provides constant
-time greedy / reverse-greedy selection of PRFs and disks.
+time greedy / reverse-greedy selection of PRFs, and of disks under the
+random tie-break.  Its buckets are plain lists and its one update is
+``decrement``: counts only fall as placed tasks are consumed.
 
 Every structure is built in bulk: the store from the table's columns, the
 backends from a PRF's rows of it, the bucket list from one count per key.
@@ -30,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
 
@@ -105,161 +106,58 @@ class _Bucket:
         self.next = None
 
 
-def _swap_remove(members, pos, key):
-    """Remove ``key`` from the list ``members``: the last member fills its
-    slot, as in ``IndexedSet.discard``."""
-    i = pos.pop(key)
-    last = members.pop()
-    if last != key:
-        members[i] = last
-        pos[last] = i
-
-
 class BucketList:
     """Doubly linked buckets of keys sharing one integer cardinality.
 
     Bucket values are strictly increasing along the links and a bucket exists
-    only while some key holds its value, so min/max selection and +-1
-    adjustments are constant time.  Each bucket keeps its keys in a plain
-    list, and one dict shared by all buckets (``_pos``) maps each key to its
-    index in its bucket's list: a key leaves by swap-remove (the last member
-    fills its slot) and joins by append.  With ``member_order`` given, each
-    bucket instead keeps its keys ordered by that sub-key in a SortedList
-    (logarithmic adjustments) so ties on the cardinality can be broken by
-    e.g. smallest dwell time.
+    only while some key holds its value (the zero bucket excepted, which
+    keeps every key that reached zero), so min/max selection and a -1 step
+    are constant time.  Each bucket keeps its keys in a plain list, and one
+    dict shared by all buckets (``_pos``) maps each key to its index in its
+    bucket's list: a key leaves by swap-remove (the last member fills its
+    slot) and joins by append.
 
     ``counts`` maps every key, in key order, to its starting cardinality.
     The buckets are built from it in bulk: one pass over the keys plus a sort
     of the distinct values, with no per-membership step and no
-    ``bucket_ops``.  Members, their order inside each bucket and the order of
-    ``nonzero`` are those of counting every membership up from zero, one
-    ``adjust(key, +1)`` at a time, key after key; the ``random`` tie-break
-    reads those orders.
+    ``bucket_ops``.  It lists each bucket's keys in key order, as does
+    ``nonzero``, the set of keys with a nonzero count; the ``random``
+    tie-break reads the nonzero buckets' orders, which match counting every
+    membership up from zero, key after key.
 
-    ``decrement(keys)`` consumes one membership of each key in turn, the
-    look loop's bookkeeping for one placed task, in a single call: O(1) per
-    key (O(log) with ``member_order``), one ``bucket_ops`` each.
+    ``decrement(keys)`` is the one update: it consumes one membership of
+    each key in turn, the look loop's bookkeeping for one placed task, in a
+    single call, O(1) and one ``bucket_ops`` per key.
     """
 
-    def __init__(self, counts, member_order=None, counters=None):
+    def __init__(self, counts, counters=None):
         self.counters = counters if counters is not None else OpCounters()
-        self._order = member_order
         by_value = {}
         for k, c in counts.items():
             if c < 0:
                 raise ValueError(f"key {k!r} has a negative count")
             by_value.setdefault(c, []).append(k)
         zeros = by_value.pop(0, [])
-        buckets = []
-        if zeros or not by_value:
-            if member_order is None and len(zeros) < len(counts):
-                # Counting up from zero takes the nonzero keys out of a
-                # bucket that held every key, and the swap-remove leaves the
-                # zero keys in the order this replays.
-                zeros = list(counts)
-                pos = dict(zip(zeros, range(len(zeros))))
-                for k, c in counts.items():
-                    if c:
-                        _swap_remove(zeros, pos, k)
-            buckets.append(_Bucket(0, self._members(zeros)))
-        for v in sorted(by_value):
-            buckets.append(_Bucket(v, self._members(by_value[v])))
+        buckets = [_Bucket(0, zeros)] if zeros or not by_value else []
+        buckets += [_Bucket(v, by_value[v]) for v in sorted(by_value)]
         for lo, hi in zip(buckets, buckets[1:]):
             lo.next, hi.prev = hi, lo
         self._head = buckets[0]
         self._tail = buckets[-1]
         bucket_at = {b.value: b for b in buckets}
         self._bucket_of = {k: bucket_at[c] for k, c in counts.items()}
-        if member_order is None:
-            self._pos = {k: i for b in buckets for i, k in enumerate(b.members)}
+        self._pos = {k: i for b in buckets for i, k in enumerate(b.members)}
         self.nonzero = IndexedSet(k for k, c in counts.items() if c)
 
-    def _members(self, keys):
-        if self._order is not None:
-            return SortedList((self._order(k), k) for k in keys)
-        return list(keys)
-
-    def _insert_member(self, bucket, key):
-        if self._order is not None:
-            bucket.members.add((self._order(key), key))
-        else:
-            self._pos[key] = len(bucket.members)
-            bucket.members.append(key)
-
-    def _remove_member(self, bucket, key):
-        if self._order is not None:
-            bucket.members.remove((self._order(key), key))
-        else:
-            _swap_remove(bucket.members, self._pos, key)
-
-    def count(self, key) -> int:
-        return self._bucket_of[key].value
-
-    def counts(self) -> dict:
-        return {k: b.value for k, b in self._bucket_of.items()}
-
-    def adjust(self, key, delta: int) -> None:
-        """Move a key to the adjacent bucket; ``adjust(key, -1)`` is
-        ``decrement((key,))``."""
-        if delta == -1:
-            self.decrement((key,))
-        elif delta == 1:
-            self.counters.bucket_ops += 1
-            self._step(key, 1)
-        else:
-            raise ValueError("delta must be +1 or -1")
-
-    def _step(self, key, delta):
-        """One +-1 move through the member methods; splice links as needed.
-
-        A key alone in its bucket relabels that bucket when no neighbour
-        holds the target value, so no bucket is allocated.
-        """
-        bucket = self._bucket_of[key]
-        value = bucket.value
-        target_value = value + delta
-        if target_value < 0:
-            raise InternalInvariantError(f"key {key!r} decremented below zero")
-        neighbor = bucket.next if delta == 1 else bucket.prev
-        if neighbor is not None and neighbor.value == target_value:
-            self._move(key, bucket, neighbor)
-        elif len(bucket.members) == 1:
-            bucket.value = target_value
-        else:
-            target = _Bucket(target_value, self._members(()))
-            if delta == 1:
-                target.prev, target.next = bucket, bucket.next
-                if bucket.next is not None:
-                    bucket.next.prev = target
-                else:
-                    self._tail = target
-                bucket.next = target
-            else:
-                target.prev, target.next = bucket.prev, bucket
-                if bucket.prev is not None:
-                    bucket.prev.next = target
-                else:
-                    self._head = target
-                bucket.prev = target
-            self._move(key, bucket, target)
-        if value == 0:
-            self.nonzero.add(key)
-        elif target_value == 0:
-            self.nonzero.discard(key)
-
     def decrement(self, keys) -> None:
-        """``adjust(key, -1)`` for each key of the sequence ``keys`` in turn.
+        """Take one membership from each key of the sequence ``keys`` in turn.
 
-        The list-member kind runs one fused loop: a key joins the previous
-        bucket when it holds value - 1, a lone key relabels its bucket
-        otherwise, and a new bucket is spliced in front only when neither
-        applies.  All ``len(keys)`` ``bucket_ops`` are counted up front.
+        A key joins the previous bucket when it holds value - 1, a lone key
+        relabels its bucket otherwise, and a new bucket is spliced in front
+        only when neither applies.  All ``len(keys)`` ``bucket_ops`` are
+        counted up front.
         """
         self.counters.bucket_ops += len(keys)
-        if self._order is not None:
-            for key in keys:
-                self._step(key, -1)
-            return
         bucket_of = self._bucket_of
         pos = self._pos
         nonzero = self.nonzero
@@ -305,59 +203,22 @@ class BucketList:
             if value == 0:
                 nonzero.discard(key)
 
-    def _move(self, key, bucket, target):
-        self._remove_member(bucket, key)
-        self._insert_member(target, key)
-        self._bucket_of[key] = target
-        if len(bucket.members) == 0:
-            self._unlink(bucket)
+    def select(self, extreme="max", tie="min_id", rng=None):
+        """Pick a key from the extreme nonzero bucket; ties per the rule.
 
-    def _unlink(self, bucket):
-        if bucket.prev is not None:
-            bucket.prev.next = bucket.next
-        else:
-            self._head = bucket.next
-        if bucket.next is not None:
-            bucket.next.prev = bucket.prev
-        else:
-            self._tail = bucket.prev
-
-    def _min_bucket(self, skip_zero):
-        b = self._head
-        if skip_zero and b is not None and b.value == 0:
-            b = b.next
-        return b
-
-    def _max_bucket(self, skip_zero):
-        b = self._tail
-        if b is None or (skip_zero and b.value == 0):
-            return None
-        return b
-
-    def max_value(self, skip_zero=False):
-        b = self._max_bucket(skip_zero)
-        return None if b is None else b.value
-
-    def select(self, extreme="max", skip_zero=False, tie="min_id", rng=None):
-        """Pick a key from the extreme bucket; ties per the requested rule.
-
-        ``min_id`` scans the bucket (bounded by the key universe); ``random``
-        draws uniformly from it; ``ordered`` takes the smallest sub-key and
-        requires ``member_order``.
+        ``min_id`` scans the bucket (bounded by the key universe);
+        ``random`` draws uniformly from it.
         """
         self.counters.selector_ops += 1
-        bucket = self._max_bucket(skip_zero) if extreme == "max" else self._min_bucket(skip_zero)
-        if bucket is None or len(bucket.members) == 0:
+        bucket = self._tail if extreme == "max" else self._head
+        if bucket.value == 0:
+            bucket = bucket.next if extreme == "min" else None
+        if bucket is None:
             return None
         members = bucket.members
-        if tie == "ordered":
-            if self._order is None:
-                raise InternalInvariantError("ordered tie-break without member_order")
-            return members[0][1]
         if tie == "random":
-            pick = members[rng.randrange(len(members))]
-            return pick if self._order is None else pick[1]
-        return min(members) if self._order is None else min(m[1] for m in members)
+            return members[rng.randrange(len(members))]
+        return min(members)
 
     def _walk(self):
         b = self._head
@@ -368,9 +229,7 @@ class BucketList:
     def dump(self) -> str:
         lines = ["bucket list"]
         for b in self._walk():
-            keys = sorted(m[1] for m in b.members) if self._order is not None \
-                else sorted(b.members)
-            lines.append(f"  value {b.value}: keys {keys}")
+            lines.append(f"  value {b.value}: keys {sorted(b.members)}")
         return "\n".join(lines)
 
 

@@ -10,7 +10,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from pulseplan.errors import InternalInvariantError
 from pulseplan.structures import (
@@ -276,47 +275,27 @@ class StepwiseBucketList:
     """The bucket list built by counting every membership up from zero.
 
     A standalone reference with ``BucketList``'s interface: each bucket
-    keeps its keys in its own ``IndexedSet`` (or a SortedList of
-    (sub-key, key) with ``member_order``), all keys start in one zero bucket
-    and ``memberships`` (key repeated once per member) is applied one
-    ``adjust(key, +1)`` at a time; ``bucket_ops`` counts the adjusts made
-    after that.  ``adjust`` here always allocates a target bucket when no
-    neighbour holds the target value, so comparing against it checks the
-    bulk build of ``BucketList``, its relabel-in-place path and its fused
-    ``decrement``.
+    keeps its keys in its own ``IndexedSet``, all keys start in one zero
+    bucket and ``memberships`` (key repeated once per member) is applied
+    one ``adjust(key, +1)`` at a time; ``bucket_ops`` counts the adjusts
+    made after that.  ``decrement`` is one ``adjust(key, -1)`` per key, and
+    ``adjust`` always allocates a target bucket when no neighbour holds the
+    target value, so comparing against it checks the bulk build of
+    ``BucketList``, its relabel-in-place path and its fused ``decrement``.
     """
 
-    def __init__(self, keys, memberships, member_order=None):
-        self._order = member_order
+    def __init__(self, keys, memberships):
         self._bucket_of = {}
         self.nonzero = IndexedSet()
-        zero = _Bucket(0, self._members(()))
+        zero = _Bucket(0, IndexedSet(keys))
         self._head = zero
         self._tail = zero
         for k in keys:
-            self._insert_member(zero, k)
             self._bucket_of[k] = zero
         self.counters = OpCounters()
         for k in memberships:
             self.adjust(k, +1)
         self.counters = OpCounters()
-
-    def _members(self, keys):
-        if self._order is not None:
-            return SortedList((self._order(k), k) for k in keys)
-        return IndexedSet(keys)
-
-    def _insert_member(self, bucket, key):
-        if self._order is not None:
-            bucket.members.add((self._order(key), key))
-        else:
-            bucket.members.add(key)
-
-    def _remove_member(self, bucket, key):
-        if self._order is not None:
-            bucket.members.remove((self._order(key), key))
-        else:
-            bucket.members.discard(key)
 
     def _unlink(self, bucket):
         if bucket.prev is not None:
@@ -337,24 +316,19 @@ class StepwiseBucketList:
     def count(self, key):
         return self._bucket_of[key].value
 
-    def counts(self):
-        return {k: b.value for k, b in self._bucket_of.items()}
-
-    def select(self, extreme="max", skip_zero=False, tie="min_id", rng=None):
+    def select(self, extreme="max", tie="min_id", rng=None):
         bucket = self._head if extreme == "min" else self._tail
-        if skip_zero and bucket is not None and bucket.value == 0:
+        if bucket.value == 0:
             bucket = bucket.next if extreme == "min" else None
-        if bucket is None or len(bucket.members) == 0:
+        if bucket is None:
             return None
-        if tie == "ordered":
-            return bucket.members[0][1]
-        if self._order is not None:
-            if tie == "random":
-                return bucket.members[rng.randrange(len(bucket.members))][1]
-            return min(m[1] for m in bucket.members)
         if tie == "random":
             return bucket.members.choose(rng)
         return min(bucket.members)
+
+    def decrement(self, keys):
+        for key in keys:
+            self.adjust(key, -1)
 
     def adjust(self, key, delta):
         self.counters.bucket_ops += 1
@@ -366,7 +340,7 @@ class StepwiseBucketList:
         if neighbor is not None and neighbor.value == target_value:
             target = neighbor
         else:
-            target = _Bucket(target_value, self._members(()))
+            target = _Bucket(target_value, IndexedSet())
             if delta == 1:
                 target.prev, target.next = bucket, bucket.next
                 if bucket.next is not None:
@@ -381,8 +355,8 @@ class StepwiseBucketList:
                 else:
                     self._head = target
                 bucket.prev = target
-        self._remove_member(bucket, key)
-        self._insert_member(target, key)
+        bucket.members.discard(key)
+        target.members.add(key)
         self._bucket_of[key] = target
         if len(bucket.members) == 0:
             self._unlink(bucket)

@@ -70,6 +70,42 @@ class TestBackwardInterleaving:
         placed = dict(ep.run())
         assert placed == {1: 1, 2: 2}
 
+    @pytest.mark.parametrize("kind", ["brute", "pairwise", "rangetree"])
+    def test_has_left_only_after_best_in_finds_nothing(self, kind):
+        # a row from best_in implies has_left, so the packing asks has_left
+        # only right after a best_in that returned None
+        class Watched:
+            def __init__(self, backend):
+                self._b = backend
+                self.calls = []
+
+            def __getattr__(self, name):
+                return getattr(self._b, name)
+
+            def best_in(self, l_min, r_min):
+                row = self._b.best_in(l_min, r_min)
+                self.calls.append(("best_in", row))
+                return row
+
+            def has_left(self, l_min):
+                self.calls.append(("has_left", None))
+                return self._b.has_left(l_min)
+
+        rng = random.Random(3)
+        asked = 0
+        for n_intlv in (2, 4, 8):
+            for _ in range(40):
+                entries = [(t, rng.randrange(0, n_intlv + 1), rng.randrange(1, n_intlv + 1),
+                            rng.random()) for t in range(1, rng.randrange(1, 12))]
+                counters = OpCounters()
+                watched = Watched(backend_over(kind, n_intlv, entries, counters))
+                Episode(watched, n_intlv, counters).run()
+                for i, (name, _) in enumerate(watched.calls):
+                    if name == "has_left":
+                        asked += 1
+                        assert i > 0 and watched.calls[i - 1] == ("best_in", None)
+        assert asked > 0
+
     def test_iteration_budget_respected(self):
         rng = random.Random(0)
         for n_intlv in (2, 4, 8):
@@ -285,8 +321,8 @@ class TestHied:
         assert counters.bi_calls >= 1
 
     def test_bucket_ops_count_consumes_only(self, cfg, prfs):
-        # the PRF bucket list is built from counts; every adjust after that
-        # is one consumed (task, PRF) membership
+        # the PRF bucket list is built from counts; every decrement after
+        # that consumes one (task, PRF) membership
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         run = EdbfRun(table, HeuristicConfig())

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,10 +8,12 @@ import pytest
 from pulseplan import (
     GridSpec,
     HeuristicConfig,
+    RadarConfig,
     ScenarioSpec,
     build_availability_table,
     build_instance,
     check_feasible,
+    default_prf_set,
     enumerate_disks,
     gen_scenario,
     hied,
@@ -37,8 +40,6 @@ def scenario_file(tmp_path):
 
 @pytest.fixture
 def small_scenario_file(tmp_path):
-    from pulseplan import RadarConfig, default_prf_set
-
     cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
     prfs = default_prf_set(count=3)
     cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=2), cfg, prfs)
@@ -129,6 +130,27 @@ class TestDumps:
         assert text.startswith("pulseplan-disks v1")
         assert f"n_disks={catalog.n_disks}" in text
 
+
+# --dump-structures stderr per case: (n_tasks, seed, clusters) of a
+# 3-PRF, n_intlv=4 scenario, the schedule options, and the exact text or
+# its sha256 digest
+DUMPS = {
+    "edbf prf without tasks": ((3, 9, 0), [], (
+        "bucket list\n  value 0: keys [0]\n  value 1: keys [2]\n  value 3: keys [1]\n"
+        "prf 0 (9500 Hz)\n  rangetree backend: 0 live tasks\n"
+        "prf 1 (13000 Hz)\n  rangetree backend: 3 live tasks\n"
+        "    task 2: a_l=0 a_r=4 priority=-2559.804293370922\n"
+        "    task 1: a_l=0 a_r=4 priority=-3250.608012393077\n"
+        "    task 3: a_l=2 a_r=2 priority=-5509.5750612486445\n"
+        "prf 2 (16500 Hz)\n  rangetree backend: 1 live tasks\n"
+        "    task 2: a_l=0 a_r=2 priority=-3258.621211785845\n")),
+    "sdbf GD SD": ((6, 4, 1), ["--mode", "sdbf", "--sub-rule", "SD"],
+                   "f34a16bda5959f037e2295aada31bf95cd84563c2b634f6ab3824b74fa3c1fdb"),
+    "sdbf RGD SD": ((6, 4, 1), ["--mode", "sdbf", "--disk-rule", "RGD", "--sub-rule", "SD"],
+                    "f34a16bda5959f037e2295aada31bf95cd84563c2b634f6ab3824b74fa3c1fdb"),
+    "sdbf empty catalog": ((0, 1, 0), ["--mode", "sdbf", "--sub-rule", "SD"],
+                           "bucket list\n  value 0: keys []\ncatalog: 0 disks, first 20:\n"),
+}
 
 class TestCli:
     def test_schedule_writes_file(self, scenario_file, tmp_path, capsys):
@@ -308,6 +330,28 @@ class TestCli:
                      "--dump-structures"])
         assert code == 0
         assert "weighted disk order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(DUMPS))
+    def test_dump_structures_bytes(self, case, tmp_path, capsys):
+        # GD/RGD with SD print their disk counts as a bucket list, grouped
+        # by live count; a PRF without a schedulable task and an empty
+        # catalog print a zero bucket
+        (n, seed, clusters), options, expected = DUMPS[case]
+        cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
+        cfg, prfs, tasks = gen_scenario(
+            ScenarioSpec(n_tasks=n, seed=seed, cluster_count=clusters),
+            cfg, default_prf_set(count=3))
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_to_text(cfg, prfs, tasks))
+        assert main(["schedule", str(path), *options, "--dump-structures",
+                     "--out", str(tmp_path / "s.txt")]) == 0
+        err = capsys.readouterr().err
+        if len(expected) == 64:
+            assert err.startswith("bucket list\n  value 1: keys [0, 1, 2, 3, 4, 6, ")
+            assert "\n  value 2: keys [5, 9, 10, 14, 15, 18]\ncatalog: 173 disks" in err
+            assert hashlib.sha256(err.encode()).hexdigest() == expected
+        else:
+            assert err == expected
 
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -2,9 +2,13 @@ import itertools
 import math
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
+    InternalInvariantError,
     PrfConfig,
     RadarConfig,
     TrackTask,
@@ -15,7 +19,7 @@ from pulseplan import (
     gen_scenario,
     hisd,
 )
-from pulseplan.sdbf import DiskSelector, SdbfRun
+from pulseplan.sdbf import DISK_RULES, SUB_RULES, DiskSelector, SdbfRun
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters
 
@@ -121,10 +125,11 @@ class TestHisd:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         catalog = enumerate_disks(table, GridSpec())
-        for disk_rule, sub_rule in itertools.product(("GD", "RGD"), ("R", "SD")):
+        for disk_rule, sub_rule in itertools.product(DISK_RULES, SUB_RULES):
             run = SdbfRun(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
                                                        sub_rule=sub_rule))
-            assert run.counters.bucket_ops == 0 and run.reciprocal is None
+            assert run.counters.bucket_ops == 0
+            assert (run.reciprocal is None) == (disk_rule != "WGD")
             run.run()
             assert run.counters.bucket_ops == catalog.q_d, (disk_rule, sub_rule)
 
@@ -211,16 +216,24 @@ class TestDiskSelector:
         sel.remove_member(1, 0.8)           # disk 1 empties entirely
         assert sel.select(random.Random(0)) == 0
 
+    def test_removing_from_an_empty_disk_raises(self):
+        for main, sub in (("GD", "SD"), ("RGD", "SD"), ("WGD", "R"), ("WGD", "SD")):
+            sel = self.selector([1], {0: 0.005}, main, sub, weights=[1.0])
+            sel.remove_member(0, 1.0)
+            assert sel.select(random.Random(0)) is None
+            with pytest.raises(InternalInvariantError):
+                sel.remove_member(0, 1.0)
+
     def test_builds_only_what_the_rule_reads(self):
         built = {}
         for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
             sel = self.selector([2, 1], {0: 0.005, 1: 0.004}, main, sub,
                                 weights=[1.0, 0.5])
-            built[main, sub] = {a for a in ("dwell", "weight", "count")
+            built[main, sub] = {a for a in ("dwell", "primary", "count")
                                 if getattr(sel, a) is not None}
         assert built[("GD", "R")] == built[("RGD", "R")] == set()
-        assert built[("GD", "SD")] == built[("RGD", "SD")] == {"dwell"}
-        assert built[("WGD", "R")] == built[("WGD", "SD")] == {"dwell", "weight", "count"}
+        for rules in (("GD", "SD"), ("RGD", "SD"), ("WGD", "R"), ("WGD", "SD")):
+            assert built[rules] == {"dwell", "primary", "count"}
 
     def test_greedy_cost_does_not_scale_with_disk_count(self):
         # bucket-backed selection touches the extreme bucket only
@@ -248,3 +261,75 @@ class TestDiskSelector:
             sel.select(random.Random(1))
         assert counters.bucket_ops == before    # selection never relinks buckets
         assert counters.selector_ops == 100
+
+
+def fake_catalog(disks, dwells):
+    """Catalog-like layout: ``disks`` lists (prf index, member reciprocals)
+    per disk id; a disk's weight is the sum of its reciprocals."""
+
+    class FakeDisk:
+        def __init__(self, i, p, recips):
+            self.id = i
+            self.prf_index = p
+            self.tasks = list(range(len(recips)))
+            self.weight = sum(recips)
+
+    class FakeTable:
+        def dwell(self, p):
+            return dwells[p]
+
+    class FakeCatalog:
+        table = FakeTable()
+
+    FakeCatalog.disks = [FakeDisk(i, p, r) for i, (p, r) in enumerate(disks)]
+    return FakeCatalog()
+
+
+class TestDiskSelectorReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        disks=st.lists(st.tuples(st.integers(0, 2),
+                                 st.lists(st.sampled_from([0.25, 0.5, 1.0]),
+                                          min_size=1, max_size=4)),
+                       min_size=1, max_size=10),
+        dwells=st.lists(st.sampled_from([0.004, 0.005]), min_size=3, max_size=3),
+        main=st.sampled_from(DISK_RULES),
+        sub=st.sampled_from(SUB_RULES),
+        picks=st.lists(st.integers(0, 9), max_size=40),
+    )
+    def test_select_matches_brute_force(self, disks, dwells, main, sub, picks):
+        # tied counts, weights and dwells; the reference recomputes the
+        # extreme nonzero count (or weight), then dwell, then id, each time
+        counters = OpCounters()
+        sel = DiskSelector(main, sub, fake_catalog(disks, dwells), counters)
+        left = [list(recips) for _, recips in disks]
+        weight = [sum(recips) for _, recips in disks]
+        dwell = [dwells[p] for p, _ in disks]
+        removed = 0
+        for step in [None, *picks]:
+            if step is not None:
+                d = step % len(disks)
+                if not left[d]:
+                    continue
+                recip = left[d].pop()
+                if sel.buckets is not None:
+                    sel.buckets.decrement([d])
+                else:
+                    sel.remove_member(d, recip)
+                if left[d]:
+                    weight[d] -= recip
+                removed += 1
+            assert counters.bucket_ops == removed
+            live = [d for d in range(len(disks)) if left[d]]
+            primary = {"GD": lambda d: len(left[d]), "RGD": lambda d: -len(left[d]),
+                       "WGD": lambda d: weight[d]}[main]
+            top = max(map(primary, live), default=None)
+            tied = [d for d in live if primary(d) == top]
+            got = sel.select(random.Random(step))
+            if not tied:
+                assert got is None
+            elif sub == "SD":
+                assert got == min(tied, key=lambda d: (dwell[d], d))
+            else:
+                assert got in tied
+

@@ -29,56 +29,52 @@ def random_entries(rng, n, n_intlv, prio_pool=None):
     return out
 
 
+def counts_of(b):
+    return {k: bk.value for k, bk in b._bucket_of.items()}
+
+
 class TestBucketList:
     def test_all_empty_keys_share_zero_bucket(self):
         b = BucketList({"a": 0, "b": 0, "c": 0})
-        assert b.counts() == {"a": 0, "b": 0, "c": 0}
-        assert b.select("max") in ("a", "b", "c")
-        assert b.max_value() == 0
+        assert counts_of(b) == {"a": 0, "b": 0, "c": 0}
+        assert [(bk.value, bk.members) for bk in b._walk()] == [(0, ["a", "b", "c"])]
+        assert b.select("max") is None and b.select("min") is None
+        assert len(b.nonzero) == 0
 
     def test_membership_counting_and_tie_break(self):
         b = BucketList({1: 3, 2: 1, 3: 3})
-        assert b.counts() == {1: 3, 2: 1, 3: 3}
+        assert counts_of(b) == {1: 3, 2: 1, 3: 3}
         assert sorted({bk.value for bk in b._walk()}) == [1, 3]
         assert b.select("max") == 1          # lowest key among the ties
         assert b.select("min") == 2
 
-    def test_adjust_round_trip(self):
-        b = BucketList({1: 1, 2: 2})
-        before = b.counts()
-        b.adjust(1, +1)
-        b.adjust(1, -1)
-        assert b.counts() == before
-
     def test_max_bucket_created_and_removed(self):
-        b = BucketList({1: 1, 2: 1})
-        b.adjust(2, +1)
-        assert b.max_value() == 2 and b.select("max") == 2
-        b.adjust(2, -1)
-        b.adjust(2, -1)
-        assert b.counts()[2] == 0
-        assert b.select("max", skip_zero=True) == 1
+        b = BucketList({1: 2, 2: 2})
+        b.decrement([2])                    # 2 leaves a shared bucket: new one
+        assert [bk.value for bk in b._walk()] == [1, 2]
+        assert b.select("max") == 1 and b.select("min") == 2
+        b.decrement([1])                    # 1 joins it; the top bucket goes
+        assert [bk.value for bk in b._walk()] == [1]
+        assert b.select("max") == 1
+        b.decrement([2, 1])
+        assert counts_of(b) == {1: 0, 2: 0}
+        assert b.select("max") is None and b.select("min") is None
 
     def test_random_adjustments_match_recount(self):
         rng = random.Random(0)
         keys = list(range(12))
-        counts = {k: 0 for k in keys}
-        b = BucketList(dict.fromkeys(keys, 0))
-        for _ in range(100_000):
-            k = rng.choice(keys)
-            if counts[k] == 0 or rng.random() < 0.55:
-                counts[k] += 1
-                b.adjust(k, +1)
-            else:
-                counts[k] -= 1
-                b.adjust(k, -1)
-        assert b.counts() == counts
+        counts = {k: rng.randrange(0, 2000) for k in keys}
+        b = BucketList(counts)
+        while any(counts.values()):
+            call = []
+            for _ in range(rng.randrange(1, 6)):
+                k = rng.choice(keys)
+                if counts[k]:
+                    counts[k] -= 1
+                    call.append(k)
+            b.decrement(call)
+        assert counts_of(b) == counts
         assert b.nonzero._pos.keys() == {k for k, c in counts.items() if c > 0}
-
-    def test_ordered_tie_break(self):
-        dwell = {10: 0.5, 11: 0.2, 12: 0.9}
-        b = BucketList({10: 1, 11: 1, 12: 1}, member_order=lambda k: dwell[k])
-        assert b.select("max", tie="ordered") == 11
 
     def test_random_tie_break_is_seeded(self):
         b = BucketList({1: 1, 2: 1, 3: 1})
@@ -89,20 +85,18 @@ class TestBucketList:
 
 def bucket_state(b):
     """Everything the selections can read: bucket values in link order,
-    each bucket's members in their stored order, and the nonzero order."""
-    return ([(bk.value, list(bk.members)) for bk in b._walk()],
-            list(b.nonzero), b.counts())
+    each nonzero bucket's members in their stored order (the zero bucket's
+    as a set: no selection reads it), and the nonzero order."""
+    return ([(bk.value, sorted(bk.members) if bk.value == 0 else list(bk.members))
+             for bk in b._walk()],
+            list(b.nonzero), counts_of(b))
 
 
-def selections(b, ordered):
+def selections(b):
     picks = []
     for extreme in ("max", "min"):
-        for skip_zero in (False, True):
-            picks.append(b.select(extreme, skip_zero, tie="min_id"))
-            picks.append(b.select(extreme, skip_zero, tie="random",
-                                  rng=random.Random(len(picks))))
-            if ordered:
-                picks.append(b.select(extreme, skip_zero, tie="ordered"))
+        picks.append(b.select(extreme, tie="min_id"))
+        picks.append(b.select(extreme, tie="random", rng=random.Random(len(picks))))
     return picks
 
 
@@ -110,35 +104,31 @@ class TestBucketListBulkBuild:
     @settings(max_examples=300, deadline=None)
     @given(
         counts=st.lists(st.integers(0, 6), max_size=12),
-        ordered=st.booleans(),
-        steps=st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=60),
+        steps=st.lists(st.integers(0, 11), max_size=60),
     )
-    def test_counts_build_matches_stepwise_build(self, counts, ordered, steps):
+    def test_counts_build_matches_stepwise_build(self, counts, steps):
         keys = [10 * i + 3 for i in range(len(counts))]
-        sub = (lambda k: (k * 7) % 5) if ordered else None
-        bulk = BucketList(dict(zip(keys, counts)), member_order=sub)
-        ref = StepwiseBucketList(
-            keys, [k for k, c in zip(keys, counts) for _ in range(c)],
-            member_order=sub)
+        bulk = BucketList(dict(zip(keys, counts)))
+        ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
         assert bulk.counters.bucket_ops == 0
         assert bucket_state(bulk) == bucket_state(ref)
-        assert selections(bulk, ordered) == selections(ref, ordered)
-        for i, up in steps:
-            if not keys:
+        assert selections(bulk) == selections(ref)
+        for i in steps:
+            live = [k for k in keys if ref.count(k)]
+            if not live:
                 break
-            k = keys[i % len(keys)]
-            delta = +1 if up or ref.count(k) == 0 else -1
-            bulk.adjust(k, delta)
-            ref.adjust(k, delta)
+            k = live[i % len(live)]
+            bulk.decrement([k])
+            ref.decrement([k])
             assert bucket_state(bulk) == bucket_state(ref)
-            assert selections(bulk, ordered) == selections(ref, ordered)
+            assert selections(bulk) == selections(ref)
 
     def test_lone_key_relabels_its_bucket(self):
-        b = BucketList({1: 1, 2: 3})
+        b = BucketList({1: 3, 2: 1})
         before = b._bucket_of[1]
-        b.adjust(1, +1)
+        b.decrement([1])
         assert b._bucket_of[1] is before and before.value == 2
-        b.adjust(1, +1)             # the neighbour holds 3: join it
+        b.decrement([1])            # the neighbour holds 1: join it
         assert b._bucket_of[1] is b._bucket_of[2]
 
 
@@ -146,25 +136,15 @@ class TestBucketListDecrement:
     @settings(max_examples=300, deadline=None)
     @given(
         counts=st.lists(st.integers(0, 6), min_size=1, max_size=12),
-        ordered=st.booleans(),
-        calls=st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 11), max_size=8)),
-                       max_size=25),
+        calls=st.lists(st.lists(st.integers(0, 11), max_size=8), max_size=25),
     )
-    def test_decrement_matches_sequential_adjusts(self, counts, ordered, calls):
+    def test_decrement_matches_sequential_adjusts(self, counts, calls):
         # keys may repeat within a call and reach zero part-way through it
         keys = [10 * i + 3 for i in range(len(counts))]
-        sub = (lambda k: (k * 7) % 5) if ordered else None
-        fused = BucketList(dict(zip(keys, counts)), member_order=sub)
-        ref = StepwiseBucketList(
-            keys, [k for k, c in zip(keys, counts) for _ in range(c)],
-            member_order=sub)
+        fused = BucketList(dict(zip(keys, counts)))
+        ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
         left = dict(zip(keys, counts))
-        for bump, picks in calls:
-            if bump:
-                k = keys[picks[0] % len(keys)] if picks else keys[0]
-                fused.adjust(k, +1)
-                ref.adjust(k, +1)
-                left[k] += 1
+        for picks in calls:
             call = []
             for i in picks:
                 k = keys[i % len(keys)]
@@ -172,31 +152,29 @@ class TestBucketListDecrement:
                     left[k] -= 1
                     call.append(k)
             fused.decrement(call)
-            for k in call:
-                ref.adjust(k, -1)
+            ref.decrement(call)
             assert fused.counters.bucket_ops == ref.counters.bucket_ops
             assert bucket_state(fused) == bucket_state(ref)
-            assert selections(fused, ordered) == selections(ref, ordered)
-            if not ordered:
-                assert fused._pos == {k: i for bk in fused._walk()
-                                      for i, k in enumerate(bk.members)}
+            assert selections(fused) == selections(ref)
+            assert fused._pos == {k: i for bk in fused._walk()
+                                  for i, k in enumerate(bk.members)}
 
     def test_decrement_through_zero_mid_call(self):
         b = BucketList({1: 2, 2: 1, 3: 3})
         b.decrement([1, 2, 1, 3])
-        assert b.counts() == {1: 0, 2: 0, 3: 2}
+        assert counts_of(b) == {1: 0, 2: 0, 3: 2}
         assert list(b.nonzero) == [3] and b.counters.bucket_ops == 4
-        assert b.select("max", skip_zero=True) == 3
-        assert b.select("min", skip_zero=True) == 3
+        assert b.select("max") == 3
+        assert b.select("min") == 3
 
-    @pytest.mark.parametrize("ordered", [False, True])
-    def test_decrement_below_zero_raises(self, ordered):
-        sub = (lambda k: -k) if ordered else None
-        b = BucketList({1: 1, 2: 0}, member_order=sub)
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_decrement_below_zero_raises(self, shared):
+        # key 2 is alone in the zero bucket, or shares it with key 3
+        b = BucketList({1: 1, 2: 0, 3: 0} if shared else {1: 1, 2: 0})
         with pytest.raises(InternalInvariantError):
             b.decrement([1, 1])
         with pytest.raises(InternalInvariantError):
-            b.adjust(2, -1)
+            b.decrement([2])
 
 
 class TestRangeTreeBulkBuild:
