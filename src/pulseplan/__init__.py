@@ -18,6 +18,7 @@ from .radar import (
     AvailabilityTable,
     PrfConfig,
     RadarConfig,
+    TaskColumns,
     TrackTask,
     ambiguous_frequency,
     ambiguous_range,
@@ -81,6 +82,7 @@ __all__ = [
     "ScenarioSpec",
     "Schedule",
     "ScheduledLook",
+    "TaskColumns",
     "TrackTask",
     "Violation",
     "ambiguous_frequency",

@@ -109,6 +109,8 @@ def _read_scenario(path: str):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read scenario file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not valid UTF-8: {exc}") from None
     return pio.parse_scenario(text)
 
 

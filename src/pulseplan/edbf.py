@@ -82,8 +82,7 @@ def task_priorities(rule: str, table: AvailabilityTable,
     if rule == "LAR":
         return table.ra
     if rule == "R":
-        tasks = table.tasks
-        rows = sorted(table.schedulable_rows(), key=lambda row: tasks[row].id)
+        rows = sorted(table.schedulable_rows(), key=table.tasks.ids.__getitem__)
         prio = np.zeros(table.n_tasks, dtype=np.int64)
         prio[rows] = [rng.getrandbits(63) for _ in rows]
         return prio
@@ -98,7 +97,7 @@ def task_priorities(rule: str, table: AvailabilityTable,
 
 def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> TaskStore:
     """The live-task store of one run over every table row."""
-    return TaskStore(table.cfg.n_intlv, [t.id for t in table.tasks], table.av,
+    return TaskStore(table.cfg.n_intlv, table.tasks.ids, table.av,
                      table.al, table.ar, task_priorities(task_rule, table, rng))
 
 

@@ -178,9 +178,7 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     rows = table.schedulable_rows()
     slot = np.full(len(tasks), -1, dtype=np.intp)
     slot[rows] = np.arange(len(rows))
-    us = np.array([tasks[i].u for i in rows], dtype=np.float64)
-    vs = np.array([tasks[i].v for i in rows], dtype=np.float64)
-    point, cell_gu, cell_gv = _stencil(us, vs, grid)
+    point, cell_gu, cell_gv = _stencil(tasks.u[rows], tasks.v[rows], grid)
     n_cells = np.bincount(point, minlength=len(rows))
     first_cell = np.cumsum(n_cells) - n_cells
     # one key per cell from the ranks of its indices, which cannot overflow
@@ -190,11 +188,11 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     key = gu_rank * span + gv_rank
     del point, cell_gu, cell_gv, gu_rank, gv_rank
     ids = np.empty(len(tasks), dtype=object)
-    ids[:] = [t.id for t in tasks]
+    ids[:] = tasks.ids
 
     disks: list[Disk] = []
     by_prf: list[list[int]] = []
-    task_disks: dict[int, list[int]] = {t.id: [] for t in tasks}
+    task_disks: dict[int, list[int]] = {tid: [] for tid in tasks.ids}
     for p, prf_rows in enumerate(table.task_sets):
         if not prf_rows:
             by_prf.append([])
@@ -268,7 +266,7 @@ def dedup_disks(catalog: DiskCatalog) -> DiskCatalog:
 
     keep.sort(key=lambda d: d.id)
     by_prf = [[] for _ in range(catalog.table.n_prfs)]
-    task_disks: dict[int, list[int]] = {t.id: [] for t in catalog.table.tasks}
+    task_disks: dict[int, list[int]] = {tid: [] for tid in catalog.table.tasks.ids}
     disks: list[Disk] = []
     id_map = {}
     for disk in keep:

@@ -7,10 +7,14 @@ are written with ``repr`` to survive the round trip exactly.
 
 from __future__ import annotations
 
+from itertools import groupby, repeat
+
+import numpy as np
+
 from .errors import ScenarioError
 from .geometry import DiskCatalog
 from .ip import Schedule, ScheduledLook
-from .radar import AvailabilityTable, PrfConfig, RadarConfig, TrackTask
+from .radar import AvailabilityTable, PrfConfig, RadarConfig, TaskColumns, TrackTask
 
 SCENARIO_TAG = "pulseplan-scenario v1"
 SCHEDULE_TAG = "pulseplan-schedule v1"
@@ -114,22 +118,31 @@ def _record_args(kind: str, tokens, fields) -> list:
     return [conv(f[k]) for k, conv in fields.items()]
 
 
-def parse_scenario(text: str):
-    """Scenario file text to (RadarConfig, prfs, tasks).
+# Task lines in the written field order are read in chunks of this many
+# lines: one chunk's tokens take a few MB, where a 64k-task file's would
+# take over 100 MB.
+_TASK_CHUNK = 4096
+_TASK_KEYS = tuple(_SCENARIO_RECORDS["task"][1])
 
-    A malformed line (unknown record or field, a missing or repeated field,
-    a non-numeric value, a value the dataclass checks reject, NaN and inf
-    included, or a second radar record) raises ``ScenarioError`` naming its
-    line number.
-    """
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0][1] != SCENARIO_TAG:
-        raise ScenarioError(f"not a scenario file (expected {SCENARIO_TAG!r})")
-    cfg = None
-    prfs = []
-    tasks = []
-    for n, line in lines[1:]:
+
+def _tag_end(lines) -> int:
+    """Index of the line after the version tag, the first line that is
+    neither blank nor a comment."""
+    for i, line in enumerate(lines):
+        if line.strip() and not line.startswith("#"):
+            if line == SCENARIO_TAG:
+                return i + 1
+            break
+    raise ScenarioError(f"not a scenario file (expected {SCENARIO_TAG!r})")
+
+
+def _records(lines, start, stop):
+    """(line number, kind, record) for each record line in lines[start:stop],
+    read one line at a time."""
+    for n in range(start + 1, stop + 1):
+        line = lines[n - 1]
+        if not line.strip() or line.startswith("#"):
+            continue
         kind, *tokens = line.split()
         try:
             if kind not in _SCENARIO_RECORDS:
@@ -140,19 +153,111 @@ def parse_scenario(text: str):
             raise ScenarioError(f"line {n}: {kind} record: {exc}") from None
         except ScenarioError as exc:
             raise ScenarioError(f"line {n}: {exc}") from None
-        if kind == "task":
-            tasks.append(record)
-        elif kind == "prf":
-            prfs.append(record)
-        elif cfg is None:
-            cfg = record
+        yield n, kind, record
+
+
+def _task_block(lines):
+    """``TaskColumns`` of task lines that each hold ``task`` and the seven
+    fields in the written order, or None if any line does not, a value
+    does not convert or a task fails its checks."""
+    n = len(lines)
+    text = "\n".join(lines)
+    tokens = text.split()
+    if len(tokens) != 8 * n or text.count("=") != 7 * n:
+        return None
+    # Every line starts with "task", which no column converts, so if every
+    # value below converts, each line is 8 tokens: "task" and one per
+    # column.  From each column's tokens the "key=" prefix is stripped; int
+    # and float reject "=", so each token held at most one "=", and one only
+    # right after its own key.  7n "=" in all then means every token did.
+    values = [map(str.removeprefix, tokens[j::8], repeat(key + "="))
+              for j, key in enumerate(_TASK_KEYS, 1)]
+    try:
+        return TaskColumns(map(int, values[0]),
+                           *(np.fromiter(map(float, v), np.float64, n) for v in values[1:]))
+    except (ValueError, ScenarioError):
+        return None
+
+
+def _columnar_records(lines, start):
+    """Like ``_records`` over lines[start:], but the task lines of each run
+    of lines that start with ``task `` (blank and comment lines may come in
+    between), up to ``_TASK_CHUNK`` of them, come as one (line number,
+    "tasks", block) triple if they pass ``_task_block``; every other line
+    goes through ``_records``."""
+    i = start
+    while i < len(lines):
+        j, run = i, []
+        while j < len(lines) and len(run) < _TASK_CHUNK:
+            line = lines[j]
+            if line.startswith("task "):
+                run.append(line)
+            elif line.strip() and not line.startswith("#"):
+                break
+            j += 1
+        block = _task_block(run) if run else None
+        if block is not None:
+            yield j, "tasks", block
         else:
-            raise ScenarioError(f"line {n}: second radar record")
+            j = max(j, i + 1)
+            yield from _records(lines, i, j)
+        i = j
+
+
+def _assemble(records):
+    """(cfg, prfs, task records) from (line number, kind, record) triples."""
+    cfg = None
+    prfs = []
+    tasks = []
+    for n, kind, record in records:
+        if kind == "prf":
+            prfs.append(record)
+        elif kind == "radar":
+            if cfg is not None:
+                raise ScenarioError(f"line {n}: second radar record")
+            cfg = record
+        else:                           # a task or a block of tasks
+            tasks.append(record)
     if cfg is None:
         raise ScenarioError("scenario file has no radar record")
     if not prfs:
         raise ScenarioError("scenario file has no prf records")
-    return cfg, tuple(prfs), tuple(tasks)
+    return cfg, tuple(prfs), tasks
+
+
+def parse_scenario(text: str):
+    """Scenario file text to (RadarConfig, prfs, TaskColumns).
+
+    A malformed line (unknown record or field, a missing or repeated field,
+    a non-numeric value, a value the dataclass checks reject, NaN and inf
+    included, or a second radar record) raises ``ScenarioError`` naming its
+    line number.
+
+    Task lines as ``scenario_to_text`` writes them (``task`` and the seven
+    fields in written order) are read in chunks, straight into columns.
+    Every other line (radar and prf records, comments, tasks with fields
+    in another order) and every chunk with a line the columnar reader
+    rejects goes through the line-by-line reader ``_parse_records`` uses,
+    so errors always come from that reader, and the result equals its
+    result.
+    """
+    lines = text.splitlines()
+    cfg, prfs, tasks = _assemble(_columnar_records(lines, _tag_end(lines)))
+    blocks = []
+    for is_block, group in groupby(tasks, lambda t: isinstance(t, TaskColumns)):
+        if is_block:
+            blocks.extend(group)
+        else:
+            blocks.append(TaskColumns.from_tasks(group))
+    return cfg, prfs, TaskColumns.concat(blocks)
+
+
+def _parse_records(text: str):
+    """The line-by-line scenario reader: (RadarConfig, prfs, tuple of
+    ``TrackTask``).  ``parse_scenario`` gives the same values and errors."""
+    lines = text.splitlines()
+    cfg, prfs, tasks = _assemble(_records(lines, _tag_end(lines), len(lines)))
+    return cfg, prfs, tuple(tasks)
 
 
 # --- schedule files --------------------------------------------------------
@@ -231,10 +336,10 @@ def availability_text(table: AvailabilityTable) -> str:
     """One row per task-PRF pair: ids, flags, slot counts, folded range."""
     lines = [AVAILABILITY_TAG]
     lines.append("# task prf f_r a_v a_l a_r r_a")
-    for i, task in enumerate(table.tasks):
+    for i, tid in enumerate(table.tasks.ids):
         for p in range(table.n_prfs):
             lines.append(
-                f"{task.id} {p} {_fmt(table.prfs[p].f_r)} "
+                f"{tid} {p} {_fmt(table.prfs[p].f_r)} "
                 f"{int(table.av[i, p])} {int(table.al[i, p])} {int(table.ar[i, p])} "
                 f"{_fmt(float(table.ra[i, p]))}"
             )

@@ -189,7 +189,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             f"{len(table.unschedulable)} task(s) trackable with no PRF",
             task_ids=table.unschedulable,
         )
-    task_ids = tuple(t.id for t in table.tasks)
+    task_ids = tuple(table.tasks.ids)
 
     looks: list[Look] = []
     if mode == "edbf":

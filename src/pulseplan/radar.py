@@ -19,7 +19,10 @@ indices.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,6 +93,81 @@ class TrackTask:
             raise ScenarioError(f"task {self.id}: velocity must be finite")
         if not self.u * self.u + self.v * self.v <= 1.0 + 1e-12:
             raise ScenarioError(f"task {self.id}: (u, v) must lie in the unit disk")
+
+
+_TASK_FLOATS = ("range_m", "sigma_r", "velocity", "sigma_f", "u", "v")
+
+
+class TaskColumns(Sequence):
+    """Tasks stored as columns: an immutable sequence of ``TrackTask``.
+
+    ``ids`` is a list of the task ids as given (Python ints of any size);
+    ``range_m``, ``sigma_r``, ``velocity``, ``sigma_f``, ``u`` and ``v`` are
+    read-only float64 arrays of the same length.  An index builds its
+    ``TrackTask`` on demand from Python ints and floats, a slice gives a
+    ``TaskColumns``, and ``==`` compares element-wise with any sequence of
+    tasks.  The constructor runs ``TrackTask``'s checks on every row in one
+    vectorized pass and raises the first failing row's ``ScenarioError``.
+    """
+
+    __slots__ = ("ids", *_TASK_FLOATS)
+
+    def __init__(self, ids, range_m, sigma_r, velocity, sigma_f, u, v):
+        object.__setattr__(self, "ids", list(ids))
+        cols = []
+        for name, values in zip(_TASK_FLOATS, (range_m, sigma_r, velocity, sigma_f, u, v)):
+            col = np.array(values, dtype=np.float64)
+            if col.shape != (len(self.ids),):
+                raise ValueError(f"{name} must be one value per task id")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+            cols.append(col)
+        r, sr, vt, sf, u, v = cols
+        ok = ((0 < r) & (r < INF) & (0 <= sr) & (sr < INF) & (0 <= sf) & (sf < INF)
+              & (-INF < vt) & (vt < INF) & (u * u + v * v <= 1.0 + 1e-12))
+        if not ok.all():
+            # the first bad row's TrackTask repeats these comparisons on
+            # Python floats and raises its own error
+            self[int(np.argmin(ok))]
+
+    @classmethod
+    def from_tasks(cls, tasks) -> "TaskColumns":
+        """Columns of an iterable of ``TrackTask``."""
+        tasks = list(tasks)
+        return cls([t.id for t in tasks],
+                   *(np.fromiter(map(attrgetter(name), tasks), np.float64, len(tasks))
+                     for name in _TASK_FLOATS))
+
+    @classmethod
+    def concat(cls, parts) -> "TaskColumns":
+        """One ``TaskColumns`` of any number of them, in order."""
+        parts = list(parts)
+        return cls([tid for part in parts for tid in part.ids],
+                   *(np.concatenate([np.zeros(0), *(getattr(part, name) for part in parts)])
+                     for name in _TASK_FLOATS))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TaskColumns is immutable")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TaskColumns(self.ids[i], *(getattr(self, name)[i] for name in _TASK_FLOATS))
+        return TrackTask(self.ids[i], *(float(getattr(self, name)[i]) for name in _TASK_FLOATS))
+
+    def __iter__(self):
+        floats = (getattr(self, name).tolist() for name in _TASK_FLOATS)
+        return (TrackTask(*row) for row in zip(self.ids, *floats))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<TaskColumns of {len(self)} tasks>"
 
 
 def unambiguous_range(prf: PrfConfig, cfg: RadarConfig) -> float:
@@ -205,6 +283,10 @@ def rightward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) ->
 class AvailabilityTable:
     """Availabilities for all (task, PRF) pairs plus the derived index sets.
 
+    ``tasks`` is the ``TaskColumns`` the table was built from (other task
+    sequences are converted): row i is task i, ``tasks.ids[row]`` its id
+    and ``tasks.u``/``tasks.v`` its direction cosines as arrays;
+    ``tasks[row]`` builds one ``TrackTask``.
     Arrays are indexed [task_row, prf_index].  ``prf_sets[row]`` lists the PRF
     indices the task is trackable with (P_i); ``task_sets[p]`` lists the task
     rows trackable with PRF p (K_p); ``q_p`` is the total membership count.
@@ -214,7 +296,7 @@ class AvailabilityTable:
 
     cfg: RadarConfig
     prfs: tuple[PrfConfig, ...]
-    tasks: tuple[TrackTask, ...]
+    tasks: TaskColumns
     av: np.ndarray
     al: np.ndarray
     ar: np.ndarray
@@ -224,6 +306,10 @@ class AvailabilityTable:
     task_sets: list[tuple[int, ...]] = field(repr=False)
     q_p: int = 0
     unschedulable: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.tasks, TaskColumns):
+            self.tasks = TaskColumns.from_tasks(self.tasks)
 
     @property
     def n_tasks(self) -> int:
@@ -241,7 +327,7 @@ class AvailabilityTable:
         return self.cfg.pulses_per_look / self.prfs[prf_index].f_r
 
     def schedulable_rows(self) -> list[int]:
-        return [r for r in range(self.n_tasks) if self.prf_sets[r]]
+        return np.flatnonzero(self.av.any(axis=1)).tolist()
 
 
 def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
@@ -254,16 +340,16 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     ra_table = np.zeros((n_t, n_p), dtype=np.float64)
 
     inv_slot = 2.0 / (cfg.c * cfg.pulse_width)
+    shift = -2.0 * vt / cfg.wavelength
+    dr = cfg.n_r * sr
+    df = cfg.n_f * sf
     for p, prf in enumerate(prfs):
         ru = unambiguous_range(prf, cfg)
         erp, erm, efp, efm = blind_widths(prf, cfg)
         ra = r % ru
         ra[ra >= ru] = 0.0
-        shift = -2.0 * vt / cfg.wavelength
         fa = shift % prf.f_r
         fa[fa >= prf.f_r] = 0.0
-        dr = cfg.n_r * sr
-        df = cfg.n_f * sf
         ok = (
             (ra - dr >= erp)
             & (ra + dr <= ru - erm)
@@ -279,17 +365,18 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     return av, al, ar, ra_table
 
 
-def build_availability_table(
-    tasks, prfs, cfg: RadarConfig
-) -> AvailabilityTable:
+def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable:
     """Evaluate availabilities for all task-PRF pairs in one vectorized pass.
 
-    PRFs with an empty clear region are rejected here, and so is an
-    ``n_intlv`` above ``slot_cap``, before anything is sized by it.  Tasks
-    trackable with no PRF are reported, not failed.
+    ``tasks`` is a ``TaskColumns`` or any iterable of ``TrackTask``, which
+    is converted once with ``TaskColumns.from_tasks``; the table keeps the
+    columns as ``tasks``.  PRFs with an empty clear region are rejected
+    here, and so is an ``n_intlv`` above ``slot_cap``, before anything is
+    sized by it.  Tasks trackable with no PRF are reported, not failed.
     """
     prfs = tuple(prfs)
-    tasks = tuple(tasks)
+    if not isinstance(tasks, TaskColumns):
+        tasks = TaskColumns.from_tasks(tasks)
     if not prfs:
         raise ScenarioError("at least one PRF is required")
     for prf in prfs:
@@ -300,24 +387,21 @@ def build_availability_table(
             f"n_intlv={cfg.n_intlv} exceeds {cap}, the most slots any PRF's "
             f"unambiguous range holds"
         )
-    ids = [t.id for t in tasks]
-    if len(set(ids)) != len(ids):
+    ids = tasks.ids
+    task_rows = dict(zip(ids, range(len(ids))))
+    if len(task_rows) != len(ids):
         raise ScenarioError("duplicate task ids")
 
-    r = np.array([t.range_m for t in tasks], dtype=np.float64)
-    sr = np.array([t.sigma_r for t in tasks], dtype=np.float64)
-    vt = np.array([t.velocity for t in tasks], dtype=np.float64)
-    sf = np.array([t.sigma_f for t in tasks], dtype=np.float64)
-    av, al, ar, ra_table = availability_arrays(r, sr, vt, sf, prfs, cfg)
-    n_t, n_p = len(tasks), len(prfs)
-
-    prf_sets = [tuple(np.nonzero(av[i])[0].tolist()) for i in range(n_t)]
-    unschedulable = tuple(tasks[i].id for i in range(n_t) if not prf_sets[i])
-    task_sets = [
-        tuple(i for i in np.nonzero(av[:, p])[0].tolist() if prf_sets[i])
-        for p in range(n_p)
-    ]
-    q_p = sum(len(s) for s in task_sets)
+    av, al, ar, ra_table = availability_arrays(
+        tasks.range_m, tasks.sigma_r, tasks.velocity, tasks.sigma_f, prfs, cfg)
+    rows, cols = np.nonzero(av)
+    per_row = np.bincount(rows, minlength=len(ids))
+    flat = iter(cols.tolist())
+    prf_sets = [tuple(islice(flat, k)) for k in per_row.tolist()]
+    schedulable = per_row > 0
+    unschedulable = tuple(ids[i] for i in np.flatnonzero(~schedulable).tolist())
+    task_sets = [tuple(np.flatnonzero(av[:, p] & schedulable).tolist())
+                 for p in range(len(prfs))]
 
     return AvailabilityTable(
         cfg=cfg,
@@ -327,10 +411,10 @@ def build_availability_table(
         al=al,
         ar=ar,
         ra=ra_table,
-        task_rows={t.id: i for i, t in enumerate(tasks)},
+        task_rows=task_rows,
         prf_sets=prf_sets,
         task_sets=task_sets,
-        q_p=q_p,
+        q_p=len(cols),
         unschedulable=unschedulable,
     )
 

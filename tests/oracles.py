@@ -134,13 +134,14 @@ def brute_grid_disks(table, grid):
     found by scanning the padded bounding box of every task."""
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
+    tasks = list(table.tasks)
     found = {}
     for p in range(table.n_prfs):
         rows = table.task_sets[p]
         if not rows:
             continue
-        us = [table.tasks[i].u for i in rows]
-        vs = [table.tasks[i].v for i in rows]
+        us = [tasks[i].u for i in rows]
+        vs = [tasks[i].v for i in rows]
         lo_u = math.floor((min(us) - r) / eps) - 2
         hi_u = math.ceil((max(us) + r) / eps) + 2
         lo_v = math.floor((min(vs) - r) / eps) - 2
@@ -149,10 +150,10 @@ def brute_grid_disks(table, grid):
             for gv in range(lo_v, hi_v + 1):
                 members = []
                 for i in rows:
-                    du = gu * eps - table.tasks[i].u
-                    dv = gv * eps - table.tasks[i].v
+                    du = gu * eps - tasks[i].u
+                    dv = gv * eps - tasks[i].v
                     if du * du + dv * dv <= r2:
-                        members.append(table.tasks[i].id)
+                        members.append(tasks[i].id)
                 if members:
                     found[(p, gu, gv)] = sorted(members)
     return found
@@ -172,12 +173,13 @@ def stepwise_disks(table, grid):
     r2 = r * r
     disks = []
     by_prf = []
-    task_disks = {t.id: [] for t in table.tasks}
+    tasks = list(table.tasks)
+    task_disks = {t.id: [] for t in tasks}
     for p in range(table.n_prfs):
         index = {}
         prf_disks = []
         for row in table.task_sets[p]:
-            task = table.tasks[row]
+            task = tasks[row]
             tid, u, v = task.id, task.u, task.v
             lo_u = math.floor((u - r) / eps) - 1
             hi_u = math.ceil((u + r) / eps) + 1

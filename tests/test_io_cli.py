@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
     GridSpec,
     HeuristicConfig,
     RadarConfig,
+    ScenarioError,
     ScenarioSpec,
     build_availability_table,
     build_instance,
@@ -18,8 +22,9 @@ from pulseplan import (
     gen_scenario,
     hied,
 )
+from pulseplan import io as pio
 from pulseplan.cli import main
-from pulseplan.radar import slot_cap
+from pulseplan.radar import TaskColumns, slot_cap
 from pulseplan.io import (
     availability_text,
     disks_text,
@@ -87,10 +92,166 @@ class TestScenarioFormat:
         assert cfg2 == cfg and prfs2 == prfs and tasks2 == tasks
 
     def test_rejects_garbage(self):
-        from pulseplan import ScenarioError
-
         with pytest.raises(ScenarioError):
             parse_scenario("nonsense\n")
+
+
+def _typed(record):
+    """A record's field values as (type, repr) pairs: -0.0 differs from 0.0."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(record)]
+
+
+def _outcome(parse, text):
+    """What a scenario reader makes of ``text``: typed values or the error."""
+    try:
+        cfg, prfs, tasks = parse(text)
+    except ScenarioError as exc:
+        return "error", str(exc)
+    return "ok", _typed(cfg), [_typed(p) for p in prfs], [_typed(t) for t in tasks]
+
+
+_VALID = {
+    "id": st.integers(-10**25, 10**25).map(str),
+    "range": st.floats(1.0, 2e5),
+    "sigma_r": st.floats(0.0, 300.0),
+    "velocity": st.floats(-600.0, 600.0),
+    "sigma_f": st.floats(0.0, 200.0),
+    "u": st.floats(-1.0, 1.0),
+    "v": st.floats(-1.0, 1.0),
+}
+_FLOAT_FORMS = (repr, "{:e}".format, "{:.3E}".format, "{:+.17g}".format)
+_BAD_VALUES = ("nan", "inf", "-inf", "NaN", "abc", "1_000", "", "0x10", "1e999",
+               "-0.0", "0", "+5", "-1.5", "1e-5", "=3")
+_MUTATIONS = ("shuffle", "leading whitespace", "tab", "bad value", "double equals",
+              "missing field", "repeated field", "no value", "no key", "spaced")
+_EXTRA_LINES = ("", "   ", "# a comment", " # not a comment", "task",
+                "prf f_r=12000.0 c_r_plus=0.0 c_r_minus=0.0 c_f_plus=0.0 c_f_minus=0.0",
+                "radar c=299792458.0 wavelength=0.03 pulse_width=1e-05 n_r=3.0 "
+                "n_f=3.0 n_intlv=8 pulses_per_look=64")
+
+
+@st.composite
+def _task_line(draw):
+    fields = []
+    for key, values in _VALID.items():
+        value = draw(values)
+        if not isinstance(value, str):
+            value = draw(st.sampled_from(_FLOAT_FORMS))(value)
+        fields.append(f"{key}={value}")
+    mutation = draw(st.sampled_from(("none",) * len(_MUTATIONS) + _MUTATIONS))
+    k = draw(st.integers(0, 6))
+    key = fields[k].split("=", 1)[0]
+    sep, lead = " ", ""
+    if mutation == "shuffle":
+        fields = draw(st.permutations(fields))
+    elif mutation == "leading whitespace":
+        lead = draw(st.sampled_from((" ", "\t", "  ")))
+    elif mutation == "tab":
+        sep = "\t"
+    elif mutation == "bad value":
+        fields[k] = f"{key}={draw(st.sampled_from(_BAD_VALUES))}"
+    elif mutation == "double equals":
+        fields[k] = fields[k].replace("=", "==", 1)
+    elif mutation == "missing field":
+        del fields[k]
+    elif mutation == "repeated field":
+        fields.insert(k, fields[k])
+    elif mutation == "no value":
+        fields[k] = key
+    elif mutation == "no key":
+        fields[k] = fields[k].split("=", 1)[1]
+    elif mutation == "spaced":
+        fields[k] = fields[k].replace("=", draw(st.sampled_from((" =", "= ", " "))), 1)
+    return lead + sep.join(["task", *fields])
+
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario text with 0 to 3 chunks of task lines (plus a partial
+    chunk), most of them valid, some mutated, and the chunk size to read
+    it with."""
+    chunk = draw(st.integers(1, 4))
+    cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
+    head = scenario_to_text(cfg, prfs[:2], []).splitlines()
+    lines = draw(st.sampled_from(([], [""], ["# header comment"]))) + head
+    for _ in range(draw(st.integers(0, 3 * chunk + 1))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_EXTRA_LINES)))
+        lines.append(draw(_task_line()))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n"))), chunk
+
+
+class TestColumnarParser:
+    @settings(max_examples=400, deadline=None)
+    @given(scenario_texts())
+    def test_matches_the_record_reader(self, case):
+        text, chunk = case
+        with mock.patch.object(pio, "_TASK_CHUNK", chunk):
+            fast = _outcome(parse_scenario, text)
+        assert fast == _outcome(pio._parse_records, text)
+
+    @pytest.mark.parametrize("line", [
+        "task 5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 id=5",
+        "task id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 0.0 v=",
+        "task id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 task",
+    ])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_misplaced_tokens_fall_back(self, line, where):
+        good = "task id=9 range=2e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0"
+        task_lines = [good, good.replace("id=9", "id=8")]
+        task_lines.insert(where, line)
+        cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
+        text = scenario_to_text(cfg, prfs, []) + "\n".join(task_lines)
+        fast = _outcome(parse_scenario, text)
+        assert fast[0] == "error" and fast == _outcome(pio._parse_records, text)
+
+    def test_columns_and_python_values(self):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=3))
+        parsed = parse_scenario(scenario_to_text(cfg, prfs, tasks))[2]
+        assert isinstance(parsed, TaskColumns) and parsed == tasks
+        assert all(type(v) is float for v in dataclasses.astuple(parsed[4])[1:])
+
+    @pytest.fixture(scope="class")
+    def multi_chunk(self):
+        """A scenario text with two full chunks of tasks and a partial one."""
+        n = 2 * pio._TASK_CHUNK + 5
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n, seed=12))
+        return scenario_to_text(cfg, prfs, tasks), tasks
+
+    def test_round_trip_over_chunks(self, multi_chunk):
+        text, tasks = multi_chunk
+        parsed = parse_scenario(text)
+        assert scenario_to_text(*parsed) == text
+        assert parsed[2] == tasks
+
+    def test_error_in_the_last_chunk_names_its_line(self, multi_chunk):
+        lines = multi_chunk[0].splitlines()
+        lines[-1] = re.sub(r"range=\S+", "range=-5.0", lines[-1])
+        with pytest.raises(ScenarioError, match=f"^line {len(lines)}: task "):
+            parse_scenario("\n".join(lines))
+
+    def test_duplicate_id_across_chunks(self, multi_chunk, tmp_path, capsys):
+        lines = multi_chunk[0].splitlines()
+        lines[-1] = re.sub(r"id=\d+", "id=1", lines[-1])
+        cfg, prfs, tasks = parse_scenario("\n".join(lines))
+        with pytest.raises(ScenarioError, match="duplicate task ids"):
+            build_availability_table(tasks, prfs, cfg)
+        path = tmp_path / "dup.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["schedule", str(path)]) == 2
+        assert "error: duplicate task ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_huge_task_id_schedules(self, mode, small_scenario_file, tmp_path):
+        big = 10**23
+        text = small_scenario_file.read_text()
+        small_scenario_file.write_text(text.replace("task id=1 ", f"task id={big} ", 1))
+        assert parse_scenario(small_scenario_file.read_text())[2].ids[0] == big
+        out = tmp_path / "sched.txt"
+        assert main(["schedule", str(small_scenario_file), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert f"assign task={big} " in out.read_text()
+        assert big in [tid for tid, _, _ in parse_schedule(out.read_text()).assignments]
 
 
 class TestScheduleFormat:
@@ -183,6 +344,20 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--mode", "edbf"],
+        ["schedule", "--mode", "sdbf"],
+        ["availability"],
+        ["disks"],
+    ], ids=lambda a: "-".join(a).replace("--mode-", ""))
+    def test_non_utf8_file_exits_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file is not valid UTF-8")
+        assert "Traceback" not in err
 
     def test_bad_flag_is_usage_error(self, scenario_file):
         assert main(["schedule", str(scenario_file), "--mode", "bogus"]) == 1

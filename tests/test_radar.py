@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from pulseplan import (
     PrfConfig,
     RadarConfig,
     ScenarioError,
+    TaskColumns,
     TrackTask,
     ambiguous_frequency,
     ambiguous_range,
@@ -270,6 +272,75 @@ class TestTableBuild:
                 assert bool(table.av[i, p]) == is_trackable(t, prf, cfg)
                 assert table.al[i, p] == leftward_availability(t, prf, cfg)
                 assert table.ar[i, p] == rightward_availability(t, prf, cfg)
+
+
+class TestTaskColumns:
+    TASKS = (task(tid=10**23, r=1.5e4, w=-0.0), task(tid=-3, u=0.6, w=0.8), task(tid=5))
+
+    def test_rows_are_python_values(self):
+        cols = TaskColumns.from_tasks(iter(self.TASKS))
+        assert cols.ids == [10**23, -3, 5]
+        assert all(type(c) is np.ndarray and c.dtype == np.float64 for c in
+                   (cols.range_m, cols.sigma_r, cols.velocity, cols.sigma_f, cols.u, cols.v))
+        for got, want in zip(cols, self.TASKS):
+            assert got == want
+            assert [type(v) for v in vars(got).values()] == [int] + [float] * 6
+        assert math.copysign(1.0, cols[0].v) == -1.0
+        assert cols[-1] == self.TASKS[-1] and cols[1:] == self.TASKS[1:]
+        assert isinstance(cols[1:], TaskColumns)
+        with pytest.raises(IndexError):
+            cols[3]
+
+    def test_equality_with_task_sequences(self):
+        cols = TaskColumns.from_tasks(self.TASKS)
+        assert cols == self.TASKS and cols == list(self.TASKS) and self.TASKS == cols
+        assert cols == TaskColumns.from_tasks(self.TASKS)
+        assert cols != self.TASKS[:2] and cols != self.TASKS[::-1]
+        assert cols != "abc" and TaskColumns.from_tasks([]) == ()
+
+    def test_immutable(self):
+        cols = TaskColumns.from_tasks(self.TASKS)
+        with pytest.raises(AttributeError):
+            cols.u = cols.v
+        with pytest.raises(ValueError):
+            cols.range_m[0] = 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("range_m", 0.0), ("range_m", math.inf), ("sigma_r", -1.0), ("sigma_f", math.nan),
+        ("velocity", -math.inf), ("u", 0.9),
+    ])
+    def test_first_bad_row_raises_its_task_error(self, field, value):
+        rows = [vars(t) | ({field: value, "v": 0.9} if i else {}) for i, t in
+                enumerate((task(tid=1), task(tid=2), task(tid=3)))]
+        with pytest.raises(ScenarioError) as want:
+            TrackTask(**rows[1])
+        columns = {k: [r[k] for r in rows] for k in rows[0]}
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(want.value))}$"):
+            TaskColumns(columns.pop("id"), **columns)
+
+    def test_one_value_per_id(self):
+        with pytest.raises(ValueError):
+            TaskColumns([1, 2], [1.0], [1.0], [1.0], [1.0], [0.0], [0.0])
+
+    def test_table_sets_match_row_scans(self, cfg, prfs):
+        rng = np.random.default_rng(8)
+        tasks = [
+            task(tid=400 - i, r=float(rng.uniform(1e3, 2e5)), sr=float(rng.uniform(0, 300)),
+                 v=float(rng.uniform(-600, 600)), sf=float(rng.uniform(0, 200)))
+            for i in range(300)
+        ]
+        table = build_availability_table((t for t in tasks), prfs, cfg)
+        assert isinstance(table.tasks, TaskColumns) and table.tasks == tasks
+        assert build_availability_table(table.tasks, prfs, cfg).prf_sets == table.prf_sets
+        live = [i for i in range(300) if table.av[i].any()]
+        assert 0 < len(live) < 300
+        assert table.prf_sets == [tuple(np.nonzero(row)[0].tolist()) for row in table.av]
+        assert table.task_sets == [tuple(i for i in live if table.av[i, p])
+                                   for p in range(len(prfs))]
+        assert table.unschedulable == tuple(400 - i for i in range(300) if i not in live)
+        assert table.schedulable_rows() == live
+        assert table.q_p == int(table.av.sum())
+        assert table.task_rows == {t.id: i for i, t in enumerate(tasks)}
 
 
 class TestValidation:
