@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -108,6 +107,11 @@ class TaskColumns(Sequence):
     ``TaskColumns``, and ``==`` compares element-wise with any sequence of
     tasks.  The constructor runs ``TrackTask``'s checks on every row in one
     vectorized pass and raises the first failing row's ``ScenarioError``.
+
+    An index is not free: each one builds and validates a ``TrackTask``.
+    Code that visits rows in a loop should read the columns, or iterate
+    once (``list(columns)``) and index that list; a brute-force disk oracle
+    that indexed the columns in its inner loop ran 40 times slower.
     """
 
     __slots__ = ("ids", *_TASK_FLOATS)
@@ -365,6 +369,25 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     return av, al, ar, ra_table
 
 
+def _shared_prf_sets(av: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row's PRF indices (ascending) as a tuple that every row with the
+    same set shares, for an [row, PRF] availability mask.
+
+    A row's set is coded as one int64 with a bit per PRF, or past 62 PRFs
+    as its packed bytes; ``np.unique`` maps the rows to the distinct codes,
+    and one tuple is built per code.
+    """
+    n_prfs = av.shape[1]
+    if n_prfs < 63:
+        codes = av @ (1 << np.arange(n_prfs, dtype=np.int64))
+    else:
+        packed = np.packbits(av, axis=1)
+        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    sets = [tuple(np.flatnonzero(av[r]).tolist()) for r in first.tolist()]
+    return list(map(sets.__getitem__, inverse.tolist()))
+
+
 def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable:
     """Evaluate availabilities for all task-PRF pairs in one vectorized pass.
 
@@ -394,10 +417,7 @@ def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable
 
     av, al, ar, ra_table = availability_arrays(
         tasks.range_m, tasks.sigma_r, tasks.velocity, tasks.sigma_f, prfs, cfg)
-    rows, cols = np.nonzero(av)
-    per_row = np.bincount(rows, minlength=len(ids))
-    flat = iter(cols.tolist())
-    prf_sets = [tuple(islice(flat, k)) for k in per_row.tolist()]
+    per_row = av.sum(axis=1)
     schedulable = per_row > 0
     unschedulable = tuple(ids[i] for i in np.flatnonzero(~schedulable).tolist())
     task_sets = [tuple(np.flatnonzero(av[:, p] & schedulable).tolist())
@@ -412,9 +432,9 @@ def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable
         ar=ar,
         ra=ra_table,
         task_rows=task_rows,
-        prf_sets=prf_sets,
+        prf_sets=_shared_prf_sets(av),
         task_sets=task_sets,
-        q_p=len(cols),
+        q_p=int(per_row.sum()),
         unschedulable=unschedulable,
     )
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,19 +268,44 @@ def _leaf_path(key: int, leaves: int) -> tuple[int, ...]:
 _BULK_MIN_TASKS = 32
 
 
+class _TreeShape(NamedTuple):
+    leaves: int
+    canon: tuple
+    paths: tuple
+    pair_keys: np.ndarray
+    pair_key_lists: tuple
+    plan: tuple
+
+
 @functools.lru_cache(maxsize=8)
-def _tree_shape(n_intlv: int):
-    """Leaf count, suffix covers and leaf paths of the key universe
-    {0..n_intlv}, shared by every range tree of that capacity.  The paths
-    also come as a read-only (keys, depth) node array."""
+def _tree_shape(n_intlv: int) -> _TreeShape:
+    """Leaf count, suffix covers, leaf paths and query plans of the key
+    universe {0..n_intlv}, shared by every range tree of that capacity.
+
+    A node pair (n1, n2) is keyed by the one int n1 * 2 * leaves + n2.
+    ``pair_keys[a, b]`` holds the keys of the depth^2 node pairs a task with
+    A_l = a and A_r = b is stored under, as a read-only array;
+    ``pair_key_lists[a][b]`` holds the same keys as Python ints.
+    ``plan[l][r]`` is the query plan of the box A_l >= l, A_r >= r: one
+    ``(n1, keys)`` entry per first-level node n1 of ``canon[l]``, with
+    ``keys`` the keys of n1 x ``canon[r]`` in that order.
+    """
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
     canon = tuple(_suffix_nodes(k, leaves) for k in range(n_intlv + 1))
     paths = tuple(_leaf_path(k, leaves) for k in range(n_intlv + 1))
     path_nodes = np.array(paths, dtype=np.min_scalar_type(4 * leaves * leaves))
-    path_nodes.flags.writeable = False
-    return leaves, canon, paths, path_nodes
+    pair_keys = (path_nodes[:, None, :, None] * (2 * leaves)
+                 + path_nodes[None, :, None, :]).reshape(n_intlv + 1, n_intlv + 1, -1)
+    pair_keys.flags.writeable = False
+    pair_key_lists = tuple(tuple(map(tuple, by_b)) for by_b in pair_keys.tolist())
+    plan = tuple(
+        tuple(tuple((n1, tuple(n1 * 2 * leaves + n2 for n2 in c2)) for n1 in c1)
+              for c2 in canon)
+        for c1 in canon
+    )
+    return _TreeShape(leaves, canon, paths, pair_keys, pair_key_lists, plan)
 
 
 class TaskStore:
@@ -486,6 +512,15 @@ class RangeTreeBackend(_BackendBase):
     rows the store marks dead lazily, which keeps the per-operation cost
     within the advertised O(log^2 n_intlv) amortized bound.
 
+    A node pair (n1, n2) is keyed by one int, n1 * 2 * leaves + n2, in
+    ``_lists`` (its row sequence) and ``_cursor`` (the index of its first
+    row not yet known dead).  Cursors are lazy: a sequence gets an entry
+    only once its head has moved, so a build writes no cursor.  A query
+    walks the plan of its threshold box, shared by every tree of that
+    capacity (``_tree_shape``): the O(log n_intlv) first-level nodes with
+    a nonzero live count, and under each the keys of its O(log n_intlv)
+    second-level nodes.
+
     The build writes all q * depth^2 node entries (depth = log2 of the
     leaf count) at once: one stable numpy sort of the (node pair, priority
     rank) entries groups them by node and keeps each node's rows in
@@ -500,42 +535,41 @@ class RangeTreeBackend(_BackendBase):
     kind = "rangetree"
 
     def _index(self, p, idx):
-        leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
-        self._leaves = leaves
-        paths = self._paths
-        per_task = path_nodes.shape[1] ** 2
+        shape = _tree_shape(self.n_intlv)
+        self._leaves, self._canon, self._paths, self._plan = (
+            shape.leaves, shape.canon, shape.paths, shape.plan)
+        paths, pair_keys = shape.paths, shape.pair_keys
+        per_task = pair_keys.shape[2]
         self._visit_cap = max(per_task, 4)
-        self._cnt1 = [0] * (2 * leaves)
+        self._cnt1 = [0] * (2 * shape.leaves)
         al, ar = self.al, self.ar
         for a, size in Counter(map(al.__getitem__, self._order)).items():
             for n1 in paths[a]:
                 self._cnt1[n1] += size
+        self._cursor = {}
         if idx is None:
-            self._lists = {}
+            self._lists = lists = {}
+            key_lists = shape.pair_key_lists
             for r in self._order:
-                for n1 in paths[al[r]]:
-                    for n2 in paths[ar[r]]:
-                        self._lists.setdefault((n1, n2), []).append(r)
-        else:
-            # One entry per (row, node pair), row-major in rank order, so a
-            # stable sort by node pair keeps each node's rows in priority
-            # order.  Node numbers below 2 * leaves make n1 * 2 * leaves + n2
-            # fit the node array's narrow dtype; numpy's stable sort is a
-            # radix sort for 8- and 16-bit keys (up to 128 leaves).
-            store = self.store
-            pair = ((path_nodes[store.al_table[idx, p]] * (2 * leaves))[:, :, None]
-                    + path_nodes[store.ar_table[idx, p]][:, None, :])
-            pair = pair.reshape(-1)
-            by_pair = np.argsort(pair, kind="stable")
-            rows = store.rows[idx[by_pair // per_task]].tolist()
-            pair = pair[by_pair]
-            cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
-            starts = [0, *cuts]
-            self._lists = {
-                divmod(node, 2 * leaves): rows[s:e]
-                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
-            }
-        self._cursor = dict.fromkeys(self._lists, 0)
+                for key in key_lists[al[r]][ar[r]]:
+                    lists.setdefault(key, []).append(r)
+            return
+        # One entry per (row, node pair), row-major in rank order, so a
+        # stable sort by key keeps each node's rows in priority order.  Node
+        # numbers below 2 * leaves make the keys fit the narrow dtype of
+        # ``pair_keys``; numpy's stable sort is a radix sort for 8- and
+        # 16-bit keys (up to 128 leaves).
+        store = self.store
+        keys = pair_keys[store.al_table[idx, p], store.ar_table[idx, p]].reshape(-1)
+        by_key = np.argsort(keys, kind="stable")
+        rows = store.rows[idx[by_key // per_task]].tolist()
+        keys = keys[by_key]
+        cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        starts = [0, *cuts]
+        self._lists = {
+            key: rows[s:e]
+            for key, s, e in zip(keys[starts].tolist(), starts, [*cuts, len(rows)])
+        }
 
     def max_lists_per_task(self):
         paths = self._paths
@@ -544,36 +578,36 @@ class RangeTreeBackend(_BackendBase):
             default=0,
         )
 
-    def _peek(self, key):
-        lst = self._lists.get(key)
-        if lst is None:
-            return None
-        i = self._cursor[key]
-        live = self.store.live
-        while i < len(lst) and not live[lst[i]]:
-            i += 1
-        self._cursor[key] = i
-        return lst[i] if i < len(lst) else None
-
     def has_left(self, l_min):
         self.counters.backend_queries += 1
-        cnt = self._cnt1
-        return any(cnt[n1] for n1 in self._canon[l_min])
+        return any(map(self._cnt1.__getitem__, self._canon[l_min]))
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
         best = None
-        rank = self.rank
+        best_rank = 0
         inspected = 0
-        canon2 = self._canon[r_min]
-        for n1 in self._canon[max(l_min, 0)]:
-            if self._cnt1[n1] == 0:
+        rank, cnt1, live = self.rank, self._cnt1, self.store.live
+        lists, cursor = self._lists, self._cursor
+        for n1, keys in self._plan[l_min if l_min > 0 else 0][r_min]:
+            if cnt1[n1] == 0:
                 continue
-            for n2 in canon2:
-                inspected += 1
-                r = self._peek((n1, n2))
-                if r is not None and (best is None or rank[r] < rank[best]):
-                    best = r
+            inspected += len(keys)
+            for key in keys:
+                lst = lists.get(key)
+                if lst is None:
+                    continue
+                i = cursor.get(key, 0)
+                end = len(lst)
+                if i < end and not live[lst[i]]:
+                    i += 1
+                    while i < end and not live[lst[i]]:
+                        i += 1
+                    cursor[key] = i
+                if i < end:
+                    r = lst[i]
+                    if best is None or rank[r] < best_rank:
+                        best, best_rank = r, rank[r]
         self.counters.list_inspections += inspected
         if inspected > self._visit_cap:
             raise InternalInvariantError(
@@ -582,7 +616,8 @@ class RangeTreeBackend(_BackendBase):
         return best
 
     def delete(self, row):
-        super().delete(row)
+        self.counters.backend_deletes += 1
+        self.live_count -= 1
         cnt = self._cnt1
         for n1 in self._paths[self.al[row]]:
             cnt[n1] -= 1

@@ -370,7 +370,8 @@ class StepwiseBucketList:
 
 def incremental_node_lists(entries, n_intlv):
     """Range-tree node sequences and first-level counts, built with one
-    append per (task, node pair) in priority order."""
+    append per (task, node pair) in priority order.  A node pair (n1, n2)
+    is keyed by the int n1 * 2 * leaves + n2."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
@@ -381,5 +382,5 @@ def incremental_node_lists(entries, n_intlv):
         for n1 in paths[a]:
             cnt1[n1] += 1
             for n2 in paths[b]:
-                lists.setdefault((n1, n2), []).append(tid)
+                lists.setdefault(n1 * 2 * leaves + n2, []).append(tid)
     return lists, cnt1

@@ -25,6 +25,7 @@ from pulseplan import (
 from pulseplan.edbf import PRF_RULES, TASK_RULES
 from pulseplan.io import schedule_to_text
 from pulseplan.sdbf import DISK_RULES, SUB_RULES
+from pulseplan.structures import OpCounters
 
 EDBF_SPEC = ScenarioSpec(n_tasks=60, seed=3, keep_unschedulable=True)
 SDBF_SPEC = ScenarioSpec(n_tasks=60, seed=4, cluster_count=3)
@@ -137,3 +138,43 @@ def test_edbf_schedule_bytes_pinned(edbf_table):
 
 def test_sdbf_schedule_bytes_pinned(sdbf_catalog):
     assert sdbf_digests(sdbf_catalog) == SDBF_DIGESTS
+
+
+# Operation counts of a few rule combinations, recorded with the schedule
+# bytes unchanged.  The digests above pin what is scheduled; these pin how
+# much work the structures do to get there, so a refactor of a backend or
+# of the look loop cannot change the queries, deletes, node-list
+# inspections or packing iterations without a test failing.
+OPS_EDBF_SPEC = ScenarioSpec(n_tasks=2000, seed=3, keep_unschedulable=True)
+OPS_SDBF_SPEC = ScenarioSpec(n_tasks=600, seed=4, cluster_count=3)
+
+_EDBF_OPS = dict(backend_queries=7126, backend_deletes=5934, bucket_ops=5934,
+                 selector_ops=424, bi_iterations=4476, bi_calls=424,
+                 bi_max_iterations=14, fallback_scans=0)
+PINNED_OPS = {
+    ("edbf", "G", "SAR", "rangetree"): dict(
+        _EDBF_OPS, list_inspections=13870, pairwise_touches=0),
+    ("edbf", "G", "SAR", "pairwise"): dict(
+        _EDBF_OPS, list_inspections=0, pairwise_touches=35852),
+    ("sdbf", "GD", "R", "rangetree"): dict(
+        backend_queries=3638, backend_deletes=600, list_inspections=5867,
+        pairwise_touches=0, fallback_scans=0, bucket_ops=38340,
+        selector_ops=193, bi_iterations=2119, bi_calls=193, bi_max_iterations=14),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_OPS), ids="-".join)
+def test_operation_counts_pinned(key):
+    mode, main_rule, rule2, backend = key
+    counters = OpCounters()
+    if mode == "edbf":
+        cfg, prfs, tasks = gen_scenario(OPS_EDBF_SPEC)
+        table = build_availability_table(tasks, prfs, cfg)
+        hied(table, HeuristicConfig(prf_rule=main_rule, task_rule=rule2,
+                                    backend=backend, seed=SEED), counters)
+    else:
+        cfg, prfs, tasks = gen_scenario(OPS_SDBF_SPEC)
+        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+        hisd(catalog, DiskHeuristicConfig(disk_rule=main_rule, sub_rule=rule2,
+                                          backend=backend, seed=SEED), counters)
+    assert counters.snapshot() == PINNED_OPS[key]

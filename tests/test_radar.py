@@ -21,6 +21,7 @@ from pulseplan import (
     unambiguous_range,
     validate_prf,
 )
+from pulseplan.radar import _shared_prf_sets
 from oracles import clear_region_trackable, timeline_feasible
 
 
@@ -341,6 +342,22 @@ class TestTaskColumns:
         assert table.schedulable_rows() == live
         assert table.q_p == int(table.av.sum())
         assert table.task_rows == {t.id: i for i, t in enumerate(tasks)}
+        # rows with the same PRF set share one tuple
+        by_set = {}
+        for s in table.prf_sets:
+            assert by_set.setdefault(s, s) is s
+
+    @pytest.mark.parametrize("n_prfs", [0, 1, 8, 62, 63, 70])
+    def test_shared_prf_sets_match_row_scans(self, n_prfs):
+        rng = np.random.default_rng(n_prfs)
+        # few distinct rows, so sets repeat, plus one all-false row
+        pool = rng.random((7, n_prfs)) < 0.4
+        av = np.vstack([pool[rng.integers(0, 7, 200)], np.zeros((1, n_prfs), bool)])
+        sets = _shared_prf_sets(av)
+        assert sets == [tuple(np.flatnonzero(row).tolist()) for row in av]
+        assert all(type(p) is int for s in sets for p in s)
+        assert len({id(s) for s in sets}) == len(set(sets))
+        assert _shared_prf_sets(np.zeros((0, n_prfs), bool)) == []
 
 
 class TestValidation:

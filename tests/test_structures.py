@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pulseplan import BucketList, OpCounters, build_backend
 from pulseplan.errors import InternalInvariantError
-from pulseplan.structures import BACKEND_KINDS, TaskStore
+from pulseplan.structures import BACKEND_KINDS, TaskStore, _tree_shape
 from oracles import (
     StepwiseBucketList,
     backend_over,
@@ -197,6 +197,23 @@ class TestRangeTreeBulkBuild:
             assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
             # node sequences hold the store's row objects, not copies
             assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
+
+    @pytest.mark.parametrize("n_intlv", range(1, 17))
+    def test_query_plan_lists_the_canonical_node_pairs(self, n_intlv):
+        shape = _tree_shape(n_intlv)
+        width = 2 * shape.leaves
+        for lo in range(n_intlv + 1):
+            for hi in range(n_intlv + 1):
+                plan = shape.plan[lo][hi]
+                assert [n1 for n1, _ in plan] == list(shape.canon[lo])
+                pairs = [divmod(key, width) for n1, keys in plan for key in keys]
+                assert pairs == [(n1, n2) for n1 in shape.canon[lo]
+                                 for n2 in shape.canon[hi]]
+                # every task stored under (lo, hi) has its keys listed
+                stored = [divmod(key, width) for key in shape.pair_key_lists[lo][hi]]
+                assert stored == [(n1, n2) for n1 in shape.paths[lo]
+                                  for n2 in shape.paths[hi]]
+                assert shape.pair_keys[lo, hi].tolist() == list(shape.pair_key_lists[lo][hi])
 
 
 class TestBackendExamples:
