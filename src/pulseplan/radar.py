@@ -371,18 +371,14 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
 
 def _shared_prf_sets(av: np.ndarray) -> list[tuple[int, ...]]:
     """Each row's PRF indices (ascending) as a tuple that every row with the
-    same set shares, for an [row, PRF] availability mask.
+    same set shares, for an [row, PRF] availability mask of at least one
+    PRF.
 
-    A row's set is coded as one int64 with a bit per PRF, or past 62 PRFs
-    as its packed bytes; ``np.unique`` maps the rows to the distinct codes,
-    and one tuple is built per code.
+    A row's set is coded as its packed bytes; ``np.unique`` maps the rows
+    to the distinct codes, and one tuple is built per code.
     """
-    n_prfs = av.shape[1]
-    if n_prfs < 63:
-        codes = av @ (1 << np.arange(n_prfs, dtype=np.int64))
-    else:
-        packed = np.packbits(av, axis=1)
-        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    packed = np.packbits(av, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     sets = [tuple(np.flatnonzero(av[r]).tolist()) for r in first.tolist()]
     return list(map(sets.__getitem__, inverse.tolist()))

@@ -272,40 +272,22 @@ class _TreeShape(NamedTuple):
     leaves: int
     canon: tuple
     paths: tuple
-    pair_keys: np.ndarray
-    pair_key_lists: tuple
-    plan: tuple
+    path_nodes: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _tree_shape(n_intlv: int) -> _TreeShape:
-    """Leaf count, suffix covers, leaf paths and query plans of the key
-    universe {0..n_intlv}, shared by every range tree of that capacity.
-
-    A node pair (n1, n2) is keyed by the one int n1 * 2 * leaves + n2.
-    ``pair_keys[a, b]`` holds the keys of the depth^2 node pairs a task with
-    A_l = a and A_r = b is stored under, as a read-only array;
-    ``pair_key_lists[a][b]`` holds the same keys as Python ints.
-    ``plan[l][r]`` is the query plan of the box A_l >= l, A_r >= r: one
-    ``(n1, keys)`` entry per first-level node n1 of ``canon[l]``, with
-    ``keys`` the keys of n1 x ``canon[r]`` in that order.
-    """
+    """Leaf count, suffix covers and leaf paths of the key universe
+    {0..n_intlv}, shared by every range tree of that capacity.  The paths
+    also come as a read-only (keys, depth) node array."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
     canon = tuple(_suffix_nodes(k, leaves) for k in range(n_intlv + 1))
     paths = tuple(_leaf_path(k, leaves) for k in range(n_intlv + 1))
     path_nodes = np.array(paths, dtype=np.min_scalar_type(4 * leaves * leaves))
-    pair_keys = (path_nodes[:, None, :, None] * (2 * leaves)
-                 + path_nodes[None, :, None, :]).reshape(n_intlv + 1, n_intlv + 1, -1)
-    pair_keys.flags.writeable = False
-    pair_key_lists = tuple(tuple(map(tuple, by_b)) for by_b in pair_keys.tolist())
-    plan = tuple(
-        tuple(tuple((n1, tuple(n1 * 2 * leaves + n2 for n2 in c2)) for n1 in c1)
-              for c2 in canon)
-        for c1 in canon
-    )
-    return _TreeShape(leaves, canon, paths, pair_keys, pair_key_lists, plan)
+    path_nodes.flags.writeable = False
+    return _TreeShape(leaves, canon, paths, path_nodes)
 
 
 class TaskStore:
@@ -516,10 +498,9 @@ class RangeTreeBackend(_BackendBase):
     ``_lists`` (its row sequence) and ``_cursor`` (the index of its first
     row not yet known dead).  Cursors are lazy: a sequence gets an entry
     only once its head has moved, so a build writes no cursor.  A query
-    walks the plan of its threshold box, shared by every tree of that
-    capacity (``_tree_shape``): the O(log n_intlv) first-level nodes with
-    a nonzero live count, and under each the keys of its O(log n_intlv)
-    second-level nodes.
+    visits the O(log n_intlv) first-level cover nodes of its threshold box
+    that have a nonzero live count, and under each the O(log n_intlv)
+    second-level cover nodes, each key one add from the first-level base.
 
     The build writes all q * depth^2 node entries (depth = log2 of the
     leaf count) at once: one stable numpy sort of the (node pair, priority
@@ -535,41 +516,42 @@ class RangeTreeBackend(_BackendBase):
     kind = "rangetree"
 
     def _index(self, p, idx):
-        shape = _tree_shape(self.n_intlv)
-        self._leaves, self._canon, self._paths, self._plan = (
-            shape.leaves, shape.canon, shape.paths, shape.plan)
-        paths, pair_keys = shape.paths, shape.pair_keys
-        per_task = pair_keys.shape[2]
+        leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
+        self._leaves = leaves
+        paths = self._paths
+        per_task = path_nodes.shape[1] ** 2
         self._visit_cap = max(per_task, 4)
-        self._cnt1 = [0] * (2 * shape.leaves)
+        self._cnt1 = [0] * (2 * leaves)
         al, ar = self.al, self.ar
         for a, size in Counter(map(al.__getitem__, self._order)).items():
             for n1 in paths[a]:
                 self._cnt1[n1] += size
-        self._cursor = {}
         if idx is None:
-            self._lists = lists = {}
-            key_lists = shape.pair_key_lists
+            self._lists = {}
             for r in self._order:
-                for key in key_lists[al[r]][ar[r]]:
-                    lists.setdefault(key, []).append(r)
-            return
-        # One entry per (row, node pair), row-major in rank order, so a
-        # stable sort by key keeps each node's rows in priority order.  Node
-        # numbers below 2 * leaves make the keys fit the narrow dtype of
-        # ``pair_keys``; numpy's stable sort is a radix sort for 8- and
-        # 16-bit keys (up to 128 leaves).
-        store = self.store
-        keys = pair_keys[store.al_table[idx, p], store.ar_table[idx, p]].reshape(-1)
-        by_key = np.argsort(keys, kind="stable")
-        rows = store.rows[idx[by_key // per_task]].tolist()
-        keys = keys[by_key]
-        cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-        starts = [0, *cuts]
-        self._lists = {
-            key: rows[s:e]
-            for key, s, e in zip(keys[starts].tolist(), starts, [*cuts, len(rows)])
-        }
+                for n1 in paths[al[r]]:
+                    for n2 in paths[ar[r]]:
+                        self._lists.setdefault(n1 * 2 * leaves + n2, []).append(r)
+        else:
+            # One entry per (row, node pair), row-major in rank order, so a
+            # stable sort by node pair keeps each node's rows in priority
+            # order.  Node numbers below 2 * leaves make n1 * 2 * leaves + n2
+            # fit the node array's narrow dtype; numpy's stable sort is a
+            # radix sort for 8- and 16-bit keys (up to 128 leaves).
+            store = self.store
+            pair = ((path_nodes[store.al_table[idx, p]] * (2 * leaves))[:, :, None]
+                    + path_nodes[store.ar_table[idx, p]][:, None, :])
+            pair = pair.reshape(-1)
+            by_pair = np.argsort(pair, kind="stable")
+            rows = store.rows[idx[by_pair // per_task]].tolist()
+            pair = pair[by_pair]
+            cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
+            starts = [0, *cuts]
+            self._lists = {
+                node: rows[s:e]
+                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
+            }
+        self._cursor = {}
 
     def max_lists_per_task(self):
         paths = self._paths
@@ -589,11 +571,15 @@ class RangeTreeBackend(_BackendBase):
         inspected = 0
         rank, cnt1, live = self.rank, self._cnt1, self.store.live
         lists, cursor = self._lists, self._cursor
-        for n1, keys in self._plan[l_min if l_min > 0 else 0][r_min]:
+        width = 2 * self._leaves
+        canon2 = self._canon[r_min]
+        for n1 in self._canon[l_min if l_min > 0 else 0]:
             if cnt1[n1] == 0:
                 continue
-            inspected += len(keys)
-            for key in keys:
+            inspected += len(canon2)
+            base = n1 * width
+            for n2 in canon2:
+                key = base + n2
                 lst = lists.get(key)
                 if lst is None:
                     continue
@@ -616,8 +602,7 @@ class RangeTreeBackend(_BackendBase):
         return best
 
     def delete(self, row):
-        self.counters.backend_deletes += 1
-        self.live_count -= 1
+        super().delete(row)
         cnt = self._cnt1
         for n1 in self._paths[self.al[row]]:
             cnt[n1] -= 1

@@ -567,6 +567,24 @@ class TestCli:
             path.write_text(scenario_to_text(replace(cfg, n_intlv=n_intlv), prfs, tasks))
             assert main(["schedule", str(path), "--mode", mode]) == want, n_intlv
 
+    def test_deep_capacity_schedules_in_bounded_memory(self, tmp_path, capsys):
+        # a 0.3 us pulse leaves room for 350 slots; the range trees' shared
+        # shape must stay O(n_intlv log n_intlv), not O(n_intlv^2)
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=200, seed=8))
+        cfg = replace(cfg, pulse_width=3e-7, n_intlv=300)
+        assert slot_cap(prfs, cfg) >= cfg.n_intlv
+        path = tmp_path / "deep.txt"
+        path.write_text(scenario_to_text(cfg, prfs, tasks))
+        tracemalloc.start()
+        try:
+            code = main(["schedule", str(path), "--backend", "rangetree"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "n_intlv=300" in capsys.readouterr().out
+        assert peak < 32 << 20
+
     def test_internal_invariant_maps_to_exit_three(self, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError
         from pulseplan import cli as cli_mod

@@ -347,7 +347,7 @@ class TestTaskColumns:
         for s in table.prf_sets:
             assert by_set.setdefault(s, s) is s
 
-    @pytest.mark.parametrize("n_prfs", [0, 1, 8, 62, 63, 70])
+    @pytest.mark.parametrize("n_prfs", [1, 8, 9, 70])
     def test_shared_prf_sets_match_row_scans(self, n_prfs):
         rng = np.random.default_rng(n_prfs)
         # few distinct rows, so sets repeat, plus one all-false row

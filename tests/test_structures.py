@@ -199,21 +199,27 @@ class TestRangeTreeBulkBuild:
             assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
 
     @pytest.mark.parametrize("n_intlv", range(1, 17))
-    def test_query_plan_lists_the_canonical_node_pairs(self, n_intlv):
+    def test_query_inspects_the_canonical_node_pairs(self, n_intlv):
+        # one task per (A_l, A_r) cell, so a first-level node is empty only
+        # if it lies past n_intlv; a query inspects n1 x canon[hi] for every
+        # other n1 of canon[lo]
+        cells = [(a, b) for a in range(n_intlv + 1) for b in range(1, n_intlv + 1)]
+        entries = [(i, a, b, float((7 * i) % 11)) for i, (a, b) in enumerate(cells)]
+        tree = backend_over("rangetree", n_intlv, entries)
         shape = _tree_shape(n_intlv)
-        width = 2 * shape.leaves
+
+        def first_key(node):
+            while node < shape.leaves:
+                node <<= 1
+            return node - shape.leaves
+
         for lo in range(n_intlv + 1):
+            held = [n1 for n1 in shape.canon[lo] if first_key(n1) <= n_intlv]
             for hi in range(n_intlv + 1):
-                plan = shape.plan[lo][hi]
-                assert [n1 for n1, _ in plan] == list(shape.canon[lo])
-                pairs = [divmod(key, width) for n1, keys in plan for key in keys]
-                assert pairs == [(n1, n2) for n1 in shape.canon[lo]
-                                 for n2 in shape.canon[hi]]
-                # every task stored under (lo, hi) has its keys listed
-                stored = [divmod(key, width) for key in shape.pair_key_lists[lo][hi]]
-                assert stored == [(n1, n2) for n1 in shape.paths[lo]
-                                  for n2 in shape.paths[hi]]
-                assert shape.pair_keys[lo, hi].tolist() == list(shape.pair_key_lists[lo][hi])
+                before = tree.counters.list_inspections
+                assert tree.best_in(lo, hi) == linear_best(entries, set(), lo, hi)
+                assert (tree.counters.list_inspections - before
+                        == len(held) * len(shape.canon[hi]))
 
 
 class TestBackendExamples:
