@@ -7,14 +7,22 @@ are written with ``repr`` to survive the round trip exactly.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ScenarioError
 from .geometry import DiskCatalog
 from .ip import Schedule, ScheduledLook
-from .radar import AvailabilityTable, PrfConfig, RadarConfig, TaskColumns, TrackTask
+from .radar import (
+    _TASK_FLOATS,
+    AvailabilityTable,
+    PrfConfig,
+    RadarConfig,
+    TaskColumns,
+    TrackTask,
+)
 
 SCENARIO_TAG = "pulseplan-scenario v1"
 SCHEDULE_TAG = "pulseplan-schedule v1"
@@ -44,7 +52,21 @@ def _parse_fields(tokens) -> dict[str, str]:
 
 # --- scenario files --------------------------------------------------------
 
+# One task line.  ``str`` of a Python float is its ``repr``, so ``%s``
+# writes Python floats and ints as ``_fmt`` does, and numpy ints too
+# (``%r`` would write ``np.int64(5)``).
+_TASK_LINE = "task id=%s range=%s sigma_r=%s velocity=%s sigma_f=%s u=%s v=%s"
+
+
 def scenario_to_text(cfg: RadarConfig, prfs, tasks) -> str:
+    """The scenario file of (cfg, prfs, tasks): the version tag, one radar
+    line, one line per PRF, then one ``_TASK_LINE`` per task.
+
+    ``tasks`` is a ``TaskColumns``, whose rows are its ids zipped with its
+    columns as Python floats, or any iterable of ``TrackTask``, whose rows
+    are each task's id and six fields as they are (so a field built from
+    the int 50000 writes ``range=50000``).
+    """
     lines = [SCENARIO_TAG]
     lines.append(
         "radar "
@@ -73,21 +95,11 @@ def scenario_to_text(cfg: RadarConfig, prfs, tasks) -> str:
                 ]
             )
         )
-    for t in tasks:
-        lines.append(
-            "task "
-            + _fields(
-                [
-                    ("id", t.id),
-                    ("range", t.range_m),
-                    ("sigma_r", t.sigma_r),
-                    ("velocity", t.velocity),
-                    ("sigma_f", t.sigma_f),
-                    ("u", t.u),
-                    ("v", t.v),
-                ]
-            )
-        )
+    if isinstance(tasks, TaskColumns):
+        rows = zip(tasks.ids, *(getattr(tasks, name).tolist() for name in _TASK_FLOATS))
+    else:
+        rows = map(attrgetter("id", *_TASK_FLOATS), tasks)
+    lines.extend(map(_TASK_LINE.__mod__, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -122,6 +134,9 @@ def _record_args(kind: str, tokens, fields) -> list:
 # lines: one chunk's tokens take a few MB, where a 64k-task file's would
 # take over 100 MB.
 _TASK_CHUNK = 4096
+# Shorter runs of task lines go through the line-by-line reader, which
+# reads them faster than a columnar block (break-even at 10-12 lines).
+_MIN_TASK_RUN = 12
 _TASK_KEYS = tuple(_SCENARIO_RECORDS["task"][1])
 
 
@@ -181,27 +196,32 @@ def _task_block(lines):
 
 def _columnar_records(lines, start):
     """Like ``_records`` over lines[start:], but the task lines of each run
-    of lines that start with ``task `` (blank and comment lines may come in
-    between), up to ``_TASK_CHUNK`` of them, come as one (line number,
-    "tasks", block) triple if they pass ``_task_block``; every other line
-    goes through ``_records``."""
-    i = start
-    while i < len(lines):
-        j, run = i, []
-        while j < len(lines) and len(run) < _TASK_CHUNK:
-            line = lines[j]
-            if line.startswith("task "):
-                run.append(line)
-            elif line.strip() and not line.startswith("#"):
-                break
-            j += 1
-        block = _task_block(run) if run else None
-        if block is not None:
-            yield j, "tasks", block
+    of lines that start with ``task id=`` (blank and comment lines may come
+    in between), up to ``_TASK_CHUNK`` of them, come as one (line number,
+    "tasks", block) triple if there are at least ``_MIN_TASK_RUN`` of them
+    and they pass ``_task_block``.  Every other line goes through one
+    ``_records`` call per stretch of lines between blocks."""
+    slow, first, run = start, start, []     # lines[slow:] not yet yielded
+    # a record line after the last line ends the last run
+    for j, line in enumerate(chain(lines[start:], ["end"]), start):
+        if line.startswith("task id="):
+            if not run:
+                first = j
+            run.append(line)
+            if len(run) < _TASK_CHUNK:
+                continue
+            end = j + 1                 # a full chunk
+        elif run and line.strip() and not line.startswith("#"):
+            end = j                     # a record line ends the run
         else:
-            j = max(j, i + 1)
-            yield from _records(lines, i, j)
-        i = j
+            continue
+        block = _task_block(run) if len(run) >= _MIN_TASK_RUN else None
+        run = []
+        if block is not None:
+            yield from _records(lines, slow, first)
+            yield end, "tasks", block
+            slow = end
+    yield from _records(lines, slow, len(lines))
 
 
 def _assemble(records):
@@ -236,10 +256,10 @@ def parse_scenario(text: str):
     Task lines as ``scenario_to_text`` writes them (``task`` and the seven
     fields in written order) are read in chunks, straight into columns.
     Every other line (radar and prf records, comments, tasks with fields
-    in another order) and every chunk with a line the columnar reader
-    rejects goes through the line-by-line reader ``_parse_records`` uses,
-    so errors always come from that reader, and the result equals its
-    result.
+    in another order), every run of fewer than ``_MIN_TASK_RUN`` task
+    lines and every chunk with a line the columnar reader rejects goes
+    through the line-by-line reader ``_parse_records`` uses, so errors
+    always come from that reader, and the result equals its result.
     """
     lines = text.splitlines()
     cfg, prfs, tasks = _assemble(_columnar_records(lines, _tag_end(lines)))

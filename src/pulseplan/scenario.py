@@ -19,7 +19,7 @@ from .edbf import EdbfRun, HeuristicConfig
 from .geometry import GridSpec, enumerate_disks
 from .radar import (
     RadarConfig,
-    TrackTask,
+    TaskColumns,
     availability_arrays,
     build_availability_table,
     default_prf_set,
@@ -61,11 +61,16 @@ def _uniform_disk(rng, n, radius):
 
 def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
                  prfs=None):
-    """Draw tasks until the requested count is reached.
+    """Draw tasks until the requested count is reached: (cfg, prfs,
+    ``TaskColumns``) with task ids 1 to ``n_tasks``.
 
     Unless ``keep_unschedulable`` is set, draws trackable with no PRF are
     discarded and redrawn, so the emitted scenario has exactly ``n_tasks``
     schedulable tasks.  Identical spec and defaults give identical output.
+    The kept rows of each draw are taken from its columns whole.  The
+    values, and the bytes ``scenario_to_text`` writes, are the same as
+    when each kept row became its own ``TrackTask``; ``TaskColumns`` still
+    runs the ``TrackTask`` checks on every row.
     """
     cfg = cfg if cfg is not None else default_radar_config()
     prfs = tuple(prfs) if prfs is not None else default_prf_set()
@@ -76,9 +81,10 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
         cu, cv = _uniform_disk(rng, spec.cluster_count, 0.8 * spec.scan_extent)
         centers = np.stack([cu, cv], axis=1)
 
-    rows = []
-    while len(rows) < spec.n_tasks:
-        m = max(2 * (spec.n_tasks - len(rows)), 64)
+    cols = [[np.zeros(0)] for _ in range(6)]   # so n_tasks=0 concatenates
+    have = 0
+    while have < spec.n_tasks:
+        m = max(2 * (spec.n_tasks - have), 64)
         r = rng.uniform(*spec.range_bounds, m)
         vt = rng.uniform(*spec.velocity_bounds, m)
         sr = rng.uniform(*spec.sigma_r_bounds, m)
@@ -100,19 +106,12 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
         else:
             av = availability_arrays(r, sr, vt, sf, prfs, cfg)[0]
             ok = av.any(axis=1)
-        for i in np.nonzero(ok)[0]:
-            if len(rows) == spec.n_tasks:
-                break
-            rows.append((float(r[i]), float(sr[i]), float(vt[i]),
-                         float(sf[i]), float(u[i]), float(v[i])))
+        keep = np.flatnonzero(ok)[:spec.n_tasks - have]
+        for col, drawn in zip(cols, (r, sr, vt, sf, u, v)):
+            col.append(drawn[keep])
+        have += len(keep)
 
-    tasks = tuple(
-        TrackTask(
-            id=i + 1, range_m=row[0], sigma_r=row[1], velocity=row[2],
-            sigma_f=row[3], u=row[4], v=row[5],
-        )
-        for i, row in enumerate(rows)
-    )
+    tasks = TaskColumns(range(1, spec.n_tasks + 1), *map(np.concatenate, cols))
     return cfg, prfs, tasks
 
 
@@ -213,7 +212,9 @@ def run_scaling(
     Radar configuration, PRF set, interleaving capacity, and the grid stay
     fixed across sizes so only the task count scales.  Refuses to fit fewer
     than four sizes.  Repetitions run one after another in this process,
-    so each timing is exclusive.
+    so each timing is exclusive.  ``prep_ms`` times the availability table
+    and the structures; ``gen_scenario`` already returns columns, so no
+    task-to-column conversion is in it.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 4:

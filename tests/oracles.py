@@ -12,6 +12,14 @@ from fractions import Fraction
 import numpy as np
 
 from pulseplan.errors import InternalInvariantError
+from pulseplan.io import SCENARIO_TAG, _fields
+from pulseplan.radar import (
+    TrackTask,
+    availability_arrays,
+    default_prf_set,
+    default_radar_config,
+)
+from pulseplan.scenario import _uniform_disk
 from pulseplan.structures import (
     IndexedSet,
     OpCounters,
@@ -384,3 +392,78 @@ def incremental_node_lists(entries, n_intlv):
             for n2 in paths[b]:
                 lists.setdefault(n1 * 2 * leaves + n2, []).append(tid)
     return lists, cnt1
+
+
+def rowwise_gen_scenario(spec, cfg=None, prfs=None):
+    """``gen_scenario`` one row at a time: the same draws, kept rows
+    converted with ``float`` into one ``TrackTask`` each; returns (cfg,
+    prfs, tuple of ``TrackTask``)."""
+    cfg = cfg if cfg is not None else default_radar_config()
+    prfs = tuple(prfs) if prfs is not None else default_prf_set()
+    rng = np.random.default_rng(spec.seed)
+
+    centers = None
+    if spec.cluster_count > 0:
+        cu, cv = _uniform_disk(rng, spec.cluster_count, 0.8 * spec.scan_extent)
+        centers = np.stack([cu, cv], axis=1)
+
+    rows = []
+    while len(rows) < spec.n_tasks:
+        m = max(2 * (spec.n_tasks - len(rows)), 64)
+        r = rng.uniform(*spec.range_bounds, m)
+        vt = rng.uniform(*spec.velocity_bounds, m)
+        sr = rng.uniform(*spec.sigma_r_bounds, m)
+        sf = rng.uniform(*spec.sigma_f_bounds, m)
+        if centers is None:
+            u, v = _uniform_disk(rng, m, spec.scan_extent)
+        else:
+            which = rng.integers(0, spec.cluster_count, m)
+            du, dv = _uniform_disk(rng, m, spec.cluster_radius)
+            u = centers[which, 0] + du
+            v = centers[which, 1] + dv
+        norm = np.sqrt(u * u + v * v)
+        over = norm > 0.999
+        if over.any():
+            u = np.where(over, u * 0.999 / norm, u)
+            v = np.where(over, v * 0.999 / norm, v)
+        if spec.keep_unschedulable:
+            ok = np.ones(m, dtype=bool)
+        else:
+            av = availability_arrays(r, sr, vt, sf, prfs, cfg)[0]
+            ok = av.any(axis=1)
+        for i in np.nonzero(ok)[0]:
+            if len(rows) == spec.n_tasks:
+                break
+            rows.append((float(r[i]), float(sr[i]), float(vt[i]),
+                         float(sf[i]), float(u[i]), float(v[i])))
+
+    tasks = tuple(
+        TrackTask(
+            id=i + 1, range_m=row[0], sigma_r=row[1], velocity=row[2],
+            sigma_f=row[3], u=row[4], v=row[5],
+        )
+        for i, row in enumerate(rows)
+    )
+    return cfg, prfs, tasks
+
+
+def fields_scenario_text(cfg, prfs, tasks):
+    """``scenario_to_text`` with every line, task lines included, built
+    from one ``(key, value)`` list each."""
+    lines = [SCENARIO_TAG]
+    lines.append("radar " + _fields([
+        ("c", cfg.c), ("wavelength", cfg.wavelength), ("pulse_width", cfg.pulse_width),
+        ("n_r", cfg.n_r), ("n_f", cfg.n_f), ("n_intlv", cfg.n_intlv),
+        ("pulses_per_look", cfg.pulses_per_look),
+    ]))
+    for prf in prfs:
+        lines.append("prf " + _fields([
+            ("f_r", prf.f_r), ("c_r_plus", prf.c_r_plus), ("c_r_minus", prf.c_r_minus),
+            ("c_f_plus", prf.c_f_plus), ("c_f_minus", prf.c_f_minus),
+        ]))
+    for t in tasks:
+        lines.append("task " + _fields([
+            ("id", t.id), ("range", t.range_m), ("sigma_r", t.sigma_r),
+            ("velocity", t.velocity), ("sigma_f", t.sigma_f), ("u", t.u), ("v", t.v),
+        ]))
+    return "\n".join(lines) + "\n"

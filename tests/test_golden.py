@@ -1,4 +1,4 @@
-"""Pinned schedule bytes for every rule combination.
+"""Pinned scenario bytes, and schedule bytes for every rule combination.
 
 The digests were recorded before the element and subarray look loops were
 merged; any change to selection, packing, tie-breaking or serialization
@@ -15,15 +15,17 @@ from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
     HeuristicConfig,
+    RadarConfig,
     ScenarioSpec,
     build_availability_table,
+    default_prf_set,
     enumerate_disks,
     gen_scenario,
     hied,
     hisd,
 )
 from pulseplan.edbf import PRF_RULES, TASK_RULES
-from pulseplan.io import schedule_to_text
+from pulseplan.io import scenario_to_text, schedule_to_text
 from pulseplan.sdbf import DISK_RULES, SUB_RULES
 from pulseplan.structures import OpCounters
 
@@ -90,6 +92,35 @@ SDBF_DIGESTS = {
     ('WGD', 'SD', 'SLA'): "a813628b89cae81ed6b3b5324191026d0d60d4e3bf151968aabc28ba75c8b4ae",
     ('WGD', 'SD', 'SRA'): "45756918a8eaf33a38c6b74341a4c89d7217e4f0300b99332e957cb01e6a6ea0",
 }
+
+
+# sha256 of scenario_to_text(*gen_scenario(spec, cfg, prfs)), recorded with
+# the row-at-a-time generator and writer (now tests/oracles.py).  Only the
+# benchmark's schedule digests would otherwise notice a change in the order
+# of the random draws.
+SCENARIO_DIGESTS = {
+    "64k-bench": "141bdd5ae4fe9eb74aacac0a3066632546540b6e48f440ef7332b2d97250a9c2",
+    "4k": "a767b0cb8c1f6b8420a5d2462a8ec1616d3de4bd21de066ddfacbedfc36551c5",
+    "300-clustered": "134492f4a5d0efa29f0298f5a7d2b9f869ee8ddeaf5371bf9a56feaf642f63dd",
+    "500-unschedulable-kept": "2c0366d02641c14ba8d5006d1c68ce0716df05885500d8433a43147bc7ee8159",
+    "empty": "8491aad4c3e75e96b4b256b3e6fd72ee9c5893aca67493c01b6746978336c4b6",
+}
+SCENARIO_CASES = {
+    # the benchmark's edbf-64k scenario
+    "64k-bench": (ScenarioSpec(n_tasks=64000, seed=1), RadarConfig(n_intlv=8),
+                  default_prf_set(count=8)),
+    "4k": (ScenarioSpec(n_tasks=4000, seed=1), None, None),
+    "300-clustered": (ScenarioSpec(n_tasks=300, seed=2, cluster_count=3), None, None),
+    "500-unschedulable-kept": (ScenarioSpec(n_tasks=500, seed=0, keep_unschedulable=True),
+                               None, None),
+    "empty": (ScenarioSpec(n_tasks=0, seed=0), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_scenario_bytes_pinned(case):
+    text = scenario_to_text(*gen_scenario(*SCENARIO_CASES[case]))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_DIGESTS[case]
 
 
 def _digest(schedule) -> str:

@@ -168,9 +168,10 @@ def _task_line(draw):
 @st.composite
 def scenario_texts(draw):
     """A scenario text with 0 to 3 chunks of task lines (plus a partial
-    chunk), most of them valid, some mutated, and the chunk size to read
-    it with."""
+    chunk), most of them valid, some mutated, and the chunk size and
+    shortest columnar run to read it with."""
     chunk = draw(st.integers(1, 4))
+    min_run = draw(st.integers(1, chunk + 1))
     cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
     head = scenario_to_text(cfg, prfs[:2], []).splitlines()
     lines = draw(st.sampled_from(([], [""], ["# header comment"]))) + head
@@ -178,15 +179,15 @@ def scenario_texts(draw):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(_EXTRA_LINES)))
         lines.append(draw(_task_line()))
-    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n"))), chunk
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n"))), chunk, min_run
 
 
 class TestColumnarParser:
     @settings(max_examples=400, deadline=None)
     @given(scenario_texts())
     def test_matches_the_record_reader(self, case):
-        text, chunk = case
-        with mock.patch.object(pio, "_TASK_CHUNK", chunk):
+        text, chunk, min_run = case
+        with mock.patch.multiple(pio, _TASK_CHUNK=chunk, _MIN_TASK_RUN=min_run):
             fast = _outcome(parse_scenario, text)
         assert fast == _outcome(pio._parse_records, text)
 
@@ -202,8 +203,33 @@ class TestColumnarParser:
         task_lines.insert(where, line)
         cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
         text = scenario_to_text(cfg, prfs, []) + "\n".join(task_lines)
-        fast = _outcome(parse_scenario, text)
+        with mock.patch.object(pio, "_MIN_TASK_RUN", 1):
+            fast = _outcome(parse_scenario, text)
         assert fast[0] == "error" and fast == _outcome(pio._parse_records, text)
+
+    @staticmethod
+    def _interleaved(run, other):
+        """A scenario text whose written task lines come in runs of ``run``,
+        each run followed by one task line that ``other`` rewrites."""
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=4 * (run + 1), seed=4))
+        lines = scenario_to_text(cfg, prfs, tasks).splitlines()
+        k = len(lines) - len(tasks)
+        lines[k + run::run + 1] = map(other, lines[k + run::run + 1])
+        return "\n".join(lines) + "\n", tasks
+
+    @pytest.mark.parametrize("other", [
+        lambda line: "  " + line,
+        lambda line: " ".join(["task", *line.split()[2:], line.split()[1]]),
+    ], ids=["indented", "reordered"])
+    def test_short_runs_skip_the_columnar_reader(self, other):
+        text, tasks = self._interleaved(1, other)
+        with mock.patch.object(pio, "_task_block", wraps=pio._task_block) as block:
+            assert parse_scenario(text)[2] == tasks
+        block.assert_not_called()
+        text, tasks = self._interleaved(pio._MIN_TASK_RUN, other)
+        with mock.patch.object(pio, "_task_block", wraps=pio._task_block) as block:
+            assert parse_scenario(text)[2] == tasks
+        assert block.call_count == 4
 
     def test_columns_and_python_values(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=3))

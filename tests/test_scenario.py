@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
     ScenarioSpec,
+    TrackTask,
     build_availability_table,
     default_prf_set,
     default_radar_config,
@@ -12,8 +15,10 @@ from pulseplan import (
     gen_scenario,
     run_scaling,
 )
-from pulseplan.io import scenario_to_text
-from pulseplan.radar import availability_arrays
+from pulseplan.io import parse_scenario, scenario_to_text
+from pulseplan.radar import TaskColumns, availability_arrays
+
+from oracles import fields_scenario_text, rowwise_gen_scenario
 
 
 class TestGeneration:
@@ -68,6 +73,69 @@ class TestGeneration:
             _, _, tasks = gen_scenario(spec)
             for t in tasks:
                 assert t.u ** 2 + t.v ** 2 <= 1.0
+
+
+_EDGES = (-0.0, 0.0, 5e-324)
+_TASK_FIELDS = {
+    # values TrackTask accepts: floats (edges included), Python and numpy ints
+    "range_m": st.one_of(st.floats(5e-324, 1e300), st.integers(1, 10**6),
+                         st.sampled_from((5e-324, 1e300, 50000.0, np.int64(50000)))),
+    "sigma_r": st.one_of(st.floats(0.0, 1e300), st.integers(0, 1000),
+                         st.sampled_from(_EDGES + (1e300,))),
+    "velocity": st.one_of(st.floats(-1e300, 1e300), st.integers(-10**6, 10**6),
+                          st.sampled_from(_EDGES + (1e300, -1e300))),
+    "sigma_f": st.one_of(st.floats(0.0, 1e300), st.integers(0, 1000),
+                         st.sampled_from(_EDGES + (1e300,))),
+    "u": st.one_of(st.floats(-0.7, 0.7), st.sampled_from(_EDGES + (0,))),
+    "v": st.one_of(st.floats(-0.7, 0.7), st.sampled_from(_EDGES + (0,))),
+}
+_TASKS = st.lists(st.builds(TrackTask, id=st.integers(-10**23, 10**23), **_TASK_FIELDS),
+                  max_size=20)
+
+
+def _as_floats(task):
+    return TrackTask(task.id, *(float(x) for x in dataclasses.astuple(task)[1:]))
+
+
+class TestColumnarSynthesis:
+    """The columnar generator and writer against the row-at-a-time ones in
+    ``oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
+           clusters=st.integers(0, 4), keep=st.booleans())
+    def test_generation_matches_the_row_loop(self, n, seed, clusters, keep):
+        spec = ScenarioSpec(n_tasks=n, seed=seed, cluster_count=clusters,
+                            keep_unschedulable=keep)
+        cfg, prfs, tasks = gen_scenario(spec)
+        want = rowwise_gen_scenario(spec)
+        assert isinstance(tasks, TaskColumns) and (cfg, prfs) == want[:2]
+        assert tasks == want[2] and tasks.ids == list(range(1, n + 1))
+        assert scenario_to_text(cfg, prfs, tasks) == fields_scenario_text(*want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TASKS)
+    def test_writer_matches_the_field_writer(self, tasks):
+        cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0))
+        # a TrackTask's own values, Python ints included, are written as they are
+        text = scenario_to_text(cfg, prfs, tasks)
+        assert text == fields_scenario_text(cfg, prfs, tasks)
+        # columns hold floats: the same bytes as tasks built from floats
+        floats = tuple(map(_as_floats, tasks))
+        text = scenario_to_text(cfg, prfs, TaskColumns.from_tasks(tasks))
+        assert text == scenario_to_text(cfg, prfs, floats)
+        assert text == fields_scenario_text(cfg, prfs, floats)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TASKS)
+    def test_parse_inverts_the_writer(self, tasks):
+        cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0))
+        columns = TaskColumns.from_tasks(tasks)
+        text = scenario_to_text(cfg, prfs, columns)
+        parsed = parse_scenario(text)
+        assert parsed == (cfg, prfs, columns)
+        # value for value: -0.0 and 0.0 compare equal but write differently
+        assert scenario_to_text(*parsed) == text
 
 
 class TestFitter:
