@@ -158,21 +158,6 @@ class _LookBuild:
         self.base = None
         self.work = None
 
-    def count(self):
-        n = 0
-        if self.base is not None:
-            n += len(self.base.tasks)
-        if self.work is not None:
-            n += len(self.work.tasks)
-        return n
-
-    def rightmost(self):
-        if self.work is not None:
-            return self.work.end
-        if self.base is not None:
-            return self.base.end
-        return None
-
     def als(self, tail, n_intlv):
         """Slots after ``tail`` still clear of every member's echo window."""
         tols = []

@@ -3,11 +3,16 @@
 Every format starts with a one-line version tag and is deterministic for a
 given input, so files diff cleanly and round-trip byte-identically.  Floats
 are written with ``repr`` to survive the round trip exactly.
+
+A scenario file is read by one of two readers, chosen once per file: if
+its task lines come last and all are as ``scenario_to_text`` writes them,
+they are read straight into columns; any other file goes through the
+line-by-line reader, which gives the values and errors of both.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -134,9 +139,6 @@ def _record_args(kind: str, tokens, fields) -> list:
 # lines: one chunk's tokens take a few MB, where a 64k-task file's would
 # take over 100 MB.
 _TASK_CHUNK = 4096
-# Shorter runs of task lines go through the line-by-line reader, which
-# reads them faster than a columnar block (break-even at 10-12 lines).
-_MIN_TASK_RUN = 12
 _TASK_KEYS = tuple(_SCENARIO_RECORDS["task"][1])
 
 
@@ -172,56 +174,25 @@ def _records(lines, start, stop):
 
 
 def _task_block(lines):
-    """``TaskColumns`` of task lines that each hold ``task`` and the seven
-    fields in the written order, or None if any line does not, a value
-    does not convert or a task fails its checks."""
+    """(ids, six float64 columns) of task lines that each hold ``task`` and
+    the seven fields in the written order; ``ValueError`` if any line does
+    not or a value does not convert."""
     n = len(lines)
     text = "\n".join(lines)
     tokens = text.split()
-    if len(tokens) != 8 * n or text.count("=") != 7 * n:
-        return None
-    # Every line starts with "task", which no column converts, so if every
-    # value below converts, each line is 8 tokens: "task" and one per
-    # column.  From each column's tokens the "key=" prefix is stripped; int
-    # and float reject "=", so each token held at most one "=", and one only
-    # right after its own key.  7n "=" in all then means every token did.
+    if (len(tokens) != 8 * n or text.count("=") != 7 * n or tokens[::8].count("task") != n
+            or not all(map(str.startswith, map(str.lstrip, lines), repeat("task")))):
+        raise ValueError("not task lines in the written form")
+    # Each line starts with "task" after its leading whitespace, and no
+    # column converts a token that starts with "task", so if every value
+    # below converts, each line is 8 tokens: "task" and one per column.
+    # From each column's tokens the "key=" prefix is stripped; int and float
+    # reject "=", so each token held at most one "=", and one only right
+    # after its own key.  7n "=" in all then means every token did.
     values = [map(str.removeprefix, tokens[j::8], repeat(key + "="))
               for j, key in enumerate(_TASK_KEYS, 1)]
-    try:
-        return TaskColumns(map(int, values[0]),
-                           *(np.fromiter(map(float, v), np.float64, n) for v in values[1:]))
-    except (ValueError, ScenarioError):
-        return None
-
-
-def _columnar_records(lines, start):
-    """Like ``_records`` over lines[start:], but the task lines of each run
-    of lines that start with ``task id=`` (blank and comment lines may come
-    in between), up to ``_TASK_CHUNK`` of them, come as one (line number,
-    "tasks", block) triple if there are at least ``_MIN_TASK_RUN`` of them
-    and they pass ``_task_block``.  Every other line goes through one
-    ``_records`` call per stretch of lines between blocks."""
-    slow, first, run = start, start, []     # lines[slow:] not yet yielded
-    # a record line after the last line ends the last run
-    for j, line in enumerate(chain(lines[start:], ["end"]), start):
-        if line.startswith("task id="):
-            if not run:
-                first = j
-            run.append(line)
-            if len(run) < _TASK_CHUNK:
-                continue
-            end = j + 1                 # a full chunk
-        elif run and line.strip() and not line.startswith("#"):
-            end = j                     # a record line ends the run
-        else:
-            continue
-        block = _task_block(run) if len(run) >= _MIN_TASK_RUN else None
-        run = []
-        if block is not None:
-            yield from _records(lines, slow, first)
-            yield end, "tasks", block
-            slow = end
-    yield from _records(lines, slow, len(lines))
+    return ([*map(int, values[0])],
+            *(np.fromiter(map(float, v), np.float64, n) for v in values[1:]))
 
 
 def _assemble(records):
@@ -236,7 +207,7 @@ def _assemble(records):
             if cfg is not None:
                 raise ScenarioError(f"line {n}: second radar record")
             cfg = record
-        else:                           # a task or a block of tasks
+        else:
             tasks.append(record)
     if cfg is None:
         raise ScenarioError("scenario file has no radar record")
@@ -253,23 +224,32 @@ def parse_scenario(text: str):
     included, or a second radar record) raises ``ScenarioError`` naming its
     line number.
 
-    Task lines as ``scenario_to_text`` writes them (``task`` and the seven
-    fields in written order) are read in chunks, straight into columns.
-    Every other line (radar and prf records, comments, tasks with fields
-    in another order), every run of fewer than ``_MIN_TASK_RUN`` task
-    lines and every chunk with a line the columnar reader rejects goes
-    through the line-by-line reader ``_parse_records`` uses, so errors
-    always come from that reader, and the result equals its result.
+    One decision per file picks the reader.  If every line from the first
+    one that starts with ``task`` (after leading whitespace) to the end is a
+    task line as ``scenario_to_text`` writes it (``task`` and the seven
+    fields in written order), those lines are read in chunks straight into
+    columns, and the lines before them go through the line-by-line reader.
+    Any other file (a comment, blank line, record or reordered task among
+    the tasks, or a value the checks reject) is read whole by
+    ``_parse_records``, so errors always come from that reader, and the
+    result equals its result.
     """
     lines = text.splitlines()
-    cfg, prfs, tasks = _assemble(_columnar_records(lines, _tag_end(lines)))
-    blocks = []
-    for is_block, group in groupby(tasks, lambda t: isinstance(t, TaskColumns)):
-        if is_block:
-            blocks.extend(group)
-        else:
-            blocks.append(TaskColumns.from_tasks(group))
-    return cfg, prfs, TaskColumns.concat(blocks)
+    start = _tag_end(lines)
+    first = next((i for i in range(start, len(lines))
+                  if lines[i].lstrip().startswith("task")), len(lines))
+    ids, cols = [], np.empty((len(_TASK_FLOATS), len(lines) - first))
+    try:
+        for i in range(first, len(lines), _TASK_CHUNK):
+            block_ids, *block = _task_block(lines[i:i + _TASK_CHUNK])
+            cols[:, i - first:i - first + len(block_ids)] = block
+            ids += block_ids
+        tasks = TaskColumns(ids, *cols)
+    except (ValueError, ScenarioError):
+        cfg, prfs, records = _parse_records(text)
+        return cfg, prfs, TaskColumns.from_tasks(records)
+    cfg, prfs, _ = _assemble(_records(lines, start, first))
+    return cfg, prfs, tasks
 
 
 def _parse_records(text: str):

@@ -389,7 +389,7 @@ def solve_exact(
             return None
         return (ol.max_slot, ol.min_tol)
 
-    def apply(ol: _OpenLook, tid: int, k: int, saved) -> None:
+    def apply(ol: _OpenLook, tid: int, k: int) -> None:
         old_gap = ol.max_slot - ol.count
         ol.slots[k] = tid
         ol.count += 1
@@ -398,7 +398,7 @@ def solve_exact(
         state["free"] -= 1
         state["gaps"] += (ol.max_slot - ol.count) - old_gap
 
-    def undo(ol: _OpenLook, tid: int, k: int, saved) -> None:
+    def undo(ol: _OpenLook, k: int, saved) -> None:
         old_gap = ol.max_slot - ol.count
         ol.slots[k] = None
         ol.count -= 1
@@ -456,9 +456,9 @@ def solve_exact(
                 saved = place(ol, tid, k)
                 if saved is None:
                     continue
-                apply(ol, tid, k, saved)
+                apply(ol, tid, k)
                 dfs(idx + 1)
-                undo(ol, tid, k, saved)
+                undo(ol, k, saved)
         for b in base_ids:
             if used_copies[b] >= len(bases[b]) or not av[(tid, b)]:
                 continue
@@ -472,9 +472,9 @@ def solve_exact(
                 saved = place(ol, tid, k)
                 if saved is None:
                     continue
-                apply(ol, tid, k, saved)
+                apply(ol, tid, k)
                 dfs(idx + 1)
-                undo(ol, tid, k, saved)
+                undo(ol, k, saved)
             state["obj"] -= look.dwell_frac
             state["free"] -= n
             open_looks.pop()

@@ -105,8 +105,9 @@ class TaskColumns(Sequence):
     read-only float64 arrays of the same length.  An index builds its
     ``TrackTask`` on demand from Python ints and floats, a slice gives a
     ``TaskColumns``, and ``==`` compares element-wise with any sequence of
-    tasks.  The constructor runs ``TrackTask``'s checks on every row in one
-    vectorized pass and raises the first failing row's ``ScenarioError``.
+    tasks (with another ``TaskColumns``, ids and columns as arrays).  The
+    constructor runs ``TrackTask``'s checks on every row in one vectorized
+    pass and raises the first failing row's ``ScenarioError``.
 
     An index is not free: each one builds and validates a ``TrackTask``.
     Code that visits rows in a loop should read the columns, or iterate
@@ -142,14 +143,6 @@ class TaskColumns(Sequence):
                    *(np.fromiter(map(attrgetter(name), tasks), np.float64, len(tasks))
                      for name in _TASK_FLOATS))
 
-    @classmethod
-    def concat(cls, parts) -> "TaskColumns":
-        """One ``TaskColumns`` of any number of them, in order."""
-        parts = list(parts)
-        return cls([tid for part in parts for tid in part.ids],
-                   *(np.concatenate([np.zeros(0), *(getattr(part, name) for part in parts)])
-                     for name in _TASK_FLOATS))
-
     def __setattr__(self, name, value):
         raise AttributeError("TaskColumns is immutable")
 
@@ -166,6 +159,10 @@ class TaskColumns(Sequence):
         return (TrackTask(*row) for row in zip(self.ids, *floats))
 
     def __eq__(self, other):
+        if isinstance(other, TaskColumns):
+            return self.ids == other.ids and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _TASK_FLOATS)
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))

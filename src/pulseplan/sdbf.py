@@ -84,7 +84,7 @@ class DiskSelector:
         else:
             sign = 1 if main_rule == "GD" else -1
             self.primary = {d: sign * c for d, c in counts.items()}
-        # what one consumed member takes off the primary; WGD passes the
+        # what one consumed member takes off the primary; WGD takes the
         # task's reciprocal instead
         self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
         self.ordered = SortedList(
@@ -105,11 +105,11 @@ class DiskSelector:
             return self.ordered[lo][2]
         return self.ordered[rng.randrange(lo, len(self.ordered))][2]
 
-    def remove_member(self, disk_id: int, reciprocal: float | None):
+    def remove_member(self, disk_id: int, reciprocal: float):
         """A task enclosed by this disk was scheduled somewhere: one
-        ``bucket_ops``.  ``reciprocal`` is the task's weight share (WGD
-        only).  The bucket list consumes through ``buckets.decrement``
-        instead."""
+        ``bucket_ops``.  ``reciprocal`` is the task's weight share, which
+        only WGD reads.  The bucket list consumes through
+        ``buckets.decrement`` instead."""
         self.counters.bucket_ops += 1
         count = self.count[disk_id]
         if count == 0:
@@ -140,11 +140,6 @@ class SdbfRun:
         self.rngs = derive_rngs(cfg.seed)
         self.store = task_store(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
-        self.reciprocal = None
-        if cfg.disk_rule == "WGD":
-            self.reciprocal = {
-                tid: 1.0 / len(disks) for tid, disks in catalog.task_disks.items() if disks
-            }
 
     def _live_rows(self, disk):
         live = self.store.live
@@ -203,7 +198,7 @@ class SdbfRun:
         if self.selector.buckets is not None:
             self.selector.buckets.decrement(disks)
             return
-        recip = self.reciprocal[tid] if self.reciprocal is not None else None
+        recip = 1.0 / len(disks)
         for d in disks:
             self.selector.remove_member(d, recip)
 

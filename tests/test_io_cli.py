@@ -123,7 +123,8 @@ _FLOAT_FORMS = (repr, "{:e}".format, "{:.3E}".format, "{:+.17g}".format)
 _BAD_VALUES = ("nan", "inf", "-inf", "NaN", "abc", "1_000", "", "0x10", "1e999",
                "-0.0", "0", "+5", "-1.5", "1e-5", "=3")
 _MUTATIONS = ("shuffle", "leading whitespace", "tab", "bad value", "double equals",
-              "missing field", "repeated field", "no value", "no key", "spaced")
+              "missing field", "repeated field", "no value", "no key", "spaced",
+              "split", "doubled")
 _EXTRA_LINES = ("", "   ", "# a comment", " # not a comment", "task",
                 "prf f_r=12000.0 c_r_plus=0.0 c_r_minus=0.0 c_f_plus=0.0 c_f_minus=0.0",
                 "radar c=299792458.0 wavelength=0.03 pulse_width=1e-05 n_r=3.0 "
@@ -162,16 +163,18 @@ def _task_line(draw):
         fields[k] = fields[k].split("=", 1)[1]
     elif mutation == "spaced":
         fields[k] = fields[k].replace("=", draw(st.sampled_from((" =", "= ", " "))), 1)
-    return lead + sep.join(["task", *fields])
+    elif mutation == "split":
+        fields[k] = "\n" + fields[k]
+    line = lead + sep.join(["task", *fields])
+    return line + sep + line if mutation == "doubled" else line
 
 
 @st.composite
 def scenario_texts(draw):
     """A scenario text with 0 to 3 chunks of task lines (plus a partial
-    chunk), most of them valid, some mutated, and the chunk size and
-    shortest columnar run to read it with."""
+    chunk), most of them valid, some mutated, and the chunk size to read it
+    with."""
     chunk = draw(st.integers(1, 4))
-    min_run = draw(st.integers(1, chunk + 1))
     cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
     head = scenario_to_text(cfg, prfs[:2], []).splitlines()
     lines = draw(st.sampled_from(([], [""], ["# header comment"]))) + head
@@ -179,15 +182,15 @@ def scenario_texts(draw):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(_EXTRA_LINES)))
         lines.append(draw(_task_line()))
-    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n"))), chunk, min_run
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n"))), chunk
 
 
 class TestColumnarParser:
     @settings(max_examples=400, deadline=None)
     @given(scenario_texts())
     def test_matches_the_record_reader(self, case):
-        text, chunk, min_run = case
-        with mock.patch.multiple(pio, _TASK_CHUNK=chunk, _MIN_TASK_RUN=min_run):
+        text, chunk = case
+        with mock.patch.object(pio, "_TASK_CHUNK", chunk):
             fast = _outcome(parse_scenario, text)
         assert fast == _outcome(pio._parse_records, text)
 
@@ -195,6 +198,18 @@ class TestColumnarParser:
         "task 5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 id=5",
         "task id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 0.0 v=",
         "task id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 task",
+        "tasks id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0",
+        # lines short of fields next to a line with two tasks' fields: as
+        # many tokens as that many task lines
+        pytest.param(
+            "\ntask id=5 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 "
+            "task id=6 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0",
+            id="blank line, two tasks on one line"),
+        pytest.param(
+            "task id=5 range=1e4 sigma_r=1.0\nvelocity=0.0 sigma_f=1.0 u=0.0 v=0.0\n"
+            "task id=6 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0 "
+            "task id=7 range=1e4 sigma_r=1.0 velocity=0.0 sigma_f=1.0 u=0.0 v=0.0",
+            id="task split over two lines, two tasks on one line"),
     ])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_misplaced_tokens_fall_back(self, line, where):
@@ -203,33 +218,8 @@ class TestColumnarParser:
         task_lines.insert(where, line)
         cfg, prfs, _ = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
         text = scenario_to_text(cfg, prfs, []) + "\n".join(task_lines)
-        with mock.patch.object(pio, "_MIN_TASK_RUN", 1):
-            fast = _outcome(parse_scenario, text)
+        fast = _outcome(parse_scenario, text)
         assert fast[0] == "error" and fast == _outcome(pio._parse_records, text)
-
-    @staticmethod
-    def _interleaved(run, other):
-        """A scenario text whose written task lines come in runs of ``run``,
-        each run followed by one task line that ``other`` rewrites."""
-        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=4 * (run + 1), seed=4))
-        lines = scenario_to_text(cfg, prfs, tasks).splitlines()
-        k = len(lines) - len(tasks)
-        lines[k + run::run + 1] = map(other, lines[k + run::run + 1])
-        return "\n".join(lines) + "\n", tasks
-
-    @pytest.mark.parametrize("other", [
-        lambda line: "  " + line,
-        lambda line: " ".join(["task", *line.split()[2:], line.split()[1]]),
-    ], ids=["indented", "reordered"])
-    def test_short_runs_skip_the_columnar_reader(self, other):
-        text, tasks = self._interleaved(1, other)
-        with mock.patch.object(pio, "_task_block", wraps=pio._task_block) as block:
-            assert parse_scenario(text)[2] == tasks
-        block.assert_not_called()
-        text, tasks = self._interleaved(pio._MIN_TASK_RUN, other)
-        with mock.patch.object(pio, "_task_block", wraps=pio._task_block) as block:
-            assert parse_scenario(text)[2] == tasks
-        assert block.call_count == 4
 
     def test_columns_and_python_values(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=3))
@@ -249,6 +239,24 @@ class TestColumnarParser:
         parsed = parse_scenario(text)
         assert scenario_to_text(*parsed) == text
         assert parsed[2] == tasks
+
+    def test_written_files_skip_the_line_reader(self, multi_chunk):
+        texts = [multi_chunk]
+        for n in (0, 1):
+            cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n, seed=12))
+            texts.append((scenario_to_text(cfg, prfs, tasks), tasks))
+        for text, tasks in texts:
+            with mock.patch.object(pio, "_parse_records", wraps=pio._parse_records) as slow:
+                assert parse_scenario(text)[2] == tasks
+            slow.assert_not_called()
+
+    def test_a_comment_among_the_tasks_reads_the_file_by_lines(self, multi_chunk):
+        lines = multi_chunk[0].splitlines()
+        lines.insert(len(lines) - pio._TASK_CHUNK, "# a comment")
+        with mock.patch.object(pio, "_parse_records", wraps=pio._parse_records) as slow:
+            parsed = parse_scenario("\n".join(lines))
+        slow.assert_called_once()
+        assert parsed == parse_scenario(multi_chunk[0])
 
     def test_error_in_the_last_chunk_names_its_line(self, multi_chunk):
         lines = multi_chunk[0].splitlines()

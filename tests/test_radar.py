@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,12 @@ class TestTaskColumns:
         assert cols == TaskColumns.from_tasks(self.TASKS)
         assert cols != self.TASKS[:2] and cols != self.TASKS[::-1]
         assert cols != "abc" and TaskColumns.from_tasks([]) == ()
+        signed = [replace(t, velocity=-0.0) for t in self.TASKS]
+        unsigned = [replace(t, velocity=0.0) for t in self.TASKS]
+        assert TaskColumns.from_tasks(signed) == TaskColumns.from_tasks(unsigned)
+        assert cols != TaskColumns.from_tasks([replace(self.TASKS[0], u=0.5), *self.TASKS[1:]])
+        assert cols != TaskColumns.from_tasks([replace(t, id=t.id + 1) for t in self.TASKS])
+        assert cols != cols[:2] and cols[:2] == cols[:2]
 
     def test_immutable(self):
         cols = TaskColumns.from_tasks(self.TASKS)

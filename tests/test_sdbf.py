@@ -129,7 +129,6 @@ class TestHisd:
             run = SdbfRun(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
                                                        sub_rule=sub_rule))
             assert run.counters.bucket_ops == 0
-            assert (run.reciprocal is None) == (disk_rule != "WGD")
             run.run()
             assert run.counters.bucket_ops == catalog.q_d, (disk_rule, sub_rule)
 
