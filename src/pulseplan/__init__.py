@@ -50,7 +50,6 @@ from .ip import (
     check_feasible,
     exact_objective,
     export_lp,
-    parse_lp,
     solve_exact,
 )
 from .structures import BucketList, OpCounters, build_backend
@@ -104,7 +103,6 @@ __all__ = [
     "hisd",
     "is_trackable",
     "leftward_availability",
-    "parse_lp",
     "prf_select",
     "project_to_scan_plane",
     "rightward_availability",

@@ -326,12 +326,10 @@ def main(argv=None) -> int:
             print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     except (ScenarioError, InfeasibleError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ResourceLimitError):
-            print(f"error: {exc}", file=sys.stderr)
             print("hint: rerun oracle-compare with --heuristic-only",
                   file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -142,30 +142,35 @@ _TASK_CHUNK = 4096
 _TASK_KEYS = tuple(_SCENARIO_RECORDS["task"][1])
 
 
-def _tag_end(lines) -> int:
+def _tag_end(lines, tag=SCENARIO_TAG, name="scenario") -> int:
     """Index of the line after the version tag, the first line that is
     neither blank nor a comment."""
     for i, line in enumerate(lines):
         if line.strip() and not line.startswith("#"):
-            if line == SCENARIO_TAG:
+            if line == tag:
                 return i + 1
             break
-    raise ScenarioError(f"not a scenario file (expected {SCENARIO_TAG!r})")
+    raise ScenarioError(f"not a {name} file (expected {tag!r})")
 
 
-def _records(lines, start, stop):
+def _scenario_record(kind: str, tokens):
+    if kind not in _SCENARIO_RECORDS:
+        raise ScenarioError(f"unknown scenario record {kind!r}")
+    make, fields = _SCENARIO_RECORDS[kind]
+    return make(*_record_args(kind, tokens, fields))
+
+
+def _records(lines, start, stop, read=_scenario_record):
     """(line number, kind, record) for each record line in lines[start:stop],
-    read one line at a time."""
+    read one line at a time by ``read(kind, tokens)``; a ``ValueError`` or
+    ``ScenarioError`` it raises becomes a ``ScenarioError`` naming the line."""
     for n in range(start + 1, stop + 1):
         line = lines[n - 1]
         if not line.strip() or line.startswith("#"):
             continue
         kind, *tokens = line.split()
         try:
-            if kind not in _SCENARIO_RECORDS:
-                raise ScenarioError(f"unknown scenario record {kind!r}")
-            make, fields = _SCENARIO_RECORDS[kind]
-            record = make(*_record_args(kind, tokens, fields))
+            record = read(kind, tokens)
         except ValueError as exc:
             raise ScenarioError(f"line {n}: {kind} record: {exc}") from None
         except ScenarioError as exc:
@@ -287,42 +292,49 @@ def schedule_to_text(schedule: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
+_DISK_LOOK_FIELDS = dict(_LOOK_FIELDS, disk=int, disk_u=float, disk_v=float)
+_ASSIGN_FIELDS = dict(task=int, look=int, slot=int)
+
+
+def _schedule_record(kind: str, tokens):
+    if kind == "assign":
+        return tuple(_record_args(kind, tokens, _ASSIGN_FIELDS))
+    if kind == "meta":
+        return _parse_fields(tokens)
+    if kind == "look":
+        if any(tok.startswith("disk") for tok in tokens):
+            *args, u, v = _record_args(kind, tokens, _DISK_LOOK_FIELDS)
+            return ScheduledLook(*args, disk_center=(u, v))
+        return ScheduledLook(*_record_args(kind, tokens, _LOOK_FIELDS))
+    if kind == "unschedulable":
+        return tuple(map(int, tokens))
+    raise ScenarioError(f"unknown schedule record {kind!r}")
+
+
 def parse_schedule(text: str) -> Schedule:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != SCHEDULE_TAG:
-        raise ScenarioError(f"not a schedule file (expected {SCHEDULE_TAG!r})")
+    """Schedule file text to a ``Schedule``.
+
+    A malformed line (unknown record, a missing, unknown or repeated field
+    of a ``look`` or ``assign`` record, a ``look`` with only some of
+    ``disk``/``disk_u``/``disk_v``, or a value that does not convert)
+    raises ``ScenarioError`` naming its line number.
+    """
+    lines = text.splitlines()
     meta: dict[str, str] = {}
     looks: list[ScheduledLook] = []
     assignments: list[tuple[int, int, int]] = []
     unschedulable: tuple[int, ...] = ()
-    for line in lines[1:]:
-        kind, *rest = line.split()
+    start = _tag_end(lines, SCHEDULE_TAG, "schedule")
+    for _, kind, record in _records(lines, start, len(lines), _schedule_record):
         if kind == "meta":
-            meta.update(_parse_fields(rest))
+            meta.update(record)
         elif kind == "look":
-            f = _parse_fields(rest)
-            center = None
-            disk = None
-            if "disk" in f:
-                disk = int(f["disk"])
-                center = (float(f["disk_u"]), float(f["disk_v"]))
-            looks.append(
-                ScheduledLook(
-                    index=int(f["index"]),
-                    prf_index=int(f["prf"]),
-                    f_r=float(f["f_r"]),
-                    dwell=float(f["dwell"]),
-                    disk_id=disk,
-                    disk_center=center,
-                )
-            )
+            looks.append(record)
         elif kind == "assign":
-            f = _parse_fields(rest)
-            assignments.append((int(f["task"]), int(f["look"]), int(f["slot"])))
-        elif kind == "unschedulable":
-            unschedulable = tuple(int(t) for t in rest)
+            assignments.append(record)
         else:
-            raise ScenarioError(f"unknown schedule record {kind!r}")
+            unschedulable = record
     meta.pop("objective", None)
     meta.pop("looks_used", None)
     return Schedule(

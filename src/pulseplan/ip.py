@@ -14,9 +14,11 @@ assignment variables h_ijk (task i at slot k of look j) subject to:
   C8  binary domains
 
 This module validates any schedule against those constraints, solves small
-instances exactly by depth-first branch and bound, and exports instances in
-LP text format (optionally as the capacitated facility-location relaxation
-that drops slot structure).
+instances exactly by depth-first branch and bound, and writes instances as
+LP text (``export_lp``), optionally as the capacitated facility-location
+relaxation that drops slot structure.  The LP text is output only: its rows
+are formatted straight from the ``IpInstance`` (looks plus ``av``/``al``/
+``ar``), which is also what a numeric solver should build its matrices from.
 """
 
 from __future__ import annotations
@@ -191,21 +193,9 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
         )
     task_ids = tuple(table.tasks.ids)
 
-    looks: list[Look] = []
     if mode == "edbf":
         n_copies = max(1, len(task_ids)) if copies is None else copies
-        for p in range(table.n_prfs):
-            frac = dwell_fraction(table, p)
-            for _ in range(n_copies):
-                looks.append(
-                    Look(
-                        index=len(looks) + 1,
-                        prf_index=p,
-                        dwell=table.dwell(p),
-                        dwell_frac=frac,
-                        base=p,
-                    )
-                )
+        bases = [(p, p, None) for p in range(table.n_prfs)]
     else:
         n_copies = 1 if copies is None else copies
         uncovered = [
@@ -215,19 +205,13 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             raise InfeasibleError(
                 f"{len(uncovered)} task(s) enclosed by no disk", task_ids=uncovered
             )
-        for disk in catalog.disks:
-            frac = dwell_fraction(table, disk.prf_index)
-            for _ in range(n_copies):
-                looks.append(
-                    Look(
-                        index=len(looks) + 1,
-                        prf_index=disk.prf_index,
-                        dwell=table.dwell(disk.prf_index),
-                        dwell_frac=frac,
-                        base=disk.id,
-                        disk_id=disk.id,
-                    )
-                )
+        bases = [(disk.id, disk.prf_index, disk.id) for disk in catalog.disks]
+    # each PRF's dwell, as a float and exactly, computed once
+    dwells = [(table.dwell(p), dwell_fraction(table, p)) for p in range(table.n_prfs)]
+    looks: list[Look] = []
+    for base, p, disk_id in bases:
+        for _ in range(n_copies):
+            looks.append(Look(len(looks) + 1, p, *dwells[p], base, disk_id))
     return IpInstance(
         mode=mode, table=table, looks=looks, task_ids=task_ids, catalog=catalog
     )
@@ -497,58 +481,20 @@ def solve_exact(
 # LP text export
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        x = float(x)
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-@dataclass
-class LpModel:
-    """Parsed form of our own LP exports; re-emits byte-identically."""
-
-    comments: list[str]
-    objective: list[tuple[int, str | None, str]]      # (sign, coeff, var)
-    constraints: list[tuple[str, list[tuple[int, str | None, str]], str, str]]
-    binaries: list[str]
-
-
-def _emit_terms(terms) -> str:
+def _expr(terms) -> str:
+    """LP expression of (coefficient, variable) pairs: unit coefficients are
+    left out and negative ones are written ``- ``."""
     parts = []
-    for i, (sign, coeff, var) in enumerate(terms):
-        op = ("- " if sign < 0 else "") if i == 0 else ("- " if sign < 0 else "+ ")
-        body = f"{coeff} {var}" if coeff is not None else var
-        parts.append(("" if i == 0 else " ") + op + body)
-    return "".join(parts)
+    for coeff, var in terms:
+        mag = abs(coeff)
+        if mag != 1:
+            var = f"{int(mag) if mag == int(mag) else mag} {var}"
+        parts.append(("- " if coeff < 0 else "+ " if parts else "") + var)
+    return " ".join(parts)
 
 
-def emit_lp(model: LpModel) -> str:
-    lines = [f"\\ {c}" for c in model.comments]
-    lines.append("Minimize")
-    lines.append(" obj: " + _emit_terms(model.objective))
-    lines.append("Subject To")
-    for name, terms, sense, rhs in model.constraints:
-        lines.append(f" {name}: {_emit_terms(terms)} {sense} {rhs}")
-    lines.append("Binaries")
-    lines.append(" " + " ".join(model.binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _term(coeff, var) -> tuple[int, str | None, str]:
-    if isinstance(coeff, Fraction):
-        coeff = float(coeff)
-    sign = -1 if coeff < 0 else 1
-    mag = abs(coeff)
-    if mag == 1:
-        return (sign, None, var)
-    return (sign, _fmt(mag), var)
-
-
-def build_lp_model(inst: IpInstance, sscfl: bool = False) -> LpModel:
-    """Assemble the LP rows for an instance.
+def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
+    """The instance's integer program as LP text, rows in C1..C7 order.
 
     With ``sscfl`` the slot dimension is dropped along with the successive
     placement and echo-window rows, leaving the capacitated single-source
@@ -557,141 +503,67 @@ def build_lp_model(inst: IpInstance, sscfl: bool = False) -> LpModel:
     n = inst.n_intlv
     tasks = sorted(inst.task_ids)
     looks = inst.looks
+    slots = range(1, n + 1)
     l_inf = inst.l_inf
-    kind = "sscfl" if sscfl else "ip"
-    comments = [
-        f"pulseplan {kind} export v1",
-        f"mode={inst.mode} tasks={len(tasks)} looks={len(looks)} "
+    lines = [
+        f"\\ pulseplan {'sscfl' if sscfl else 'ip'} export v1",
+        f"\\ mode={inst.mode} tasks={len(tasks)} looks={len(looks)} "
         f"n_intlv={n} l_inf={l_inf}",
+        "Minimize",
+        " obj: " + _expr((lk.dwell, f"f_{lk.index}") for lk in looks),
+        "Subject To",
     ]
 
-    def h(tid, j, k=None):
-        return f"h_{tid}_{j}" if k is None else f"h_{tid}_{j}_{k}"
+    def row(name, terms, sense, rhs):
+        lines.append(f" {name}: {_expr(terms)} {sense} {rhs}")
 
-    objective = [_term(lk.dwell, f"f_{lk.index}") for lk in looks]
-    cons = []
     if sscfl:
         for lk in looks:
-            terms = [_term(1, h(t, lk.index)) for t in tasks]
-            terms.append(_term(-n, f"f_{lk.index}"))
-            cons.append((f"c1_{lk.index}", terms, "<=", "0"))
+            j = lk.index
+            row(f"c1_{j}", [(1, f"h_{t}_{j}") for t in tasks] + [(-n, f"f_{j}")], "<=", 0)
         for t in tasks:
-            terms = [_term(1, h(t, lk.index)) for lk in looks]
-            cons.append((f"c2_{t}", terms, "=", "1"))
+            row(f"c2_{t}", [(1, f"h_{t}_{lk.index}") for lk in looks], "=", 1)
         for t in tasks:
             for lk in looks:
-                cons.append(
-                    (f"c5_{t}_{lk.index}", [_term(1, h(t, lk.index))], "<=",
-                     _fmt(1 if inst.av(t, lk) else 0))
-                )
-        binaries = [h(t, lk.index) for t in tasks for lk in looks]
-        binaries += [f"f_{lk.index}" for lk in looks]
-        return LpModel(comments, objective, cons, binaries)
-
-    for lk in looks:
-        j = lk.index
-        terms = [_term(1, h(t, j, k)) for t in tasks for k in range(1, n + 1)]
-        terms.append(_term(-n, f"f_{j}"))
-        cons.append((f"c1_{j}", terms, "<=", "0"))
-    for t in tasks:
-        terms = [_term(1, h(t, lk.index, k)) for lk in looks for k in range(1, n + 1)]
-        cons.append((f"c2_{t}", terms, "=", "1"))
-    for lk in looks:
-        for k in range(1, n + 1):
-            terms = [_term(1, h(t, lk.index, k)) for t in tasks]
-            cons.append((f"c3_{lk.index}_{k}", terms, "<=", "1"))
-    for lk in looks:
-        for k in range(1, n):
-            terms = [_term(1, h(t, lk.index, k)) for t in tasks]
-            terms += [_term(-1, h(t, lk.index, k + 1)) for t in tasks]
-            cons.append((f"c4_{lk.index}_{k}", terms, ">=", "0"))
-    for t in tasks:
+                row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}")], "<=",
+                    int(inst.av(t, lk)))
+        binaries = [f"h_{t}_{lk.index}" for t in tasks for lk in looks]
+    else:
         for lk in looks:
-            terms = [_term(1, h(t, lk.index, k)) for k in range(1, n + 1)]
-            cons.append(
-                (f"c5_{t}_{lk.index}", terms, "<=", _fmt(1 if inst.av(t, lk) else 0))
-            )
-    for lk in looks:
-        for k in range(1, n + 1):
-            terms = []
-            for t in tasks:
-                coeff = k - inst.ar(t, lk)
-                if coeff != 0:
-                    terms.append(_term(coeff, h(t, lk.index, k)))
-            if terms:
-                cons.append((f"c6_{lk.index}_{k}", terms, "<=", "0"))
-    for lk in looks:
-        j = lk.index
-        for k in range(1, n + 1):
-            terms = []
-            for t in tasks:
-                for kk in range(1, n + 1):
-                    coeff = 1
-                    if kk == k:
-                        coeff += l_inf - (k + inst.al(t, lk))
-                    if coeff != 0:
-                        terms.append(_term(coeff, h(t, j, kk)))
-            cons.append((f"c7_{j}_{k}", terms, "<=", _fmt(l_inf)))
-
-    binaries = [
-        h(t, lk.index, k) for t in tasks for lk in looks for k in range(1, n + 1)
-    ]
+            j = lk.index
+            row(f"c1_{j}", [(1, f"h_{t}_{j}_{k}") for t in tasks for k in slots]
+                + [(-n, f"f_{j}")], "<=", 0)
+        for t in tasks:
+            row(f"c2_{t}", [(1, f"h_{t}_{lk.index}_{k}") for lk in looks for k in slots],
+                "=", 1)
+        for lk in looks:
+            for k in slots:
+                row(f"c3_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t in tasks],
+                    "<=", 1)
+        for lk in looks:
+            for k in range(1, n):
+                row(f"c4_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t in tasks]
+                    + [(-1, f"h_{t}_{lk.index}_{k + 1}") for t in tasks], ">=", 0)
+        for t in tasks:
+            for lk in looks:
+                row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}_{k}") for k in slots],
+                    "<=", int(inst.av(t, lk)))
+        for lk in looks:
+            for k in slots:
+                # a task whose A_r equals k has a zero coefficient; an empty
+                # row is left out
+                terms = [(c, f"h_{t}_{lk.index}_{k}") for t in tasks
+                         if (c := k - inst.ar(t, lk))]
+                if terms:
+                    row(f"c6_{lk.index}_{k}", terms, "<=", 0)
+        for lk in looks:
+            for k in slots:
+                # l_inf > k + A_l, so every coefficient is at least 1
+                row(f"c7_{lk.index}_{k}",
+                    [(1 + (l_inf - k - inst.al(t, lk) if kk == k else 0),
+                      f"h_{t}_{lk.index}_{kk}") for t in tasks for kk in slots],
+                    "<=", l_inf)
+        binaries = [f"h_{t}_{lk.index}_{k}" for t in tasks for lk in looks for k in slots]
     binaries += [f"f_{lk.index}" for lk in looks]
-    return LpModel(comments, objective, cons, binaries)
-
-
-def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
-    return emit_lp(build_lp_model(inst, sscfl=sscfl))
-
-
-def _parse_terms(text: str) -> list[tuple[int, str | None, str]]:
-    tokens = text.split()
-    terms = []
-    sign = 1
-    pending: str | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif tok[0].isdigit() or (tok[0] == "." and len(tok) > 1):
-            pending = tok
-        else:
-            terms.append((sign, pending, tok))
-            sign = 1
-            pending = None
-    return terms
-
-
-def parse_lp(text: str) -> LpModel:
-    """Parse the subset of LP format produced by :func:`export_lp`."""
-    comments: list[str] = []
-    objective = []
-    constraints = []
-    binaries: list[str] = []
-    section = None
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            comments.append(line[1:].strip())
-            continue
-        if line in ("Minimize", "Subject To", "Binaries", "End"):
-            section = line
-            continue
-        body = line.strip()
-        if section == "Minimize":
-            _, expr = body.split(":", 1)
-            objective = _parse_terms(expr)
-        elif section == "Subject To":
-            name, rest = body.split(":", 1)
-            tokens = rest.split()
-            sense_pos = max(
-                i for i, tok in enumerate(tokens) if tok in ("<=", ">=", "=")
-            )
-            terms = _parse_terms(" ".join(tokens[:sense_pos]))
-            constraints.append((name.strip(), terms, tokens[sense_pos], tokens[sense_pos + 1]))
-        elif section == "Binaries":
-            binaries.extend(body.split())
-    return LpModel(comments, objective, constraints, binaries)
+    lines += ["Binaries", " " + " ".join(binaries), "End"]
+    return "\n".join(lines) + "\n"

@@ -171,9 +171,9 @@ class ScalingReport:
         return "\n".join(lines) + "\n"
 
 
-def _time_one(mode, backend, spec, cfg, prfs, grid, rules):
+def _time_one(mode, backend, spec, grid):
     """One generation + timed run; returns (prep_s, sched_s, counters, looks)."""
-    cfg, prfs, tasks = gen_scenario(spec, cfg, prfs)
+    cfg, prfs, tasks = gen_scenario(spec)
     counters = OpCounters()
     t0 = time.perf_counter()
     table = build_availability_table(tasks, prfs, cfg)
@@ -181,13 +181,13 @@ def _time_one(mode, backend, spec, cfg, prfs, grid, rules):
         catalog = enumerate_disks(table, grid)
         run = SdbfRun(
             catalog,
-            DiskHeuristicConfig(backend=backend, seed=spec.seed, **rules),
+            DiskHeuristicConfig(backend=backend, seed=spec.seed),
             counters,
         )
     else:
         run = EdbfRun(
             table,
-            HeuristicConfig(backend=backend, seed=spec.seed, **rules),
+            HeuristicConfig(backend=backend, seed=spec.seed),
             counters,
         )
     t1 = time.perf_counter()
@@ -202,15 +202,12 @@ def run_scaling(
     sizes,
     reps: int = 5,
     template: ScenarioSpec | None = None,
-    cfg: RadarConfig | None = None,
-    prfs=None,
     grid: GridSpec | None = None,
-    rules: dict | None = None,
 ) -> ScalingReport:
     """Median-of-reps timings across strictly increasing sizes.
 
-    Radar configuration, PRF set, interleaving capacity, and the grid stay
-    fixed across sizes so only the task count scales.  Refuses to fit fewer
+    Every run uses the default radar configuration, PRF set and rules and
+    the one grid, so only the task count scales.  Refuses to fit fewer
     than four sizes.  Repetitions run one after another in this process,
     so each timing is exclusive.  ``prep_ms`` times the availability table
     and the structures; ``gen_scenario`` already returns columns, so no
@@ -225,15 +222,13 @@ def run_scaling(
         raise ValueError("mode must be 'edbf' or 'sdbf'")
     template = template if template is not None else ScenarioSpec(n_tasks=0, seed=0)
     grid = grid if grid is not None else GridSpec()
-    rules = dict(rules) if rules else {}
 
     rows = []
     for size in sizes:
         preps, scheds, totals, ops, iters, bi_max, looks = [], [], [], [], [], [], []
         for rep in range(reps):
             spec = replace(template, n_tasks=size, seed=template.seed + 1000 * rep)
-            prep_s, sched_s, counters, n_looks = _time_one(
-                mode, backend, spec, cfg, prfs, grid, rules)
+            prep_s, sched_s, counters, n_looks = _time_one(mode, backend, spec, grid)
             preps.append(prep_s * 1e3)
             scheds.append(sched_s * 1e3)
             totals.append((prep_s + sched_s) * 1e3)

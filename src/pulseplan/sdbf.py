@@ -25,6 +25,7 @@ from .structures import BACKEND_KINDS, BucketList, OpCounters, build_backend
 
 DISK_RULES = ("GD", "RGD", "WGD")
 SUB_RULES = ("R", "SD")
+DUMP_DISKS = 20                # disks listed by ``SdbfRun.dump_structures``
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class SdbfRun:
         return build_backend(self.cfg.backend, self.store, disk.prf_index,
                              self._live_rows(disk), self.counters)
 
-    def dump_structures(self, max_disks: int = 20) -> str:
+    def dump_structures(self) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
         selector = self.selector
         if selector.buckets is not None:
@@ -167,10 +168,10 @@ class SdbfRun:
             parts = [BucketList(selector.count).dump()]
         else:
             parts = ["weighted disk order (top of list selected)"]
-            for w, dwell, d in list(selector.ordered)[-max_disks:]:
+            for w, dwell, d in list(selector.ordered)[-DUMP_DISKS:]:
                 parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
-        parts.append(f"catalog: {self.catalog.n_disks} disks, first {max_disks}:")
-        for disk in self.catalog.disks[:max_disks]:
+        parts.append(f"catalog: {self.catalog.n_disks} disks, first {DUMP_DISKS}:")
+        for disk in self.catalog.disks[:DUMP_DISKS]:
             live = [self.store.ids[row] for row in self._live_rows(disk)]
             parts.append(
                 f"  disk {disk.id} prf {disk.prf_index} "

@@ -18,8 +18,11 @@ from pulseplan import (
     RadarConfig,
     ScenarioSpec,
     build_availability_table,
+    build_instance,
+    dedup_disks,
     default_prf_set,
     enumerate_disks,
+    export_lp,
     gen_scenario,
     hied,
     hisd,
@@ -209,3 +212,38 @@ def test_operation_counts_pinned(key):
         hisd(catalog, DiskHeuristicConfig(disk_rule=main_rule, sub_rule=rule2,
                                           backend=backend, seed=SEED), counters)
     assert counters.snapshot() == PINNED_OPS[key]
+
+
+# sha256 of export_lp text for a 6-task scenario with n_intlv 4 and 3 PRFs
+# (the oracle-10 shape), recorded with the text-model LP writer.  The sdbf
+# instance is built from the deduplicated disk catalog, as export-lp does.
+LP_DIGESTS = {
+    ("edbf", None, False): "bad7b6f7691727d520a452d0d15c8463f929fc04c38e4925c825bd1af7c9d0e0",
+    ("edbf", None, True): "86b20e872bbef44ba21af8cc259c9aa0a401ca61ea0dda50598878047f4704ab",
+    ("edbf", 1, False): "6f110844e09aa45f108278c481d5fe12c5fbc3c4bd5c7835a0e5af4952367ed8",
+    ("edbf", 1, True): "9fa038c34dbcfb6e1e02b9f46a5df8e37778f84a1042846aa74958d6e3d302fb",
+    ("edbf", 2, False): "9c5fabb5bb83dfb8c825abf7b079ac0af6c23d25a695d2da21843a8503996d7f",
+    ("edbf", 2, True): "bfb58d354b26e7a84090de74c4593fe591cc638741b5bb498187f70bcbdc72d4",
+    ("sdbf", None, False): "1cda6daf463a1cffbc1b729d05e207bdbadd80042e4cb6f394d38c752cf172ab",
+    ("sdbf", None, True): "2fc4b1a6ed76d4390882f37622f1a60b82141d7abae5c3814d19da750ab670c1",
+    ("sdbf", 1, False): "1cda6daf463a1cffbc1b729d05e207bdbadd80042e4cb6f394d38c752cf172ab",
+    ("sdbf", 1, True): "2fc4b1a6ed76d4390882f37622f1a60b82141d7abae5c3814d19da750ab670c1",
+    ("sdbf", 2, False): "7f540d11a06f7225e1c2f9829bd220bc58d6a95f783420f0a05f2589dea1d8de",
+    ("sdbf", 2, True): "aed461772172b73620609752016e599c8d751ef5e82319bab6c6052a780d6c48",
+}
+
+
+@pytest.fixture(scope="module")
+def lp_sources():
+    cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=6, seed=2),
+                                    RadarConfig(n_intlv=4), default_prf_set(count=3))
+    table = build_availability_table(tasks, prfs, cfg)
+    return {"edbf": table, "sdbf": dedup_disks(enumerate_disks(table, GridSpec()))}
+
+
+@pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+@pytest.mark.parametrize("copies", [None, 1, 2])
+@pytest.mark.parametrize("sscfl", [False, True])
+def test_lp_export_bytes_pinned(lp_sources, mode, copies, sscfl):
+    text = export_lp(build_instance(lp_sources[mode], copies=copies), sscfl=sscfl)
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_DIGESTS[mode, copies, sscfl]

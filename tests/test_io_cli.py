@@ -288,7 +288,33 @@ class TestColumnarParser:
         assert big in [tid for tid, _, _ in parse_schedule(out.read_text()).assignments]
 
 
+# malformed schedule lines; each must raise ScenarioError naming its line
+MALFORMED_SCHEDULE = {
+    "non-numeric value": "assign task=x look=1 slot=1",
+    "look missing fields": "look index=1",
+    "assign missing slot": "assign task=1 look=1",
+    "unknown field": "assign task=1 look=1 slot=1 beam=2",
+    "repeated field": "assign task=1 look=1 slot=1 slot=1",
+    "field without value": "assign task=1 look=1 slot",
+    "unknown record": "track index=1",
+    "disk without center": "look index=1 prf=0 f_r=10500.0 dwell=0.006 disk=3",
+    "center without disk": "look index=1 prf=0 f_r=10500.0 dwell=0.006 disk_u=0.1 disk_v=0.2",
+    "non-numeric disk_u": ("look index=1 prf=0 f_r=10500.0 dwell=0.006 disk=3 "
+                           "disk_u=left disk_v=0.2"),
+    "non-integer unschedulable id": "unschedulable 3 x",
+    "meta field without value": "meta mode",
+}
+
+
 class TestScheduleFormat:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULE))
+    def test_malformed_line_names_its_number(self, case):
+        # blank and comment lines count towards the line number
+        text = (f"{pio.SCHEDULE_TAG}\n# a comment\n\nmeta mode=edbf\n"
+                f"{MALFORMED_SCHEDULE[case]}\nassign task=1 look=1 slot=1\n")
+        with pytest.raises(ScenarioError, match=r"^line 5: "):
+            parse_schedule(text)
+
     def test_round_trip_revalidates(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=20, seed=2))
         table = build_availability_table(tasks, prfs, cfg)

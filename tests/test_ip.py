@@ -18,10 +18,8 @@ from pulseplan import (
     export_lp,
     gen_scenario,
     hied,
-    parse_lp,
     solve_exact,
 )
-from pulseplan.ip import emit_lp
 from pulseplan.scenario import ScenarioSpec
 from oracles import exhaustive_optimum, timeline_feasible
 
@@ -279,27 +277,19 @@ class TestExactSolver:
 class TestLpExport:
     def test_tiny_instance_rows(self):
         table, inst = small_instance(1, seed=12, prfs=default_prf_set(count=2))
-        text = export_lp(inst)
-        model = parse_lp(text)
-        f_vars = [v for v in model.binaries if v.startswith("f_")]
-        assert len(f_vars) == inst.n_looks
-        c2 = [c for c in model.constraints if c[0] == "c2_1"]
-        assert len(c2) == 1 and c2[0][2] == "=" and c2[0][3] == "1"
-
-    def test_round_trip_byte_identical(self):
-        table, inst = small_instance(3, seed=13, prfs=default_prf_set(count=2))
-        for sscfl in (False, True):
-            text = export_lp(inst, sscfl=sscfl)
-            assert emit_lp(parse_lp(text)) == text
+        lines = export_lp(inst).splitlines()
+        binaries = lines[lines.index("Binaries") + 1].split()
+        assert len([v for v in binaries if v.startswith("f_")]) == inst.n_looks
+        c2 = [line for line in lines if line.startswith(" c2_1: ")]
+        assert len(c2) == 1 and c2[0].endswith(" = 1")
 
     def test_sscfl_drops_slot_dimension(self):
         table, inst = small_instance(2, seed=14, prfs=default_prf_set(count=2))
-        text = export_lp(inst, sscfl=True)
-        model = parse_lp(text)
-        h_vars = [v for v in model.binaries if v.startswith("h_")]
-        assert all(v.count("_") == 2 for v in h_vars)
-        names = {c[0].split("_")[0] for c in model.constraints}
-        assert names == {"c1", "c2", "c5"}
+        lines = export_lp(inst, sscfl=True).splitlines()
+        binaries = lines[lines.index("Binaries") + 1].split()
+        assert all(v.count("_") == 2 for v in binaries if v.startswith("h_"))
+        rows = lines[lines.index("Subject To") + 1:lines.index("Binaries")]
+        assert {row.split(":")[0].split("_")[0].strip() for row in rows} == {"c1", "c2", "c5"}
 
     def test_big_m_value_emitted(self):
         table, inst = small_instance(2, seed=15, prfs=default_prf_set(count=2))
