@@ -7,19 +7,19 @@ later consume: the availability flag and the left/right slot counts.
 """
 
 from pulseplan import (
+    RadarConfig,
     TrackTask,
     ambiguous_frequency,
     ambiguous_range,
     blind_widths,
     default_prf_set,
-    default_radar_config,
     is_trackable,
     leftward_availability,
     rightward_availability,
     unambiguous_range,
 )
 
-cfg = default_radar_config()
+cfg = RadarConfig()
 prfs = default_prf_set()
 
 target = TrackTask(id=1, range_m=58_000.0, sigma_r=30.0, velocity=-210.0,

@@ -25,7 +25,6 @@ from .radar import (
     blind_widths,
     build_availability_table,
     default_prf_set,
-    default_radar_config,
     is_trackable,
     leftward_availability,
     rightward_availability,
@@ -93,7 +92,6 @@ __all__ = [
     "check_feasible",
     "dedup_disks",
     "default_prf_set",
-    "default_radar_config",
     "enumerate_disks",
     "exact_objective",
     "export_lp",

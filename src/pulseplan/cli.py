@@ -252,11 +252,12 @@ def _cmd_oracle_compare(args) -> int:
                 ).run()
             results.append((rules, schedule))
 
-        check_inst = build_instance(source, copies=copies)
+        # C1-C8 and the objective read no candidate look, so one copy each
+        check_inst = build_instance(source, copies=1)
         optimal = None
         if not args.heuristic_only:
-            inst = (build_instance(dedup_disks(source), copies=copies)
-                    if mode == "sdbf" else check_inst)
+            inst = build_instance(dedup_disks(source) if mode == "sdbf" else source,
+                                  copies=copies)
             exact = solve_exact(inst, warm=None)
             if exact is None:
                 raise InfeasibleError("instance admits no feasible schedule")

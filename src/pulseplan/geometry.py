@@ -3,7 +3,9 @@
 Targets are projected onto the normalized scanning plane (the unit disk of
 direction cosines).  For each PRF, every grid point within the re-steering
 radius of some trackable target becomes the center of a candidate disk; the
-tasks enclosed by a disk may share an interleaved look.
+tasks enclosed by a disk may share an interleaved look.  The catalog holds
+membership only; the disk rules' scores are computed by the scheduler that
+reads them (``sdbf.DiskSelector``).
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class Disk:
     gu: int                  # grid column index; center u = gu * spacing
     gv: int                  # grid row index; center v = gv * spacing
     tasks: list[int] = field(default_factory=list)
-    weight: float = 0.0      # sum of 1/|available disks| over enclosed tasks
 
     def center(self, grid: GridSpec) -> tuple[float, float]:
         return (self.gu * grid.spacing, self.gv * grid.spacing)
@@ -78,8 +79,8 @@ class DiskCatalog:
 
     ``task_disks[task_id]`` lists the disk ids enclosing the task (its
     available-disk set); ``q_d`` is the total membership count.  The catalog
-    is immutable once built; schedulers track consumption in their own
-    structures.
+    is immutable once built; schedulers score disks and track consumption
+    in their own structures.
     """
 
     grid: GridSpec
@@ -169,10 +170,9 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     scan over the PRFs, each PRF's task-set rows and each row's cells in
     (gu, gv) order, which gives a new cell the next disk id and appends the
     task to the cell's disk.  So disk ids are in (PRF, first-touch) order,
-    each disk's ``tasks`` and each ``task_disks`` list are in scan order,
-    and weights are summed left to right over ``tasks``.  Members are the
-    tasks' own id objects, and each disk id is one int object shared by
-    ``Disk.id``, ``by_prf`` and ``task_disks``.
+    and each disk's ``tasks`` and each ``task_disks`` list are in scan
+    order.  Members are the tasks' own id objects, and each disk id is one
+    int object shared by ``Disk.id``, ``by_prf`` and ``task_disks``.
     """
     tasks = table.tasks
     rows = table.schedulable_rows()
@@ -220,10 +220,6 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
         for tid, hi in zip(ids[prf_rows].tolist(), ends.tolist()):
             task_disks[tid].extend(cell_disks[lo:hi])
             lo = hi
-
-    recip = {tid: 1.0 / len(d) for tid, d in task_disks.items() if d}
-    for disk in disks:
-        disk.weight = sum(map(recip.__getitem__, disk.tasks))
 
     catalog = DiskCatalog(
         grid=grid, table=table, disks=disks, by_prf=by_prf, task_disks=task_disks
@@ -277,7 +273,6 @@ def dedup_disks(catalog: DiskCatalog) -> DiskCatalog:
             gu=disk.gu,
             gv=disk.gv,
             tasks=list(disk.tasks),
-            weight=disk.weight,
         )
         disks.append(renumbered)
         by_prf[disk.prf_index].append(renumbered.id)

@@ -123,16 +123,8 @@ class IpInstance:
         return self.table.cfg.n_intlv
 
     @property
-    def n_looks(self) -> int:
-        return len(self.looks)
-
-    @property
     def n_bases(self) -> int:
         return len({lk.base for lk in self.looks})
-
-    def var_count(self) -> int:
-        n_t = len(self.task_ids)
-        return n_t * self.n_looks * self.n_intlv + self.n_looks
 
     @property
     def l_inf(self) -> int:

@@ -33,7 +33,8 @@ INF = math.inf      # dataclass checks read "lo < x < INF", which NaN fails too
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """Radar-wide constants and interleaving capacity."""
+    """Radar-wide constants and interleaving capacity; the defaults are
+    medium-PRF airborne style values."""
 
     c: float = WAVE_SPEED              # wave propagation speed, m/s
     wavelength: float = 0.03           # m
@@ -430,11 +431,6 @@ def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable
         q_p=int(per_row.sum()),
         unschedulable=unschedulable,
     )
-
-
-def default_radar_config(**overrides) -> RadarConfig:
-    """Medium-PRF airborne style defaults used throughout tests and demos."""
-    return RadarConfig(**overrides)
 
 
 def default_prf_set(

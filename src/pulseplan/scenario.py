@@ -23,7 +23,6 @@ from .radar import (
     availability_arrays,
     build_availability_table,
     default_prf_set,
-    default_radar_config,
 )
 from .sdbf import DiskHeuristicConfig, SdbfRun
 from .structures import OpCounters
@@ -72,7 +71,7 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
     when each kept row became its own ``TrackTask``; ``TaskColumns`` still
     runs the ``TrackTask`` checks on every row.
     """
-    cfg = cfg if cfg is not None else default_radar_config()
+    cfg = cfg if cfg is not None else RadarConfig()
     prfs = tuple(prfs) if prfs is not None else default_prf_set()
     rng = np.random.default_rng(spec.seed)
 

@@ -6,8 +6,10 @@ selects a disk by cardinality (greedy, reverse greedy) or weighted
 cardinality and builds a selection backend over the disk's rows that the
 run's task store still holds live; the loop packs them with the backward
 procedure, and the source then removes each scheduled task from every disk
-that encloses it.  Duplicate and
-subset disks stay in play; consuming tasks empties them out naturally.
+that encloses it, in one ``DiskSelector.consume`` call per task.  The
+selector is the one place that computes a disk rule, the WGD weights
+included.  Duplicate and subset disks stay in play; consuming tasks empties
+them out naturally.
 """
 
 from __future__ import annotations
@@ -50,19 +52,21 @@ class DiskHeuristicConfig:
 
 
 class DiskSelector:
-    """Orders live disks by the main index with the configured tie-break.
+    """The disk rules: orders live disks by the main index with the
+    configured tie-break, and consumes each placed task's memberships.
 
     GD and RGD with the random sub-rule ride on the integer bucket list
     (constant-time selection).  The dwell sub-index and the weighted rule
     need an ordered structure: one SortedList of (primary, dwell, disk id)
     entries, whose primary is the weight (WGD), the live member count (GD)
     or minus it (RGD), so the selection takes the largest primary, then the
-    smallest dwell and id, at a logarithm of the live disk count.  Weights
-    are sums of frozen reciprocals 1/|available disks of task|, decremented
-    as members are consumed; an entry leaves when its member count reaches
-    0, never by float weight.  Only what the rules read is built: dwell
-    times, member counts and primaries for the ordered list (the bucket
-    list holds the other greedy counts).
+    smallest dwell and id, at a logarithm of the live disk count.  A WGD
+    weight is built here from the catalog it is given: each task's share
+    1/|available disks of task|, summed left to right over the disk's tasks.
+    A consumed task takes its share off each of its disks; an entry leaves
+    when its member count reaches 0, never by float weight.  Only what the
+    rules read is built: dwell times, member counts and primaries for the
+    ordered list (the bucket list holds the other greedy counts).
     """
 
     def __init__(self, main_rule, sub_rule, catalog: DiskCatalog,
@@ -81,12 +85,13 @@ class DiskSelector:
         self.dwell = {d.id: table.dwell(d.prf_index) for d in disks}
         self.count = counts
         if main_rule == "WGD":
-            self.primary = {d.id: d.weight for d in disks}
+            share = {tid: 1.0 / len(ds) for tid, ds in catalog.task_disks.items() if ds}
+            self.primary = {d.id: sum(map(share.__getitem__, d.tasks)) for d in disks}
         else:
             sign = 1 if main_rule == "GD" else -1
             self.primary = {d: sign * c for d, c in counts.items()}
         # what one consumed member takes off the primary; WGD takes the
-        # task's reciprocal instead
+        # task's share instead
         self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
         self.ordered = SortedList(
             (self.primary[d], self.dwell[d], d) for d, c in counts.items() if c)
@@ -106,23 +111,37 @@ class DiskSelector:
             return self.ordered[lo][2]
         return self.ordered[rng.randrange(lo, len(self.ordered))][2]
 
-    def remove_member(self, disk_id: int, reciprocal: float):
-        """A task enclosed by this disk was scheduled somewhere: one
-        ``bucket_ops``.  ``reciprocal`` is the task's weight share, which
-        only WGD reads.  The bucket list consumes through
-        ``buckets.decrement`` instead."""
-        self.counters.bucket_ops += 1
-        count = self.count[disk_id]
-        if count == 0:
-            raise InternalInvariantError("disk member count went negative")
-        self.count[disk_id] = count - 1
-        primary = self.primary[disk_id]
-        dwell = self.dwell[disk_id]
-        self.ordered.remove((primary, dwell, disk_id))
-        if count > 1:
-            primary -= reciprocal if self._drop is None else self._drop
-            self.primary[disk_id] = primary
-            self.ordered.add((primary, dwell, disk_id))
+    def consume(self, disks) -> None:
+        """A placed task leaves each disk of ``disks``, its available-disk
+        ids, in turn.  All ``len(disks)`` ``bucket_ops`` are counted up
+        front, as ``BucketList.decrement`` does."""
+        if self.buckets is not None:
+            self.buckets.decrement(disks)
+            return
+        self.counters.bucket_ops += len(disks)
+        drop = 1.0 / len(disks) if self._drop is None else self._drop
+        count, primary, dwell, ordered = self.count, self.primary, self.dwell, self.ordered
+        for d in disks:
+            c = count[d]
+            if c == 0:
+                raise InternalInvariantError("disk member count went negative")
+            count[d] = c - 1
+            ordered.remove((primary[d], dwell[d], d))
+            if c > 1:
+                primary[d] -= drop
+                ordered.add((primary[d], dwell[d], d))
+
+    def dump(self) -> str:
+        """Indented snapshot of the selection state (debug aid)."""
+        if self.buckets is not None:
+            return self.buckets.dump()
+        if self.main_rule != "WGD":
+            # GD/RGD with SD: the live counts, grouped as a bucket list
+            return BucketList(self.count).dump()
+        parts = ["weighted disk order (top of list selected)"]
+        for w, dwell, d in self.ordered[-DUMP_DISKS:]:
+            parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
+        return "\n".join(parts)
 
 
 class SdbfRun:
@@ -160,17 +179,8 @@ class SdbfRun:
 
     def dump_structures(self) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
-        selector = self.selector
-        if selector.buckets is not None:
-            parts = [selector.buckets.dump()]
-        elif selector.main_rule != "WGD":
-            # GD/RGD with SD: the live counts, grouped as a bucket list
-            parts = [BucketList(selector.count).dump()]
-        else:
-            parts = ["weighted disk order (top of list selected)"]
-            for w, dwell, d in list(selector.ordered)[-DUMP_DISKS:]:
-                parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
-        parts.append(f"catalog: {self.catalog.n_disks} disks, first {DUMP_DISKS}:")
+        parts = [self.selector.dump(),
+                 f"catalog: {self.catalog.n_disks} disks, first {DUMP_DISKS}:"]
         for disk in self.catalog.disks[:DUMP_DISKS]:
             live = [self.store.ids[row] for row in self._live_rows(disk)]
             parts.append(
@@ -194,14 +204,7 @@ class SdbfRun:
     def consume(self, row: int) -> None:
         """The store and the look's backend dropped the row when it was
         placed; only the disk selector is left."""
-        tid = self.store.ids[row]
-        disks = self.catalog.task_disks[tid]
-        if self.selector.buckets is not None:
-            self.selector.buckets.decrement(disks)
-            return
-        recip = 1.0 / len(disks)
-        for d in disks:
-            self.selector.remove_member(d, recip)
+        self.selector.consume(self.catalog.task_disks[self.store.ids[row]])
 
     def run(self) -> Schedule:
         cfg = self.cfg

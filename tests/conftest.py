@@ -5,12 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pulseplan import PrfConfig, RadarConfig, default_prf_set, default_radar_config
+from pulseplan import PrfConfig, RadarConfig, default_prf_set
 
 
 @pytest.fixture
 def cfg():
-    return default_radar_config()
+    return RadarConfig()
 
 
 @pytest.fixture

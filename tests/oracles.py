@@ -14,10 +14,10 @@ import numpy as np
 from pulseplan.errors import InternalInvariantError
 from pulseplan.io import SCENARIO_TAG, _fields
 from pulseplan.radar import (
+    RadarConfig,
     TrackTask,
     availability_arrays,
     default_prf_set,
-    default_radar_config,
 )
 from pulseplan.scenario import _uniform_disk
 from pulseplan.structures import (
@@ -174,8 +174,7 @@ def stepwise_disks(table, grid):
     row, per cell of the padded box in (gu, gv) order that passes the exact
     Euclidean predicate, a new cell takes the next disk id and the task is
     appended to the cell's disk.  Returns ``(disks, by_prf, task_disks)``
-    with disks as ``(id, prf_index, gu, gv, tasks, weight)`` tuples; weights
-    are summed left to right over each disk's tasks.
+    with disks as ``(id, prf_index, gu, gv, tasks)`` tuples.
     """
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
@@ -208,11 +207,6 @@ def stepwise_disks(table, grid):
                     disks[did][4].append(tid)
                     task_disks[tid].append(did)
         by_prf.append(prf_disks)
-    disks = [
-        (did, p, gu, gv, members,
-         sum(1.0 / len(task_disks[t]) for t in members))
-        for did, p, gu, gv, members in disks
-    ]
     return disks, by_prf, task_disks
 
 
@@ -398,7 +392,7 @@ def rowwise_gen_scenario(spec, cfg=None, prfs=None):
     """``gen_scenario`` one row at a time: the same draws, kept rows
     converted with ``float`` into one ``TrackTask`` each; returns (cfg,
     prfs, tuple of ``TrackTask``)."""
-    cfg = cfg if cfg is not None else default_radar_config()
+    cfg = cfg if cfg is not None else RadarConfig()
     prfs = tuple(prfs) if prfs is not None else default_prf_set()
     rng = np.random.default_rng(spec.seed)
 

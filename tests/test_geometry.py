@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
     GridSpec,
+    RadarConfig,
     ScenarioError,
     TrackTask,
     build_availability_table,
     default_prf_set,
-    default_radar_config,
     dedup_disks,
     enumerate_disks,
     gen_scenario,
@@ -144,18 +144,9 @@ class TestEnumerateDisks:
             k_p = len(table.task_sets[p])
             assert catalog.n_disks_for_prf(p) <= DISK_DENSITY_BOUND * ratio * ratio * max(1, k_p)
 
-    def test_weights_are_reciprocal_sums(self, cfg, prfs):
-        grid = GridSpec(spacing=0.02, disk_radius=0.05)
-        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=20, seed=6), cfg, prfs)
-        table = build_availability_table(tasks, prfs, cfg)
-        catalog = enumerate_disks(table, grid)
-        for d in catalog.disks:
-            want = sum(1.0 / len(catalog.task_disks[t]) for t in d.tasks)
-            assert d.weight == pytest.approx(want)
-
 
 def catalog_fields(catalog):
-    disks = [(d.id, d.prf_index, d.gu, d.gv, d.tasks, d.weight)
+    disks = [(d.id, d.prf_index, d.gu, d.gv, d.tasks)
              for d in catalog.disks]
     return disks, catalog.by_prf, catalog.task_disks
 
@@ -212,7 +203,7 @@ def catalog_inputs(draw):
         tasks.append(TrackTask(id=1000 + i, range_m=draw(st.floats(20000.0, 120000.0)),
                                sigma_r=sigma_r, velocity=-90.0, sigma_f=10.0,
                                u=u, v=v))
-    table = build_availability_table(tasks, prfs, default_radar_config())
+    table = build_availability_table(tasks, prfs, RadarConfig())
     return table, GridSpec(spacing=eps, disk_radius=r)
 
 

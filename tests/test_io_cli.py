@@ -509,6 +509,28 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert "exact" not in out.read_text()
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "b056d7b84422c5d9d2bed06fa0e3e4cb3042733ffe235b8c90fb1042d201fc25"),
+        (["--heuristic-only"],
+         "703a71bd207c8a50d3417319765a82c01be9feed4af4a129ad0a7069c65cb175"),
+    ])
+    def test_oracle_compare_bytes_pinned(self, flags, digest, small_scenario_file,
+                                         tmp_path):
+        # recorded while the check instance still held one look copy per task
+        out = tmp_path / "cmp.txt"
+        assert main(["oracle-compare", str(small_scenario_file), "--mode", "both",
+                     *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_oracle_compare_heuristic_only_builds_one_copy(self, scenario_file,
+                                                          tmp_path):
+        # C1-C8 and the objective read no candidate look: one copy is enough
+        with mock.patch("pulseplan.cli.build_instance",
+                        side_effect=build_instance) as spy:
+            assert main(["oracle-compare", str(scenario_file), "--mode", "both",
+                         "--heuristic-only", "--out", str(tmp_path / "ho.txt")]) == 0
+        assert [c.kwargs["copies"] for c in spy.call_args_list] == [1, 1]
+
     def test_bench_subcommand(self, tmp_path):
         out = tmp_path / "bench.txt"
         code = main(["bench", "--sizes", "50,100,200,400", "--reps", "1",

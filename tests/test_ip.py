@@ -61,8 +61,7 @@ def manual_schedule(inst, rows, prf_index=0):
 class TestInstanceShape:
     def test_edbf_look_count(self):
         table, inst = small_instance(3, seed=0, prfs=default_prf_set(count=2))
-        assert inst.n_looks == 6          # task count copies per PRF
-        assert inst.var_count() == 3 * 6 * 4 + 6
+        assert len(inst.looks) == 6       # task count copies per PRF
 
     def test_sdbf_look_count(self, cfg, prfs):
         from pulseplan import GridSpec, dedup_disks, enumerate_disks
@@ -71,7 +70,7 @@ class TestInstanceShape:
         table = build_availability_table(tasks, prfs, cfg)
         catalog = dedup_disks(enumerate_disks(table, GridSpec()))
         inst = build_instance(catalog)
-        assert inst.n_looks == catalog.n_disks
+        assert len(inst.looks) == catalog.n_disks
 
     @pytest.mark.parametrize("copies", [0, -3])
     def test_copies_below_one_rejected(self, cfg, prfs, copies):
@@ -279,7 +278,7 @@ class TestLpExport:
         table, inst = small_instance(1, seed=12, prfs=default_prf_set(count=2))
         lines = export_lp(inst).splitlines()
         binaries = lines[lines.index("Binaries") + 1].split()
-        assert len([v for v in binaries if v.startswith("f_")]) == inst.n_looks
+        assert len([v for v in binaries if v.startswith("f_")]) == len(inst.looks)
         c2 = [line for line in lines if line.startswith(" c2_1: ")]
         assert len(c2) == 1 and c2[0].endswith(" = 1")
 

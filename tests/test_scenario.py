@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
+    RadarConfig,
     ScenarioSpec,
     TrackTask,
     build_availability_table,
     default_prf_set,
-    default_radar_config,
     fit_complexity,
     gen_scenario,
     run_scaling,
@@ -54,7 +54,7 @@ class TestGeneration:
     def test_schedulable_fraction_of_raw_draws(self):
         # measured over a thousand raw draws against the availability mask;
         # the default ladder keeps well over nine in ten draws trackable
-        cfg = default_radar_config()
+        cfg = RadarConfig()
         prfs = default_prf_set()
         rng = np.random.default_rng(5)
         n = 1000
@@ -186,7 +186,7 @@ class TestScalingHarness:
         assert sizes == [100, 200, 400, 800]
         ops = [row.backend_ops for row in report.rows]
         assert all(b > a for a, b in zip(ops, ops[1:]))
-        n_intlv = default_radar_config().n_intlv
+        n_intlv = RadarConfig().n_intlv
         assert all(row.bi_max_iterations <= 2 * n_intlv for row in report.rows)
         assert report.counter_exponent == pytest.approx(1.0, abs=0.25)
         text = report.to_text()

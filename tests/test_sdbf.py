@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from pulseplan import (
     build_availability_table,
     build_instance,
     check_feasible,
+    dedup_disks,
+    default_prf_set,
     enumerate_disks,
     gen_scenario,
     hisd,
@@ -155,79 +158,101 @@ class TestHisd:
                                                       sub_rule=sub_rule), counters)
             assert counters.selector_ops == len(sched.looks), (disk_rule, sub_rule)
 
+def fake_catalog(prf_of, dwells, task_disks):
+    """Catalog-like layout: disk ``d`` at PRF ``prf_of[d]``, PRF ``p`` with
+    dwell ``dwells[p]``, and ``task_disks`` mapping each task id to its disk
+    ids; each disk lists its tasks in ``task_disks`` order."""
+    disks = [SimpleNamespace(id=d, prf_index=p,
+                             tasks=[t for t, ds in task_disks.items() if d in ds])
+             for d, p in enumerate(prf_of)]
+    return SimpleNamespace(table=SimpleNamespace(dwell=dwells.__getitem__),
+                           disks=disks, task_disks=task_disks)
+
+
+def apart(*sizes):
+    """``task_disks`` of disks 0, 1, ... holding ``sizes`` tasks, no task
+    shared between disks."""
+    owner = [d for d, n in enumerate(sizes) for _ in range(n)]
+    return {t: [d] for t, d in enumerate(owner)}
+
+
 class TestDiskSelector:
-    def selector(self, cardinalities, dwells, main, sub, weights=None):
-        """Bare selector over a synthetic catalog-like layout."""
-
-        class FakeDisk:
-            def __init__(self, i, n, p):
-                self.id = i
-                self.prf_index = p
-                self.tasks = list(range(n))
-                self.weight = 0.0
-
-        class FakeTable:
-            def dwell(self, p):
-                return dwells[p]
-
-        class FakeCatalog:
-            table = FakeTable()
-            disks = [FakeDisk(i, n, i) for i, n in enumerate(cardinalities)]
-
-        cat = FakeCatalog()
-        if weights:
-            for d, w in zip(cat.disks, weights):
-                d.weight = w
-        return DiskSelector(main, sub, cat, OpCounters())
+    def selector(self, task_disks, dwells, main, sub, counters=None):
+        """Bare selector over disks 0..len(dwells)-1, disk d at PRF d."""
+        catalog = fake_catalog(range(len(dwells)), dwells, task_disks)
+        return DiskSelector(main, sub, catalog, counters or OpCounters())
 
     def test_greedy_with_dwell_tie_break(self):
-        sel = self.selector([4, 4, 2], {0: 0.005, 1: 0.004, 2: 0.003}, "GD", "SD")
+        sel = self.selector(apart(4, 4, 2), [0.005, 0.004, 0.003], "GD", "SD")
         assert sel.select(random.Random(0)) == 1
 
     def test_reverse_greedy_picks_min_nonzero(self):
-        sel = self.selector([4, 4, 2], {0: 0.005, 1: 0.004, 2: 0.003}, "RGD", "SD")
+        sel = self.selector(apart(4, 4, 2), [0.005, 0.004, 0.003], "RGD", "SD")
         assert sel.select(random.Random(0)) == 2
 
     def test_weighted_rule_orders_by_reciprocal_sums(self):
-        # two scarce tasks (weight 2.0) beat three well-covered ones (1.0)
-        sel = self.selector([2, 3], {0: 0.005, 1: 0.004}, "WGD", "SD",
-                            weights=[2.0, 1.0])
+        # two scarce tasks (weight 2.0) beat four tasks shared by four
+        # disks each (weight 1.0), which the greedy count prefers
+        task_disks = {0: [0], 1: [0], **{t: [1, 2, 3, 4] for t in range(2, 6)}}
+        dwells = [0.005, 0.004, 0.004, 0.004, 0.004]
+        sel = self.selector(task_disks, dwells, "WGD", "SD")
+        assert sel.primary == {0: 2.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
         assert sel.select(random.Random(0)) == 0
+        assert self.selector(task_disks, dwells, "GD", "SD").select(random.Random(0)) == 1
+
+    @pytest.mark.parametrize("layout", ["full", "dedup"])
+    def test_weights_are_reciprocal_sums(self, layout):
+        # the weights of the catalog handed in, also after dedup_disks
+        # renumbers disks and shrinks the tasks' disk lists
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=3),
+                                        RadarConfig(n_intlv=4), default_prf_set(count=3))
+        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+        if layout == "dedup":
+            catalog = dedup_disks(catalog)
+            assert catalog.n_disks == 58
+        sel = DiskSelector("WGD", "SD", catalog, OpCounters())
+        assert sel.primary == {
+            d.id: sum(1.0 / len(catalog.task_disks[t]) for t in d.tasks)
+            for d in catalog.disks}
 
     def test_single_nonempty_disk_always_chosen(self):
         for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
-            sel = self.selector([3], {0: 0.005}, main, sub, weights=[1.5])
+            sel = self.selector(apart(3), [0.005], main, sub)
             assert sel.select(random.Random(0)) == 0
 
     def test_random_sub_rule_seeded(self):
-        sel = self.selector([4, 4, 4], {0: 0.01, 1: 0.01, 2: 0.01}, "GD", "R")
+        sel = self.selector(apart(4, 4, 4), [0.01, 0.01, 0.01], "GD", "R")
         a = [sel.select(random.Random(5)) for _ in range(8)]
         b = [sel.select(random.Random(5)) for _ in range(8)]
         assert a == b
 
     def test_weight_updates_follow_deletions(self):
-        sel = self.selector([2, 2], {0: 0.005, 1: 0.004}, "WGD", "SD",
-                            weights=[1.0, 0.9])
+        task_disks = {0: [0], 1: [0, 1], 2: [1, 2]}
+        sel = self.selector(task_disks, [0.005, 0.004, 0.003], "WGD", "SD")
+        assert sel.primary == {0: 1.5, 1: 1.0, 2: 0.5}
         assert sel.select(random.Random(0)) == 0
-        sel.remove_member(0, 0.6)           # one member gone, weight drops
+        sel.consume(task_disks[0])          # disk 0 loses its scarce task
+        assert sel.primary[0] == 0.5
         assert sel.select(random.Random(0)) == 1
-        sel.remove_member(1, 0.1)
-        sel.remove_member(1, 0.8)           # disk 1 empties entirely
-        assert sel.select(random.Random(0)) == 0
+        sel.consume(task_disks[2])          # disk 2 empties entirely
+        assert sel.primary[1] == 0.5
+        assert sel.select(random.Random(0)) == 1   # tied weights: shorter dwell
+        sel.consume(task_disks[1])
+        assert sel.select(random.Random(0)) is None
+        assert sel.counters.bucket_ops == 5
 
     def test_removing_from_an_empty_disk_raises(self):
-        for main, sub in (("GD", "SD"), ("RGD", "SD"), ("WGD", "R"), ("WGD", "SD")):
-            sel = self.selector([1], {0: 0.005}, main, sub, weights=[1.0])
-            sel.remove_member(0, 1.0)
+        for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
+            sel = self.selector(apart(1), [0.005], main, sub)
+            sel.consume([0])
             assert sel.select(random.Random(0)) is None
             with pytest.raises(InternalInvariantError):
-                sel.remove_member(0, 1.0)
+                sel.consume([0])
 
     def test_builds_only_what_the_rule_reads(self):
         built = {}
         for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
-            sel = self.selector([2, 1], {0: 0.005, 1: 0.004}, main, sub,
-                                weights=[1.0, 0.5])
+            sel = self.selector(apart(2, 1), [0.005, 0.004], main, sub)
             built[main, sub] = {a for a in ("dwell", "primary", "count")
                                 if getattr(sel, a) is not None}
         assert built[("GD", "R")] == built[("RGD", "R")] == set()
@@ -237,24 +262,7 @@ class TestDiskSelector:
     def test_greedy_cost_does_not_scale_with_disk_count(self):
         # bucket-backed selection touches the extreme bucket only
         counters = OpCounters()
-        dwells = {i: 0.005 for i in range(500)}
-
-        class FakeDisk:
-            def __init__(self, i):
-                self.id = i
-                self.prf_index = i
-                self.tasks = [0]
-                self.weight = 1.0
-
-        class FakeTable:
-            def dwell(self, p):
-                return dwells[p]
-
-        class FakeCatalog:
-            table = FakeTable()
-            disks = [FakeDisk(i) for i in range(500)]
-
-        sel = DiskSelector("GD", "R", FakeCatalog(), counters)
+        sel = self.selector(apart(*[1] * 500), [0.005] * 500, "GD", "R", counters)
         before = counters.bucket_ops
         for _ in range(100):
             sel.select(random.Random(1))
@@ -262,65 +270,48 @@ class TestDiskSelector:
         assert counters.selector_ops == 100
 
 
-def fake_catalog(disks, dwells):
-    """Catalog-like layout: ``disks`` lists (prf index, member reciprocals)
-    per disk id; a disk's weight is the sum of its reciprocals."""
-
-    class FakeDisk:
-        def __init__(self, i, p, recips):
-            self.id = i
-            self.prf_index = p
-            self.tasks = list(range(len(recips)))
-            self.weight = sum(recips)
-
-    class FakeTable:
-        def dwell(self, p):
-            return dwells[p]
-
-    class FakeCatalog:
-        table = FakeTable()
-
-    FakeCatalog.disks = [FakeDisk(i, p, r) for i, (p, r) in enumerate(disks)]
-    return FakeCatalog()
-
-
 class TestDiskSelectorReference:
     @settings(max_examples=300, deadline=None)
     @given(
-        disks=st.lists(st.tuples(st.integers(0, 2),
-                                 st.lists(st.sampled_from([0.25, 0.5, 1.0]),
-                                          min_size=1, max_size=4)),
-                       min_size=1, max_size=10),
+        prf_of=st.lists(st.integers(0, 2), min_size=1, max_size=10),
         dwells=st.lists(st.sampled_from([0.004, 0.005]), min_size=3, max_size=3),
+        tasks=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4),
+                       min_size=1, max_size=12),
         main=st.sampled_from(DISK_RULES),
         sub=st.sampled_from(SUB_RULES),
-        picks=st.lists(st.integers(0, 9), max_size=40),
+        picks=st.lists(st.integers(0, 11), max_size=40),
     )
-    def test_select_matches_brute_force(self, disks, dwells, main, sub, picks):
-        # tied counts, weights and dwells; the reference recomputes the
-        # extreme nonzero count (or weight), then dwell, then id, each time
+    def test_select_matches_brute_force(self, prf_of, dwells, tasks, main, sub, picks):
+        # tied counts, weights and dwells; whole tasks are consumed, and the
+        # reference recomputes the extreme nonzero count (or weight), then
+        # dwell, then id, each time
+        n = len(prf_of)
+        task_disks = {t: list(dict.fromkeys(d % n for d in ds))
+                      for t, ds in enumerate(tasks)}
+        catalog = fake_catalog(prf_of, dwells, task_disks)
         counters = OpCounters()
-        sel = DiskSelector(main, sub, fake_catalog(disks, dwells), counters)
-        left = [list(recips) for _, recips in disks]
-        weight = [sum(recips) for _, recips in disks]
-        dwell = [dwells[p] for p, _ in disks]
+        sel = DiskSelector(main, sub, catalog, counters)
+        share = {t: 1.0 / len(ds) for t, ds in task_disks.items()}
+        left = [len(disk.tasks) for disk in catalog.disks]
+        weight = [sum(share[t] for t in disk.tasks) for disk in catalog.disks]
+        dwell = [dwells[p] for p in prf_of]
+        placed = set()
         removed = 0
         for step in [None, *picks]:
             if step is not None:
-                d = step % len(disks)
-                if not left[d]:
+                t = step % len(tasks)
+                if t in placed:
                     continue
-                recip = left[d].pop()
-                if sel.buckets is not None:
-                    sel.buckets.decrement([d])
-                else:
-                    sel.remove_member(d, recip)
-                if left[d]:
-                    weight[d] -= recip
-                removed += 1
+                placed.add(t)
+                sel.consume(task_disks[t])
+                for d in task_disks[t]:
+                    left[d] -= 1
+                    if left[d]:
+                        weight[d] -= share[t]
+                removed += len(task_disks[t])
             assert counters.bucket_ops == removed
-            live = [d for d in range(len(disks)) if left[d]]
-            primary = {"GD": lambda d: len(left[d]), "RGD": lambda d: -len(left[d]),
+            live = [d for d in range(n) if left[d]]
+            primary = {"GD": lambda d: left[d], "RGD": lambda d: -left[d],
                        "WGD": lambda d: weight[d]}[main]
             top = max(map(primary, live), default=None)
             tied = [d for d in live if primary(d) == top]
@@ -331,4 +322,3 @@ class TestDiskSelectorReference:
                 assert got == min(tied, key=lambda d: (dwell[d], d))
             else:
                 assert got in tied
-
