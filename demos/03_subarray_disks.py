@@ -34,7 +34,7 @@ print(f"catalog: {catalog.n_disks} disks, {catalog.q_d} memberships "
       f"({dedup_disks(catalog).n_disks} survive duplicate/subset reduction "
       f"for the exact-solver path)\n")
 
-biggest = max(catalog.disks, key=lambda d: (len(d.tasks), -d.id))
+biggest = max(catalog.disks(), key=lambda d: (len(d.tasks), -d.id))
 print(f"densest disk: center {biggest.center(grid)}, "
       f"PRF index {biggest.prf_index}, encloses tasks {sorted(biggest.tasks)}\n")
 

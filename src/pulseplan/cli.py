@@ -18,7 +18,14 @@ from .errors import (
     ScenarioError,
 )
 from .geometry import GridSpec, dedup_disks, enumerate_disks
-from .ip import build_instance, check_feasible, exact_objective, export_lp, solve_exact
+from .ip import (
+    build_instance,
+    check_exact_task_limit,
+    check_feasible,
+    exact_objective,
+    export_lp,
+    solve_exact,
+)
 from .radar import build_availability_table
 from .scenario import ScenarioSpec, run_scaling
 from .sdbf import DISK_RULES, SUB_RULES, DiskHeuristicConfig, SdbfRun
@@ -232,6 +239,9 @@ def _cmd_oracle_compare(args) -> int:
             f"{len(table.unschedulable)} unschedulable task(s)",
             task_ids=table.unschedulable,
         )
+    if not args.heuristic_only:
+        # refuse before running any heuristic, as solve_exact would after
+        check_exact_task_limit(len(tasks))
     modes = ("edbf", "sdbf") if args.mode == "both" else (args.mode,)
     lines = ["pulseplan-oracle-compare v1",
              f"seed={args.seed} tasks={len(tasks)}"]

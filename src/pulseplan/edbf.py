@@ -34,7 +34,14 @@ import numpy as np
 from .errors import InternalInvariantError
 from .ip import Schedule, ScheduledLook
 from .radar import AvailabilityTable
-from .structures import BACKEND_KINDS, BucketList, OpCounters, TaskStore, build_backend
+from .structures import (
+    BACKEND_KINDS,
+    BucketList,
+    IndexedSet,
+    OpCounters,
+    TaskStore,
+    build_backend,
+)
 
 PRF_RULES = ("G", "RG", "R")
 TASK_RULES = ("SAR", "LAR", "R", "SAP", "SLA", "SRA")
@@ -101,17 +108,22 @@ def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> 
                      table.al, table.ar, task_priorities(task_rule, table, rng))
 
 
-def prf_select(rule: str, buckets: BucketList, rng: random.Random):
-    """Pick the PRF for the next look among PRFs with live trackable tasks."""
+def prf_select(rule: str, buckets: BucketList, live_prfs: IndexedSet | None,
+               rng: random.Random):
+    """Pick the PRF for the next look among PRFs with live trackable tasks.
+
+    The greedy rules read the bucket list; the random rule draws from
+    ``live_prfs``, the PRFs whose count is nonzero.
+    """
     if rule == "G":
         return buckets.select("max", tie="min_id")
     if rule == "RG":
         return buckets.select("min", tie="min_id")
     if rule == "R":
-        if len(buckets.nonzero) == 0:
+        if len(live_prfs) == 0:
             return None
         buckets.counters.selector_ops += 1
-        return buckets.nonzero.choose(rng)
+        return live_prfs.choose(rng)
     raise ValueError(f"unknown PRF rule {rule!r}")
 
 
@@ -344,9 +356,11 @@ class EdbfRun:
             for p, rows in enumerate(table.task_sets)
         ]
         self._look_prf = None
-        self.buckets = BucketList(
-            {p: len(rows) for p, rows in enumerate(table.task_sets)},
-            counters=self.counters)
+        counts = [len(rows) for rows in table.task_sets]
+        self.buckets = BucketList(counts, counters=self.counters)
+        # the random rule's own set: the PRFs whose count is nonzero
+        self.live_prfs = (IndexedSet(p for p, c in enumerate(counts) if c)
+                          if cfg.prf_rule == "R" else None)
 
     def dump_structures(self) -> str:
         """Indented snapshot of the live selection structures (debug aid)."""
@@ -357,7 +371,8 @@ class EdbfRun:
         return "\n".join(parts)
 
     def next_look(self, j: int):
-        p = prf_select(self.cfg.prf_rule, self.buckets, self.rngs["prf"])
+        p = prf_select(self.cfg.prf_rule, self.buckets, self.live_prfs,
+                       self.rngs["prf"])
         if p is None:
             raise InternalInvariantError("PRF selection returned an empty task set")
         table = self.table
@@ -373,6 +388,11 @@ class EdbfRun:
             if p != self._look_prf:
                 self.backends[p].delete(row)
         self.buckets.decrement(prf_set)
+        if self.live_prfs is not None:
+            count = self.buckets.count
+            for p in prf_set:
+                if count(p) == 0:
+                    self.live_prfs.discard(p)
 
     def run(self) -> Schedule:
         cfg = self.cfg

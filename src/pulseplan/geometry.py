@@ -3,9 +3,12 @@
 Targets are projected onto the normalized scanning plane (the unit disk of
 direction cosines).  For each PRF, every grid point within the re-steering
 radius of some trackable target becomes the center of a candidate disk; the
-tasks enclosed by a disk may share an interleaved look.  The catalog holds
-membership only; the disk rules' scores are computed by the scheduler that
-reads them (``sdbf.DiskSelector``).
+tasks enclosed by a disk may share an interleaved look.  The catalog is
+columnar: per-disk PRF and grid-center columns, every disk's members in one
+flat list cut by offsets, and each task's disk ids; ``Disk`` objects are
+built from the columns only on request.  The catalog holds membership only;
+the disk rules' scores are computed by the scheduler that reads them
+(``sdbf.DiskSelector``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class GridSpec:
 
 @dataclass(slots=True)
 class Disk:
-    """A grid-centered re-steering region and the task ids it encloses.
+    """One disk of a catalog, built from its columns for readers that want
+    an object: ``DiskCatalog.disk`` and ``DiskCatalog.disks``.
 
     ``tasks`` lists the enclosed task ids in the order the catalog build
     reached them (task-set row order of the disk's PRF); the ids are the
@@ -75,33 +79,56 @@ class Disk:
 
 @dataclass
 class DiskCatalog:
-    """All candidate disks for all PRFs plus the per-task disk index.
+    """All candidate disks for all PRFs, as columns indexed by disk id, plus
+    the per-task disk index.
 
-    ``task_disks[task_id]`` lists the disk ids enclosing the task (its
-    available-disk set); ``q_d`` is the total membership count.  The catalog
-    is immutable once built; schedulers score disks and track consumption
-    in their own structures.
+    Disk ``d`` belongs to PRF ``prf_index[d]`` and is centered on grid point
+    ``(gu[d], gv[d])`` (Python ints; center u = gu * spacing).  Its enclosed
+    task ids are ``members[offsets[d]:offsets[d + 1]]`` (``disk_tasks``),
+    one flat list for the whole catalog.  ``by_prf[p]`` lists PRF p's disk
+    ids and ``task_disks[task_id]`` the disk ids enclosing the task (its
+    available-disk set); ``q_d`` is the total membership count.  No object
+    is kept per disk: ``disk(d)`` and ``disks()`` build ``Disk`` objects
+    from the columns on demand.  The catalog is immutable once built;
+    schedulers score disks and track consumption in their own structures.
     """
 
     grid: GridSpec
     table: AvailabilityTable
-    disks: list[Disk]
+    prf_index: list[int]
+    gu: list[int]
+    gv: list[int]
+    members: list[int]
+    offsets: list[int]
     by_prf: list[list[int]]
     task_disks: dict[int, list[int]]
 
     @property
     def n_disks(self) -> int:
-        return len(self.disks)
+        return len(self.prf_index)
 
     def n_disks_for_prf(self, prf_index: int) -> int:
         return len(self.by_prf[prf_index])
 
     @property
     def q_d(self) -> int:
-        return sum(len(d.tasks) for d in self.disks)
+        return len(self.members)
 
     def center(self, disk_id: int) -> tuple[float, float]:
-        return self.disks[disk_id].center(self.grid)
+        spacing = self.grid.spacing
+        return (self.gu[disk_id] * spacing, self.gv[disk_id] * spacing)
+
+    def disk_tasks(self, disk_id: int) -> list[int]:
+        """The task ids the disk encloses, in build order (a new list)."""
+        return self.members[self.offsets[disk_id]:self.offsets[disk_id + 1]]
+
+    def disk(self, disk_id: int) -> Disk:
+        return Disk(disk_id, self.prf_index[disk_id], self.gu[disk_id],
+                    self.gv[disk_id], self.disk_tasks(disk_id))
+
+    def disks(self) -> list[Disk]:
+        """Every disk as an object, in id order: O(q_d) per call."""
+        return [self.disk(d) for d in range(self.n_disks)]
 
 
 # Box cells tested per numpy step of the stencil: 2**17 float64 cells keep
@@ -166,13 +193,14 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
 
     Every disk is nonempty by construction and no two disks share
     (PRF, center).  The build is bulk: one vectorized stencil per task,
-    then one numpy grouping per PRF.  Its result equals that of a scalar
-    scan over the PRFs, each PRF's task-set rows and each row's cells in
-    (gu, gv) order, which gives a new cell the next disk id and appends the
-    task to the cell's disk.  So disk ids are in (PRF, first-touch) order,
-    and each disk's ``tasks`` and each ``task_disks`` list are in scan
-    order.  Members are the tasks' own id objects, and each disk id is one
-    int object shared by ``Disk.id``, ``by_prf`` and ``task_disks``.
+    then one numpy grouping per PRF, which extends the columns; no per-disk
+    object is made.  Its result equals that of a scalar scan over the PRFs,
+    each PRF's task-set rows and each row's cells in (gu, gv) order, which
+    gives a new cell the next disk id and appends the task to the cell's
+    disk.  So disk ids are in (PRF, first-touch) order, and each disk's
+    members and each ``task_disks`` list are in scan order.  Members are the
+    tasks' own id objects, and each disk id is one int object shared by
+    ``by_prf`` and ``task_disks``.
     """
     tasks = table.tasks
     rows = table.schedulable_rows()
@@ -190,7 +218,11 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     ids = np.empty(len(tasks), dtype=object)
     ids[:] = tasks.ids
 
-    disks: list[Disk] = []
+    prf_index: list[int] = []
+    gu: list[int] = []
+    gv: list[int] = []
+    members: list[int] = []
+    sizes: list[int] = []
     by_prf: list[list[int]] = []
     task_disks: dict[int, list[int]] = {tid: [] for tid in tasks.ids}
     for p, prf_rows in enumerate(table.task_sets):
@@ -203,17 +235,15 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
         cell = np.arange(ends[-1]) + np.repeat(
             first_cell[slot[prf_rows]] - (ends - count), count)
         local, first = _first_touch(key[cell])
-        dids = list(range(len(disks), len(disks) + len(first)))
-        members = ids[np.repeat(prf_rows, count)[
+        members += ids[np.repeat(prf_rows, count)[
             np.argsort(local, kind="stable")]].tolist()
+        sizes += np.bincount(local).tolist()
         centers = key[cell[first]]
         del cell
-        lo = 0
-        for did, gu, gv, hi in zip(dids, gu_values[centers // span].tolist(),
-                                   gv_values[centers % span].tolist(),
-                                   accumulate(np.bincount(local).tolist())):
-            disks.append(Disk(did, p, gu, gv, members[lo:hi]))
-            lo = hi
+        gu += gu_values[centers // span].tolist()
+        gv += gv_values[centers % span].tolist()
+        dids = list(range(len(prf_index), len(prf_index) + len(first)))
+        prf_index += [p] * len(first)
         by_prf.append(dids)
         cell_disks = np.array(dids, dtype=object)[local].tolist()
         lo = 0
@@ -222,7 +252,9 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
             lo = hi
 
     catalog = DiskCatalog(
-        grid=grid, table=table, disks=disks, by_prf=by_prf, task_disks=task_disks
+        grid=grid, table=table, prf_index=prf_index, gu=gu, gv=gv,
+        members=members, offsets=[0, *accumulate(sizes)],
+        by_prf=by_prf, task_disks=task_disks,
     )
     _check_density_bound(catalog)
     return catalog
@@ -248,40 +280,38 @@ def dedup_disks(catalog: DiskCatalog) -> DiskCatalog:
     renumbered contiguously in original-id order and membership indexes are
     rebuilt.
     """
-    keep: list[Disk] = []
-    for p, disk_ids in enumerate(catalog.by_prf):
-        sets = {d: frozenset(catalog.disks[d].tasks) for d in disk_ids}
-        ordered = sorted(disk_ids, key=lambda d: (-len(sets[d]), d))
-        kept_sets: list[tuple[int, frozenset]] = []
-        for d in ordered:
+    keep: list[int] = []
+    for disk_ids in catalog.by_prf:
+        sets = {d: frozenset(catalog.disk_tasks(d)) for d in disk_ids}
+        kept_sets: list[frozenset] = []
+        for d in sorted(disk_ids, key=lambda d: (-len(sets[d]), d)):
             s = sets[d]
-            if any(s <= ks for _, ks in kept_sets):
+            if any(s <= ks for ks in kept_sets):
                 continue
-            kept_sets.append((d, s))
-        keep.extend(catalog.disks[d] for d, _ in sorted(kept_sets))
+            kept_sets.append(s)
+            keep.append(d)
+    keep.sort()
 
-    keep.sort(key=lambda d: d.id)
-    by_prf = [[] for _ in range(catalog.table.n_prfs)]
+    prf_index = [catalog.prf_index[d] for d in keep]
+    by_prf: list[list[int]] = [[] for _ in range(catalog.table.n_prfs)]
     task_disks: dict[int, list[int]] = {tid: [] for tid in catalog.table.tasks.ids}
-    disks: list[Disk] = []
-    id_map = {}
-    for disk in keep:
-        id_map[disk.id] = len(disks)
-        renumbered = Disk(
-            id=len(disks),
-            prf_index=disk.prf_index,
-            gu=disk.gu,
-            gv=disk.gv,
-            tasks=list(disk.tasks),
-        )
-        disks.append(renumbered)
-        by_prf[disk.prf_index].append(renumbered.id)
-        for t in renumbered.tasks:
-            task_disks[t].append(renumbered.id)
+    members: list[int] = []
+    offsets = [0]
+    for new, d in enumerate(keep):
+        tasks = catalog.disk_tasks(d)
+        members += tasks
+        offsets.append(len(members))
+        by_prf[prf_index[new]].append(new)
+        for t in tasks:
+            task_disks[t].append(new)
     return DiskCatalog(
         grid=catalog.grid,
         table=catalog.table,
-        disks=disks,
+        prf_index=prf_index,
+        gu=[catalog.gu[d] for d in keep],
+        gv=[catalog.gv[d] for d in keep],
+        members=members,
+        offsets=offsets,
         by_prf=by_prf,
         task_disks=task_disks,
     )

@@ -368,10 +368,11 @@ def disks_text(catalog: DiskCatalog) -> str:
         f"disk_radius={_fmt(catalog.grid.disk_radius)} n_disks={catalog.n_disks}"
     )
     lines.append("# prf disk u v cardinality tasks")
+    gu, gv = catalog.gu, catalog.gv
     for p, disk_ids in enumerate(catalog.by_prf):
-        for d in sorted(disk_ids, key=lambda i: (catalog.disks[i].gu, catalog.disks[i].gv)):
-            disk = catalog.disks[d]
-            u, v = disk.center(catalog.grid)
-            tasks = ",".join(str(t) for t in sorted(disk.tasks))
-            lines.append(f"{p} {d} {_fmt(u)} {_fmt(v)} {disk.cardinality} {tasks}")
+        for d in sorted(disk_ids, key=lambda i: (gu[i], gv[i])):
+            u, v = catalog.center(d)
+            members = catalog.disk_tasks(d)
+            tasks = ",".join(str(t) for t in sorted(members))
+            lines.append(f"{p} {d} {_fmt(u)} {_fmt(v)} {len(members)} {tasks}")
     return "\n".join(lines) + "\n"

@@ -143,7 +143,7 @@ class IpInstance:
                 return False
             members = self._disk_sets.get(disk_id)
             if members is None:
-                members = frozenset(self.catalog.disks[disk_id].tasks)
+                members = frozenset(self.catalog.disk_tasks(disk_id))
                 self._disk_sets[disk_id] = members
             return task_id in members
         return True
@@ -197,7 +197,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             raise InfeasibleError(
                 f"{len(uncovered)} task(s) enclosed by no disk", task_ids=uncovered
             )
-        bases = [(disk.id, disk.prf_index, disk.id) for disk in catalog.disks]
+        bases = [(d, p, d) for d, p in enumerate(catalog.prf_index)]
     # each PRF's dwell, as a float and exactly, computed once
     dwells = [(table.dwell(p), dwell_fraction(table, p)) for p in range(table.n_prfs)]
     looks: list[Look] = []
@@ -293,6 +293,15 @@ class _OpenLook:
         self.min_tol = n_intlv + 10 ** 9
 
 
+def check_exact_task_limit(n_tasks: int) -> None:
+    """Raise ``ResourceLimitError`` when ``solve_exact`` would refuse an
+    instance of ``n_tasks`` tasks; callers check it before any other work."""
+    if n_tasks > ORACLE_MAX_TASKS:
+        raise ResourceLimitError(
+            f"{n_tasks} tasks exceed the exact-solver limit of {ORACLE_MAX_TASKS}"
+        )
+
+
 def solve_exact(
     inst: IpInstance,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -307,10 +316,7 @@ def solve_exact(
     instance admits no feasible schedule.
     """
     n_t = len(inst.task_ids)
-    if n_t > ORACLE_MAX_TASKS:
-        raise ResourceLimitError(
-            f"{n_t} tasks exceed the exact-solver limit of {ORACLE_MAX_TASKS}"
-        )
+    check_exact_task_limit(n_t)
     if inst.n_bases > ORACLE_MAX_BASES:
         raise ResourceLimitError(
             f"{inst.n_bases} look templates exceed the exact-solver limit of {ORACLE_MAX_BASES}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
@@ -54,6 +55,8 @@ class DiskHeuristicConfig:
 class DiskSelector:
     """The disk rules: orders live disks by the main index with the
     configured tie-break, and consumes each placed task's memberships.
+    Disks are the catalog's dense ids, and every per-disk state is a list
+    indexed by them, read from the catalog's columns.
 
     GD and RGD with the random sub-rule ride on the integer bucket list
     (constant-time selection).  The dwell sub-index and the weighted rule
@@ -74,27 +77,29 @@ class DiskSelector:
         self.main_rule = main_rule
         self.sub_rule = sub_rule
         self.counters = counters
-        disks = catalog.disks
         self.dwell = self.count = self.primary = None
         self.buckets = self.ordered = None
-        counts = {d.id: len(d.tasks) for d in disks}
+        offsets = catalog.offsets
         if sub_rule == "R" and main_rule != "WGD":
-            self.buckets = BucketList(counts, counters=counters)
+            self.buckets = BucketList(np.diff(offsets), counters=counters)
             return
         table = catalog.table
-        self.dwell = {d.id: table.dwell(d.prf_index) for d in disks}
-        self.count = counts
+        dwells = [table.dwell(p) for p in range(table.n_prfs)]
+        self.dwell = [dwells[p] for p in catalog.prf_index]
+        self.count = counts = np.diff(offsets).tolist()
         if main_rule == "WGD":
             share = {tid: 1.0 / len(ds) for tid, ds in catalog.task_disks.items() if ds}
-            self.primary = {d.id: sum(map(share.__getitem__, d.tasks)) for d in disks}
+            members = catalog.members
+            self.primary = [sum(map(share.__getitem__, members[a:b]))
+                            for a, b in zip(offsets, offsets[1:])]
         else:
             sign = 1 if main_rule == "GD" else -1
-            self.primary = {d: sign * c for d, c in counts.items()}
+            self.primary = [sign * c for c in counts]
         # what one consumed member takes off the primary; WGD takes the
         # task's share instead
         self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
         self.ordered = SortedList(
-            (self.primary[d], self.dwell[d], d) for d, c in counts.items() if c)
+            (self.primary[d], self.dwell[d], d) for d, c in enumerate(counts) if c)
 
     def select(self, rng: random.Random):
         """One selection, counted once in ``selector_ops`` (by the bucket
@@ -161,31 +166,32 @@ class SdbfRun:
         self.store = task_store(self.table, cfg.task_rule, self.rngs["task"])
         self.selector = DiskSelector(cfg.disk_rule, cfg.sub_rule, catalog, self.counters)
 
-    def _live_rows(self, disk):
+    def _live_rows(self, d):
         live = self.store.live
-        rows = map(self.table.task_rows.__getitem__, disk.tasks)
+        rows = map(self.table.task_rows.__getitem__, self.catalog.disk_tasks(d))
         return [row for row in rows if live[row]]
 
-    def _disk_backend(self, disk):
-        """Selection structure over the disk's live rows.
+    def _disk_backend(self, d):
+        """Selection structure over disk ``d``'s live rows.
 
         Built when the disk is selected rather than up front, from the
         store's shared columns; the work is proportional to the disk's task
         list, so the total across a run stays within the per-look structure
         costs the schedulers are budgeted for.
         """
-        return build_backend(self.cfg.backend, self.store, disk.prf_index,
-                             self._live_rows(disk), self.counters)
+        return build_backend(self.cfg.backend, self.store, self.catalog.prf_index[d],
+                             self._live_rows(d), self.counters)
 
     def dump_structures(self) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""
+        catalog = self.catalog
         parts = [self.selector.dump(),
-                 f"catalog: {self.catalog.n_disks} disks, first {DUMP_DISKS}:"]
-        for disk in self.catalog.disks[:DUMP_DISKS]:
-            live = [self.store.ids[row] for row in self._live_rows(disk)]
+                 f"catalog: {catalog.n_disks} disks, first {DUMP_DISKS}:"]
+        for d in range(min(DUMP_DISKS, catalog.n_disks)):
+            live = [self.store.ids[row] for row in self._live_rows(d)]
             parts.append(
-                f"  disk {disk.id} prf {disk.prf_index} "
-                f"center {disk.center(self.catalog.grid)}: live {live}"
+                f"  disk {d} prf {catalog.prf_index[d]} "
+                f"center {catalog.center(d)}: live {live}"
             )
         return "\n".join(parts)
 
@@ -193,13 +199,12 @@ class SdbfRun:
         d = self.selector.select(self.rngs["disk"])
         if d is None:
             raise InternalInvariantError("disk selection returned an empty disk")
-        disk = self.catalog.disks[d]
-        p = disk.prf_index
+        p = self.catalog.prf_index[d]
         table = self.table
         look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
                              dwell=table.dwell(p), disk_id=d,
                              disk_center=self.catalog.center(d))
-        return self._disk_backend(disk), look
+        return self._disk_backend(d), look
 
     def consume(self, row: int) -> None:
         """The store and the look's backend dropped the row when it was

@@ -18,7 +18,8 @@ updates its own index once.
 
 A doubly linked bucket list keyed by integer cardinality provides constant
 time greedy / reverse-greedy selection of PRFs, and of disks under the
-random tie-break.  Its buckets are plain lists and its one update is
+random tie-break.  Its keys are dense ints (PRF indices, disk ids) indexing
+plain lists, its buckets are plain lists and its one update is
 ``decrement``: counts only fall as placed tasks are consumed.
 
 Every structure is built in bulk: the store from the table's columns, the
@@ -110,21 +111,21 @@ class _Bucket:
 class BucketList:
     """Doubly linked buckets of keys sharing one integer cardinality.
 
-    Bucket values are strictly increasing along the links and a bucket exists
-    only while some key holds its value (the zero bucket excepted, which
-    keeps every key that reached zero), so min/max selection and a -1 step
-    are constant time.  Each bucket keeps its keys in a plain list, and one
-    dict shared by all buckets (``_pos``) maps each key to its index in its
-    bucket's list: a key leaves by swap-remove (the last member fills its
-    slot) and joins by append.
+    Keys are the dense integers ``0..K-1``.  Bucket values are strictly
+    increasing along the links and a bucket exists only while some key
+    holds its value (the zero bucket excepted, which keeps every key that
+    reached zero), so min/max selection and a -1 step are constant time.
+    Each bucket keeps its keys in a plain list, and two key-indexed lists
+    shared by all buckets map each key to its bucket (``_bucket_of``) and to
+    its index in that bucket's list (``_pos``): a key leaves by swap-remove
+    (the last member fills its slot) and joins by append.
 
-    ``counts`` maps every key, in key order, to its starting cardinality.
-    The buckets are built from it in bulk: one pass over the keys plus a sort
-    of the distinct values, with no per-membership step and no
-    ``bucket_ops``.  It lists each bucket's keys in key order, as does
-    ``nonzero``, the set of keys with a nonzero count; the ``random``
-    tie-break reads the nonzero buckets' orders, which match counting every
-    membership up from zero, key after key.
+    ``counts`` holds one starting cardinality per key, in key order.  The
+    buckets are built from it in bulk: one stable sort of the counts, with
+    no per-membership step and no ``bucket_ops``.  It lists each bucket's
+    keys in key order; the ``random`` tie-break reads the nonzero buckets'
+    orders, which match counting every membership up from zero, key after
+    key.
 
     ``decrement(keys)`` is the one update: it consumes one membership of
     each key in turn, the look loop's bookkeeping for one placed task, in a
@@ -133,22 +134,33 @@ class BucketList:
 
     def __init__(self, counts, counters=None):
         self.counters = counters if counters is not None else OpCounters()
-        by_value = {}
-        for k, c in counts.items():
-            if c < 0:
-                raise ValueError(f"key {k!r} has a negative count")
-            by_value.setdefault(c, []).append(k)
-        zeros = by_value.pop(0, [])
-        buckets = [_Bucket(0, zeros)] if zeros or not by_value else []
-        buckets += [_Bucket(v, by_value[v]) for v in sorted(by_value)]
+        counts = np.asarray(counts, dtype=np.int64)
+        if len(counts) and counts.min() < 0:
+            key = int(np.argmax(counts < 0))
+            raise ValueError(f"key {key} has a negative count")
+        order = np.argsort(counts, kind="stable")
+        values, first, size = np.unique(counts[order], return_index=True,
+                                         return_counts=True)
+        keys = order.tolist()
+        if len(values) == 0:
+            # no key at all: one empty zero bucket
+            buckets = [_Bucket(0, [])]
+        else:
+            buckets = [_Bucket(v, keys[a:a + n]) for v, a, n
+                       in zip(values.tolist(), first.tolist(), size.tolist())]
         for lo, hi in zip(buckets, buckets[1:]):
             lo.next, hi.prev = hi, lo
         self._head = buckets[0]
         self._tail = buckets[-1]
-        bucket_at = {b.value: b for b in buckets}
-        self._bucket_of = {k: bucket_at[c] for k, c in counts.items()}
-        self._pos = {k: i for b in buckets for i, k in enumerate(b.members)}
-        self.nonzero = IndexedSet(k for k, c in counts.items() if c)
+        self._bucket_of = list(map(
+            buckets.__getitem__, np.searchsorted(values, counts).tolist()))
+        pos = np.empty(len(counts), dtype=np.intp)
+        pos[order] = np.arange(len(counts)) - np.repeat(first, size)
+        self._pos = pos.tolist()
+
+    def count(self, key) -> int:
+        """The key's current cardinality."""
+        return self._bucket_of[key].value
 
     def decrement(self, keys) -> None:
         """Take one membership from each key of the sequence ``keys`` in turn.
@@ -161,21 +173,27 @@ class BucketList:
         self.counters.bucket_ops += len(keys)
         bucket_of = self._bucket_of
         pos = self._pos
-        nonzero = self.nonzero
         for key in keys:
             bucket = bucket_of[key]
-            value = bucket.value - 1
-            if value < 0:
-                raise InternalInvariantError(f"key {key!r} decremented below zero")
             members = bucket.members
             prev = bucket.prev
-            if len(members) == 1:
-                if prev is None or prev.value != value:
+            value = bucket.value - 1
+            if prev is None or prev.value != value:
+                if value < 0:
+                    raise InternalInvariantError(f"key {key!r} decremented below zero")
+                if len(members) == 1:
                     # a lone key relabels its bucket
                     bucket.value = value
-                    if value == 0:
-                        nonzero.discard(key)
                     continue
+                # no bucket holds value - 1: splice one in front
+                target = _Bucket(value, [])
+                target.prev, target.next = prev, bucket
+                if prev is not None:
+                    prev.next = target
+                else:
+                    self._head = target
+                bucket.prev = prev = target
+            elif len(members) == 1:
                 # a lone key joins prev and its bucket empties: unlink it
                 nxt = bucket.next
                 prev.next = nxt
@@ -183,26 +201,16 @@ class BucketList:
                     nxt.prev = prev
                 else:
                     self._tail = prev
-            else:
-                i = pos[key]
-                last = members.pop()
-                if last != key:
-                    members[i] = last
-                    pos[last] = i
-                if prev is None or prev.value != value:
-                    target = _Bucket(value, [])
-                    target.prev, target.next = prev, bucket
-                    if prev is not None:
-                        prev.next = target
-                    else:
-                        self._head = target
-                    bucket.prev = prev = target
+            # swap-remove the key from its bucket, append it to prev's
+            i = pos[key]
+            last = members.pop()
+            if last != key:
+                members[i] = last
+                pos[last] = i
             dest = prev.members
             pos[key] = len(dest)
             dest.append(key)
             bucket_of[key] = prev
-            if value == 0:
-                nonzero.discard(key)
 
     def select(self, extreme="max", tie="min_id", rng=None):
         """Pick a key from the extreme nonzero bucket; ties per the rule.

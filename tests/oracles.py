@@ -290,7 +290,6 @@ class StepwiseBucketList:
 
     def __init__(self, keys, memberships):
         self._bucket_of = {}
-        self.nonzero = IndexedSet()
         zero = _Bucket(0, IndexedSet(keys))
         self._head = zero
         self._tail = zero
@@ -364,10 +363,6 @@ class StepwiseBucketList:
         self._bucket_of[key] = target
         if len(bucket.members) == 0:
             self._unlink(bucket)
-        if bucket.value == 0 and target_value == 1:
-            self.nonzero.add(key)
-        elif bucket.value == 1 and target_value == 0:
-            self.nonzero.discard(key)
 
 
 def incremental_node_lists(entries, n_intlv):

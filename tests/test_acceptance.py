@@ -310,10 +310,10 @@ class TestAcceptance:
             )
             table = build_availability_table(tasks, prfs, cfg)
             catalog = enumerate_disks(table, grid)
-            got = {(d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks}
+            got = {(d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks()}
             want = brute_grid_disks(table, grid)
             assert got == want, seed
-            assert all(d.tasks for d in catalog.disks)
+            assert all(d.tasks for d in catalog.disks())
             for row in table.schedulable_rows():
                 assert catalog.task_disks[table.tasks[row].id], seed
         report(8, "100 scenarios: catalog == brute-force enumeration, all disks "

@@ -22,7 +22,7 @@ from pulseplan import (
 )
 from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
-from pulseplan.structures import OpCounters
+from pulseplan.structures import IndexedSet, OpCounters
 from oracles import backend_over
 
 
@@ -134,21 +134,44 @@ class TestBackwardInterleaving:
 
 class TestPrfSelect:
     def test_greedy_and_reverse_greedy(self):
-        buckets = BucketList({0: 5, 1: 2})
-        assert prf_select("G", buckets, random.Random(0)) == 0
-        assert prf_select("RG", buckets, random.Random(0)) == 1
+        buckets = BucketList([5, 2])
+        assert prf_select("G", buckets, None, random.Random(0)) == 0
+        assert prf_select("RG", buckets, None, random.Random(0)) == 1
 
     def test_single_nonempty_prf(self):
-        buckets = BucketList({0: 0, 1: 1})
+        buckets = BucketList([0, 1])
         for rule in ("G", "RG", "R"):
-            assert prf_select(rule, buckets, random.Random(0)) == 1
+            assert prf_select(rule, buckets, IndexedSet([1]), random.Random(0)) == 1
 
     def test_random_rule_reproducible(self):
-        buckets = BucketList({p: p + 1 for p in range(6)})
-        a = [prf_select("R", buckets, random.Random(42)) for _ in range(10)]
-        b = [prf_select("R", buckets, random.Random(42)) for _ in range(10)]
+        buckets = BucketList([p + 1 for p in range(6)])
+        live = IndexedSet(range(6))
+        a = [prf_select("R", buckets, live, random.Random(42)) for _ in range(10)]
+        b = [prf_select("R", buckets, live, random.Random(42)) for _ in range(10)]
         assert a == b
         assert set(a) <= set(range(6))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_random_rule_set_tracks_nonzero_counts(self, seed):
+        # after every consume, the R rule's set holds exactly the PRFs
+        # whose bucket-list count is nonzero
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=120, seed=seed))
+        table = build_availability_table(tasks, prfs, cfg)
+        run = EdbfRun(table, HeuristicConfig(prf_rule="R", seed=seed))
+        consume = run.consume
+        checked = []
+
+        def checked_consume(row):
+            consume(row)
+            nonzero = {p for p in range(table.n_prfs) if run.buckets.count(p)}
+            assert set(run.live_prfs) == nonzero
+            assert len(run.live_prfs) == len(nonzero)
+            checked.append(row)
+
+        run.consume = checked_consume
+        run.run()
+        assert len(checked) == len(table.schedulable_rows())
+        assert len(run.live_prfs) == 0
 
 
 class TestTaskRules:

@@ -76,9 +76,9 @@ class TestEnumerateDisks:
     def test_single_task_at_origin_with_spacing_equal_radius(self, lab_cfg, lab_prf):
         table = self.single_prf_table([scan_task(1, 0.0, 0.0)], lab_cfg, lab_prf)
         catalog = enumerate_disks(table, GridSpec(spacing=0.05, disk_radius=0.05))
-        centers = {(d.gu, d.gv) for d in catalog.disks}
+        centers = {(d.gu, d.gv) for d in catalog.disks()}
         assert centers == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-        assert all(d.tasks == [1] for d in catalog.disks)
+        assert all(d.tasks == [1] for d in catalog.disks())
 
     def test_distant_tasks_have_disjoint_disks(self, lab_cfg, lab_prf):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -86,7 +86,7 @@ class TestEnumerateDisks:
             [scan_task(1, -0.4, 0.0), scan_task(2, 0.4, 0.0)], lab_cfg, lab_prf
         )
         catalog = enumerate_disks(table, grid)
-        assert all(len(d.tasks) == 1 for d in catalog.disks)
+        assert all(len(d.tasks) == 1 for d in catalog.disks())
         assert set(catalog.task_disks[1]) & set(catalog.task_disks[2]) == set()
 
     def test_close_tasks_share_a_disk(self, lab_cfg, lab_prf):
@@ -95,7 +95,7 @@ class TestEnumerateDisks:
             [scan_task(1, 0.01, 0.0), scan_task(2, -0.01, 0.0)], lab_cfg, lab_prf
         )
         catalog = enumerate_disks(table, grid)
-        shared = [d for d in catalog.disks if set(d.tasks) == {1, 2}]
+        shared = [d for d in catalog.disks() if set(d.tasks) == {1, 2}]
         assert shared, "expected a disk enclosing both nearby tasks"
 
     def test_matches_brute_force_grid_scan(self, cfg, prfs):
@@ -107,7 +107,7 @@ class TestEnumerateDisks:
             table = build_availability_table(tasks, prfs, cfg)
             catalog = enumerate_disks(table, grid)
             got = {
-                (d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks
+                (d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks()
             }
             want = brute_grid_disks(table, grid)
             assert got == want
@@ -126,7 +126,7 @@ class TestEnumerateDisks:
         table = build_availability_table(tasks, prfs, cfg)
         catalog = enumerate_disks(table, grid)
         by_id = {t.id: t for t in tasks}
-        for d in catalog.disks:
+        for d in catalog.disks():
             assert d.tasks
             cu, cv = d.center(grid)
             for tid in d.tasks:
@@ -147,7 +147,7 @@ class TestEnumerateDisks:
 
 def catalog_fields(catalog):
     disks = [(d.id, d.prf_index, d.gu, d.gv, d.tasks)
-             for d in catalog.disks]
+             for d in catalog.disks()]
     return disks, catalog.by_prf, catalog.task_disks
 
 
@@ -219,13 +219,16 @@ class TestBulkCatalog:
         assert got_by_prf == by_prf
         assert got_task_disks == task_disks
         assert list(got_task_disks) == list(task_disks)
+        assert catalog.q_d == len(catalog.members) == catalog.offsets[-1]
+        assert catalog.n_disks == len(catalog.offsets) - 1
         own_id = {t.id: t.id for t in table.tasks}
-        for d in catalog.disks:
-            assert type(d.gu) is int and type(d.gv) is int
-            assert all(t is own_id[t] for t in d.tasks)
-        for did in [*(x for ids in got_by_prf for x in ids),
-                    *(x for ids in got_task_disks.values() for x in ids)]:
-            assert did is catalog.disks[did].id
+        assert all(type(g) is int for g in [*catalog.gu, *catalog.gv])
+        assert all(t is own_id[t] for t in catalog.members)
+        # one int object per disk id, shared by by_prf and task_disks
+        one_id = {did: did for ids in got_by_prf for did in ids}
+        assert sorted(one_id) == list(range(catalog.n_disks))
+        for ids in got_task_disks.values():
+            assert all(did is one_id[did] for did in ids)
 
     @pytest.mark.parametrize("eps", [1e-10, 2.0 ** -60])
     def test_fine_grid_far_apart_tasks(self, cfg, prfs, eps):
@@ -284,7 +287,7 @@ class TestDedup:
                                      GridSpec(spacing=0.05, disk_radius=0.05))
         reduced = dedup_disks(catalog)
         assert reduced.n_disks == 1
-        assert reduced.disks[0].tasks == [1]
+        assert reduced.disk_tasks(0) == [1]
 
     def test_subset_disks_removed(self, lab_cfg, lab_prf):
         # task 2 sits near task 1; some disks hold {1}, some {1, 2}
@@ -292,12 +295,12 @@ class TestDedup:
             [scan_task(1, 0.0, 0.0), scan_task(2, 0.05, 0.0)], lab_cfg, lab_prf,
             GridSpec(spacing=0.05, disk_radius=0.05),
         )
-        assert any(set(d.tasks) == {1, 2} for d in catalog.disks)
+        assert any(set(d.tasks) == {1, 2} for d in catalog.disks())
         reduced = dedup_disks(catalog)
-        sets = [frozenset(d.tasks) for d in reduced.disks]
+        sets = [frozenset(d.tasks) for d in reduced.disks()]
         for i, a in enumerate(sets):
             for j, b in enumerate(sets):
-                if i != j and reduced.disks[i].prf_index == reduced.disks[j].prf_index:
+                if i != j and reduced.prf_index[i] == reduced.prf_index[j]:
                     assert not a <= b
 
     def test_incomparable_catalog_unchanged(self, lab_cfg, lab_prf):
@@ -308,7 +311,7 @@ class TestDedup:
         # all disks hold exactly one task; duplicates collapse per task side
         reduced = dedup_disks(catalog)
         assert reduced.n_disks == 2
-        assert sorted(frozenset(d.tasks) for d in reduced.disks) == [
+        assert sorted(frozenset(d.tasks) for d in reduced.disks()) == [
             frozenset({1}), frozenset({2})
         ]
 
@@ -317,10 +320,10 @@ class TestDedup:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=15, seed=7), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         reduced = dedup_disks(enumerate_disks(table, grid))
-        assert reduced.q_d == sum(len(d.tasks) for d in reduced.disks)
+        assert reduced.q_d == sum(len(d.tasks) for d in reduced.disks())
         for tid, disks in reduced.task_disks.items():
             for d in disks:
-                assert tid in reduced.disks[d].tasks
+                assert tid in reduced.disk_tasks(d)
 
     def test_reduction_is_a_fixed_point(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -328,6 +331,6 @@ class TestDedup:
         table = build_availability_table(tasks, prfs, cfg)
         once = dedup_disks(enumerate_disks(table, grid))
         twice = dedup_disks(once)
-        assert [(d.prf_index, d.gu, d.gv, d.tasks) for d in twice.disks] == [
-            (d.prf_index, d.gu, d.gv, d.tasks) for d in once.disks
+        assert [(d.prf_index, d.gu, d.gv, d.tasks) for d in twice.disks()] == [
+            (d.prf_index, d.gu, d.gv, d.tasks) for d in once.disks()
         ]

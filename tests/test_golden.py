@@ -28,7 +28,7 @@ from pulseplan import (
     hisd,
 )
 from pulseplan.edbf import PRF_RULES, TASK_RULES
-from pulseplan.io import scenario_to_text, schedule_to_text
+from pulseplan.io import disks_text, scenario_to_text, schedule_to_text
 from pulseplan.sdbf import DISK_RULES, SUB_RULES
 from pulseplan.structures import OpCounters
 
@@ -247,3 +247,23 @@ def lp_sources():
 def test_lp_export_bytes_pinned(lp_sources, mode, copies, sscfl):
     text = export_lp(build_instance(lp_sources[mode], copies=copies), sscfl=sscfl)
     assert hashlib.sha256(text.encode()).hexdigest() == LP_DIGESTS[mode, copies, sscfl]
+
+
+# sha256 of disks_text (what ``pulseplan disks`` writes) for two generated
+# scenarios, recorded while the catalog still held one object per disk.
+DISKS_DIGESTS = {
+    "60-clustered": "80824f90e431761252601282591f980f500afdd6f6d9ee5e622d12f663281461",
+    "1k": "3c75bb49b03f838de21bbd7662152b17123132d871fba6fd0caa7c8e30442a41",
+}
+DISKS_CASES = {
+    "60-clustered": ScenarioSpec(n_tasks=60, seed=4, cluster_count=3),
+    "1k": ScenarioSpec(n_tasks=1000, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISKS_CASES))
+def test_disks_text_bytes_pinned(case):
+    cfg, prfs, tasks = gen_scenario(DISKS_CASES[case])
+    catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+    text = disks_text(catalog)
+    assert hashlib.sha256(text.encode()).hexdigest() == DISKS_DIGESTS[case]

@@ -503,6 +503,19 @@ class TestCli:
         assert code == 2
         assert "heuristic-only" in capsys.readouterr().err
 
+    def test_oracle_compare_limit_exits_before_the_heuristics(self, scenario_file,
+                                                              monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a heuristic ran before the task-count check")
+
+        for name in ("EdbfRun", "SdbfRun", "dedup_disks", "build_instance"):
+            monkeypatch.setattr(f"pulseplan.cli.{name}", refuse)
+        for mode in ("edbf", "sdbf", "both"):
+            assert main(["oracle-compare", str(scenario_file), "--mode", mode]) == 2
+            err = capsys.readouterr().err
+            assert err == ("error: 12 tasks exceed the exact-solver limit of 10\n"
+                           "hint: rerun oracle-compare with --heuristic-only\n")
+
     def test_oracle_compare_heuristic_only(self, scenario_file, tmp_path):
         out = tmp_path / "ho.txt"
         assert main(["oracle-compare", str(scenario_file), "--heuristic-only",

@@ -22,6 +22,7 @@ from pulseplan import (
     gen_scenario,
     hisd,
 )
+from pulseplan import geometry
 from pulseplan.sdbf import DISK_RULES, SUB_RULES, DiskSelector, SdbfRun
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters
@@ -65,11 +66,11 @@ class TestHisd:
         # greedy grabs a maximum-cardinality disk and covers both at once
         tasks = [cluster_task(1, 0.0, 0.0), cluster_task(2, 0.04, 0.0)]
         catalog = catalog_for(tasks, GridSpec(spacing=0.02, disk_radius=0.05))
-        assert any(len(d.tasks) == 2 for d in catalog.disks)
+        assert any(len(d.tasks) == 2 for d in catalog.disks())
         sched = hisd(catalog, DiskHeuristicConfig(disk_rule="GD"))
         assert sched.n_looks_used() == 1
         look = sched.looks[0]
-        assert len(catalog.disks[look.disk_id].tasks) == 2
+        assert len(catalog.disk_tasks(look.disk_id)) == 2
 
     def test_feasible_on_disk_restricted_instance(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=0, cluster_count=3), cfg, prfs)
@@ -143,10 +144,27 @@ class TestHisd:
         catalog = enumerate_disks(table, GridSpec())
         for backend in ("brute", "pairwise", "rangetree"):
             run = SdbfRun(catalog, DiskHeuristicConfig(backend=backend))
-            assert run._disk_backend(catalog.disks[0]).store is run.store
+            assert run._disk_backend(0).store is run.store
             sched = run.run()
             assert run.counters.backend_deletes == len(sched.assignments) == len(tasks)
             assert not any(run.store.live[table.row_of(t.id)] for t in tasks)
+
+    def test_run_builds_no_disk_object(self, cfg, prfs, monkeypatch):
+        # the look loop reads the catalog's columns; Disk objects are for
+        # the readers that ask for them
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
+        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+
+        def no_disk(*args, **kwargs):
+            raise AssertionError("a Disk object was built")
+
+        monkeypatch.setattr(geometry.Disk, "__init__", no_disk)
+        with pytest.raises(AssertionError):
+            catalog.disk(0)
+        for disk_rule, sub_rule in itertools.product(DISK_RULES, SUB_RULES):
+            sched = SdbfRun(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
+                                                         sub_rule=sub_rule)).run()
+            assert len(sched.assignments) == len(tasks)
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
@@ -158,15 +176,21 @@ class TestHisd:
                                                       sub_rule=sub_rule), counters)
             assert counters.selector_ops == len(sched.looks), (disk_rule, sub_rule)
 
+def disk_members(n_disks, task_disks):
+    """Each disk's tasks, in ``task_disks`` order."""
+    return [[t for t, ds in task_disks.items() if d in ds] for d in range(n_disks)]
+
+
 def fake_catalog(prf_of, dwells, task_disks):
-    """Catalog-like layout: disk ``d`` at PRF ``prf_of[d]``, PRF ``p`` with
+    """Catalog-like columns: disk ``d`` at PRF ``prf_of[d]``, PRF ``p`` with
     dwell ``dwells[p]``, and ``task_disks`` mapping each task id to its disk
     ids; each disk lists its tasks in ``task_disks`` order."""
-    disks = [SimpleNamespace(id=d, prf_index=p,
-                             tasks=[t for t, ds in task_disks.items() if d in ds])
-             for d, p in enumerate(prf_of)]
-    return SimpleNamespace(table=SimpleNamespace(dwell=dwells.__getitem__),
-                           disks=disks, task_disks=task_disks)
+    members = disk_members(len(prf_of), task_disks)
+    return SimpleNamespace(
+        table=SimpleNamespace(dwell=dwells.__getitem__, n_prfs=len(dwells)),
+        prf_index=list(prf_of), members=[t for m in members for t in m],
+        offsets=[0, *itertools.accumulate(map(len, members))],
+        task_disks=task_disks)
 
 
 def apart(*sizes):
@@ -196,7 +220,7 @@ class TestDiskSelector:
         task_disks = {0: [0], 1: [0], **{t: [1, 2, 3, 4] for t in range(2, 6)}}
         dwells = [0.005, 0.004, 0.004, 0.004, 0.004]
         sel = self.selector(task_disks, dwells, "WGD", "SD")
-        assert sel.primary == {0: 2.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
+        assert sel.primary == [2.0, 1.0, 1.0, 1.0, 1.0]
         assert sel.select(random.Random(0)) == 0
         assert self.selector(task_disks, dwells, "GD", "SD").select(random.Random(0)) == 1
 
@@ -211,9 +235,9 @@ class TestDiskSelector:
             catalog = dedup_disks(catalog)
             assert catalog.n_disks == 58
         sel = DiskSelector("WGD", "SD", catalog, OpCounters())
-        assert sel.primary == {
-            d.id: sum(1.0 / len(catalog.task_disks[t]) for t in d.tasks)
-            for d in catalog.disks}
+        assert sel.primary == [
+            sum(1.0 / len(catalog.task_disks[t]) for t in catalog.disk_tasks(d))
+            for d in range(catalog.n_disks)]
 
     def test_single_nonempty_disk_always_chosen(self):
         for main, sub in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
@@ -229,7 +253,7 @@ class TestDiskSelector:
     def test_weight_updates_follow_deletions(self):
         task_disks = {0: [0], 1: [0, 1], 2: [1, 2]}
         sel = self.selector(task_disks, [0.005, 0.004, 0.003], "WGD", "SD")
-        assert sel.primary == {0: 1.5, 1: 1.0, 2: 0.5}
+        assert sel.primary == [1.5, 1.0, 0.5]
         assert sel.select(random.Random(0)) == 0
         sel.consume(task_disks[0])          # disk 0 loses its scarce task
         assert sel.primary[0] == 0.5
@@ -292,8 +316,9 @@ class TestDiskSelectorReference:
         counters = OpCounters()
         sel = DiskSelector(main, sub, catalog, counters)
         share = {t: 1.0 / len(ds) for t, ds in task_disks.items()}
-        left = [len(disk.tasks) for disk in catalog.disks]
-        weight = [sum(share[t] for t in disk.tasks) for disk in catalog.disks]
+        members = disk_members(n, task_disks)
+        left = [len(m) for m in members]
+        weight = [sum(share[t] for t in m) for m in members]
         dwell = [dwells[p] for p in prf_of]
         placed = set()
         removed = 0

@@ -30,42 +30,51 @@ def random_entries(rng, n, n_intlv, prio_pool=None):
 
 
 def counts_of(b):
-    return {k: bk.value for k, bk in b._bucket_of.items()}
+    return [bk.value for bk in b._bucket_of]
 
 
 class TestBucketList:
     def test_all_empty_keys_share_zero_bucket(self):
-        b = BucketList({"a": 0, "b": 0, "c": 0})
-        assert counts_of(b) == {"a": 0, "b": 0, "c": 0}
-        assert [(bk.value, bk.members) for bk in b._walk()] == [(0, ["a", "b", "c"])]
+        b = BucketList([0, 0, 0])
+        assert counts_of(b) == [0, 0, 0]
+        assert [(bk.value, bk.members) for bk in b._walk()] == [(0, [0, 1, 2])]
         assert b.select("max") is None and b.select("min") is None
-        assert len(b.nonzero) == 0
+        assert [b.count(k) for k in range(3)] == [0, 0, 0]
+
+    def test_no_keys(self):
+        b = BucketList([])
+        assert [(bk.value, bk.members) for bk in b._walk()] == [(0, [])]
+        assert b.select("max") is None and b.select("min") is None
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="key 1 has a negative count"):
+            BucketList([2, -1, 0])
 
     def test_membership_counting_and_tie_break(self):
-        b = BucketList({1: 3, 2: 1, 3: 3})
-        assert counts_of(b) == {1: 3, 2: 1, 3: 3}
+        b = BucketList([3, 1, 3])
+        assert counts_of(b) == [3, 1, 3]
         assert sorted({bk.value for bk in b._walk()}) == [1, 3]
-        assert b.select("max") == 1          # lowest key among the ties
-        assert b.select("min") == 2
+        assert b.select("max") == 0          # lowest key among the ties
+        assert b.select("min") == 1
 
     def test_max_bucket_created_and_removed(self):
-        b = BucketList({1: 2, 2: 2})
-        b.decrement([2])                    # 2 leaves a shared bucket: new one
+        b = BucketList([2, 2])
+        b.decrement([1])                    # 1 leaves a shared bucket: new one
         assert [bk.value for bk in b._walk()] == [1, 2]
-        assert b.select("max") == 1 and b.select("min") == 2
-        b.decrement([1])                    # 1 joins it; the top bucket goes
+        assert b.select("max") == 0 and b.select("min") == 1
+        b.decrement([0])                    # 0 joins it; the top bucket goes
         assert [bk.value for bk in b._walk()] == [1]
-        assert b.select("max") == 1
-        b.decrement([2, 1])
-        assert counts_of(b) == {1: 0, 2: 0}
+        assert b.select("max") == 0
+        b.decrement([1, 0])
+        assert counts_of(b) == [0, 0]
         assert b.select("max") is None and b.select("min") is None
 
     def test_random_adjustments_match_recount(self):
         rng = random.Random(0)
         keys = list(range(12))
-        counts = {k: rng.randrange(0, 2000) for k in keys}
+        counts = [rng.randrange(0, 2000) for k in keys]
         b = BucketList(counts)
-        while any(counts.values()):
+        while any(counts):
             call = []
             for _ in range(rng.randrange(1, 6)):
                 k = rng.choice(keys)
@@ -74,10 +83,10 @@ class TestBucketList:
                     call.append(k)
             b.decrement(call)
         assert counts_of(b) == counts
-        assert b.nonzero._pos.keys() == {k for k, c in counts.items() if c > 0}
+        assert [b.count(k) for k in keys] == counts
 
     def test_random_tie_break_is_seeded(self):
-        b = BucketList({1: 1, 2: 1, 3: 1})
+        b = BucketList([1, 1, 1])
         picks = [b.select("max", tie="random", rng=random.Random(7)) for _ in range(5)]
         again = [b.select("max", tie="random", rng=random.Random(7)) for _ in range(5)]
         assert picks == again
@@ -86,10 +95,10 @@ class TestBucketList:
 def bucket_state(b):
     """Everything the selections can read: bucket values in link order,
     each nonzero bucket's members in their stored order (the zero bucket's
-    as a set: no selection reads it), and the nonzero order."""
+    as a set: no selection reads it), and every key's count."""
     return ([(bk.value, sorted(bk.members) if bk.value == 0 else list(bk.members))
              for bk in b._walk()],
-            list(b.nonzero), counts_of(b))
+            [b.count(k) for k in range(len(b._bucket_of))])
 
 
 def selections(b):
@@ -107,8 +116,8 @@ class TestBucketListBulkBuild:
         steps=st.lists(st.integers(0, 11), max_size=60),
     )
     def test_counts_build_matches_stepwise_build(self, counts, steps):
-        keys = [10 * i + 3 for i in range(len(counts))]
-        bulk = BucketList(dict(zip(keys, counts)))
+        keys = list(range(len(counts)))
+        bulk = BucketList(counts)
         ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
         assert bulk.counters.bucket_ops == 0
         assert bucket_state(bulk) == bucket_state(ref)
@@ -124,12 +133,12 @@ class TestBucketListBulkBuild:
             assert selections(bulk) == selections(ref)
 
     def test_lone_key_relabels_its_bucket(self):
-        b = BucketList({1: 3, 2: 1})
-        before = b._bucket_of[1]
-        b.decrement([1])
-        assert b._bucket_of[1] is before and before.value == 2
-        b.decrement([1])            # the neighbour holds 1: join it
-        assert b._bucket_of[1] is b._bucket_of[2]
+        b = BucketList([3, 1])
+        before = b._bucket_of[0]
+        b.decrement([0])
+        assert b._bucket_of[0] is before and before.value == 2
+        b.decrement([0])            # the neighbour holds 1: join it
+        assert b._bucket_of[0] is b._bucket_of[1]
 
 
 class TestBucketListDecrement:
@@ -139,11 +148,14 @@ class TestBucketListDecrement:
         calls=st.lists(st.lists(st.integers(0, 11), max_size=8), max_size=25),
     )
     def test_decrement_matches_sequential_adjusts(self, counts, calls):
-        # keys may repeat within a call and reach zero part-way through it
-        keys = [10 * i + 3 for i in range(len(counts))]
-        fused = BucketList(dict(zip(keys, counts)))
+        # keys may repeat within a call and reach zero part-way through it;
+        # ``single`` takes the same keys one decrement at a time, so the
+        # selections are also compared between the keys of a call
+        keys = list(range(len(counts)))
+        fused = BucketList(counts)
+        single = BucketList(counts)
         ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
-        left = dict(zip(keys, counts))
+        left = list(counts)
         for picks in calls:
             call = []
             for i in picks:
@@ -152,29 +164,36 @@ class TestBucketListDecrement:
                     left[k] -= 1
                     call.append(k)
             fused.decrement(call)
-            ref.decrement(call)
+            for k in call:
+                ref.decrement([k])
+                single.decrement([k])
+                assert bucket_state(single) == bucket_state(ref)
+                assert selections(single) == selections(ref)
             assert fused.counters.bucket_ops == ref.counters.bucket_ops
             assert bucket_state(fused) == bucket_state(ref)
             assert selections(fused) == selections(ref)
-            assert fused._pos == {k: i for bk in fused._walk()
-                                  for i, k in enumerate(bk.members)}
+            pos = [None] * len(keys)
+            for bk in fused._walk():
+                for i, k in enumerate(bk.members):
+                    pos[k] = i
+            assert fused._pos == pos
 
     def test_decrement_through_zero_mid_call(self):
-        b = BucketList({1: 2, 2: 1, 3: 3})
-        b.decrement([1, 2, 1, 3])
-        assert counts_of(b) == {1: 0, 2: 0, 3: 2}
-        assert list(b.nonzero) == [3] and b.counters.bucket_ops == 4
-        assert b.select("max") == 3
-        assert b.select("min") == 3
+        b = BucketList([2, 1, 3])
+        b.decrement([0, 1, 0, 2])
+        assert counts_of(b) == [0, 0, 2]
+        assert b.counters.bucket_ops == 4
+        assert b.select("max") == 2
+        assert b.select("min") == 2
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_decrement_below_zero_raises(self, shared):
-        # key 2 is alone in the zero bucket, or shares it with key 3
-        b = BucketList({1: 1, 2: 0, 3: 0} if shared else {1: 1, 2: 0})
+        # key 1 is alone in the zero bucket, or shares it with key 2
+        b = BucketList([1, 0, 0] if shared else [1, 0])
         with pytest.raises(InternalInvariantError):
-            b.decrement([1, 1])
+            b.decrement([0, 0])
         with pytest.raises(InternalInvariantError):
-            b.decrement([2])
+            b.decrement([1])
 
 
 class TestRangeTreeBulkBuild:
