@@ -34,9 +34,10 @@ print(f"catalog: {catalog.n_disks} disks, {catalog.q_d} memberships "
       f"({dedup_disks(catalog).n_disks} survive duplicate/subset reduction "
       f"for the exact-solver path)\n")
 
-biggest = max(catalog.disks(), key=lambda d: (len(d.tasks), -d.id))
-print(f"densest disk: center {biggest.center(grid)}, "
-      f"PRF index {biggest.prf_index}, encloses tasks {sorted(biggest.tasks)}\n")
+biggest = max(range(catalog.n_disks), key=lambda d: (len(catalog.disk_tasks(d)), -d))
+print(f"densest disk: center {catalog.center(biggest)}, "
+      f"PRF index {catalog.prf_index[biggest]}, "
+      f"encloses tasks {sorted(catalog.disk_tasks(biggest))}\n")
 
 inst = build_instance(catalog, copies=1)
 print(f"{'disk rule':>9} {'sub rule':>8} {'looks':>6} {'objective [ms]':>15} "

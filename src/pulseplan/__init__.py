@@ -32,7 +32,6 @@ from .radar import (
     validate_prf,
 )
 from .geometry import (
-    Disk,
     DiskCatalog,
     GridSpec,
     dedup_disks,
@@ -41,7 +40,6 @@ from .geometry import (
 )
 from .ip import (
     IpInstance,
-    Look,
     Schedule,
     ScheduledLook,
     Violation,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AvailabilityTable",
     "BucketList",
-    "Disk",
     "DiskCatalog",
     "DiskHeuristicConfig",
     "GridSpec",
@@ -69,7 +66,6 @@ __all__ = [
     "InfeasibleError",
     "InternalInvariantError",
     "IpInstance",
-    "Look",
     "OpCounters",
     "PrfConfig",
     "PulseplanError",

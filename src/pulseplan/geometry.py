@@ -5,8 +5,8 @@ direction cosines).  For each PRF, every grid point within the re-steering
 radius of some trackable target becomes the center of a candidate disk; the
 tasks enclosed by a disk may share an interleaved look.  The catalog is
 columnar: per-disk PRF and grid-center columns, every disk's members in one
-flat list cut by offsets, and each task's disk ids; ``Disk`` objects are
-built from the columns only on request.  The catalog holds membership only;
+flat list cut by offsets, and each task's disk ids; no ``Disk`` object is
+made, neither per disk nor on request.  The catalog holds membership only;
 the disk rules' scores are computed by the scheduler that reads them
 (``sdbf.DiskSelector``).
 """
@@ -14,7 +14,7 @@ the disk rules' scores are computed by the scheduler that reads them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -53,30 +53,6 @@ class GridSpec:
             raise ScenarioError("grid spacing must be at least 2**-60")
 
 
-@dataclass(slots=True)
-class Disk:
-    """One disk of a catalog, built from its columns for readers that want
-    an object: ``DiskCatalog.disk`` and ``DiskCatalog.disks``.
-
-    ``tasks`` lists the enclosed task ids in the order the catalog build
-    reached them (task-set row order of the disk's PRF); the ids are the
-    tasks' own ``id`` objects.
-    """
-
-    id: int
-    prf_index: int
-    gu: int                  # grid column index; center u = gu * spacing
-    gv: int                  # grid row index; center v = gv * spacing
-    tasks: list[int] = field(default_factory=list)
-
-    def center(self, grid: GridSpec) -> tuple[float, float]:
-        return (self.gu * grid.spacing, self.gv * grid.spacing)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.tasks)
-
-
 @dataclass
 class DiskCatalog:
     """All candidate disks for all PRFs, as columns indexed by disk id, plus
@@ -88,9 +64,8 @@ class DiskCatalog:
     one flat list for the whole catalog.  ``by_prf[p]`` lists PRF p's disk
     ids and ``task_disks[task_id]`` the disk ids enclosing the task (its
     available-disk set); ``q_d`` is the total membership count.  No object
-    is kept per disk: ``disk(d)`` and ``disks()`` build ``Disk`` objects
-    from the columns on demand.  The catalog is immutable once built;
-    schedulers score disks and track consumption in their own structures.
+    is kept per disk.  The catalog is immutable once built; schedulers
+    score disks and track consumption in their own structures.
     """
 
     grid: GridSpec
@@ -107,9 +82,6 @@ class DiskCatalog:
     def n_disks(self) -> int:
         return len(self.prf_index)
 
-    def n_disks_for_prf(self, prf_index: int) -> int:
-        return len(self.by_prf[prf_index])
-
     @property
     def q_d(self) -> int:
         return len(self.members)
@@ -121,14 +93,6 @@ class DiskCatalog:
     def disk_tasks(self, disk_id: int) -> list[int]:
         """The task ids the disk encloses, in build order (a new list)."""
         return self.members[self.offsets[disk_id]:self.offsets[disk_id + 1]]
-
-    def disk(self, disk_id: int) -> Disk:
-        return Disk(disk_id, self.prf_index[disk_id], self.gu[disk_id],
-                    self.gv[disk_id], self.disk_tasks(disk_id))
-
-    def disks(self) -> list[Disk]:
-        """Every disk as an object, in id order: O(q_d) per call."""
-        return [self.disk(d) for d in range(self.n_disks)]
 
 
 # Box cells tested per numpy step of the stencil: 2**17 float64 cells keep

@@ -13,6 +13,14 @@ assignment variables h_ijk (task i at slot k of look j) subject to:
   C7  a look with m tasks keeps every assignment within m <= k + A_l
   C8  binary domains
 
+One look type serves both sides: a ``ScheduledLook`` is a look of a
+schedule and a candidate look of an instance alike.  An ``IpInstance`` is
+the availability table (and, in subarray mode, the disk catalog) plus a copy
+count; it builds its candidate looks when ``looks`` is first read, so the
+checker, which reads none of them, never pays for them.  A schedule look
+that is no candidate look of the instance, or that repeats an index, is a
+C8 violation.
+
 This module validates any schedule against those constraints, solves small
 instances exactly by depth-first branch and bound, and writes instances as
 LP text (``export_lp``), optionally as the capacitated facility-location
@@ -24,7 +32,8 @@ are formatted straight from the ``IpInstance`` (looks plus ``av``/``al``/
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleError, InternalInvariantError, ResourceLimitError
@@ -38,22 +47,10 @@ DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class Look:
-    """One candidate look of an instance: a PRF (and disk) with its dwell."""
-
-    index: int
-    prf_index: int
-    dwell: float
-    dwell_frac: Fraction
-    base: int                      # base template id (PRF or disk)
-    disk_id: int | None = None
-
-
-@dataclass(frozen=True)
 class ScheduledLook:
-    """One look of a produced schedule."""
+    """One look: of a produced schedule, or a candidate look of an instance."""
 
-    index: int                     # 1-based position in the schedule
+    index: int                     # 1-based position in the schedule or instance
     prf_index: int
     f_r: float
     dwell: float
@@ -105,16 +102,19 @@ class Violation:
 
 @dataclass
 class IpInstance:
-    """A concrete instance: candidate looks plus availability lookups.
+    """A concrete instance: the availability table (element mode) or the
+    disk catalog too (subarray mode), plus ``copies`` identical candidate
+    looks per base.
 
-    Element mode expands each PRF into ``copies`` identical candidate looks
-    (enough for any schedule to embed); subarray mode expands each disk.
+    A base is a PRF in element mode and a disk in subarray mode; bases go in
+    PRF index or disk id order.  ``looks`` lists the candidate looks, built
+    on first read: base-major, ``copies`` per base, indexed from 1.
     """
 
     mode: str
     table: AvailabilityTable
-    looks: list[Look]
     task_ids: tuple[int, ...]
+    copies: int
     catalog: DiskCatalog | None = None
     _disk_sets: dict[int, frozenset] = field(default_factory=dict, repr=False)
 
@@ -124,7 +124,7 @@ class IpInstance:
 
     @property
     def n_bases(self) -> int:
-        return len({lk.base for lk in self.looks})
+        return self.table.n_prfs if self.catalog is None else self.catalog.n_disks
 
     @property
     def l_inf(self) -> int:
@@ -132,13 +132,40 @@ class IpInstance:
         max_al = int(self.table.al.max()) if self.table.al.size else 0
         return self.table.cfg.n_intlv + max_al + 1
 
-    def av(self, task_id: int, look) -> bool:
+    def candidate(self, index: int, prf_index: int,
+                  disk_id: int | None = None) -> ScheduledLook:
+        """The candidate look of one base (PRF, and disk in subarray mode)."""
+        center = None if disk_id is None else self.catalog.center(disk_id)
+        return ScheduledLook(index, prf_index, self.table.prfs[prf_index].f_r,
+                             self.table.dwell(prf_index), disk_id, center)
+
+    @cached_property
+    def looks(self) -> list[ScheduledLook]:
+        if self.catalog is None:
+            bases = [(p, None) for p in range(self.table.n_prfs)]
+        else:
+            bases = [(p, d) for d, p in enumerate(self.catalog.prf_index)]
+        return [self.candidate(j, p, d) for j, (p, d) in enumerate(
+            (base for base in bases for _ in range(self.copies)), 1)]
+
+    def is_candidate(self, look: ScheduledLook) -> bool:
+        """Whether the look equals a candidate look of the instance, up to
+        its index: a PRF in 0..P-1 (in subarray mode, a catalog disk of that
+        PRF) with that PRF's f_r and dwell and the disk's center."""
+        p, d = look.prf_index, look.disk_id
+        if self.catalog is None:
+            known = d is None and 0 <= p < self.table.n_prfs
+        else:
+            known = (d is not None and 0 <= d < self.catalog.n_disks
+                     and self.catalog.prf_index[d] == p)
+        return known and look == self.candidate(look.index, p, d)
+
+    def av(self, task_id: int, look: ScheduledLook) -> bool:
         row = self.table.row_of(task_id)
-        p = look.prf_index
-        if not self.table.av[row, p]:
+        if not self.table.av[row, look.prf_index]:
             return False
-        disk_id = getattr(look, "disk_id", None)
         if self.mode == "sdbf":
+            disk_id = look.disk_id
             if disk_id is None:
                 return False
             members = self._disk_sets.get(disk_id)
@@ -148,10 +175,10 @@ class IpInstance:
             return task_id in members
         return True
 
-    def al(self, task_id: int, look) -> int:
+    def al(self, task_id: int, look: ScheduledLook) -> int:
         return int(self.table.al[self.table.row_of(task_id), look.prf_index])
 
-    def ar(self, task_id: int, look) -> int:
+    def ar(self, task_id: int, look: ScheduledLook) -> int:
         return int(self.table.ar[self.table.row_of(task_id), look.prf_index])
 
 
@@ -167,7 +194,8 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
     element mode defaults to the task count (always enough), subarray mode
     defaults to one look per disk; an explicit ``copies`` below one raises
     ``ValueError``.  Raises when some task has no available look; drop
-    unschedulable tasks before building.
+    unschedulable tasks before building.  No look is built here: the
+    instance builds its candidate looks when ``looks`` is first read.
     """
     if copies is not None and copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
@@ -187,7 +215,6 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
 
     if mode == "edbf":
         n_copies = max(1, len(task_ids)) if copies is None else copies
-        bases = [(p, p, None) for p in range(table.n_prfs)]
     else:
         n_copies = 1 if copies is None else copies
         uncovered = [
@@ -197,30 +224,35 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             raise InfeasibleError(
                 f"{len(uncovered)} task(s) enclosed by no disk", task_ids=uncovered
             )
-        bases = [(d, p, d) for d, p in enumerate(catalog.prf_index)]
-    # each PRF's dwell, as a float and exactly, computed once
-    dwells = [(table.dwell(p), dwell_fraction(table, p)) for p in range(table.n_prfs)]
-    looks: list[Look] = []
-    for base, p, disk_id in bases:
-        for _ in range(n_copies):
-            looks.append(Look(len(looks) + 1, p, *dwells[p], base, disk_id))
     return IpInstance(
-        mode=mode, table=table, looks=looks, task_ids=task_ids, catalog=catalog
+        mode=mode, table=table, task_ids=task_ids, copies=n_copies, catalog=catalog
     )
 
 
 def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
     """Validate a schedule against C1..C8; violations are data, not errors.
 
-    The schedule's own looks (each carrying a PRF and, in subarray mode, a
-    disk) are validated against the instance's availability data, so a
-    schedule may use more looks of one PRF or disk than the instance
-    enumerates without penalty; every constraint is per look or per task.
+    Each schedule look must be a candidate look of the instance up to its
+    index (``IpInstance.is_candidate``), and look indices must be unique;
+    any other look is one C8 violation, and its assignments are not checked
+    against its PRF or disk (C5..C7).  A schedule may use more looks of one
+    PRF or disk than the instance has copies without penalty; every
+    constraint is per look or per task.
     """
     out: list[Violation] = []
     n = inst.n_intlv
     known = set(inst.task_ids)
-    look_map = {lk.index: lk for lk in schedule.looks}
+    look_map: dict[int, ScheduledLook] = {}
+    foreign: set[int] = set()
+    for lk in schedule.looks:
+        j = lk.index
+        if j in look_map:
+            out.append(Violation("C8", "look index declared more than once", look=j))
+            foreign.add(j)
+        elif not inst.is_candidate(lk):
+            out.append(Violation("C8", "look is not a candidate look of the instance", look=j))
+            foreign.add(j)
+        look_map.setdefault(j, lk)
 
     seen: dict[int, int] = {}
     per_look: dict[int, list[tuple[int, int]]] = {}
@@ -252,6 +284,8 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
         m = max(slots)
         if sorted(set(slots)) != list(range(1, m + 1)):
             out.append(Violation("C4", f"occupied slots {sorted(set(slots))} are not 1..{m}", look=j))
+        if j in foreign:
+            continue
         for tid, k in rows:
             if not inst.av(tid, lk):
                 out.append(Violation("C5", "task not available for this look", look=j, task=tid))
@@ -283,10 +317,11 @@ def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
 
 
 class _OpenLook:
-    __slots__ = ("look", "slots", "count", "max_slot", "min_tol")
+    __slots__ = ("look", "base", "slots", "count", "max_slot", "min_tol")
 
-    def __init__(self, look, n_intlv):
+    def __init__(self, look, base, n_intlv):
         self.look = look
+        self.base = base
         self.slots = [None] * (n_intlv + 1)
         self.count = 0
         self.max_slot = 0
@@ -328,11 +363,14 @@ def solve_exact(
 
     n = inst.n_intlv
     tasks = sorted(inst.task_ids)
-    bases: dict[int, list[Look]] = {}
+    # one base per PRF (element mode) or disk (subarray mode)
+    by_disk = inst.mode == "sdbf"
+    bases: dict[int, list[ScheduledLook]] = {}
     for lk in inst.looks:
-        bases.setdefault(lk.base, []).append(lk)
+        bases.setdefault(lk.disk_id if by_disk else lk.prf_index, []).append(lk)
     base_ids = sorted(bases)
-    min_dwell = min(lk.dwell_frac for lk in inst.looks)
+    dwell_frac = [dwell_fraction(inst.table, p) for p in range(inst.table.n_prfs)]
+    min_dwell = min(dwell_frac[lk.prf_index] for lk in inst.looks)
 
     av = {
         (tid, b): inst.av(tid, bases[b][0])
@@ -360,7 +398,7 @@ def solve_exact(
         return state["obj"] + math.ceil(short / n) * min_dwell
 
     def place(ol: _OpenLook, tid: int, k: int) -> tuple | None:
-        b = ol.look.base
+        b = ol.base
         if ol.slots[k] is not None or ol.count >= n:
             return None
         if not av[(tid, b)] or k > ar[(tid, b)]:
@@ -376,7 +414,7 @@ def solve_exact(
         ol.slots[k] = tid
         ol.count += 1
         ol.max_slot = max(ol.max_slot, k)
-        ol.min_tol = min(ol.min_tol, k + al[(tid, ol.look.base)])
+        ol.min_tol = min(ol.min_tol, k + al[(tid, ol.base)])
         state["free"] -= 1
         state["gaps"] += (ol.max_slot - ol.count) - old_gap
 
@@ -395,22 +433,7 @@ def solve_exact(
             if ol.count == 0:
                 continue
             j = len(looks_out) + 1
-            lk = ol.look
-            center = (
-                inst.catalog.center(lk.disk_id)
-                if inst.catalog is not None and lk.disk_id is not None
-                else None
-            )
-            looks_out.append(
-                ScheduledLook(
-                    index=j,
-                    prf_index=lk.prf_index,
-                    f_r=inst.table.prfs[lk.prf_index].f_r,
-                    dwell=inst.table.dwell(lk.prf_index),
-                    disk_id=lk.disk_id,
-                    disk_center=center,
-                )
-            )
+            looks_out.append(replace(ol.look, index=j))
             for k in range(1, n + 1):
                 if ol.slots[k] is not None:
                     assigns.append((ol.slots[k], j, k))
@@ -445,11 +468,11 @@ def solve_exact(
             if used_copies[b] >= len(bases[b]) or not av[(tid, b)]:
                 continue
             look = bases[b][used_copies[b]]
-            ol = _OpenLook(look, n)
+            ol = _OpenLook(look, b, n)
             used_copies[b] += 1
             open_looks.append(ol)
             state["free"] += n
-            state["obj"] += look.dwell_frac
+            state["obj"] += dwell_frac[look.prf_index]
             for k in range(1, n + 1):
                 saved = place(ol, tid, k)
                 if saved is None:
@@ -457,7 +480,7 @@ def solve_exact(
                 apply(ol, tid, k)
                 dfs(idx + 1)
                 undo(ol, k, saved)
-            state["obj"] -= look.dwell_frac
+            state["obj"] -= dwell_frac[look.prf_index]
             state["free"] -= n
             open_looks.pop()
             used_copies[b] -= 1

@@ -13,6 +13,7 @@ import numpy as np
 
 from pulseplan.errors import InternalInvariantError
 from pulseplan.io import SCENARIO_TAG, _fields
+from pulseplan.ip import dwell_fraction
 from pulseplan.radar import (
     RadarConfig,
     TrackTask,
@@ -137,6 +138,12 @@ def timeline_feasible(placements, prf, cfg, total_slots=None):
     return True
 
 
+def disk_rows(catalog):
+    """Every disk of a catalog as (prf_index, gu, gv, tasks), in id order."""
+    return [(catalog.prf_index[d], catalog.gu[d], catalog.gv[d], catalog.disk_tasks(d))
+            for d in range(catalog.n_disks)]
+
+
 def brute_grid_disks(table, grid):
     """All (prf, grid point) pairs enclosing at least one trackable task,
     found by scanning the padded bounding box of every task."""
@@ -252,7 +259,7 @@ def exhaustive_optimum(inst):
     tasks = sorted(inst.task_ids)
     bases = {}
     for lk in inst.looks:
-        bases.setdefault(lk.base, lk)
+        bases.setdefault((lk.prf_index, lk.disk_id), lk)
     best = None
     for part in _partitions(tasks):
         total = Fraction(0)
@@ -264,8 +271,9 @@ def exhaustive_optimum(inst):
             cheapest = None
             for lk in bases.values():
                 if _group_feasible(group, lk, inst):
-                    if cheapest is None or lk.dwell_frac < cheapest:
-                        cheapest = lk.dwell_frac
+                    dwell = dwell_fraction(inst.table, lk.prf_index)
+                    if cheapest is None or dwell < cheapest:
+                        cheapest = dwell
             if cheapest is None:
                 ok = False
                 break

@@ -36,6 +36,7 @@ from oracles import (
     backend_over,
     brute_grid_disks,
     clear_region_trackable,
+    disk_rows,
     kill,
     linear_best,
     linear_has_left,
@@ -310,10 +311,11 @@ class TestAcceptance:
             )
             table = build_availability_table(tasks, prfs, cfg)
             catalog = enumerate_disks(table, grid)
-            got = {(d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks()}
+            rows = disk_rows(catalog)
+            got = {(p, gu, gv): sorted(tasks) for p, gu, gv, tasks in rows}
             want = brute_grid_disks(table, grid)
             assert got == want, seed
-            assert all(d.tasks for d in catalog.disks())
+            assert all(tasks for *_, tasks in rows)
             for row in table.schedulable_rows():
                 assert catalog.task_disks[table.tasks[row].id], seed
         report(8, "100 scenarios: catalog == brute-force enumeration, all disks "

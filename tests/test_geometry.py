@@ -19,7 +19,7 @@ from pulseplan import (
 )
 from pulseplan.geometry import DISK_DENSITY_BOUND, _stencil
 from pulseplan.scenario import ScenarioSpec
-from oracles import brute_grid_disks, stepwise_disks
+from oracles import brute_grid_disks, disk_rows, stepwise_disks
 
 
 def scan_task(tid, u, v, r=30000.0):
@@ -76,9 +76,9 @@ class TestEnumerateDisks:
     def test_single_task_at_origin_with_spacing_equal_radius(self, lab_cfg, lab_prf):
         table = self.single_prf_table([scan_task(1, 0.0, 0.0)], lab_cfg, lab_prf)
         catalog = enumerate_disks(table, GridSpec(spacing=0.05, disk_radius=0.05))
-        centers = {(d.gu, d.gv) for d in catalog.disks()}
+        centers = set(zip(catalog.gu, catalog.gv))
         assert centers == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-        assert all(d.tasks == [1] for d in catalog.disks())
+        assert all(catalog.disk_tasks(d) == [1] for d in range(catalog.n_disks))
 
     def test_distant_tasks_have_disjoint_disks(self, lab_cfg, lab_prf):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -86,7 +86,7 @@ class TestEnumerateDisks:
             [scan_task(1, -0.4, 0.0), scan_task(2, 0.4, 0.0)], lab_cfg, lab_prf
         )
         catalog = enumerate_disks(table, grid)
-        assert all(len(d.tasks) == 1 for d in catalog.disks())
+        assert all(len(catalog.disk_tasks(d)) == 1 for d in range(catalog.n_disks))
         assert set(catalog.task_disks[1]) & set(catalog.task_disks[2]) == set()
 
     def test_close_tasks_share_a_disk(self, lab_cfg, lab_prf):
@@ -95,7 +95,8 @@ class TestEnumerateDisks:
             [scan_task(1, 0.01, 0.0), scan_task(2, -0.01, 0.0)], lab_cfg, lab_prf
         )
         catalog = enumerate_disks(table, grid)
-        shared = [d for d in catalog.disks() if set(d.tasks) == {1, 2}]
+        shared = [d for d in range(catalog.n_disks)
+                  if set(catalog.disk_tasks(d)) == {1, 2}]
         assert shared, "expected a disk enclosing both nearby tasks"
 
     def test_matches_brute_force_grid_scan(self, cfg, prfs):
@@ -106,9 +107,7 @@ class TestEnumerateDisks:
             )
             table = build_availability_table(tasks, prfs, cfg)
             catalog = enumerate_disks(table, grid)
-            got = {
-                (d.prf_index, d.gu, d.gv): sorted(d.tasks) for d in catalog.disks()
-            }
+            got = {(p, gu, gv): sorted(tasks) for p, gu, gv, tasks in disk_rows(catalog)}
             want = brute_grid_disks(table, grid)
             assert got == want
 
@@ -126,13 +125,13 @@ class TestEnumerateDisks:
         table = build_availability_table(tasks, prfs, cfg)
         catalog = enumerate_disks(table, grid)
         by_id = {t.id: t for t in tasks}
-        for d in catalog.disks():
-            assert d.tasks
-            cu, cv = d.center(grid)
-            for tid in d.tasks:
+        for d in range(catalog.n_disks):
+            assert catalog.disk_tasks(d)
+            cu, cv = catalog.center(d)
+            for tid in catalog.disk_tasks(d):
                 t = by_id[tid]
                 assert math.hypot(cu - t.u, cv - t.v) <= grid.disk_radius + 1e-12
-                assert table.av[table.row_of(tid), d.prf_index]
+                assert table.av[table.row_of(tid), catalog.prf_index[d]]
 
     def test_density_bound(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -142,12 +141,11 @@ class TestEnumerateDisks:
         ratio = grid.disk_radius / grid.spacing
         for p in range(table.n_prfs):
             k_p = len(table.task_sets[p])
-            assert catalog.n_disks_for_prf(p) <= DISK_DENSITY_BOUND * ratio * ratio * max(1, k_p)
+            assert len(catalog.by_prf[p]) <= DISK_DENSITY_BOUND * ratio * ratio * max(1, k_p)
 
 
 def catalog_fields(catalog):
-    disks = [(d.id, d.prf_index, d.gu, d.gv, d.tasks)
-             for d in catalog.disks()]
+    disks = [(d, *row) for d, row in enumerate(disk_rows(catalog))]
     return disks, catalog.by_prf, catalog.task_disks
 
 
@@ -295,9 +293,9 @@ class TestDedup:
             [scan_task(1, 0.0, 0.0), scan_task(2, 0.05, 0.0)], lab_cfg, lab_prf,
             GridSpec(spacing=0.05, disk_radius=0.05),
         )
-        assert any(set(d.tasks) == {1, 2} for d in catalog.disks())
+        assert any(set(tasks) == {1, 2} for *_, tasks in disk_rows(catalog))
         reduced = dedup_disks(catalog)
-        sets = [frozenset(d.tasks) for d in reduced.disks()]
+        sets = [frozenset(tasks) for *_, tasks in disk_rows(reduced)]
         for i, a in enumerate(sets):
             for j, b in enumerate(sets):
                 if i != j and reduced.prf_index[i] == reduced.prf_index[j]:
@@ -311,7 +309,7 @@ class TestDedup:
         # all disks hold exactly one task; duplicates collapse per task side
         reduced = dedup_disks(catalog)
         assert reduced.n_disks == 2
-        assert sorted(frozenset(d.tasks) for d in reduced.disks()) == [
+        assert sorted(frozenset(tasks) for *_, tasks in disk_rows(reduced)) == [
             frozenset({1}), frozenset({2})
         ]
 
@@ -320,7 +318,7 @@ class TestDedup:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=15, seed=7), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         reduced = dedup_disks(enumerate_disks(table, grid))
-        assert reduced.q_d == sum(len(d.tasks) for d in reduced.disks())
+        assert reduced.q_d == sum(len(tasks) for *_, tasks in disk_rows(reduced))
         for tid, disks in reduced.task_disks.items():
             for d in disks:
                 assert tid in reduced.disk_tasks(d)
@@ -331,6 +329,4 @@ class TestDedup:
         table = build_availability_table(tasks, prfs, cfg)
         once = dedup_disks(enumerate_disks(table, grid))
         twice = dedup_disks(once)
-        assert [(d.prf_index, d.gu, d.gv, d.tasks) for d in twice.disks()] == [
-            (d.prf_index, d.gu, d.gv, d.tasks) for d in once.disks()
-        ]
+        assert disk_rows(twice) == disk_rows(once)

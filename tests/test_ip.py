@@ -1,9 +1,13 @@
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pulseplan import (
+    DiskHeuristicConfig,
+    GridSpec,
     HeuristicConfig,
     PrfConfig,
     RadarConfig,
@@ -14,10 +18,12 @@ from pulseplan import (
     build_instance,
     check_feasible,
     default_prf_set,
+    enumerate_disks,
     exact_objective,
     export_lp,
     gen_scenario,
     hied,
+    hisd,
     solve_exact,
 )
 from pulseplan.scenario import ScenarioSpec
@@ -25,6 +31,8 @@ from oracles import exhaustive_optimum, timeline_feasible
 
 SMALL_CFG = RadarConfig(n_intlv=4, pulses_per_look=64)
 SMALL_PRFS = default_prf_set(count=3)
+# the dwell (s) of each SMALL_PRFS PRF under SMALL_CFG
+D3 = (0.006736842105263158, 0.004923076923076923, 0.0038787878787878787)
 
 
 def small_instance(n_tasks, seed, cfg=SMALL_CFG, prfs=SMALL_PRFS):
@@ -72,6 +80,35 @@ class TestInstanceShape:
         inst = build_instance(catalog)
         assert len(inst.looks) == catalog.n_disks
 
+    @pytest.mark.parametrize("copies, want", [
+        (1, [(1, 0, D3[0], None), (2, 1, D3[1], None), (3, 2, D3[2], None)]),
+        (2, [(1, 0, D3[0], None), (2, 0, D3[0], None), (3, 1, D3[1], None),
+             (4, 1, D3[1], None), (5, 2, D3[2], None), (6, 2, D3[2], None)]),
+        (None, [(j, (j - 1) // 6, D3[(j - 1) // 6], None) for j in range(1, 19)]),
+    ])
+    def test_edbf_looks_pinned(self, copies, want):
+        # (index, prf_index, dwell, disk_id) of every candidate look:
+        # base-major, ``copies`` per base, indexed from 1
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=6, seed=1), SMALL_CFG, SMALL_PRFS)
+        inst = build_instance(build_availability_table(tasks, SMALL_PRFS, SMALL_CFG),
+                              copies=copies)
+        assert [(lk.index, lk.prf_index, lk.dwell, lk.disk_id)
+                for lk in inst.looks] == want
+
+    def test_sdbf_looks_pinned(self, cfg, prfs):
+        from pulseplan import dedup_disks
+
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=4, seed=1), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        inst = build_instance(dedup_disks(enumerate_disks(table, GridSpec())))
+        d0, d2, d3 = 0.006736842105263158, 0.005565217391304348, 0.00512
+        d4, d5, d6 = 0.004740740740740741, 0.004413793103448276, 0.004129032258064516
+        assert [(lk.index, lk.prf_index, lk.dwell, lk.disk_id) for lk in inst.looks] == [
+            (1, 0, d0, 0), (2, 0, d0, 1), (3, 0, d0, 2), (4, 2, d2, 3),
+            (5, 3, d3, 4), (6, 3, d3, 5), (7, 4, d4, 6), (8, 4, d4, 7),
+            (9, 5, d5, 8), (10, 6, d6, 9), (11, 6, d6, 10),
+        ]
+
     @pytest.mark.parametrize("copies", [0, -3])
     def test_copies_below_one_rejected(self, cfg, prfs, copies):
         from pulseplan import GridSpec, enumerate_disks
@@ -81,6 +118,21 @@ class TestInstanceShape:
         for source in (table, enumerate_disks(table, GridSpec())):
             with pytest.raises(ValueError, match="copies must be at least 1"):
                 build_instance(source, copies=copies)
+
+    def test_build_makes_no_look(self, cfg, prfs):
+        # the candidate looks are built on the first read of ``looks``
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=1000, seed=1), cfg, prfs)
+        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+        assert catalog.n_disks == 38821
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            inst = build_instance(catalog, copies=1)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, kept
+        assert len(inst.looks) == catalog.n_disks
 
     def test_l_inf_exceeds_capacity_plus_max_leftward(self):
         table, inst = small_instance(5, seed=2)
@@ -191,6 +243,72 @@ class TestChecker:
             assert slot_ok == want, (trial, rows, slot_ok, want)
             agree += 1
         assert agree > 200
+
+
+def one_look_prf_swap(sched, table):
+    """(position, PRF) of a look whose tasks all fit another PRF's A_v, A_r
+    and A_l in their slots, so only the look's own fields tell it apart."""
+    by_look = sched.by_look()
+    for pos, lk in enumerate(sched.looks):
+        rows = by_look[lk.index]
+        m = max(k for _, k in rows)
+        for q in range(table.n_prfs):
+            if q != lk.prf_index and all(
+                table.av[r, q] and k <= table.ar[r, q] and m <= k + table.al[r, q]
+                for r, k in ((table.row_of(t), k) for t, k in rows)
+            ):
+                return pos, q
+    raise AssertionError("no look fits another PRF")
+
+
+def corrupt(case, cfg, prfs):
+    """A feasible 40-task schedule (seed 1) with some of its looks edited
+    so that they are no candidate look of the instance; returns the
+    schedule, the instance and the number of edited looks."""
+    _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=1), cfg, prfs)
+    table = build_availability_table(tasks, prfs, cfg)
+    if case in ("disk-past-end", "disk-of-another-prf"):
+        catalog = enumerate_disks(table, GridSpec())
+        sched, inst = hisd(catalog, DiskHeuristicConfig()), build_instance(catalog, copies=1)
+    else:
+        sched, inst = hied(table, HeuristicConfig()), build_instance(table, copies=1)
+    assert check_feasible(sched, inst) == []
+    looks = sched.looks
+    first = looks[0]
+    if case == "prf-wrapped":
+        looks = [replace(lk, prf_index=lk.prf_index - table.n_prfs) for lk in looks]
+        n_bad = len(looks)
+    elif case == "prf-past-end":
+        looks = [replace(first, prf_index=99), *looks[1:]]
+        n_bad = 1
+    elif case == "disk-past-end":
+        looks = [replace(first, disk_id=inst.catalog.n_disks + 5), *looks[1:]]
+        n_bad = 1
+    elif case == "disk-of-another-prf":
+        pos, q = one_look_prf_swap(sched, table)
+        looks = list(looks)
+        looks[pos] = replace(looks[pos], prf_index=q, f_r=table.prfs[q].f_r,
+                             dwell=table.dwell(q))
+        n_bad = 1
+    elif case == "dwell-edited":
+        looks = [replace(first, dwell=first.dwell / 2), *looks[1:]]
+        n_bad = 1
+    else:
+        assert case == "duplicate-index"
+        looks = [*looks, first]
+        n_bad = 1
+    return replace(sched, looks=looks), inst, n_bad
+
+
+class TestLookTable:
+    @pytest.mark.parametrize("case", [
+        "prf-wrapped", "prf-past-end", "disk-past-end", "disk-of-another-prf",
+        "dwell-edited", "duplicate-index",
+    ])
+    def test_foreign_look_is_one_c8(self, cfg, prfs, case):
+        sched, inst, n_bad = corrupt(case, cfg, prfs)
+        v = check_feasible(sched, inst)
+        assert [x.constraint for x in v] == ["C8"] * n_bad, v
 
 
 class TestObjective:

