@@ -37,7 +37,7 @@ print(f"catalog: {catalog.n_disks} disks, {catalog.q_d} memberships "
 biggest = max(range(catalog.n_disks), key=lambda d: (len(catalog.disk_tasks(d)), -d))
 print(f"densest disk: center {catalog.center(biggest)}, "
       f"PRF index {catalog.prf_index[biggest]}, "
-      f"encloses tasks {sorted(catalog.disk_tasks(biggest))}\n")
+      f"encloses tasks {sorted(tasks.ids[row] for row in catalog.disk_tasks(biggest))}\n")
 
 inst = build_instance(catalog, copies=1)
 print(f"{'disk rule':>9} {'sub rule':>8} {'looks':>6} {'objective [ms]':>15} "

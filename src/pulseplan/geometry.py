@@ -6,9 +6,9 @@ radius of some trackable target becomes the center of a candidate disk; the
 tasks enclosed by a disk may share an interleaved look.  The catalog is
 columnar: per-disk PRF and grid-center columns, every disk's members in one
 flat list cut by offsets, and each task's disk ids; no ``Disk`` object is
-made, neither per disk nor on request.  The catalog holds membership only;
-the disk rules' scores are computed by the scheduler that reads them
-(``sdbf.DiskSelector``).
+made.  Tasks are table rows, as in every other run structure.  The catalog
+holds membership only; the disk rules' scores are computed by the
+scheduler that reads them (``sdbf.DiskSelector``).
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class DiskCatalog:
     the per-task disk index.
 
     Disk ``d`` belongs to PRF ``prf_index[d]`` and is centered on grid point
-    ``(gu[d], gv[d])`` (Python ints; center u = gu * spacing).  Its enclosed
-    task ids are ``members[offsets[d]:offsets[d + 1]]`` (``disk_tasks``),
-    one flat list for the whole catalog.  ``by_prf[p]`` lists PRF p's disk
-    ids and ``task_disks[task_id]`` the disk ids enclosing the task (its
+    ``(gu[d], gv[d])`` (Python ints; center u = gu * spacing).  The tasks it
+    encloses are ``members[offsets[d]:offsets[d + 1]]`` (``disk_tasks``),
+    one flat list of ``table`` rows.  ``by_prf[p]`` lists PRF p's disk ids
+    and ``task_disks[row]`` the disk ids enclosing the row's task (its
     available-disk set); ``q_d`` is the total membership count.  No object
     is kept per disk.  The catalog is immutable once built; schedulers
     score disks and track consumption in their own structures.
@@ -76,7 +76,7 @@ class DiskCatalog:
     members: list[int]
     offsets: list[int]
     by_prf: list[list[int]]
-    task_disks: dict[int, list[int]]
+    task_disks: list[list[int]]
 
     @property
     def n_disks(self) -> int:
@@ -91,7 +91,7 @@ class DiskCatalog:
         return (self.gu[disk_id] * spacing, self.gv[disk_id] * spacing)
 
     def disk_tasks(self, disk_id: int) -> list[int]:
-        """The task ids the disk encloses, in build order (a new list)."""
+        """The table rows the disk encloses, in build order (a new list)."""
         return self.members[self.offsets[disk_id]:self.offsets[disk_id + 1]]
 
 
@@ -162,9 +162,9 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     each PRF's task-set rows and each row's cells in (gu, gv) order, which
     gives a new cell the next disk id and appends the task to the cell's
     disk.  So disk ids are in (PRF, first-touch) order, and each disk's
-    members and each ``task_disks`` list are in scan order.  Members are the
-    tasks' own id objects, and each disk id is one int object shared by
-    ``by_prf`` and ``task_disks``.
+    members and each ``task_disks`` list are in scan order.  Each row is one
+    int object shared by its memberships in ``members``, and each disk id
+    one shared by ``by_prf`` and ``task_disks``.
     """
     tasks = table.tasks
     rows = table.schedulable_rows()
@@ -179,8 +179,7 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     span = len(gv_values)
     key = gu_rank * span + gv_rank
     del point, cell_gu, cell_gv, gu_rank, gv_rank
-    ids = np.empty(len(tasks), dtype=object)
-    ids[:] = tasks.ids
+    row_objects = np.array(range(len(tasks)), dtype=object)
 
     prf_index: list[int] = []
     gu: list[int] = []
@@ -188,7 +187,7 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     members: list[int] = []
     sizes: list[int] = []
     by_prf: list[list[int]] = []
-    task_disks: dict[int, list[int]] = {tid: [] for tid in tasks.ids}
+    task_disks: list[list[int]] = [[] for _ in range(len(tasks))]
     for p, prf_rows in enumerate(table.task_sets):
         if not prf_rows:
             by_prf.append([])
@@ -199,7 +198,7 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
         cell = np.arange(ends[-1]) + np.repeat(
             first_cell[slot[prf_rows]] - (ends - count), count)
         local, first = _first_touch(key[cell])
-        members += ids[np.repeat(prf_rows, count)[
+        members += row_objects[np.repeat(prf_rows, count)[
             np.argsort(local, kind="stable")]].tolist()
         sizes += np.bincount(local).tolist()
         centers = key[cell[first]]
@@ -211,8 +210,8 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
         by_prf.append(dids)
         cell_disks = np.array(dids, dtype=object)[local].tolist()
         lo = 0
-        for tid, hi in zip(ids[prf_rows].tolist(), ends.tolist()):
-            task_disks[tid].extend(cell_disks[lo:hi])
+        for row, hi in zip(prf_rows.tolist(), ends.tolist()):
+            task_disks[row].extend(cell_disks[lo:hi])
             lo = hi
 
     catalog = DiskCatalog(
@@ -258,16 +257,16 @@ def dedup_disks(catalog: DiskCatalog) -> DiskCatalog:
 
     prf_index = [catalog.prf_index[d] for d in keep]
     by_prf: list[list[int]] = [[] for _ in range(catalog.table.n_prfs)]
-    task_disks: dict[int, list[int]] = {tid: [] for tid in catalog.table.tasks.ids}
+    task_disks: list[list[int]] = [[] for _ in range(catalog.table.n_tasks)]
     members: list[int] = []
     offsets = [0]
     for new, d in enumerate(keep):
-        tasks = catalog.disk_tasks(d)
-        members += tasks
+        rows = catalog.disk_tasks(d)
+        members += rows
         offsets.append(len(members))
         by_prf[prf_index[new]].append(new)
-        for t in tasks:
-            task_disks[t].append(new)
+        for row in rows:
+            task_disks[row].append(new)
     return DiskCatalog(
         grid=catalog.grid,
         table=catalog.table,

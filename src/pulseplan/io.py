@@ -368,11 +368,11 @@ def disks_text(catalog: DiskCatalog) -> str:
         f"disk_radius={_fmt(catalog.grid.disk_radius)} n_disks={catalog.n_disks}"
     )
     lines.append("# prf disk u v cardinality tasks")
-    gu, gv = catalog.gu, catalog.gv
+    gu, gv, ids = catalog.gu, catalog.gv, catalog.table.tasks.ids
     for p, disk_ids in enumerate(catalog.by_prf):
         for d in sorted(disk_ids, key=lambda i: (gu[i], gv[i])):
             u, v = catalog.center(d)
             members = catalog.disk_tasks(d)
-            tasks = ",".join(str(t) for t in sorted(members))
+            tasks = ",".join(str(t) for t in sorted(map(ids.__getitem__, members)))
             lines.append(f"{p} {d} {_fmt(u)} {_fmt(v)} {len(members)} {tasks}")
     return "\n".join(lines) + "\n"

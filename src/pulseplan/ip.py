@@ -172,7 +172,7 @@ class IpInstance:
             if members is None:
                 members = frozenset(self.catalog.disk_tasks(disk_id))
                 self._disk_sets[disk_id] = members
-            return task_id in members
+            return row in members
         return True
 
     def al(self, task_id: int, look: ScheduledLook) -> int:
@@ -218,7 +218,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
     else:
         n_copies = 1 if copies is None else copies
         uncovered = [
-            tid for tid in task_ids if not catalog.task_disks.get(tid)
+            tid for tid, disks in zip(task_ids, catalog.task_disks) if not disks
         ]
         if uncovered:
             raise InfeasibleError(

@@ -19,7 +19,6 @@ indices.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -98,22 +97,17 @@ class TrackTask:
 _TASK_FLOATS = ("range_m", "sigma_r", "velocity", "sigma_f", "u", "v")
 
 
-class TaskColumns(Sequence):
-    """Tasks stored as columns: an immutable sequence of ``TrackTask``.
+class TaskColumns:
+    """Tasks stored as columns, one entry per task.
 
     ``ids`` is a list of the task ids as given (Python ints of any size);
     ``range_m``, ``sigma_r``, ``velocity``, ``sigma_f``, ``u`` and ``v`` are
-    read-only float64 arrays of the same length.  An index builds its
-    ``TrackTask`` on demand from Python ints and floats, a slice gives a
-    ``TaskColumns``, and ``==`` compares element-wise with any sequence of
-    tasks (with another ``TaskColumns``, ids and columns as arrays).  The
-    constructor runs ``TrackTask``'s checks on every row in one vectorized
-    pass and raises the first failing row's ``ScenarioError``.
-
-    An index is not free: each one builds and validates a ``TrackTask``.
-    Code that visits rows in a loop should read the columns, or iterate
-    once (``list(columns)``) and index that list; a brute-force disk oracle
-    that indexed the columns in its inner loop ran 40 times slower.
+    read-only float64 arrays of the same length.  The columns are the whole
+    interface: there is no per-task indexing or iteration, so code reads a
+    row's values from the columns.  ``==`` holds between two
+    ``TaskColumns`` with equal ids and equal columns.  The constructor runs
+    ``TrackTask``'s checks on every row in one vectorized pass and raises
+    the first failing row's ``ScenarioError``.
     """
 
     __slots__ = ("ids", *_TASK_FLOATS)
@@ -129,12 +123,15 @@ class TaskColumns(Sequence):
             object.__setattr__(self, name, col)
             cols.append(col)
         r, sr, vt, sf, u, v = cols
-        ok = ((0 < r) & (r < INF) & (0 <= sr) & (sr < INF) & (0 <= sf) & (sf < INF)
-              & (-INF < vt) & (vt < INF) & (u * u + v * v <= 1.0 + 1e-12))
+        with np.errstate(over="ignore"):
+            # u * u is inf beyond 1e154, which fails the test as in TrackTask
+            ok = ((0 < r) & (r < INF) & (0 <= sr) & (sr < INF) & (0 <= sf) & (sf < INF)
+                  & (-INF < vt) & (vt < INF) & (u * u + v * v <= 1.0 + 1e-12))
         if not ok.all():
             # the first bad row's TrackTask repeats these comparisons on
             # Python floats and raises its own error
-            self[int(np.argmin(ok))]
+            i = int(np.argmin(ok))
+            TrackTask(self.ids[i], *(float(col[i]) for col in cols))
 
     @classmethod
     def from_tasks(cls, tasks) -> "TaskColumns":
@@ -150,23 +147,12 @@ class TaskColumns(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TaskColumns(self.ids[i], *(getattr(self, name)[i] for name in _TASK_FLOATS))
-        return TrackTask(self.ids[i], *(float(getattr(self, name)[i]) for name in _TASK_FLOATS))
-
-    def __iter__(self):
-        floats = (getattr(self, name).tolist() for name in _TASK_FLOATS)
-        return (TrackTask(*row) for row in zip(self.ids, *floats))
-
     def __eq__(self, other):
-        if isinstance(other, TaskColumns):
-            return self.ids == other.ids and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _TASK_FLOATS)
-        if not isinstance(other, Sequence) or isinstance(other, str):
+        if not isinstance(other, TaskColumns):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _TASK_FLOATS)
 
     def __repr__(self) -> str:
         return f"<TaskColumns of {len(self)} tasks>"
@@ -213,11 +199,17 @@ def slot_cap(prfs, cfg: RadarConfig) -> int:
     every availability counts slots inside one PRI, so no task reaches a
     slot beyond the largest of these over the PRFs.  The relative slack
     absorbs rounding: R_u / slot reads 7.999999999999999 at 12.5 kHz and
-    10 us, where the exact quotient is 8.
+    10 us, where the exact quotient is 8.  A count of 2**63 or more, which
+    no int64 slot column holds, raises ``ScenarioError``.
     """
     slot = cfg.c * cfg.pulse_width / 2.0
-    return max(math.floor(unambiguous_range(prf, cfg) / slot * (1.0 + 1e-9))
-               for prf in prfs)
+    most = max(unambiguous_range(prf, cfg) for prf in prfs)
+    count = most / slot * (1.0 + 1e-9) if slot else INF
+    if not count < 2.0 ** 63:
+        raise ScenarioError(
+            f"pulse_width={cfg.pulse_width!r} is too short: a PRI would hold "
+            f"{count:.3g} slots, more than an int64 slot count holds")
+    return math.floor(count)
 
 
 def ambiguous_range(range_m: float, prf: PrfConfig, cfg: RadarConfig) -> float:
@@ -285,10 +277,10 @@ def rightward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) ->
 class AvailabilityTable:
     """Availabilities for all (task, PRF) pairs plus the derived index sets.
 
-    ``tasks`` is the ``TaskColumns`` the table was built from (other task
-    sequences are converted): row i is task i, ``tasks.ids[row]`` its id
-    and ``tasks.u``/``tasks.v`` its direction cosines as arrays;
-    ``tasks[row]`` builds one ``TrackTask``.
+    ``tasks`` is the ``TaskColumns`` the table was built from: row i is
+    task i, ``tasks.ids[row]`` its id and ``tasks.u``/``tasks.v`` its
+    direction cosines as arrays.  Every run structure indexes tasks by row;
+    ``task_rows`` maps a task id back to its row for input written in ids.
     Arrays are indexed [task_row, prf_index].  ``prf_sets[row]`` lists the PRF
     indices the task is trackable with (P_i); ``task_sets[p]`` lists the task
     rows trackable with PRF p (K_p); ``q_p`` is the total membership count.
@@ -309,10 +301,6 @@ class AvailabilityTable:
     q_p: int = 0
     unschedulable: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not isinstance(self.tasks, TaskColumns):
-            self.tasks = TaskColumns.from_tasks(self.tasks)
-
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
@@ -332,9 +320,12 @@ class AvailabilityTable:
         return np.flatnonzero(self.av.any(axis=1)).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     """Vectorized availabilities for task parameter arrays; returns
-    (av, al, ar, ra) shaped [n_tasks, n_prfs] with clamped slot counts."""
+    (av, al, ar, ra) shaped [n_tasks, n_prfs] with clamped slot counts.
+    A shift or interval that overflows to inf (and folds to NaN) fails every
+    comparison: the pair is untrackable, as in the scalar functions."""
     n_t, n_p = len(r), len(prfs)
     av = np.zeros((n_t, n_p), dtype=bool)
     al = np.zeros((n_t, n_p), dtype=np.int64)
@@ -358,8 +349,9 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
             & (fa - df >= efp)
             & (fa + df <= prf.f_r - efm)
         )
-        raw_l = np.floor(inv_slot * (ra - dr - erp)).astype(np.int64)
-        raw_r = np.floor(inv_slot * (ru - (ra + dr + erm)) + 1.0).astype(np.int64)
+        # clipped while still float, so the int64 columns take only 0..n_intlv
+        raw_l = np.floor(inv_slot * (ra - dr - erp))
+        raw_r = np.floor(inv_slot * (ru - (ra + dr + erm)) + 1.0)
         av[:, p] = ok
         al[:, p] = np.where(ok, np.clip(raw_l, 0, cfg.n_intlv), 0)
         ar[:, p] = np.where(ok, np.clip(raw_r, 0, cfg.n_intlv), 0)

@@ -9,7 +9,8 @@ procedure, and the source then removes each scheduled task from every disk
 that encloses it, in one ``DiskSelector.consume`` call per task.  The
 selector is the one place that computes a disk rule, the WGD weights
 included.  Duplicate and subset disks stay in play; consuming tasks empties
-them out naturally.
+them out naturally.  Every structure here indexes tasks by table row; task
+ids are looked up only for ``dump_structures``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class DiskSelector:
         self.dwell = [dwells[p] for p in catalog.prf_index]
         self.count = counts = np.diff(offsets).tolist()
         if main_rule == "WGD":
-            share = {tid: 1.0 / len(ds) for tid, ds in catalog.task_disks.items() if ds}
+            share = [1.0 / len(ds) if ds else 0.0 for ds in catalog.task_disks]
             members = catalog.members
             self.primary = [sum(map(share.__getitem__, members[a:b]))
                             for a, b in zip(offsets, offsets[1:])]
@@ -168,8 +169,7 @@ class SdbfRun:
 
     def _live_rows(self, d):
         live = self.store.live
-        rows = map(self.table.task_rows.__getitem__, self.catalog.disk_tasks(d))
-        return [row for row in rows if live[row]]
+        return [row for row in self.catalog.disk_tasks(d) if live[row]]
 
     def _disk_backend(self, d):
         """Selection structure over disk ``d``'s live rows.
@@ -209,7 +209,7 @@ class SdbfRun:
     def consume(self, row: int) -> None:
         """The store and the look's backend dropped the row when it was
         placed; only the disk selector is left."""
-        self.selector.consume(self.catalog.task_disks[self.store.ids[row]])
+        self.selector.consume(self.catalog.task_disks[row])
 
     def run(self) -> Schedule:
         cfg = self.cfg

@@ -139,8 +139,11 @@ def timeline_feasible(placements, prf, cfg, total_slots=None):
 
 
 def disk_rows(catalog):
-    """Every disk of a catalog as (prf_index, gu, gv, tasks), in id order."""
-    return [(catalog.prf_index[d], catalog.gu[d], catalog.gv[d], catalog.disk_tasks(d))
+    """Every disk of a catalog as (prf_index, gu, gv, task ids), in disk id
+    order; the catalog's member rows are mapped to their task ids."""
+    ids = catalog.table.tasks.ids
+    return [(catalog.prf_index[d], catalog.gu[d], catalog.gv[d],
+             [ids[row] for row in catalog.disk_tasks(d)])
             for d in range(catalog.n_disks)]
 
 
@@ -149,14 +152,14 @@ def brute_grid_disks(table, grid):
     found by scanning the padded bounding box of every task."""
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
-    tasks = list(table.tasks)
+    ids, u, v = table.tasks.ids, table.tasks.u.tolist(), table.tasks.v.tolist()
     found = {}
     for p in range(table.n_prfs):
         rows = table.task_sets[p]
         if not rows:
             continue
-        us = [tasks[i].u for i in rows]
-        vs = [tasks[i].v for i in rows]
+        us = [u[i] for i in rows]
+        vs = [v[i] for i in rows]
         lo_u = math.floor((min(us) - r) / eps) - 2
         hi_u = math.ceil((max(us) + r) / eps) + 2
         lo_v = math.floor((min(vs) - r) / eps) - 2
@@ -165,10 +168,10 @@ def brute_grid_disks(table, grid):
             for gv in range(lo_v, hi_v + 1):
                 members = []
                 for i in rows:
-                    du = gu * eps - tasks[i].u
-                    dv = gv * eps - tasks[i].v
+                    du = gu * eps - u[i]
+                    dv = gv * eps - v[i]
                     if du * du + dv * dv <= r2:
-                        members.append(tasks[i].id)
+                        members.append(ids[i])
                 if members:
                     found[(p, gu, gv)] = sorted(members)
     return found
@@ -181,20 +184,20 @@ def stepwise_disks(table, grid):
     row, per cell of the padded box in (gu, gv) order that passes the exact
     Euclidean predicate, a new cell takes the next disk id and the task is
     appended to the cell's disk.  Returns ``(disks, by_prf, task_disks)``
-    with disks as ``(id, prf_index, gu, gv, tasks)`` tuples.
+    with disks as ``(id, prf_index, gu, gv, task ids)`` tuples and
+    ``task_disks`` keyed by task id.
     """
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
     disks = []
     by_prf = []
-    tasks = list(table.tasks)
-    task_disks = {t.id: [] for t in tasks}
+    tasks = table.tasks
+    task_disks = {tid: [] for tid in tasks.ids}
     for p in range(table.n_prfs):
         index = {}
         prf_disks = []
         for row in table.task_sets[p]:
-            task = tasks[row]
-            tid, u, v = task.id, task.u, task.v
+            tid, u, v = tasks.ids[row], float(tasks.u[row]), float(tasks.v[row])
             lo_u = math.floor((u - r) / eps) - 1
             hi_u = math.ceil((u + r) / eps) + 1
             lo_v = math.floor((v - r) / eps) - 1

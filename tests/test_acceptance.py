@@ -317,7 +317,7 @@ class TestAcceptance:
             assert got == want, seed
             assert all(tasks for *_, tasks in rows)
             for row in table.schedulable_rows():
-                assert catalog.task_disks[table.tasks[row].id], seed
+                assert catalog.task_disks[row], seed
         report(8, "100 scenarios: catalog == brute-force enumeration, all disks "
                   "nonempty, all trackable tasks covered")
 

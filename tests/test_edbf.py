@@ -215,7 +215,7 @@ class TestHied:
         table = build_availability_table(tasks, prfs, cfg)
         sched = hied(table, HeuristicConfig(prf_rule="G"))
         assert sched.n_looks_used() == 1
-        assert sched.assignments == [(tasks[0].id, 1, 1)]
+        assert sched.assignments == [(tasks.ids[0], 1, 1)]
         # greedy picks among the PRFs the task can use
         p = sched.looks[0].prf_index
         assert p in table.prf_sets[0]
@@ -240,7 +240,7 @@ class TestHied:
         # four tasks all share PRF 0 and pair off on PRFs 1 and 2: greedy
         # covers everything in one look, reverse greedy burns two
         import numpy as np
-        from pulseplan import AvailabilityTable, build_instance, solve_exact
+        from pulseplan import AvailabilityTable, TaskColumns, build_instance, solve_exact
 
         cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
         prfs = (PrfConfig(f_r=12500.0), PrfConfig(f_r=10000.0), PrfConfig(f_r=14000.0))
@@ -257,7 +257,8 @@ class TestHied:
         prf_sets = [tuple(np.nonzero(av[i])[0].tolist()) for i in range(4)]
         task_sets = [tuple(np.nonzero(av[:, p])[0].tolist()) for p in range(3)]
         table = AvailabilityTable(
-            cfg=cfg, prfs=prfs, tasks=tasks, av=av, al=al, ar=ar, ra=ra,
+            cfg=cfg, prfs=prfs, tasks=TaskColumns.from_tasks(tasks),
+            av=av, al=al, ar=ar, ra=ra,
             task_rows={t.id: i for i, t in enumerate(tasks)},
             prf_sets=prf_sets, task_sets=task_sets,
             q_p=sum(len(s) for s in task_sets),

@@ -78,7 +78,7 @@ class TestEnumerateDisks:
         catalog = enumerate_disks(table, GridSpec(spacing=0.05, disk_radius=0.05))
         centers = set(zip(catalog.gu, catalog.gv))
         assert centers == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-        assert all(catalog.disk_tasks(d) == [1] for d in range(catalog.n_disks))
+        assert all(catalog.disk_tasks(d) == [table.row_of(1)] for d in range(catalog.n_disks))
 
     def test_distant_tasks_have_disjoint_disks(self, lab_cfg, lab_prf):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -87,7 +87,8 @@ class TestEnumerateDisks:
         )
         catalog = enumerate_disks(table, grid)
         assert all(len(catalog.disk_tasks(d)) == 1 for d in range(catalog.n_disks))
-        assert set(catalog.task_disks[1]) & set(catalog.task_disks[2]) == set()
+        one, two = (catalog.task_disks[table.row_of(tid)] for tid in (1, 2))
+        assert set(one) & set(two) == set()
 
     def test_close_tasks_share_a_disk(self, lab_cfg, lab_prf):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -96,7 +97,7 @@ class TestEnumerateDisks:
         )
         catalog = enumerate_disks(table, grid)
         shared = [d for d in range(catalog.n_disks)
-                  if set(catalog.disk_tasks(d)) == {1, 2}]
+                  if set(catalog.disk_tasks(d)) == {table.row_of(1), table.row_of(2)}]
         assert shared, "expected a disk enclosing both nearby tasks"
 
     def test_matches_brute_force_grid_scan(self, cfg, prfs):
@@ -117,21 +118,20 @@ class TestEnumerateDisks:
         table = build_availability_table(tasks, prfs, cfg)
         catalog = enumerate_disks(table, grid)
         for row in table.schedulable_rows():
-            assert catalog.task_disks[table.tasks[row].id]
+            assert catalog.task_disks[row]
 
     def test_disk_members_verified_geometrically(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=30, seed=4), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         catalog = enumerate_disks(table, grid)
-        by_id = {t.id: t for t in tasks}
         for d in range(catalog.n_disks):
             assert catalog.disk_tasks(d)
             cu, cv = catalog.center(d)
-            for tid in catalog.disk_tasks(d):
-                t = by_id[tid]
-                assert math.hypot(cu - t.u, cv - t.v) <= grid.disk_radius + 1e-12
-                assert table.av[table.row_of(tid), catalog.prf_index[d]]
+            for row in catalog.disk_tasks(d):
+                u, v = tasks.u[row], tasks.v[row]
+                assert math.hypot(cu - u, cv - v) <= grid.disk_radius + 1e-12
+                assert table.av[row, catalog.prf_index[d]]
 
     def test_density_bound(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)
@@ -145,8 +145,10 @@ class TestEnumerateDisks:
 
 
 def catalog_fields(catalog):
+    """The catalog in ``stepwise_disks``' form: members and ``task_disks``
+    under the row -> task id map."""
     disks = [(d, *row) for d, row in enumerate(disk_rows(catalog))]
-    return disks, catalog.by_prf, catalog.task_disks
+    return disks, catalog.by_prf, dict(zip(catalog.table.tasks.ids, catalog.task_disks))
 
 
 @st.composite
@@ -195,8 +197,9 @@ def catalog_inputs(draw):
         prfs = prfs[:1]
     tasks = []
     for i, (u, v) in enumerate(draw(scan_points(n, eps, r))):
-        # ids above 256 so the identity checks see uncached ints; a wide
-        # range sigma makes a task unschedulable at every PRF
+        # ids far from the rows, so a row taken for an id (or the other
+        # way round) shows; a wide range sigma makes a task unschedulable
+        # at every PRF
         sigma_r = draw(st.sampled_from((100.0, 100.0, 100.0, 9000.0)))
         tasks.append(TrackTask(id=1000 + i, range_m=draw(st.floats(20000.0, 120000.0)),
                                sigma_r=sigma_r, velocity=-90.0, sigma_f=10.0,
@@ -216,17 +219,26 @@ class TestBulkCatalog:
         assert got_disks == disks
         assert got_by_prf == by_prf
         assert got_task_disks == task_disks
-        assert list(got_task_disks) == list(task_disks)
+        assert type(catalog.task_disks) is list
+        assert len(catalog.task_disks) == table.n_tasks
         assert catalog.q_d == len(catalog.members) == catalog.offsets[-1]
         assert catalog.n_disks == len(catalog.offsets) - 1
-        own_id = {t.id: t.id for t in table.tasks}
-        assert all(type(g) is int for g in [*catalog.gu, *catalog.gv])
-        assert all(t is own_id[t] for t in catalog.members)
+        assert all(type(g) is int for g in [*catalog.gu, *catalog.gv, *catalog.members])
+        assert set(catalog.members) <= set(table.schedulable_rows())
         # one int object per disk id, shared by by_prf and task_disks
         one_id = {did: did for ids in got_by_prf for did in ids}
         assert sorted(one_id) == list(range(catalog.n_disks))
-        for ids in got_task_disks.values():
+        for ids in catalog.task_disks:
             assert all(did is one_id[did] for did in ids)
+
+    def test_members_share_one_int_object_per_row(self, cfg, prfs):
+        # rows above 256 are not cached ints: each must still be one object
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=600, seed=1), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        catalog = enumerate_disks(table, GridSpec())
+        one_row = {}
+        assert all(one_row.setdefault(row, row) is row for row in catalog.members)
+        assert max(one_row) > 256
 
     @pytest.mark.parametrize("eps", [1e-10, 2.0 ** -60])
     def test_fine_grid_far_apart_tasks(self, cfg, prfs, eps):
@@ -285,7 +297,7 @@ class TestDedup:
                                      GridSpec(spacing=0.05, disk_radius=0.05))
         reduced = dedup_disks(catalog)
         assert reduced.n_disks == 1
-        assert reduced.disk_tasks(0) == [1]
+        assert reduced.disk_tasks(0) == [reduced.table.row_of(1)]
 
     def test_subset_disks_removed(self, lab_cfg, lab_prf):
         # task 2 sits near task 1; some disks hold {1}, some {1, 2}
@@ -319,9 +331,9 @@ class TestDedup:
         table = build_availability_table(tasks, prfs, cfg)
         reduced = dedup_disks(enumerate_disks(table, grid))
         assert reduced.q_d == sum(len(tasks) for *_, tasks in disk_rows(reduced))
-        for tid, disks in reduced.task_disks.items():
+        for row, disks in enumerate(reduced.task_disks):
             for d in disks:
-                assert tid in reduced.disk_tasks(d)
+                assert row in reduced.disk_tasks(d)
 
     def test_reduction_is_a_fixed_point(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)

@@ -8,6 +8,7 @@ check that schedule bytes stay the same across commits.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from pulseplan import (
     HeuristicConfig,
     RadarConfig,
     ScenarioSpec,
+    TaskColumns,
     build_availability_table,
     build_instance,
     dedup_disks,
@@ -29,6 +31,7 @@ from pulseplan import (
 )
 from pulseplan.edbf import PRF_RULES, TASK_RULES
 from pulseplan.io import disks_text, scenario_to_text, schedule_to_text
+from pulseplan.radar import _TASK_FLOATS
 from pulseplan.sdbf import DISK_RULES, SUB_RULES
 from pulseplan.structures import OpCounters
 
@@ -172,6 +175,38 @@ def test_edbf_schedule_bytes_pinned(edbf_table):
 
 def test_sdbf_schedule_bytes_pinned(sdbf_catalog):
     assert sdbf_digests(sdbf_catalog) == SDBF_DIGESTS
+
+
+def _relabel(tid):
+    # keeps the id order, so every tie-break is the same, and leaves gaps,
+    # so no id is its row + 1
+    return 10 ** 12 + 7 * tid
+
+
+@pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+def test_relabelled_ids_give_the_same_schedules(edbf_table, sdbf_catalog, mode):
+    # a row taken for a task id (or the other way round) anywhere in the
+    # table, the catalog or a scheduler shows as a different schedule
+    table = edbf_table if mode == "edbf" else sdbf_catalog.table
+    tasks = table.tasks
+    relabelled = build_availability_table(
+        TaskColumns([_relabel(t) for t in tasks.ids],
+                    *(getattr(tasks, name) for name in _TASK_FLOATS)),
+        table.prfs, table.cfg)
+    if mode == "edbf":
+        rules = [(hied, HeuristicConfig(prf_rule=p, task_rule=t, seed=SEED))
+                 for p in PRF_RULES for t in TASK_RULES]
+        sources = table, relabelled
+    else:
+        rules = [(hisd, DiskHeuristicConfig(disk_rule=d, sub_rule=s, task_rule=t, seed=SEED))
+                 for d in DISK_RULES for s in SUB_RULES for t in TASK_RULES]
+        sources = sdbf_catalog, enumerate_disks(relabelled, GridSpec())
+    for run, cfg in rules:
+        want = run(sources[0], cfg)
+        want = replace(
+            want, assignments=[(_relabel(t), j, k) for t, j, k in want.assignments],
+            unschedulable=tuple(map(_relabel, want.unschedulable)))
+        assert schedule_to_text(run(sources[1], cfg)) == schedule_to_text(want), cfg
 
 
 # Operation counts of a few rule combinations, recorded with the schedule

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,7 @@ from pulseplan import (
 )
 from pulseplan import io as pio
 from pulseplan.cli import main
-from pulseplan.radar import TaskColumns, slot_cap
+from pulseplan.radar import _TASK_FLOATS, TaskColumns, slot_cap
 from pulseplan.io import (
     availability_text,
     disks_text,
@@ -101,13 +103,23 @@ def _typed(record):
     return [(type(v), repr(v)) for v in dataclasses.astuple(record)]
 
 
+def _typed_tasks(tasks):
+    """``_typed`` of each task, read from columns (the id and the row's
+    floats) or from ``TrackTask`` records."""
+    if isinstance(tasks, TaskColumns):
+        rows = zip(tasks.ids, *(getattr(tasks, name).tolist() for name in _TASK_FLOATS))
+    else:
+        rows = map(dataclasses.astuple, tasks)
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
 def _outcome(parse, text):
     """What a scenario reader makes of ``text``: typed values or the error."""
     try:
         cfg, prfs, tasks = parse(text)
     except ScenarioError as exc:
         return "error", str(exc)
-    return "ok", _typed(cfg), [_typed(p) for p in prfs], [_typed(t) for t in tasks]
+    return "ok", _typed(cfg), [_typed(p) for p in prfs], _typed_tasks(tasks)
 
 
 _VALID = {
@@ -225,7 +237,8 @@ class TestColumnarParser:
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=3))
         parsed = parse_scenario(scenario_to_text(cfg, prfs, tasks))[2]
         assert isinstance(parsed, TaskColumns) and parsed == tasks
-        assert all(type(v) is float for v in dataclasses.astuple(parsed[4])[1:])
+        assert all(type(i) is int for i in parsed.ids)
+        assert all(getattr(parsed, name).dtype == np.float64 for name in _TASK_FLOATS)
 
     @pytest.fixture(scope="class")
     def multi_chunk(self):
@@ -680,6 +693,33 @@ class TestCli:
         assert "n_intlv=300" in capsys.readouterr().out
         assert peak < 32 << 20
 
+    @pytest.mark.parametrize("command", ["availability", "schedule", "disks", "export-lp"])
+    @pytest.mark.parametrize("pulse_width", ["1e-24", "1e-310", "5e-324"])
+    def test_slot_count_beyond_int64_exits_two(self, pulse_width, command,
+                                                small_scenario_file, capsys):
+        # a PRI of 2**63 slots or more (an infinite count at 5e-324) is
+        # rejected before any slot count is cast to int64
+        text = small_scenario_file.read_text()
+        small_scenario_file.write_text(
+            re.sub(r"pulse_width=\S+", f"pulse_width={pulse_width}", text))
+        assert main([command, str(small_scenario_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: pulse_width={float(pulse_width)!r} is too short" in err
+        assert "Traceback" not in err
+
+    def test_zero_width_slot_exits_two(self, tmp_path, capsys):
+        # c * pulse_width underflows to 0 while every PRF keeps a clear
+        # region: an infinite slot count, not a division by zero
+        path = tmp_path / "zero-slot.txt"
+        path.write_text(
+            "pulseplan-scenario v1\n"
+            "radar c=1e-10 wavelength=0.03 pulse_width=1e-320 n_r=3.0 n_f=3.0 "
+            "n_intlv=4 pulses_per_look=64\n"
+            "prf f_r=1.0 c_r_plus=0.0 c_r_minus=0.0 c_f_plus=0.0 c_f_minus=0.0\n"
+            "task id=1 range=1e-12 sigma_r=0.0 velocity=0.0 sigma_f=0.0 u=0.0 v=0.0\n")
+        assert main(["availability", str(path)]) == 2
+        assert "pulse_width=1e-320 is too short" in capsys.readouterr().err
+
     def test_internal_invariant_maps_to_exit_three(self, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError
         from pulseplan import cli as cli_mod
@@ -690,3 +730,54 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod, "EdbfRun", Boom)
         assert main(["schedule", str(scenario_file)]) == 3
+
+
+# Values that probe the arithmetic's edges: subnormals, +-1e+-300, zeros,
+# NaN, infinities and ints beyond int64.
+_EXTREMES = ("5e-324", "1e-310", "-1e-310", "1e-300", "-1e-300", "1e+300", "-1e+300",
+             "0", "-0.0", "nan", "inf", "-inf", str(2 ** 63), str(10 ** 30), str(-2 ** 64))
+# every subcommand but bench
+_SUBCOMMANDS = (("availability",), ("disks",), ("export-lp", "--mode", "edbf"),
+                ("export-lp", "--mode", "sdbf"), ("schedule", "--mode", "edbf"),
+                ("schedule", "--mode", "sdbf"), ("oracle-compare", "--mode", "both"))
+
+
+class TestFuzzedScenarios:
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """A written 5-task scenario (n_intlv 4, 3 PRFs) as token lists, the
+        (line, token) position of each field value, and a work directory."""
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=2),
+                                        RadarConfig(n_intlv=4), default_prf_set(count=3))
+        lines = [line.split(" ") for line in scenario_to_text(cfg, prfs, tasks).splitlines()]
+        fields = [(i, j) for i, tokens in enumerate(lines)
+                  for j, tok in enumerate(tokens) if "=" in tok]
+        return lines, fields, tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_subcommand_exits_cleanly(self, written, data):
+        # 1-3 field values replaced by extremes: each subcommand exits 0 or
+        # 2 with no exception and no warning, and every schedule it writes
+        # passes C1-C8
+        lines, fields, work = written
+        edits = data.draw(st.lists(st.tuples(st.sampled_from(fields), st.sampled_from(_EXTREMES)),
+                                   min_size=1, max_size=3, unique_by=lambda e: e[0]))
+        lines = [list(tokens) for tokens in lines]
+        for (i, j), value in edits:
+            lines[i][j] = lines[i][j].split("=")[0] + "=" + value
+        text = "\n".join(map(" ".join, lines)) + "\n"
+        path, out = work / "scenario.txt", work / "out.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in _SUBCOMMANDS:
+                code = main([command[0], str(path), *command[1:], "--out", str(out)])
+                assert code in (0, 2), (command, edits)
+                if code or command[0] != "schedule":
+                    continue
+                cfg, prfs, tasks = parse_scenario(text)
+                table = build_availability_table(tasks, prfs, cfg)
+                source = enumerate_disks(table, GridSpec()) if "sdbf" in command else table
+                schedule = parse_schedule(out.read_text())
+                assert check_feasible(schedule, build_instance(source, copies=1)) == [], edits

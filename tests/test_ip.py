@@ -219,7 +219,7 @@ class TestChecker:
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=30, seed=6), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)
         inst = build_instance(table)
-        by_id = {t.id: t for t in tasks}
+        physics = (tasks.range_m, tasks.sigma_r, tasks.velocity, tasks.sigma_f)
         agree = 0
         for trial in range(400):
             p = rng.randrange(len(prfs))
@@ -230,15 +230,12 @@ class TestChecker:
             chosen = rng.sample(rows_p, m)
             slots = list(range(1, m + 1))
             rng.shuffle(slots)
-            rows = [(table.tasks[i].id, 1, k) for i, k in zip(chosen, slots)]
+            rows = [(tasks.ids[i], 1, k) for i, k in zip(chosen, slots)]
             sched = manual_schedule(inst, rows, p)
             v = check_feasible(sched, inst)
             slot_ok = not any(x.constraint in ("C6", "C7") for x in v)
-            placements = {
-                k: (by_id[tid].range_m, by_id[tid].sigma_r,
-                    by_id[tid].velocity, by_id[tid].sigma_f)
-                for tid, _, k in rows
-            }
+            placements = {k: tuple(float(col[i]) for col in physics)
+                          for i, k in zip(chosen, slots)}
             want = timeline_feasible(placements, prfs[p], cfg)
             assert slot_ok == want, (trial, rows, slot_ok, want)
             agree += 1

@@ -35,7 +35,7 @@ class TestGeneration:
 
     def test_zero_tasks_is_valid(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
-        assert tasks == ()
+        assert len(tasks) == 0 and tasks == TaskColumns.from_tasks(())
         assert scenario_to_text(cfg, prfs, tasks).startswith("pulseplan-scenario v1")
 
     def test_every_emitted_task_is_schedulable(self):
@@ -71,8 +71,7 @@ class TestGeneration:
                      ScenarioSpec(n_tasks=80, seed=7, cluster_count=3,
                                   cluster_radius=0.4)):
             _, _, tasks = gen_scenario(spec)
-            for t in tasks:
-                assert t.u ** 2 + t.v ** 2 <= 1.0
+            assert (tasks.u ** 2 + tasks.v ** 2 <= 1.0).all()
 
 
 _EDGES = (-0.0, 0.0, 5e-324)
@@ -110,7 +109,8 @@ class TestColumnarSynthesis:
         cfg, prfs, tasks = gen_scenario(spec)
         want = rowwise_gen_scenario(spec)
         assert isinstance(tasks, TaskColumns) and (cfg, prfs) == want[:2]
-        assert tasks == want[2] and tasks.ids == list(range(1, n + 1))
+        assert tasks == TaskColumns.from_tasks(want[2])
+        assert tasks.ids == list(range(1, n + 1))
         assert scenario_to_text(cfg, prfs, tasks) == fields_scenario_text(*want)
 
     @settings(max_examples=200, deadline=None)

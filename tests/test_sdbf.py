@@ -89,12 +89,11 @@ class TestHisd:
         grid = GridSpec()
         catalog = enumerate_disks(table, grid)
         sched = hisd(catalog, DiskHeuristicConfig(disk_rule="WGD", sub_rule="SD"))
-        by_id = {t.id: t for t in tasks}
         centers = {lk.index: lk.disk_center for lk in sched.looks}
         for tid, j, _ in sched.assignments:
             cu, cv = centers[j]
-            t = by_id[tid]
-            assert math.hypot(cu - t.u, cv - t.v) <= grid.disk_radius + 1e-12
+            row = table.row_of(tid)
+            assert math.hypot(cu - tasks.u[row], cv - tasks.v[row]) <= grid.disk_radius + 1e-12
 
     def test_rounds_bounded_by_task_count(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=2), cfg, prfs)
@@ -146,7 +145,7 @@ class TestHisd:
             assert run._disk_backend(0).store is run.store
             sched = run.run()
             assert run.counters.backend_deletes == len(sched.assignments) == len(tasks)
-            assert not any(run.store.live[table.row_of(t.id)] for t in tasks)
+            assert not any(run.store.live[table.row_of(tid)] for tid in tasks.ids)
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
@@ -159,14 +158,14 @@ class TestHisd:
             assert counters.selector_ops == len(sched.looks), (disk_rule, sub_rule)
 
 def disk_members(n_disks, task_disks):
-    """Each disk's tasks, in ``task_disks`` order."""
-    return [[t for t, ds in task_disks.items() if d in ds] for d in range(n_disks)]
+    """Each disk's rows, ascending."""
+    return [[t for t, ds in enumerate(task_disks) if d in ds] for d in range(n_disks)]
 
 
 def fake_catalog(prf_of, dwells, task_disks):
     """Catalog-like columns: disk ``d`` at PRF ``prf_of[d]``, PRF ``p`` with
-    dwell ``dwells[p]``, and ``task_disks`` mapping each task id to its disk
-    ids; each disk lists its tasks in ``task_disks`` order."""
+    dwell ``dwells[p]``, and ``task_disks[row]`` listing each task row's
+    disk ids; each disk lists its rows in ascending order."""
     members = disk_members(len(prf_of), task_disks)
     return SimpleNamespace(
         table=SimpleNamespace(dwell=dwells.__getitem__, n_prfs=len(dwells)),
@@ -178,8 +177,7 @@ def fake_catalog(prf_of, dwells, task_disks):
 def apart(*sizes):
     """``task_disks`` of disks 0, 1, ... holding ``sizes`` tasks, no task
     shared between disks."""
-    owner = [d for d, n in enumerate(sizes) for _ in range(n)]
-    return {t: [d] for t, d in enumerate(owner)}
+    return [[d] for d, n in enumerate(sizes) for _ in range(n)]
 
 
 class TestDiskSelector:
@@ -199,7 +197,7 @@ class TestDiskSelector:
     def test_weighted_rule_orders_by_reciprocal_sums(self):
         # two scarce tasks (weight 2.0) beat four tasks shared by four
         # disks each (weight 1.0), which the greedy count prefers
-        task_disks = {0: [0], 1: [0], **{t: [1, 2, 3, 4] for t in range(2, 6)}}
+        task_disks = [[0], [0], *[[1, 2, 3, 4]] * 4]
         dwells = [0.005, 0.004, 0.004, 0.004, 0.004]
         sel = self.selector(task_disks, dwells, "WGD", "SD")
         assert sel.primary == [2.0, 1.0, 1.0, 1.0, 1.0]
@@ -233,7 +231,7 @@ class TestDiskSelector:
         assert a == b
 
     def test_weight_updates_follow_deletions(self):
-        task_disks = {0: [0], 1: [0, 1], 2: [1, 2]}
+        task_disks = [[0], [0, 1], [1, 2]]
         sel = self.selector(task_disks, [0.005, 0.004, 0.003], "WGD", "SD")
         assert sel.primary == [1.5, 1.0, 0.5]
         assert sel.select(random.Random(0)) == 0
@@ -292,12 +290,11 @@ class TestDiskSelectorReference:
         # reference recomputes the extreme nonzero count (or weight), then
         # dwell, then id, each time
         n = len(prf_of)
-        task_disks = {t: list(dict.fromkeys(d % n for d in ds))
-                      for t, ds in enumerate(tasks)}
+        task_disks = [list(dict.fromkeys(d % n for d in ds)) for ds in tasks]
         catalog = fake_catalog(prf_of, dwells, task_disks)
         counters = OpCounters()
         sel = DiskSelector(main, sub, catalog, counters)
-        share = {t: 1.0 / len(ds) for t, ds in task_disks.items()}
+        share = [1.0 / len(ds) for ds in task_disks]
         members = disk_members(n, task_disks)
         left = [len(m) for m in members]
         weight = [sum(share[t] for t in m) for m in members]
