@@ -246,6 +246,13 @@ def is_trackable(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) -> bool:
     )
 
 
+def _slot_count(gap: float, cfg: RadarConfig) -> float:
+    """Pulse-width slots in a range gap of a trackable task, as a float of
+    at least 0: an infinite slot rate times a zero gap (NaN) counts 0."""
+    count = 2.0 / (cfg.c * cfg.pulse_width) * gap
+    return count if count >= 0.0 else 0.0
+
+
 def leftward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) -> int:
     """Slots available between the task's transmit pulse and its echo window.
 
@@ -255,8 +262,8 @@ def leftward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) -> 
         return 0
     erp = blind_widths(prf, cfg)[0]
     ra = ambiguous_range(task.range_m, prf, cfg)
-    raw = math.floor(2.0 / (cfg.c * cfg.pulse_width) * (ra - cfg.n_r * task.sigma_r - erp))
-    return min(max(0, raw), cfg.n_intlv)
+    count = _slot_count(ra - cfg.n_r * task.sigma_r - erp, cfg)
+    return math.floor(min(count, cfg.n_intlv))
 
 
 def rightward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) -> int:
@@ -269,8 +276,8 @@ def rightward_availability(task: TrackTask, prf: PrfConfig, cfg: RadarConfig) ->
     ru = unambiguous_range(prf, cfg)
     erm = blind_widths(prf, cfg)[1]
     ra = ambiguous_range(task.range_m, prf, cfg)
-    raw = math.floor(2.0 / (cfg.c * cfg.pulse_width) * (ru - (ra + cfg.n_r * task.sigma_r + erm)) + 1.0)
-    return min(max(0, raw), cfg.n_intlv)
+    count = _slot_count(ru - (ra + cfg.n_r * task.sigma_r + erm), cfg)
+    return math.floor(min(count + 1.0, cfg.n_intlv))
 
 
 @dataclass
@@ -349,12 +356,13 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
             & (fa - df >= efp)
             & (fa + df <= prf.f_r - efm)
         )
-        # clipped while still float, so the int64 columns take only 0..n_intlv
-        raw_l = np.floor(inv_slot * (ra - dr - erp))
-        raw_r = np.floor(inv_slot * (ru - (ra + dr + erm)) + 1.0)
+        # clipped while still float, so the int64 columns take only
+        # 0..n_intlv; an infinite slot rate times a zero gap (NaN) counts 0
+        raw_l = np.floor(np.fmax(inv_slot * (ra - dr - erp), 0.0))
+        raw_r = np.floor(np.fmax(inv_slot * (ru - (ra + dr + erm)), 0.0) + 1.0)
         av[:, p] = ok
-        al[:, p] = np.where(ok, np.clip(raw_l, 0, cfg.n_intlv), 0)
-        ar[:, p] = np.where(ok, np.clip(raw_r, 0, cfg.n_intlv), 0)
+        al[:, p] = np.where(ok, np.minimum(raw_l, cfg.n_intlv), 0)
+        ar[:, p] = np.where(ok, np.minimum(raw_r, cfg.n_intlv), 0)
         ra_table[:, p] = ra
     return av, al, ar, ra_table
 

@@ -54,6 +54,7 @@ class OpCounters:
     bi_iterations: int = 0
     bi_calls: int = 0
     bi_max_iterations: int = 0
+    node_entries: int = 0
 
     def total_backend_ops(self) -> int:
         return self.backend_queries + self.backend_deletes + self.bucket_ops
@@ -285,15 +286,23 @@ class _TreeShape(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _tree_shape(n_intlv: int) -> _TreeShape:
-    """Leaf count, suffix covers and leaf paths of the key universe
-    {0..n_intlv}, shared by every range tree of that capacity.  The paths
-    also come as a read-only (keys, depth) node array."""
+    """Leaf count, suffix covers and canonical leaf paths of the key
+    universe {0..n_intlv}, shared by every range tree of that capacity.
+
+    A node is canonical when some suffix cover ``canon[k]`` holds it; no
+    threshold query reads any other node.  ``paths[k]`` lists the canonical
+    nodes on key k's leaf path, leaf first.  ``path_nodes`` holds the same
+    nodes as a read-only (keys, depth) array: the full leaf paths, with 0
+    (never a tree node) in place of each non-canonical node."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
     canon = tuple(_suffix_nodes(k, leaves) for k in range(n_intlv + 1))
-    paths = tuple(_leaf_path(k, leaves) for k in range(n_intlv + 1))
-    path_nodes = np.array(paths, dtype=np.min_scalar_type(4 * leaves * leaves))
+    canonical = set().union(*canon)
+    full = [_leaf_path(k, leaves) for k in range(n_intlv + 1)]
+    paths = tuple(tuple(n for n in path if n in canonical) for path in full)
+    path_nodes = np.array([[n if n in canonical else 0 for n in path] for path in full],
+                          dtype=np.min_scalar_type(4 * leaves * leaves))
     path_nodes.flags.writeable = False
     return _TreeShape(leaves, canon, paths, path_nodes)
 
@@ -445,6 +454,7 @@ class PairwiseBackend(_BackendBase):
             self._head[pair] = members[0] if members else None
             self._next[pair] = dict(zip(members, [*members[1:], None]))
             self._prev[pair] = dict(zip(members, [None, *members[:-1]]))
+        self.counters.node_entries += self.total_entries()
 
     def total_entries(self):
         return sum(map(len, self._next.values()))
@@ -502,6 +512,14 @@ class RangeTreeBackend(_BackendBase):
     rows the store marks dead lazily, which keeps the per-operation cost
     within the advertised O(log^2 n_intlv) amortized bound.
 
+    Every query is one-sided (A_l >= a and A_r >= b), so it reads only
+    nodes of the suffix covers ``canon[k]``: the canonical nodes.  A row is
+    stored, and counted, only at the canonical nodes of its leaf paths.
+    ``canon[k]`` is a disjoint cover of keys [k, leaves-1], so each row a
+    query may return lies in exactly one node of each level's cover, and
+    that node is on the row's own path: it sits in exactly one list the
+    query reads.
+
     A node pair (n1, n2) is keyed by one int, n1 * 2 * leaves + n2, in
     ``_lists`` (its row sequence) and ``_cursor`` (the index of its first
     row not yet known dead).  Cursors are lazy: a sequence gets an entry
@@ -510,15 +528,15 @@ class RangeTreeBackend(_BackendBase):
     that have a nonzero live count, and under each the O(log n_intlv)
     second-level cover nodes, each key one add from the first-level base.
 
-    The build writes all q * depth^2 node entries (depth = log2 of the
-    leaf count) at once: one stable numpy sort of the (node pair, priority
-    rank) entries groups them by node and keeps each node's rows in
-    priority order.  Up to 128 leaves the keys fit 16 bits and the sort is
-    a radix sort, O(q log^2 n_intlv) time with no per-entry Python call.
-    Below ``_BULK_MIN_TASKS`` rows, as in the per-disk backends of subarray
-    mode, numpy's per-call cost outweighs that, and each row is appended to
-    its node sequences in priority order instead.  Node sequences hold the
-    store's row objects.
+    The build writes the canonical node entries, about 28% of q * depth^2
+    at n_intlv 8 (depth = log2 of the leaf count), at once: one stable
+    numpy sort of the (node pair, priority rank) entries groups them by
+    node and keeps each node's rows in priority order.  Up to 128 leaves
+    the keys fit 16 bits and the sort is a radix sort, O(q log^2 n_intlv)
+    time with no per-entry Python call.  Below ``_BULK_MIN_TASKS`` rows, as
+    in the per-disk backends of subarray mode, numpy's per-call cost
+    outweighs that, and each row is appended to its node sequences in
+    priority order instead.  Node sequences hold the store's row objects.
     """
 
     kind = "rangetree"
@@ -543,15 +561,18 @@ class RangeTreeBackend(_BackendBase):
         else:
             # One entry per (row, node pair), row-major in rank order, so a
             # stable sort by node pair keeps each node's rows in priority
-            # order.  Node numbers below 2 * leaves make n1 * 2 * leaves + n2
-            # fit the node array's narrow dtype; numpy's stable sort is a
-            # radix sort for 8- and 16-bit keys (up to 128 leaves).
+            # order.  Entries at a non-canonical node (0 in ``path_nodes``)
+            # are dropped before the sort.  Node numbers below 2 * leaves
+            # make n1 * 2 * leaves + n2 fit the node array's narrow dtype;
+            # numpy's stable sort is a radix sort for 8- and 16-bit keys (up
+            # to 128 leaves).
             store = self.store
-            pair = ((path_nodes[store.al_table[idx, p]] * (2 * leaves))[:, :, None]
-                    + path_nodes[store.ar_table[idx, p]][:, None, :])
-            pair = pair.reshape(-1)
+            n1 = path_nodes[store.al_table[idx, p]]
+            n2 = path_nodes[store.ar_table[idx, p]]
+            keep = np.flatnonzero(((n1 != 0)[:, :, None] & (n2 != 0)[:, None, :]).reshape(-1))
+            pair = ((n1 * (2 * leaves))[:, :, None] + n2[:, None, :]).reshape(-1)[keep]
             by_pair = np.argsort(pair, kind="stable")
-            rows = store.rows[idx[by_pair // per_task]].tolist()
+            rows = store.rows[idx[keep[by_pair] // per_task]].tolist()
             pair = pair[by_pair]
             cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
             starts = [0, *cuts]
@@ -560,6 +581,7 @@ class RangeTreeBackend(_BackendBase):
                 for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
             }
         self._cursor = {}
+        self.counters.node_entries += sum(map(len, self._lists.values()))
 
     def max_lists_per_task(self):
         paths = self._paths

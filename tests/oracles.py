@@ -377,9 +377,10 @@ class StepwiseBucketList:
 
 
 def incremental_node_lists(entries, n_intlv):
-    """Range-tree node sequences and first-level counts, built with one
-    append per (task, node pair) in priority order.  A node pair (n1, n2)
-    is keyed by the int n1 * 2 * leaves + n2."""
+    """Full range-tree node sequences and first-level counts: one append
+    per (task, node pair on its two leaf paths) in priority order, every
+    node of the paths included.  A node pair (n1, n2) is keyed by the int
+    n1 * 2 * leaves + n2."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1

@@ -213,7 +213,8 @@ def test_relabelled_ids_give_the_same_schedules(edbf_table, sdbf_catalog, mode):
 # bytes unchanged.  The digests above pin what is scheduled; these pin how
 # much work the structures do to get there, so a refactor of a backend or
 # of the look loop cannot change the queries, deletes, node-list
-# inspections or packing iterations without a test failing.
+# inspections, node entries written or packing iterations without a test
+# failing.
 OPS_EDBF_SPEC = ScenarioSpec(n_tasks=2000, seed=3, keep_unschedulable=True)
 OPS_SDBF_SPEC = ScenarioSpec(n_tasks=600, seed=4, cluster_count=3)
 
@@ -222,13 +223,14 @@ _EDBF_OPS = dict(backend_queries=7126, backend_deletes=5934, bucket_ops=5934,
                  bi_max_iterations=14, fallback_scans=0)
 PINNED_OPS = {
     ("edbf", "G", "SAR", "rangetree"): dict(
-        _EDBF_OPS, list_inspections=13870, pairwise_touches=0),
+        _EDBF_OPS, list_inspections=13870, pairwise_touches=0, node_entries=26153),
     ("edbf", "G", "SAR", "pairwise"): dict(
-        _EDBF_OPS, list_inspections=0, pairwise_touches=35852),
+        _EDBF_OPS, list_inspections=0, pairwise_touches=35852, node_entries=35852),
     ("sdbf", "GD", "R", "rangetree"): dict(
         backend_queries=3638, backend_deletes=600, list_inspections=5867,
         pairwise_touches=0, fallback_scans=0, bucket_ops=38340,
-        selector_ops=193, bi_iterations=2119, bi_calls=193, bi_max_iterations=14),
+        selector_ops=193, bi_iterations=2119, bi_calls=193, bi_max_iterations=14,
+        node_entries=6140),
 }
 
 

@@ -22,7 +22,7 @@ from pulseplan import (
     unambiguous_range,
     validate_prf,
 )
-from pulseplan.radar import _shared_prf_sets
+from pulseplan.radar import _shared_prf_sets, availability_arrays
 from oracles import clear_region_trackable, timeline_feasible
 
 
@@ -147,6 +147,35 @@ class TestAvailabilities:
         t = task(r=8000.0, sr=100.0, v=-90.0, sf=10.0)
         assert leftward_availability(t, lab_prf, cfg2) == 2
         assert rightward_availability(t, lab_prf, cfg2) == 2
+
+    @pytest.mark.parametrize("pulse_width", [1e-24, 1e-310, 5e-324])
+    def test_short_pulse_matches_vectorized(self, cfg, prfs, pulse_width):
+        # a slot count far past n_intlv (infinite at 5e-324) clamps to
+        # n_intlv, as in the vectorized table, instead of overflowing int
+        short = replace(cfg, pulse_width=pulse_width)
+        t = task(r=8000.0)
+        assert is_trackable(t, prfs[0], short)
+        _, al, ar, _ = availability_arrays(
+            np.array([t.range_m]), np.array([t.sigma_r]), np.array([t.velocity]),
+            np.array([t.sigma_f]), prfs[:1], short)
+        assert leftward_availability(t, prfs[0], short) == al[0, 0]
+        assert rightward_availability(t, prfs[0], short) == ar[0, 0]
+
+    def test_zero_gap_at_infinite_slot_rate_counts_no_slot(self, lab_cfg, lab_prf):
+        # at 5e-324 the slot rate is infinite; a gap of exactly 0 (NaN when
+        # multiplied) holds no slot: A_l = 0 on the near edge, A_r = 1 on
+        # the far edge (R_u 12000 less the 300 margin and the 500 edge;
+        # the half pulse is gone)
+        short = replace(lab_cfg, pulse_width=5e-324)
+        for r, want_l, want_r in ((2300.0, 0, 8), (11200.0, 8, 1)):
+            t = task(r=r, sr=100.0, v=-90.0, sf=10.0)
+            assert is_trackable(t, lab_prf, short)
+            _, al, ar, _ = availability_arrays(
+                np.array([r]), np.array([100.0]), np.array([-90.0]), np.array([10.0]),
+                (lab_prf,), short)
+            got = (leftward_availability(t, lab_prf, short),
+                   rightward_availability(t, lab_prf, short))
+            assert got == (al[0, 0], ar[0, 0]) == (want_l, want_r), r
 
     def test_monotone_in_sigma_r(self, cfg, prfs):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,6 +200,12 @@ class TestBucketListDecrement:
 class TestRangeTreeBulkBuild:
     @pytest.mark.parametrize("n_intlv", [1, 8, 11, 16])
     def test_node_lists_match_incremental_build(self, n_intlv):
+        # the oracle builds every node pair on the leaf paths; the backend
+        # keeps the pairs whose two nodes are canonical, the only ones a
+        # threshold query reads, and counts first-level rows only there
+        shape = _tree_shape(n_intlv)
+        canonical = set().union(*shape.canon)
+        width = 2 * shape.leaves
         rng = random.Random(n_intlv)
         for n in (0, 1, 2, 5, 31, 32, 33, 90, 400):
             # rows above 256, so no row is a cached small int
@@ -211,11 +218,40 @@ class TestRangeTreeBulkBuild:
             store = task_store(entries, n_intlv)
             b = build_backend("rangetree", store, 0, store.rows[ids].tolist())
             lists, cnt1 = incremental_node_lists(entries, n_intlv)
-            assert b._lists == lists, (n_intlv, n)
-            assert b._cnt1 == cnt1
+            assert b._lists == {key: lst for key, lst in lists.items()
+                                if {key // width, key % width} <= canonical}, (n_intlv, n)
+            for key in lists.keys() - b._lists.keys():
+                assert not {key // width, key % width} <= canonical, key
+            assert b._cnt1 == [cnt1[v] if v in canonical else 0 for v in range(width)]
+            assert b.counters.node_entries == sum(map(len, b._lists.values()))
             assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
             # node sequences hold the store's row objects, not copies
             assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
+
+    @pytest.mark.parametrize("n_intlv", range(1, 17))
+    def test_query_lists_cover_each_live_match_once(self, n_intlv):
+        # the lists best_in(l, r) reads (canon[l] x canon[r], under
+        # first-level nodes with a nonzero live count) hold every live row
+        # with A_l >= l and A_r >= r exactly once and no other live row
+        rng = random.Random(100 + n_intlv)
+        shape = _tree_shape(n_intlv)
+        width = 2 * shape.leaves
+        for n in (20, 60):  # the small build, then the bulk build
+            entries = random_entries(rng, n, n_intlv)
+            b = backend_over("rangetree", n_intlv, entries)
+            for tid in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
+                kill([b], tid)
+            live = [tid for tid in range(1, n + 1) if b.store.live[tid]]
+            for l in range(n_intlv + 1):
+                for r in range(n_intlv + 1):
+                    read = Counter(
+                        row
+                        for n1 in shape.canon[l] if b._cnt1[n1]
+                        for n2 in shape.canon[r]
+                        for row in b._lists.get(n1 * width + n2, ())
+                        if b.store.live[row])
+                    assert read == Counter(tid for tid in live
+                                           if b.al[tid] >= l and b.ar[tid] >= r), (l, r)
 
     @pytest.mark.parametrize("n_intlv", range(1, 17))
     def test_query_inspects_the_canonical_node_pairs(self, n_intlv):
@@ -396,6 +432,23 @@ class TestStructuralBounds:
             entries = random_entries(rng, 30, n_intlv)
             b = backend_over("pairwise", n_intlv, entries)
             assert b.total_entries() <= n_intlv * (n_intlv - 1) * len(entries)
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_node_entries_counted_once_per_build(self, kind):
+        entries = random_entries(random.Random(17), 40, 8)
+        counters = OpCounters()
+        b = backend_over(kind, 8, entries, counters)
+        if kind == "pairwise":
+            written = b.total_entries()
+        elif kind == "rangetree":
+            written = sum(map(len, b._lists.values()))
+        else:
+            written = 0
+        assert counters.node_entries == written
+        for tid, *_ in entries[::2]:
+            b.best_in(0, 1)
+            kill([b], tid)
+        assert counters.node_entries == written
 
     def test_pairwise_deletion_touch_cap(self):
         rng = random.Random(14)
