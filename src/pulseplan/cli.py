@@ -281,7 +281,9 @@ def _cmd_oracle_compare(args) -> int:
             combo = "+".join(rules[k] for k in sorted(rules))
             violations = check_feasible(schedule, check_inst)
             obj = exact_objective(schedule, check_inst)
-            ratio = "" if optimal is None else f" ratio={float(obj / optimal):.4f}"
+            # with no tasks both objectives are 0 and every rule is optimal
+            ratio = ("" if optimal is None
+                     else f" ratio={float(obj / optimal) if optimal else 1.0:.4f}")
             verdict = "feasible" if not violations else f"INFEASIBLE({len(violations)})"
             lines.append(
                 f"{mode} {combo} objective={float(obj):.9f} "

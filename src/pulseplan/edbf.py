@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .ip import Schedule, ScheduledLook
+from .ip import Schedule, ScheduledLook, make_look
 from .radar import AvailabilityTable
 from .structures import (
     BACKEND_KINDS,
@@ -375,11 +375,8 @@ class EdbfRun:
                        self.rngs["prf"])
         if p is None:
             raise InternalInvariantError("PRF selection returned an empty task set")
-        table = self.table
-        look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
-                             dwell=table.dwell(p))
         self._look_prf = p
-        return self.backends[p], look
+        return self.backends[p], make_look(j, self.table, p)
 
     def consume(self, row: int) -> None:
         """The look's own backend dropped the row when it was placed."""

@@ -14,25 +14,27 @@ assignment variables h_ijk (task i at slot k of look j) subject to:
   C8  binary domains
 
 One look type serves both sides: a ``ScheduledLook`` is a look of a
-schedule and a candidate look of an instance alike.  An ``IpInstance`` is
-the availability table (and, in subarray mode, the disk catalog) plus a copy
-count; it builds its candidate looks when ``looks`` is first read, so the
-checker, which reads none of them, never pays for them.  A schedule look
-that is no candidate look of the instance, or that repeats an index, is a
-C8 violation.
+schedule and a candidate look of an instance alike, and ``make_look`` builds
+every one.  An ``IpInstance`` is the availability table (and, in subarray
+mode, the disk catalog) plus a copy count, read by table row and by base; it
+builds its candidate looks when ``looks`` is first read, so the checker and
+the exact solver, which read none of them, never pay for them.  A schedule
+look that is no candidate look of the instance, or that repeats an index, is
+a C8 violation.
 
 This module validates any schedule against those constraints, solves small
 instances exactly by depth-first branch and bound, and writes instances as
 LP text (``export_lp``), optionally as the capacitated facility-location
 relaxation that drops slot structure.  The LP text is output only: its rows
-are formatted straight from the ``IpInstance`` (looks plus ``av``/``al``/
-``ar``), which is also what a numeric solver should build its matrices from.
+are formatted straight from the ``IpInstance`` (looks, ``av`` and the
+table's A_l and A_r), which is also what a numeric solver should build its
+matrices from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -100,31 +102,47 @@ class Violation:
         return f"{self.constraint}: {self.detail}{suffix}"
 
 
+def make_look(index: int, table: AvailabilityTable, prf_index: int,
+              catalog: DiskCatalog | None = None,
+              disk_id: int | None = None) -> ScheduledLook:
+    """Look ``index`` of one base: PRF ``prf_index`` with its f_r and dwell,
+    and in subarray mode disk ``disk_id`` of ``catalog`` with its center.
+    The schedulers, the instance's candidate looks and the exact solver all
+    build their looks here."""
+    center = None if disk_id is None else catalog.center(disk_id)
+    return ScheduledLook(index, prf_index, table.prfs[prf_index].f_r,
+                         table.dwell(prf_index), disk_id, center)
+
+
 @dataclass
 class IpInstance:
-    """A concrete instance: the availability table (element mode) or the
-    disk catalog too (subarray mode), plus ``copies`` identical candidate
-    looks per base.
+    """A concrete instance: the availability table, the disk catalog in
+    subarray mode (``None`` in element mode), and ``copies`` identical
+    candidate looks per base, read by table row and by base.
 
-    A base is a PRF in element mode and a disk in subarray mode; bases go in
-    PRF index or disk id order.  ``looks`` lists the candidate looks, built
-    on first read: base-major, ``copies`` per base, indexed from 1.
+    A base is a PRF in element mode and a disk in subarray mode; ``bases``
+    lists them as (PRF, disk) pairs in PRF index or disk id order.
+    ``looks`` lists the candidate looks, built on first read: base-major,
+    ``copies`` per base, indexed from 1.
     """
 
-    mode: str
     table: AvailabilityTable
-    task_ids: tuple[int, ...]
+    catalog: DiskCatalog | None
     copies: int
-    catalog: DiskCatalog | None = None
-    _disk_sets: dict[int, frozenset] = field(default_factory=dict, repr=False)
+
+    @property
+    def mode(self) -> str:
+        return "edbf" if self.catalog is None else "sdbf"
 
     @property
     def n_intlv(self) -> int:
         return self.table.cfg.n_intlv
 
     @property
-    def n_bases(self) -> int:
-        return self.table.n_prfs if self.catalog is None else self.catalog.n_disks
+    def bases(self) -> list[tuple[int, int | None]]:
+        if self.catalog is None:
+            return [(p, None) for p in range(self.table.n_prfs)]
+        return [(p, d) for d, p in enumerate(self.catalog.prf_index)]
 
     @property
     def l_inf(self) -> int:
@@ -132,21 +150,10 @@ class IpInstance:
         max_al = int(self.table.al.max()) if self.table.al.size else 0
         return self.table.cfg.n_intlv + max_al + 1
 
-    def candidate(self, index: int, prf_index: int,
-                  disk_id: int | None = None) -> ScheduledLook:
-        """The candidate look of one base (PRF, and disk in subarray mode)."""
-        center = None if disk_id is None else self.catalog.center(disk_id)
-        return ScheduledLook(index, prf_index, self.table.prfs[prf_index].f_r,
-                             self.table.dwell(prf_index), disk_id, center)
-
     @cached_property
     def looks(self) -> list[ScheduledLook]:
-        if self.catalog is None:
-            bases = [(p, None) for p in range(self.table.n_prfs)]
-        else:
-            bases = [(p, d) for d, p in enumerate(self.catalog.prf_index)]
-        return [self.candidate(j, p, d) for j, (p, d) in enumerate(
-            (base for base in bases for _ in range(self.copies)), 1)]
+        return [make_look(j, self.table, p, self.catalog, d) for j, (p, d) in enumerate(
+            (base for base in self.bases for _ in range(self.copies)), 1)]
 
     def is_candidate(self, look: ScheduledLook) -> bool:
         """Whether the look equals a candidate look of the instance, up to
@@ -158,28 +165,14 @@ class IpInstance:
         else:
             known = (d is not None and 0 <= d < self.catalog.n_disks
                      and self.catalog.prf_index[d] == p)
-        return known and look == self.candidate(look.index, p, d)
+        return known and look == make_look(look.index, self.table, p, self.catalog, d)
 
-    def av(self, task_id: int, look: ScheduledLook) -> bool:
-        row = self.table.row_of(task_id)
-        if not self.table.av[row, look.prf_index]:
-            return False
-        if self.mode == "sdbf":
-            disk_id = look.disk_id
-            if disk_id is None:
-                return False
-            members = self._disk_sets.get(disk_id)
-            if members is None:
-                members = frozenset(self.catalog.disk_tasks(disk_id))
-                self._disk_sets[disk_id] = members
-            return row in members
-        return True
-
-    def al(self, task_id: int, look: ScheduledLook) -> int:
-        return int(self.table.al[self.table.row_of(task_id), look.prf_index])
-
-    def ar(self, task_id: int, look: ScheduledLook) -> int:
-        return int(self.table.ar[self.table.row_of(task_id), look.prf_index])
+    def av(self, row: int, look: ScheduledLook) -> bool:
+        """C5: whether table row ``row`` may join the look, i.e. the look's
+        PRF is available to it and, in subarray mode, the look's disk
+        encloses it."""
+        return bool(self.table.av[row, look.prf_index]) and (
+            self.catalog is None or look.disk_id in self.catalog.task_disks[row])
 
 
 def dwell_fraction(table: AvailabilityTable, prf_index: int) -> Fraction:
@@ -200,9 +193,9 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
     if copies is not None and copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
     if isinstance(source, DiskCatalog):
-        catalog, table, mode = source, source.table, "sdbf"
+        catalog, table = source, source.table
     elif isinstance(source, AvailabilityTable):
-        catalog, table, mode = None, source, "edbf"
+        catalog, table = None, source
     else:
         raise TypeError("source must be an AvailabilityTable or DiskCatalog")
 
@@ -211,26 +204,24 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
             f"{len(table.unschedulable)} task(s) trackable with no PRF",
             task_ids=table.unschedulable,
         )
-    task_ids = tuple(table.tasks.ids)
-
-    if mode == "edbf":
-        n_copies = max(1, len(task_ids)) if copies is None else copies
+    if catalog is None:
+        n_copies = max(1, table.n_tasks) if copies is None else copies
     else:
         n_copies = 1 if copies is None else copies
-        uncovered = [
-            tid for tid, disks in zip(task_ids, catalog.task_disks) if not disks
-        ]
+        uncovered = [tid for tid, disks in zip(table.tasks.ids, catalog.task_disks)
+                     if not disks]
         if uncovered:
             raise InfeasibleError(
                 f"{len(uncovered)} task(s) enclosed by no disk", task_ids=uncovered
             )
-    return IpInstance(
-        mode=mode, table=table, task_ids=task_ids, copies=n_copies, catalog=catalog
-    )
+    return IpInstance(table=table, catalog=catalog, copies=n_copies)
 
 
 def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
     """Validate a schedule against C1..C8; violations are data, not errors.
+
+    Each assignment's task id is mapped to its table row once; an id with no
+    row is one C8 violation.  C2 is counted per row and C5..C7 read the row.
 
     Each schedule look must be a candidate look of the instance up to its
     index (``IpInstance.is_candidate``), and look indices must be unique;
@@ -241,7 +232,7 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
     """
     out: list[Violation] = []
     n = inst.n_intlv
-    known = set(inst.task_ids)
+    table = inst.table
     look_map: dict[int, ScheduledLook] = {}
     foreign: set[int] = set()
     for lk in schedule.looks:
@@ -254,10 +245,12 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
             foreign.add(j)
         look_map.setdefault(j, lk)
 
-    seen: dict[int, int] = {}
-    per_look: dict[int, list[tuple[int, int]]] = {}
+    task_rows = table.task_rows
+    seen = [0] * table.n_tasks
+    per_look: dict[int, list[tuple[int, int, int]]] = {}
     for tid, j, k in schedule.assignments:
-        if tid not in known:
+        row = task_rows.get(tid)
+        if row is None:
             out.append(Violation("C8", f"unknown task id {tid}", look=j, task=tid))
             continue
         if j not in look_map:
@@ -266,19 +259,18 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
         if not 1 <= k <= n:
             out.append(Violation("C8", f"slot {k} outside 1..{n}", look=j, task=tid))
             continue
-        seen[tid] = seen.get(tid, 0) + 1
-        per_look.setdefault(j, []).append((tid, k))
+        seen[row] += 1
+        per_look.setdefault(j, []).append((tid, row, k))
 
-    for tid in inst.task_ids:
-        count = seen.get(tid, 0)
+    for tid, count in zip(table.tasks.ids, seen):
         if count != 1:
             out.append(Violation("C2", f"task scheduled {count} times", task=tid))
 
-    for j, rows in sorted(per_look.items()):
+    for j, members in sorted(per_look.items()):
         lk = look_map[j]
-        if len(rows) > n:
-            out.append(Violation("C1", f"{len(rows)} tasks in one look", look=j))
-        slots = [k for _, k in rows]
+        if len(members) > n:
+            out.append(Violation("C1", f"{len(members)} tasks in one look", look=j))
+        slots = [k for _, _, k in members]
         if len(set(slots)) != len(slots):
             out.append(Violation("C3", "slot assigned to more than one task", look=j))
         m = max(slots)
@@ -286,19 +278,21 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
             out.append(Violation("C4", f"occupied slots {sorted(set(slots))} are not 1..{m}", look=j))
         if j in foreign:
             continue
-        for tid, k in rows:
-            if not inst.av(tid, lk):
+        p = lk.prf_index
+        for tid, row, k in members:
+            if not inst.av(row, lk):
                 out.append(Violation("C5", "task not available for this look", look=j, task=tid))
                 continue
-            if k > inst.ar(tid, lk):
+            ar, al = int(table.ar[row, p]), int(table.al[row, p])
+            if k > ar:
                 out.append(
-                    Violation("C6", f"slot {k} exceeds rightward availability {inst.ar(tid, lk)}", look=j, task=tid)
+                    Violation("C6", f"slot {k} exceeds rightward availability {ar}", look=j, task=tid)
                 )
-            if m > k + inst.al(tid, lk):
+            if m > k + al:
                 out.append(
                     Violation(
                         "C7",
-                        f"{m} tasks overlap the echo window of slot {k} (A_l={inst.al(tid, lk)})",
+                        f"{m} tasks overlap the echo window of slot {k} (A_l={al})",
                         look=j,
                         task=tid,
                     )
@@ -317,13 +311,11 @@ def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
 
 
 class _OpenLook:
-    __slots__ = ("look", "base", "slots", "count", "max_slot", "min_tol")
+    __slots__ = ("base", "slots", "max_slot", "min_tol")
 
-    def __init__(self, look, base, n_intlv):
-        self.look = look
-        self.base = base
-        self.slots = [None] * (n_intlv + 1)
-        self.count = 0
+    def __init__(self, base, n_intlv):
+        self.base = base                        # position in the base list
+        self.slots = [None] * (n_intlv + 1)     # table row per slot 1..n_intlv
         self.max_slot = 0
         self.min_tol = n_intlv + 10 ** 9
 
@@ -344,17 +336,19 @@ def solve_exact(
 ) -> Schedule | None:
     """Depth-first branch and bound; provably optimal at desk scale.
 
-    Identical look copies of one base are interchangeable, so a fresh look
-    is only ever opened on the lowest-index unused copy of each base.
-    Partial objectives at or above the incumbent are pruned, as are states
-    whose slot gaps can no longer be filled.  Returns None when the
-    instance admits no feasible schedule.
+    Tasks are placed in ascending id order, each into an open look or a
+    look it opens on a base (in base order).  Identical look copies of one
+    base are interchangeable, so a base opens at most ``inst.copies`` looks,
+    one branch each.  Partial objectives at or above the incumbent are
+    pruned, as are states whose slot gaps can no longer be filled.  Returns
+    None when the instance admits no feasible schedule.
     """
-    n_t = len(inst.task_ids)
+    table, catalog, bases = inst.table, inst.catalog, inst.bases
+    n_t = table.n_tasks
     check_exact_task_limit(n_t)
-    if inst.n_bases > ORACLE_MAX_BASES:
+    if len(bases) > ORACLE_MAX_BASES:
         raise ResourceLimitError(
-            f"{inst.n_bases} look templates exceed the exact-solver limit of {ORACLE_MAX_BASES}"
+            f"{len(bases)} look templates exceed the exact-solver limit of {ORACLE_MAX_BASES}"
         )
     if inst.n_intlv > ORACLE_MAX_INTLV:
         raise ResourceLimitError(
@@ -362,139 +356,97 @@ def solve_exact(
         )
 
     n = inst.n_intlv
-    tasks = sorted(inst.task_ids)
-    # one base per PRF (element mode) or disk (subarray mode)
-    by_disk = inst.mode == "sdbf"
-    bases: dict[int, list[ScheduledLook]] = {}
-    for lk in inst.looks:
-        bases.setdefault(lk.disk_id if by_disk else lk.prf_index, []).append(lk)
-    base_ids = sorted(bases)
-    dwell_frac = [dwell_fraction(inst.table, p) for p in range(inst.table.n_prfs)]
-    min_dwell = min(dwell_frac[lk.prf_index] for lk in inst.looks)
+    ids = table.tasks.ids
+    order = sorted(range(n_t), key=ids.__getitem__)
+    dwell = [dwell_fraction(table, p) for p, _ in bases]
+    min_dwell = min(dwell, default=0)
+    # row x base availability, A_l and A_r; one look per base, indexed from 1
+    base_looks = [make_look(b, table, p, catalog, d) for b, (p, d) in enumerate(bases, 1)]
+    av = [[inst.av(row, lk) for lk in base_looks] for row in range(n_t)]
+    al = [[int(table.al[row, p]) for p, _ in bases] for row in range(n_t)]
+    ar = [[int(table.ar[row, p]) for p, _ in bases] for row in range(n_t)]
 
-    av = {
-        (tid, b): inst.av(tid, bases[b][0])
-        for tid in tasks
-        for b in base_ids
-    }
-    al = {(tid, b): inst.al(tid, bases[b][0]) for tid in tasks for b in base_ids}
-    ar = {(tid, b): inst.ar(tid, bases[b][0]) for tid in tasks for b in base_ids}
-
-    best_obj: list[Fraction | None] = [None]
-    best_assign: list[list | None] = [None]
+    best_obj = None
     if warm is not None:
         if check_feasible(warm, inst):
             raise InternalInvariantError("warm-start schedule is infeasible")
-        best_obj[0] = exact_objective(warm, inst)
-
+        best_obj = exact_objective(warm, inst)
+    best = None                     # (base, slots) of each look of the incumbent
     open_looks: list[_OpenLook] = []
-    used_copies = {b: 0 for b in base_ids}
-    state = {"obj": Fraction(0), "free": 0, "gaps": 0, "nodes": 0}
+    used = [0] * len(bases)
+    # objective of the open looks, their free slots, the unfilled slots
+    # below each one's highest occupied slot, and the nodes visited
+    obj, free, gaps, nodes = Fraction(0), 0, 0, 0
 
-    def lower_bound(rem: int) -> Fraction:
-        short = rem - state["free"]
-        if short <= 0:
-            return state["obj"]
-        return state["obj"] + math.ceil(short / n) * min_dwell
-
-    def place(ol: _OpenLook, tid: int, k: int) -> tuple | None:
+    def branch(ol: _OpenLook, row: int, idx: int) -> None:
+        """Place the row in each slot of the look that C3, C5, C6 and C7
+        allow, and search on from each placement."""
+        nonlocal free, gaps
         b = ol.base
-        if ol.slots[k] is not None or ol.count >= n:
-            return None
-        if not av[(tid, b)] or k > ar[(tid, b)]:
-            return None
-        new_max = max(ol.max_slot, k)
-        new_tol = min(ol.min_tol, k + al[(tid, b)])
-        if new_max > new_tol:
-            return None
-        return (ol.max_slot, ol.min_tol)
-
-    def apply(ol: _OpenLook, tid: int, k: int) -> None:
-        old_gap = ol.max_slot - ol.count
-        ol.slots[k] = tid
-        ol.count += 1
-        ol.max_slot = max(ol.max_slot, k)
-        ol.min_tol = min(ol.min_tol, k + al[(tid, ol.base)])
-        state["free"] -= 1
-        state["gaps"] += (ol.max_slot - ol.count) - old_gap
-
-    def undo(ol: _OpenLook, k: int, saved) -> None:
-        old_gap = ol.max_slot - ol.count
-        ol.slots[k] = None
-        ol.count -= 1
-        ol.max_slot, ol.min_tol = saved
-        state["free"] += 1
-        state["gaps"] += (ol.max_slot - ol.count) - old_gap
-
-    def record() -> None:
-        looks_out = []
-        assigns = []
-        for ol in open_looks:
-            if ol.count == 0:
+        if not av[row][b]:
+            return
+        for k in range(1, n + 1):
+            if ol.slots[k] is not None or k > ar[row][b]:
                 continue
-            j = len(looks_out) + 1
-            looks_out.append(replace(ol.look, index=j))
-            for k in range(1, n + 1):
-                if ol.slots[k] is not None:
-                    assigns.append((ol.slots[k], j, k))
-        best_assign[0] = (looks_out, sorted(assigns, key=lambda a: (a[1], a[2])))
+            max_slot, min_tol = ol.max_slot, ol.min_tol
+            new_max, new_tol = max(max_slot, k), min(min_tol, k + al[row][b])
+            if new_max > new_tol:
+                continue
+            ol.slots[k] = row
+            ol.max_slot, ol.min_tol = new_max, new_tol
+            free -= 1
+            gaps += new_max - max_slot - 1
+            dfs(idx + 1)
+            ol.slots[k] = None
+            ol.max_slot, ol.min_tol = max_slot, min_tol
+            free += 1
+            gaps -= new_max - max_slot - 1
 
     def dfs(idx: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        nonlocal best, best_obj, obj, free, nodes
+        nodes += 1
+        if nodes > node_budget:
             raise ResourceLimitError(f"exact solver exceeded {node_budget} nodes")
         rem = n_t - idx
         if rem == 0:
-            if state["gaps"] == 0 and (best_obj[0] is None or state["obj"] < best_obj[0]):
-                best_obj[0] = state["obj"]
-                record()
+            if gaps == 0 and (best_obj is None or obj < best_obj):
+                best_obj = obj
+                best = [(ol.base, list(ol.slots)) for ol in open_looks]
             return
-        if state["gaps"] > rem:
+        if gaps > rem:
             return
-        if best_obj[0] is not None and lower_bound(rem) >= best_obj[0]:
+        # every task left that no free slot takes needs a share of a new look
+        if best_obj is not None and (
+                obj + max(0, math.ceil((rem - free) / n)) * min_dwell >= best_obj):
             return
-        tid = tasks[idx]
+        row = order[idx]
         for ol in open_looks:
-            if ol.count == 0:
+            branch(ol, row, idx)
+        for b in range(len(bases)):
+            if used[b] >= inst.copies or not av[row][b]:
                 continue
-            for k in range(1, n + 1):
-                saved = place(ol, tid, k)
-                if saved is None:
-                    continue
-                apply(ol, tid, k)
-                dfs(idx + 1)
-                undo(ol, k, saved)
-        for b in base_ids:
-            if used_copies[b] >= len(bases[b]) or not av[(tid, b)]:
-                continue
-            look = bases[b][used_copies[b]]
-            ol = _OpenLook(look, b, n)
-            used_copies[b] += 1
-            open_looks.append(ol)
-            state["free"] += n
-            state["obj"] += dwell_frac[look.prf_index]
-            for k in range(1, n + 1):
-                saved = place(ol, tid, k)
-                if saved is None:
-                    continue
-                apply(ol, tid, k)
-                dfs(idx + 1)
-                undo(ol, k, saved)
-            state["obj"] -= dwell_frac[look.prf_index]
-            state["free"] -= n
+            used[b] += 1
+            open_looks.append(_OpenLook(b, n))
+            free += n
+            obj += dwell[b]
+            branch(open_looks[-1], row, idx)
+            obj -= dwell[b]
+            free -= n
             open_looks.pop()
-            used_copies[b] -= 1
+            used[b] -= 1
 
     dfs(0)
-    if best_assign[0] is None:
-        if best_obj[0] is not None and warm is not None:
-            return warm
-        return None
-    looks_out, assigns = best_assign[0]
+    if best is None:
+        return warm
+    looks, assignments = [], []
+    for j, (b, slots) in enumerate(best, 1):
+        p, d = bases[b]
+        looks.append(make_look(j, table, p, catalog, d))
+        assignments += [(ids[row], j, k) for k, row in enumerate(slots) if row is not None]
     return Schedule(
-        looks=looks_out,
-        assignments=assigns,
-        meta={"mode": f"exact-{inst.mode}", "nodes": str(state["nodes"])},
+        looks=looks,
+        assignments=assignments,
+        meta={"mode": f"exact-{inst.mode}", "nodes": str(nodes)},
     )
 
 
@@ -522,7 +474,10 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
     facility-location core.
     """
     n = inst.n_intlv
-    tasks = sorted(inst.task_ids)
+    table = inst.table
+    # (task id, table row) in id order: ids name the variables, rows are read
+    tasks = sorted(zip(table.tasks.ids, range(table.n_tasks)))
+    al, ar = table.al.tolist(), table.ar.tolist()
     looks = inst.looks
     slots = range(1, n + 1)
     l_inf = inst.l_inf
@@ -541,50 +496,50 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
     if sscfl:
         for lk in looks:
             j = lk.index
-            row(f"c1_{j}", [(1, f"h_{t}_{j}") for t in tasks] + [(-n, f"f_{j}")], "<=", 0)
-        for t in tasks:
+            row(f"c1_{j}", [(1, f"h_{t}_{j}") for t, _ in tasks] + [(-n, f"f_{j}")], "<=", 0)
+        for t, _ in tasks:
             row(f"c2_{t}", [(1, f"h_{t}_{lk.index}") for lk in looks], "=", 1)
-        for t in tasks:
+        for t, r in tasks:
             for lk in looks:
                 row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}")], "<=",
-                    int(inst.av(t, lk)))
-        binaries = [f"h_{t}_{lk.index}" for t in tasks for lk in looks]
+                    int(inst.av(r, lk)))
+        binaries = [f"h_{t}_{lk.index}" for t, _ in tasks for lk in looks]
     else:
         for lk in looks:
             j = lk.index
-            row(f"c1_{j}", [(1, f"h_{t}_{j}_{k}") for t in tasks for k in slots]
+            row(f"c1_{j}", [(1, f"h_{t}_{j}_{k}") for t, _ in tasks for k in slots]
                 + [(-n, f"f_{j}")], "<=", 0)
-        for t in tasks:
+        for t, _ in tasks:
             row(f"c2_{t}", [(1, f"h_{t}_{lk.index}_{k}") for lk in looks for k in slots],
                 "=", 1)
         for lk in looks:
             for k in slots:
-                row(f"c3_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t in tasks],
+                row(f"c3_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t, _ in tasks],
                     "<=", 1)
         for lk in looks:
             for k in range(1, n):
-                row(f"c4_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t in tasks]
-                    + [(-1, f"h_{t}_{lk.index}_{k + 1}") for t in tasks], ">=", 0)
-        for t in tasks:
+                row(f"c4_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t, _ in tasks]
+                    + [(-1, f"h_{t}_{lk.index}_{k + 1}") for t, _ in tasks], ">=", 0)
+        for t, r in tasks:
             for lk in looks:
                 row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}_{k}") for k in slots],
-                    "<=", int(inst.av(t, lk)))
+                    "<=", int(inst.av(r, lk)))
         for lk in looks:
             for k in slots:
                 # a task whose A_r equals k has a zero coefficient; an empty
                 # row is left out
-                terms = [(c, f"h_{t}_{lk.index}_{k}") for t in tasks
-                         if (c := k - inst.ar(t, lk))]
+                terms = [(c, f"h_{t}_{lk.index}_{k}") for t, r in tasks
+                         if (c := k - ar[r][lk.prf_index])]
                 if terms:
                     row(f"c6_{lk.index}_{k}", terms, "<=", 0)
         for lk in looks:
             for k in slots:
                 # l_inf > k + A_l, so every coefficient is at least 1
                 row(f"c7_{lk.index}_{k}",
-                    [(1 + (l_inf - k - inst.al(t, lk) if kk == k else 0),
-                      f"h_{t}_{lk.index}_{kk}") for t in tasks for kk in slots],
+                    [(1 + (l_inf - k - al[r][lk.prf_index] if kk == k else 0),
+                      f"h_{t}_{lk.index}_{kk}") for t, r in tasks for kk in slots],
                     "<=", l_inf)
-        binaries = [f"h_{t}_{lk.index}_{k}" for t in tasks for lk in looks for k in slots]
+        binaries = [f"h_{t}_{lk.index}_{k}" for t, _ in tasks for lk in looks for k in slots]
     binaries += [f"f_{lk.index}" for lk in looks]
     lines += ["Binaries", " " + " ".join(binaries), "End"]
     return "\n".join(lines) + "\n"

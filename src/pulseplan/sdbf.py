@@ -24,7 +24,7 @@ from sortedcontainers import SortedList
 from .errors import InternalInvariantError
 from .edbf import TASK_RULES, derive_rngs, run_looks, task_store
 from .geometry import DiskCatalog
-from .ip import Schedule, ScheduledLook
+from .ip import Schedule, make_look
 from .structures import BACKEND_KINDS, BucketList, OpCounters, build_backend
 
 DISK_RULES = ("GD", "RGD", "WGD")
@@ -199,11 +199,7 @@ class SdbfRun:
         d = self.selector.select(self.rngs["disk"])
         if d is None:
             raise InternalInvariantError("disk selection returned an empty disk")
-        p = self.catalog.prf_index[d]
-        table = self.table
-        look = ScheduledLook(index=j, prf_index=p, f_r=table.prfs[p].f_r,
-                             dwell=table.dwell(p), disk_id=d,
-                             disk_center=self.catalog.center(d))
+        look = make_look(j, self.table, self.catalog.prf_index[d], self.catalog, d)
         return self._disk_backend(d), look
 
     def consume(self, row: int) -> None:

@@ -221,19 +221,20 @@ def stepwise_disks(table, grid):
 
 
 def _group_feasible(group, base_look, inst):
-    """Cheapest slot bijection existence test for one look's task set."""
+    """Cheapest slot bijection existence test for one look's set of table rows."""
     m = len(group)
+    p = base_look.prf_index
     for perm in itertools.permutations(group):
         ok = True
-        for slot0, tid in enumerate(perm):
+        for slot0, row in enumerate(perm):
             k = slot0 + 1
-            if not inst.av(tid, base_look):
+            if not inst.av(row, base_look):
                 ok = False
                 break
-            if k > inst.ar(tid, base_look):
+            if k > inst.table.ar[row, p]:
                 ok = False
                 break
-            if m > k + inst.al(tid, base_look):
+            if m > k + inst.table.al[row, p]:
                 ok = False
                 break
         if ok:
@@ -253,18 +254,19 @@ def _partitions(items):
 
 
 def exhaustive_optimum(inst):
-    """Unpruned optimum by enumerating all task partitions into looks.
+    """Unpruned optimum by enumerating all partitions of the table rows
+    into looks.
 
     Each group takes the cheapest base it fits (copies are plentiful in the
     oracle instances).  Returns the optimal objective Fraction, or None when
     no partition is feasible.
     """
-    tasks = sorted(inst.task_ids)
+    rows = list(range(inst.table.n_tasks))
     bases = {}
     for lk in inst.looks:
         bases.setdefault((lk.prf_index, lk.disk_id), lk)
     best = None
-    for part in _partitions(tasks):
+    for part in _partitions(rows):
         total = Fraction(0)
         ok = True
         for group in part:

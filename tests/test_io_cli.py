@@ -511,6 +511,32 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert "tasks=0" in out.read_text()
 
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    @pytest.mark.parametrize("flags", [[], ["--heuristic-only"]])
+    def test_oracle_compare_without_tasks_in_oracle_shape(self, mode, flags, tmp_path):
+        # n_intlv 4 and 3 PRFs are within the exact solver's limits: the
+        # optimum of no tasks is the empty schedule, objective 0, and every
+        # rule's empty schedule matches it
+        path = tmp_path / "empty.txt"
+        path.write_text(scenario_to_text(*gen_scenario(
+            ScenarioSpec(n_tasks=0, seed=1), RadarConfig(n_intlv=4),
+            default_prf_set(count=3))))
+        out = tmp_path / "cmp.txt"
+        assert main(["oracle-compare", str(path), "--mode", mode, *flags,
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == "seed=0 tasks=0"
+        rules = [line for line in lines[2:] if " exact " not in line]
+        assert rules and all(line.startswith(f"{mode} ") for line in lines[2:])
+        if flags:
+            assert len(rules) == len(lines) - 2
+            assert all(line.endswith(" objective=0.000000000 looks=0 feasible")
+                       for line in rules)
+        else:
+            assert lines[2] == f"{mode} exact objective=0.000000000 looks=0"
+            assert all(line.endswith(" objective=0.000000000 looks=0 ratio=1.0000 feasible")
+                       for line in rules)
+
     def test_oracle_compare_limit_exit(self, scenario_file, capsys):
         code = main(["oracle-compare", str(scenario_file)])
         assert code == 2

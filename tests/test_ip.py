@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -14,9 +16,11 @@ from pulseplan import (
     ResourceLimitError,
     Schedule,
     ScheduledLook,
+    TaskColumns,
     build_availability_table,
     build_instance,
     check_feasible,
+    dedup_disks,
     default_prf_set,
     enumerate_disks,
     exact_objective,
@@ -26,6 +30,9 @@ from pulseplan import (
     hisd,
     solve_exact,
 )
+from pulseplan.io import schedule_to_text
+from pulseplan.ip import make_look
+from pulseplan.radar import _TASK_FLOATS
 from pulseplan.scenario import ScenarioSpec
 from oracles import exhaustive_optimum, timeline_feasible
 
@@ -387,6 +394,26 @@ class TestExactSolver:
         with pytest.raises(ResourceLimitError):
             solve_exact(inst, node_budget=5)
 
+    def test_search_pinned(self):
+        # sha256 over the exact schedules of 40 seeded scenarios (4-10
+        # tasks, n_intlv 3-4, 3 PRFs), each solved in element mode and over
+        # the deduplicated disk catalog, with one look copy per task as
+        # oracle-compare builds them.  The schedule text carries
+        # ``meta nodes=``, so this pins the search tree as well as the
+        # optimum each search returns.
+        digest = hashlib.sha256()
+        for seed in range(40):
+            n_tasks = 4 + seed % 7
+            cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n_tasks, seed=seed),
+                                            RadarConfig(n_intlv=3 + seed % 2),
+                                            default_prf_set(count=3))
+            table = build_availability_table(tasks, prfs, cfg)
+            for source in (table, dedup_disks(enumerate_disks(table, GridSpec()))):
+                sched = solve_exact(build_instance(source, copies=n_tasks))
+                digest.update(schedule_to_text(sched).encode())
+        assert digest.hexdigest() == (
+            "4e97569ba847a1fc3c8c0ceb92a527a65f604fdbd3afcb7cf51520669667c493")
+
 
 class TestLpExport:
     def test_tiny_instance_rows(self):
@@ -413,3 +440,81 @@ class TestLpExport:
             line.startswith(" c7_") and line.rstrip().endswith(f"<= {inst.l_inf}")
             for line in text.splitlines()
         )
+
+
+def _relabel(tid):
+    # keeps the id order and leaves gaps, so no id is its row + 1
+    return 10 ** 12 + 7 * tid
+
+
+def _relabel_schedule(sched):
+    return replace(sched, assignments=[(_relabel(t), j, k) for t, j, k in sched.assignments])
+
+
+def _unlabel_lp(text):
+    # the task id is the first number of every h_, c2_ and c5_ name
+    return re.sub(r"\b(h|c2|c5)_(\d+)",
+                  lambda m: f"{m[1]}_{(int(m[2]) - 10 ** 12) // 7}", text)
+
+
+def relabelled_instances(mode):
+    """The 6-task LP golden scenario (n_intlv 4, 3 PRFs) as an instance, and
+    again with every id relabelled; in element mode the relabelled table
+    also lists the tasks in reverse row order.  Subarray instances are
+    built over the deduplicated disk catalog."""
+    cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=6, seed=2),
+                                    RadarConfig(n_intlv=4), default_prf_set(count=3))
+    rows = slice(None, None, -1 if mode == "edbf" else 1)
+    relabelled = TaskColumns([_relabel(t) for t in tasks.ids[rows]],
+                             *(getattr(tasks, name)[rows] for name in _TASK_FLOATS))
+    tables = [build_availability_table(t, prfs, cfg) for t in (tasks, relabelled)]
+    if mode == "sdbf":
+        return [build_instance(dedup_disks(enumerate_disks(t, GridSpec()))) for t in tables]
+    return [build_instance(t) for t in tables]
+
+
+def corrupt_exact(sched, inst):
+    """The schedule with its first assignment moved to the last slot, the
+    first look's first task also placed in the last look, and the last look
+    moved to another base of a different PRF."""
+    n = inst.n_intlv
+    (t0, j0, _), *rest = sched.assignments
+    last = sched.looks[-1]
+    p, d = next((p, d) for p, d in inst.bases if p != last.prf_index)
+    looks = [*sched.looks[:-1], make_look(last.index, inst.table, p, inst.catalog, d)]
+    last_slots = [k for _, j, k in sched.assignments if j == last.index]
+    return replace(sched, looks=looks, assignments=[
+        (t0, j0, n), *rest, (t0, last.index, max(last_slots) + 1)])
+
+
+class TestRelabelledIds:
+    # a table row taken for a task id, or the other way round, anywhere in
+    # the checker, the LP writer or the exact solver shows as a difference
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_same_search(self, mode):
+        plain, relabelled = relabelled_instances(mode)
+        if mode == "edbf":
+            assert relabelled.table.tasks.ids[0] == _relabel(6)
+        want, got = solve_exact(plain), solve_exact(relabelled)
+        assert exact_objective(got, relabelled) == exact_objective(want, plain)
+        assert got.meta["nodes"] == want.meta["nodes"]
+        assert schedule_to_text(got) == schedule_to_text(_relabel_schedule(want))
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    @pytest.mark.parametrize("sscfl", [False, True])
+    def test_same_lp(self, mode, sscfl):
+        plain, relabelled = relabelled_instances(mode)
+        text = export_lp(relabelled, sscfl=sscfl)
+        assert str(_relabel(1)) in text
+        assert _unlabel_lp(text) == export_lp(plain, sscfl=sscfl)
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_same_violations(self, mode):
+        plain, relabelled = relabelled_instances(mode)
+        bad = corrupt_exact(solve_exact(plain), plain)
+        want = check_feasible(bad, plain)
+        assert {"C2", "C4"} <= {v.constraint for v in want}
+        assert {"C5", "C6", "C7"} & {v.constraint for v in want}
+        got = check_feasible(_relabel_schedule(bad), relabelled)
+        assert got == [replace(v, task=None if v.task is None else _relabel(v.task))
+                       for v in want]
