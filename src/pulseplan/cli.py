@@ -132,18 +132,10 @@ def _write_out(text: str, out: str | None):
         raise UsageError(f"cannot write output file: {exc}")
 
 
-def _cmd_schedule(args) -> int:
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
-    if table.unschedulable and not args.allow_unschedulable:
-        print("unschedulable tasks (no available PRF):", file=sys.stderr)
-        for tid in table.unschedulable:
-            print(f"  task {tid}", file=sys.stderr)
-        raise InfeasibleError(
-            f"{len(table.unschedulable)} unschedulable task(s); "
-            "rerun with --allow-unschedulable to schedule the rest",
-            task_ids=table.unschedulable,
-        )
+def _run_scheduler(args, table):
+    """Run the scheduler the arguments select on ``table``: the schedule and
+    the seconds it took.  Its look source's structures are freed when this
+    returns, before the schedule is written."""
     counters = OpCounters()
     t0 = time.perf_counter()
     if args.mode == "edbf":
@@ -169,7 +161,22 @@ def _cmd_schedule(args) -> int:
     if args.dump_structures:
         print(run.dump_structures(), file=sys.stderr)
     schedule = run.run()
-    elapsed = time.perf_counter() - t0
+    return schedule, time.perf_counter() - t0
+
+
+def _cmd_schedule(args) -> int:
+    cfg, prfs, tasks = _read_scenario(args.scenario)
+    table = build_availability_table(tasks, prfs, cfg)
+    if table.unschedulable and not args.allow_unschedulable:
+        print("unschedulable tasks (no available PRF):", file=sys.stderr)
+        for tid in table.unschedulable:
+            print(f"  task {tid}", file=sys.stderr)
+        raise InfeasibleError(
+            f"{len(table.unschedulable)} unschedulable task(s); "
+            "rerun with --allow-unschedulable to schedule the rest",
+            task_ids=table.unschedulable,
+        )
+    schedule, elapsed = _run_scheduler(args, table)
     text = pio.schedule_to_text(schedule)
     summary = (
         f"looks={schedule.n_looks_used()} objective={schedule.objective():.6f}s "

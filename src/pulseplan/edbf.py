@@ -6,14 +6,16 @@ the next look and hands over a selection backend over its live tasks, an
 ``Episode`` packs that backend into the look's slots, and the source then
 consumes every placed task from the rest of its structures.  Each run keeps
 one ``TaskStore`` (``task_store``): the table rows' liveness plus their
-A_l, A_r and priority-rank columns, shared by all the run's backends, which
-index table rows.  ``Episode`` kills a placed row in the store and deletes
-it from the look's backend; consuming it deletes it once from each other
-backend that holds it and updates the base selector.  ``EdbfRun`` is the
-element-level source (PRF cardinality rules over a bucket list, one backend
-per PRF built up front); ``sdbf.SdbfRun`` is the subarray-level source
-(re-steering disks, one backend per selected disk built on demand from the
-store's live rows).
+A_l, A_r and priority-rank columns and each PRF's rows in priority order,
+shared by all the run's backends, which index table rows.  ``Episode``
+kills a placed row in the store and deletes it from the look's backend;
+the source then consumes the look's placed rows in one call, which deletes
+each once from every other backend that holds it and updates the base
+selector.  ``EdbfRun`` is the element-level source (PRF cardinality rules
+over a bucket list, one backend per PRF built up front from the store's
+priority order); ``sdbf.SdbfRun`` is the subarray-level source (re-steering
+disks, one backend per selected disk built on demand from the store's live
+rows).
 
 Packing scans the look's slots from the rightmost leftward.  When no task
 fits the current slot the partial schedule is shifted left to free room at
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .ip import Schedule, ScheduledLook, make_look
+from .ip import Assignments, Schedule, ScheduledLook, make_look
 from .radar import AvailabilityTable
 from .structures import (
     BACKEND_KINDS,
@@ -306,14 +308,19 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
 
     ``source.next_look(j)`` selects the base of look ``j`` and returns a
     selection backend over its live rows plus the ``ScheduledLook``;
-    ``source.consume(row)`` removes a placed row from the source's other
-    structures, in slot order after the look.  Every selected base must
-    hold a live task and every look must place at least one, which bounds
-    the loop by the number of schedulable tasks.
+    ``source.consume(rows)`` removes the look's placed rows, in slot order,
+    from the source's other structures.  Every selected base must hold a
+    live task and every look must place at least one, which bounds the loop
+    by the number of schedulable tasks.  A look's placed slots are 1..m
+    (``Episode.run`` checks it), so the assignment columns are filled per
+    look.  They are sized once, one entry per schedulable task: grown look
+    by look, the three lists' reallocations fragment the heap, and the
+    memory a process holds after a 64k-task run creeps up from run to run.
     """
     looks: list[ScheduledLook] = []
-    assignments: list[tuple[int, int, int]] = []
     live = len(table.schedulable_rows())
+    task, look_index, slot = [0] * live, [0] * live, [0] * live
+    k = 0
     while live > 0:
         j = len(looks) + 1
         backend, look = source.next_look(j)
@@ -324,14 +331,17 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
         if not placed:
             raise InternalInvariantError("a look scheduled no task")
         looks.append(look)
-        ids = backend.store.ids
-        for row, slot in placed:
-            assignments.append((ids[row], j, slot))
-            source.consume(row)
-        live -= len(placed)
+        rows = [row for row, _ in placed]
+        m = len(rows)
+        task[k:k + m] = map(backend.store.ids.__getitem__, rows)
+        look_index[k:k + m] = [j] * m
+        slot[k:k + m] = range(1, m + 1)
+        k += m
+        source.consume(rows)
+        live -= m
     return Schedule(
         looks=looks,
-        assignments=assignments,
+        assignments=Assignments(task, look_index, slot),
         meta={**meta, "n_intlv": str(table.cfg.n_intlv)},
         unschedulable=table.unschedulable,
     )
@@ -353,7 +363,7 @@ class EdbfRun:
         self.store = task_store(table, cfg.task_rule, self.rngs["task"])
         self.backends = [
             build_backend(cfg.backend, self.store, p, rows, self.counters)
-            for p, rows in enumerate(table.task_sets)
+            for p, rows in enumerate(self.store.order)
         ]
         self._look_prf = None
         counts = [len(rows) for rows in table.task_sets]
@@ -378,16 +388,32 @@ class EdbfRun:
         self._look_prf = p
         return self.backends[p], make_look(j, self.table, p)
 
-    def consume(self, row: int) -> None:
-        """The look's own backend dropped the row when it was placed."""
-        prf_set = self.table.prf_sets[row]
-        for p in prf_set:
-            if p != self._look_prf:
-                self.backends[p].delete(row)
-        self.buckets.decrement(prf_set)
+    def consume(self, rows) -> None:
+        """Drop a look's placed rows, in slot order, from the other PRFs'
+        backends (one ``delete_rows`` call each) and from the bucket list
+        (one ``decrement`` over the rows' PRF sets in turn).  The look's
+        own backend dropped each row when it was placed.
+
+        The random rule's set loses each PRF whose count reached 0, in the
+        order the counts did: that of each PRF's last occurrence in the
+        decremented keys.
+        """
+        prf_sets = self.table.prf_sets
+        keys = []
+        groups = [[] for _ in self.backends]
+        for row in rows:
+            prf_set = prf_sets[row]
+            keys += prf_set
+            for p in prf_set:
+                groups[p].append(row)
+        groups[self._look_prf] = ()
+        for backend, placed in zip(self.backends, groups):
+            if placed:
+                backend.delete_rows(placed)
+        self.buckets.decrement(keys)
         if self.live_prfs is not None:
             count = self.buckets.count
-            for p in prf_set:
+            for p in reversed(dict.fromkeys(reversed(keys))):
                 if count(p) == 0:
                     self.live_prfs.discard(p)
 

@@ -13,13 +13,13 @@ line-by-line reader, which gives the values and errors of both.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, gt, itemgetter
 
 import numpy as np
 
 from .errors import ScenarioError
 from .geometry import DiskCatalog
-from .ip import Schedule, ScheduledLook
+from .ip import Assignments, Schedule, ScheduledLook
 from .radar import (
     _TASK_FLOATS,
     AvailabilityTable,
@@ -267,29 +267,42 @@ def _parse_records(text: str):
 
 # --- schedule files --------------------------------------------------------
 
+# One look line of each kind and one assign line; ``%s`` writes Python
+# ints and floats as ``_fmt`` does.
+_LOOK_LINE = "look index=%s prf=%s f_r=%s dwell=%s"
+_DISK_LOOK_LINE = _LOOK_LINE + " disk=%s disk_u=%s disk_v=%s"
+_ASSIGN_LINE = "assign task=%s look=%s slot=%s"
+
+
+def _look_line(lk: ScheduledLook) -> str:
+    if lk.disk_id is None:
+        return _LOOK_LINE % (lk.index, lk.prf_index, lk.f_r, lk.dwell)
+    return _DISK_LOOK_LINE % (lk.index, lk.prf_index, lk.f_r, lk.dwell,
+                              lk.disk_id, *lk.disk_center)
+
+
 def schedule_to_text(schedule: Schedule) -> str:
+    """The schedule file: the version tag, one meta line (the schedule's
+    meta plus its objective and looks used, keys sorted), one line per look,
+    one ``_ASSIGN_LINE`` per assignment in (look, slot) order, and the
+    unschedulable ids, if any.  Assignments out of that order, as a
+    hand-built schedule may hold them, are stable-sorted into it.
+    """
     lines = [SCHEDULE_TAG]
     meta = dict(schedule.meta)
     meta["objective"] = repr(schedule.objective())
     meta["looks_used"] = str(schedule.n_looks_used())
     lines.append("meta " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    for lk in schedule.looks:
-        pairs = [
-            ("index", lk.index),
-            ("prf", lk.prf_index),
-            ("f_r", lk.f_r),
-            ("dwell", lk.dwell),
-        ]
-        if lk.disk_id is not None:
-            pairs.append(("disk", lk.disk_id))
-            pairs.append(("disk_u", lk.disk_center[0]))
-            pairs.append(("disk_v", lk.disk_center[1]))
-        lines.append("look " + _fields(pairs))
-    for tid, j, k in sorted(schedule.assignments, key=lambda a: (a[1], a[2])):
-        lines.append(f"assign task={tid} look={j} slot={k}")
+    lines.extend(map(_look_line, schedule.looks))
+    a = schedule.assignments
+    rows = iter(a)
+    if any(map(gt, zip(a.look, a.slot), zip(a.look[1:], a.slot[1:]))):
+        rows = sorted(rows, key=itemgetter(1, 2))
+    lines.extend(map(_ASSIGN_LINE.__mod__, rows))
     if schedule.unschedulable:
         lines.append("unschedulable " + " ".join(str(t) for t in schedule.unschedulable))
-    return "\n".join(lines) + "\n"
+    lines.append("")    # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 _LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
@@ -312,6 +325,51 @@ def _schedule_record(kind: str, tokens):
     raise ScenarioError(f"unknown schedule record {kind!r}")
 
 
+_ASSIGN_KEYS = tuple(_ASSIGN_FIELDS)
+# An assign line is half a task line's tokens.
+_ASSIGN_CHUNK = 2 * _TASK_CHUNK
+
+
+def _assign_block(lines) -> list[list[int]]:
+    """The (task, look, slot) columns of assign lines that each hold
+    ``assign`` and the three fields in the written order; ``ValueError`` if
+    any line does not or a value does not convert.  The argument of
+    ``_task_block`` applies: no column converts a token that starts with
+    ``assign``, so if every value converts, each line is 4 tokens, and 3n
+    "=" mean each value token held its own key's."""
+    n = len(lines)
+    text = "\n".join(lines)
+    tokens = text.split()
+    if (len(tokens) != 4 * n or text.count("=") != 3 * n or tokens[::4].count("assign") != n
+            or not all(map(str.startswith, map(str.lstrip, lines), repeat("assign")))):
+        raise ValueError("not assign lines in the written form")
+    return [[*map(int, map(str.removeprefix, tokens[j::4], repeat(key + "=")))]
+            for j, key in enumerate(_ASSIGN_KEYS, 1)]
+
+
+def _schedule_from(records, columns=None) -> Schedule:
+    """A ``Schedule`` from (line number, kind, record) triples of the line
+    reader; its assignments are ``columns``, the (task, look, slot) columns
+    of assign lines read in bulk, or else the assign records."""
+    meta: dict[str, str] = {}
+    looks: list[ScheduledLook] = []
+    triples: list[tuple[int, int, int]] = []
+    unschedulable: tuple[int, ...] = ()
+    for _, kind, record in records:
+        if kind == "meta":
+            meta.update(record)
+        elif kind == "look":
+            looks.append(record)
+        elif kind == "assign":
+            triples.append(record)
+        else:
+            unschedulable = record
+    meta.pop("objective", None)
+    meta.pop("looks_used", None)
+    return Schedule(looks=looks, assignments=triples if columns is None else Assignments(*columns),
+                    meta=meta, unschedulable=unschedulable)
+
+
 def parse_schedule(text: str) -> Schedule:
     """Schedule file text to a ``Schedule``.
 
@@ -319,27 +377,43 @@ def parse_schedule(text: str) -> Schedule:
     of a ``look`` or ``assign`` record, a ``look`` with only some of
     ``disk``/``disk_u``/``disk_v``, or a value that does not convert)
     raises ``ScenarioError`` naming its line number.
+
+    One decision per file picks the reader, as ``parse_scenario`` makes it.
+    If every line from the first one that starts with ``assign`` (after
+    leading whitespace) to the end, or to a last ``unschedulable`` line, is
+    an assign line as ``schedule_to_text`` writes it, those lines are read
+    straight into columns, and the other lines go through the line-by-line
+    reader.  Any other file is read whole by ``_parse_schedule_records``, so
+    errors always come from that reader, and the result equals its result.
     """
     lines = text.splitlines()
-    meta: dict[str, str] = {}
-    looks: list[ScheduledLook] = []
-    assignments: list[tuple[int, int, int]] = []
-    unschedulable: tuple[int, ...] = ()
     start = _tag_end(lines, SCHEDULE_TAG, "schedule")
-    for _, kind, record in _records(lines, start, len(lines), _schedule_record):
-        if kind == "meta":
-            meta.update(record)
-        elif kind == "look":
-            looks.append(record)
-        elif kind == "assign":
-            assignments.append(record)
-        else:
-            unschedulable = record
-    meta.pop("objective", None)
-    meta.pop("looks_used", None)
-    return Schedule(
-        looks=looks, assignments=assignments, meta=meta, unschedulable=unschedulable
-    )
+    first = next((i for i in range(start, len(lines))
+                  if lines[i].lstrip().startswith("assign")), len(lines))
+    stop = len(lines)
+    if stop > first and lines[-1].lstrip().startswith("unschedulable"):
+        stop -= 1
+    # columns sized once and filled in chunks, as task lines are read: a
+    # whole file's tokens at once would set the reader's peak memory
+    columns = [0] * (stop - first), [0] * (stop - first), [0] * (stop - first)
+    try:
+        for i in range(first, stop, _ASSIGN_CHUNK):
+            block = _assign_block(lines[i:min(i + _ASSIGN_CHUNK, stop)])
+            for col, values in zip(columns, block):
+                col[i - first:i - first + len(values)] = values
+    except ValueError:
+        return _parse_schedule_records(text)
+    records = _records(lines, start, first, _schedule_record)
+    tail = _records(lines, stop, len(lines), _schedule_record)
+    return _schedule_from([*records, *tail], columns)
+
+
+def _parse_schedule_records(text: str) -> Schedule:
+    """The line-by-line schedule reader; ``parse_schedule`` gives the same
+    values and errors."""
+    lines = text.splitlines()
+    start = _tag_end(lines, SCHEDULE_TAG, "schedule")
+    return _schedule_from(_records(lines, start, len(lines), _schedule_record))
 
 
 # --- dumps -----------------------------------------------------------------

@@ -34,6 +34,7 @@ matrices from.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -60,23 +61,72 @@ class ScheduledLook:
     disk_center: tuple[float, float] | None = None
 
 
+class Assignments(Sequence):
+    """A schedule's assignments as three int columns, one entry per
+    assignment: ``task`` (task id), ``look`` (look index) and ``slot``.
+
+    It reads as a sequence of (task id, look, slot) tuples, and equals a
+    list or tuple of the same tuples.
+    """
+
+    __slots__ = ("task", "look", "slot")
+
+    def __init__(self, task=(), look=(), slot=()):
+        self.task, self.look, self.slot = list(task), list(look), list(slot)
+        if not len(self.task) == len(self.look) == len(self.slot):
+            raise ValueError("assignment columns differ in length")
+
+    def __len__(self):
+        return len(self.task)
+
+    def __iter__(self):
+        return zip(self.task, self.look, self.slot)
+
+    def __getitem__(self, i):
+        return self.task[i], self.look[i], self.slot[i]
+
+    def __eq__(self, other):
+        if isinstance(other, Assignments):
+            return (self.task, self.look, self.slot) == (other.task, other.look, other.slot)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Assignments({list(self)!r})"
+
+
 @dataclass
 class Schedule:
-    """Assignment triples plus per-look metadata; the scheduler's output."""
+    """Assignment columns plus per-look metadata; the scheduler's output.
+
+    ``assignments`` may be given as any iterable of (task id, look, slot)
+    tuples; it is kept as ``Assignments`` columns.  The objective and the
+    count of looks used are computed once, on first read: a schedule is not
+    edited after it is built.
+    """
 
     looks: list[ScheduledLook]
-    assignments: list[tuple[int, int, int]]    # (task_id, look_index, slot)
+    assignments: Assignments
     meta: dict = field(default_factory=dict)
     unschedulable: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.assignments, Assignments):
+            self.assignments = Assignments(*zip(*self.assignments))
+
+    @cached_property
+    def _totals(self) -> tuple[float, int]:
+        used = set(self.assignments.look)
+        return sum(lk.dwell for lk in self.looks if lk.index in used), len(used)
 
     def objective(self) -> float:
         """Total dwell (s) of the looks that carry an assignment; the exact
         rational form is ``exact_objective``."""
-        used = {j for _, j, _ in self.assignments}
-        return sum(lk.dwell for lk in self.looks if lk.index in used)
+        return self._totals[0]
 
     def n_looks_used(self) -> int:
-        return len({j for _, j, _ in self.assignments})
+        return self._totals[1]
 
     def by_look(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {lk.index: [] for lk in self.looks}
@@ -302,7 +352,7 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
 
 def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
     """Exact rational sum of the dwell times of looks with an assignment."""
-    used = {j for _, j, _ in schedule.assignments}
+    used = set(schedule.assignments.look)
     total = Fraction(0)
     for lk in schedule.looks:
         if lk.index in used:

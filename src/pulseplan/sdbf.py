@@ -202,10 +202,13 @@ class SdbfRun:
         look = make_look(j, self.table, self.catalog.prf_index[d], self.catalog, d)
         return self._disk_backend(d), look
 
-    def consume(self, row: int) -> None:
-        """The store and the look's backend dropped the row when it was
-        placed; only the disk selector is left."""
-        self.selector.consume(self.catalog.task_disks[row])
+    def consume(self, rows) -> None:
+        """The store and the look's backend dropped each row when it was
+        placed; only the disk selector is left, which takes each row in
+        turn (a WGD share is per task)."""
+        task_disks, consume = self.catalog.task_disks, self.selector.consume
+        for row in rows:
+            consume(task_disks[row])
 
     def run(self) -> Schedule:
         cfg = self.cfg

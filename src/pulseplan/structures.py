@@ -311,17 +311,22 @@ class TaskStore:
     """The live-task state of one scheduler run, shared by all its backends.
 
     Rows are availability-table rows; ``ids[row]`` is the row's task id and
-    ``live[row]`` its liveness flag.  Per PRF p, ``al[p]``, ``ar[p]`` and
-    ``rank[p]`` are row-indexed lists of A_l, A_r and the priority rank: the
-    row's position in (-priority, task id) order, so the smallest rank wins
-    and priority ties go to the lowest id.  ``prio`` is a [row, PRF] array,
-    or one column that every PRF shares.  ``av`` marks the (row, PRF) pairs
-    a backend may hold; their A_l and A_r must lie in [0, n_intlv] and
-    [1, n_intlv].
+    ``live[row]`` its liveness flag.  ``av`` marks the (row, PRF) pairs a
+    backend may hold; their A_l and A_r must lie in [0, n_intlv] and
+    [1, n_intlv].  Per PRF p, ``order[p]`` lists the rows available at p in
+    (-priority, task id) order, and ``al[p]``, ``ar[p]`` and ``rank[p]`` are
+    row-indexed lists of A_l, A_r and the priority rank, so the smallest
+    rank wins and priority ties go to the lowest id.  ``prio`` is a
+    [row, PRF] array, whose PRFs are each sorted over their available rows
+    only, so a rank is the row's position in ``order[p]`` (a row not
+    available at p holds rank 0, and no backend of p holds it); or ``prio``
+    is one column that every PRF shares, sorted once over all rows, with
+    each PRF's order filtered from that sort and one rank list, the row's
+    position in it, shared by every PRF.
 
-    ``rows`` holds one int object per row; the rank lists and the range
-    trees' node sequences share these objects.  The ``*_table`` arrays are
-    the same columns as [row, PRF] numpy arrays, for bulk builds.
+    ``rows`` holds one int object per row; ``order``, the rank lists and the
+    range trees' node sequences share these objects.  The ``*_table`` arrays
+    are the same columns as [row, PRF] numpy arrays, for bulk builds.
     """
 
     def __init__(self, n_intlv, ids, av, al, ar, prio):
@@ -339,15 +344,25 @@ class TaskStore:
         self.al_table, self.ar_table = al, ar
         self.al, self.ar = al.T.tolist(), ar.T.tolist()
         prio = np.asarray(prio)
-        columns = prio[:, None] if prio.ndim == 1 else prio
         key = np.asarray(self.ids)
-        rank = np.empty(columns.shape, dtype=np.intp)
-        for c in range(columns.shape[1]):
-            rank[np.lexsort((key, -columns[:, c])), c] = np.arange(n)
-        self.prio_table = np.broadcast_to(columns, (n, n_prfs))
+        if prio.ndim == 1:
+            ranked = np.lexsort((key, -prio))
+            orders = [ranked[av[ranked, p]] for p in range(n_prfs)]
+            rank = np.empty((n, 1), dtype=np.intp)
+            rank[ranked, 0] = np.arange(n)
+        else:
+            orders = []
+            rank = np.zeros((n, n_prfs), dtype=np.intp)
+            for p in range(n_prfs):
+                rows = np.flatnonzero(av[:, p])
+                orders.append(rows[np.lexsort((key[rows], -prio[rows, p]))])
+                rank[orders[p], p] = np.arange(len(rows))
+        self.prio_table = np.broadcast_to(prio[:, None] if prio.ndim == 1 else prio,
+                                          (n, n_prfs))
         self.rank_table = np.broadcast_to(rank, (n, n_prfs))
         ranks = [self.rows[col].tolist() for col in rank.T]
         self.rank = ranks * n_prfs if len(ranks) == 1 else ranks
+        self.order = [self.rows[order].tolist() for order in orders]
 
     def kill(self, row):
         """Mark a placed row dead; each row is placed once."""
@@ -363,10 +378,13 @@ class _BackendBase:
     A backend keeps only its kind's index over its rows plus ``_order``,
     the rows in priority order; A_l, A_r, rank and liveness are read from
     the store.  A placed row is killed in the store once and then deleted
-    from the index of every backend that holds it, once each; queries skip
-    rows the store marks dead.  Below ``_BULK_MIN_TASKS`` rows the order is
-    one Python sort by rank, otherwise one numpy sort (``idx``).  The
-    queries here are the brute kind's linear scans of ``_order``.
+    from the index of every backend that holds it, once each: by ``delete``
+    as it is placed in this backend's look, by one ``delete_rows`` call per
+    look in every other backend.  Queries skip rows the store marks dead.
+    Below ``_BULK_MIN_TASKS`` rows the order is one Python sort by rank,
+    otherwise one stable numpy sort (``idx``); both are linear on rows given
+    in priority order, as ``TaskStore.order`` gives them.  The queries here
+    are the brute kind's linear scans of ``_order``.
     """
 
     kind = "base"
@@ -381,7 +399,7 @@ class _BackendBase:
             self._order = sorted(rows, key=self.rank.__getitem__)
         else:
             idx = np.asarray(rows, dtype=np.intp)
-            idx = idx[np.argsort(store.rank_table[idx, p])]
+            idx = idx[np.argsort(store.rank_table[idx, p], kind="stable")]
             self._order = store.rows[idx].tolist()
         self.live_count = len(self._order)
         self._index(p, idx)
@@ -402,6 +420,11 @@ class _BackendBase:
         """Drop a row the store has killed from this index."""
         self.counters.backend_deletes += 1
         self.live_count -= 1
+
+    def delete_rows(self, rows):
+        """Drop rows the store has killed, in turn, as ``delete`` does each."""
+        self.counters.backend_deletes += len(rows)
+        self.live_count -= len(rows)
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
@@ -477,6 +500,10 @@ class PairwiseBackend(_BackendBase):
         self.counters.fallback_scans += 1
         return self._scan_best(l_min, r_min)
 
+    def delete_rows(self, rows):
+        for row in rows:
+            self.delete(row)
+
     def delete(self, row):
         """Unlink the row from every pair list it belongs to: the pairs
         (a, b) with a <= A_l and 1 <= b <= A_r."""
@@ -547,12 +574,9 @@ class RangeTreeBackend(_BackendBase):
         paths = self._paths
         per_task = path_nodes.shape[1] ** 2
         self._visit_cap = max(per_task, 4)
-        self._cnt1 = [0] * (2 * leaves)
         al, ar = self.al, self.ar
-        for a, size in Counter(map(al.__getitem__, self._order)).items():
-            for n1 in paths[a]:
-                self._cnt1[n1] += size
         if idx is None:
+            sizes = Counter(map(al.__getitem__, self._order)).items()
             self._lists = {}
             for r in self._order:
                 for n1 in paths[al[r]]:
@@ -567,7 +591,9 @@ class RangeTreeBackend(_BackendBase):
             # numpy's stable sort is a radix sort for 8- and 16-bit keys (up
             # to 128 leaves).
             store = self.store
-            n1 = path_nodes[store.al_table[idx, p]]
+            a_col = store.al_table[idx, p]
+            sizes = enumerate(np.bincount(a_col).tolist())
+            n1 = path_nodes[a_col]
             n2 = path_nodes[store.ar_table[idx, p]]
             keep = np.flatnonzero(((n1 != 0)[:, :, None] & (n2 != 0)[:, None, :]).reshape(-1))
             pair = ((n1 * (2 * leaves))[:, :, None] + n2[:, None, :]).reshape(-1)[keep]
@@ -580,6 +606,11 @@ class RangeTreeBackend(_BackendBase):
                 node: rows[s:e]
                 for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
             }
+        # first-level live counts: each key's rows, at its canonical nodes
+        self._cnt1 = cnt1 = [0] * (2 * leaves)
+        for a, size in sizes:
+            for n1 in paths[a]:
+                cnt1[n1] += size
         self._cursor = {}
         self.counters.node_entries += sum(map(len, self._lists.values()))
 
@@ -636,6 +667,13 @@ class RangeTreeBackend(_BackendBase):
         cnt = self._cnt1
         for n1 in self._paths[self.al[row]]:
             cnt[n1] -= 1
+
+    def delete_rows(self, rows):
+        super().delete_rows(rows)
+        cnt, paths, al = self._cnt1, self._paths, self.al
+        for row in rows:
+            for n1 in paths[al[row]]:
+                cnt[n1] -= 1
 
 
 _BACKENDS = {

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from pulseplan.errors import InternalInvariantError
-from pulseplan.io import SCENARIO_TAG, _fields
+from pulseplan.io import SCENARIO_TAG, SCHEDULE_TAG, _fields
 from pulseplan.ip import dwell_fraction
 from pulseplan.radar import (
     RadarConfig,
@@ -469,4 +469,58 @@ def fields_scenario_text(cfg, prfs, tasks):
             ("id", t.id), ("range", t.range_m), ("sigma_r", t.sigma_r),
             ("velocity", t.velocity), ("sigma_f", t.sigma_f), ("u", t.u), ("v", t.v),
         ]))
+    return "\n".join(lines) + "\n"
+
+
+def full_table_orders(ids, av, prio):
+    """Each PRF's available rows in (-priority, id) order, as row lists: one
+    lexsort of the whole table per priority column (``prio`` is one column
+    or a [row, PRF] array), restricted to the PRF's rows."""
+    prio = np.asarray(prio)
+    key = np.asarray(list(ids))
+    orders = []
+    for p in range(av.shape[1]):
+        ranked = np.lexsort((key, -(prio if prio.ndim == 1 else prio[:, p])))
+        orders.append([row for row in ranked.tolist() if av[row, p]])
+    return orders
+
+
+def rowwise_edbf_consume(run, rows):
+    """``EdbfRun.consume`` one placed row at a time, in slot order: a
+    ``delete`` from each other PRF's backend, one ``decrement`` of the row's
+    PRF set, then the random rule's set loses each of the row's PRFs whose
+    count is 0."""
+    for row in rows:
+        prf_set = run.table.prf_sets[row]
+        for p in prf_set:
+            if p != run._look_prf:
+                run.backends[p].delete(row)
+        run.buckets.decrement(prf_set)
+        if run.live_prfs is not None:
+            for p in prf_set:
+                if run.buckets.count(p) == 0:
+                    run.live_prfs.discard(p)
+
+
+def tuple_schedule_text(schedule):
+    """``schedule_to_text`` from assignment tuples: the objective and looks
+    used from the set of assigned look indices, one ``_fields`` list per
+    look, and the tuples stable-sorted by (look, slot), one f-string each."""
+    assignments = list(schedule.assignments)
+    used = {j for _, j, _ in assignments}
+    meta = dict(schedule.meta)
+    meta["objective"] = repr(sum(lk.dwell for lk in schedule.looks if lk.index in used))
+    meta["looks_used"] = str(len(used))
+    lines = [SCHEDULE_TAG, "meta " + " ".join(f"{k}={meta[k]}" for k in sorted(meta))]
+    for lk in schedule.looks:
+        pairs = [("index", lk.index), ("prf", lk.prf_index), ("f_r", lk.f_r),
+                 ("dwell", lk.dwell)]
+        if lk.disk_id is not None:
+            pairs += [("disk", lk.disk_id), ("disk_u", lk.disk_center[0]),
+                      ("disk_v", lk.disk_center[1])]
+        lines.append("look " + _fields(pairs))
+    for tid, j, k in sorted(assignments, key=lambda a: (a[1], a[2])):
+        lines.append(f"assign task={tid} look={j} slot={k}")
+    if schedule.unschedulable:
+        lines.append("unschedulable " + " ".join(str(t) for t in schedule.unschedulable))
     return "\n".join(lines) + "\n"

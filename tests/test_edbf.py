@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
     HeuristicConfig,
@@ -22,8 +23,8 @@ from pulseplan import (
 )
 from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
-from pulseplan.structures import IndexedSet, OpCounters
-from oracles import backend_over
+from pulseplan.structures import BACKEND_KINDS, IndexedSet, OpCounters
+from oracles import backend_over, rowwise_edbf_consume
 
 
 def episode_over(entries, n_intlv):
@@ -153,25 +154,87 @@ class TestPrfSelect:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_random_rule_set_tracks_nonzero_counts(self, seed):
-        # after every consume, the R rule's set holds exactly the PRFs
-        # whose bucket-list count is nonzero
+        # after every look's consume, the R rule's set holds exactly the
+        # PRFs whose bucket-list count is nonzero
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=120, seed=seed))
         table = build_availability_table(tasks, prfs, cfg)
         run = EdbfRun(table, HeuristicConfig(prf_rule="R", seed=seed))
         consume = run.consume
         checked = []
 
-        def checked_consume(row):
-            consume(row)
+        def checked_consume(rows):
+            consume(rows)
             nonzero = {p for p in range(table.n_prfs) if run.buckets.count(p)}
             assert set(run.live_prfs) == nonzero
             assert len(run.live_prfs) == len(nonzero)
-            checked.append(row)
+            checked.extend(rows)
 
         run.consume = checked_consume
         run.run()
         assert len(checked) == len(table.schedulable_rows())
         assert len(run.live_prfs) == 0
+
+
+def _lockstep_looks(table, cfg):
+    """Run two ``EdbfRun``s of ``cfg`` on ``table`` look by look, one
+    consuming each look's placed rows in one call, the other one row at a
+    time (``oracles.rowwise_edbf_consume``).  Yields, after every look, both
+    runs and the number of PRFs whose count the look took to 0."""
+    runs = [EdbfRun(table, cfg), EdbfRun(table, cfg)]
+    consumes = [runs[0].consume, lambda rows: rowwise_edbf_consume(runs[1], rows)]
+    live = len(table.schedulable_rows())
+    j = 0
+    while live:
+        j += 1
+        placed = []
+        before = sum(runs[0].buckets.count(p) > 0 for p in range(table.n_prfs))
+        for run, consume in zip(runs, consumes):
+            backend, _ = run.next_look(j)
+            rows = [row for row, _ in Episode(backend, table.cfg.n_intlv, run.counters).run()]
+            consume(rows)
+            placed.append(rows)
+        assert placed[0] == placed[1], j
+        live -= len(placed[0])
+        after = sum(runs[0].buckets.count(p) > 0 for p in range(table.n_prfs))
+        yield runs, before - after
+
+
+class TestBatchedConsume:
+    """One consume call per look leaves every structure as consuming the
+    look's rows one at a time does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(40, 400), seed=st.integers(0, 2**16),
+           prf_rule=st.sampled_from(("G", "RG", "R")), backend=st.sampled_from(BACKEND_KINDS))
+    def test_matches_the_rowwise_reference(self, n, seed, prf_rule, backend):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n, seed=seed),
+                                        RadarConfig(), default_prf_set(count=8))
+        table = build_availability_table(tasks, prfs, cfg)
+        config = HeuristicConfig(prf_rule=prf_rule, backend=backend, seed=seed)
+        for (batched, rowwise), _ in _lockstep_looks(table, config):
+            assert batched.buckets.dump() == rowwise.buckets.dump()
+            if prf_rule == "R":
+                assert list(batched.live_prfs) == list(rowwise.live_prfs)
+            assert batched.counters == rowwise.counters
+            assert [b.live_count for b in batched.backends] == \
+                [b.live_count for b in rowwise.backends]
+            if backend == "rangetree":
+                assert [b._cnt1 for b in batched.backends] == \
+                    [b._cnt1 for b in rowwise.backends]
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (100, 0), (400, 3)])
+    def test_two_prfs_empty_within_one_look(self, n, seed):
+        # the sizes above take two PRFs to 0 in one look, where the random
+        # rule's set must lose them in the order their counts reached 0
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n, seed=seed),
+                                        RadarConfig(), default_prf_set(count=8))
+        table = build_availability_table(tasks, prfs, cfg)
+        config = HeuristicConfig(prf_rule="R", seed=seed)
+        emptied = 0
+        for (batched, rowwise), gone in _lockstep_looks(table, config):
+            assert list(batched.live_prfs) == list(rowwise.live_prfs)
+            emptied += gone >= 2
+        assert emptied >= 1
 
 
 class TestTaskRules:

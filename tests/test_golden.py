@@ -251,6 +251,44 @@ def test_operation_counts_pinned(key):
     assert counters.snapshot() == PINNED_OPS[key]
 
 
+# sha256 of schedules at scale: 2,000 tasks in element mode (the scenario
+# of the operation counts above) and 1,000 in subarray mode, recorded while
+# each placed task was still consumed on its own.  At 60 tasks a PRF rarely
+# empties in the middle of a look; here PRFs do, so the order in which the
+# random PRF rule's set loses emptied PRFs shows in the bytes.
+SCALE_EDBF_DIGESTS = {
+    ('G', 'SAR'): "7802db6b30fd4e6bbd7cfb470903b3e64e555e8f5e749fc304c7a9909701dbbb",
+    ('G', 'R'): "6caa632a28c883dc0214ecb97b0eaa9f13462181c56cbbd767c8353f7264465f",
+    ('RG', 'SAR'): "28d8536777e7e83b5d4d3292d6420cc801a11dcb30219fce7df52de49d138955",
+    ('RG', 'R'): "8d8e81cb40e69c3bbed8eb4efd7f86228cb5660ae2ec41e17cf62e5fa0fade76",
+    ('R', 'SAR'): "1e63f24166f601fd7ef13ea2e898257ebd488c7fc119eb6ee4ebf1bf341ff7f8",
+    ('R', 'R'): "d5d50e708b24e074d1779ff9a0ce308df5e53dd731535fb74536f4c348230a8a",
+}
+SCALE_SDBF_SPEC = ScenarioSpec(n_tasks=1000, seed=1)
+SCALE_SDBF_DIGEST = "25e0060039914108e2a9ac1e170c827742c7d06ad27899411624c11e2df0e517"
+
+
+@pytest.fixture(scope="module")
+def scale_edbf_table():
+    cfg, prfs, tasks = gen_scenario(OPS_EDBF_SPEC)
+    return build_availability_table(tasks, prfs, cfg)
+
+
+@pytest.mark.parametrize("rules", sorted(SCALE_EDBF_DIGESTS), ids="-".join)
+def test_edbf_schedule_bytes_pinned_at_scale(scale_edbf_table, rules):
+    prf_rule, task_rule = rules
+    schedule = hied(scale_edbf_table, HeuristicConfig(prf_rule=prf_rule, task_rule=task_rule,
+                                                      seed=SEED))
+    assert _digest(schedule) == SCALE_EDBF_DIGESTS[rules]
+
+
+def test_sdbf_schedule_bytes_pinned_at_scale():
+    cfg, prfs, tasks = gen_scenario(SCALE_SDBF_SPEC)
+    catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+    schedule = hisd(catalog, DiskHeuristicConfig(disk_rule="GD", sub_rule="R", seed=SEED))
+    assert _digest(schedule) == SCALE_SDBF_DIGEST
+
+
 # sha256 of export_lp text for a 6-task scenario with n_intlv 4 and 3 PRFs
 # (the oracle-10 shape), recorded with the text-model LP writer.  The sdbf
 # instance is built from the deduplicated disk catalog, as export-lp does.

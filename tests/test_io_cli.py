@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
+    DiskHeuristicConfig,
     GridSpec,
     HeuristicConfig,
     RadarConfig,
     ScenarioError,
     ScenarioSpec,
+    Schedule,
+    ScheduledLook,
     build_availability_table,
     build_instance,
     check_feasible,
@@ -23,10 +26,12 @@ from pulseplan import (
     enumerate_disks,
     gen_scenario,
     hied,
+    hisd,
 )
 from pulseplan import io as pio
 from pulseplan.cli import main
 from pulseplan.radar import _TASK_FLOATS, TaskColumns, slot_cap
+from oracles import tuple_schedule_text
 from pulseplan.io import (
     availability_text,
     disks_text,
@@ -346,6 +351,179 @@ class TestScheduleFormat:
         head = text.splitlines()[1]
         assert "seed=11" in head
         assert "pairwise" not in text
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_IDS = st.one_of(st.integers(-5, 40), st.integers(-10**25, 10**25))
+
+
+@st.composite
+def hand_built_schedules(draw, floats=_FLOATS):
+    """A ``Schedule`` as a caller may build one: PRF and disk looks (indices
+    not necessarily distinct or in order), assignments in any order with
+    repeated (look, slot) pairs and looks that are not declared, meta
+    fields and unschedulable ids."""
+    looks = []
+    for _ in range(draw(st.integers(0, 5))):
+        index, prf, f_r, dwell = (draw(st.integers(0, 6)), draw(st.integers(0, 7)),
+                                  draw(floats), draw(floats))
+        if draw(st.booleans()):
+            looks.append(ScheduledLook(index, prf, f_r, dwell, draw(st.integers(0, 10**6)),
+                                       (draw(floats), draw(floats))))
+        else:
+            looks.append(ScheduledLook(index, prf, f_r, dwell))
+    assignments = draw(st.lists(st.tuples(_IDS, st.integers(0, 7), st.integers(0, 9)),
+                                max_size=30))
+    if draw(st.booleans()):
+        assignments.sort(key=lambda a: (a[1], a[2]))
+    meta = draw(st.dictionaries(st.sampled_from(("mode", "seed", "prf_rule", "n_intlv")),
+                                st.sampled_from(("edbf", "3", "G", "8")), max_size=3))
+    unschedulable = tuple(draw(st.lists(_IDS, max_size=3)))
+    return Schedule(looks=looks, assignments=assignments, meta=meta,
+                    unschedulable=unschedulable)
+
+
+class TestScheduleWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_schedules(floats=st.floats()))
+    def test_matches_the_tuple_writer(self, schedule):
+        assert schedule_to_text(schedule) == tuple_schedule_text(schedule)
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_scheduler_output_matches_the_tuple_writer(self, mode):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=6, keep_unschedulable=True))
+        table = build_availability_table(tasks, prfs, cfg)
+        if mode == "edbf":
+            sched = hied(table, HeuristicConfig(prf_rule="R", seed=2))
+        else:
+            sched = hisd(enumerate_disks(table, GridSpec()), DiskHeuristicConfig(seed=2))
+        assert sched.unschedulable
+        assert schedule_to_text(sched) == tuple_schedule_text(sched)
+
+    def test_empty_schedule(self):
+        empty = Schedule(looks=[], assignments=[])
+        assert schedule_to_text(empty) == tuple_schedule_text(empty) == \
+            f"{pio.SCHEDULE_TAG}\nmeta looks_used=0 objective=0\n"
+
+
+_ASSIGN_MUTATIONS = ("shuffle", "leading whitespace", "tab", "bad value", "double equals",
+                     "missing field", "repeated field", "no value", "no key", "split",
+                     "doubled")
+_SCHEDULE_EXTRA_LINES = ("", "  ", "# a comment", " # not a comment", "assign",
+                         "meta mode=sdbf", "unschedulable 7 8", "unschedulable x",
+                         "look index=9 prf=0 f_r=10500.0 dwell=0.006")
+
+
+@st.composite
+def _assign_line(draw):
+    fields = [f"task={draw(_IDS)}", f"look={draw(st.integers(-2, 9))}",
+              f"slot={draw(st.integers(-2, 9))}"]
+    mutation = draw(st.sampled_from(("none",) * len(_ASSIGN_MUTATIONS) + _ASSIGN_MUTATIONS))
+    k = draw(st.integers(0, 2))
+    key = fields[k].split("=", 1)[0]
+    sep, lead = " ", ""
+    if mutation == "shuffle":
+        fields = draw(st.permutations(fields))
+    elif mutation == "leading whitespace":
+        lead = draw(st.sampled_from((" ", "\t")))
+    elif mutation == "tab":
+        sep = "\t"
+    elif mutation == "bad value":
+        fields[k] = f"{key}={draw(st.sampled_from(('x', '1.5', '', '1_0', '+3', '=3', '0x1')))}"
+    elif mutation == "double equals":
+        fields[k] = fields[k].replace("=", "==", 1)
+    elif mutation == "missing field":
+        del fields[k]
+    elif mutation == "repeated field":
+        fields.insert(k, fields[k])
+    elif mutation == "no value":
+        fields[k] = key
+    elif mutation == "no key":
+        fields[k] = fields[k].split("=", 1)[1]
+    elif mutation == "split":
+        fields[k] = "\n" + fields[k]
+    line = lead + sep.join(["assign", *fields])
+    return line + sep + line if mutation == "doubled" else line
+
+
+@st.composite
+def schedule_texts(draw):
+    """A schedule text as written, with its assign lines redrawn (most of
+    them valid, some mutated) and a few other lines among or after them."""
+    lines = schedule_to_text(draw(hand_built_schedules())).splitlines()
+    head = [ln for ln in lines if not ln.startswith(("assign", "unschedulable"))]
+    tail = [ln for ln in lines if ln.startswith("unschedulable")]
+    body = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            body.append(draw(st.sampled_from(_SCHEDULE_EXTRA_LINES)))
+        body.append(draw(_assign_line()))
+    if draw(st.integers(0, 4)) == 0:
+        tail.append(draw(st.sampled_from(_SCHEDULE_EXTRA_LINES)))
+    return "\n".join(head + body + tail) + draw(st.sampled_from(("\n", "", "\n\n")))
+
+
+def _schedule_outcome(parse, text):
+    """What a schedule reader makes of ``text``: the schedule's repr (typed
+    values) or the error."""
+    try:
+        schedule = parse(text)
+    except ScenarioError as exc:
+        return "error", str(exc)
+    a = schedule.assignments
+    assert all(type(v) is int for col in (a.task, a.look, a.slot) for v in col)
+    return "ok", repr(schedule)
+
+
+class TestColumnarScheduleReader:
+    @settings(max_examples=400, deadline=None)
+    @given(schedule_texts(), st.integers(1, 4))
+    def test_matches_the_line_reader(self, text, chunk):
+        with mock.patch.object(pio, "_ASSIGN_CHUNK", chunk):
+            fast = _schedule_outcome(parse_schedule, text)
+        assert fast == _schedule_outcome(pio._parse_schedule_records, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hand_built_schedules())
+    def test_written_files_skip_the_line_reader(self, schedule):
+        text = schedule_to_text(schedule)
+        with mock.patch.object(pio, "_parse_schedule_records",
+                               wraps=pio._parse_schedule_records) as slow:
+            back = parse_schedule(text)
+        slow.assert_not_called()
+        assert schedule_to_text(back) == text
+        assert back == pio._parse_schedule_records(text)
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_scheduler_output_round_trips(self, mode, chunk):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=6, keep_unschedulable=True))
+        table = build_availability_table(tasks, prfs, cfg)
+        if mode == "edbf":
+            sched = hied(table, HeuristicConfig(seed=2))
+        else:
+            sched = hisd(enumerate_disks(table, GridSpec()), DiskHeuristicConfig(seed=2))
+        text = schedule_to_text(sched)
+        with mock.patch.object(pio, "_parse_schedule_records",
+                               wraps=pio._parse_schedule_records) as slow, \
+                mock.patch.object(pio, "_ASSIGN_CHUNK", chunk or pio._ASSIGN_CHUNK):
+            back = parse_schedule(text)
+        slow.assert_not_called()
+        assert back.assignments == sched.assignments and back.looks == sched.looks
+        assert back.unschedulable == sched.unschedulable
+        assert schedule_to_text(back) == text
+
+    def test_a_comment_among_the_assigns_reads_the_file_by_lines(self):
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=6))
+        text = schedule_to_text(hied(build_availability_table(tasks, prfs, cfg),
+                                     HeuristicConfig()))
+        lines = text.splitlines()
+        lines.insert(len(lines) - 5, "# a comment")
+        with mock.patch.object(pio, "_parse_schedule_records",
+                               wraps=pio._parse_schedule_records) as slow:
+            back = parse_schedule("\n".join(lines))
+        slow.assert_called_once()
+        assert schedule_to_text(back) == text
 
 
 class TestDumps:

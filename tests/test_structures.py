@@ -6,12 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseplan import BucketList, OpCounters, build_backend
+from pulseplan import (
+    BucketList,
+    OpCounters,
+    RadarConfig,
+    ScenarioSpec,
+    TaskColumns,
+    build_availability_table,
+    build_backend,
+    default_prf_set,
+    gen_scenario,
+)
+from pulseplan.edbf import TASK_RULES, task_priorities
 from pulseplan.errors import InternalInvariantError
+from pulseplan.radar import _TASK_FLOATS
 from pulseplan.structures import BACKEND_KINDS, TaskStore, _tree_shape
 from oracles import (
     StepwiseBucketList,
     backend_over,
+    full_table_orders,
     incremental_node_lists,
     kill,
     linear_best,
@@ -325,7 +338,8 @@ class TestSharedStore:
     @given(st.data())
     def test_backends_over_one_store_match_linear_scans(self, data):
         """Backends of every kind over overlapping PRF row sets share one
-        store; rows are killed through any one of them."""
+        store; rows are killed through any one of them, and deleted from
+        each backend one at a time or in one ``delete_rows`` call."""
         n_intlv = data.draw(st.sampled_from([1, 2, 3, 4, 8, 11]), label="n_intlv")
         n_prfs = data.draw(st.integers(1, 3), label="n_prfs")
         prio_st = (st.sampled_from([0.0, 1.0, 2.0]) if data.draw(st.booleans())
@@ -346,12 +360,14 @@ class TestSharedStore:
         if data.draw(st.booleans(), label="shared priority column"):
             prio = prio[:, 0]
         store = TaskStore(n_intlv, ids, av, al, ar, prio)
+        assert store.order == full_table_orders(ids, av, prio)
         counters = OpCounters()
         backends, entries = [], []
         for p in range(n_prfs):
             rows = np.flatnonzero(av[:, p]).tolist()
             for kind in BACKEND_KINDS:
                 backends.append(build_backend(kind, store, p, rows, counters))
+                assert backends[-1]._order == store.order[p]
                 entries.append([(ids[r], al[r, p], ar[r, p],
                                  prio[r] if prio.ndim == 1 else prio[r, p])
                                 for r in rows])
@@ -361,13 +377,20 @@ class TestSharedStore:
             i = data.draw(st.integers(0, len(backends) - 1))
             live = [r for r in backends[i]._order if store.live[r]]
             if live and data.draw(st.booleans()):
-                row = data.draw(st.sampled_from(live))
-                backends[i].store.kill(row)
-                dead.add(ids[row])
+                rows = data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=3,
+                                          unique=True))
+                for row in rows:
+                    backends[i].store.kill(row)
+                    dead.add(ids[row])
+                batched = data.draw(st.booleans(), label="delete_rows")
                 for b in backends:
-                    if row in b._order:
-                        b.delete(row)
-                        memberships += 1
+                    held = [row for row in rows if row in b._order]
+                    if batched:
+                        b.delete_rows(held)
+                    else:
+                        for row in held:
+                            b.delete(row)
+                    memberships += len(held)
             a = data.draw(st.integers(0, n_intlv))
             r = data.draw(st.integers(1, n_intlv))
             for b, own in zip(backends, entries):
@@ -377,6 +400,36 @@ class TestSharedStore:
                 assert b.has_left(a) == linear_has_left(own, dead, a), (b.kind, a)
                 assert b.live_count == sum(e[0] not in dead for e in own)
         assert counters.backend_deletes == memberships
+
+
+class TestPriorityOrder:
+    @pytest.mark.parametrize("task_rule", TASK_RULES)
+    def test_orders_match_the_full_table_lexsort(self, task_rule):
+        # ids out of row order (a shuffled sample with gaps), so a tie broken
+        # by row instead of id shows; the sums of SAP, SLA and SRA tie often
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=200, seed=7, keep_unschedulable=True),
+                                        RadarConfig(), default_prf_set(count=8))
+        rng = random.Random(task_rule)
+        ids = rng.sample(range(1000, 1000 + 10 * len(tasks.ids)), len(tasks.ids))
+        table = build_availability_table(
+            TaskColumns(ids, *(getattr(tasks, name) for name in _TASK_FLOATS)), prfs, cfg)
+        prio = task_priorities(task_rule, table, random.Random(3))
+        store = TaskStore(cfg.n_intlv, table.tasks.ids, table.av, table.al, table.ar, prio)
+        want = full_table_orders(table.tasks.ids, table.av, prio)
+        assert store.order == want
+        for p, rows in enumerate(want):
+            ranks = [store.rank[p][r] for r in rows]
+            assert ranks == sorted(set(ranks))
+            every_third = set(rows[::3])
+            for kind in BACKEND_KINDS:
+                # from the store's order, as element mode builds, and from
+                # rows in another order, as the per-disk builds get them
+                assert build_backend(kind, store, p, store.order[p])._order == rows
+                assert build_backend(kind, store, p, rows[::-1])._order == rows
+                assert build_backend(kind, store, p, sorted(every_third))._order == \
+                    [r for r in rows if r in every_third]
+        if task_rule in ("SAP", "SLA", "SRA"):
+            assert len(set(prio.tolist())) < len(prio)
 
 
 class TestBackendEquivalence:
