@@ -7,15 +7,17 @@ the next look and hands over a selection backend over its live tasks, an
 consumes every placed task from the rest of its structures.  Each run keeps
 one ``TaskStore`` (``task_store``): the table rows' liveness plus their
 A_l, A_r and priority-rank columns and each PRF's rows in priority order,
-shared by all the run's backends, which index table rows.  ``Episode``
-kills a placed row in the store and deletes it from the look's backend;
-the source then consumes the look's placed rows in one call, which deletes
-each once from every other backend that holds it and updates the base
-selector.  ``EdbfRun`` is the element-level source (PRF cardinality rules
-over a bucket list, one backend per PRF built up front from the store's
-priority order); ``sdbf.SdbfRun`` is the subarray-level source (re-steering
-disks, one backend per selected disk built on demand from the store's live
-rows).
+shared by all the run's backends, which index table rows.  The store is the
+one place that orders a PRF's task set K_p; every backend takes its rows in
+that order.  ``Episode`` kills a placed row in the store and deletes it
+from the look's backend; the source then consumes the look's placed rows in
+one call, which deletes each once from every other backend that holds it
+and updates the base selector.  ``EdbfRun`` is the element-level source
+(PRF cardinality rules over a bucket list, one backend per PRF built up
+front over the store's ``order[p]`` list itself, whose length is the PRF's
+bucket count); ``sdbf.SdbfRun`` is the subarray-level source (re-steering
+disks, one backend per selected disk built on demand from the disk's live
+rows, sorted by the store's rank).
 
 Packing scans the look's slots from the rightmost leftward.  When no task
 fits the current slot the partial schedule is shifted left to free room at
@@ -232,7 +234,7 @@ class Episode:
     The backend plays the role of the available-task set: a placed row is
     killed in the backend's store and deleted from the backend at once.
     ``tail`` and the partial schedule are shared across the recursion.
-    ``run`` returns the placed (row, slot) pairs.
+    ``run`` returns the placed rows in slot order; their slots are 1..m.
     """
 
     def __init__(self, backend, n_intlv, counters: OpCounters):
@@ -243,7 +245,7 @@ class Episode:
         self.tail = 0
         self.iters = 0
 
-    def run(self) -> list[tuple[int, int]]:
+    def run(self) -> list[int]:
         self.counters.bi_calls += 1
         self._bi(1, self.n)
         items = sorted(self.look.items())
@@ -253,7 +255,7 @@ class Episode:
         self.counters.bi_iterations += self.iters
         if self.iters > self.counters.bi_max_iterations:
             self.counters.bi_max_iterations = self.iters
-        return [(tid, slot) for slot, tid in items]
+        return [row for _, row in items]
 
     def _bi(self, e_l, e_r):
         self.tail = e_r
@@ -274,7 +276,7 @@ class Episode:
             if row is not None:
                 place(row, al[row], cursor)
                 kill(row)
-                delete(row)
+                delete((row,))
             elif has_left(gap):
                 if cursor == e_r:
                     self.tail -= 1
@@ -312,13 +314,14 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
     from the source's other structures.  Every selected base must hold a
     live task and every look must place at least one, which bounds the loop
     by the number of schedulable tasks.  A look's placed slots are 1..m
-    (``Episode.run`` checks it), so the assignment columns are filled per
-    look.  They are sized once, one entry per schedulable task: grown look
-    by look, the three lists' reallocations fragment the heap, and the
-    memory a process holds after a 64k-task run creeps up from run to run.
+    (``Episode.run`` checks it and returns the rows in slot order), so the
+    assignment columns are filled per look.  They are sized once, one entry
+    per schedulable task: grown look by look, the three lists'
+    reallocations fragment the heap, and the memory a process holds after a
+    64k-task run creeps up from run to run.
     """
     looks: list[ScheduledLook] = []
-    live = len(table.schedulable_rows())
+    live = int(table.av.any(axis=1).sum())
     task, look_index, slot = [0] * live, [0] * live, [0] * live
     k = 0
     while live > 0:
@@ -327,11 +330,10 @@ def run_looks(source, table: AvailabilityTable, counters: OpCounters,
         if backend.live_count == 0:
             raise InternalInvariantError(
                 f"look {j}: the selected base has no task left")
-        placed = Episode(backend, table.cfg.n_intlv, counters).run()
-        if not placed:
+        rows = Episode(backend, table.cfg.n_intlv, counters).run()
+        if not rows:
             raise InternalInvariantError("a look scheduled no task")
         looks.append(look)
-        rows = [row for row, _ in placed]
         m = len(rows)
         task[k:k + m] = map(backend.store.ids.__getitem__, rows)
         look_index[k:k + m] = [j] * m
@@ -362,11 +364,11 @@ class EdbfRun:
         self.rngs = derive_rngs(cfg.seed)
         self.store = task_store(table, cfg.task_rule, self.rngs["task"])
         self.backends = [
-            build_backend(cfg.backend, self.store, p, rows, self.counters)
-            for p, rows in enumerate(self.store.order)
+            build_backend(cfg.backend, self.store, p, order, self.counters)
+            for p, order in enumerate(self.store.order)
         ]
         self._look_prf = None
-        counts = [len(rows) for rows in table.task_sets]
+        counts = list(map(len, self.store.order))
         self.buckets = BucketList(counts, counters=self.counters)
         # the random rule's own set: the PRFs whose count is nonzero
         self.live_prfs = (IndexedSet(p for p, c in enumerate(counts) if c)
@@ -390,7 +392,7 @@ class EdbfRun:
 
     def consume(self, rows) -> None:
         """Drop a look's placed rows, in slot order, from the other PRFs'
-        backends (one ``delete_rows`` call each) and from the bucket list
+        backends (one ``delete`` call each) and from the bucket list
         (one ``decrement`` over the rows' PRF sets in turn).  The look's
         own backend dropped each row when it was placed.
 
@@ -409,7 +411,7 @@ class EdbfRun:
         groups[self._look_prf] = ()
         for backend, placed in zip(self.backends, groups):
             if placed:
-                backend.delete_rows(placed)
+                backend.delete(placed)
         self.buckets.decrement(keys)
         if self.live_prfs is not None:
             count = self.buckets.count

@@ -159,12 +159,12 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     (PRF, center).  The build is bulk: one vectorized stencil per task,
     then one numpy grouping per PRF, which extends the columns; no per-disk
     object is made.  Its result equals that of a scalar scan over the PRFs,
-    each PRF's task-set rows and each row's cells in (gu, gv) order, which
-    gives a new cell the next disk id and appends the task to the cell's
-    disk.  So disk ids are in (PRF, first-touch) order, and each disk's
-    members and each ``task_disks`` list are in scan order.  Each row is one
-    int object shared by its memberships in ``members``, and each disk id
-    one shared by ``by_prf`` and ``task_disks``.
+    each PRF's task set (the rows of ``av[:, p]``) and each row's cells in
+    (gu, gv) order, which gives a new cell the next disk id and appends the
+    task to the cell's disk.  So disk ids are in (PRF, first-touch) order,
+    and each disk's members and each ``task_disks`` list are in scan order.
+    Each row is one int object shared by its memberships in ``members``,
+    and each disk id one shared by ``by_prf`` and ``task_disks``.
     """
     tasks = table.tasks
     rows = table.schedulable_rows()
@@ -188,11 +188,11 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     sizes: list[int] = []
     by_prf: list[list[int]] = []
     task_disks: list[list[int]] = [[] for _ in range(len(tasks))]
-    for p, prf_rows in enumerate(table.task_sets):
-        if not prf_rows:
+    for p in range(table.n_prfs):
+        prf_rows = np.flatnonzero(table.av[:, p])
+        if not len(prf_rows):
             by_prf.append([])
             continue
-        prf_rows = np.asarray(prf_rows, dtype=np.intp)
         count = n_cells[slot[prf_rows]]
         ends = np.cumsum(count)
         cell = np.arange(ends[-1]) + np.repeat(
@@ -226,8 +226,9 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
 def _check_density_bound(catalog: DiskCatalog) -> None:
     ratio = catalog.grid.disk_radius / catalog.grid.spacing
     cap_per_task = DISK_DENSITY_BOUND * ratio * ratio
+    av = catalog.table.av
     for p, disk_ids in enumerate(catalog.by_prf):
-        n_tasks = len(catalog.table.task_sets[p])
+        n_tasks = np.count_nonzero(av[:, p])
         if len(disk_ids) > cap_per_task * max(1, n_tasks):
             raise InternalInvariantError(
                 f"disk count for PRF {p} exceeds the density bound"

@@ -289,10 +289,11 @@ class AvailabilityTable:
     direction cosines as arrays.  Every run structure indexes tasks by row;
     ``task_rows`` maps a task id back to its row for input written in ids.
     Arrays are indexed [task_row, prf_index].  ``prf_sets[row]`` lists the PRF
-    indices the task is trackable with (P_i); ``task_sets[p]`` lists the task
-    rows trackable with PRF p (K_p); ``q_p`` is the total membership count.
-    Rows with an empty PRF set are reported in ``unschedulable`` (task ids)
-    and excluded from the task sets.  Treat instances as immutable.
+    indices the task is trackable with (P_i); the task rows trackable with
+    PRF p (K_p) are the rows of ``av[:, p]``, which the run's task store
+    orders by priority; ``q_p`` is the total membership count.  Rows with an
+    empty PRF set are reported in ``unschedulable`` (task ids) and lie in
+    no task set.  Treat instances as immutable.
     """
 
     cfg: RadarConfig
@@ -304,7 +305,6 @@ class AvailabilityTable:
     ra: np.ndarray
     task_rows: dict[int, int] = field(repr=False)
     prf_sets: list[tuple[int, ...]] = field(repr=False)
-    task_sets: list[tuple[int, ...]] = field(repr=False)
     q_p: int = 0
     unschedulable: tuple[int, ...] = ()
 
@@ -412,10 +412,7 @@ def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable
     av, al, ar, ra_table = availability_arrays(
         tasks.range_m, tasks.sigma_r, tasks.velocity, tasks.sigma_f, prfs, cfg)
     per_row = av.sum(axis=1)
-    schedulable = per_row > 0
-    unschedulable = tuple(ids[i] for i in np.flatnonzero(~schedulable).tolist())
-    task_sets = [tuple(np.flatnonzero(av[:, p] & schedulable).tolist())
-                 for p in range(len(prfs))]
+    unschedulable = tuple(ids[i] for i in np.flatnonzero(per_row == 0).tolist())
 
     return AvailabilityTable(
         cfg=cfg,
@@ -427,7 +424,6 @@ def build_availability_table(tasks, prfs, cfg: RadarConfig) -> AvailabilityTable
         ra=ra_table,
         task_rows=task_rows,
         prf_sets=_shared_prf_sets(av),
-        task_sets=task_sets,
         q_p=int(per_row.sum()),
         unschedulable=unschedulable,
     )

@@ -4,12 +4,12 @@ Looks are tied to re-steering disks from the catalog.  ``SdbfRun`` plugs
 into ``edbf.run_looks``, the loop both schedulers share: each round it
 selects a disk by cardinality (greedy, reverse greedy) or weighted
 cardinality and builds a selection backend over the disk's rows that the
-run's task store still holds live; the loop packs them with the backward
-procedure, and the source then removes each scheduled task from every disk
-that encloses it, in one ``DiskSelector.consume`` call per task.  The
-selector is the one place that computes a disk rule, the WGD weights
-included.  Duplicate and subset disks stay in play; consuming tasks empties
-them out naturally.  Every structure here indexes tasks by table row; task
+run's task store still holds live, sorted by the store's priority rank at
+the disk's PRF; the loop packs them with the backward procedure, and the
+source then removes each scheduled task from every disk that encloses it,
+in one ``DiskSelector.consume`` call per task.  The selector is the one
+place that computes a disk rule, the WGD weights included.  Duplicate and
+subset disks stay in play; consuming tasks empties them out naturally.  Every structure here indexes tasks by table row; task
 ids are looked up only for ``dump_structures``.
 """
 
@@ -175,12 +175,15 @@ class SdbfRun:
         """Selection structure over disk ``d``'s live rows.
 
         Built when the disk is selected rather than up front, from the
-        store's shared columns; the work is proportional to the disk's task
-        list, so the total across a run stays within the per-look structure
-        costs the schedulers are budgeted for.
+        store's shared columns, over the live rows sorted by the store's
+        rank at the disk's PRF, the order a backend takes; the work is
+        proportional to the disk's task list, so the total across a run
+        stays within the per-look structure costs the schedulers are
+        budgeted for.
         """
-        return build_backend(self.cfg.backend, self.store, self.catalog.prf_index[d],
-                             self._live_rows(d), self.counters)
+        p = self.catalog.prf_index[d]
+        order = sorted(self._live_rows(d), key=self.store.rank[p].__getitem__)
+        return build_backend(self.cfg.backend, self.store, p, order, self.counters)
 
     def dump_structures(self) -> str:
         """Indented snapshot of the disk selection state (debug aid)."""

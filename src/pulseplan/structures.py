@@ -12,9 +12,11 @@ priority live task with A_l >= a and A_r >= b":
   the O(log^2 n_intlv) node sequences covering the threshold box.
 
 The backends of one run index table rows of one shared ``TaskStore``: the
-rows' liveness flags plus per-PRF A_l, A_r and priority-rank columns.  A
-placed task is marked dead in the store once, and each backend holding it
-updates its own index once.
+rows' liveness flags plus per-PRF A_l, A_r and priority-rank columns, and
+each PRF's rows in priority order, which the store alone decides.  A
+backend is handed its rows in that order and sorts nothing.  A placed task
+is marked dead in the store once, and each backend holding it updates its
+own index once.
 
 A doubly linked bucket list keyed by integer cardinality provides constant
 time greedy / reverse-greedy selection of PRFs, and of disks under the
@@ -23,7 +25,8 @@ plain lists, its buckets are plain lists and its one update is
 ``decrement``: counts only fall as placed tasks are consumed.
 
 Every structure is built in bulk: the store from the table's columns, the
-backends from a PRF's rows of it, the bucket list from one count per key.
+backends from a PRF's rows of it in priority order, the bucket list from one
+count per key.
 """
 
 from __future__ import annotations
@@ -272,8 +275,8 @@ def _leaf_path(key: int, leaves: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Below this many rows numpy's per-call cost outweighs sorting a backend's
-# rows and appending each to its node sequences in Python.
+# Below this many rows numpy's per-call cost outweighs appending each of a
+# range tree's rows to its node sequences in Python.
 _BULK_MIN_TASKS = 32
 
 
@@ -313,20 +316,21 @@ class TaskStore:
     Rows are availability-table rows; ``ids[row]`` is the row's task id and
     ``live[row]`` its liveness flag.  ``av`` marks the (row, PRF) pairs a
     backend may hold; their A_l and A_r must lie in [0, n_intlv] and
-    [1, n_intlv].  Per PRF p, ``order[p]`` lists the rows available at p in
-    (-priority, task id) order, and ``al[p]``, ``ar[p]`` and ``rank[p]`` are
-    row-indexed lists of A_l, A_r and the priority rank, so the smallest
-    rank wins and priority ties go to the lowest id.  ``prio`` is a
-    [row, PRF] array, whose PRFs are each sorted over their available rows
-    only, so a rank is the row's position in ``order[p]`` (a row not
-    available at p holds rank 0, and no backend of p holds it); or ``prio``
-    is one column that every PRF shares, sorted once over all rows, with
-    each PRF's order filtered from that sort and one rank list, the row's
-    position in it, shared by every PRF.
+    [1, n_intlv].  ``prio`` is a [row, PRF] array, or one column that every
+    PRF shares, broadcast to [row, PRF] (``prio_table``).  The store is the
+    one place that decides each PRF's priority order: per PRF p, one
+    lexsort of the rows available at p by (-priority, task id) gives
+    ``order[p]``, and ``rank[p][row]`` is the row's position in it, so the
+    smallest rank wins and priority ties go to the lowest id (a row not
+    available at p holds rank 0, and no backend of p holds it).  ``al[p]``
+    and ``ar[p]`` are row-indexed lists of A_l and A_r.
 
     ``rows`` holds one int object per row; ``order``, the rank lists and the
     range trees' node sequences share these objects.  The ``*_table`` arrays
     are the same columns as [row, PRF] numpy arrays, for bulk builds.
+    Subarray mode reads only the rank lists, but they come from the same
+    sort as ``order``, whose lists take about 5% of the store's build at 4k
+    tasks, so every store builds both.
     """
 
     def __init__(self, n_intlv, ids, av, al, ar, prio):
@@ -343,26 +347,17 @@ class TaskStore:
         self.rows = np.array(range(n), dtype=object)
         self.al_table, self.ar_table = al, ar
         self.al, self.ar = al.T.tolist(), ar.T.tolist()
-        prio = np.asarray(prio)
+        # broadcast through the transpose, so one column of 0 rows fits too
+        self.prio_table = np.broadcast_to(np.asarray(prio).T, (n_prfs, n)).T
         key = np.asarray(self.ids)
-        if prio.ndim == 1:
-            ranked = np.lexsort((key, -prio))
-            orders = [ranked[av[ranked, p]] for p in range(n_prfs)]
-            rank = np.empty((n, 1), dtype=np.intp)
-            rank[ranked, 0] = np.arange(n)
-        else:
-            orders = []
-            rank = np.zeros((n, n_prfs), dtype=np.intp)
-            for p in range(n_prfs):
-                rows = np.flatnonzero(av[:, p])
-                orders.append(rows[np.lexsort((key[rows], -prio[rows, p]))])
-                rank[orders[p], p] = np.arange(len(rows))
-        self.prio_table = np.broadcast_to(prio[:, None] if prio.ndim == 1 else prio,
-                                          (n, n_prfs))
-        self.rank_table = np.broadcast_to(rank, (n, n_prfs))
-        ranks = [self.rows[col].tolist() for col in rank.T]
-        self.rank = ranks * n_prfs if len(ranks) == 1 else ranks
-        self.order = [self.rows[order].tolist() for order in orders]
+        self.order, self.rank = [], []
+        for p in range(n_prfs):
+            rows = np.flatnonzero(av[:, p])
+            order = rows[np.lexsort((key[rows], -self.prio_table[rows, p]))]
+            rank = np.zeros(n, dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            self.order.append(self.rows[order].tolist())
+            self.rank.append(self.rows[rank].tolist())
 
     def kill(self, row):
         """Mark a placed row dead; each row is placed once."""
@@ -375,36 +370,29 @@ class _BackendBase:
     """Common part of the three backend kinds: a PRF's rows of a shared
     ``TaskStore``.
 
-    A backend keeps only its kind's index over its rows plus ``_order``,
-    the rows in priority order; A_l, A_r, rank and liveness are read from
-    the store.  A placed row is killed in the store once and then deleted
-    from the index of every backend that holds it, once each: by ``delete``
-    as it is placed in this backend's look, by one ``delete_rows`` call per
-    look in every other backend.  Queries skip rows the store marks dead.
-    Below ``_BULK_MIN_TASKS`` rows the order is one Python sort by rank,
-    otherwise one stable numpy sort (``idx``); both are linear on rows given
-    in priority order, as ``TaskStore.order`` gives them.  The queries here
-    are the brute kind's linear scans of ``_order``.
+    A backend is handed its rows in the store's priority order and keeps
+    that list as ``_order``, not a copy, plus its kind's index over it; A_l,
+    A_r, rank and liveness are read from the store.  A placed row is killed
+    in the store once and then deleted from the index of every backend that
+    holds it, once each, by ``delete(rows)``: one row as it is placed in
+    this backend's look, the look's rows that this backend holds in one
+    call per look in every other backend.  Queries skip rows the store
+    marks dead.  The queries here are the brute kind's linear scans of
+    ``_order``.
     """
 
     kind = "base"
 
-    def __init__(self, store, p, rows, counters=None):
+    def __init__(self, store, p, order, counters=None):
         self.store, self.p = store, p
         self.n_intlv = store.n_intlv
         self.counters = counters if counters is not None else OpCounters()
         self.al, self.ar, self.rank = store.al[p], store.ar[p], store.rank[p]
-        if len(rows) < _BULK_MIN_TASKS:
-            idx = None
-            self._order = sorted(rows, key=self.rank.__getitem__)
-        else:
-            idx = np.asarray(rows, dtype=np.intp)
-            idx = idx[np.argsort(store.rank_table[idx, p], kind="stable")]
-            self._order = store.rows[idx].tolist()
-        self.live_count = len(self._order)
-        self._index(p, idx)
+        self._order = order
+        self.live_count = len(order)
+        self._index()
 
-    def _index(self, p, idx):
+    def _index(self):
         """Build the kind's index over ``_order``."""
 
     def _scan_best(self, l_min, r_min):
@@ -416,13 +404,8 @@ class _BackendBase:
         live, al = self.store.live, self.al
         return any(live[r] and al[r] >= l_min for r in self._order)
 
-    def delete(self, row):
-        """Drop a row the store has killed from this index."""
-        self.counters.backend_deletes += 1
-        self.live_count -= 1
-
-    def delete_rows(self, rows):
-        """Drop rows the store has killed, in turn, as ``delete`` does each."""
+    def delete(self, rows):
+        """Drop rows the store has killed from this index, in turn."""
         self.counters.backend_deletes += len(rows)
         self.live_count -= len(rows)
 
@@ -460,7 +443,7 @@ class PairwiseBackend(_BackendBase):
 
     kind = "pairwise"
 
-    def _index(self, p, idx):
+    def _index(self):
         n = self.n_intlv
         self._pairs = [
             (a, b) for a in range(n) for b in range(1, n - a + 1)
@@ -500,14 +483,14 @@ class PairwiseBackend(_BackendBase):
         self.counters.fallback_scans += 1
         return self._scan_best(l_min, r_min)
 
-    def delete_rows(self, rows):
+    def delete(self, rows):
+        super().delete(rows)
         for row in rows:
-            self.delete(row)
+            self._unlink(row)
 
-    def delete(self, row):
+    def _unlink(self, row):
         """Unlink the row from every pair list it belongs to: the pairs
         (a, b) with a <= A_l and 1 <= b <= A_r."""
-        super().delete(row)
         n = self.n_intlv
         touches = 0
         for a in range(min(self.al[row], n - 1) + 1):
@@ -556,26 +539,27 @@ class RangeTreeBackend(_BackendBase):
     second-level cover nodes, each key one add from the first-level base.
 
     The build writes the canonical node entries, about 28% of q * depth^2
-    at n_intlv 8 (depth = log2 of the leaf count), at once: one stable
-    numpy sort of the (node pair, priority rank) entries groups them by
-    node and keeps each node's rows in priority order.  Up to 128 leaves
-    the keys fit 16 bits and the sort is a radix sort, O(q log^2 n_intlv)
-    time with no per-entry Python call.  Below ``_BULK_MIN_TASKS`` rows, as
-    in the per-disk backends of subarray mode, numpy's per-call cost
-    outweighs that, and each row is appended to its node sequences in
-    priority order instead.  Node sequences hold the store's row objects.
+    at n_intlv 8 (depth = log2 of the leaf count), at once: the rows come
+    in priority order, so one stable numpy sort of their (row, node pair)
+    entries by node pair groups them by node and keeps each node's rows in
+    priority order.  Up to 128 leaves the keys fit 16 bits and the sort is
+    a radix sort, O(q log^2 n_intlv) time with no per-entry Python call.
+    Below ``_BULK_MIN_TASKS`` rows, as in the per-disk backends of subarray
+    mode, numpy's per-call cost outweighs that, and each row is appended to
+    its node sequences in turn instead.  Node sequences hold the store's
+    row objects.
     """
 
     kind = "rangetree"
 
-    def _index(self, p, idx):
+    def _index(self):
         leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
         self._leaves = leaves
         paths = self._paths
         per_task = path_nodes.shape[1] ** 2
         self._visit_cap = max(per_task, 4)
         al, ar = self.al, self.ar
-        if idx is None:
+        if len(self._order) < _BULK_MIN_TASKS:
             sizes = Counter(map(al.__getitem__, self._order)).items()
             self._lists = {}
             for r in self._order:
@@ -583,14 +567,15 @@ class RangeTreeBackend(_BackendBase):
                     for n2 in paths[ar[r]]:
                         self._lists.setdefault(n1 * 2 * leaves + n2, []).append(r)
         else:
-            # One entry per (row, node pair), row-major in rank order, so a
-            # stable sort by node pair keeps each node's rows in priority
-            # order.  Entries at a non-canonical node (0 in ``path_nodes``)
+            # One entry per (row, node pair), row-major in priority order,
+            # so a stable sort by node pair keeps each node's rows in
+            # priority order.  Entries at a non-canonical node (0 in ``path_nodes``)
             # are dropped before the sort.  Node numbers below 2 * leaves
             # make n1 * 2 * leaves + n2 fit the node array's narrow dtype;
             # numpy's stable sort is a radix sort for 8- and 16-bit keys (up
             # to 128 leaves).
-            store = self.store
+            store, p = self.store, self.p
+            idx = np.asarray(self._order, dtype=np.intp)
             a_col = store.al_table[idx, p]
             sizes = enumerate(np.bincount(a_col).tolist())
             n1 = path_nodes[a_col]
@@ -662,14 +647,8 @@ class RangeTreeBackend(_BackendBase):
             )
         return best
 
-    def delete(self, row):
-        super().delete(row)
-        cnt = self._cnt1
-        for n1 in self._paths[self.al[row]]:
-            cnt[n1] -= 1
-
-    def delete_rows(self, rows):
-        super().delete_rows(rows)
+    def delete(self, rows):
+        super().delete(rows)
         cnt, paths, al = self._cnt1, self._paths, self.al
         for row in rows:
             for n1 in paths[al[row]]:
@@ -683,11 +662,14 @@ _BACKENDS = {
 }
 
 
-def build_backend(kind, store, p, rows, counters=None) -> _BackendBase:
-    """Construct a selection backend over the given rows of ``store`` at
-    PRF ``p``."""
+def build_backend(kind, store, p, order, counters=None) -> _BackendBase:
+    """Construct a selection backend over rows of ``store`` at PRF ``p``.
+
+    ``order`` lists the rows in the store's priority order at p: ascending
+    ``store.rank[p]``, as ``store.order[p]`` or any sublist of it holds
+    them.  The backend keeps the list itself and sorts nothing."""
     try:
         cls = _BACKENDS[kind]
     except KeyError:
         raise ValueError(f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
-    return cls(store, p, rows, counters)
+    return cls(store, p, order, counters)

@@ -46,10 +46,10 @@ def task_store(entries, n_intlv):
 
 
 def backend_over(kind, n_intlv, entries, counters=None):
-    """A backend over the entries of its own ``task_store``; rows are task
-    ids."""
+    """A backend over the entries of its own ``task_store``, handed them in
+    the store's priority order; rows are task ids."""
     store = task_store(entries, n_intlv)
-    return build_backend(kind, store, 0, [e[0] for e in entries], counters)
+    return build_backend(kind, store, 0, store.order[0], counters)
 
 
 def kill(backends, row):
@@ -57,7 +57,7 @@ def kill(backends, row):
     from each backend once."""
     backends[0].store.kill(row)
     for b in backends:
-        b.delete(row)
+        b.delete((row,))
 
 
 def linear_best(entries, dead, l_min, r_min):
@@ -155,7 +155,7 @@ def brute_grid_disks(table, grid):
     ids, u, v = table.tasks.ids, table.tasks.u.tolist(), table.tasks.v.tolist()
     found = {}
     for p in range(table.n_prfs):
-        rows = table.task_sets[p]
+        rows = np.flatnonzero(table.av[:, p]).tolist()
         if not rows:
             continue
         us = [u[i] for i in rows]
@@ -196,7 +196,7 @@ def stepwise_disks(table, grid):
     for p in range(table.n_prfs):
         index = {}
         prf_disks = []
-        for row in table.task_sets[p]:
+        for row in np.flatnonzero(table.av[:, p]).tolist():
             tid, u, v = tasks.ids[row], float(tasks.u[row]), float(tasks.v[row])
             lo_u = math.floor((u - r) / eps) - 1
             hi_u = math.ceil((u + r) / eps) + 1
@@ -494,7 +494,7 @@ def rowwise_edbf_consume(run, rows):
         prf_set = run.table.prf_sets[row]
         for p in prf_set:
             if p != run._look_prf:
-                run.backends[p].delete(row)
+                run.backends[p].delete((row,))
         run.buckets.decrement(prf_set)
         if run.live_prfs is not None:
             for p in prf_set:

@@ -41,15 +41,13 @@ class TestBackwardInterleaving:
 
     def test_two_tasks_fill_slots_one_and_two(self):
         ep, _ = episode_over([(1, 1, 2, 2.0), (2, 1, 2, 1.0)], 2)
-        placed = ep.run()
-        assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
+        assert ep.run() == [2, 1]     # rows in slot order
 
     def test_episode_deletes_placed_tasks(self):
         entries = [(1, 1, 2, 2.0), (2, 1, 2, 1.0)]
         counters = OpCounters()
         backend = backend_over("pairwise", 2, entries, counters)
-        placed = Episode(backend, 2, counters).run()
-        assert sorted(placed, key=lambda x: x[1]) == [(2, 1), (1, 2)]
+        assert Episode(backend, 2, counters).run() == [2, 1]
         assert backend.live_count == 0
         assert not backend.store.live[1] and not backend.store.live[2]
         assert counters.backend_deletes == 2
@@ -60,16 +58,14 @@ class TestBackwardInterleaving:
         # right-side slots take the second task before the forced return
         entries = [(1, 2, 4, 9.0), (2, 0, 3, 1.0)]
         ep, _ = episode_over(entries, 4)
-        placed = ep.run()
-        assert sorted(placed, key=lambda x: x[1]) == [(1, 1), (2, 2)]
+        assert ep.run() == [1, 2]
 
     def test_one_step_shift_refills_old_tail(self):
         # task 1 sits at slot 3 (its rightmost), task 2 cannot take slot 2
         # but a one-step shift opens the old tail for it
         entries = [(1, 2, 3, 9.0), (2, 0, 3, 8.0)]
         ep, _ = episode_over(entries, 3)
-        placed = dict(ep.run())
-        assert placed == {1: 1, 2: 2}
+        assert ep.run() == [1, 2]
 
     @pytest.mark.parametrize("kind", ["brute", "pairwise", "rangetree"])
     def test_has_left_only_after_best_in_finds_nothing(self, kind):
@@ -129,8 +125,9 @@ class TestBackwardInterleaving:
             ]
             ep, _ = episode_over(entries, n_intlv)
             placed = ep.run()
-            slots = sorted(k for _, k in placed)
-            assert slots == list(range(1, len(slots) + 1))
+            items = sorted(ep.look.items())
+            assert [slot for slot, _ in items] == list(range(1, len(placed) + 1))
+            assert [row for _, row in items] == placed
 
 
 class TestPrfSelect:
@@ -190,7 +187,7 @@ def _lockstep_looks(table, cfg):
         before = sum(runs[0].buckets.count(p) > 0 for p in range(table.n_prfs))
         for run, consume in zip(runs, consumes):
             backend, _ = run.next_look(j)
-            rows = [row for row, _ in Episode(backend, table.cfg.n_intlv, run.counters).run()]
+            rows = Episode(backend, table.cfg.n_intlv, run.counters).run()
             consume(rows)
             placed.append(rows)
         assert placed[0] == placed[1], j
@@ -318,13 +315,11 @@ class TestHied:
         ar = np.where(av, full, 0)
         ra = np.full((4, 3), 5000.0)
         prf_sets = [tuple(np.nonzero(av[i])[0].tolist()) for i in range(4)]
-        task_sets = [tuple(np.nonzero(av[:, p])[0].tolist()) for p in range(3)]
         table = AvailabilityTable(
             cfg=cfg, prfs=prfs, tasks=TaskColumns.from_tasks(tasks),
             av=av, al=al, ar=ar, ra=ra,
             task_rows={t.id: i for i, t in enumerate(tasks)},
-            prf_sets=prf_sets, task_sets=task_sets,
-            q_p=sum(len(s) for s in task_sets),
+            prf_sets=prf_sets, q_p=int(av.sum()),
         )
         g = hied(table, HeuristicConfig(prf_rule="G"))
         rg = hied(table, HeuristicConfig(prf_rule="RG"))
@@ -428,6 +423,18 @@ class TestHied:
             run.run()
             assert run.counters.backend_deletes == table.q_p, backend
             assert all(b.live_count == 0 for b in run.backends)
+
+    @pytest.mark.parametrize("task_rule", ["SAR", "SAP"])
+    def test_backends_hold_the_store_order(self, cfg, prfs, task_rule):
+        # each PRF's task set is held once: a backend's row list is the
+        # store's order list itself, and its length is the PRF's bucket count
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=5), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        for backend in BACKEND_KINDS:
+            run = EdbfRun(table, HeuristicConfig(task_rule=task_rule, backend=backend))
+            assert all(b._order is run.store.order[p] for p, b in enumerate(run.backends))
+            assert [run.buckets.count(p) for p in range(table.n_prfs)] == \
+                [int(table.av[:, p].sum()) for p in range(table.n_prfs)]
 
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=5), cfg, prfs)

@@ -140,7 +140,7 @@ class TestEnumerateDisks:
         catalog = enumerate_disks(table, grid)
         ratio = grid.disk_radius / grid.spacing
         for p in range(table.n_prfs):
-            k_p = len(table.task_sets[p])
+            k_p = np.count_nonzero(table.av[:, p])
             assert len(catalog.by_prf[p]) <= DISK_DENSITY_BOUND * ratio * ratio * max(1, k_p)
 
 

@@ -255,7 +255,13 @@ def test_operation_counts_pinned(key):
 # of the operation counts above) and 1,000 in subarray mode, recorded while
 # each placed task was still consumed on its own.  At 60 tasks a PRF rarely
 # empties in the middle of a look; here PRFs do, so the order in which the
-# random PRF rule's set loses emptied PRFs shows in the bytes.
+# random PRF rule's set loses emptied PRFs shows in the bytes.  The element
+# digests of G with LAR, SAP, SLA and SRA, and the subarray digests of the
+# other rules, were recorded while a priority column that every PRF shares
+# (SAP, SLA, SRA; R in subarray mode) was still ranked once over the whole
+# table and each backend still sorted the rows it was given: they pin the
+# element backends' bulk builds and the per-disk builds under the rules no
+# benchmark workload runs.
 SCALE_EDBF_DIGESTS = {
     ('G', 'SAR'): "7802db6b30fd4e6bbd7cfb470903b3e64e555e8f5e749fc304c7a9909701dbbb",
     ('G', 'R'): "6caa632a28c883dc0214ecb97b0eaa9f13462181c56cbbd767c8353f7264465f",
@@ -263,9 +269,18 @@ SCALE_EDBF_DIGESTS = {
     ('RG', 'R'): "8d8e81cb40e69c3bbed8eb4efd7f86228cb5660ae2ec41e17cf62e5fa0fade76",
     ('R', 'SAR'): "1e63f24166f601fd7ef13ea2e898257ebd488c7fc119eb6ee4ebf1bf341ff7f8",
     ('R', 'R'): "d5d50e708b24e074d1779ff9a0ce308df5e53dd731535fb74536f4c348230a8a",
+    ('G', 'LAR'): "57ac1894e6f9a6044d770dc945245b582ca45a05e1bf084d8d9a2546288ea655",
+    ('G', 'SAP'): "b23941a2e865eeeb6b571e5f76c3b2ed04e422906d08e9974d4ca884334e3afb",
+    ('G', 'SLA'): "7c6fc91178017130f73f7c4f0016335697b85d3bf0dafb250c998e9103bf1e30",
+    ('G', 'SRA'): "b6e5580d91961e998f4bcb4c8c3eccd0a630191cf5ebe2157667f2e6951c0fd6",
 }
 SCALE_SDBF_SPEC = ScenarioSpec(n_tasks=1000, seed=1)
 SCALE_SDBF_DIGEST = "25e0060039914108e2a9ac1e170c827742c7d06ad27899411624c11e2df0e517"
+SCALE_SDBF_RULE_DIGESTS = {
+    ('GD', 'R', 'SAP'): "d4a8616aa6dfa25216722225c69e596be1fc6f04a7fd19b4f4c2a64cc188f761",
+    ('GD', 'R', 'R'): "74aa5ade0a7e0e4e0699c0273f4160eef19bae17f7aa889b83d674ee4ab394fc",
+    ('WGD', 'SD', 'SAR'): "0f5f0d8e151df4e25c8accf4f5b44c6981a6e6243edc9198cfdfdae5924303de",
+}
 
 
 @pytest.fixture(scope="module")
@@ -282,11 +297,24 @@ def test_edbf_schedule_bytes_pinned_at_scale(scale_edbf_table, rules):
     assert _digest(schedule) == SCALE_EDBF_DIGESTS[rules]
 
 
-def test_sdbf_schedule_bytes_pinned_at_scale():
+@pytest.fixture(scope="module")
+def scale_sdbf_catalog():
     cfg, prfs, tasks = gen_scenario(SCALE_SDBF_SPEC)
-    catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
-    schedule = hisd(catalog, DiskHeuristicConfig(disk_rule="GD", sub_rule="R", seed=SEED))
+    return enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+
+
+def test_sdbf_schedule_bytes_pinned_at_scale(scale_sdbf_catalog):
+    schedule = hisd(scale_sdbf_catalog,
+                    DiskHeuristicConfig(disk_rule="GD", sub_rule="R", seed=SEED))
     assert _digest(schedule) == SCALE_SDBF_DIGEST
+
+
+@pytest.mark.parametrize("rules", sorted(SCALE_SDBF_RULE_DIGESTS), ids="-".join)
+def test_sdbf_rule_bytes_pinned_at_scale(scale_sdbf_catalog, rules):
+    disk_rule, sub_rule, task_rule = rules
+    schedule = hisd(scale_sdbf_catalog, DiskHeuristicConfig(
+        disk_rule=disk_rule, sub_rule=sub_rule, task_rule=task_rule, seed=SEED))
+    assert _digest(schedule) == SCALE_SDBF_RULE_DIGESTS[rules]
 
 
 # sha256 of export_lp text for a 6-task scenario with n_intlv 4 and 3 PRFs

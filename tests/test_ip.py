@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pulseplan import (
@@ -230,7 +231,7 @@ class TestChecker:
         agree = 0
         for trial in range(400):
             p = rng.randrange(len(prfs))
-            rows_p = [i for i in table.task_sets[p]]
+            rows_p = np.flatnonzero(table.av[:, p]).tolist()
             if len(rows_p) < 2:
                 continue
             m = rng.randrange(2, min(len(rows_p), table.cfg.n_intlv) + 1)

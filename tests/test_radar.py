@@ -273,7 +273,7 @@ class TestTableBuild:
         good = task(tid=8, r=30000.0, sr=100.0, v=-90.0, sf=10.0)
         table = build_availability_table([bad, good], [lab_prf], lab_cfg)
         assert table.unschedulable == (7,)
-        assert all(7 != table.tasks.ids[i] for i in table.task_sets[0])
+        assert not table.av[table.row_of(7)].any()
 
     def test_double_count_identity(self, cfg, prfs):
         rng = np.random.default_rng(6)
@@ -285,7 +285,7 @@ class TestTableBuild:
         ]
         table = build_availability_table(tasks, prfs, cfg)
         by_tasks = sum(len(s) for s in table.prf_sets if s)
-        by_prfs = sum(len(s) for s in table.task_sets)
+        by_prfs = sum(np.count_nonzero(table.av[:, p]) for p in range(table.n_prfs))
         assert table.q_p == by_prfs
         assert by_tasks == by_prfs
 
@@ -372,8 +372,6 @@ class TestTaskColumns:
         live = [i for i in range(300) if table.av[i].any()]
         assert 0 < len(live) < 300
         assert table.prf_sets == [tuple(np.nonzero(row)[0].tolist()) for row in table.av]
-        assert table.task_sets == [tuple(i for i in live if table.av[i, p])
-                                   for p in range(len(prfs))]
         assert table.unschedulable == tuple(400 - i for i in range(300) if i not in live)
         assert table.schedulable_rows() == live
         assert table.q_p == int(table.av.sum())

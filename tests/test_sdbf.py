@@ -147,6 +147,29 @@ class TestHisd:
             assert run.counters.backend_deletes == len(sched.assignments) == len(tasks)
             assert not any(run.store.live[table.row_of(tid)] for tid in tasks.ids)
 
+    @pytest.mark.parametrize("task_rule", ["SAR", "SAP", "R"])
+    def test_disk_backends_get_live_rows_in_rank_order(self, cfg, prfs, task_rule):
+        # a per-disk backend is handed the disk's live rows in the store's
+        # priority order at the disk's PRF: the store's order filtered to
+        # them, whatever order the catalog lists them in
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=2), cfg, prfs)
+        catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+        rng = random.Random(task_rule)
+        for backend in ("brute", "rangetree"):
+            run = SdbfRun(catalog, DiskHeuristicConfig(task_rule=task_rule, backend=backend))
+            store = run.store
+            for row in rng.sample(range(len(tasks)), len(tasks) // 3):
+                if store.live[row]:
+                    store.kill(row)
+            out_of_order = 0
+            for d in range(0, catalog.n_disks, 7):
+                p = catalog.prf_index[d]
+                live = {row for row in catalog.disk_tasks(d) if store.live[row]}
+                want = [row for row in store.order[p] if row in live]
+                assert run._disk_backend(d)._order == want, (backend, d)
+                out_of_order += [r for r in catalog.disk_tasks(d) if r in live] != want
+            assert out_of_order > 0
+
     def test_selector_ops_count_one_per_look(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=50, seed=5), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)

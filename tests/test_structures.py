@@ -229,7 +229,7 @@ class TestRangeTreeBulkBuild:
                 for tid in ids
             ]
             store = task_store(entries, n_intlv)
-            b = build_backend("rangetree", store, 0, store.rows[ids].tolist())
+            b = build_backend("rangetree", store, 0, store.order[0])
             lists, cnt1 = incremental_node_lists(entries, n_intlv)
             assert b._lists == {key: lst for key, lst in lists.items()
                                 if {key // width, key % width} <= canonical}, (n_intlv, n)
@@ -237,6 +237,7 @@ class TestRangeTreeBulkBuild:
                 assert not {key // width, key % width} <= canonical, key
             assert b._cnt1 == [cnt1[v] if v in canonical else 0 for v in range(width)]
             assert b.counters.node_entries == sum(map(len, b._lists.values()))
+            assert b._order is store.order[0]
             assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
             # node sequences hold the store's row objects, not copies
             assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
@@ -339,7 +340,7 @@ class TestSharedStore:
     def test_backends_over_one_store_match_linear_scans(self, data):
         """Backends of every kind over overlapping PRF row sets share one
         store; rows are killed through any one of them, and deleted from
-        each backend one at a time or in one ``delete_rows`` call."""
+        each backend one at a time or in one ``delete`` call."""
         n_intlv = data.draw(st.sampled_from([1, 2, 3, 4, 8, 11]), label="n_intlv")
         n_prfs = data.draw(st.integers(1, 3), label="n_prfs")
         prio_st = (st.sampled_from([0.0, 1.0, 2.0]) if data.draw(st.booleans())
@@ -366,8 +367,7 @@ class TestSharedStore:
         for p in range(n_prfs):
             rows = np.flatnonzero(av[:, p]).tolist()
             for kind in BACKEND_KINDS:
-                backends.append(build_backend(kind, store, p, rows, counters))
-                assert backends[-1]._order == store.order[p]
+                backends.append(build_backend(kind, store, p, store.order[p], counters))
                 entries.append([(ids[r], al[r, p], ar[r, p],
                                  prio[r] if prio.ndim == 1 else prio[r, p])
                                 for r in rows])
@@ -382,14 +382,14 @@ class TestSharedStore:
                 for row in rows:
                     backends[i].store.kill(row)
                     dead.add(ids[row])
-                batched = data.draw(st.booleans(), label="delete_rows")
+                batched = data.draw(st.booleans(), label="one delete call")
                 for b in backends:
                     held = [row for row in rows if row in b._order]
                     if batched:
-                        b.delete_rows(held)
+                        b.delete(held)
                     else:
                         for row in held:
-                            b.delete(row)
+                            b.delete((row,))
                     memberships += len(held)
             a = data.draw(st.integers(0, n_intlv))
             r = data.draw(st.integers(1, n_intlv))
@@ -418,18 +418,27 @@ class TestPriorityOrder:
         want = full_table_orders(table.tasks.ids, table.av, prio)
         assert store.order == want
         for p, rows in enumerate(want):
-            ranks = [store.rank[p][r] for r in rows]
-            assert ranks == sorted(set(ranks))
+            # one convention for every rule: a rank is the position in order[p]
+            assert [store.rank[p][r] for r in rows] == list(range(len(rows)))
             every_third = set(rows[::3])
             for kind in BACKEND_KINDS:
-                # from the store's order, as element mode builds, and from
-                # rows in another order, as the per-disk builds get them
-                assert build_backend(kind, store, p, store.order[p])._order == rows
-                assert build_backend(kind, store, p, rows[::-1])._order == rows
-                assert build_backend(kind, store, p, sorted(every_third))._order == \
+                # the store's order itself, as element mode builds, and a
+                # subset sorted by rank, as the per-disk builds get theirs
+                assert build_backend(kind, store, p, store.order[p])._order is store.order[p]
+                assert build_backend(kind, store, p, sorted(
+                    every_third, key=store.rank[p].__getitem__))._order == \
                     [r for r in rows if r in every_third]
         if task_rule in ("SAP", "SLA", "SRA"):
             assert len(set(prio.tolist())) < len(prio)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_store_of_no_rows_builds(self, shared):
+        # a shared priority column of 0 rows broadcasts to [0, PRF] as well
+        av = np.zeros((0, 3), dtype=bool)
+        cols = np.zeros((0, 3), dtype=np.int64)
+        store = TaskStore(8, [], av, cols, cols, np.zeros(0 if shared else (0, 3)))
+        assert store.prio_table.shape == (0, 3)
+        assert store.order == store.rank == [[], [], []]
 
 
 class TestBackendEquivalence:
@@ -452,8 +461,7 @@ class TestBackendEquivalence:
             n_intlv = rng.choice([3, 4, 8])
             entries = random_entries(rng, rng.randrange(1, 60), n_intlv)
             store = task_store(entries, n_intlv)
-            rows = [e[0] for e in entries]
-            backends = {k: build_backend(k, store, 0, rows) for k in BACKEND_KINDS}
+            backends = {k: build_backend(k, store, 0, store.order[0]) for k in BACKEND_KINDS}
             dead = set()
             alive = [e[0] for e in entries]
             for _ in range(rng.randrange(10, 120)):
