@@ -24,7 +24,13 @@ fits the current slot the partial schedule is shifted left to free room at
 its right end (one slot at a time, or all the way when nothing can extend it
 on the left), and the freed slots are filled by a bounded recursion.  The
 procedure visits at most twice the interleaving capacity of loop iterations
-per look, which an instrumented counter enforces.
+per look, which an instrumented counter enforces.  It asks no backend query
+whose answer it already holds (see ``Episode``): an empty backend is asked
+nothing, ``has_left(0)`` is read as the live count, and a one-step shift
+with nothing to move lowers the tail without repeating its failed query.
+The store only changes by the pass's own deletes, so each skipped call
+would have returned the answer the pass uses, and the placements are the
+same.
 """
 
 from __future__ import annotations
@@ -235,6 +241,23 @@ class Episode:
     killed in the backend's store and deleted from the backend at once.
     ``tail`` and the partial schedule are shared across the recursion.
     ``run`` returns the placed rows in slot order; their slots are 1..m.
+
+    The pass asks the backend no query whose answer it already holds.
+    Between two deletes the store does not change, so a query that failed
+    fails again, and the pass keeps to these rules:
+
+    * an empty backend (``live_count`` 0) is asked nothing: no row can be
+      found and ``has_left`` is false;
+    * ``has_left(0)`` is ``live_count > 0``, since every row has A_l >= 0;
+    * a failed ``best_in(0, cursor)`` (when a task is left) lowers the
+      tail by one, below the pass's right end as at it.  Below it, a gap
+      of 0 means there is no working run (a run placed right of the cursor
+      makes a gap), so the one-step shift has nothing to move, and its
+      pass would ask the same failed query and lower the tail by one.
+
+    Each rule replaces calls by the answers they would give on an unchanged
+    store, so the placements, and the schedule bytes, are those of the pass
+    that asks them (``tests/oracles.py`` keeps that pass as the reference).
     """
 
     def __init__(self, backend, n_intlv, counters: OpCounters):
@@ -270,15 +293,22 @@ class Episode:
                     f"backward interleaving exceeded {2 * n} iterations in one look"
                 )
             gap = self.tail - cursor
-            # a row from best_in implies has_left, so has_left is asked
-            # only when best_in finds nothing
-            row = best_in(gap, cursor)
+            # An empty backend is asked nothing.  A row from best_in implies
+            # has_left, so has_left is asked only when best_in finds
+            # nothing, and at gap 0 it is the live count (every A_l >= 0).
+            live = backend.live_count
+            row = best_in(gap, cursor) if live else None
             if row is not None:
                 place(row, al[row], cursor)
                 kill(row)
                 delete((row,))
-            elif has_left(gap):
-                if cursor == e_r:
+            elif live and (not gap or has_left(gap)):
+                if not gap:
+                    # Gap 0 is the pass's right end or, below it, a cursor
+                    # with no working run (a placed run right of the cursor
+                    # makes a gap): a one-step shift would move nothing, and
+                    # its pass would ask this failed query again on the
+                    # same store and lower the tail by one.
                     self.tail -= 1
                 else:
                     # One-step left shift frees the slot at the old tail for

@@ -12,7 +12,7 @@ line-by-line reader, which gives the values and errors of both.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import attrgetter, gt, itemgetter
 
 import numpy as np
@@ -326,8 +326,43 @@ def _schedule_record(kind: str, tokens):
 
 
 _ASSIGN_KEYS = tuple(_ASSIGN_FIELDS)
-# An assign line is half a task line's tokens.
+# An assign line is half a task line's tokens, a look line at most as many.
 _ASSIGN_CHUNK = 2 * _TASK_CHUNK
+_LOOK_CHUNK = _TASK_CHUNK
+# the fields of each written look line form, by its count of "="
+_LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
+
+
+def _look_block(lines) -> list[ScheduledLook]:
+    """The looks of look lines that each hold ``look`` and the fields of
+    ``_LOOK_LINE`` or of ``_DISK_LOOK_LINE`` in the written order;
+    ``ValueError`` if any line does not or a value does not convert.  The
+    lines are read in runs of one "=" count, 4 or 7; in a run, each field
+    is a column, and the argument of ``_task_block`` applies: no column
+    converts a token that starts with ``look``, so if every value converts,
+    each line is ``look`` and one token per field, and a line's count of
+    "=" means each value token held its own key's."""
+    looks = []
+    end = 0
+    for eqs, run in groupby(map(str.count, lines, repeat("="))):
+        start, end = end, end + len(list(run))
+        fields = _LOOK_FORMS.get(eqs)
+        if fields is None:
+            raise ValueError("not look lines in the written form")
+        block, width, n = lines[start:end], len(fields) + 1, end - start
+        tokens = "\n".join(block).split()
+        if (len(tokens) != width * n or tokens[::width].count("look") != n
+                or not all(map(str.startswith, map(str.lstrip, block), repeat("look")))):
+            raise ValueError("not look lines in the written form")
+        index, prf, f_r, dwell, *disk = (
+            [*map(conv, map(str.removeprefix, tokens[j::width], repeat(key + "=")))]
+            for j, (key, conv) in enumerate(fields.items(), 1))
+        if disk:
+            disk_id, u, v = disk
+            looks += map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
+        else:
+            looks += map(ScheduledLook, index, prf, f_r, dwell)
+    return looks
 
 
 def _assign_block(lines) -> list[list[int]]:
@@ -347,12 +382,14 @@ def _assign_block(lines) -> list[list[int]]:
             for j, key in enumerate(_ASSIGN_KEYS, 1)]
 
 
-def _schedule_from(records, columns=None) -> Schedule:
+def _schedule_from(records, looks=None, columns=None) -> Schedule:
     """A ``Schedule`` from (line number, kind, record) triples of the line
-    reader; its assignments are ``columns``, the (task, look, slot) columns
-    of assign lines read in bulk, or else the assign records."""
+    reader; its looks are ``looks``, those of look lines read in bulk, or
+    else the look records, and its assignments are ``columns``, the (task,
+    look, slot) columns of assign lines read in bulk, or else the assign
+    records."""
     meta: dict[str, str] = {}
-    looks: list[ScheduledLook] = []
+    looks = [] if looks is None else looks
     triples: list[tuple[int, int, int]] = []
     unschedulable: tuple[int, ...] = ()
     for _, kind, record in records:
@@ -379,33 +416,42 @@ def parse_schedule(text: str) -> Schedule:
     raises ``ScenarioError`` naming its line number.
 
     One decision per file picks the reader, as ``parse_scenario`` makes it.
-    If every line from the first one that starts with ``assign`` (after
-    leading whitespace) to the end, or to a last ``unschedulable`` line, is
-    an assign line as ``schedule_to_text`` writes it, those lines are read
-    straight into columns, and the other lines go through the line-by-line
-    reader.  Any other file is read whole by ``_parse_schedule_records``, so
-    errors always come from that reader, and the result equals its result.
+    A last ``unschedulable`` line is set apart.  If every line from the
+    first one that starts with ``assign`` (after leading whitespace) to the
+    end is an assign line as ``schedule_to_text`` writes it, and every line
+    from the first one that starts with ``look`` to the first assign line
+    is a look line as it writes them (of either form), those lines are read
+    in bulk: the assign lines straight into columns, the look lines a field
+    column at a time into ``ScheduledLook``s.  The other lines go through
+    the line-by-line reader.  Any other file is read whole by
+    ``_parse_schedule_records``, so errors always come from that reader,
+    and the result equals its result.
     """
     lines = text.splitlines()
     start = _tag_end(lines, SCHEDULE_TAG, "schedule")
-    first = next((i for i in range(start, len(lines))
-                  if lines[i].lstrip().startswith("assign")), len(lines))
     stop = len(lines)
-    if stop > first and lines[-1].lstrip().startswith("unschedulable"):
+    if stop > start and lines[-1].lstrip().startswith("unschedulable"):
         stop -= 1
+    first = next((i for i in range(start, stop)
+                  if lines[i].lstrip().startswith("assign")), stop)
+    look0 = next((i for i in range(start, first)
+                  if lines[i].lstrip().startswith("look")), first)
     # columns sized once and filled in chunks, as task lines are read: a
     # whole file's tokens at once would set the reader's peak memory
     columns = [0] * (stop - first), [0] * (stop - first), [0] * (stop - first)
+    looks = []
     try:
+        for i in range(look0, first, _LOOK_CHUNK):
+            looks += _look_block(lines[i:min(i + _LOOK_CHUNK, first)])
         for i in range(first, stop, _ASSIGN_CHUNK):
             block = _assign_block(lines[i:min(i + _ASSIGN_CHUNK, stop)])
             for col, values in zip(columns, block):
                 col[i - first:i - first + len(values)] = values
     except ValueError:
         return _parse_schedule_records(text)
-    records = _records(lines, start, first, _schedule_record)
+    records = _records(lines, start, look0, _schedule_record)
     tail = _records(lines, stop, len(lines), _schedule_record)
-    return _schedule_from([*records, *tail], columns)
+    return _schedule_from([*records, *tail], looks, columns)
 
 
 def _parse_schedule_records(text: str) -> Schedule:

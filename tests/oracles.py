@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pulseplan.edbf import Episode
 from pulseplan.errors import InternalInvariantError
 from pulseplan.io import SCENARIO_TAG, SCHEDULE_TAG, _fields
 from pulseplan.ip import dwell_fraction
@@ -524,3 +525,56 @@ def tuple_schedule_text(schedule):
     if schedule.unschedulable:
         lines.append("unschedulable " + " ".join(str(t) for t in schedule.unschedulable))
     return "\n".join(lines) + "\n"
+
+
+class ReferenceEpisode(Episode):
+    """``Episode`` with the packing pass that asks every query: it queries
+    an empty backend, follows every failed ``best_in`` with a ``has_left``
+    call, and recurses into a one-step shift with no gap and no working
+    run, whose pass asks the failed query again on the same store."""
+
+    def _bi(self, e_l, e_r):
+        self.tail = e_r
+        cursor = e_r
+        n, look, backend = self.n, self.look, self.backend
+        best_in, has_left, al = backend.best_in, backend.has_left, backend.al
+        kill, delete, place = backend.store.kill, backend.delete, look.place
+        while cursor >= e_l:
+            self.iters += 1
+            if self.iters > 2 * n:
+                raise InternalInvariantError(
+                    f"backward interleaving exceeded {2 * n} iterations in one look"
+                )
+            gap = self.tail - cursor
+            # a row from best_in implies has_left, so has_left is asked
+            # only when best_in finds nothing
+            row = best_in(gap, cursor)
+            if row is not None:
+                place(row, al[row], cursor)
+                kill(row)
+                delete((row,))
+            elif has_left(gap):
+                if cursor == e_r:
+                    self.tail -= 1
+                else:
+                    # One-step left shift frees the slot at the old tail for
+                    # a task with a large rightward but small leftward
+                    # availability; at most one task fits there.  Nothing
+                    # was placed in this iteration, so ``als`` is the value
+                    # at its start.
+                    als = look.als(self.tail, n)
+                    look.shift_work()
+                    freed = self.tail
+                    self._bi(freed, freed + min(0, als - 1))
+                    work = look.work
+                    self.tail = work.end if work is not None else freed - 1
+            elif cursor != e_r and look.work is not None:
+                # Nothing can extend the schedule on the left: push it
+                # flush left and fill, once, the slots that the shift
+                # opened on its right.
+                als = look.als(self.tail, n)
+                new_el = e_l + self.tail - cursor
+                look.compact_work(e_l)
+                self._bi(new_el, min(self.tail, als + new_el - 1))
+                return
+            cursor -= 1

@@ -24,13 +24,45 @@ from pulseplan import (
 from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import BACKEND_KINDS, IndexedSet, OpCounters
-from oracles import backend_over, rowwise_edbf_consume
+from oracles import ReferenceEpisode, backend_over, rowwise_edbf_consume
 
 
 def episode_over(entries, n_intlv):
     counters = OpCounters()
     backend = backend_over("brute", n_intlv, entries, counters)
     return Episode(backend, n_intlv, counters), counters
+
+
+def random_entries(rng, n_intlv, max_tasks):
+    """0 to ``max_tasks`` (tid, A_l, A_r, priority) entries, tids from 1."""
+    return [(t, rng.randrange(0, n_intlv + 1), rng.randrange(1, n_intlv + 1), rng.random())
+            for t in range(1, rng.randrange(1, max_tasks + 2))]
+
+
+class Watched:
+    """A backend that records its queries and deletes, in call order, as
+    (name, arguments, result) triples."""
+
+    def __init__(self, backend):
+        self._b = backend
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._b, name)
+
+    def best_in(self, l_min, r_min):
+        row = self._b.best_in(l_min, r_min)
+        self.calls.append(("best_in", (l_min, r_min), row))
+        return row
+
+    def has_left(self, l_min):
+        found = self._b.has_left(l_min)
+        self.calls.append(("has_left", (l_min,), found))
+        return found
+
+    def delete(self, rows):
+        self._b.delete(rows)
+        self.calls.append(("delete", tuple(rows), None))
 
 
 class TestBackwardInterleaving:
@@ -71,37 +103,72 @@ class TestBackwardInterleaving:
     def test_has_left_only_after_best_in_finds_nothing(self, kind):
         # a row from best_in implies has_left, so the packing asks has_left
         # only right after a best_in that returned None
-        class Watched:
-            def __init__(self, backend):
-                self._b = backend
-                self.calls = []
-
-            def __getattr__(self, name):
-                return getattr(self._b, name)
-
-            def best_in(self, l_min, r_min):
-                row = self._b.best_in(l_min, r_min)
-                self.calls.append(("best_in", row))
-                return row
-
-            def has_left(self, l_min):
-                self.calls.append(("has_left", None))
-                return self._b.has_left(l_min)
-
         rng = random.Random(3)
         asked = 0
         for n_intlv in (2, 4, 8):
             for _ in range(40):
-                entries = [(t, rng.randrange(0, n_intlv + 1), rng.randrange(1, n_intlv + 1),
-                            rng.random()) for t in range(1, rng.randrange(1, 12))]
                 counters = OpCounters()
-                watched = Watched(backend_over(kind, n_intlv, entries, counters))
+                watched = Watched(backend_over(kind, n_intlv, random_entries(rng, n_intlv, 10),
+                                               counters))
                 Episode(watched, n_intlv, counters).run()
-                for i, (name, _) in enumerate(watched.calls):
+                for i, (name, _, _) in enumerate(watched.calls):
                     if name == "has_left":
                         asked += 1
-                        assert i > 0 and watched.calls[i - 1] == ("best_in", None)
+                        assert i > 0 and watched.calls[i - 1][::2] == ("best_in", None)
         assert asked > 0
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_no_query_asked_twice_on_one_store(self, kind):
+        # between two deletes the store does not change, so a best_in that
+        # failed fails again with the same arguments; has_left at l_min 0
+        # is the live count.  The pass asks neither; the reference pass,
+        # which recurses into an empty one-step shift, asks both.
+        rng = random.Random(5)
+        found = {Episode: [0, 0], ReferenceEpisode: [0, 0]}
+        for n_intlv in (2, 4, 8, 16):
+            for _ in range(100):
+                entries = random_entries(rng, n_intlv, 14)
+                for episode, counts in found.items():
+                    watched = Watched(backend_over(kind, n_intlv, entries))
+                    episode(watched, n_intlv, OpCounters()).run()
+                    failed = set()
+                    for name, args, result in watched.calls:
+                        if name == "delete":
+                            failed.clear()
+                        elif name == "has_left":
+                            counts[1] += args[0] <= 0
+                        elif result is None:
+                            counts[0] += args in failed
+                            failed.add(args)
+        assert found[Episode] == [0, 0]
+        assert min(found[ReferenceEpisode]) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_intlv=st.integers(1, 16), data=st.data())
+    def test_places_as_the_reference_pass(self, n_intlv, data):
+        # same rows in the same slots and the same store left behind, with
+        # no more iterations, best_in or has_left calls than the reference
+        k = data.draw(st.integers(0, 14))
+        entries = [(t, data.draw(st.integers(0, n_intlv)), data.draw(st.integers(1, n_intlv)),
+                    data.draw(st.integers(0, 5))) for t in range(k)]
+        for kind in BACKEND_KINDS:
+            runs = []
+            for episode in (Episode, ReferenceEpisode):
+                watched = Watched(backend_over(kind, n_intlv, entries))
+                ep = episode(watched, n_intlv, OpCounters())
+                rows = ep.run()
+                calls = [name for name, _, _ in watched.calls]
+                runs.append((rows, ep.iters, calls.count("best_in"), calls.count("has_left"),
+                             watched))
+            (rows, iters, best, left, new), (ref_rows, ref_iters, ref_best, ref_left, ref) = runs
+            assert rows == ref_rows
+            assert new.store.live == ref.store.live
+            assert new.live_count == ref.live_count
+            if kind == "rangetree":
+                assert new._cnt1 == ref._cnt1
+            assert iters <= ref_iters
+            assert best <= ref_best
+            assert left <= ref_left
 
     def test_iteration_budget_respected(self):
         rng = random.Random(0)

@@ -218,18 +218,18 @@ def test_relabelled_ids_give_the_same_schedules(edbf_table, sdbf_catalog, mode):
 OPS_EDBF_SPEC = ScenarioSpec(n_tasks=2000, seed=3, keep_unschedulable=True)
 OPS_SDBF_SPEC = ScenarioSpec(n_tasks=600, seed=4, cluster_count=3)
 
-_EDBF_OPS = dict(backend_queries=7126, backend_deletes=5934, bucket_ops=5934,
-                 selector_ops=424, bi_iterations=4476, bi_calls=424,
-                 bi_max_iterations=14, fallback_scans=0)
+_EDBF_OPS = dict(backend_queries=3410, backend_deletes=5934, bucket_ops=5934,
+                 selector_ops=424, bi_iterations=3382, bi_calls=424,
+                 bi_max_iterations=9, fallback_scans=0)
 PINNED_OPS = {
     ("edbf", "G", "SAR", "rangetree"): dict(
-        _EDBF_OPS, list_inspections=13870, pairwise_touches=0, node_entries=26153),
+        _EDBF_OPS, list_inspections=11429, pairwise_touches=0, node_entries=26153),
     ("edbf", "G", "SAR", "pairwise"): dict(
         _EDBF_OPS, list_inspections=0, pairwise_touches=35852, node_entries=35852),
     ("sdbf", "GD", "R", "rangetree"): dict(
-        backend_queries=3638, backend_deletes=600, list_inspections=5867,
+        backend_queries=1591, backend_deletes=600, list_inspections=4517,
         pairwise_touches=0, fallback_scans=0, bucket_ops=38340,
-        selector_ops=193, bi_iterations=2119, bi_calls=193, bi_max_iterations=14,
+        selector_ops=193, bi_iterations=1528, bi_calls=193, bi_max_iterations=10,
         node_entries=6140),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import re
 import tracemalloc
@@ -463,6 +464,49 @@ def schedule_texts(draw):
     return "\n".join(head + body + tail) + draw(st.sampled_from(("\n", "", "\n\n")))
 
 
+@functools.lru_cache(maxsize=None)
+def _scheduler_output(mode, seed):
+    """A scheduler's schedule of a 60-task scenario."""
+    cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=60, seed=seed, keep_unschedulable=True))
+    table = build_availability_table(tasks, prfs, cfg)
+    if mode == "edbf":
+        return hied(table, HeuristicConfig(seed=seed))
+    return hisd(enumerate_disks(table, GridSpec()), DiskHeuristicConfig(seed=seed))
+
+
+_LOOK_EDITS = ("reorder", "comment", "drop a disk field")
+
+
+@st.composite
+def look_edited_texts(draw):
+    """(text, edit) for a written schedule, of either scheduler or hand
+    built, with its look lines as written (edit None) or edited: one look
+    line's fields reordered, a comment among the look lines, or one field
+    of a disk look line dropped."""
+    if draw(st.booleans()):
+        schedule = draw(hand_built_schedules())
+    else:
+        schedule = _scheduler_output(draw(st.sampled_from(("edbf", "sdbf"))),
+                                     draw(st.integers(0, 3)))
+    lines = schedule_to_text(schedule).splitlines()
+    looks = [i for i, ln in enumerate(lines) if ln.startswith("look")]
+    edit = draw(st.sampled_from((None,) * len(_LOOK_EDITS) + _LOOK_EDITS))
+    if not looks or edit is None:
+        return "\n".join(lines) + "\n", None
+    i = draw(st.sampled_from(looks))
+    kind, *fields = lines[i].split()
+    if edit == "comment":
+        lines.insert(draw(st.integers(looks[0], looks[-1] + 1)), "# a comment")
+    elif edit == "reorder":
+        lines[i] = " ".join([kind, *draw(st.permutations(fields))])
+    else:
+        disk = [k for k, field in enumerate(fields) if field.startswith("disk")]
+        if disk:
+            del fields[draw(st.sampled_from(disk))]
+            lines[i] = " ".join([kind, *fields])
+    return "\n".join(lines) + "\n", edit
+
+
 def _schedule_outcome(parse, text):
     """What a schedule reader makes of ``text``: the schedule's repr (typed
     values) or the error."""
@@ -494,6 +538,18 @@ class TestColumnarScheduleReader:
         assert schedule_to_text(back) == text
         assert back == pio._parse_schedule_records(text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(look_edited_texts(), st.integers(1, 4))
+    def test_look_lines_match_the_line_reader(self, case, chunk):
+        text, edit = case
+        with mock.patch.object(pio, "_LOOK_CHUNK", chunk), \
+                mock.patch.object(pio, "_parse_schedule_records",
+                                  wraps=pio._parse_schedule_records) as slow:
+            fast = _schedule_outcome(parse_schedule, text)
+        if edit is None:
+            slow.assert_not_called()
+        assert fast == _schedule_outcome(pio._parse_schedule_records, text)
+
     @pytest.mark.parametrize("chunk", [7, None])
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
     def test_scheduler_output_round_trips(self, mode, chunk):
@@ -506,7 +562,8 @@ class TestColumnarScheduleReader:
         text = schedule_to_text(sched)
         with mock.patch.object(pio, "_parse_schedule_records",
                                wraps=pio._parse_schedule_records) as slow, \
-                mock.patch.object(pio, "_ASSIGN_CHUNK", chunk or pio._ASSIGN_CHUNK):
+                mock.patch.object(pio, "_ASSIGN_CHUNK", chunk or pio._ASSIGN_CHUNK), \
+                mock.patch.object(pio, "_LOOK_CHUNK", chunk or pio._LOOK_CHUNK):
             back = parse_schedule(text)
         slow.assert_not_called()
         assert back.assignments == sched.assignments and back.looks == sched.looks
@@ -519,6 +576,17 @@ class TestColumnarScheduleReader:
                                      HeuristicConfig()))
         lines = text.splitlines()
         lines.insert(len(lines) - 5, "# a comment")
+        with mock.patch.object(pio, "_parse_schedule_records",
+                               wraps=pio._parse_schedule_records) as slow:
+            back = parse_schedule("\n".join(lines))
+        slow.assert_called_once()
+        assert schedule_to_text(back) == text
+
+    def test_a_comment_among_the_looks_reads_the_file_by_lines(self):
+        text = schedule_to_text(_scheduler_output("sdbf", 0))
+        lines = text.splitlines()
+        lines.insert(3, "# a comment")
+        assert lines[2].startswith("look") and lines[4].startswith("look")
         with mock.patch.object(pio, "_parse_schedule_records",
                                wraps=pio._parse_schedule_records) as slow:
             back = parse_schedule("\n".join(lines))
