@@ -284,30 +284,52 @@ class _TreeShape(NamedTuple):
     leaves: int
     canon: tuple
     paths: tuple
-    path_nodes: np.ndarray
+    slot: dict
+    canon_slots: tuple
+    path_slots: tuple
+    pair_hi: np.ndarray
+    pair_lo: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _tree_shape(n_intlv: int) -> _TreeShape:
     """Leaf count, suffix covers and canonical leaf paths of the key
-    universe {0..n_intlv}, shared by every range tree of that capacity.
+    universe {0..n_intlv}, shared by every range tree of that capacity, in
+    O(n_intlv log n_intlv) space.
 
     A node is canonical when some suffix cover ``canon[k]`` holds it; no
     threshold query reads any other node.  ``paths[k]`` lists the canonical
-    nodes on key k's leaf path, leaf first.  ``path_nodes`` holds the same
-    nodes as a read-only (keys, depth) array: the full leaf paths, with 0
-    (never a tree node) in place of each non-canonical node."""
+    nodes on key k's leaf path, leaf first.  Both are in node numbers.
+
+    ``slot`` numbers the C canonical nodes densely, 0..C-1 in node order,
+    and ``canon_slots`` and ``path_slots`` are ``canon`` and ``paths`` in
+    slot numbers.  The node pair of slots (c1, c2) has the pair key
+    c1 * C + c2.  ``pair_hi`` and ``pair_lo`` are read-only (key, depth)
+    tables for the bulk build: row k holds ``path_slots[k]`` times C, and
+    ``path_slots[k]``, each padded to the depth with C^2.  So for a row with
+    A_l = a and A_r = r, the sums ``pair_hi[a][i] + pair_lo[r][j]`` below
+    C^2 are the pair keys of ``path_slots[a]`` x ``path_slots[r]``, in
+    order, and every sum with a pad is C^2 or more.  Both tables take the
+    narrowest dtype that holds every sum, up to 2 C^2."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
-    canon = tuple(_suffix_nodes(k, leaves) for k in range(n_intlv + 1))
-    canonical = set().union(*canon)
-    full = [_leaf_path(k, leaves) for k in range(n_intlv + 1)]
-    paths = tuple(tuple(n for n in path if n in canonical) for path in full)
-    path_nodes = np.array([[n if n in canonical else 0 for n in path] for path in full],
-                          dtype=np.min_scalar_type(4 * leaves * leaves))
-    path_nodes.flags.writeable = False
-    return _TreeShape(leaves, canon, paths, path_nodes)
+    keys = range(n_intlv + 1)
+    canon = tuple(_suffix_nodes(k, leaves) for k in keys)
+    slot = {node: c for c, node in enumerate(sorted(set().union(*canon)))}
+    paths = tuple(tuple(n for n in _leaf_path(k, leaves) if n in slot) for k in keys)
+    width = len(slot)
+    canon_slots = tuple(tuple(map(slot.__getitem__, cover)) for cover in canon)
+    path_slots = tuple(tuple(map(slot.__getitem__, path)) for path in paths)
+    dtype = np.min_scalar_type(2 * width * width)
+    depth = max(map(len, path_slots))
+    pair_hi = np.full((n_intlv + 1, depth), width * width, dtype=dtype)
+    pair_lo = np.full((n_intlv + 1, depth), width * width, dtype=dtype)
+    for k, path in enumerate(path_slots):
+        pair_hi[k, :len(path)] = [c * width for c in path]
+        pair_lo[k, :len(path)] = path
+    pair_hi.flags.writeable = pair_lo.flags.writeable = False
+    return _TreeShape(leaves, canon, paths, slot, canon_slots, path_slots, pair_hi, pair_lo)
 
 
 class TaskStore:
@@ -530,74 +552,92 @@ class RangeTreeBackend(_BackendBase):
     that node is on the row's own path: it sits in exactly one list the
     query reads.
 
-    A node pair (n1, n2) is keyed by one int, n1 * 2 * leaves + n2, in
-    ``_lists`` (its row sequence) and ``_cursor`` (the index of its first
-    row not yet known dead).  Cursors are lazy: a sequence gets an entry
-    only once its head has moved, so a build writes no cursor.  A query
-    visits the O(log n_intlv) first-level cover nodes of its threshold box
-    that have a nonzero live count, and under each the O(log n_intlv)
-    second-level cover nodes, each key one add from the first-level base.
+    The C canonical nodes are numbered densely by ``_tree_shape``'s
+    ``slot`` (C is n_intlv + 1 when n_intlv is a power of two), and every
+    per-node structure is a list indexed by slot: ``_cnt1`` holds the C
+    first-level live counts, ``_lists[c1][c2]`` the row sequence of the
+    node pair (c1, c2) and ``_cursor[c1][c2]`` the index of its first row
+    not yet known dead, 0 at build.  ``_lists[c1]`` and ``_cursor[c1]`` are
+    ``None`` where the build stored no row under the first-level slot c1,
+    so a tree's lists take O(C) space per first-level node it uses, and
+    ``_lists[c1][c2]`` is ``None`` where it stored no row at the pair.  A
+    query walks the O(log n_intlv) first-level slots of its threshold box's
+    cover, and under each with a nonzero live count the O(log n_intlv)
+    second-level ones, each node pair one list index.  A threshold below 0
+    is clamped to 0 (every row has A_l >= 0 and A_r >= 1, so the box holds
+    the same rows), and one above n_intlv finds nothing.
 
     The build writes the canonical node entries, about 28% of q * depth^2
     at n_intlv 8 (depth = log2 of the leaf count), at once: the rows come
-    in priority order, so one stable numpy sort of their (row, node pair)
-    entries by node pair groups them by node and keeps each node's rows in
-    priority order.  Up to 128 leaves the keys fit 16 bits and the sort is
-    a radix sort, O(q log^2 n_intlv) time with no per-entry Python call.
-    Below ``_BULK_MIN_TASKS`` rows, as in the per-disk backends of subarray
-    mode, numpy's per-call cost outweighs that, and each row is appended to
-    its node sequences in turn instead.  Node sequences hold the store's
-    row objects.
+    in priority order, so one sum of their gathered ``pair_hi`` and
+    ``pair_lo`` rows gives their (row, pair key) entries, and one stable
+    numpy sort of the entries by pair key, the pads dropped, groups them by
+    node pair and keeps each node's rows in priority order.  While 2 C^2
+    fits 16 bits (up to n_intlv 176) the sort is a radix sort, O(q log^2
+    n_intlv) time with no per-entry Python call.  Below ``_BULK_MIN_TASKS``
+    rows, as in the per-disk backends of subarray mode, numpy's per-call
+    cost outweighs that, and each row is appended to its node sequences in
+    turn instead.  Node sequences hold the store's row objects.
     """
 
     kind = "rangetree"
 
     def _index(self):
-        leaves, self._canon, self._paths, path_nodes = _tree_shape(self.n_intlv)
-        self._leaves = leaves
+        shape = _tree_shape(self.n_intlv)
+        self._canon, self._paths = shape.canon_slots, shape.path_slots
+        depth = shape.leaves.bit_length() - 1
+        self._visit_cap = max(depth * depth, 4)
         paths = self._paths
-        per_task = path_nodes.shape[1] ** 2
-        self._visit_cap = max(per_task, 4)
+        width = len(shape.slot)
+        self._lists = lists = [None] * width
         al, ar = self.al, self.ar
         if len(self._order) < _BULK_MIN_TASKS:
             sizes = Counter(map(al.__getitem__, self._order)).items()
-            self._lists = {}
             for r in self._order:
-                for n1 in paths[al[r]]:
-                    for n2 in paths[ar[r]]:
-                        self._lists.setdefault(n1 * 2 * leaves + n2, []).append(r)
+                path2 = paths[ar[r]]
+                for c1 in paths[al[r]]:
+                    seqs = lists[c1]
+                    if seqs is None:
+                        seqs = lists[c1] = [None] * width
+                    for c2 in path2:
+                        lst = seqs[c2]
+                        if lst is None:
+                            seqs[c2] = [r]
+                        else:
+                            lst.append(r)
         else:
-            # One entry per (row, node pair), row-major in priority order,
-            # so a stable sort by node pair keeps each node's rows in
-            # priority order.  Entries at a non-canonical node (0 in ``path_nodes``)
-            # are dropped before the sort.  Node numbers below 2 * leaves
-            # make n1 * 2 * leaves + n2 fit the node array's narrow dtype;
-            # numpy's stable sort is a radix sort for 8- and 16-bit keys (up
-            # to 128 leaves).
+            # One entry per (row, pair key), row-major in priority order, so
+            # a stable sort by pair key keeps each node's rows in priority
+            # order.  Sums with a pad (C^2 or more) are dropped before the
+            # sort; numpy's stable sort is a radix sort for 8- and 16-bit
+            # keys.
             store, p = self.store, self.p
-            idx = np.asarray(self._order, dtype=np.intp)
+            idx = np.fromiter(self._order, dtype=np.intp, count=len(self._order))
             a_col = store.al_table[idx, p]
             sizes = enumerate(np.bincount(a_col).tolist())
-            n1 = path_nodes[a_col]
-            n2 = path_nodes[store.ar_table[idx, p]]
-            keep = np.flatnonzero(((n1 != 0)[:, :, None] & (n2 != 0)[:, None, :]).reshape(-1))
-            pair = ((n1 * (2 * leaves))[:, :, None] + n2[:, None, :]).reshape(-1)[keep]
+            hi, lo = shape.pair_hi, shape.pair_lo
+            pair = (hi[a_col][:, :, None] + lo[store.ar_table[idx, p]][:, None, :]).reshape(-1)
+            keep = np.flatnonzero(pair < width * width)
+            pair = pair[keep]
             by_pair = np.argsort(pair, kind="stable")
-            rows = store.rows[idx[keep[by_pair] // per_task]].tolist()
+            rows = store.rows[idx[keep[by_pair] // hi.shape[1] ** 2]].tolist()
             pair = pair[by_pair]
             cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
             starts = [0, *cuts]
-            self._lists = {
-                node: rows[s:e]
-                for node, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)])
-            }
+            for key, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)]):
+                c1, c2 = divmod(key, width)
+                seqs = lists[c1]
+                if seqs is None:
+                    seqs = lists[c1] = [None] * width
+                seqs[c2] = rows[s:e]
+        self._cursor = [None if seqs is None else [0] * width for seqs in lists]
         # first-level live counts: each key's rows, at its canonical nodes
-        self._cnt1 = cnt1 = [0] * (2 * leaves)
+        self._cnt1 = cnt1 = [0] * width
         for a, size in sizes:
-            for n1 in paths[a]:
-                cnt1[n1] += size
-        self._cursor = {}
-        self.counters.node_entries += sum(map(len, self._lists.values()))
+            for c1 in paths[a]:
+                cnt1[c1] += size
+        self.counters.node_entries += sum(
+            len(lst) for seqs in lists if seqs is not None for lst in seqs if lst is not None)
 
     def max_lists_per_task(self):
         paths = self._paths
@@ -608,34 +648,42 @@ class RangeTreeBackend(_BackendBase):
 
     def has_left(self, l_min):
         self.counters.backend_queries += 1
-        return any(map(self._cnt1.__getitem__, self._canon[l_min]))
+        try:
+            cover = self._canon[l_min if l_min > 0 else 0]
+        except IndexError:
+            return False
+        return any(map(self._cnt1.__getitem__, cover))
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
+        canon = self._canon
+        try:
+            cover1 = canon[l_min if l_min > 0 else 0]
+            cover2 = canon[r_min if r_min > 0 else 0]
+        except IndexError:
+            return None
         best = None
         best_rank = 0
         inspected = 0
+        per_first = len(cover2)
         rank, cnt1, live = self.rank, self._cnt1, self.store.live
         lists, cursor = self._lists, self._cursor
-        width = 2 * self._leaves
-        canon2 = self._canon[r_min]
-        for n1 in self._canon[l_min if l_min > 0 else 0]:
-            if cnt1[n1] == 0:
+        for c1 in cover1:
+            if cnt1[c1] == 0:
                 continue
-            inspected += len(canon2)
-            base = n1 * width
-            for n2 in canon2:
-                key = base + n2
-                lst = lists.get(key)
+            inspected += per_first
+            seqs, heads = lists[c1], cursor[c1]
+            for c2 in cover2:
+                lst = seqs[c2]
                 if lst is None:
                     continue
-                i = cursor.get(key, 0)
+                i = heads[c2]
                 end = len(lst)
                 if i < end and not live[lst[i]]:
                     i += 1
                     while i < end and not live[lst[i]]:
                         i += 1
-                    cursor[key] = i
+                    heads[c2] = i
                 if i < end:
                     r = lst[i]
                     if best is None or rank[r] < best_rank:
@@ -648,11 +696,12 @@ class RangeTreeBackend(_BackendBase):
         return best
 
     def delete(self, rows):
-        super().delete(rows)
+        self.counters.backend_deletes += len(rows)
+        self.live_count -= len(rows)
         cnt, paths, al = self._cnt1, self._paths, self.al
         for row in rows:
-            for n1 in paths[al[row]]:
-                cnt[n1] -= 1
+            for c1 in paths[al[row]]:
+                cnt[c1] -= 1
 
 
 _BACKENDS = {

@@ -210,15 +210,45 @@ class TestBucketListDecrement:
             b.decrement([1])
 
 
+def stored_lists(b):
+    """The range tree's node sequences, in slot pair order."""
+    return [lst for seqs in b._lists if seqs is not None for lst in seqs if lst is not None]
+
+
 class TestRangeTreeBulkBuild:
-    @pytest.mark.parametrize("n_intlv", [1, 8, 11, 16])
+    def test_slots_and_pair_tables_are_the_images_of_the_covers(self):
+        # slots number the canonical nodes densely in node order; the bulk
+        # build's pair sums below C^2 are paths[a] x paths[r], in order, as
+        # slot pair keys
+        for n_intlv in range(1, 41):
+            shape = _tree_shape(n_intlv)
+            slot = shape.slot
+            width = len(slot)
+            assert list(slot) == sorted(set().union(*shape.canon))
+            assert list(slot.values()) == list(range(width))
+            if n_intlv & (n_intlv - 1) == 0:
+                assert width == n_intlv + 1
+            assert shape.canon_slots == tuple(tuple(map(slot.get, c)) for c in shape.canon)
+            assert shape.path_slots == tuple(tuple(map(slot.get, p)) for p in shape.paths)
+            assert np.iinfo(shape.pair_hi.dtype).max >= 2 * width * width
+            for a in range(n_intlv + 1):
+                for r in range(n_intlv + 1):
+                    sums = (shape.pair_hi[a][:, None].astype(int)
+                            + shape.pair_lo[r][None, :]).reshape(-1).tolist()
+                    assert [k for k in sums if k < width * width] == [
+                        slot[n1] * width + slot[n2]
+                        for n1 in shape.paths[a] for n2 in shape.paths[r]], (n_intlv, a, r)
+        assert [len(_tree_shape(n).slot) for n in (8, 11, 39)] == [9, 13, 42]
+
+    @pytest.mark.parametrize("n_intlv", [1, 5, 8, 9, 11, 16, 17])
     def test_node_lists_match_incremental_build(self, n_intlv):
         # the oracle builds every node pair on the leaf paths; the backend
         # keeps the pairs whose two nodes are canonical, the only ones a
-        # threshold query reads, and counts first-level rows only there
+        # threshold query reads, at their slots, and counts first-level
+        # rows only there
         shape = _tree_shape(n_intlv)
-        canonical = set().union(*shape.canon)
-        width = 2 * shape.leaves
+        slot = shape.slot
+        width = len(slot)
         rng = random.Random(n_intlv)
         for n in (0, 1, 2, 5, 31, 32, 33, 90, 400):
             # rows above 256, so no row is a cached small int
@@ -231,25 +261,30 @@ class TestRangeTreeBulkBuild:
             store = task_store(entries, n_intlv)
             b = build_backend("rangetree", store, 0, store.order[0])
             lists, cnt1 = incremental_node_lists(entries, n_intlv)
-            assert b._lists == {key: lst for key, lst in lists.items()
-                                if {key // width, key % width} <= canonical}, (n_intlv, n)
-            for key in lists.keys() - b._lists.keys():
-                assert not {key // width, key % width} <= canonical, key
-            assert b._cnt1 == [cnt1[v] if v in canonical else 0 for v in range(width)]
-            assert b.counters.node_entries == sum(map(len, b._lists.values()))
+            want = [None] * width
+            for key, lst in lists.items():
+                n1, n2 = divmod(key, 2 * shape.leaves)
+                if n1 in slot and n2 in slot:
+                    want[slot[n1]] = want[slot[n1]] or [None] * width
+                    want[slot[n1]][slot[n2]] = lst
+            assert b._lists == want, (n_intlv, n)
+            assert b._cursor == [None if seqs is None else [0] * width for seqs in want]
+            assert b._cnt1 == [cnt1[v] for v in slot]
+            held = stored_lists(b)
+            assert b.counters.node_entries == sum(map(len, held))
             assert b._order is store.order[0]
             assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
             # node sequences hold the store's row objects, not copies
-            assert all(t is store.rows[t] for lst in b._lists.values() for t in lst)
+            assert all(t is store.rows[t] for lst in held for t in lst)
 
-    @pytest.mark.parametrize("n_intlv", range(1, 17))
+    @pytest.mark.parametrize("n_intlv", range(1, 18))
     def test_query_lists_cover_each_live_match_once(self, n_intlv):
         # the lists best_in(l, r) reads (canon[l] x canon[r], under
         # first-level nodes with a nonzero live count) hold every live row
         # with A_l >= l and A_r >= r exactly once and no other live row
         rng = random.Random(100 + n_intlv)
         shape = _tree_shape(n_intlv)
-        width = 2 * shape.leaves
+        slot = shape.slot
         for n in (20, 60):  # the small build, then the bulk build
             entries = random_entries(rng, n, n_intlv)
             b = backend_over("rangetree", n_intlv, entries)
@@ -260,9 +295,9 @@ class TestRangeTreeBulkBuild:
                 for r in range(n_intlv + 1):
                     read = Counter(
                         row
-                        for n1 in shape.canon[l] if b._cnt1[n1]
+                        for n1 in shape.canon[l] if b._cnt1[slot[n1]]
                         for n2 in shape.canon[r]
-                        for row in b._lists.get(n1 * width + n2, ())
+                        for row in b._lists[slot[n1]][slot[n2]] or ()
                         if b.store.live[row])
                     assert read == Counter(tid for tid in live
                                            if b.al[tid] >= l and b.ar[tid] >= r), (l, r)
@@ -314,6 +349,17 @@ class TestBackendExamples:
         assert b.best_in(0, 1) == 2
         assert b.best_in(0, 3) == 2
         assert b.best_in(4, 1) is None
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_thresholds_outside_the_key_universe(self, kind):
+        # below it every row qualifies; above n_intlv none does
+        b = backend_over(kind, 4, [(0, 0, 1, 3.0), (1, 1, 4, 2.0), (2, 2, 2, 1.0)])
+        assert b.has_left(-1)
+        assert b.best_in(0, -1) == 0
+        assert b.best_in(-3, 0) == 0
+        assert not b.has_left(5)
+        assert b.best_in(5, 1) is None
+        assert b.best_in(0, 5) is None
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_delete_then_next_best(self, kind):
@@ -391,8 +437,9 @@ class TestSharedStore:
                         for row in held:
                             b.delete((row,))
                     memberships += len(held)
-            a = data.draw(st.integers(0, n_intlv))
-            r = data.draw(st.integers(1, n_intlv))
+            # thresholds outside [0, n_intlv] and [1, n_intlv] too
+            a = data.draw(st.integers(-2, n_intlv + 2))
+            r = data.draw(st.integers(-2, n_intlv + 2))
             for b, own in zip(backends, entries):
                 best = b.best_in(a, r)
                 assert (None if best is None else ids[best]) == \
@@ -502,7 +549,7 @@ class TestStructuralBounds:
         if kind == "pairwise":
             written = b.total_entries()
         elif kind == "rangetree":
-            written = sum(map(len, b._lists.values()))
+            written = sum(map(len, stored_lists(b)))
         else:
             written = 0
         assert counters.node_entries == written
@@ -524,12 +571,12 @@ class TestStructuralBounds:
 
     def test_rangetree_membership_and_depth_bounds(self):
         rng = random.Random(15)
-        for n_intlv in (2, 3, 4, 8, 16):
+        for n_intlv in (2, 3, 4, 5, 8, 9, 16, 17):
             entries = random_entries(rng, 40, n_intlv)
             b = backend_over("rangetree", n_intlv, entries)
             cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2 if n_intlv > 1 else 4
             assert b.max_lists_per_task() <= cap
-            depth = b._leaves.bit_length() - 1
+            depth = _tree_shape(n_intlv).leaves.bit_length() - 1
             assert depth <= math.ceil(math.log2(n_intlv)) + 1
 
     def test_rangetree_query_inspection_cap(self):
