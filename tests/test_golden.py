@@ -261,7 +261,8 @@ def test_operation_counts_pinned(key):
 # (SAP, SLA, SRA; R in subarray mode) was still ranked once over the whole
 # table and each backend still sorted the rows it was given: they pin the
 # element backends' bulk builds and the per-disk builds under the rules no
-# benchmark workload runs.
+# benchmark workload runs.  GD+SD, RGD+SD and WGD+R were recorded while the
+# ordered disk rules still kept their disks in a sorted list.
 SCALE_EDBF_DIGESTS = {
     ('G', 'SAR'): "7802db6b30fd4e6bbd7cfb470903b3e64e555e8f5e749fc304c7a9909701dbbb",
     ('G', 'R'): "6caa632a28c883dc0214ecb97b0eaa9f13462181c56cbbd767c8353f7264465f",
@@ -280,6 +281,9 @@ SCALE_SDBF_RULE_DIGESTS = {
     ('GD', 'R', 'SAP'): "d4a8616aa6dfa25216722225c69e596be1fc6f04a7fd19b4f4c2a64cc188f761",
     ('GD', 'R', 'R'): "74aa5ade0a7e0e4e0699c0273f4160eef19bae17f7aa889b83d674ee4ab394fc",
     ('WGD', 'SD', 'SAR'): "0f5f0d8e151df4e25c8accf4f5b44c6981a6e6243edc9198cfdfdae5924303de",
+    ('GD', 'SD', 'SAR'): "8290fd98981e1b337c8f56887a8a201494a0e5319299f4e863f6fd685f568ab9",
+    ('RGD', 'SD', 'SAR'): "2f18b18876b357d2a469e87d8f7518984f39ae5d02474df4a1692c3f27d69f2a",
+    ('WGD', 'R', 'SAR'): "5bf376647675cc07d851f92ad1dbd66b22f1d888472784d498b6bada0e75b2ce",
 }
 
 

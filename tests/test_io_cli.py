@@ -628,6 +628,8 @@ DUMPS = {
                    "f34a16bda5959f037e2295aada31bf95cd84563c2b634f6ab3824b74fa3c1fdb"),
     "sdbf RGD SD": ((6, 4, 1), ["--mode", "sdbf", "--disk-rule", "RGD", "--sub-rule", "SD"],
                     "f34a16bda5959f037e2295aada31bf95cd84563c2b634f6ab3824b74fa3c1fdb"),
+    "sdbf WGD SD": ((6, 4, 1), ["--mode", "sdbf", "--disk-rule", "WGD", "--sub-rule", "SD"],
+                    "cee89c3b21735586b9d2c287c843d1533b6bce65ae6066e9a983896726948213"),
     "sdbf empty catalog": ((0, 1, 0), ["--mode", "sdbf", "--sub-rule", "SD"],
                            "bucket list\n  value 0: keys []\ncatalog: 0 disks, first 20:\n"),
 }
@@ -889,7 +891,7 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(DUMPS))
     def test_dump_structures_bytes(self, case, tmp_path, capsys):
         # GD/RGD with SD print their disk counts as a bucket list, grouped
-        # by live count; a PRF without a schedulable task and an empty
+        # by live count, and WGD its 20 heaviest live disks; a PRF without a schedulable task and an empty
         # catalog print a zero bucket
         (n, seed, clusters), options, expected = DUMPS[case]
         cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
@@ -902,8 +904,13 @@ class TestCli:
                      "--out", str(tmp_path / "s.txt")]) == 0
         err = capsys.readouterr().err
         if len(expected) == 64:
-            assert err.startswith("bucket list\n  value 1: keys [0, 1, 2, 3, 4, 6, ")
-            assert "\n  value 2: keys [5, 9, 10, 14, 15, 18]\ncatalog: 173 disks" in err
+            if "WGD" in options:
+                assert err.startswith("weighted disk order (top of list selected)\n"
+                                      "  disk ")
+            else:
+                assert err.startswith("bucket list\n  value 1: keys [0, 1, 2, 3, 4, 6, ")
+                assert "\n  value 2: keys [5, 9, 10, 14, 15, 18]\n" in err
+            assert "\ncatalog: 173 disks" in err
             assert hashlib.sha256(err.encode()).hexdigest() == expected
         else:
             assert err == expected

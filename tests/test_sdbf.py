@@ -217,6 +217,16 @@ class TestDiskSelector:
         sel = self.selector(apart(4, 4, 2), [0.005, 0.004, 0.003], "RGD", "SD")
         assert sel.select(random.Random(0)) == 2
 
+    @pytest.mark.parametrize("sub", SUB_RULES)
+    def test_reverse_greedy_follows_a_shrinking_disk(self, sub):
+        # an RGD primary rises as its disk loses members: disk 0 (3 members)
+        # drops below disk 1 (2 members) and must be selected next
+        sel = self.selector(apart(3, 2), [0.005, 0.004], "RGD", sub)
+        assert sel.select(random.Random(0)) == 1
+        sel.consume([0])
+        sel.consume([0])
+        assert sel.select(random.Random(0)) == 0
+
     def test_weighted_rule_orders_by_reciprocal_sums(self):
         # two scarce tasks (weight 2.0) beat four tasks shared by four
         # disks each (weight 1.0), which the greedy count prefers
@@ -342,10 +352,16 @@ class TestDiskSelectorReference:
                        "WGD": lambda d: weight[d]}[main]
             top = max(map(primary, live), default=None)
             tied = [d for d in live if primary(d) == top]
-            got = sel.select(random.Random(step))
+            seed = -1 if step is None else step   # Random(None) is unseeded
+            got = sel.select(random.Random(seed))
             if not tied:
                 assert got is None
             elif sub == "SD":
                 assert got == min(tied, key=lambda d: (dwell[d], d))
+            elif main == "WGD":
+                # the ordered rule draws from its ties in (dwell, id) order
+                ordered = sorted(tied, key=lambda d: (dwell[d], d))
+                assert got == ordered[random.Random(seed).randrange(len(tied))]
             else:
+                # the bucket list draws in bucket order
                 assert got in tied
