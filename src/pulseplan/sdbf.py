@@ -8,18 +8,19 @@ run's task store still holds live, sorted by the store's priority rank at
 the disk's PRF; the loop packs them with the backward procedure, and the
 source then removes each scheduled task from every disk that encloses it,
 in one ``DiskSelector.consume`` call per task.  The selector is the one
-place that computes a disk rule, the WGD weights included.  Duplicate and
-subset disks stay in play; consuming tasks empties them out naturally.  Every structure here indexes tasks by table row; task
-ids are looked up only for ``dump_structures``.
+place that computes a disk rule, the WGD weights included, on the bucket
+list or on a heap refreshed at its top.  Duplicate and subset disks stay
+in play; consuming tasks empties them out.  Every structure here indexes
+tasks by table row; task ids are looked up only for ``dump_structures``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from .errors import InternalInvariantError
 from .edbf import TASK_RULES, derive_rngs, run_looks, task_store
@@ -60,17 +61,14 @@ class DiskSelector:
     indexed by them, read from the catalog's columns.
 
     GD and RGD with the random sub-rule ride on the integer bucket list
-    (constant-time selection).  The dwell sub-index and the weighted rule
-    need an ordered structure: one SortedList of (primary, dwell, disk id)
-    entries, whose primary is the weight (WGD), the live member count (GD)
-    or minus it (RGD), so the selection takes the largest primary, then the
-    smallest dwell and id, at a logarithm of the live disk count.  A WGD
-    weight is built here from the catalog it is given: each task's share
-    1/|available disks of task|, summed left to right over the disk's tasks.
-    A consumed task takes its share off each of its disks; an entry leaves
-    when its member count reaches 0, never by float weight.  Only what the
-    rules read is built: dwell times, member counts and primaries for the
-    ordered list (the bucket list holds the other greedy counts).
+    (constant-time selection); the other rules keep one heap of (-primary,
+    dwell, disk id), the primary being the weight (WGD), the member count
+    (GD) or minus it (RGD), refreshed at its top only (Minoux's lazy greedy):
+    a GD or WGD primary only falls, so its entry is re-keyed once on top; a
+    rising RGD primary pushes a new entry; old and empty-disk entries leave
+    at the top.  A WGD weight sums each task's share 1/|available disks of
+    task| over the disk's tasks, left to right; a consumed task takes its
+    share off each of its disks.  Only what the rules read is built.
     """
 
     def __init__(self, main_rule, sub_rule, catalog: DiskCatalog,
@@ -79,7 +77,7 @@ class DiskSelector:
         self.sub_rule = sub_rule
         self.counters = counters
         self.dwell = self.count = self.primary = None
-        self.buckets = self.ordered = None
+        self.buckets = self.heap = None
         offsets = catalog.offsets
         if sub_rule == "R" and main_rule != "WGD":
             self.buckets = BucketList(np.diff(offsets), counters=counters)
@@ -99,8 +97,21 @@ class DiskSelector:
         # what one consumed member takes off the primary; WGD takes the
         # task's share instead
         self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
-        self.ordered = SortedList(
-            (self.primary[d], self.dwell[d], d) for d, c in enumerate(counts) if c)
+        self.heap = [(-self.primary[d], self.dwell[d], d) for d, c in enumerate(counts) if c]
+        heapify(self.heap)
+
+    def _top(self):
+        """The top entry, once its key is current; None when no disk is live."""
+        heap, count, primary = self.heap, self.count, self.primary
+        while heap:
+            key, dwell, d = heap[0]
+            if not count[d] or key > -primary[d]:   # empty disk, older RGD entry
+                heappop(heap)
+            elif key < -primary[d]:                 # a GD or WGD upper bound
+                heapreplace(heap, (-primary[d], dwell, d))
+            else:
+                return heap[0]
+        return None
 
     def select(self, rng: random.Random):
         """One selection, counted once in ``selector_ops`` (by the bucket
@@ -109,13 +120,15 @@ class DiskSelector:
             extreme = "max" if self.main_rule == "GD" else "min"
             return self.buckets.select(extreme, tie="random", rng=rng)
         self.counters.selector_ops += 1
-        if not self.ordered:
-            return None
-        top = self.ordered[-1][0]
-        lo = self.ordered.bisect_left((top,))
-        if self.sub_rule == "SD":
-            return self.ordered[lo][2]
-        return self.ordered[rng.randrange(lo, len(self.ordered))][2]
+        top = self._top()
+        if top is None or self.sub_rule == "SD":
+            return None if top is None else top[2]
+        ties = [heappop(self.heap)]     # WGD+R: ties leave in (dwell, id) order
+        while (top := self._top()) is not None and top[0] == ties[0][0]:
+            ties.append(heappop(self.heap))
+        for entry in ties:
+            heappush(self.heap, entry)
+        return ties[rng.randrange(len(ties))][2]
 
     def consume(self, disks) -> None:
         """A placed task leaves each disk of ``disks``, its available-disk
@@ -126,16 +139,16 @@ class DiskSelector:
             return
         self.counters.bucket_ops += len(disks)
         drop = 1.0 / len(disks) if self._drop is None else self._drop
-        count, primary, dwell, ordered = self.count, self.primary, self.dwell, self.ordered
+        count, primary = self.count, self.primary
         for d in disks:
             c = count[d]
             if c == 0:
                 raise InternalInvariantError("disk member count went negative")
             count[d] = c - 1
-            ordered.remove((primary[d], dwell[d], d))
             if c > 1:
                 primary[d] -= drop
-                ordered.add((primary[d], dwell[d], d))
+                if drop < 0:        # an RGD key moves toward the top
+                    heappush(self.heap, (-primary[d], self.dwell[d], d))
 
     def dump(self) -> str:
         """Indented snapshot of the selection state (debug aid)."""
@@ -145,7 +158,8 @@ class DiskSelector:
             # GD/RGD with SD: the live counts, grouped as a bucket list
             return BucketList(self.count).dump()
         parts = ["weighted disk order (top of list selected)"]
-        for w, dwell, d in self.ordered[-DUMP_DISKS:]:
+        for w, dwell, d in sorted((self.primary[d], self.dwell[d], d)
+                                  for d, c in enumerate(self.count) if c)[-DUMP_DISKS:]:
             parts.append(f"  disk {d}: weight={w:.4f} dwell={dwell:.6f}")
         return "\n".join(parts)
 

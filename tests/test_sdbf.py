@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pulseplan
 from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
@@ -82,6 +88,31 @@ class TestHisd:
             sched = hisd(catalog, DiskHeuristicConfig(
                 disk_rule=disk_rule, sub_rule=sub_rule, task_rule=task_rule, seed=1))
             assert check_feasible(sched, inst) == [], (disk_rule, sub_rule, task_rule)
+
+    def test_runs_without_sortedcontainers(self):
+        # no third-party structure behind any disk rule: with the module
+        # blocked, the package imports and every rule pair schedules
+        script = textwrap.dedent('''
+            import itertools, sys
+            sys.modules["sortedcontainers"] = None
+            from pulseplan import (DiskHeuristicConfig, GridSpec, build_availability_table,
+                                   build_instance, check_feasible, enumerate_disks,
+                                   gen_scenario, hisd)
+            from pulseplan.scenario import ScenarioSpec
+            cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=0, cluster_count=3))
+            catalog = enumerate_disks(build_availability_table(tasks, prfs, cfg), GridSpec())
+            inst = build_instance(catalog)
+            for rules in itertools.product(("GD", "RGD", "WGD"), ("R", "SD")):
+                sched = hisd(catalog, DiskHeuristicConfig(*rules))
+                assert sched.assignments and check_feasible(sched, inst) == [], rules
+            print("scheduled")
+        ''')
+        path = [str(Path(pulseplan.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "scheduled\n"
 
     def test_scheduled_tasks_lie_inside_their_look_disk(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=35, seed=1, cluster_count=2), cfg, prfs)
