@@ -101,7 +101,7 @@ class DiskSelector:
         heapify(self.heap)
 
     def _top(self):
-        """The top entry, once its key is current; None when no disk is live."""
+        """The top entry's disk, once the entry is current; None if none is live."""
         heap, count, primary = self.heap, self.count, self.primary
         while heap:
             key, dwell, d = heap[0]
@@ -110,7 +110,7 @@ class DiskSelector:
             elif key < -primary[d]:                 # a GD or WGD upper bound
                 heapreplace(heap, (-primary[d], dwell, d))
             else:
-                return heap[0]
+                return d
         return None
 
     def select(self, rng: random.Random):
@@ -120,11 +120,11 @@ class DiskSelector:
             extreme = "max" if self.main_rule == "GD" else "min"
             return self.buckets.select(extreme, tie="random", rng=rng)
         self.counters.selector_ops += 1
-        top = self._top()
-        if top is None or self.sub_rule == "SD":
-            return None if top is None else top[2]
+        d = self._top()
+        if d is None or self.sub_rule == "SD":
+            return d
         ties = [heappop(self.heap)]     # WGD+R: ties leave in (dwell, id) order
-        while (top := self._top()) is not None and top[0] == ties[0][0]:
+        while self._top() is not None and self.heap[0][0] == ties[0][0]:
             ties.append(heappop(self.heap))
         for entry in ties:
             heappush(self.heap, entry)

@@ -891,8 +891,8 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(DUMPS))
     def test_dump_structures_bytes(self, case, tmp_path, capsys):
         # GD/RGD with SD print their disk counts as a bucket list, grouped
-        # by live count, and WGD its 20 heaviest live disks; a PRF without a schedulable task and an empty
-        # catalog print a zero bucket
+        # by live count, and WGD its 20 heaviest live disks; a PRF without a
+        # schedulable task and an empty catalog print a zero bucket
         (n, seed, clusters), options, expected = DUMPS[case]
         cfg = RadarConfig(n_intlv=4, pulses_per_look=64)
         cfg, prfs, tasks = gen_scenario(
