@@ -12,12 +12,15 @@ one place that orders a PRF's task set K_p; every backend takes its rows in
 that order.  ``Episode`` kills a placed row in the store and deletes it
 from the look's backend; the source then consumes the look's placed rows in
 one call, which deletes each once from every other backend that holds it
-and updates the base selector.  ``EdbfRun`` is the element-level source
-(PRF cardinality rules over a bucket list, one backend per PRF built up
-front over the store's ``order[p]`` list itself, whose length is the PRF's
-bucket count); ``sdbf.SdbfRun`` is the subarray-level source (re-steering
-disks, one backend per selected disk built on demand from the disk's live
-rows, sorted by the store's rank).
+and updates the base selector.  What a delete does is the backend's own:
+the pairwise lists unlink the row, while a range tree, whose queries skip
+rows the store marks dead, only lowers its live count.  Every backend
+keeps that count exact, since the pass reads it.  ``EdbfRun`` is the
+element-level source (PRF cardinality rules over a bucket list, one
+backend per PRF built up front over the store's ``order[p]`` list itself,
+whose length is the PRF's bucket count); ``sdbf.SdbfRun`` is the
+subarray-level source (re-steering disks, one backend per selected disk
+built on demand from the disk's live rows, sorted by the store's rank).
 
 Packing scans the look's slots from the rightmost leftward.  When no task
 fits the current slot the partial schedule is shifted left to free room at
@@ -28,9 +31,9 @@ per look, which an instrumented counter enforces.  It asks no backend query
 whose answer it already holds (see ``Episode``): an empty backend is asked
 nothing, ``has_left(0)`` is read as the live count, and a one-step shift
 with nothing to move lowers the tail without repeating its failed query.
-The store only changes by the pass's own deletes, so each skipped call
-would have returned the answer the pass uses, and the placements are the
-same.
+During a pass the store only changes by the pass's own kills and deletes,
+so each skipped call would have returned the answer the pass uses, and
+the placements are the same.
 """
 
 from __future__ import annotations

@@ -66,7 +66,10 @@ class DiskSelector:
     (GD) or minus it (RGD), refreshed at its top only (Minoux's lazy greedy):
     a GD or WGD primary only falls, so its entry is re-keyed once on top; a
     rising RGD primary pushes a new entry; old and empty-disk entries leave
-    at the top.  A WGD weight sums each task's share 1/|available disks of
+    at the top, and once the heap holds more than twice as many entries as
+    there are live disks, it is rebuilt from each live disk's one entry
+    that is not an older RGD entry.  Keys are unique, so a rebuild changes
+    no selection.  A WGD weight sums each task's share 1/|available disks of
     task| over the disk's tasks, left to right; a consumed task takes its
     share off each of its disks.  Only what the rules read is built.
     """
@@ -99,6 +102,7 @@ class DiskSelector:
         self._drop = {"GD": 1, "RGD": -1}.get(main_rule)
         self.heap = [(-self.primary[d], self.dwell[d], d) for d, c in enumerate(counts) if c]
         heapify(self.heap)
+        self._live = len(self.heap)
 
     def _top(self):
         """The top entry's disk, once the entry is current; None if none is live."""
@@ -149,6 +153,13 @@ class DiskSelector:
                 primary[d] -= drop
                 if drop < 0:        # an RGD key moves toward the top
                     heappush(self.heap, (-primary[d], self.dwell[d], d))
+            else:
+                self._live -= 1
+        if len(self.heap) > 2 * self._live:
+            # keep each live disk's one entry: the current RGD key, or the
+            # GD or WGD key, which may be an upper bound
+            self.heap = [e for e in self.heap if count[e[2]] and e[0] <= -primary[e[2]]]
+            heapify(self.heap)
 
     def dump(self) -> str:
         """Indented snapshot of the selection state (debug aid)."""

@@ -32,7 +32,6 @@ count per key.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -427,7 +426,9 @@ class _BackendBase:
         return any(live[r] and al[r] >= l_min for r in self._order)
 
     def delete(self, rows):
-        """Drop rows the store has killed from this index, in turn."""
+        """Drop rows the store has killed: lower the live count, which is
+        all the brute and range-tree kinds need, since their queries skip
+        dead rows."""
         self.counters.backend_deletes += len(rows)
         self.live_count -= len(rows)
 
@@ -538,34 +539,40 @@ class RangeTreeBackend(_BackendBase):
     """Two-level static range tree over the clamped (A_l, A_r) key box.
 
     Both levels are power-of-two segment trees over the fixed key universe
-    {0..n_intlv}; nodes never rebalance and emptiness is tracked by live
-    counts on the first level.  Node row sequences are priority-sorted at
-    build time; deletion decrements the first-level counts, and heads skip
-    rows the store marks dead lazily, which keeps the per-operation cost
-    within the advertised O(log^2 n_intlv) amortized bound.
+    {0..n_intlv}; nodes never rebalance and the tree keeps no per-node
+    count.  Node row sequences are priority-sorted at build time, and a
+    query's heads skip rows the store marks dead lazily.  ``delete`` is
+    O(1) per row: it counts the call and lowers ``live_count``, which stays
+    exact, since the look loop reads it.  A row killed in the store is
+    skipped the next time some cursor reaches it, whether or not this
+    tree's ``delete`` has seen it yet.
 
     Every query is one-sided (A_l >= a and A_r >= b), so it reads only
     nodes of the suffix covers ``canon[k]``: the canonical nodes.  A row is
-    stored, and counted, only at the canonical nodes of its leaf paths.
-    ``canon[k]`` is a disjoint cover of keys [k, leaves-1], so each row a
-    query may return lies in exactly one node of each level's cover, and
-    that node is on the row's own path: it sits in exactly one list the
-    query reads.
+    stored only at the canonical nodes of its leaf paths.  ``canon[k]`` is
+    a disjoint cover of keys [k, leaves-1], so each row a query may return
+    lies in exactly one node of each level's cover, and that node is on the
+    row's own path: it sits in exactly one list the query reads.
 
     The C canonical nodes are numbered densely by ``_tree_shape``'s
     ``slot`` (C is n_intlv + 1 when n_intlv is a power of two), and every
-    per-node structure is a list indexed by slot: ``_cnt1`` holds the C
-    first-level live counts, ``_lists[c1][c2]`` the row sequence of the
-    node pair (c1, c2) and ``_cursor[c1][c2]`` the index of its first row
-    not yet known dead, 0 at build.  ``_lists[c1]`` and ``_cursor[c1]`` are
-    ``None`` where the build stored no row under the first-level slot c1,
-    so a tree's lists take O(C) space per first-level node it uses, and
-    ``_lists[c1][c2]`` is ``None`` where it stored no row at the pair.  A
-    query walks the O(log n_intlv) first-level slots of its threshold box's
-    cover, and under each with a nonzero live count the O(log n_intlv)
-    second-level ones, each node pair one list index.  A threshold below 0
-    is clamped to 0 (every row has A_l >= 0 and A_r >= 1, so the box holds
-    the same rows), and one above n_intlv finds nothing.
+    per-node structure is a list indexed by slot: ``_lists[c1][c2]`` is the
+    row sequence of the node pair (c1, c2) and ``_cursor[c1][c2]`` the
+    index of its first row not yet known dead, 0 at build.  ``_lists[c1]``
+    and ``_cursor[c1]`` are ``None`` where the build stored no row under
+    the first-level slot c1, so a tree's lists take O(C) space per
+    first-level node it uses, and ``_lists[c1][c2]`` is ``None`` where it
+    stored no row at the pair.  ``best_in`` walks the O(log n_intlv)
+    first-level slots of its threshold box's cover, and under each that
+    holds lists the O(log n_intlv) second-level ones, each node pair one
+    list index; ``has_left(l)`` is the same walk over cover(l) x cover(1),
+    as every row has A_r >= 1.  A query inspects at most |cover|^2 <=
+    depth^2 node pairs (``_visit_cap``), and each node entry is skipped at
+    most once by its cursor over a run, so the skipping a run's queries do
+    is bounded by ``node_entries`` in all: O(log^2 n_intlv) amortized per
+    stored row.  A threshold below 0 is clamped to 0 (every row has
+    A_l >= 0 and A_r >= 1, so the box holds the same rows), and one above
+    n_intlv finds nothing.
 
     The build writes the canonical node entries, about 28% of q * depth^2
     at n_intlv 8 (depth = log2 of the leaf count), at once: the rows come
@@ -592,7 +599,6 @@ class RangeTreeBackend(_BackendBase):
         self._lists = lists = [None] * width
         al, ar = self.al, self.ar
         if len(self._order) < _BULK_MIN_TASKS:
-            sizes = Counter(map(al.__getitem__, self._order)).items()
             for r in self._order:
                 path2 = paths[ar[r]]
                 for c1 in paths[al[r]]:
@@ -613,10 +619,9 @@ class RangeTreeBackend(_BackendBase):
             # keys.
             store, p = self.store, self.p
             idx = np.fromiter(self._order, dtype=np.intp, count=len(self._order))
-            a_col = store.al_table[idx, p]
-            sizes = enumerate(np.bincount(a_col).tolist())
             hi, lo = shape.pair_hi, shape.pair_lo
-            pair = (hi[a_col][:, :, None] + lo[store.ar_table[idx, p]][:, None, :]).reshape(-1)
+            pair = (hi[store.al_table[idx, p]][:, :, None]
+                    + lo[store.ar_table[idx, p]][:, None, :]).reshape(-1)
             keep = np.flatnonzero(pair < width * width)
             pair = pair[keep]
             by_pair = np.argsort(pair, kind="stable")
@@ -631,11 +636,6 @@ class RangeTreeBackend(_BackendBase):
                     seqs = lists[c1] = [None] * width
                 seqs[c2] = rows[s:e]
         self._cursor = [None if seqs is None else [0] * width for seqs in lists]
-        # first-level live counts: each key's rows, at its canonical nodes
-        self._cnt1 = cnt1 = [0] * width
-        for a, size in sizes:
-            for c1 in paths[a]:
-                cnt1[c1] += size
         self.counters.node_entries += sum(
             len(lst) for seqs in lists if seqs is not None for lst in seqs if lst is not None)
 
@@ -647,12 +647,8 @@ class RangeTreeBackend(_BackendBase):
         )
 
     def has_left(self, l_min):
-        self.counters.backend_queries += 1
-        try:
-            cover = self._canon[l_min if l_min > 0 else 0]
-        except IndexError:
-            return False
-        return any(map(self._cnt1.__getitem__, cover))
+        # every row has A_r >= 1; best_in counts the one query
+        return self.best_in(l_min, 1) is not None
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
@@ -666,13 +662,14 @@ class RangeTreeBackend(_BackendBase):
         best_rank = 0
         inspected = 0
         per_first = len(cover2)
-        rank, cnt1, live = self.rank, self._cnt1, self.store.live
+        rank, live = self.rank, self.store.live
         lists, cursor = self._lists, self._cursor
         for c1 in cover1:
-            if cnt1[c1] == 0:
+            seqs = lists[c1]
+            if seqs is None:
                 continue
             inspected += per_first
-            seqs, heads = lists[c1], cursor[c1]
+            heads = cursor[c1]
             for c2 in cover2:
                 lst = seqs[c2]
                 if lst is None:
@@ -694,14 +691,6 @@ class RangeTreeBackend(_BackendBase):
                 f"range tree query inspected {inspected} node lists (cap {self._visit_cap})"
             )
         return best
-
-    def delete(self, rows):
-        self.counters.backend_deletes += len(rows)
-        self.live_count -= len(rows)
-        cnt, paths, al = self._cnt1, self._paths, self.al
-        for row in rows:
-            for c1 in paths[al[row]]:
-                cnt[c1] -= 1
 
 
 _BACKENDS = {

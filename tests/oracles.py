@@ -61,6 +61,26 @@ def kill(backends, row):
         b.delete((row,))
 
 
+def live_heads(tree):
+    """A range tree's cursors as its queries read them: per node pair, the
+    index of the first live row at or after the cursor (``None`` where the
+    build stored no list).  Two trees over one store with equal heads
+    answer every query alike, however far each cursor has skipped."""
+    live = tree.store.live
+    heads = []
+    for seqs, cursor in zip(tree._lists, tree._cursor):
+        if seqs is None:
+            heads.append(None)
+            continue
+        row = []
+        for lst, i in zip(seqs, cursor):
+            while lst is not None and i < len(lst) and not live[lst[i]]:
+                i += 1
+            row.append(None if lst is None else i)
+        heads.append(row)
+    return heads
+
+
 def linear_best(entries, dead, l_min, r_min):
     """Max-priority live entry with al >= l_min and ar >= r_min.
 
@@ -380,22 +400,20 @@ class StepwiseBucketList:
 
 
 def incremental_node_lists(entries, n_intlv):
-    """Full range-tree node sequences and first-level counts: one append
-    per (task, node pair on its two leaf paths) in priority order, every
-    node of the paths included.  A node pair (n1, n2) is keyed by the int
-    n1 * 2 * leaves + n2."""
+    """Full range-tree node sequences: one append per (task, node pair on
+    its two leaf paths) in priority order, every node of the paths
+    included.  A node pair (n1, n2) is keyed by the int n1 * 2 * leaves +
+    n2."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
     paths = [_leaf_path(k, leaves) for k in range(n_intlv + 1)]
     lists = {}
-    cnt1 = [0] * (2 * leaves)
     for tid, a, b, _ in sorted(entries, key=lambda e: (-e[3], e[0])):
         for n1 in paths[a]:
-            cnt1[n1] += 1
             for n2 in paths[b]:
                 lists.setdefault(n1 * 2 * leaves + n2, []).append(tid)
-    return lists, cnt1
+    return lists
 
 
 def rowwise_gen_scenario(spec, cfg=None, prfs=None):

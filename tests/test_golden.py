@@ -223,11 +223,11 @@ _EDBF_OPS = dict(backend_queries=3410, backend_deletes=5934, bucket_ops=5934,
                  bi_max_iterations=9, fallback_scans=0)
 PINNED_OPS = {
     ("edbf", "G", "SAR", "rangetree"): dict(
-        _EDBF_OPS, list_inspections=11429, pairwise_touches=0, node_entries=26153),
+        _EDBF_OPS, list_inspections=11862, pairwise_touches=0, node_entries=26153),
     ("edbf", "G", "SAR", "pairwise"): dict(
         _EDBF_OPS, list_inspections=0, pairwise_touches=35852, node_entries=35852),
     ("sdbf", "GD", "R", "rangetree"): dict(
-        backend_queries=1591, backend_deletes=600, list_inspections=4517,
+        backend_queries=1591, backend_deletes=600, list_inspections=5108,
         pairwise_touches=0, fallback_scans=0, bucket_ops=38340,
         selector_ops=193, bi_iterations=1528, bi_calls=193, bi_max_iterations=10,
         node_entries=6140),

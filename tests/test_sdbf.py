@@ -379,6 +379,9 @@ class TestDiskSelectorReference:
                 removed += len(task_disks[t])
             assert counters.bucket_ops == removed
             live = [d for d in range(n) if left[d]]
+            if sel.heap is not None:
+                # rebuilt from the live disks once it outgrows twice them
+                assert len(sel.heap) <= 2 * len(live)
             primary = {"GD": lambda d: left[d], "RGD": lambda d: -left[d],
                        "WGD": lambda d: weight[d]}[main]
             top = max(map(primary, live), default=None)

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from collections import Counter
@@ -244,8 +245,7 @@ class TestRangeTreeBulkBuild:
     def test_node_lists_match_incremental_build(self, n_intlv):
         # the oracle builds every node pair on the leaf paths; the backend
         # keeps the pairs whose two nodes are canonical, the only ones a
-        # threshold query reads, at their slots, and counts first-level
-        # rows only there
+        # threshold query reads, at their slots
         shape = _tree_shape(n_intlv)
         slot = shape.slot
         width = len(slot)
@@ -260,7 +260,7 @@ class TestRangeTreeBulkBuild:
             ]
             store = task_store(entries, n_intlv)
             b = build_backend("rangetree", store, 0, store.order[0])
-            lists, cnt1 = incremental_node_lists(entries, n_intlv)
+            lists = incremental_node_lists(entries, n_intlv)
             want = [None] * width
             for key, lst in lists.items():
                 n1, n2 = divmod(key, 2 * shape.leaves)
@@ -269,7 +269,6 @@ class TestRangeTreeBulkBuild:
                     want[slot[n1]][slot[n2]] = lst
             assert b._lists == want, (n_intlv, n)
             assert b._cursor == [None if seqs is None else [0] * width for seqs in want]
-            assert b._cnt1 == [cnt1[v] for v in slot]
             held = stored_lists(b)
             assert b.counters.node_entries == sum(map(len, held))
             assert b._order is store.order[0]
@@ -279,9 +278,9 @@ class TestRangeTreeBulkBuild:
 
     @pytest.mark.parametrize("n_intlv", range(1, 18))
     def test_query_lists_cover_each_live_match_once(self, n_intlv):
-        # the lists best_in(l, r) reads (canon[l] x canon[r], under
-        # first-level nodes with a nonzero live count) hold every live row
-        # with A_l >= l and A_r >= r exactly once and no other live row
+        # the lists best_in(l, r) reads (canon[l] x canon[r], under every
+        # first-level node that holds lists) hold every live row with
+        # A_l >= l and A_r >= r exactly once and no other live row
         rng = random.Random(100 + n_intlv)
         shape = _tree_shape(n_intlv)
         slot = shape.slot
@@ -295,7 +294,7 @@ class TestRangeTreeBulkBuild:
                 for r in range(n_intlv + 1):
                     read = Counter(
                         row
-                        for n1 in shape.canon[l] if b._cnt1[slot[n1]]
+                        for n1 in shape.canon[l] if b._lists[slot[n1]] is not None
                         for n2 in shape.canon[r]
                         for row in b._lists[slot[n1]][slot[n2]] or ()
                         if b.store.live[row])
@@ -447,6 +446,58 @@ class TestSharedStore:
                 assert b.has_left(a) == linear_has_left(own, dead, a), (b.kind, a)
                 assert b.live_count == sum(e[0] not in dead for e in own)
         assert counters.backend_deletes == memberships
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_range_trees_answer_before_their_deletes(self, data):
+        """Range trees over one store answer as linear scans of its live
+        rows whether or not their ``delete`` has seen a killed row yet (a
+        row killed by another PRF's look waits for that look's consume),
+        and ``delete`` leaves the node lists and cursors as they were."""
+        n_intlv = data.draw(st.integers(1, 17), label="n_intlv")
+        n_prfs = data.draw(st.integers(1, 3), label="n_prfs")
+        each = lambda s: st.lists(s, min_size=n_prfs, max_size=n_prfs)
+        # both sides of the 32-row switch between Python and numpy builds
+        size = data.draw(st.one_of(st.integers(0, 31), st.integers(32, 80)), label="size")
+        table = data.draw(st.lists(st.tuples(
+            each(st.booleans()), each(st.integers(0, n_intlv)),
+            each(st.integers(1, n_intlv)), each(st.sampled_from([0.0, 1.0, 2.0]))),
+            min_size=size, max_size=size), label="rows")
+        n = len(table)
+        av, al, ar, prio = (
+            np.array([row[k] for row in table], dtype=dtype).reshape(n, n_prfs)
+            for k, dtype in enumerate((bool, np.int64, np.int64, float)))
+        store = TaskStore(n_intlv, range(n), av, al, ar, prio)
+        counters = OpCounters()
+        trees = [build_backend("rangetree", store, p, store.order[p], counters)
+                 for p in range(n_prfs)]
+        deleted = [set() for _ in trees]
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            live = [r for r in range(n) if store.live[r]]
+            for row in data.draw(st.lists(st.sampled_from(live), unique=True)
+                                 if live else st.just([]), label="killed"):
+                store.kill(row)
+            for tree, gone in zip(trees, deleted):
+                pending = [r for r in tree._order if not store.live[r] and r not in gone]
+                rows = data.draw(st.lists(st.sampled_from(pending), unique=True)
+                                 if pending else st.just([]), label="deleted")
+                lists, cursor = copy.deepcopy((tree._lists, tree._cursor))
+                tree.delete(rows)
+                gone.update(rows)
+                assert (tree._lists, tree._cursor) == (lists, cursor)
+                assert tree.live_count == len(tree._order) - len(gone)
+            for p, tree in enumerate(trees):
+                held = [r for r in tree._order if store.live[r]]
+                for l in range(-2, n_intlv + 3):
+                    before = counters.list_inspections
+                    assert tree.has_left(l) == any(al[r, p] >= l for r in held), l
+                    assert counters.list_inspections - before <= tree._visit_cap
+                    for r_min in range(-2, n_intlv + 3):
+                        before = counters.list_inspections
+                        assert tree.best_in(l, r_min) == next(
+                            (r for r in held if al[r, p] >= l and ar[r, p] >= r_min),
+                            None), (l, r_min)
+                        assert counters.list_inspections - before <= tree._visit_cap
 
 
 class TestPriorityOrder:
