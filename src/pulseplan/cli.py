@@ -1,23 +1,25 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible or unschedulable input
-(or an exact-solver limit), 3 internal invariant violation.
+(or an exact-solver or LP-export size limit), 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from . import io as pio
-from .edbf import PRF_RULES, TASK_RULES, EdbfRun, HeuristicConfig
+from .edbf import PRF_RULES, TASK_RULES
 from .errors import (
     InfeasibleError,
     InternalInvariantError,
     ResourceLimitError,
     ScenarioError,
 )
-from .geometry import GridSpec, dedup_disks, enumerate_disks
+from .geometry import GridSpec, enumerate_disks
 from .ip import (
     build_instance,
     check_exact_task_limit,
@@ -28,7 +30,7 @@ from .ip import (
 )
 from .radar import build_availability_table
 from .scenario import ScenarioSpec, run_scaling
-from .sdbf import DISK_RULES, SUB_RULES, DiskHeuristicConfig, SdbfRun
+from .sdbf import DISK_RULES, MODES, SUB_RULES, exact_source, look_source, mode_source
 from .structures import BACKEND_KINDS, OpCounters
 
 
@@ -55,7 +57,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("schedule", help="run a heuristic scheduler on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--mode", choices=("edbf", "sdbf"), default="edbf")
+    p.add_argument("--mode", choices=tuple(MODES), default="edbf")
     p.add_argument("--prf-rule", choices=PRF_RULES, default="G")
     p.add_argument("--task-rule", choices=TASK_RULES, default="SAR")
     p.add_argument("--disk-rule", choices=DISK_RULES, default="GD")
@@ -80,7 +82,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("export-lp", help="export the integer program in LP format")
     p.add_argument("scenario")
-    p.add_argument("--mode", choices=("edbf", "sdbf"), default="edbf")
+    p.add_argument("--mode", choices=tuple(MODES), default="edbf")
     p.add_argument("--sscfl", action="store_true",
                    help="export the facility-location relaxation instead")
     p.add_argument("--copies", type=int,
@@ -91,7 +93,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle-compare",
                        help="compare heuristic objectives against the exact optimum")
     p.add_argument("scenario")
-    p.add_argument("--mode", choices=("edbf", "sdbf", "both"), default="edbf")
+    p.add_argument("--mode", choices=(*MODES, "both"), default="edbf")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--heuristic-only", action="store_true",
                    help="skip the exact solve (for instances beyond desk scale)")
@@ -99,7 +101,7 @@ def _build_parser() -> _Parser:
     add_grid(p)
 
     p = sub.add_parser("bench", help="measure runtime scaling across task counts")
-    p.add_argument("--mode", choices=("edbf", "sdbf"), default="edbf")
+    p.add_argument("--mode", choices=tuple(MODES), default="edbf")
     p.add_argument("--backend", choices=BACKEND_KINDS, default="rangetree")
     p.add_argument("--sizes", default="1000,2000,4000,8000",
                    help="comma-separated strictly increasing task counts")
@@ -132,32 +134,20 @@ def _write_out(text: str, out: str | None):
         raise UsageError(f"cannot write output file: {exc}")
 
 
+def _grid(args) -> GridSpec:
+    """The grid the flags name, checked in every mode (``ScenarioError``)."""
+    return GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
+
+
 def _run_scheduler(args, table):
     """Run the scheduler the arguments select on ``table``: the schedule and
     the seconds it took.  Its look source's structures are freed when this
     returns, before the schedule is written."""
-    counters = OpCounters()
     t0 = time.perf_counter()
-    if args.mode == "edbf":
-        run = EdbfRun(
-            table,
-            HeuristicConfig(
-                prf_rule=args.prf_rule, task_rule=args.task_rule,
-                backend=args.backend, seed=args.seed,
-            ),
-            counters,
-        )
-    else:
-        grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
-        catalog = enumerate_disks(table, grid)
-        run = SdbfRun(
-            catalog,
-            DiskHeuristicConfig(
-                disk_rule=args.disk_rule, sub_rule=args.sub_rule,
-                task_rule=args.task_rule, backend=args.backend, seed=args.seed,
-            ),
-            counters,
-        )
+    source = mode_source(args.mode, table, _grid(args))
+    rules = {name: getattr(args, name) for name in MODES[args.mode].RULES}
+    run = look_source(args.mode, source, OpCounters(), backend=args.backend,
+                      seed=args.seed, **rules)
     if args.dump_structures:
         print(run.dump_structures(), file=sys.stderr)
     schedule = run.run()
@@ -201,9 +191,7 @@ def _cmd_availability(args) -> int:
 def _cmd_disks(args) -> int:
     cfg, prfs, tasks = _read_scenario(args.scenario)
     table = build_availability_table(tasks, prfs, cfg)
-    grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
-    catalog = enumerate_disks(table, grid)
-    _write_out(pio.disks_text(catalog), args.out)
+    _write_out(pio.disks_text(enumerate_disks(table, _grid(args))), args.out)
     return 0
 
 
@@ -212,30 +200,16 @@ def _cmd_export_lp(args) -> int:
         raise UsageError(f"--copies must be at least 1, got {args.copies}")
     cfg, prfs, tasks = _read_scenario(args.scenario)
     table = build_availability_table(tasks, prfs, cfg)
-    if args.mode == "sdbf":
-        grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
-        catalog = dedup_disks(enumerate_disks(table, grid))
-        inst = build_instance(catalog, copies=args.copies)
-    else:
-        inst = build_instance(table, copies=args.copies)
+    source = exact_source(mode_source(args.mode, table, _grid(args)))
+    inst = build_instance(source, copies=args.copies)
     _write_out(export_lp(inst, sscfl=args.sscfl), args.out)
     return 0
 
 
 def _heuristic_grid(mode):
-    if mode == "edbf":
-        for prf_rule in PRF_RULES:
-            for task_rule in TASK_RULES:
-                yield {"prf_rule": prf_rule, "task_rule": task_rule}
-    else:
-        for disk_rule in DISK_RULES:
-            for sub_rule in SUB_RULES:
-                for task_rule in TASK_RULES:
-                    yield {
-                        "disk_rule": disk_rule,
-                        "sub_rule": sub_rule,
-                        "task_rule": task_rule,
-                    }
+    """Every rule set of ``mode``: the product of its rule table, in order."""
+    rules = MODES[mode].RULES
+    return [dict(zip(rules, choice)) for choice in itertools.product(*rules.values())]
 
 
 def _cmd_oracle_compare(args) -> int:
@@ -249,32 +223,18 @@ def _cmd_oracle_compare(args) -> int:
     if not args.heuristic_only:
         # refuse before running any heuristic, as solve_exact would after
         check_exact_task_limit(len(tasks))
-    modes = ("edbf", "sdbf") if args.mode == "both" else (args.mode,)
+    modes = tuple(MODES) if args.mode == "both" else (args.mode,)
     lines = ["pulseplan-oracle-compare v1",
              f"seed={args.seed} tasks={len(tasks)}"]
-    grid = GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius)
+    grid = _grid(args)
     copies = max(1, len(tasks))
     for mode in modes:
-        source = enumerate_disks(table, grid) if mode == "sdbf" else table
-        results = []
-        for rules in _heuristic_grid(mode):
-            if mode == "edbf":
-                schedule = EdbfRun(
-                    table, HeuristicConfig(backend="rangetree", seed=args.seed, **rules)
-                ).run()
-            else:
-                schedule = SdbfRun(
-                    source,
-                    DiskHeuristicConfig(backend="rangetree", seed=args.seed, **rules),
-                ).run()
-            results.append((rules, schedule))
-
+        source = mode_source(mode, table, grid)
         # C1-C8 and the objective read no candidate look, so one copy each
         check_inst = build_instance(source, copies=1)
         optimal = None
         if not args.heuristic_only:
-            inst = build_instance(dedup_disks(source) if mode == "sdbf" else source,
-                                  copies=copies)
+            inst = build_instance(exact_source(source), copies=copies)
             exact = solve_exact(inst, warm=None)
             if exact is None:
                 raise InfeasibleError("instance admits no feasible schedule")
@@ -284,7 +244,9 @@ def _cmd_oracle_compare(args) -> int:
                 f"looks={exact.n_looks_used()}"
             )
 
-        for rules, schedule in results:
+        for rules in _heuristic_grid(mode):
+            schedule = look_source(mode, source, backend="rangetree", seed=args.seed,
+                                   **rules).run()
             combo = "+".join(rules[k] for k in sorted(rules))
             violations = check_feasible(schedule, check_inst)
             obj = exact_objective(schedule, check_inst)
@@ -317,11 +279,15 @@ def _cmd_bench(args) -> int:
         sizes=sizes,
         reps=args.reps,
         template=ScenarioSpec(n_tasks=0, seed=args.seed),
-        grid=GridSpec(spacing=args.grid_eps, disk_radius=args.disk_radius),
+        grid=_grid(args),
     )
     _write_out(report.to_text(), args.out)
     return 0
 
+
+# what to change when a command hits a ResourceLimitError
+_LIMIT_HINTS = {"oracle-compare": "rerun oracle-compare with --heuristic-only",
+                "export-lp": "lower --copies"}
 
 _COMMANDS = {
     "schedule": _cmd_schedule,
@@ -340,16 +306,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.usage:
-            print(exc.usage, file=sys.stderr, end="")
-        else:
-            print(parser.format_usage(), file=sys.stderr, end="")
+        print(exc.usage or parser.format_usage(), file=sys.stderr, end="")
         return 1
     except (ScenarioError, InfeasibleError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ResourceLimitError):
-            print("hint: rerun oracle-compare with --heuristic-only",
-                  file=sys.stderr)
+        if isinstance(exc, ResourceLimitError) and args.command in _LIMIT_HINTS:
+            print(f"hint: {_LIMIT_HINTS[args.command]}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

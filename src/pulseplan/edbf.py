@@ -34,6 +34,11 @@ with nothing to move lowers the tail without repeating its failed query.
 During a pass the store only changes by the pass's own kills and deletes,
 so each skipped call would have returned the answer the pass uses, and
 the placements are the same.
+
+Each config (``HeuristicConfig`` here, ``sdbf.DiskHeuristicConfig``) names
+its mode in ``MODE`` and declares its rule fields and their choices once,
+in ``RULES``; ``check_choices`` validates them, then the backend, and
+``schedule_meta`` writes a run's schedule meta from them.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,22 +66,33 @@ PRF_RULES = ("G", "RG", "R")
 TASK_RULES = ("SAR", "LAR", "R", "SAP", "SLA", "SRA")
 
 
+def check_choices(cfg) -> None:
+    """Check a config's rule fields, in ``RULES`` order, then its backend."""
+    for name, choices in (*cfg.RULES.items(), ("backend", BACKEND_KINDS)):
+        if getattr(cfg, name) not in choices:
+            raise ValueError(f"{name} must be one of {choices}")
+
+
+def schedule_meta(cfg) -> dict:
+    """A run's schedule meta: its mode, rule fields and seed, never the
+    backend (every backend gives the same schedule)."""
+    return {"mode": cfg.MODE, **{name: getattr(cfg, name) for name in cfg.RULES},
+            "seed": str(cfg.seed)}
+
+
 @dataclass(frozen=True)
 class HeuristicConfig:
     """PRF rule, task rule, selection backend, and the run seed."""
+
+    MODE: ClassVar[str] = "edbf"
+    RULES: ClassVar[dict] = {"prf_rule": PRF_RULES, "task_rule": TASK_RULES}
 
     prf_rule: str = "G"
     task_rule: str = "SAR"
     backend: str = "rangetree"
     seed: int = 0
 
-    def __post_init__(self):
-        if self.prf_rule not in PRF_RULES:
-            raise ValueError(f"prf_rule must be one of {PRF_RULES}")
-        if self.task_rule not in TASK_RULES:
-            raise ValueError(f"task_rule must be one of {TASK_RULES}")
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(f"backend must be one of {BACKEND_KINDS}")
+    __post_init__ = check_choices
 
 
 def derive_rngs(seed: int) -> dict[str, random.Random]:
@@ -453,11 +470,7 @@ class EdbfRun:
                     self.live_prfs.discard(p)
 
     def run(self) -> Schedule:
-        cfg = self.cfg
-        return run_looks(self, self.table, self.counters, {
-            "mode": "edbf", "prf_rule": cfg.prf_rule, "task_rule": cfg.task_rule,
-            "seed": str(cfg.seed),
-        })
+        return run_looks(self, self.table, self.counters, schedule_meta(self.cfg))
 
 
 def hied(table: AvailabilityTable, cfg: HeuristicConfig,

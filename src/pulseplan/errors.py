@@ -22,7 +22,8 @@ class InfeasibleError(PulseplanError):
 
 
 class ResourceLimitError(PulseplanError):
-    """An exact-solver desk-scale limit or node budget was exceeded."""
+    """An exact-solver desk-scale limit or node budget, or the LP export's
+    size limit, was exceeded."""
 
 
 class InternalInvariantError(PulseplanError):

@@ -47,6 +47,7 @@ ORACLE_MAX_TASKS = 10
 ORACLE_MAX_BASES = 48
 ORACLE_MAX_INTLV = 4
 DEFAULT_NODE_BUDGET = 2_000_000
+LP_MAX_TERMS = 5_000_000        # variable terms one ``export_lp`` may write
 
 
 @dataclass(frozen=True)
@@ -519,12 +520,23 @@ def _expr(terms) -> str:
 def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
     """The instance's integer program as LP text, rows in C1..C7 order.
 
+    Raises ``ResourceLimitError``, before any look is built, when the text
+    could hold more than ``LP_MAX_TERMS`` variable terms.
+
     With ``sscfl`` the slot dimension is dropped along with the successive
     placement and echo-window rows, leaving the capacitated single-source
     facility-location core.
     """
     n = inst.n_intlv
     table = inst.table
+    # each (look, task) pair writes at most n(n + 8) terms (n^2 of them in
+    # C7), or 4 in the relaxation, and each look 3 more: refused before
+    # ``inst.looks`` builds a look
+    terms = len(inst.bases) * inst.copies * (table.n_tasks * (4 if sscfl else n * (n + 8)) + 3)
+    if terms > LP_MAX_TERMS:
+        raise ResourceLimitError(
+            f"the LP export would write up to {terms} terms, "
+            f"over the limit of {LP_MAX_TERMS}")
     # (task id, table row) in id order: ids name the variables, rows are read
     tasks = sorted(zip(table.tasks.ids, range(table.n_tasks)))
     al, ar = table.al.tolist(), table.ar.tolist()

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edbf import EdbfRun, HeuristicConfig
-from .geometry import GridSpec, enumerate_disks
+from .geometry import GridSpec
 from .radar import (
     RadarConfig,
     TaskColumns,
@@ -24,7 +23,7 @@ from .radar import (
     build_availability_table,
     default_prf_set,
 )
-from .sdbf import DiskHeuristicConfig, SdbfRun
+from .sdbf import MODES, look_source, mode_source
 from .structures import OpCounters
 
 
@@ -170,29 +169,20 @@ class ScalingReport:
         return "\n".join(lines) + "\n"
 
 
-def _time_one(mode, backend, spec, grid):
-    """One generation + timed run; returns (prep_s, sched_s, counters, looks)."""
+def _time_one(mode, backend, spec, grid) -> ScalingRow:
+    """One generation and timed run, as the row of that one repetition."""
     cfg, prfs, tasks = gen_scenario(spec)
     counters = OpCounters()
     t0 = time.perf_counter()
     table = build_availability_table(tasks, prfs, cfg)
-    if mode == "sdbf":
-        catalog = enumerate_disks(table, grid)
-        run = SdbfRun(
-            catalog,
-            DiskHeuristicConfig(backend=backend, seed=spec.seed),
-            counters,
-        )
-    else:
-        run = EdbfRun(
-            table,
-            HeuristicConfig(backend=backend, seed=spec.seed),
-            counters,
-        )
+    run = look_source(mode, mode_source(mode, table, grid), counters,
+                      backend=backend, seed=spec.seed)
     t1 = time.perf_counter()
     schedule = run.run()
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, counters, schedule.n_looks_used()
+    prep_s, sched_s = t1 - t0, time.perf_counter() - t1
+    return ScalingRow(spec.n_tasks, prep_s * 1e3, sched_s * 1e3, (prep_s + sched_s) * 1e3,
+                      counters.total_backend_ops(), counters.bi_iterations,
+                      counters.bi_max_iterations, schedule.n_looks_used())
 
 
 def run_scaling(
@@ -217,49 +207,25 @@ def run_scaling(
         raise ValueError("scaling runs need at least four sizes")
     if sorted(set(sizes)) != sizes:
         raise ValueError("sizes must be strictly increasing")
-    if mode not in ("edbf", "sdbf"):
-        raise ValueError("mode must be 'edbf' or 'sdbf'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {tuple(MODES)}")
     template = template if template is not None else ScenarioSpec(n_tasks=0, seed=0)
     grid = grid if grid is not None else GridSpec()
 
     rows = []
     for size in sizes:
-        preps, scheds, totals, ops, iters, bi_max, looks = [], [], [], [], [], [], []
-        for rep in range(reps):
-            spec = replace(template, n_tasks=size, seed=template.seed + 1000 * rep)
-            prep_s, sched_s, counters, n_looks = _time_one(mode, backend, spec, grid)
-            preps.append(prep_s * 1e3)
-            scheds.append(sched_s * 1e3)
-            totals.append((prep_s + sched_s) * 1e3)
-            ops.append(counters.total_backend_ops())
-            iters.append(counters.bi_iterations)
-            bi_max.append(counters.bi_max_iterations)
-            looks.append(n_looks)
-        rows.append(
-            ScalingRow(
-                size=size,
-                prep_ms=statistics.median(preps),
-                sched_ms=statistics.median(scheds),
-                total_ms=statistics.median(totals),
-                backend_ops=int(statistics.median(ops)),
-                bi_iterations=int(statistics.median(iters)),
-                bi_max_iterations=max(bi_max),
-                looks=int(statistics.median(looks)),
-            )
-        )
+        runs = [_time_one(mode, backend, replace(template, n_tasks=size,
+                                                 seed=template.seed + 1000 * rep), grid)
+                for rep in range(reps)]
 
-    exponent, residual = fit_complexity(
-        [r.size for r in rows], [r.total_ms for r in rows]
-    )
-    counter_exponent, counter_residual = fit_complexity(
-        [r.size for r in rows], [max(1, r.backend_ops) for r in rows]
-    )
-    return ScalingReport(
-        mode=mode,
-        backend=backend,
-        rows=rows,
-        exponent=exponent,
-        residual=residual,
-        counter_exponent=counter_exponent,
-        counter_residual=counter_residual,
-    )
+        def median(name):
+            return statistics.median(getattr(run, name) for run in runs)
+
+        rows.append(ScalingRow(
+            size, median("prep_ms"), median("sched_ms"), median("total_ms"),
+            int(median("backend_ops")), int(median("bi_iterations")),
+            max(run.bi_max_iterations for run in runs), int(median("looks"))))
+
+    return ScalingReport(mode, backend, rows,
+                         *fit_complexity(sizes, [r.total_ms for r in rows]),
+                         *fit_complexity(sizes, [max(1, r.backend_ops) for r in rows]))

@@ -12,6 +12,13 @@ place that computes a disk rule, the WGD weights included, on the bucket
 list or on a heap refreshed at its top.  Duplicate and subset disks stay
 in play; consuming tasks empties them out.  Every structure here indexes
 tasks by table row; task ids are looked up only for ``dump_structures``.
+
+The module ends with the one mode switch: ``MODES`` maps each mode to its
+config, ``mode_source`` turns a mode into the bases it schedules on (the
+table, or the disk catalog on a grid), ``look_source`` into its look source
+(``EdbfRun`` or ``SdbfRun`` with its config), and ``exact_source`` gives
+the bases the exact solver and the LP export take.  The CLI and the scaling
+harness call these and branch on no mode.
 """
 
 from __future__ import annotations
@@ -19,14 +26,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InternalInvariantError
-from .edbf import TASK_RULES, derive_rngs, run_looks, task_store
-from .geometry import DiskCatalog
+from .edbf import (TASK_RULES, EdbfRun, HeuristicConfig, check_choices, derive_rngs,
+                   run_looks, schedule_meta, task_store)
+from .geometry import DiskCatalog, GridSpec, dedup_disks, enumerate_disks
 from .ip import Schedule, make_look
-from .structures import BACKEND_KINDS, BucketList, OpCounters, build_backend
+from .radar import AvailabilityTable
+from .structures import BucketList, OpCounters, build_backend
 
 DISK_RULES = ("GD", "RGD", "WGD")
 SUB_RULES = ("R", "SD")
@@ -37,21 +47,17 @@ DUMP_DISKS = 20                # disks listed by ``SdbfRun.dump_structures``
 class DiskHeuristicConfig:
     """Disk main/sub rules plus the task rule, backend, and seed."""
 
+    MODE: ClassVar[str] = "sdbf"
+    RULES: ClassVar[dict] = {"disk_rule": DISK_RULES, "sub_rule": SUB_RULES,
+                             "task_rule": TASK_RULES}
+
     disk_rule: str = "GD"
     sub_rule: str = "R"
     task_rule: str = "SAR"
     backend: str = "rangetree"
     seed: int = 0
 
-    def __post_init__(self):
-        if self.disk_rule not in DISK_RULES:
-            raise ValueError(f"disk_rule must be one of {DISK_RULES}")
-        if self.sub_rule not in SUB_RULES:
-            raise ValueError(f"sub_rule must be one of {SUB_RULES}")
-        if self.task_rule not in TASK_RULES:
-            raise ValueError(f"task_rule must be one of {TASK_RULES}")
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(f"backend must be one of {BACKEND_KINDS}")
+    __post_init__ = check_choices
 
 
 class DiskSelector:
@@ -239,14 +245,34 @@ class SdbfRun:
             consume(task_disks[row])
 
     def run(self) -> Schedule:
-        cfg = self.cfg
-        return run_looks(self, self.table, self.counters, {
-            "mode": "sdbf", "disk_rule": cfg.disk_rule, "sub_rule": cfg.sub_rule,
-            "task_rule": cfg.task_rule, "seed": str(cfg.seed),
-        })
+        return run_looks(self, self.table, self.counters, schedule_meta(self.cfg))
 
 
 def hisd(catalog: DiskCatalog, cfg: DiskHeuristicConfig,
          counters: OpCounters | None = None) -> Schedule:
     """Schedule every schedulable task through disk-constrained looks."""
     return SdbfRun(catalog, cfg, counters).run()
+
+
+# each mode's config, by name
+MODES = {cfg.MODE: cfg for cfg in (HeuristicConfig, DiskHeuristicConfig)}
+
+
+def mode_source(mode: str, table: AvailabilityTable, grid: GridSpec):
+    """The bases ``mode`` schedules ``table`` on: the table itself (one base
+    per PRF), or in subarray mode its disk catalog on ``grid``."""
+    return enumerate_disks(table, grid) if mode == "sdbf" else table
+
+
+def look_source(mode: str, source, counters: OpCounters | None = None, **fields):
+    """``mode``'s look source over ``source`` (from ``mode_source``), its
+    config built from ``fields``."""
+    cfg = MODES[mode](**fields)
+    return (SdbfRun if mode == "sdbf" else EdbfRun)(source, cfg, counters)
+
+
+def exact_source(source):
+    """The bases the exact solver and the LP export take from a
+    ``mode_source``: the table's PRFs, or the catalog without duplicate and
+    subset disks (``dedup_disks``)."""
+    return dedup_disks(source) if isinstance(source, DiskCatalog) else source

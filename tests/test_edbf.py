@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulseplan import (
+    DiskHeuristicConfig,
     HeuristicConfig,
     InternalInvariantError,
     PrfConfig,
@@ -537,3 +538,42 @@ class TestHied:
         sched = hied(table, HeuristicConfig())
         assert sched.unschedulable == (2,)
         assert [tid for tid, _, _ in sched.assignments] == [1]
+
+
+# each config's checked fields in the order they are checked, with the
+# text a bad value of each raises
+_CHOICE_ERRORS = {
+    HeuristicConfig: [
+        ("prf_rule", "prf_rule must be one of ('G', 'RG', 'R')"),
+        ("task_rule", "task_rule must be one of ('SAR', 'LAR', 'R', 'SAP', 'SLA', 'SRA')"),
+        ("backend", "backend must be one of ('brute', 'pairwise', 'rangetree')"),
+    ],
+    DiskHeuristicConfig: [
+        ("disk_rule", "disk_rule must be one of ('GD', 'RGD', 'WGD')"),
+        ("sub_rule", "sub_rule must be one of ('R', 'SD')"),
+        ("task_rule", "task_rule must be one of ('SAR', 'LAR', 'R', 'SAP', 'SLA', 'SRA')"),
+        ("backend", "backend must be one of ('brute', 'pairwise', 'rangetree')"),
+    ],
+}
+
+
+_BAD_VALUES = [(config, field, text) for config, checks in _CHOICE_ERRORS.items()
+               for field, text in checks]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("config, field, text", _BAD_VALUES,
+                             ids=[f"{c.__name__}-{f}" for c, f, _ in _BAD_VALUES])
+    def test_bad_value_names_its_field(self, config, field, text):
+        with pytest.raises(ValueError) as err:
+            config(**{field: "X"})
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("config, first, second", [
+        (config, checks[i], checks[j]) for config, checks in _CHOICE_ERRORS.items()
+        for i, j in itertools.combinations(range(len(checks)), 2)
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else v[0])
+    def test_first_bad_field_is_reported(self, config, first, second):
+        with pytest.raises(ValueError) as err:
+            config(**{first[0]: "X", second[0]: "X"})
+        assert str(err.value) == first[1]

@@ -31,6 +31,9 @@ from pulseplan import (
 )
 from pulseplan import io as pio
 from pulseplan.cli import main
+from pulseplan.edbf import EdbfRun
+from pulseplan.ip import LP_MAX_TERMS
+from pulseplan.sdbf import SdbfRun
 from pulseplan.radar import _TASK_FLOATS, TaskColumns, slot_cap
 from oracles import tuple_schedule_text
 from pulseplan.io import (
@@ -795,8 +798,10 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("a heuristic ran before the task-count check")
 
-        for name in ("EdbfRun", "SdbfRun", "dedup_disks", "build_instance"):
-            monkeypatch.setattr(f"pulseplan.cli.{name}", refuse)
+        for run_cls in (EdbfRun, SdbfRun):
+            monkeypatch.setattr(run_cls, "__init__", refuse)
+        for name in ("pulseplan.sdbf.dedup_disks", "pulseplan.cli.build_instance"):
+            monkeypatch.setattr(name, refuse)
         for mode in ("edbf", "sdbf", "both"):
             assert main(["oracle-compare", str(scenario_file), "--mode", mode]) == 2
             err = capsys.readouterr().err
@@ -865,6 +870,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output file: ")
         assert "usage" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    @pytest.mark.parametrize("sscfl", [[], ["--sscfl"]], ids=["ip", "sscfl"])
+    def test_export_lp_over_the_size_limit_exits_two(self, mode, sscfl, scenario_file,
+                                                     tmp_path, capsys):
+        # the term count is predicted before any candidate look is built
+        out = tmp_path / "model.lp"
+        tracemalloc.start()
+        try:
+            code = main(["export-lp", str(scenario_file), "--mode", mode, *sscfl,
+                         "--copies", "1000000000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the LP export would write up to \d+ terms, over the "
+                            rf"limit of {LP_MAX_TERMS}\nhint: lower --copies\n", err), err
+        assert not out.exists()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    @pytest.mark.parametrize("command", ["schedule", "export-lp", "oracle-compare", "bench"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-eps", "0"], "grid spacing must satisfy 0 < spacing <= disk_radius"),
+        (["--disk-radius", "1"], "disk radius must be below 1"),
+    ], ids=["grid-eps", "disk-radius"])
+    def test_bad_grid_exits_two_in_every_mode(self, flags, message, command, mode,
+                                              small_scenario_file, tmp_path, capsys):
+        # element mode reads no grid, but every command that takes the
+        # flags checks them in both modes
+        args = (["--sizes", "50,100,200,400", "--reps", "1"] if command == "bench"
+                else [str(small_scenario_file)])
+        out = tmp_path / "out.txt"
+        assert main([command, *args, "--mode", mode, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("copies", ["0", "-3"])
     def test_export_lp_copies_below_one_is_usage_error(self, copies, small_scenario_file,
@@ -999,16 +1041,15 @@ class TestCli:
         assert main(["availability", str(path)]) == 2
         assert "pulse_width=1e-320 is too short" in capsys.readouterr().err
 
-    def test_internal_invariant_maps_to_exit_three(self, scenario_file, monkeypatch):
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_internal_invariant_maps_to_exit_three(self, mode, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError
-        from pulseplan import cli as cli_mod
 
-        class Boom:
-            def __init__(self, *a, **k):
-                raise InternalInvariantError("synthetic failure")
+        def boom(self, *a, **k):
+            raise InternalInvariantError("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "EdbfRun", Boom)
-        assert main(["schedule", str(scenario_file)]) == 3
+        monkeypatch.setattr({"edbf": EdbfRun, "sdbf": SdbfRun}[mode], "__init__", boom)
+        assert main(["schedule", str(scenario_file), "--mode", mode]) == 3
 
 
 # Values that probe the arithmetic's edges: subnormals, +-1e+-300, zeros,

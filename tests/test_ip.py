@@ -32,7 +32,7 @@ from pulseplan import (
     solve_exact,
 )
 from pulseplan.io import schedule_to_text
-from pulseplan.ip import make_look
+from pulseplan.ip import LP_MAX_TERMS, make_look
 from pulseplan.radar import _TASK_FLOATS
 from pulseplan.scenario import ScenarioSpec
 from oracles import exhaustive_optimum, timeline_feasible
@@ -432,6 +432,22 @@ class TestLpExport:
         assert all(v.count("_") == 2 for v in binaries if v.startswith("h_"))
         rows = lines[lines.index("Subject To") + 1:lines.index("Binaries")]
         assert {row.split(":")[0].split("_")[0].strip() for row in rows} == {"c1", "c2", "c5"}
+
+    @pytest.mark.parametrize("sscfl", [False, True])
+    @pytest.mark.parametrize("n_intlv", [1, 4, 8])
+    def test_size_limit_bounds_the_written_terms(self, n_intlv, sscfl):
+        # the predicted count bounds the variable terms written, and a copy
+        # count that takes it over the limit is refused before any
+        # candidate look is built
+        table, inst = small_instance(3, seed=16, cfg=RadarConfig(n_intlv=n_intlv))
+        per_copy = len(inst.bases) * (table.n_tasks * (4 if sscfl else n_intlv * (n_intlv + 8))
+                                      + 3)
+        written = len(re.findall(r"\b[hf]_\d", export_lp(inst, sscfl=sscfl)))
+        assert written <= per_copy * inst.copies
+        over = replace(inst, copies=LP_MAX_TERMS // per_copy + 1)
+        with pytest.raises(ResourceLimitError, match="over the limit of"):
+            export_lp(over, sscfl=sscfl)
+        assert "looks" not in vars(over)
 
     def test_big_m_value_emitted(self):
         table, inst = small_instance(2, seed=15, prfs=default_prf_set(count=2))
