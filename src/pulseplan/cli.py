@@ -273,6 +273,8 @@ def _cmd_bench(args) -> int:
         raise UsageError("--sizes must be positive and strictly increasing")
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     report = run_scaling(
         mode=args.mode,
         backend=args.backend,

@@ -4,10 +4,17 @@ Every format starts with a one-line version tag and is deterministic for a
 given input, so files diff cleanly and round-trip byte-identically.  Floats
 are written with ``repr`` to survive the round trip exactly.
 
-A scenario file is read by one of two readers, chosen once per file: if
-its task lines come last and all are as ``scenario_to_text`` writes them,
-they are read straight into columns; any other file goes through the
-line-by-line reader, which gives the values and errors of both.
+Each line kind of the scenario and schedule files (radar, prf, task, the
+two look forms, assign) has one field table: its keys in written order,
+each with the converter of its value.  The table sets the kind's written
+form for all three of its users: the writer's line template
+(``_template``), the line-by-line reader, which takes the fields in any
+order, and the bulk reader (``_columns``), which reads lines in the
+written form a field column at a time.  A file's reader is chosen once:
+if its task lines (in a schedule, its look and assign lines) come last
+and all are in the written form, they are read in bulk and the lines
+before them line by line; any other file goes through the line-by-line
+reader, which gives the values and errors of both.
 """
 
 from __future__ import annotations
@@ -41,10 +48,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fields(pairs) -> str:
-    return " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
-
-
 def _parse_fields(tokens) -> dict[str, str]:
     out = {}
     for tok in tokens:
@@ -55,58 +58,45 @@ def _parse_fields(tokens) -> dict[str, str]:
     return out
 
 
-# --- scenario files --------------------------------------------------------
+def _template(kind: str, fields) -> str:
+    """The written form of a ``kind`` line: ``kind``, then ``key=%s`` for
+    each key of its field table, in table order.  ``str`` of a Python float
+    is its ``repr``, so ``%s`` writes Python floats and ints as ``_fmt``
+    does, and numpy ints too (``%r`` would write ``np.int64(5)``)."""
+    return " ".join([kind, *(f"{key}=%s" for key in fields)])
 
-# One task line.  ``str`` of a Python float is its ``repr``, so ``%s``
-# writes Python floats and ints as ``_fmt`` does, and numpy ints too
-# (``%r`` would write ``np.int64(5)``).
-_TASK_LINE = "task id=%s range=%s sigma_r=%s velocity=%s sigma_f=%s u=%s v=%s"
+
+# Lines in the written form are read in bulk in chunks of this many lines:
+# one chunk's tokens take a few MB, where a 64k-task file's would take over
+# 100 MB.
+_CHUNK = 4096
 
 
-def scenario_to_text(cfg: RadarConfig, prfs, tasks) -> str:
-    """The scenario file of (cfg, prfs, tasks): the version tag, one radar
-    line, one line per PRF, then one ``_TASK_LINE`` per task.
+def _columns(lines, kind: str, fields) -> list:
+    """One iterator per field of ``fields`` over the values of ``lines``,
+    each converted by the field's converter, if each line holds ``kind``
+    and the fields in the written form; else ``ValueError``, here or from
+    an iterator whose value does not convert.
 
-    ``tasks`` is a ``TaskColumns``, whose rows are its ids zipped with its
-    columns as Python floats, or any iterable of ``TrackTask``, whose rows
-    are each task's id and six fields as they are (so a field built from
-    the int 50000 writes ``range=50000``).
+    Each line starts with ``kind`` after its leading whitespace, and no
+    converter takes a token that starts with ``kind``, so if every value
+    converts, each line is ``kind`` and one token per field.  From each
+    field's tokens its ``key=`` prefix is stripped; int and float reject
+    "=", so each token held at most one "=", and one only right after its
+    own key.  One "=" per field and line in all then means every token did.
     """
-    lines = [SCENARIO_TAG]
-    lines.append(
-        "radar "
-        + _fields(
-            [
-                ("c", cfg.c),
-                ("wavelength", cfg.wavelength),
-                ("pulse_width", cfg.pulse_width),
-                ("n_r", cfg.n_r),
-                ("n_f", cfg.n_f),
-                ("n_intlv", cfg.n_intlv),
-                ("pulses_per_look", cfg.pulses_per_look),
-            ]
-        )
-    )
-    for prf in prfs:
-        lines.append(
-            "prf "
-            + _fields(
-                [
-                    ("f_r", prf.f_r),
-                    ("c_r_plus", prf.c_r_plus),
-                    ("c_r_minus", prf.c_r_minus),
-                    ("c_f_plus", prf.c_f_plus),
-                    ("c_f_minus", prf.c_f_minus),
-                ]
-            )
-        )
-    if isinstance(tasks, TaskColumns):
-        rows = zip(tasks.ids, *(getattr(tasks, name).tolist() for name in _TASK_FLOATS))
-    else:
-        rows = map(attrgetter("id", *_TASK_FLOATS), tasks)
-    lines.extend(map(_TASK_LINE.__mod__, rows))
-    return "\n".join(lines) + "\n"
+    n, width = len(lines), len(fields) + 1
+    text = "\n".join(lines)
+    tokens = text.split()
+    if (len(tokens) != width * n or text.count("=") != (width - 1) * n
+            or tokens[::width].count(kind) != n
+            or not all(map(str.startswith, map(str.lstrip, lines), repeat(kind)))):
+        raise ValueError(f"not {kind} lines in the written form")
+    return [map(conv, map(str.removeprefix, tokens[j::width], repeat(key + "=")))
+            for j, (key, conv) in enumerate(fields.items(), 1)]
 
+
+# --- scenario files --------------------------------------------------------
 
 _SCENARIO_RECORDS = {
     # record kind -> (constructor, {field key: converter} in the
@@ -119,6 +109,28 @@ _SCENARIO_RECORDS = {
     "task": (TrackTask, dict(id=int, range=float, sigma_r=float, velocity=float,
                              sigma_f=float, u=float, v=float)),
 }
+_RADAR_LINE, _PRF_LINE, _TASK_LINE = (
+    _template(kind, fields) for kind, (_, fields) in _SCENARIO_RECORDS.items())
+
+
+def scenario_to_text(cfg: RadarConfig, prfs, tasks) -> str:
+    """The scenario file of (cfg, prfs, tasks): the version tag, one radar
+    line, one line per PRF, then one ``_TASK_LINE`` per task.
+
+    The radar and prf lines hold the attributes their field tables name.
+    ``tasks`` is a ``TaskColumns``, whose rows are its ids zipped with its
+    columns as Python floats, or any iterable of ``TrackTask``, whose rows
+    are each task's id and six fields as they are (so a field built from
+    the int 50000 writes ``range=50000``).
+    """
+    radar, prf = (attrgetter(*_SCENARIO_RECORDS[kind][1]) for kind in ("radar", "prf"))
+    lines = [SCENARIO_TAG, _RADAR_LINE % radar(cfg), *map(_PRF_LINE.__mod__, map(prf, prfs))]
+    if isinstance(tasks, TaskColumns):
+        rows = zip(tasks.ids, *(getattr(tasks, name).tolist() for name in _TASK_FLOATS))
+    else:
+        rows = map(attrgetter("id", *_TASK_FLOATS), tasks)
+    lines.extend(map(_TASK_LINE.__mod__, rows))
+    return "\n".join(lines) + "\n"
 
 
 def _record_args(kind: str, tokens, fields) -> list:
@@ -133,13 +145,6 @@ def _record_args(kind: str, tokens, fields) -> list:
             f"(missing: {missing}; unknown: {unknown})"
         )
     return [conv(f[k]) for k, conv in fields.items()]
-
-
-# Task lines in the written field order are read in chunks of this many
-# lines: one chunk's tokens take a few MB, where a 64k-task file's would
-# take over 100 MB.
-_TASK_CHUNK = 4096
-_TASK_KEYS = tuple(_SCENARIO_RECORDS["task"][1])
 
 
 def _tag_end(lines, tag=SCENARIO_TAG, name="scenario") -> int:
@@ -178,28 +183,6 @@ def _records(lines, start, stop, read=_scenario_record):
         yield n, kind, record
 
 
-def _task_block(lines):
-    """(ids, six float64 columns) of task lines that each hold ``task`` and
-    the seven fields in the written order; ``ValueError`` if any line does
-    not or a value does not convert."""
-    n = len(lines)
-    text = "\n".join(lines)
-    tokens = text.split()
-    if (len(tokens) != 8 * n or text.count("=") != 7 * n or tokens[::8].count("task") != n
-            or not all(map(str.startswith, map(str.lstrip, lines), repeat("task")))):
-        raise ValueError("not task lines in the written form")
-    # Each line starts with "task" after its leading whitespace, and no
-    # column converts a token that starts with "task", so if every value
-    # below converts, each line is 8 tokens: "task" and one per column.
-    # From each column's tokens the "key=" prefix is stripped; int and float
-    # reject "=", so each token held at most one "=", and one only right
-    # after its own key.  7n "=" in all then means every token did.
-    values = [map(str.removeprefix, tokens[j::8], repeat(key + "="))
-              for j, key in enumerate(_TASK_KEYS, 1)]
-    return ([*map(int, values[0])],
-            *(np.fromiter(map(float, v), np.float64, n) for v in values[1:]))
-
-
 def _assemble(records):
     """(cfg, prfs, task records) from (line number, kind, record) triples."""
     cfg = None
@@ -231,13 +214,12 @@ def parse_scenario(text: str):
 
     One decision per file picks the reader.  If every line from the first
     one that starts with ``task`` (after leading whitespace) to the end is a
-    task line as ``scenario_to_text`` writes it (``task`` and the seven
-    fields in written order), those lines are read in chunks straight into
-    columns, and the lines before them go through the line-by-line reader.
-    Any other file (a comment, blank line, record or reordered task among
-    the tasks, or a value the checks reject) is read whole by
-    ``_parse_records``, so errors always come from that reader, and the
-    result equals its result.
+    task line in the written form, those lines are read by ``_columns`` in
+    chunks straight into columns, and the lines before them go through the
+    line-by-line reader.  Any other file (a comment, blank line, record or
+    reordered task among the tasks, or a value the checks reject) is read
+    whole by ``_parse_records``, so errors always come from that reader,
+    and the result equals its result.
     """
     lines = text.splitlines()
     start = _tag_end(lines)
@@ -245,10 +227,14 @@ def parse_scenario(text: str):
                   if lines[i].lstrip().startswith("task")), len(lines))
     ids, cols = [], np.empty((len(_TASK_FLOATS), len(lines) - first))
     try:
-        for i in range(first, len(lines), _TASK_CHUNK):
-            block_ids, *block = _task_block(lines[i:i + _TASK_CHUNK])
-            cols[:, i - first:i - first + len(block_ids)] = block
+        for i in range(first, len(lines), _CHUNK):
+            block = lines[i:i + _CHUNK]
+            block_ids, *floats = _columns(block, "task", _SCENARIO_RECORDS["task"][1])
             ids += block_ids
+            # read to its end (no count), each iterator frees its tokens
+            # before the next chunk's are made
+            for col, values in zip(cols, floats):
+                col[i - first:i - first + len(block)] = np.fromiter(values, np.float64)
         tasks = TaskColumns(ids, *cols)
     except (ValueError, ScenarioError):
         cfg, prfs, records = _parse_records(text)
@@ -267,11 +253,14 @@ def _parse_records(text: str):
 
 # --- schedule files --------------------------------------------------------
 
-# One look line of each kind and one assign line; ``%s`` writes Python
-# ints and floats as ``_fmt`` does.
-_LOOK_LINE = "look index=%s prf=%s f_r=%s dwell=%s"
-_DISK_LOOK_LINE = _LOOK_LINE + " disk=%s disk_u=%s disk_v=%s"
-_ASSIGN_LINE = "assign task=%s look=%s slot=%s"
+_LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
+_DISK_LOOK_FIELDS = dict(_LOOK_FIELDS, disk=int, disk_u=float, disk_v=float)
+_ASSIGN_FIELDS = dict(task=int, look=int, slot=int)
+_LOOK_LINE = _template("look", _LOOK_FIELDS)
+_DISK_LOOK_LINE = _template("look", _DISK_LOOK_FIELDS)
+_ASSIGN_LINE = _template("assign", _ASSIGN_FIELDS)
+# the fields of each written look line form, by its count of "="
+_LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
 
 
 def _look_line(lk: ScheduledLook) -> str:
@@ -305,11 +294,6 @@ def schedule_to_text(schedule: Schedule) -> str:
     return "\n".join(lines)
 
 
-_LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
-_DISK_LOOK_FIELDS = dict(_LOOK_FIELDS, disk=int, disk_u=float, disk_v=float)
-_ASSIGN_FIELDS = dict(task=int, look=int, slot=int)
-
-
 def _schedule_record(kind: str, tokens):
     if kind == "assign":
         return tuple(_record_args(kind, tokens, _ASSIGN_FIELDS))
@@ -323,63 +307,6 @@ def _schedule_record(kind: str, tokens):
     if kind == "unschedulable":
         return tuple(map(int, tokens))
     raise ScenarioError(f"unknown schedule record {kind!r}")
-
-
-_ASSIGN_KEYS = tuple(_ASSIGN_FIELDS)
-# An assign line is half a task line's tokens, a look line at most as many.
-_ASSIGN_CHUNK = 2 * _TASK_CHUNK
-_LOOK_CHUNK = _TASK_CHUNK
-# the fields of each written look line form, by its count of "="
-_LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
-
-
-def _look_block(lines) -> list[ScheduledLook]:
-    """The looks of look lines that each hold ``look`` and the fields of
-    ``_LOOK_LINE`` or of ``_DISK_LOOK_LINE`` in the written order;
-    ``ValueError`` if any line does not or a value does not convert.  The
-    lines are read in runs of one "=" count, 4 or 7; in a run, each field
-    is a column, and the argument of ``_task_block`` applies: no column
-    converts a token that starts with ``look``, so if every value converts,
-    each line is ``look`` and one token per field, and a line's count of
-    "=" means each value token held its own key's."""
-    looks = []
-    end = 0
-    for eqs, run in groupby(map(str.count, lines, repeat("="))):
-        start, end = end, end + len(list(run))
-        fields = _LOOK_FORMS.get(eqs)
-        if fields is None:
-            raise ValueError("not look lines in the written form")
-        block, width, n = lines[start:end], len(fields) + 1, end - start
-        tokens = "\n".join(block).split()
-        if (len(tokens) != width * n or tokens[::width].count("look") != n
-                or not all(map(str.startswith, map(str.lstrip, block), repeat("look")))):
-            raise ValueError("not look lines in the written form")
-        index, prf, f_r, dwell, *disk = (
-            [*map(conv, map(str.removeprefix, tokens[j::width], repeat(key + "=")))]
-            for j, (key, conv) in enumerate(fields.items(), 1))
-        if disk:
-            disk_id, u, v = disk
-            looks += map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
-        else:
-            looks += map(ScheduledLook, index, prf, f_r, dwell)
-    return looks
-
-
-def _assign_block(lines) -> list[list[int]]:
-    """The (task, look, slot) columns of assign lines that each hold
-    ``assign`` and the three fields in the written order; ``ValueError`` if
-    any line does not or a value does not convert.  The argument of
-    ``_task_block`` applies: no column converts a token that starts with
-    ``assign``, so if every value converts, each line is 4 tokens, and 3n
-    "=" mean each value token held its own key's."""
-    n = len(lines)
-    text = "\n".join(lines)
-    tokens = text.split()
-    if (len(tokens) != 4 * n or text.count("=") != 3 * n or tokens[::4].count("assign") != n
-            or not all(map(str.startswith, map(str.lstrip, lines), repeat("assign")))):
-        raise ValueError("not assign lines in the written form")
-    return [[*map(int, map(str.removeprefix, tokens[j::4], repeat(key + "=")))]
-            for j, key in enumerate(_ASSIGN_KEYS, 1)]
 
 
 def _schedule_from(records, looks=None, columns=None) -> Schedule:
@@ -418,12 +345,12 @@ def parse_schedule(text: str) -> Schedule:
     One decision per file picks the reader, as ``parse_scenario`` makes it.
     A last ``unschedulable`` line is set apart.  If every line from the
     first one that starts with ``assign`` (after leading whitespace) to the
-    end is an assign line as ``schedule_to_text`` writes it, and every line
-    from the first one that starts with ``look`` to the first assign line
-    is a look line as it writes them (of either form), those lines are read
-    in bulk: the assign lines straight into columns, the look lines a field
-    column at a time into ``ScheduledLook``s.  The other lines go through
-    the line-by-line reader.  Any other file is read whole by
+    end is an assign line in the written form, and every line from the
+    first one that starts with ``look`` to the first assign line is a look
+    line in either written form, those lines are read by ``_columns`` in
+    chunks: the assign lines straight into columns, the look lines, in
+    runs of one "=" count, into ``ScheduledLook``s.  The other lines go
+    through the line-by-line reader.  Any other file is read whole by
     ``_parse_schedule_records``, so errors always come from that reader,
     and the result equals its result.
     """
@@ -441,12 +368,23 @@ def parse_schedule(text: str) -> Schedule:
     columns = [0] * (stop - first), [0] * (stop - first), [0] * (stop - first)
     looks = []
     try:
-        for i in range(look0, first, _LOOK_CHUNK):
-            looks += _look_block(lines[i:min(i + _LOOK_CHUNK, first)])
-        for i in range(first, stop, _ASSIGN_CHUNK):
-            block = _assign_block(lines[i:min(i + _ASSIGN_CHUNK, stop)])
-            for col, values in zip(columns, block):
-                col[i - first:i - first + len(values)] = values
+        end = look0
+        for eqs, run in groupby(map(str.count, lines[look0:first], repeat("="))):
+            if eqs not in _LOOK_FORMS:
+                raise ValueError("not look lines in the written form")
+            run0, end = end, end + len(list(run))
+            for i in range(run0, end, _CHUNK):
+                index, prf, f_r, dwell, *disk = _columns(
+                    lines[i:min(i + _CHUNK, end)], "look", _LOOK_FORMS[eqs])
+                if disk:
+                    disk_id, u, v = disk
+                    looks += map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
+                else:
+                    looks += map(ScheduledLook, index, prf, f_r, dwell)
+        for i in range(first, stop, _CHUNK):
+            block = lines[i:min(i + _CHUNK, stop)]
+            for col, values in zip(columns, _columns(block, "assign", _ASSIGN_FIELDS)):
+                col[i - first:i - first + len(block)] = values
     except ValueError:
         return _parse_schedule_records(text)
     records = _records(lines, start, look0, _schedule_record)

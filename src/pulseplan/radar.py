@@ -19,6 +19,7 @@ indices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -51,6 +52,10 @@ class RadarConfig:
             raise ScenarioError("sigma multiples must be nonnegative and finite")
         if not (self.n_intlv >= 1 and self.pulses_per_look >= 1):
             raise ScenarioError("n_intlv and pulses_per_look must be >= 1")
+        # a dwell is pulses_per_look / f_r in floats; an int compares with
+        # a float exactly, and one above the largest float does not convert
+        if not self.pulses_per_look <= sys.float_info.max:
+            raise ScenarioError(f"pulses_per_look must be at most {sys.float_info.max!r}")
 
 
 @dataclass(frozen=True)

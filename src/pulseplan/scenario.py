@@ -49,6 +49,8 @@ class ScenarioSpec:
                 raise ValueError("scenario bounds must be ordered")
         if self.n_tasks < 0:
             raise ValueError("n_tasks must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _uniform_disk(rng, n, radius):

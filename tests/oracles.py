@@ -13,7 +13,7 @@ import numpy as np
 
 from pulseplan.edbf import Episode
 from pulseplan.errors import InternalInvariantError
-from pulseplan.io import SCENARIO_TAG, SCHEDULE_TAG, _fields
+from pulseplan.io import SCENARIO_TAG, SCHEDULE_TAG
 from pulseplan.ip import dwell_fraction
 from pulseplan.radar import (
     RadarConfig,
@@ -467,6 +467,11 @@ def rowwise_gen_scenario(spec, cfg=None, prfs=None):
         for i, row in enumerate(rows)
     )
     return cfg, prfs, tasks
+
+
+def _fields(pairs) -> str:
+    """``key=value`` tokens of (key, value) pairs, floats by ``repr``."""
+    return " ".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in pairs)
 
 
 def fields_scenario_text(cfg, prfs, tasks):

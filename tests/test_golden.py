@@ -16,6 +16,7 @@ from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
     HeuristicConfig,
+    PrfConfig,
     RadarConfig,
     ScenarioSpec,
     TaskColumns,
@@ -110,6 +111,7 @@ SCENARIO_DIGESTS = {
     "300-clustered": "134492f4a5d0efa29f0298f5a7d2b9f869ee8ddeaf5371bf9a56feaf642f63dd",
     "500-unschedulable-kept": "2c0366d02641c14ba8d5006d1c68ce0716df05885500d8433a43147bc7ee8159",
     "empty": "8491aad4c3e75e96b4b256b3e6fd72ee9c5893aca67493c01b6746978336c4b6",
+    "int-fields": "00e458e6343aba2d22eaa73812f73215c114590cee34544513f3578f6c9202ab",
 }
 SCENARIO_CASES = {
     # the benchmark's edbf-64k scenario
@@ -120,6 +122,10 @@ SCENARIO_CASES = {
     "500-unschedulable-kept": (ScenarioSpec(n_tasks=500, seed=0, keep_unschedulable=True),
                                None, None),
     "empty": (ScenarioSpec(n_tasks=0, seed=0), None, None),
+    # radar and prf fields given as Python ints are written as ints
+    # ("n_r=3", "f_r=10000", "c_r_plus=500"), not as floats
+    "int-fields": (ScenarioSpec(n_tasks=20, seed=1), RadarConfig(n_r=3, n_f=3),
+                   (PrfConfig(f_r=10000), PrfConfig(f_r=12000, c_r_plus=500))),
 }
 
 

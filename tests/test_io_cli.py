@@ -15,6 +15,7 @@ from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
     HeuristicConfig,
+    PrfConfig,
     RadarConfig,
     ScenarioError,
     ScenarioSpec,
@@ -101,6 +102,15 @@ class TestScenarioFormat:
         cfg2, prfs2, tasks2 = parse_scenario(text)
         assert scenario_to_text(cfg2, prfs2, tasks2) == text
         assert cfg2 == cfg and prfs2 == prfs and tasks2 == tasks
+
+    def test_numpy_float_config_round_trips(self):
+        # "%s" writes a numpy float as its value; its repr would be
+        # "np.float64(0.03)", which no reader takes
+        cfg = RadarConfig(wavelength=np.float64(0.03))
+        prfs = (PrfConfig(f_r=np.float64(10000.5), c_r_plus=np.float64(1.0)),)
+        text = scenario_to_text(cfg, prfs, [])
+        assert "wavelength=0.03 " in text and "f_r=10000.5 " in text
+        assert parse_scenario(text)[:2] == (cfg, prfs)
 
     def test_rejects_garbage(self):
         with pytest.raises(ScenarioError):
@@ -211,7 +221,7 @@ class TestColumnarParser:
     @given(scenario_texts())
     def test_matches_the_record_reader(self, case):
         text, chunk = case
-        with mock.patch.object(pio, "_TASK_CHUNK", chunk):
+        with mock.patch.object(pio, "_CHUNK", chunk):
             fast = _outcome(parse_scenario, text)
         assert fast == _outcome(pio._parse_records, text)
 
@@ -252,7 +262,7 @@ class TestColumnarParser:
     @pytest.fixture(scope="class")
     def multi_chunk(self):
         """A scenario text with two full chunks of tasks and a partial one."""
-        n = 2 * pio._TASK_CHUNK + 5
+        n = 2 * pio._CHUNK + 5
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n, seed=12))
         return scenario_to_text(cfg, prfs, tasks), tasks
 
@@ -274,7 +284,7 @@ class TestColumnarParser:
 
     def test_a_comment_among_the_tasks_reads_the_file_by_lines(self, multi_chunk):
         lines = multi_chunk[0].splitlines()
-        lines.insert(len(lines) - pio._TASK_CHUNK, "# a comment")
+        lines.insert(len(lines) - pio._CHUNK, "# a comment")
         with mock.patch.object(pio, "_parse_records", wraps=pio._parse_records) as slow:
             parsed = parse_scenario("\n".join(lines))
         slow.assert_called_once()
@@ -526,7 +536,7 @@ class TestColumnarScheduleReader:
     @settings(max_examples=400, deadline=None)
     @given(schedule_texts(), st.integers(1, 4))
     def test_matches_the_line_reader(self, text, chunk):
-        with mock.patch.object(pio, "_ASSIGN_CHUNK", chunk):
+        with mock.patch.object(pio, "_CHUNK", chunk):
             fast = _schedule_outcome(parse_schedule, text)
         assert fast == _schedule_outcome(pio._parse_schedule_records, text)
 
@@ -545,7 +555,7 @@ class TestColumnarScheduleReader:
     @given(look_edited_texts(), st.integers(1, 4))
     def test_look_lines_match_the_line_reader(self, case, chunk):
         text, edit = case
-        with mock.patch.object(pio, "_LOOK_CHUNK", chunk), \
+        with mock.patch.object(pio, "_CHUNK", chunk), \
                 mock.patch.object(pio, "_parse_schedule_records",
                                   wraps=pio._parse_schedule_records) as slow:
             fast = _schedule_outcome(parse_schedule, text)
@@ -565,8 +575,7 @@ class TestColumnarScheduleReader:
         text = schedule_to_text(sched)
         with mock.patch.object(pio, "_parse_schedule_records",
                                wraps=pio._parse_schedule_records) as slow, \
-                mock.patch.object(pio, "_ASSIGN_CHUNK", chunk or pio._ASSIGN_CHUNK), \
-                mock.patch.object(pio, "_LOOK_CHUNK", chunk or pio._LOOK_CHUNK):
+                mock.patch.object(pio, "_CHUNK", chunk or pio._CHUNK):
             back = parse_schedule(text)
         slow.assert_not_called()
         assert back.assignments == sched.assignments and back.looks == sched.looks
@@ -848,7 +857,8 @@ class TestCli:
         ["--sizes", "10,20,30"],
         ["--sizes", "10,30,20,40"],
         ["--sizes", "10,20,30,40", "--reps", "0"],
-    ], ids=["non-integer", "three-sizes", "not-increasing", "zero-reps"])
+        ["--sizes", "5,6,7,8", "--reps", "1", "--seed", "-1"],
+    ], ids=["non-integer", "three-sizes", "not-increasing", "zero-reps", "negative-seed"])
     def test_bench_bad_input_is_usage_error(self, argv, capsys):
         assert main(["bench", *argv]) == 1
         err = capsys.readouterr().err
@@ -1026,6 +1036,21 @@ class TestCli:
         assert main([command, str(small_scenario_file)]) == 2
         err = capsys.readouterr().err
         assert f"error: pulse_width={float(pulse_width)!r} is too short" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule"], ["export-lp"], ["oracle-compare", "--heuristic-only"], ["availability"],
+    ], ids=lambda argv: argv[0])
+    def test_pulses_per_look_beyond_a_float_exits_two(self, argv, small_scenario_file,
+                                                      capsys):
+        # a dwell is pulses_per_look / f_r in floats: an int above the
+        # largest float is rejected before any dwell is computed
+        text = small_scenario_file.read_text()
+        small_scenario_file.write_text(
+            re.sub(r"pulses_per_look=\S+", "pulses_per_look=" + "9" * 400, text))
+        assert main([argv[0], str(small_scenario_file), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 2: pulses_per_look must be at most" in err
         assert "Traceback" not in err
 
     def test_zero_width_slot_exits_two(self, tmp_path, capsys):

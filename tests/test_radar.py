@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -412,3 +413,11 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             TrackTask(id=1, range_m=1e4, sigma_r=1.0, velocity=0.0,
                       sigma_f=1.0, u=0.9, v=0.9)
+
+    def test_pulses_per_look_must_fit_a_float(self):
+        # a dwell is pulses_per_look / f_r in floats
+        top = int(sys.float_info.max)
+        assert RadarConfig(pulses_per_look=top).pulses_per_look == top
+        for too_big in (top + 1, 10 ** 400):
+            with pytest.raises(ScenarioError, match="pulses_per_look must be at most"):
+                RadarConfig(pulses_per_look=too_big)

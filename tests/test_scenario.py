@@ -33,6 +33,10 @@ class TestGeneration:
         b = scenario_to_text(*gen_scenario(ScenarioSpec(n_tasks=30, seed=2)))
         assert a != b
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ScenarioSpec(n_tasks=5, seed=-1)
+
     def test_zero_tasks_is_valid(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=0, seed=0))
         assert len(tasks) == 0 and tasks == TaskColumns.from_tasks(())
