@@ -109,6 +109,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     add_grid(p)
+    # a usage error a command raises itself prints that command's usage
+    for p in sub.choices.values():
+        p.set_defaults(usage=p.format_usage)
     return parser
 
 
@@ -308,7 +311,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(exc.usage or parser.format_usage(), file=sys.stderr, end="")
+        print(exc.usage or args.usage(), file=sys.stderr, end="")
         return 1
     except (ScenarioError, InfeasibleError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

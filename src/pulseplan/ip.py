@@ -102,9 +102,8 @@ class Schedule:
     """Assignment columns plus per-look metadata; the scheduler's output.
 
     ``assignments`` may be given as any iterable of (task id, look, slot)
-    tuples; it is kept as ``Assignments`` columns.  The objective and the
-    count of looks used are computed once, on first read: a schedule is not
-    edited after it is built.
+    tuples; it is kept as ``Assignments`` columns.  The used looks are found
+    once, on first read: a schedule is not edited after it is built.
     """
 
     looks: list[ScheduledLook]
@@ -117,17 +116,25 @@ class Schedule:
             self.assignments = Assignments(*zip(*self.assignments))
 
     @cached_property
-    def _totals(self) -> tuple[float, int]:
-        used = set(self.assignments.look)
-        return sum(lk.dwell for lk in self.looks if lk.index in used), len(used)
+    def _assigned(self) -> set[int]:
+        return set(self.assignments.look)
+
+    @cached_property
+    def used_looks(self) -> list[ScheduledLook]:
+        """The looks that carry an assignment, in schedule order: the one
+        set both objectives sum over."""
+        assigned = self._assigned
+        return [lk for lk in self.looks if lk.index in assigned]
 
     def objective(self) -> float:
-        """Total dwell (s) of the looks that carry an assignment; the exact
-        rational form is ``exact_objective``."""
-        return self._totals[0]
+        """Total dwell (s) of the used looks; the exact rational form is
+        ``exact_objective``."""
+        return sum(lk.dwell for lk in self.used_looks)
 
     def n_looks_used(self) -> int:
-        return self._totals[1]
+        """Distinct looks the assignments name; a hand-built schedule may
+        name a look it does not list, which ``used_looks`` cannot hold."""
+        return len(self._assigned)
 
     def by_look(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {lk.index: [] for lk in self.looks}
@@ -352,13 +359,9 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
 
 
 def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
-    """Exact rational sum of the dwell times of looks with an assignment."""
-    used = set(schedule.assignments.look)
-    total = Fraction(0)
-    for lk in schedule.looks:
-        if lk.index in used:
-            total += dwell_fraction(inst.table, lk.prf_index)
-    return total
+    """Exact rational sum of the dwell times of the schedule's used looks."""
+    return sum((dwell_fraction(inst.table, lk.prf_index) for lk in schedule.used_looks),
+               Fraction(0))
 
 
 class _OpenLook:

@@ -18,11 +18,12 @@ backend is handed its rows in that order and sorts nothing.  A placed task
 is marked dead in the store once, and each backend holding it updates its
 own index once.
 
-A doubly linked bucket list keyed by integer cardinality provides constant
-time greedy / reverse-greedy selection of PRFs, and of disks under the
-random tie-break.  Its keys are dense ints (PRF indices, disk ids) indexing
-plain lists, its buckets are plain lists and its one update is
-``decrement``: counts only fall as placed tasks are consumed.
+A bucket list provides greedy / reverse-greedy selection of PRFs, and of
+disks under the random tie-break.  Its keys are dense ints (PRF indices,
+disk ids), its buckets are plain lists held in one list indexed by count,
+and its one update is ``decrement``: counts only fall, one at a time, as
+placed tasks are consumed, so a selection's walk past empty buckets is O(1)
+amortized.
 
 Every structure is built in bulk: the store from the table's columns, the
 backends from a PRF's rows of it in priority order, the bucket list from one
@@ -101,119 +102,84 @@ class IndexedSet:
         return self._items[rng.randrange(len(self._items))]
 
 
-class _Bucket:
-    __slots__ = ("value", "members", "prev", "next")
-
-    def __init__(self, value, members):
-        self.value = value
-        self.members = members
-        self.prev = None
-        self.next = None
-
-
 class BucketList:
-    """Doubly linked buckets of keys sharing one integer cardinality.
+    """Keys in buckets by integer cardinality, the buckets indexed by count.
 
-    Keys are the dense integers ``0..K-1``.  Bucket values are strictly
-    increasing along the links and a bucket exists only while some key
-    holds its value (the zero bucket excepted, which keeps every key that
-    reached zero), so min/max selection and a -1 step are constant time.
-    Each bucket keeps its keys in a plain list, and two key-indexed lists
-    shared by all buckets map each key to its bucket (``_bucket_of``) and to
-    its index in that bucket's list (``_pos``): a key leaves by swap-remove
-    (the last member fills its slot) and joins by append.
+    Keys are the dense integers ``0..K-1``.  ``_buckets[v]`` lists the keys
+    of count ``v``, or is ``None`` while no key holds ``v``; ``_count`` and
+    ``_pos`` map each key to its count and to its index in its bucket.  A
+    key leaves a bucket by swap-remove (the last member fills its slot) and
+    joins one by append.  Every nonzero count lies in ``_lo.._hi``, and
+    ``select`` walks the one it reads past empty buckets.  Counts only fall,
+    one at a time, so ``_hi`` only falls and ``_lo`` falls at most once per
+    decrement: over a run the walks take O(K + max count + decrements)
+    steps in all, O(1) amortized per call.
 
-    ``counts`` holds one starting cardinality per key, in key order.  The
-    buckets are built from it in bulk: one stable sort of the counts, with
-    no per-membership step and no ``bucket_ops``.  It lists each bucket's
-    keys in key order; the ``random`` tie-break reads the nonzero buckets'
-    orders, which match counting every membership up from zero, key after
-    key.
-
-    ``decrement(keys)`` is the one update: it consumes one membership of
-    each key in turn, the look loop's bookkeeping for one placed task, in a
-    single call, O(1) and one ``bucket_ops`` per key.
+    The buckets are built in bulk from ``counts``, one starting count per
+    key: one stable sort, with no per-membership step and no
+    ``bucket_ops``.  Each bucket lists its keys in key order, the order
+    that counting every membership up from zero, key after key, gives; the
+    ``random`` tie-break reads it.  ``decrement(keys)`` is the one update:
+    one membership of each key, O(1) and one ``bucket_ops`` per key.
     """
 
     def __init__(self, counts, counters=None):
         self.counters = counters if counters is not None else OpCounters()
         counts = np.asarray(counts, dtype=np.int64)
-        if len(counts) and counts.min() < 0:
-            key = int(np.argmax(counts < 0))
-            raise ValueError(f"key {key} has a negative count")
+        if (counts < 0).any():
+            raise ValueError(f"key {np.argmax(counts < 0)} has a negative count")
         order = np.argsort(counts, kind="stable")
         values, first, size = np.unique(counts[order], return_index=True,
                                          return_counts=True)
         keys = order.tolist()
-        if len(values) == 0:
-            # no key at all: one empty zero bucket
-            buckets = [_Bucket(0, [])]
-        else:
-            buckets = [_Bucket(v, keys[a:a + n]) for v, a, n
-                       in zip(values.tolist(), first.tolist(), size.tolist())]
-        for lo, hi in zip(buckets, buckets[1:]):
-            lo.next, hi.prev = hi, lo
-        self._head = buckets[0]
-        self._tail = buckets[-1]
-        self._bucket_of = list(map(
-            buckets.__getitem__, np.searchsorted(values, counts).tolist()))
+        # one empty zero bucket when there is no key at all
+        buckets = [None] * (int(counts.max()) + 1) if keys else [[]]
+        for v, a, n in zip(values.tolist(), first.tolist(), size.tolist()):
+            buckets[v] = keys[a:a + n]
+        self._buckets = buckets
+        self._count = counts.tolist()
         pos = np.empty(len(counts), dtype=np.intp)
         pos[order] = np.arange(len(counts)) - np.repeat(first, size)
         self._pos = pos.tolist()
+        self._hi = len(buckets) - 1
+        self._lo = 1
 
     def count(self, key) -> int:
         """The key's current cardinality."""
-        return self._bucket_of[key].value
+        return self._count[key]
 
     def decrement(self, keys) -> None:
-        """Take one membership from each key of the sequence ``keys`` in turn.
-
-        A key joins the previous bucket when it holds value - 1, a lone key
-        relabels its bucket otherwise, and a new bucket is spliced in front
-        only when neither applies.  All ``len(keys)`` ``bucket_ops`` are
-        counted up front.
-        """
+        """Take one membership from each key of the sequence ``keys`` in
+        turn: the key moves from bucket v to bucket v - 1.  All
+        ``len(keys)`` ``bucket_ops`` are counted up front."""
         self.counters.bucket_ops += len(keys)
-        bucket_of = self._bucket_of
+        buckets = self._buckets
+        count = self._count
         pos = self._pos
+        lo = self._lo
         for key in keys:
-            bucket = bucket_of[key]
-            members = bucket.members
-            prev = bucket.prev
-            value = bucket.value - 1
-            if prev is None or prev.value != value:
+            value = count[key]
+            members = buckets[value]
+            value -= 1
+            if value < lo:
                 if value < 0:
                     raise InternalInvariantError(f"key {key!r} decremented below zero")
-                if len(members) == 1:
-                    # a lone key relabels its bucket
-                    bucket.value = value
-                    continue
-                # no bucket holds value - 1: splice one in front
-                target = _Bucket(value, [])
-                target.prev, target.next = prev, bucket
-                if prev is not None:
-                    prev.next = target
-                else:
-                    self._head = target
-                bucket.prev = prev = target
-            elif len(members) == 1:
-                # a lone key joins prev and its bucket empties: unlink it
-                nxt = bucket.next
-                prev.next = nxt
-                if nxt is not None:
-                    nxt.prev = prev
-                else:
-                    self._tail = prev
-            # swap-remove the key from its bucket, append it to prev's
+                if value:
+                    lo = self._lo = value
+            # swap-remove the key from its bucket, append it to value - 1's
             i = pos[key]
             last = members.pop()
             if last != key:
                 members[i] = last
                 pos[last] = i
-            dest = prev.members
+            elif not members:
+                buckets[value + 1] = None
+            dest = buckets[value]
+            if dest is None:
+                buckets[value] = dest = []
             pos[key] = len(dest)
             dest.append(key)
-            bucket_of[key] = prev
+            count[key] = value
 
     def select(self, extreme="max", tie="min_id", rng=None):
         """Pick a key from the extreme nonzero bucket; ties per the rule.
@@ -222,27 +188,28 @@ class BucketList:
         ``random`` draws uniformly from it.
         """
         self.counters.selector_ops += 1
-        bucket = self._tail if extreme == "max" else self._head
-        if bucket.value == 0:
-            bucket = bucket.next if extreme == "min" else None
-        if bucket is None:
+        buckets = self._buckets
+        if extreme == "max":
+            v = self._hi
+            while v and buckets[v] is None:
+                v -= 1
+            self._hi = v
+        else:
+            v = self._lo
+            while v < len(buckets) and buckets[v] is None:
+                v += 1
+            self._lo = v
+        if not 0 < v < len(buckets):
             return None
-        members = bucket.members
+        members = buckets[v]
         if tie == "random":
             return members[rng.randrange(len(members))]
         return min(members)
 
-    def _walk(self):
-        b = self._head
-        while b is not None:
-            yield b
-            b = b.next
-
     def dump(self) -> str:
-        lines = ["bucket list"]
-        for b in self._walk():
-            lines.append(f"  value {b.value}: keys {sorted(b.members)}")
-        return "\n".join(lines)
+        return "\n".join(["bucket list"] + [
+            f"  value {v}: keys {sorted(members)}"
+            for v, members in enumerate(self._buckets) if members is not None])
 
 
 def _suffix_nodes(threshold: int, leaves: int) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ from pulseplan.structures import (
     IndexedSet,
     OpCounters,
     TaskStore,
-    _Bucket,
     _leaf_path,
     build_backend,
 )
@@ -309,6 +308,16 @@ def exhaustive_optimum(inst):
     return best
 
 
+class _Bucket:
+    __slots__ = ("value", "members", "prev", "next")
+
+    def __init__(self, value, members):
+        self.value = value
+        self.members = members
+        self.prev = None
+        self.next = None
+
+
 class StepwiseBucketList:
     """The bucket list built by counting every membership up from zero.
 
@@ -319,7 +328,7 @@ class StepwiseBucketList:
     made after that.  ``decrement`` is one ``adjust(key, -1)`` per key, and
     ``adjust`` always allocates a target bucket when no neighbour holds the
     target value, so comparing against it checks the bulk build of
-    ``BucketList``, its relabel-in-place path and its fused ``decrement``.
+    ``BucketList`` and its fused ``decrement``.
     """
 
     def __init__(self, keys, memberships):

@@ -290,6 +290,7 @@ SCALE_SDBF_RULE_DIGESTS = {
     ('GD', 'SD', 'SAR'): "8290fd98981e1b337c8f56887a8a201494a0e5319299f4e863f6fd685f568ab9",
     ('RGD', 'SD', 'SAR'): "2f18b18876b357d2a469e87d8f7518984f39ae5d02474df4a1692c3f27d69f2a",
     ('WGD', 'R', 'SAR'): "5bf376647675cc07d851f92ad1dbd66b22f1d888472784d498b6bada0e75b2ce",
+    ('RGD', 'R', 'SAR'): "5a8a8fd8918b0c55a8132f4f08fd9416cf58faea6a917397ec20fe88192830bb",
 }
 
 

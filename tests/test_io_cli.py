@@ -677,6 +677,8 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower()
+        # the command's usage, as argparse's own errors print it
+        assert "\nusage: pulseplan schedule [-h]" in err
 
     @pytest.mark.parametrize("argv", [
         ["schedule", "--mode", "edbf"],
@@ -863,6 +865,7 @@ class TestCli:
         assert main(["bench", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "usage" in err and "Traceback" not in err
+        assert "\nusage: pulseplan bench [-h]" in err
 
     @pytest.mark.parametrize("argv", [
         ["schedule", "SCENARIO"],
@@ -880,6 +883,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output file: ")
         assert "usage" in err and "Traceback" not in err
+        assert f"\nusage: pulseplan {argv[0]} [-h]" in err
 
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
     @pytest.mark.parametrize("sscfl", [[], ["--sscfl"]], ids=["ip", "sscfl"])
@@ -924,7 +928,9 @@ class TestCli:
         out = tmp_path / "model.lp"
         assert main(["export-lp", str(small_scenario_file), "--copies", copies,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: --copies must be at least 1")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --copies must be at least 1")
+        assert "\nusage: pulseplan export-lp [-h]" in err
         assert not out.exists()
 
     def test_dump_structures_flag(self, scenario_file, tmp_path, capsys):
