@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_scenario(path: str):
+def _read_table(path: str):
+    """The availability table of the scenario file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -123,7 +124,8 @@ def _read_scenario(path: str):
         raise UsageError(f"cannot read scenario file: {exc}")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid UTF-8: {exc}") from None
-    return pio.parse_scenario(text)
+    cfg, prfs, tasks = pio.parse_scenario(text)
+    return build_availability_table(tasks, prfs, cfg)
 
 
 def _write_out(text: str, out: str | None):
@@ -158,8 +160,7 @@ def _run_scheduler(args, table):
 
 
 def _cmd_schedule(args) -> int:
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
+    table = _read_table(args.scenario)
     if table.unschedulable and not args.allow_unschedulable:
         print("unschedulable tasks (no available PRF):", file=sys.stderr)
         for tid in table.unschedulable:
@@ -185,15 +186,13 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_availability(args) -> int:
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
+    table = _read_table(args.scenario)
     _write_out(pio.availability_text(table), args.out)
     return 0
 
 
 def _cmd_disks(args) -> int:
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
+    table = _read_table(args.scenario)
     _write_out(pio.disks_text(enumerate_disks(table, _grid(args))), args.out)
     return 0
 
@@ -201,8 +200,7 @@ def _cmd_disks(args) -> int:
 def _cmd_export_lp(args) -> int:
     if args.copies is not None and args.copies < 1:
         raise UsageError(f"--copies must be at least 1, got {args.copies}")
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
+    table = _read_table(args.scenario)
     source = exact_source(mode_source(args.mode, table, _grid(args)))
     inst = build_instance(source, copies=args.copies)
     _write_out(export_lp(inst, sscfl=args.sscfl), args.out)
@@ -216,8 +214,7 @@ def _heuristic_grid(mode):
 
 
 def _cmd_oracle_compare(args) -> int:
-    cfg, prfs, tasks = _read_scenario(args.scenario)
-    table = build_availability_table(tasks, prfs, cfg)
+    table = _read_table(args.scenario)
     if table.unschedulable:
         raise InfeasibleError(
             f"{len(table.unschedulable)} unschedulable task(s)",
@@ -225,12 +222,12 @@ def _cmd_oracle_compare(args) -> int:
         )
     if not args.heuristic_only:
         # refuse before running any heuristic, as solve_exact would after
-        check_exact_task_limit(len(tasks))
+        check_exact_task_limit(table.n_tasks)
     modes = tuple(MODES) if args.mode == "both" else (args.mode,)
     lines = ["pulseplan-oracle-compare v1",
-             f"seed={args.seed} tasks={len(tasks)}"]
+             f"seed={args.seed} tasks={table.n_tasks}"]
     grid = _grid(args)
-    copies = max(1, len(tasks))
+    copies = max(1, table.n_tasks)
     for mode in modes:
         source = mode_source(mode, table, grid)
         # C1-C8 and the objective read no candidate look, so one copy each

@@ -157,103 +157,6 @@ def prf_select(rule: str, buckets: BucketList, live_prfs: IndexedSet | None,
     raise ValueError(f"unknown PRF rule {rule!r}")
 
 
-class _Run:
-    """A contiguous block of placed tasks; shifts are O(1) offset moves.
-
-    ``rel_tol`` is min over members of (offset + A_l): the last slot, counted
-    from ``start``, that later pulses may occupy before hitting a member's
-    echo window.
-    """
-
-    __slots__ = ("start", "tasks", "rel_tol")
-
-    def __init__(self, start, tid, al):
-        self.start = start
-        self.tasks = deque((tid,))
-        self.rel_tol = al
-
-    @property
-    def end(self):
-        return self.start + len(self.tasks) - 1
-
-    @property
-    def tol_abs(self):
-        return self.start + self.rel_tol
-
-    def prepend(self, tid, al):
-        self.start -= 1
-        self.tasks.appendleft(tid)
-        self.rel_tol = min(self.rel_tol + 1, al)
-
-    def append(self, tid, al):
-        self.tasks.append(tid)
-        self.rel_tol = min(self.rel_tol, len(self.tasks) - 1 + al)
-
-
-class _LookBuild:
-    """Partial schedule of one look: an immobile left block plus the run
-    being built; at most two contiguous runs at any time."""
-
-    __slots__ = ("base", "work")
-
-    def __init__(self):
-        self.base = None
-        self.work = None
-
-    def als(self, tail, n_intlv):
-        """Slots after ``tail`` still clear of every member's echo window."""
-        tols = []
-        if self.base is not None:
-            tols.append(self.base.tol_abs)
-        if self.work is not None:
-            tols.append(self.work.tol_abs)
-        if not tols:
-            return n_intlv
-        return min(tols) - tail
-
-    def place(self, tid, al, cursor):
-        if self.work is None:
-            if self.base is not None and cursor <= self.base.end:
-                raise InternalInvariantError("placement collides with the block")
-            self.work = _Run(cursor, tid, al)
-        elif cursor == self.work.start - 1:
-            self.work.prepend(tid, al)
-        elif cursor == self.work.end + 1:
-            self.work.append(tid, al)
-        else:
-            raise InternalInvariantError(
-                f"placement at {cursor} not adjacent to run [{self.work.start}, {self.work.end}]"
-            )
-
-    def shift_work(self):
-        if self.work is not None:
-            self.work.start -= 1
-            if self.base is not None and self.work.start <= self.base.end:
-                raise InternalInvariantError("left shift ran into the block")
-
-    def compact_work(self, e_l):
-        """Slide the working run against the left edge (or the block)."""
-        if self.work is None:
-            return
-        if self.base is None:
-            self.work.start = e_l
-            self.base = self.work
-        else:
-            if e_l != self.base.end + 1:
-                raise InternalInvariantError("compaction edge does not abut the block")
-            self.base.rel_tol = min(
-                self.base.rel_tol, len(self.base.tasks) + self.work.rel_tol
-            )
-            self.base.tasks.extend(self.work.tasks)
-        self.work = None
-
-    def items(self):
-        for run in (self.base, self.work):
-            if run is not None:
-                for off, tid in enumerate(run.tasks):
-                    yield (run.start + off, tid)
-
-
 class Episode:
     """One look's scheduling pass over a selection backend.
 
@@ -261,6 +164,13 @@ class Episode:
     killed in the backend's store and deleted from the backend at once.
     ``tail`` and the partial schedule are shared across the recursion.
     ``run`` returns the placed rows in slot order; their slots are 1..m.
+
+    The partial schedule is an immobile ``block`` at slots 1..len(block)
+    and one working run ``work`` starting at slot ``start``, which a shift
+    moves left in O(1).  ``block_tol`` and ``work_tol`` are absolute slots,
+    min over each run's members of slot + A_l (``None`` while the run is
+    empty): the last slot later pulses may occupy before hitting a
+    member's echo window.
 
     The pass asks the backend no query whose answer it already holds.
     Between two deletes the store does not change, so a query that failed
@@ -284,28 +194,72 @@ class Episode:
         self.backend = backend
         self.n = n_intlv
         self.counters = counters
-        self.look = _LookBuild()
+        self.block, self.block_tol = [], None
+        self.work = self.start = self.work_tol = None
         self.tail = 0
         self.iters = 0
 
     def run(self) -> list[int]:
         self.counters.bi_calls += 1
         self._bi(1, self.n)
-        items = sorted(self.look.items())
-        slots = [s for s, _ in items]
-        if slots != list(range(1, len(slots) + 1)):
-            raise InternalInvariantError(f"look occupancy {slots} is not a prefix")
+        if self.work is not None and self.start != len(self.block) + 1:
+            raise InternalInvariantError(f"look occupancy: a run at slot {self.start} "
+                                         f"after a {len(self.block)}-slot block is no prefix")
         self.counters.bi_iterations += self.iters
         if self.iters > self.counters.bi_max_iterations:
             self.counters.bi_max_iterations = self.iters
-        return [row for _, row in items]
+        return self.block + list(self.work or ())
+
+    def _als(self):
+        """Slots after ``tail`` still clear of every member's echo window."""
+        tols = [t for t in (self.block_tol, self.work_tol) if t is not None]
+        return min(tols) - self.tail if tols else self.n
+
+    def _place(self, row, al, cursor):
+        """Place ``row`` at ``cursor``, at either end of the working run."""
+        if self.work is None:
+            if cursor <= len(self.block):
+                raise InternalInvariantError("placement collides with the block")
+            # an empty run that ends at the cursor
+            self.work, self.start, self.work_tol = deque(), cursor + 1, cursor + al
+        work = self.work
+        if cursor == self.start - 1:
+            self.start = cursor
+            work.appendleft(row)
+        elif cursor == self.start + len(work):
+            work.append(row)
+        else:
+            raise InternalInvariantError(
+                f"placement at {cursor} not adjacent to run "
+                f"[{self.start}, {self.start + len(work) - 1}]")
+        self.work_tol = min(self.work_tol, cursor + al)
+
+    def _shift(self):
+        """Move the working run one slot left."""
+        if self.work is not None:
+            self.start -= 1
+            self.work_tol -= 1
+            if self.start <= len(self.block):
+                raise InternalInvariantError("left shift ran into the block")
+
+    def _compact(self, e_l):
+        """Slide the working run to ``e_l``, against the block's end, and
+        make it part of the block."""
+        if self.work is None:
+            return
+        if e_l != len(self.block) + 1:
+            raise InternalInvariantError("compaction edge does not abut the block")
+        tol = self.work_tol - (self.start - e_l)
+        self.block_tol = tol if self.block_tol is None else min(self.block_tol, tol)
+        self.block += self.work
+        self.work = self.start = self.work_tol = None
 
     def _bi(self, e_l, e_r):
         self.tail = e_r
         cursor = e_r
-        n, look, backend = self.n, self.look, self.backend
+        n, backend = self.n, self.backend
         best_in, has_left, al = backend.best_in, backend.has_left, backend.al
-        kill, delete, place = backend.store.kill, backend.delete, look.place
+        kill, delete, place = backend.store.kill, backend.delete, self._place
         while cursor >= e_l:
             self.iters += 1
             if self.iters > 2 * n:
@@ -336,19 +290,19 @@ class Episode:
                     # availability; at most one task fits there.  Nothing
                     # was placed in this iteration, so ``als`` is the value
                     # at its start.
-                    als = look.als(self.tail, n)
-                    look.shift_work()
+                    als = self._als()
+                    self._shift()
                     freed = self.tail
                     self._bi(freed, freed + min(0, als - 1))
-                    work = look.work
-                    self.tail = work.end if work is not None else freed - 1
-            elif cursor != e_r and look.work is not None:
+                    work = self.work
+                    self.tail = self.start + len(work) - 1 if work is not None else freed - 1
+            elif cursor != e_r and self.work is not None:
                 # Nothing can extend the schedule on the left: push it
                 # flush left and fill, once, the slots that the shift
                 # opened on its right.
-                als = look.als(self.tail, n)
+                als = self._als()
                 new_el = e_l + self.tail - cursor
-                look.compact_work(e_l)
+                self._compact(e_l)
                 self._bi(new_el, min(self.tail, als + new_el - 1))
                 return
             cursor -= 1

@@ -558,25 +558,16 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
     def row(name, terms, sense, rhs):
         lines.append(f" {name}: {_expr(terms)} {sense} {rhs}")
 
-    if sscfl:
-        for lk in looks:
-            j = lk.index
-            row(f"c1_{j}", [(1, f"h_{t}_{j}") for t, _ in tasks] + [(-n, f"f_{j}")], "<=", 0)
-        for t, _ in tasks:
-            row(f"c2_{t}", [(1, f"h_{t}_{lk.index}") for lk in looks], "=", 1)
-        for t, r in tasks:
-            for lk in looks:
-                row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}")], "<=",
-                    int(inst.av(r, lk)))
-        binaries = [f"h_{t}_{lk.index}" for t, _ in tasks for lk in looks]
-    else:
-        for lk in looks:
-            j = lk.index
-            row(f"c1_{j}", [(1, f"h_{t}_{j}_{k}") for t, _ in tasks for k in slots]
-                + [(-n, f"f_{j}")], "<=", 0)
-        for t, _ in tasks:
-            row(f"c2_{t}", [(1, f"h_{t}_{lk.index}_{k}") for lk in looks for k in slots],
-                "=", 1)
+    def h(t, j):
+        """Task ``t``'s variables in look ``j``: one, or one per slot."""
+        return [f"h_{t}_{j}"] if sscfl else [f"h_{t}_{j}_{k}" for k in slots]
+
+    for lk in looks:
+        j = lk.index
+        row(f"c1_{j}", [(1, v) for t, _ in tasks for v in h(t, j)] + [(-n, f"f_{j}")], "<=", 0)
+    for t, _ in tasks:
+        row(f"c2_{t}", [(1, v) for lk in looks for v in h(t, lk.index)], "=", 1)
+    if not sscfl:
         for lk in looks:
             for k in slots:
                 row(f"c3_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t, _ in tasks],
@@ -585,10 +576,11 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
             for k in range(1, n):
                 row(f"c4_{lk.index}_{k}", [(1, f"h_{t}_{lk.index}_{k}") for t, _ in tasks]
                     + [(-1, f"h_{t}_{lk.index}_{k + 1}") for t, _ in tasks], ">=", 0)
-        for t, r in tasks:
-            for lk in looks:
-                row(f"c5_{t}_{lk.index}", [(1, f"h_{t}_{lk.index}_{k}") for k in slots],
-                    "<=", int(inst.av(r, lk)))
+    for t, r in tasks:
+        for lk in looks:
+            row(f"c5_{t}_{lk.index}", [(1, v) for v in h(t, lk.index)], "<=",
+                int(inst.av(r, lk)))
+    if not sscfl:
         for lk in looks:
             for k in slots:
                 # a task whose A_r equals k has a zero coefficient; an empty
@@ -604,7 +596,7 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
                     [(1 + (l_inf - k - al[r][lk.prf_index] if kk == k else 0),
                       f"h_{t}_{lk.index}_{kk}") for t, r in tasks for kk in slots],
                     "<=", l_inf)
-        binaries = [f"h_{t}_{lk.index}_{k}" for t, _ in tasks for lk in looks for k in slots]
+    binaries = [v for t, _ in tasks for lk in looks for v in h(t, lk.index)]
     binaries += [f"f_{lk.index}" for lk in looks]
     lines += ["Binaries", " " + " ".join(binaries), "End"]
     return "\n".join(lines) + "\n"

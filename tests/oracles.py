@@ -568,9 +568,9 @@ class ReferenceEpisode(Episode):
     def _bi(self, e_l, e_r):
         self.tail = e_r
         cursor = e_r
-        n, look, backend = self.n, self.look, self.backend
+        n, backend = self.n, self.backend
         best_in, has_left, al = backend.best_in, backend.has_left, backend.al
-        kill, delete, place = backend.store.kill, backend.delete, look.place
+        kill, delete, place = backend.store.kill, backend.delete, self._place
         while cursor >= e_l:
             self.iters += 1
             if self.iters > 2 * n:
@@ -594,19 +594,19 @@ class ReferenceEpisode(Episode):
                     # availability; at most one task fits there.  Nothing
                     # was placed in this iteration, so ``als`` is the value
                     # at its start.
-                    als = look.als(self.tail, n)
-                    look.shift_work()
+                    als = self._als()
+                    self._shift()
                     freed = self.tail
                     self._bi(freed, freed + min(0, als - 1))
-                    work = look.work
-                    self.tail = work.end if work is not None else freed - 1
-            elif cursor != e_r and look.work is not None:
+                    work = self.work
+                    self.tail = self.start + len(work) - 1 if work is not None else freed - 1
+            elif cursor != e_r and self.work is not None:
                 # Nothing can extend the schedule on the left: push it
                 # flush left and fill, once, the slots that the shift
                 # opened on its right.
-                als = look.als(self.tail, n)
+                als = self._als()
                 new_el = e_l + self.tail - cursor
-                look.compact_work(e_l)
+                self._compact(e_l)
                 self._bi(new_el, min(self.tail, als + new_el - 1))
                 return
             cursor -= 1

@@ -40,6 +40,13 @@ def random_entries(rng, n_intlv, max_tasks):
             for t in range(1, rng.randrange(1, max_tasks + 2))]
 
 
+def draw_entries(data, n_intlv):
+    """0 to 14 (tid, A_l, A_r, priority) entries drawn from Hypothesis data."""
+    k = data.draw(st.integers(0, 14))
+    return [(t, data.draw(st.integers(0, n_intlv)), data.draw(st.integers(1, n_intlv)),
+             data.draw(st.integers(0, 5))) for t in range(k)]
+
+
 class Watched:
     """A backend that records its queries and deletes, in call order, as
     (name, arguments, result) triples."""
@@ -149,9 +156,7 @@ class TestBackwardInterleaving:
     def test_places_as_the_reference_pass(self, n_intlv, data):
         # same rows in the same slots and the same store left behind, with
         # no more iterations, best_in or has_left calls than the reference
-        k = data.draw(st.integers(0, 14))
-        entries = [(t, data.draw(st.integers(0, n_intlv)), data.draw(st.integers(1, n_intlv)),
-                    data.draw(st.integers(0, 5))) for t in range(k)]
+        entries = draw_entries(data, n_intlv)
         for kind in BACKEND_KINDS:
             runs = []
             for episode in (Episode, ReferenceEpisode):
@@ -195,9 +200,39 @@ class TestBackwardInterleaving:
             ]
             ep, _ = episode_over(entries, n_intlv)
             placed = ep.run()
-            items = sorted(ep.look.items())
+            items = list(enumerate(ep.block, 1))
+            if ep.work is not None:
+                items += enumerate(ep.work, ep.start)
             assert [slot for slot, _ in items] == list(range(1, len(placed) + 1))
             assert [row for _, row in items] == placed
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_intlv=st.integers(1, 16), data=st.data())
+    def test_tolerances_are_min_slot_plus_al(self, n_intlv, data):
+        # after every placement, shift and compaction, each run's stored
+        # tolerance is min(slot + A_l) over its members, None while empty
+        entries = draw_entries(data, n_intlv)
+        for kind in BACKEND_KINDS:
+            backend = backend_over(kind, n_intlv, entries)
+            ep = Episode(backend, n_intlv, OpCounters())
+            steps = []
+
+            def tol(rows, first):
+                slots = [slot + backend.al[row] for slot, row in enumerate(rows, first)]
+                return min(slots, default=None)
+
+            def checked(step):
+                def call(*args):
+                    step(*args)
+                    steps.append(step.__name__)
+                    assert ep.block_tol == tol(ep.block, 1)
+                    assert ep.work_tol == (tol(ep.work, ep.start) if ep.work else None)
+                return call
+
+            for name in ("_place", "_shift", "_compact"):
+                setattr(ep, name, checked(getattr(ep, name)))
+            rows = ep.run()
+            assert steps.count("_place") == len(rows)
 
 
 class TestPrfSelect:
