@@ -50,7 +50,7 @@ from .ip import (
     solve_exact,
 )
 from .structures import BucketList, OpCounters, build_backend
-from .edbf import HeuristicConfig, hied, prf_select
+from .edbf import HeuristicConfig, hied
 from .sdbf import DiskHeuristicConfig, hisd
 from .scenario import ScenarioSpec, ScalingReport, fit_complexity, gen_scenario, run_scaling
 
@@ -97,7 +97,6 @@ __all__ = [
     "hisd",
     "is_trackable",
     "leftward_availability",
-    "prf_select",
     "project_to_scan_plane",
     "rightward_availability",
     "run_scaling",

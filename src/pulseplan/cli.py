@@ -235,7 +235,7 @@ def _cmd_oracle_compare(args) -> int:
         optimal = None
         if not args.heuristic_only:
             inst = build_instance(exact_source(source), copies=copies)
-            exact = solve_exact(inst, warm=None)
+            exact = solve_exact(inst)
             if exact is None:
                 raise InfeasibleError("instance admits no feasible schedule")
             optimal = exact_objective(exact, inst)

@@ -138,25 +138,6 @@ def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> 
                      table.al, table.ar, task_priorities(task_rule, table, rng))
 
 
-def prf_select(rule: str, buckets: BucketList, live_prfs: IndexedSet | None,
-               rng: random.Random):
-    """Pick the PRF for the next look among PRFs with live trackable tasks.
-
-    The greedy rules read the bucket list; the random rule draws from
-    ``live_prfs``, the PRFs whose count is nonzero.
-    """
-    if rule == "G":
-        return buckets.select("max", tie="min_id")
-    if rule == "RG":
-        return buckets.select("min", tie="min_id")
-    if rule == "R":
-        if len(live_prfs) == 0:
-            return None
-        buckets.counters.selector_ops += 1
-        return live_prfs.choose(rng)
-    raise ValueError(f"unknown PRF rule {rule!r}")
-
-
 class Episode:
     """One look's scheduling pass over a selection backend.
 
@@ -387,8 +368,17 @@ class EdbfRun:
         return "\n".join(parts)
 
     def next_look(self, j: int):
-        p = prf_select(self.cfg.prf_rule, self.buckets, self.live_prfs,
-                       self.rngs["prf"])
+        """Pick the PRF of look ``j`` among PRFs with live tasks: the
+        greedy rules read the bucket list, the random rule draws from
+        ``live_prfs``."""
+        rule = self.cfg.prf_rule
+        if rule != "R":
+            p = self.buckets.select("max" if rule == "G" else "min", tie="min_id")
+        elif self.live_prfs:
+            self.counters.selector_ops += 1
+            p = self.live_prfs.choose(self.rngs["prf"])
+        else:
+            p = None
         if p is None:
             raise InternalInvariantError("PRF selection returned an empty task set")
         self._look_prf = p

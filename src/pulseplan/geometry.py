@@ -243,16 +243,22 @@ def dedup_disks(catalog: DiskCatalog) -> DiskCatalog:
     Among equal task lists the lowest disk id survives.  Survivors are
     renumbered contiguously in original-id order and membership indexes are
     rebuilt.
+
+    Per PRF the disks are visited largest first, and a disk is dropped when
+    a kept one holds its task set.  Such a disk encloses the visited disk's
+    first member (every disk is nonempty), so only the kept disks among that
+    member's ``task_disks`` are tested, not every kept disk of the PRF.
     """
+    members, offsets, task_disks = catalog.members, catalog.offsets, catalog.task_disks
     keep: list[int] = []
     for disk_ids in catalog.by_prf:
         sets = {d: frozenset(catalog.disk_tasks(d)) for d in disk_ids}
-        kept_sets: list[frozenset] = []
+        kept: set[int] = set()
         for d in sorted(disk_ids, key=lambda d: (-len(sets[d]), d)):
             s = sets[d]
-            if any(s <= ks for ks in kept_sets):
+            if any(k in kept and s <= sets[k] for k in task_disks[members[offsets[d]]]):
                 continue
-            kept_sets.append(s)
+            kept.add(d)
             keep.append(d)
     keep.sort()
 

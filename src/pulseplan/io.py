@@ -263,6 +263,19 @@ _ASSIGN_LINE = _template("assign", _ASSIGN_FIELDS)
 _LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
 
 
+def _look_chunk(lines, fields):
+    """The ``ScheduledLook``s of look lines in the written form ``fields``,
+    as an iterator that holds the column iterators.  It stops at the end of
+    ``index``, so the other columns keep unread tokens; held by the
+    reader's locals, they would stay alive through the next chunk and the
+    assign read."""
+    index, prf, f_r, dwell, *disk = _columns(lines, "look", fields)
+    if disk:
+        disk_id, u, v = disk
+        return map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
+    return map(ScheduledLook, index, prf, f_r, dwell)
+
+
 def _look_line(lk: ScheduledLook) -> str:
     if lk.disk_id is None:
         return _LOOK_LINE % (lk.index, lk.prf_index, lk.f_r, lk.dwell)
@@ -374,13 +387,7 @@ def parse_schedule(text: str) -> Schedule:
                 raise ValueError("not look lines in the written form")
             run0, end = end, end + len(list(run))
             for i in range(run0, end, _CHUNK):
-                index, prf, f_r, dwell, *disk = _columns(
-                    lines[i:min(i + _CHUNK, end)], "look", _LOOK_FORMS[eqs])
-                if disk:
-                    disk_id, u, v = disk
-                    looks += map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
-                else:
-                    looks += map(ScheduledLook, index, prf, f_r, dwell)
+                looks += _look_chunk(lines[i:min(i + _CHUNK, end)], _LOOK_FORMS[eqs])
         for i in range(first, stop, _CHUNK):
             block = lines[i:min(i + _CHUNK, stop)]
             for col, values in zip(columns, _columns(block, "assign", _ASSIGN_FIELDS)):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import InfeasibleError, InternalInvariantError, ResourceLimitError
+from .errors import InfeasibleError, ResourceLimitError
 from .geometry import DiskCatalog
 from .radar import AvailabilityTable
 
@@ -386,7 +386,6 @@ def check_exact_task_limit(n_tasks: int) -> None:
 def solve_exact(
     inst: IpInstance,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    warm: Schedule | None = None,
 ) -> Schedule | None:
     """Depth-first branch and bound; provably optimal at desk scale.
 
@@ -421,10 +420,6 @@ def solve_exact(
     ar = [[int(table.ar[row, p]) for p, _ in bases] for row in range(n_t)]
 
     best_obj = None
-    if warm is not None:
-        if check_feasible(warm, inst):
-            raise InternalInvariantError("warm-start schedule is infeasible")
-        best_obj = exact_objective(warm, inst)
     best = None                     # (base, slots) of each look of the incumbent
     open_looks: list[_OpenLook] = []
     used = [0] * len(bases)
@@ -491,7 +486,7 @@ def solve_exact(
 
     dfs(0)
     if best is None:
-        return warm
+        return None
     looks, assignments = [], []
     for j, (b, slots) in enumerate(best, 1):
         p, d = bases[b]

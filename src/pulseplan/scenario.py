@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ScenarioError
 from .geometry import GridSpec
 from .radar import (
     RadarConfig,
@@ -59,6 +60,10 @@ def _uniform_disk(rng, n, radius):
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
+# Draws in a row that keep no row before gen_scenario gives up.
+_MAX_EMPTY_DRAWS = 100
+
+
 def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
                  prfs=None):
     """Draw tasks until the requested count is reached: (cfg, prfs,
@@ -71,6 +76,9 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
     values, and the bytes ``scenario_to_text`` writes, are the same as
     when each kept row became its own ``TrackTask``; ``TaskColumns`` still
     runs the ``TrackTask`` checks on every row.
+
+    ``ScenarioError`` is raised after ``_MAX_EMPTY_DRAWS`` draws in a row
+    keep no row: the radar and PRFs make (almost) no draw trackable.
     """
     cfg = cfg if cfg is not None else RadarConfig()
     prfs = tuple(prfs) if prfs is not None else default_prf_set()
@@ -82,7 +90,7 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
         centers = np.stack([cu, cv], axis=1)
 
     cols = [[np.zeros(0)] for _ in range(6)]   # so n_tasks=0 concatenates
-    have = 0
+    have = empty = 0
     while have < spec.n_tasks:
         m = max(2 * (spec.n_tasks - have), 64)
         r = rng.uniform(*spec.range_bounds, m)
@@ -110,6 +118,11 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
         for col, drawn in zip(cols, (r, sr, vt, sf, u, v)):
             col.append(drawn[keep])
         have += len(keep)
+        empty = 0 if len(keep) else empty + 1
+        if empty == _MAX_EMPTY_DRAWS:
+            raise ScenarioError(
+                f"{empty} draws in a row kept no task: no drawn track is trackable "
+                f"with these radar and PRF settings ({have} of {spec.n_tasks} drawn)")
 
     tasks = TaskColumns(range(1, spec.n_tasks + 1), *map(np.concatenate, cols))
     return cfg, prfs, tasks

@@ -365,8 +365,9 @@ class _BackendBase:
     holds it, once each, by ``delete(rows)``: one row as it is placed in
     this backend's look, the look's rows that this backend holds in one
     call per look in every other backend.  Queries skip rows the store
-    marks dead.  The queries here are the brute kind's linear scans of
-    ``_order``.
+    marks dead.  ``best_in`` is the one query a kind implements, here the
+    brute kind's linear scan of ``_order``; ``has_left`` asks it for every
+    kind.
     """
 
     kind = "base"
@@ -388,10 +389,6 @@ class _BackendBase:
         return next((r for r in self._order
                      if live[r] and al[r] >= l_min and ar[r] >= r_min), None)
 
-    def _scan_left(self, l_min):
-        live, al = self.store.live, self.al
-        return any(live[r] and al[r] >= l_min for r in self._order)
-
     def delete(self, rows):
         """Drop rows the store has killed: lower the live count, which is
         all the brute and range-tree kinds need, since their queries skip
@@ -404,8 +401,9 @@ class _BackendBase:
         return self._scan_best(l_min, r_min)
 
     def has_left(self, l_min):
-        self.counters.backend_queries += 1
-        return self._scan_left(l_min)
+        """Any live row at A_l >= l_min?  Every row has A_r >= 1 (the store
+        checks it), so this is ``best_in(l_min, 1)``, one query."""
+        return self.best_in(l_min, 1) is not None
 
     def dump(self) -> str:
         lines = [f"{self.kind} backend: {self.live_count} live tasks"]
@@ -428,7 +426,9 @@ class PairwiseBackend(_BackendBase):
 
     Stored pairs are those the backward scheduler can query: a + b never
     exceeds n_intlv because a counts already occupied slots to the right of
-    slot b.  Other (legal but unreachable) thresholds fall back to a scan.
+    slot b.  Other (legal but unreachable) thresholds fall back to a scan,
+    as ``has_left(l)`` does for l >= n_intlv.  At l <= 0 it reads the head
+    of (0, 1), a row exactly while ``live_count > 0``.
     """
 
     kind = "pairwise"
@@ -454,15 +454,6 @@ class PairwiseBackend(_BackendBase):
 
     def total_entries(self):
         return sum(map(len, self._next.values()))
-
-    def has_left(self, l_min):
-        self.counters.backend_queries += 1
-        if l_min <= 0:
-            return self.live_count > 0
-        if (l_min, 1) in self._next:
-            return self._head[(l_min, 1)] is not None
-        self.counters.fallback_scans += 1
-        return self._scan_left(l_min)
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1
@@ -532,8 +523,8 @@ class RangeTreeBackend(_BackendBase):
     stored no row at the pair.  ``best_in`` walks the O(log n_intlv)
     first-level slots of its threshold box's cover, and under each that
     holds lists the O(log n_intlv) second-level ones, each node pair one
-    list index; ``has_left(l)`` is the same walk over cover(l) x cover(1),
-    as every row has A_r >= 1.  A query inspects at most |cover|^2 <=
+    list index; ``has_left(l)``, as ``best_in(l, 1)``, is the same walk over
+    cover(l) x cover(1).  A query inspects at most |cover|^2 <=
     depth^2 node pairs (``_visit_cap``), and each node entry is skipped at
     most once by its cursor over a run, so the skipping a run's queries do
     is bounded by ``node_entries`` in all: O(log^2 n_intlv) amortized per
@@ -605,17 +596,6 @@ class RangeTreeBackend(_BackendBase):
         self._cursor = [None if seqs is None else [0] * width for seqs in lists]
         self.counters.node_entries += sum(
             len(lst) for seqs in lists if seqs is not None for lst in seqs if lst is not None)
-
-    def max_lists_per_task(self):
-        paths = self._paths
-        return max(
-            (len(paths[self.al[r]]) * len(paths[self.ar[r]]) for r in self._order),
-            default=0,
-        )
-
-    def has_left(self, l_min):
-        # every row has A_r >= 1; best_in counts the one query
-        return self.best_in(l_min, 1) is not None
 
     def best_in(self, l_min, r_min):
         self.counters.backend_queries += 1

@@ -13,6 +13,7 @@ import numpy as np
 
 from pulseplan.edbf import Episode
 from pulseplan.errors import InternalInvariantError
+from pulseplan.geometry import DiskCatalog
 from pulseplan.io import SCENARIO_TAG, SCHEDULE_TAG
 from pulseplan.ip import dwell_fraction
 from pulseplan.radar import (
@@ -165,6 +166,39 @@ def disk_rows(catalog):
     return [(catalog.prf_index[d], catalog.gu[d], catalog.gv[d],
              [ids[row] for row in catalog.disk_tasks(d)])
             for d in range(catalog.n_disks)]
+
+
+def reference_dedup_disks(catalog):
+    """``dedup_disks`` testing each visited disk against every kept disk of
+    its PRF, not only the kept disks enclosing its first member."""
+    keep = []
+    for disk_ids in catalog.by_prf:
+        sets = {d: frozenset(catalog.disk_tasks(d)) for d in disk_ids}
+        kept_sets = []
+        for d in sorted(disk_ids, key=lambda d: (-len(sets[d]), d)):
+            s = sets[d]
+            if any(s <= ks for ks in kept_sets):
+                continue
+            kept_sets.append(s)
+            keep.append(d)
+    keep.sort()
+
+    prf_index = [catalog.prf_index[d] for d in keep]
+    by_prf = [[] for _ in range(catalog.table.n_prfs)]
+    task_disks = [[] for _ in range(catalog.table.n_tasks)]
+    members = []
+    offsets = [0]
+    for new, d in enumerate(keep):
+        rows = catalog.disk_tasks(d)
+        members += rows
+        offsets.append(len(members))
+        by_prf[prf_index[new]].append(new)
+        for row in rows:
+            task_disks[row].append(new)
+    return DiskCatalog(grid=catalog.grid, table=catalog.table, prf_index=prf_index,
+                       gu=[catalog.gu[d] for d in keep], gv=[catalog.gv[d] for d in keep],
+                       members=members, offsets=offsets, by_prf=by_prf,
+                       task_disks=task_disks)
 
 
 def brute_grid_disks(table, grid):

@@ -22,7 +22,7 @@ from pulseplan import (
     hied,
     solve_exact,
 )
-from pulseplan.edbf import EdbfRun, Episode, prf_select, run_looks, task_priorities
+from pulseplan.edbf import EdbfRun, Episode, run_looks, task_priorities
 from pulseplan.scenario import ScenarioSpec
 from pulseplan.structures import BACKEND_KINDS, IndexedSet, OpCounters
 from oracles import ReferenceEpisode, backend_over, live_heads, rowwise_edbf_consume
@@ -235,24 +235,45 @@ class TestBackwardInterleaving:
             assert steps.count("_place") == len(rows)
 
 
+def prf_run(rule, counts, live_prfs=None, seed=0):
+    """An ``EdbfRun`` of PRF rule ``rule`` on a 20-task, 8-PRF table, its
+    bucket list holding ``counts`` and the random rule's set ``live_prfs``."""
+    cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=20, seed=1))
+    run = EdbfRun(build_availability_table(tasks, prfs, cfg),
+                  HeuristicConfig(prf_rule=rule, seed=seed))
+    run.buckets = BucketList(counts)
+    run.live_prfs = live_prfs
+    return run
+
+
+def look_prf(run, j=1):
+    """The PRF ``run.next_look(j)`` picks."""
+    backend, look = run.next_look(j)
+    assert backend is run.backends[look.prf_index]
+    return look.prf_index
+
+
 class TestPrfSelect:
     def test_greedy_and_reverse_greedy(self):
-        buckets = BucketList([5, 2])
-        assert prf_select("G", buckets, None, random.Random(0)) == 0
-        assert prf_select("RG", buckets, None, random.Random(0)) == 1
+        assert look_prf(prf_run("G", [5, 2])) == 0
+        assert look_prf(prf_run("RG", [5, 2])) == 1
 
     def test_single_nonempty_prf(self):
-        buckets = BucketList([0, 1])
         for rule in ("G", "RG", "R"):
-            assert prf_select(rule, buckets, IndexedSet([1]), random.Random(0)) == 1
+            assert look_prf(prf_run(rule, [0, 1], IndexedSet([1]))) == 1
 
     def test_random_rule_reproducible(self):
-        buckets = BucketList([p + 1 for p in range(6)])
-        live = IndexedSet(range(6))
-        a = [prf_select("R", buckets, live, random.Random(42)) for _ in range(10)]
-        b = [prf_select("R", buckets, live, random.Random(42)) for _ in range(10)]
-        assert a == b
-        assert set(a) <= set(range(6))
+        counts = [p + 1 for p in range(6)]
+        runs = [prf_run("R", counts, IndexedSet(range(6)), seed=42) for _ in range(2)]
+        picks = [[look_prf(run, j) for j in range(1, 11)] for run in runs]
+        assert picks[0] == picks[1]
+        assert set(picks[0]) <= set(range(6))
+
+    def test_random_rule_without_live_prf_counts_nothing(self):
+        run = prf_run("R", [0, 0], IndexedSet())
+        with pytest.raises(InternalInvariantError, match="empty task set"):
+            run.next_look(1)
+        assert run.counters.selector_ops == 0
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_random_rule_set_tracks_nonzero_counts(self, seed):

@@ -19,7 +19,7 @@ from pulseplan import (
 )
 from pulseplan.geometry import DISK_DENSITY_BOUND, _stencil
 from pulseplan.scenario import ScenarioSpec
-from oracles import brute_grid_disks, disk_rows, stepwise_disks
+from oracles import brute_grid_disks, disk_rows, reference_dedup_disks, stepwise_disks
 
 
 def scan_task(tid, u, v, r=30000.0):
@@ -334,6 +334,20 @@ class TestDedup:
         for row, disks in enumerate(reduced.task_disks):
             for d in disks:
                 assert row in reduced.disk_tasks(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_tasks=st.integers(0, 400), clusters=st.integers(0, 6), seed=st.integers(0, 99))
+    def test_first_member_candidates_match_every_kept_disk(self, n_tasks, clusters, seed):
+        # testing only the kept disks that enclose a disk's first member
+        # keeps the disks that testing every kept disk of its PRF keeps
+        spec = ScenarioSpec(n_tasks=n_tasks, seed=seed, cluster_count=clusters)
+        cfg, prfs, tasks = gen_scenario(spec)
+        table = build_availability_table(tasks, prfs, cfg)
+        catalog = enumerate_disks(table, GridSpec())
+        got, want = dedup_disks(catalog), reference_dedup_disks(catalog)
+        for name in ("prf_index", "gu", "gv", "members", "offsets", "by_prf", "task_disks"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.grid is catalog.grid and got.table is catalog.table
 
     def test_reduction_is_a_fixed_point(self, cfg, prfs):
         grid = GridSpec(spacing=0.02, disk_radius=0.05)

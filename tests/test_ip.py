@@ -376,14 +376,6 @@ class TestExactSolver:
             assert exact_objective(got, inst) == want, seed
             assert check_feasible(got, inst) == []
 
-    def test_warm_start_preserves_optimality(self):
-        for seed in range(6):
-            table, inst = small_instance(6, seed=200 + seed)
-            warm = hied(table, HeuristicConfig(seed=seed))
-            got = solve_exact(inst, warm=warm)
-            want = exhaustive_optimum(inst)
-            assert exact_objective(got, inst) == want
-
     def test_desk_limits_enforced(self, cfg, prfs):
         _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=11, seed=0), cfg, prfs)
         table = build_availability_table(tasks, prfs, cfg)

@@ -1,10 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pulseplan
 from pulseplan import (
     RadarConfig,
     ScenarioSpec,
@@ -47,6 +53,24 @@ class TestGeneration:
         table = build_availability_table(tasks, prfs, cfg)
         assert table.unschedulable == ()
         assert len(tasks) == 120
+
+    def test_no_trackable_draw_is_refused(self):
+        # a range confidence of 1e9 sigma leaves no draw trackable; it must
+        # refuse, not draw forever, so it runs in a process with a timeout
+        script = textwrap.dedent('''
+            from pulseplan import RadarConfig, ScenarioError, ScenarioSpec, gen_scenario
+            try:
+                gen_scenario(ScenarioSpec(n_tasks=1), RadarConfig(n_r=1e9))
+            except ScenarioError as exc:
+                print(exc)
+        ''')
+        path = [str(Path(pulseplan.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("100 draws in a row kept no task: no drawn track is trackable "
+                               "with these radar and PRF settings (0 of 1 drawn)\n")
 
     def test_keep_unschedulable_keeps_raw_draws(self):
         spec = ScenarioSpec(n_tasks=200, seed=4, keep_unschedulable=True)

@@ -634,7 +634,10 @@ class TestStructuralBounds:
             entries = random_entries(rng, 40, n_intlv)
             b = backend_over("rangetree", n_intlv, entries)
             cap = (math.ceil(math.log2(n_intlv)) + 1) ** 2 if n_intlv > 1 else 4
-            assert b.max_lists_per_task() <= cap
+            paths = b._paths
+            lists_per_task = max(
+                (len(paths[b.al[r]]) * len(paths[b.ar[r]]) for r in b._order), default=0)
+            assert lists_per_task <= cap
             depth = _tree_shape(n_intlv).leaves.bit_length() - 1
             assert depth <= math.ceil(math.log2(n_intlv)) + 1
 
