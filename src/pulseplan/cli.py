@@ -8,11 +8,11 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 import time
 from . import io as pio
-from .edbf import PRF_RULES, TASK_RULES
 from .errors import (
     InfeasibleError,
     InternalInvariantError,
@@ -30,7 +30,7 @@ from .ip import (
 )
 from .radar import build_availability_table
 from .scenario import ScenarioSpec, run_scaling
-from .sdbf import DISK_RULES, MODES, SUB_RULES, exact_source, look_source, mode_source
+from .sdbf import MODES, exact_source, look_source, mode_source
 from .structures import BACKEND_KINDS, OpCounters
 
 
@@ -43,6 +43,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message, self.format_usage())
+
+
+def _rule_flags() -> dict:
+    """Each rule of the mode table once, in the order the modes declare
+    them: its choices and its config's default."""
+    flags = {}
+    for cfg in MODES.values():
+        defaults = {f.name: f.default for f in dataclasses.fields(cfg)}
+        for name, choices in cfg.RULES.items():
+            flags.setdefault(name, (choices, defaults[name]))
+    return flags
 
 
 def _build_parser() -> _Parser:
@@ -58,10 +69,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("schedule", help="run a heuristic scheduler on a scenario")
     p.add_argument("scenario")
     p.add_argument("--mode", choices=tuple(MODES), default="edbf")
-    p.add_argument("--prf-rule", choices=PRF_RULES, default="G")
-    p.add_argument("--task-rule", choices=TASK_RULES, default="SAR")
-    p.add_argument("--disk-rule", choices=DISK_RULES, default="GD")
-    p.add_argument("--sub-rule", choices=SUB_RULES, default="R")
+    for name, (choices, default) in _rule_flags().items():
+        p.add_argument("--" + name.replace("_", "-"), choices=choices, default=default)
     p.add_argument("--backend", choices=BACKEND_KINDS, default="rangetree")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="schedule file path (default: stdout)")

@@ -211,10 +211,11 @@ def run_scaling(
     """Median-of-reps timings across strictly increasing sizes.
 
     Every run uses the default radar configuration, PRF set and rules and
-    the one grid, so only the task count scales.  Refuses to fit fewer
-    than four sizes.  Repetitions run one after another in this process,
-    so each timing is exclusive.  ``prep_ms`` times the availability table
-    and the structures; ``gen_scenario`` already returns columns, so no
+    the one grid, so only the task count scales.  Refuses, before any run,
+    fewer than four sizes, a size below 1 and fewer than one repetition.
+    Repetitions run one after another in this process, so each timing is
+    exclusive.  ``prep_ms`` times the availability table and the
+    structures; ``gen_scenario`` already returns columns, so no
     task-to-column conversion is in it.
     """
     sizes = [int(s) for s in sizes]
@@ -222,6 +223,10 @@ def run_scaling(
         raise ValueError("scaling runs need at least four sizes")
     if sorted(set(sizes)) != sizes:
         raise ValueError("sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise ValueError("sizes must be at least 1")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {tuple(MODES)}")
     template = template if template is not None else ScenarioSpec(n_tasks=0, seed=0)

@@ -26,21 +26,21 @@ placed tasks are consumed, so a selection's walk past empty buckets is O(1)
 amortized.
 
 Every structure is built in bulk: the store from the table's columns, the
-backends from a PRF's rows of it in priority order, the bucket list from one
-count per key.
+backends from a PRF's rows of it in priority order (a range tree of any size
+by one build: O(q * depth^2) node entries for q rows, about 28% of
+q * depth^2 at n_intlv 8), the bucket list from one count per key.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalInvariantError
-
-BACKEND_KINDS = ("brute", "pairwise", "rangetree")
 
 
 @dataclass
@@ -241,11 +241,6 @@ def _leaf_path(key: int, leaves: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Below this many rows numpy's per-call cost outweighs appending each of a
-# range tree's rows to its node sequences in Python.
-_BULK_MIN_TASKS = 32
-
-
 class _TreeShape(NamedTuple):
     leaves: int
     canon: tuple
@@ -253,8 +248,6 @@ class _TreeShape(NamedTuple):
     slot: dict
     canon_slots: tuple
     path_slots: tuple
-    pair_hi: np.ndarray
-    pair_lo: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -269,14 +262,10 @@ def _tree_shape(n_intlv: int) -> _TreeShape:
 
     ``slot`` numbers the C canonical nodes densely, 0..C-1 in node order,
     and ``canon_slots`` and ``path_slots`` are ``canon`` and ``paths`` in
-    slot numbers.  The node pair of slots (c1, c2) has the pair key
-    c1 * C + c2.  ``pair_hi`` and ``pair_lo`` are read-only (key, depth)
-    tables for the bulk build: row k holds ``path_slots[k]`` times C, and
-    ``path_slots[k]``, each padded to the depth with C^2.  So for a row with
-    A_l = a and A_r = r, the sums ``pair_hi[a][i] + pair_lo[r][j]`` below
-    C^2 are the pair keys of ``path_slots[a]`` x ``path_slots[r]``, in
-    order, and every sum with a pad is C^2 or more.  Both tables take the
-    narrowest dtype that holds every sum, up to 2 C^2."""
+    slot numbers.  A range tree's build reads ``path_slots[a]`` x
+    ``path_slots[r]`` once per (A_l, A_r) class of its rows, at most
+    (n_intlv + 1) * n_intlv classes: the node pairs whose sequences hold
+    the class's rows, O(depth^2) of them."""
     leaves = 1
     while leaves < n_intlv + 1:
         leaves <<= 1
@@ -284,18 +273,9 @@ def _tree_shape(n_intlv: int) -> _TreeShape:
     canon = tuple(_suffix_nodes(k, leaves) for k in keys)
     slot = {node: c for c, node in enumerate(sorted(set().union(*canon)))}
     paths = tuple(tuple(n for n in _leaf_path(k, leaves) if n in slot) for k in keys)
-    width = len(slot)
     canon_slots = tuple(tuple(map(slot.__getitem__, cover)) for cover in canon)
     path_slots = tuple(tuple(map(slot.__getitem__, path)) for path in paths)
-    dtype = np.min_scalar_type(2 * width * width)
-    depth = max(map(len, path_slots))
-    pair_hi = np.full((n_intlv + 1, depth), width * width, dtype=dtype)
-    pair_lo = np.full((n_intlv + 1, depth), width * width, dtype=dtype)
-    for k, path in enumerate(path_slots):
-        pair_hi[k, :len(path)] = [c * width for c in path]
-        pair_lo[k, :len(path)] = path
-    pair_hi.flags.writeable = pair_lo.flags.writeable = False
-    return _TreeShape(leaves, canon, paths, slot, canon_slots, path_slots, pair_hi, pair_lo)
+    return _TreeShape(leaves, canon, paths, slot, canon_slots, path_slots)
 
 
 class TaskStore:
@@ -314,11 +294,12 @@ class TaskStore:
     and ``ar[p]`` are row-indexed lists of A_l and A_r.
 
     ``rows`` holds one int object per row; ``order``, the rank lists and the
-    range trees' node sequences share these objects.  The ``*_table`` arrays
-    are the same columns as [row, PRF] numpy arrays, for bulk builds.
-    Subarray mode reads only the rank lists, but they come from the same
-    sort as ``order``, whose lists take about 5% of the store's build at 4k
-    tasks, so every store builds both.
+    range trees' node sequences share these objects.  A range tree builds
+    from ``order[p]`` (or a sub-list of it), the ``al``/``ar`` lists and the
+    rank list, O(depth^2) node entries per row.  Subarray mode reads only
+    the rank lists, but they come from the same sort as ``order``, whose
+    lists take about 5% of the store's build at 4k tasks, so every store
+    builds both.
     """
 
     def __init__(self, n_intlv, ids, av, al, ar, prio):
@@ -333,7 +314,6 @@ class TaskStore:
         self.ids = list(ids)
         self.live = [True] * n
         self.rows = np.array(range(n), dtype=object)
-        self.al_table, self.ar_table = al, ar
         self.al, self.ar = al.T.tolist(), ar.T.tolist()
         # broadcast through the transpose, so one column of 0 rows fits too
         self.prio_table = np.broadcast_to(np.asarray(prio).T, (n_prfs, n)).T
@@ -532,17 +512,16 @@ class RangeTreeBackend(_BackendBase):
     A_l >= 0 and A_r >= 1, so the box holds the same rows), and one above
     n_intlv finds nothing.
 
-    The build writes the canonical node entries, about 28% of q * depth^2
-    at n_intlv 8 (depth = log2 of the leaf count), at once: the rows come
-    in priority order, so one sum of their gathered ``pair_hi`` and
-    ``pair_lo`` rows gives their (row, pair key) entries, and one stable
-    numpy sort of the entries by pair key, the pads dropped, groups them by
-    node pair and keeps each node's rows in priority order.  While 2 C^2
-    fits 16 bits (up to n_intlv 176) the sort is a radix sort, O(q log^2
-    n_intlv) time with no per-entry Python call.  Below ``_BULK_MIN_TASKS``
-    rows, as in the per-disk backends of subarray mode, numpy's per-call
-    cost outweighs that, and each row is appended to its node sequences in
-    turn instead.  Node sequences hold the store's row objects.
+    A tree of any size has one build.  A row's (A_l, A_r) class decides
+    the canonical node pairs of its two leaf paths that store it.  One pass
+    over ``_order`` lists each class's rows in priority order.  A node pair
+    that one class reaches holds that list, shared, and one that k classes
+    reach holds their lists merged by rank, O(n log k) for n rows in
+    Python's sort.  That is O(q * depth^2) node entries for q rows (depth =
+    log2 of the leaf count), about 28% of q * depth^2 at n_intlv 8.  Rows
+    appended one by one to growing sequences would fragment the heap (12%
+    more peak RSS on edbf-64k).  Node sequences hold the store's row
+    objects and are not written after the build.
     """
 
     kind = "rangetree"
@@ -556,43 +535,23 @@ class RangeTreeBackend(_BackendBase):
         width = len(shape.slot)
         self._lists = lists = [None] * width
         al, ar = self.al, self.ar
-        if len(self._order) < _BULK_MIN_TASKS:
-            for r in self._order:
-                path2 = paths[ar[r]]
-                for c1 in paths[al[r]]:
-                    seqs = lists[c1]
-                    if seqs is None:
-                        seqs = lists[c1] = [None] * width
-                    for c2 in path2:
-                        lst = seqs[c2]
-                        if lst is None:
-                            seqs[c2] = [r]
-                        else:
-                            lst.append(r)
-        else:
-            # One entry per (row, pair key), row-major in priority order, so
-            # a stable sort by pair key keeps each node's rows in priority
-            # order.  Sums with a pad (C^2 or more) are dropped before the
-            # sort; numpy's stable sort is a radix sort for 8- and 16-bit
-            # keys.
-            store, p = self.store, self.p
-            idx = np.fromiter(self._order, dtype=np.intp, count=len(self._order))
-            hi, lo = shape.pair_hi, shape.pair_lo
-            pair = (hi[store.al_table[idx, p]][:, :, None]
-                    + lo[store.ar_table[idx, p]][:, None, :]).reshape(-1)
-            keep = np.flatnonzero(pair < width * width)
-            pair = pair[keep]
-            by_pair = np.argsort(pair, kind="stable")
-            rows = store.rows[idx[keep[by_pair] // hi.shape[1] ** 2]].tolist()
-            pair = pair[by_pair]
-            cuts = (np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist()
-            starts = [0, *cuts]
-            for key, s, e in zip(pair[starts].tolist(), starts, [*cuts, len(rows)]):
-                c1, c2 = divmod(key, width)
-                seqs = lists[c1]
-                if seqs is None:
-                    seqs = lists[c1] = [None] * width
-                seqs[c2] = rows[s:e]
+        k = self.n_intlv + 1
+        classes = {}
+        for r in self._order:
+            classes.setdefault(al[r] * k + ar[r], []).append(r)
+        merges = {}
+        for key, rows in classes.items():
+            a, b = divmod(key, k)
+            for c1 in paths[a]:
+                seqs = lists[c1] = lists[c1] or [None] * width
+                for c2 in paths[b]:
+                    if seqs[c2] is None:
+                        seqs[c2] = rows
+                    else:
+                        merges.setdefault((c1, c2), [seqs[c2]]).append(rows)
+        rank = self.rank.__getitem__
+        for (c1, c2), runs in merges.items():
+            lists[c1][c2] = sorted(itertools.chain.from_iterable(runs), key=rank)
         self._cursor = [None if seqs is None else [0] * width for seqs in lists]
         self.counters.node_entries += sum(
             len(lst) for seqs in lists if seqs is not None for lst in seqs if lst is not None)
@@ -645,6 +604,7 @@ _BACKENDS = {
     "pairwise": PairwiseBackend,
     "rangetree": RangeTreeBackend,
 }
+BACKEND_KINDS = tuple(_BACKENDS)
 
 
 def build_backend(kind, store, p, order, counters=None) -> _BackendBase:

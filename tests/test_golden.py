@@ -266,9 +266,10 @@ def test_operation_counts_pinned(key):
 # other rules, were recorded while a priority column that every PRF shares
 # (SAP, SLA, SRA; R in subarray mode) was still ranked once over the whole
 # table and each backend still sorted the rows it was given: they pin the
-# element backends' bulk builds and the per-disk builds under the rules no
-# benchmark workload runs.  GD+SD, RGD+SD and WGD+R were recorded while the
-# ordered disk rules still kept their disks in a sorted list.
+# range-tree builds of the element backends and of the per-disk ones under
+# the rules no benchmark workload runs.  GD+SD, RGD+SD and WGD+R were
+# recorded while the ordered disk rules still kept their disks in a sorted
+# list.
 SCALE_EDBF_DIGESTS = {
     ('G', 'SAR'): "7802db6b30fd4e6bbd7cfb470903b3e64e555e8f5e749fc304c7a9909701dbbb",
     ('G', 'R'): "6caa632a28c883dc0214ecb97b0eaa9f13462181c56cbbd767c8353f7264465f",

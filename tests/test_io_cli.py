@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -31,10 +32,11 @@ from pulseplan import (
     hisd,
 )
 from pulseplan import io as pio
-from pulseplan.cli import main
+from pulseplan.cli import _build_parser, main
 from pulseplan.edbf import EdbfRun
 from pulseplan.ip import LP_MAX_TERMS
 from pulseplan.sdbf import SdbfRun
+from pulseplan.structures import BACKEND_KINDS
 from pulseplan.radar import _TASK_FLOATS, TaskColumns, slot_cap
 from oracles import tuple_schedule_text
 from pulseplan.io import (
@@ -696,6 +698,24 @@ class TestCli:
 
     def test_bad_flag_is_usage_error(self, scenario_file):
         assert main(["schedule", str(scenario_file), "--mode", "bogus"]) == 1
+
+    def test_rule_flags_are_the_configs_rules(self):
+        # each rule flag's choices and default are its config's, in the
+        # flag order of the mode table; --backend offers every backend kind
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {a.dest: a for a in sub["schedule"]._actions}
+        assert [d for d in flags if d.endswith("_rule")] == [
+            "prf_rule", "task_rule", "disk_rule", "sub_rule"]
+        for cfg in (HeuristicConfig, DiskHeuristicConfig):
+            defaults = {f.name: f.default for f in dataclasses.fields(cfg)}
+            for name, choices in cfg.RULES.items():
+                assert tuple(flags[name].choices) == choices
+                assert flags[name].default == defaults[name]
+            for command in ("schedule", "bench"):
+                backend = next(a for a in sub[command]._actions if a.dest == "backend")
+                assert tuple(backend.choices) == BACKEND_KINDS
+                assert backend.default == defaults["backend"]
 
     def test_unschedulable_input_exits_two(self, tmp_path, capsys):
         from pulseplan import PrfConfig, RadarConfig, TrackTask

@@ -204,9 +204,15 @@ class TestScalingHarness:
         with pytest.raises(ValueError):
             run_scaling("edbf", "rangetree", [100, 200, 400], reps=1)
 
-    def test_refuses_unsorted_sizes(self):
+    def test_refuses_unsorted_sizes(self, monkeypatch):
         with pytest.raises(ValueError):
             run_scaling("edbf", "rangetree", [100, 400, 200, 800], reps=1)
+        # no repetition, or a size below 1, is refused before any run
+        monkeypatch.setattr(pulseplan.scenario, "_time_one", None)
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            run_scaling("edbf", "rangetree", [100, 200, 400, 800], reps=0)
+        with pytest.raises(ValueError, match="sizes must be at least 1"):
+            run_scaling("edbf", "rangetree", [0, 200, 400, 800], reps=1)
 
     def test_small_edbf_run_monotone_and_instrumented(self):
         report = run_scaling("edbf", "rangetree", [100, 200, 400, 800], reps=2)

@@ -225,10 +225,8 @@ def stored_lists(b):
 
 
 class TestRangeTreeBulkBuild:
-    def test_slots_and_pair_tables_are_the_images_of_the_covers(self):
-        # slots number the canonical nodes densely in node order; the bulk
-        # build's pair sums below C^2 are paths[a] x paths[r], in order, as
-        # slot pair keys
+    def test_slots_are_the_images_of_the_covers(self):
+        # slots number the canonical nodes densely in node order
         for n_intlv in range(1, 41):
             shape = _tree_shape(n_intlv)
             slot = shape.slot
@@ -239,14 +237,6 @@ class TestRangeTreeBulkBuild:
                 assert width == n_intlv + 1
             assert shape.canon_slots == tuple(tuple(map(slot.get, c)) for c in shape.canon)
             assert shape.path_slots == tuple(tuple(map(slot.get, p)) for p in shape.paths)
-            assert np.iinfo(shape.pair_hi.dtype).max >= 2 * width * width
-            for a in range(n_intlv + 1):
-                for r in range(n_intlv + 1):
-                    sums = (shape.pair_hi[a][:, None].astype(int)
-                            + shape.pair_lo[r][None, :]).reshape(-1).tolist()
-                    assert [k for k in sums if k < width * width] == [
-                        slot[n1] * width + slot[n2]
-                        for n1 in shape.paths[a] for n2 in shape.paths[r]], (n_intlv, a, r)
         assert [len(_tree_shape(n).slot) for n in (8, 11, 39)] == [9, 13, 42]
 
     @pytest.mark.parametrize("n_intlv", [1, 5, 8, 9, 11, 16, 17])
@@ -267,22 +257,26 @@ class TestRangeTreeBulkBuild:
                 for tid in ids
             ]
             store = task_store(entries, n_intlv)
-            b = build_backend("rangetree", store, 0, store.order[0])
-            lists = incremental_node_lists(entries, n_intlv)
-            want = [None] * width
-            for key, lst in lists.items():
-                n1, n2 = divmod(key, 2 * shape.leaves)
-                if n1 in slot and n2 in slot:
-                    want[slot[n1]] = want[slot[n1]] or [None] * width
-                    want[slot[n1]][slot[n2]] = lst
-            assert b._lists == want, (n_intlv, n)
-            assert b._cursor == [None if seqs is None else [0] * width for seqs in want]
-            held = stored_lists(b)
-            assert b.counters.node_entries == sum(map(len, held))
-            assert b._order is store.order[0]
-            assert b._order == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
-            # node sequences hold the store's row objects, not copies
-            assert all(t is store.rows[t] for lst in held for t in lst)
+            assert store.order[0] == [e[0] for e in sorted(entries, key=lambda e: (-e[3], e[0]))]
+            # the PRF's whole order, as element mode builds, and a
+            # priority-ordered sub-list of it, as subarray mode builds per disk
+            sub = [r for r in store.order[0] if rng.random() < 0.5]
+            for order in (store.order[0], sub):
+                b = build_backend("rangetree", store, 0, order)
+                lists = incremental_node_lists([e for e in entries if e[0] in order], n_intlv)
+                want = [None] * width
+                for key, lst in lists.items():
+                    n1, n2 = divmod(key, 2 * shape.leaves)
+                    if n1 in slot and n2 in slot:
+                        want[slot[n1]] = want[slot[n1]] or [None] * width
+                        want[slot[n1]][slot[n2]] = lst
+                assert b._lists == want, (n_intlv, n, len(order))
+                assert b._cursor == [None if seqs is None else [0] * width for seqs in want]
+                held = stored_lists(b)
+                assert b.counters.node_entries == sum(map(len, held))
+                assert b._order is order
+                # node sequences hold the store's row objects, not copies
+                assert all(t is store.rows[t] for lst in held for t in lst)
 
     @pytest.mark.parametrize("n_intlv", range(1, 18))
     def test_query_lists_cover_each_live_match_once(self, n_intlv):
@@ -292,7 +286,7 @@ class TestRangeTreeBulkBuild:
         rng = random.Random(100 + n_intlv)
         shape = _tree_shape(n_intlv)
         slot = shape.slot
-        for n in (20, 60):  # the small build, then the bulk build
+        for n in (20, 60):
             entries = random_entries(rng, n, n_intlv)
             b = backend_over("rangetree", n_intlv, entries)
             for tid in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
