@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible or unschedulable input
-(or an exact-solver or LP-export size limit), 3 internal invariant
-violation.
+(or an exact-solver, LP-export or disk-catalog size limit), 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -296,9 +296,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# what to change when a command hits a ResourceLimitError
-_LIMIT_HINTS = {"oracle-compare": "rerun oracle-compare with --heuristic-only",
-                "export-lp": "lower --copies"}
+# what to change when a command hits a ResourceLimitError, by its limit
+_LIMIT_HINTS = {"exact": "rerun oracle-compare with --heuristic-only",
+                "lp": "lower --copies",
+                "catalog": "raise --grid-eps or lower --disk-radius"}
 
 _COMMANDS = {
     "schedule": _cmd_schedule,
@@ -321,8 +322,8 @@ def main(argv=None) -> int:
         return 1
     except (ScenarioError, InfeasibleError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ResourceLimitError) and args.command in _LIMIT_HINTS:
-            print(f"hint: {_LIMIT_HINTS[args.command]}", file=sys.stderr)
+        if isinstance(exc, ResourceLimitError) and exc.limit in _LIMIT_HINTS:
+            print(f"hint: {_LIMIT_HINTS[exc.limit]}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -22,8 +22,13 @@ class InfeasibleError(PulseplanError):
 
 
 class ResourceLimitError(PulseplanError):
-    """An exact-solver desk-scale limit or node budget, or the LP export's
-    size limit, was exceeded."""
+    """An exact-solver desk-scale limit or node budget, the LP export's size
+    limit or the disk catalog's size limit was exceeded; ``limit`` names
+    which: ``"exact"``, ``"lp"`` or ``"catalog"``."""
+
+    def __init__(self, message, limit=""):
+        super().__init__(message)
+        self.limit = limit
 
 
 class InternalInvariantError(PulseplanError):

@@ -8,7 +8,9 @@ columnar: per-disk PRF and grid-center columns, every disk's members in one
 flat list cut by offsets, and each task's disk ids; no ``Disk`` object is
 made.  Tasks are table rows, as in every other run structure.  The catalog
 holds membership only; the disk rules' scores are computed by the
-scheduler that reads them (``sdbf.DiskSelector``).
+scheduler that reads them (``sdbf.DiskSelector``).  The build numbers the
+C stencil cells once, then takes O(cells) counting passes per PRF, with
+no per-PRF comparison sort.
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InternalInvariantError, ScenarioError
+from .errors import InternalInvariantError, ResourceLimitError, ScenarioError
 from .radar import AvailabilityTable
 
 # Worst-case grid points per task within radius r on an eps-grid is below
 # pi*(r/eps + sqrt(2)/2)^2 <= 4*pi*(r/eps)^2 whenever eps <= r.
 DISK_DENSITY_BOUND = 4.0 * math.pi
+
+# Most stencil-box memberships (``catalog_bound``) a catalog build takes on:
+# 32 times the 4,000-task benchmark scenario's bound of 1.05M (q_d 254,482)
+# and 12 times the 10,000-task CI scenario's.  The catalog keeps about 49
+# bytes per membership, so one at the cap would keep 0.4 GB at that
+# scenario's q_d / bound of a quarter, and 1.6 GB at most.
+MAX_CATALOG_CELLS = 1 << 25
 
 
 def project_to_scan_plane(azimuth: float, elevation: float) -> tuple[float, float]:
@@ -100,6 +109,17 @@ class DiskCatalog:
 _STENCIL_CELLS = 1 << 17
 
 
+def _boxes(us: np.ndarray, vs: np.ndarray, grid: GridSpec):
+    """Each point's integer box, padded by one cell: ``(lo_u, n_u, lo_v,
+    n_v)``, its lowest grid index and cell count along each axis."""
+    eps, r = grid.spacing, grid.disk_radius
+    lo_u = np.floor((us - r) / eps).astype(np.int64) - 1
+    n_u = np.ceil((us + r) / eps).astype(np.int64) + 2 - lo_u
+    lo_v = np.floor((vs - r) / eps).astype(np.int64) - 1
+    n_v = np.ceil((vs + r) / eps).astype(np.int64) + 2 - lo_v
+    return lo_u, n_u, lo_v, n_v
+
+
 def _stencil(us: np.ndarray, vs: np.ndarray, grid: GridSpec):
     """Integer grid points within disk_radius of each point (us[i], vs[i]).
 
@@ -112,10 +132,7 @@ def _stencil(us: np.ndarray, vs: np.ndarray, grid: GridSpec):
     """
     eps, r = grid.spacing, grid.disk_radius
     r2 = r * r
-    lo_u = np.floor((us - r) / eps).astype(np.int64) - 1
-    n_u = np.ceil((us + r) / eps).astype(np.int64) + 2 - lo_u
-    lo_v = np.floor((vs - r) / eps).astype(np.int64) - 1
-    n_v = np.ceil((vs + r) / eps).astype(np.int64) + 2 - lo_v
+    lo_u, n_u, lo_v, n_v = _boxes(us, vs, grid)
     row_pt = np.repeat(np.arange(len(us)), n_u)
     row_gu = (np.arange(len(row_pt)) - np.repeat(np.cumsum(n_u) - n_u, n_u)
               + lo_u[row_pt])
@@ -138,17 +155,13 @@ def _stencil(us: np.ndarray, vs: np.ndarray, grid: GridSpec):
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def _first_touch(keys: np.ndarray):
-    """Number the distinct keys in order of first occurrence.
-
-    Returns each entry's group number and, per group, the index of its
-    first occurrence.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[order] = np.arange(len(first))
-    return rank[inverse], first[order]
+def catalog_bound(table: AvailabilityTable, grid: GridSpec) -> int:
+    """An upper bound on the catalog's q_d, from O(tasks) arithmetic: each
+    schedulable row's padded stencil box, n_u * n_v cells, once per PRF
+    the row is trackable at."""
+    rows = table.schedulable_rows()
+    _, n_u, _, n_v = _boxes(table.tasks.u[rows], table.tasks.v[rows], grid)
+    return int(np.dot(n_u * 1.0 * n_v, table.av[rows].sum(axis=1)))
 
 
 def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
@@ -156,16 +169,26 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     radius of a task trackable at that PRF becomes a disk of that PRF.
 
     Every disk is nonempty by construction and no two disks share
-    (PRF, center).  The build is bulk: one vectorized stencil per task,
-    then one numpy grouping per PRF, which extends the columns; no per-disk
-    object is made.  Its result equals that of a scalar scan over the PRFs,
-    each PRF's task set (the rows of ``av[:, p]``) and each row's cells in
-    (gu, gv) order, which gives a new cell the next disk id and appends the
-    task to the cell's disk.  So disk ids are in (PRF, first-touch) order,
-    and each disk's members and each ``task_disks`` list are in scan order.
-    Each row is one int object shared by its memberships in ``members``,
-    and each disk id one shared by ``by_prf`` and ``task_disks``.
+    (PRF, center).  The build is bulk, with no per-disk object: one global
+    numbering of the C stencil cells (``np.unique`` sorts over them), then
+    O(cells) numpy passes per PRF with no comparison sort: ``minimum.at``
+    finds first touches, and a stable sort on the narrowest unsigned disk
+    number (radix below 65,536 disks) groups members.  Its result equals
+    that of a scalar scan over the PRFs, each PRF's task set (the rows of
+    ``av[:, p]``) and each row's cells in (gu, gv) order, which gives a new
+    cell the next disk id and appends the task to the cell's disk.  So disk
+    ids are in (PRF, first-touch) order, and each disk's members and each
+    ``task_disks`` list are in scan order.  Each row is one int object
+    shared by its memberships in ``members``, and each disk id one shared
+    by ``by_prf`` and ``task_disks``.  A table whose ``catalog_bound``
+    exceeds ``MAX_CATALOG_CELLS`` is refused with ``ResourceLimitError``
+    before any stencil array is built.
     """
+    bound = catalog_bound(table, grid)
+    if bound > MAX_CATALOG_CELLS:
+        raise ResourceLimitError(
+            f"the disk catalog could hold up to {bound} memberships, over the "
+            f"limit of {MAX_CATALOG_CELLS}", limit="catalog")
     tasks = table.tasks
     rows = table.schedulable_rows()
     slot = np.full(len(tasks), -1, dtype=np.intp)
@@ -173,11 +196,11 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     point, cell_gu, cell_gv = _stencil(tasks.u[rows], tasks.v[rows], grid)
     n_cells = np.bincount(point, minlength=len(rows))
     first_cell = np.cumsum(n_cells) - n_cells
-    # one key per cell from the ranks of its indices, which cannot overflow
+    # a dense id per distinct cell, keyed by index ranks that cannot overflow
     gu_values, gu_rank = np.unique(cell_gu, return_inverse=True)
     gv_values, gv_rank = np.unique(cell_gv, return_inverse=True)
     span = len(gv_values)
-    key = gu_rank * span + gv_rank
+    keys, cell_id = np.unique(gu_rank * span + gv_rank, return_inverse=True)
     del point, cell_gu, cell_gv, gu_rank, gv_rank
     row_objects = np.array(range(len(tasks)), dtype=object)
 
@@ -195,24 +218,30 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
             continue
         count = n_cells[slot[prf_rows]]
         ends = np.cumsum(count)
-        cell = np.arange(ends[-1]) + np.repeat(
-            first_cell[slot[prf_rows]] - (ends - count), count)
-        local, first = _first_touch(key[cell])
+        at = np.arange(ends[-1])
+        ids = cell_id[at + np.repeat(first_cell[slot[prf_rows]] - (ends - count), count)]
+        # first touches, in scan order, open the disks; then first[cell] is its disk
+        first = np.full(len(keys), len(at))
+        np.minimum.at(first, ids, at)
+        starts = np.flatnonzero(first[ids] == at)
+        first[ids[starts]] = np.arange(len(starts))
+        local = first[ids].astype(np.min_scalar_type(len(starts) - 1))
+        centers = keys[ids[starts]]
+        del at, ids, first
         members += row_objects[np.repeat(prf_rows, count)[
             np.argsort(local, kind="stable")]].tolist()
         sizes += np.bincount(local).tolist()
-        centers = key[cell[first]]
-        del cell
         gu += gu_values[centers // span].tolist()
         gv += gv_values[centers % span].tolist()
-        dids = list(range(len(prf_index), len(prf_index) + len(first)))
-        prf_index += [p] * len(first)
+        dids = list(range(len(prf_index), len(prf_index) + len(starts)))
+        prf_index += [p] * len(starts)
         by_prf.append(dids)
         cell_disks = np.array(dids, dtype=object)[local].tolist()
         lo = 0
         for row, hi in zip(prf_rows.tolist(), ends.tolist()):
             task_disks[row].extend(cell_disks[lo:hi])
             lo = hi
+        del local, cell_disks
 
     catalog = DiskCatalog(
         grid=grid, table=table, prf_index=prf_index, gu=gu, gv=gv,

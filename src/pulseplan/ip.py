@@ -379,8 +379,8 @@ def check_exact_task_limit(n_tasks: int) -> None:
     instance of ``n_tasks`` tasks; callers check it before any other work."""
     if n_tasks > ORACLE_MAX_TASKS:
         raise ResourceLimitError(
-            f"{n_tasks} tasks exceed the exact-solver limit of {ORACLE_MAX_TASKS}"
-        )
+            f"{n_tasks} tasks exceed the exact-solver limit of {ORACLE_MAX_TASKS}",
+            limit="exact")
 
 
 def solve_exact(
@@ -401,12 +401,12 @@ def solve_exact(
     check_exact_task_limit(n_t)
     if len(bases) > ORACLE_MAX_BASES:
         raise ResourceLimitError(
-            f"{len(bases)} look templates exceed the exact-solver limit of {ORACLE_MAX_BASES}"
-        )
+            f"{len(bases)} look templates exceed the exact-solver limit of {ORACLE_MAX_BASES}",
+            limit="exact")
     if inst.n_intlv > ORACLE_MAX_INTLV:
         raise ResourceLimitError(
-            f"n_intlv={inst.n_intlv} exceeds the exact-solver limit of {ORACLE_MAX_INTLV}"
-        )
+            f"n_intlv={inst.n_intlv} exceeds the exact-solver limit of {ORACLE_MAX_INTLV}",
+            limit="exact")
 
     n = inst.n_intlv
     ids = table.tasks.ids
@@ -455,7 +455,8 @@ def solve_exact(
         nonlocal best, best_obj, obj, free, nodes
         nodes += 1
         if nodes > node_budget:
-            raise ResourceLimitError(f"exact solver exceeded {node_budget} nodes")
+            raise ResourceLimitError(f"exact solver exceeded {node_budget} nodes",
+                                     limit="exact")
         rem = n_t - idx
         if rem == 0:
             if gaps == 0 and (best_obj is None or obj < best_obj):
@@ -534,7 +535,7 @@ def export_lp(inst: IpInstance, sscfl: bool = False) -> str:
     if terms > LP_MAX_TERMS:
         raise ResourceLimitError(
             f"the LP export would write up to {terms} terms, "
-            f"over the limit of {LP_MAX_TERMS}")
+            f"over the limit of {LP_MAX_TERMS}", limit="lp")
     # (task id, table row) in id order: ids name the variables, rows are read
     tasks = sorted(zip(table.tasks.ids, range(table.n_tasks)))
     al, ar = table.al.tolist(), table.ar.tolist()

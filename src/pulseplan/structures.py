@@ -116,7 +116,8 @@ class BucketList:
     steps in all, O(1) amortized per call.
 
     The buckets are built in bulk from ``counts``, one starting count per
-    key: one stable sort, with no per-membership step and no
+    key, in O(K + max count): ``bincount`` sizes them and a radix sort of
+    the narrowed counts fills them, with no per-membership step and no
     ``bucket_ops``.  Each bucket lists its keys in key order, the order
     that counting every membership up from zero, key after key, gives; the
     ``random`` tie-break reads it.  ``decrement(keys)`` is the one update:
@@ -128,14 +129,13 @@ class BucketList:
         counts = np.asarray(counts, dtype=np.int64)
         if (counts < 0).any():
             raise ValueError(f"key {np.argmax(counts < 0)} has a negative count")
-        order = np.argsort(counts, kind="stable")
-        values, first, size = np.unique(counts[order], return_index=True,
-                                         return_counts=True)
+        size = np.bincount(counts, minlength=1)
+        order = np.argsort(counts.astype(np.min_scalar_type(len(size) - 1)), kind="stable")
+        first = np.cumsum(size) - size
         keys = order.tolist()
         # one empty zero bucket when there is no key at all
-        buckets = [None] * (int(counts.max()) + 1) if keys else [[]]
-        for v, a, n in zip(values.tolist(), first.tolist(), size.tolist()):
-            buckets[v] = keys[a:a + n]
+        buckets = [keys[a:a + n] if n else None
+                   for a, n in zip(first.tolist(), size.tolist())] if keys else [[]]
         self._buckets = buckets
         self._count = counts.tolist()
         pos = np.empty(len(counts), dtype=np.intp)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pulseplan import (
     GridSpec,
     RadarConfig,
+    ResourceLimitError,
     ScenarioError,
     TrackTask,
     build_availability_table,
@@ -17,7 +18,8 @@ from pulseplan import (
     gen_scenario,
     project_to_scan_plane,
 )
-from pulseplan.geometry import DISK_DENSITY_BOUND, _stencil
+from pulseplan import geometry
+from pulseplan.geometry import DISK_DENSITY_BOUND, _stencil, catalog_bound
 from pulseplan.scenario import ScenarioSpec
 from oracles import brute_grid_disks, disk_rows, reference_dedup_disks, stepwise_disks
 
@@ -284,6 +286,55 @@ class TestBulkCatalog:
             tracemalloc.stop()
         assert len(cells[0]) > 2000 * 50
         assert peak - base - 2 * (retained - base) < 5_000_000
+
+
+class TestCatalogSizes:
+    def test_a_prf_of_more_than_65535_disks(self, cfg, prfs):
+        # about pi * 150**2 = 70,686 disks per task at one PRF (both tasks
+        # are trackable at the third): the disk numbers the members are
+        # grouped by no longer fit in 16 bits
+        tasks = [scan_task(1000, 0.1, 0.2), scan_task(1001, 0.13, 0.21)]
+        table = build_availability_table(tasks, prfs[2:3], cfg)
+        grid = GridSpec(spacing=0.05 / 150, disk_radius=0.05)
+        catalog = enumerate_disks(table, grid)
+        assert len(catalog.by_prf[0]) > 1 << 16
+        assert catalog_fields(catalog) == stepwise_disks(table, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(catalog_inputs())
+    def test_bound_is_at_least_q_d(self, inputs):
+        table, grid = inputs
+        assert catalog_bound(table, grid) >= enumerate_disks(table, grid).q_d
+
+    def test_bound_at_the_cap_is_built(self, cfg, prfs, monkeypatch):
+        _, _, tasks = gen_scenario(ScenarioSpec(n_tasks=20, seed=1), cfg, prfs)
+        table = build_availability_table(tasks, prfs, cfg)
+        bound = catalog_bound(table, GridSpec())
+        monkeypatch.setattr(geometry, "MAX_CATALOG_CELLS", bound)
+        assert enumerate_disks(table, GridSpec()).q_d > 0
+        monkeypatch.setattr(geometry, "MAX_CATALOG_CELLS", bound - 1)
+        with pytest.raises(ResourceLimitError):
+            enumerate_disks(table, GridSpec())
+
+    def test_over_the_cap_is_refused_before_the_stencil(self, cfg, prfs, monkeypatch):
+        # one task on a grid 5,000 times finer than its disk: about 1e8
+        # box cells at each PRF it is trackable at
+        def refuse(*args):
+            raise AssertionError("the stencil ran before the size check")
+
+        monkeypatch.setattr(geometry, "_stencil", refuse)
+        table = build_availability_table([scan_task(1000, 0.1, 0.2)], prfs, cfg)
+        grid = GridSpec(spacing=1e-5, disk_radius=0.05)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the limit of") as info:
+                enumerate_disks(table, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.limit == "catalog"
+        assert catalog_bound(table, grid) > 10 ** 8
+        assert peak < 1 << 20
 
 
 class TestDedup:

@@ -34,6 +34,7 @@ from pulseplan import (
 from pulseplan import io as pio
 from pulseplan.cli import _build_parser, main
 from pulseplan.edbf import EdbfRun
+from pulseplan.geometry import MAX_CATALOG_CELLS
 from pulseplan.ip import LP_MAX_TERMS
 from pulseplan.sdbf import SdbfRun
 from pulseplan.structures import BACKEND_KINDS
@@ -924,6 +925,25 @@ class TestCli:
                             rf"limit of {LP_MAX_TERMS}\nhint: lower --copies\n", err), err
         assert not out.exists()
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("command", [
+        ["disks"], ["schedule", "--mode", "sdbf"], ["export-lp", "--mode", "sdbf"],
+        ["oracle-compare", "--mode", "sdbf"], ["bench", "--mode", "sdbf"],
+    ], ids=lambda c: c[0])
+    def test_catalog_over_the_size_limit_exits_two(self, command, small_scenario_file,
+                                                   tmp_path, capsys):
+        # a grid 5,000 times finer than the disks: about 1e8 box cells per
+        # task and PRF, refused before the catalog builds its stencil
+        args = (["--sizes", "50,100,200,400", "--reps", "1"] if command[0] == "bench"
+                else [str(small_scenario_file)])
+        out = tmp_path / "out.txt"
+        assert main([command[0], *args, *command[1:], "--grid-eps", "1e-5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the disk catalog could hold up to \d+ memberships, "
+                            rf"over the limit of {MAX_CATALOG_CELLS}\n"
+                            r"hint: raise --grid-eps or lower --disk-radius\n", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
     @pytest.mark.parametrize("command", ["schedule", "export-lp", "oracle-compare", "bench"])

@@ -164,6 +164,25 @@ class TestBucketListBulkBuild:
             assert selections(bulk) == selections(ref)
 
 
+    @pytest.mark.parametrize("top", [255, 256, 65_535, 65_536])
+    def test_counts_build_at_the_sort_dtype_boundaries(self, top):
+        # the largest count sets the dtype the counts are sorted on: 8 bits
+        # up to 255, 16 up to 65,535, 32 above
+        counts = [top, 1, 0, top, 2, top - 1, 1, 0, top]
+        keys = list(range(len(counts)))
+        bulk = BucketList(counts)
+        ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
+        assert bucket_state(bulk) == bucket_state(ref)
+        assert selections(bulk) == selections(ref)
+        pos = {k: i for _, members in buckets_of(ref) for i, k in enumerate(members)}
+        assert [bulk._pos[k] for k in keys if counts[k]] == [pos[k] for k in keys if counts[k]]
+        for k in (0, 5, 1, 3, 8):
+            bulk.decrement([k])
+            ref.decrement([k])
+            assert bucket_state(bulk) == bucket_state(ref)
+            assert selections(bulk) == selections(ref)
+
+
 class TestBucketListDecrement:
     @settings(max_examples=300, deadline=None)
     @given(
