@@ -36,9 +36,8 @@ for prf_rule in ("G", "RG", "R"):
 
 sched = hied(table, HeuristicConfig())
 print("\nfirst three looks of the greedy schedule:")
-by_look = sched.by_look()
 for lk in sched.looks[:3]:
-    slots = ", ".join(f"slot {k}: task {t}" for t, k in sorted(by_look[lk.index],
-                                                               key=lambda x: x[1]))
+    slots = ", ".join(f"slot {k}: task {t}" for t, j, k in sched.assignments
+                      if j == lk.index)
     print(f"  look {lk.index} @ {lk.f_r/1e3:.1f} kHz "
           f"({lk.dwell*1e3:.2f} ms): {slots}")

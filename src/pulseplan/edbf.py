@@ -2,9 +2,12 @@
 
 Element and subarray scheduling solve the same integer program by the same
 procedure, written once in ``run_looks``: a look source selects the base of
-the next look and hands over a selection backend over its live tasks, an
-``Episode`` packs that backend into the look's slots, and the source then
-consumes every placed task from the rest of its structures.  Each run keeps
+the next look (a PRF, or a disk) and hands over the base and a selection
+backend over its live tasks, an ``Episode`` packs that backend into the
+look's slots, and the source then consumes every placed task from the rest
+of its structures.  The loop yields each look as its base and placed rows,
+and ``ip.schedule_of`` numbers the looks and writes the assignment columns;
+no look source builds a look itself.  Each run keeps
 one ``TaskStore`` (``task_store``): the table rows' liveness plus their
 A_l, A_r and priority-rank columns and each PRF's rows in priority order,
 shared by all the run's backends, which index table rows.  The store is the
@@ -51,7 +54,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InternalInvariantError
-from .ip import Assignments, Schedule, ScheduledLook, make_look
+from .ip import Schedule, schedule_of, split_source
 from .radar import AvailabilityTable
 from .structures import (
     BACKEND_KINDS,
@@ -63,7 +66,26 @@ from .structures import (
 )
 
 PRF_RULES = ("G", "RG", "R")
-TASK_RULES = ("SAR", "LAR", "R", "SAP", "SLA", "SRA")
+
+
+def _random_priorities(table: AvailabilityTable, rng: random.Random):
+    rows = sorted(table.schedulable_rows(), key=table.tasks.ids.__getitem__)
+    prio = np.zeros(table.n_tasks, dtype=np.int64)
+    prio[rows] = [rng.getrandbits(63) for _ in rows]
+    return prio
+
+
+# each task rule's priority function of (table, rng), in the order the
+# rules are listed (``TASK_RULES``)
+TASK_PRIORITIES = {
+    "SAR": lambda table, rng: -table.ra,
+    "LAR": lambda table, rng: table.ra,
+    "R": _random_priorities,
+    "SAP": lambda table, rng: -table.av.sum(axis=1),
+    "SLA": lambda table, rng: -table.al.sum(axis=1),
+    "SRA": lambda table, rng: -table.ar.sum(axis=1),
+}
+TASK_RULES = tuple(TASK_PRIORITIES)
 
 
 def check_choices(cfg) -> None:
@@ -114,22 +136,9 @@ def task_priorities(rule: str, table: AvailabilityTable,
     ascending id order over the schedulable rows, so every backend kind
     sees identical values for one seed.
     """
-    if rule == "SAR":
-        return -table.ra
-    if rule == "LAR":
-        return table.ra
-    if rule == "R":
-        rows = sorted(table.schedulable_rows(), key=table.tasks.ids.__getitem__)
-        prio = np.zeros(table.n_tasks, dtype=np.int64)
-        prio[rows] = [rng.getrandbits(63) for _ in rows]
-        return prio
-    if rule == "SAP":
-        return -table.av.sum(axis=1)
-    if rule == "SLA":
-        return -table.al.sum(axis=1)
-    if rule == "SRA":
-        return -table.ar.sum(axis=1)
-    raise ValueError(f"unknown task rule {rule!r}")
+    if rule not in TASK_PRIORITIES:
+        raise ValueError(f"unknown task rule {rule!r}")
+    return TASK_PRIORITIES[rule](table, rng)
 
 
 def task_store(table: AvailabilityTable, task_rule: str, rng: random.Random) -> TaskStore:
@@ -289,49 +298,38 @@ class Episode:
             cursor -= 1
 
 
-def run_looks(source, table: AvailabilityTable, counters: OpCounters,
-              meta: dict) -> Schedule:
-    """The look loop of both schedulers.
+def run_looks(source, bases, counters: OpCounters, meta: dict) -> Schedule:
+    """The look loop of both schedulers, over the bases of ``bases`` (an
+    availability table or a disk catalog), built by ``ip.schedule_of``.
 
-    ``source.next_look(j)`` selects the base of look ``j`` and returns a
-    selection backend over its live rows plus the ``ScheduledLook``;
-    ``source.consume(rows)`` removes the look's placed rows, in slot order,
-    from the source's other structures.  Every selected base must hold a
-    live task and every look must place at least one, which bounds the loop
-    by the number of schedulable tasks.  A look's placed slots are 1..m
-    (``Episode.run`` checks it and returns the rows in slot order), so the
-    assignment columns are filled per look.  They are sized once, one entry
-    per schedulable task: grown look by look, the three lists'
-    reallocations fragment the heap, and the memory a process holds after a
-    64k-task run creeps up from run to run.
+    ``source.next_look()`` selects the base of the next look and returns a
+    selection backend over its live rows plus the base;
+    ``source.consume(base, rows)`` removes the look's placed rows, in slot
+    order, from the source's other structures.  Every selected base must
+    hold a live task and every look must place at least one, which bounds
+    the loop by the number of schedulable tasks.  A look's placed slots are
+    1..m (``Episode.run`` checks it and returns the rows in slot order).
     """
-    looks: list[ScheduledLook] = []
-    live = int(table.av.any(axis=1).sum())
-    task, look_index, slot = [0] * live, [0] * live, [0] * live
-    k = 0
-    while live > 0:
-        j = len(looks) + 1
-        backend, look = source.next_look(j)
-        if backend.live_count == 0:
-            raise InternalInvariantError(
-                f"look {j}: the selected base has no task left")
-        rows = Episode(backend, table.cfg.n_intlv, counters).run()
-        if not rows:
-            raise InternalInvariantError("a look scheduled no task")
-        looks.append(look)
-        m = len(rows)
-        task[k:k + m] = map(backend.store.ids.__getitem__, rows)
-        look_index[k:k + m] = [j] * m
-        slot[k:k + m] = range(1, m + 1)
-        k += m
-        source.consume(rows)
-        live -= m
-    return Schedule(
-        looks=looks,
-        assignments=Assignments(task, look_index, slot),
-        meta={**meta, "n_intlv": str(table.cfg.n_intlv)},
-        unschedulable=table.unschedulable,
-    )
+    table, _ = split_source(bases)
+    n = table.cfg.n_intlv
+
+    def looks():
+        live = table.n_tasks - len(table.unschedulable)
+        j = 0
+        while live > 0:
+            j += 1
+            backend, base = source.next_look()
+            if backend.live_count == 0:
+                raise InternalInvariantError(
+                    f"look {j}: the selected base has no task left")
+            rows = Episode(backend, n, counters).run()
+            if not rows:
+                raise InternalInvariantError("a look scheduled no task")
+            yield base, rows
+            source.consume(base, rows)
+            live -= len(rows)
+
+    return schedule_of(bases, looks(), {**meta, "n_intlv": str(n)})
 
 
 class EdbfRun:
@@ -352,7 +350,6 @@ class EdbfRun:
             build_backend(cfg.backend, self.store, p, order, self.counters)
             for p, order in enumerate(self.store.order)
         ]
-        self._look_prf = None
         counts = list(map(len, self.store.order))
         self.buckets = BucketList(counts, counters=self.counters)
         # the random rule's own set: the PRFs whose count is nonzero
@@ -367,8 +364,8 @@ class EdbfRun:
             parts.append("  " + backend.dump().replace("\n", "\n  "))
         return "\n".join(parts)
 
-    def next_look(self, j: int):
-        """Pick the PRF of look ``j`` among PRFs with live tasks: the
+    def next_look(self):
+        """Pick the PRF of the next look among PRFs with live tasks: the
         greedy rules read the bucket list, the random rule draws from
         ``live_prfs``."""
         rule = self.cfg.prf_rule
@@ -381,14 +378,13 @@ class EdbfRun:
             p = None
         if p is None:
             raise InternalInvariantError("PRF selection returned an empty task set")
-        self._look_prf = p
-        return self.backends[p], make_look(j, self.table, p)
+        return self.backends[p], p
 
-    def consume(self, rows) -> None:
-        """Drop a look's placed rows, in slot order, from the other PRFs'
-        backends (one ``delete`` call each) and from the bucket list
-        (one ``decrement`` over the rows' PRF sets in turn).  The look's
-        own backend dropped each row when it was placed.
+    def consume(self, look_prf, rows) -> None:
+        """Drop a look's placed rows, in slot order, from the backends of
+        the PRFs other than ``look_prf`` (one ``delete`` call each) and
+        from the bucket list (one ``decrement`` over the rows' PRF sets in
+        turn).  The look's own backend dropped each row when it was placed.
 
         The random rule's set loses each PRF whose count reached 0, in the
         order the counts did: that of each PRF's last occurrence in the
@@ -402,7 +398,7 @@ class EdbfRun:
             keys += prf_set
             for p in prf_set:
                 groups[p].append(row)
-        groups[self._look_prf] = ()
+        groups[look_prf] = ()
         for backend, placed in zip(self.backends, groups):
             if placed:
                 backend.delete(placed)

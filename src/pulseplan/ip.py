@@ -15,7 +15,12 @@ assignment variables h_ijk (task i at slot k of look j) subject to:
 
 One look type serves both sides: a ``ScheduledLook`` is a look of a
 schedule and a candidate look of an instance alike, and ``make_look`` builds
-every one.  An ``IpInstance`` is the availability table (and, in subarray
+every one.  A look is a base plus the table rows in its slots 1..m; a base
+is a PRF of an availability table or a disk of a disk catalog, the two
+sources ``split_source`` tells apart.  ``schedule_of`` is the one
+constructor from looks given as (base, rows in slot order) to a
+``Schedule``: the look loop of both schedulers and the exact solver return
+through it.  An ``IpInstance`` is the availability table (and, in subarray
 mode, the disk catalog) plus a copy count, read by table row and by base; it
 builds its candidate looks when ``looks`` is first read, so the checker and
 the exact solver, which read none of them, never pay for them.  A schedule
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import InfeasibleError, ResourceLimitError
+from .errors import InfeasibleError, InternalInvariantError, ResourceLimitError
 from .geometry import DiskCatalog
 from .radar import AvailabilityTable
 
@@ -136,12 +141,6 @@ class Schedule:
         name a look it does not list, which ``used_looks`` cannot hold."""
         return len(self._assigned)
 
-    def by_look(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {lk.index: [] for lk in self.looks}
-        for tid, j, k in self.assignments:
-            out.setdefault(j, []).append((tid, k))
-        return out
-
 
 @dataclass
 class Violation:
@@ -165,11 +164,53 @@ def make_look(index: int, table: AvailabilityTable, prf_index: int,
               disk_id: int | None = None) -> ScheduledLook:
     """Look ``index`` of one base: PRF ``prf_index`` with its f_r and dwell,
     and in subarray mode disk ``disk_id`` of ``catalog`` with its center.
-    The schedulers, the instance's candidate looks and the exact solver all
-    build their looks here."""
+    Schedules (``schedule_of``) and the instance's candidate looks build
+    their looks here."""
     center = None if disk_id is None else catalog.center(disk_id)
     return ScheduledLook(index, prf_index, table.prfs[prf_index].f_r,
                          table.dwell(prf_index), disk_id, center)
+
+
+def split_source(source) -> tuple[AvailabilityTable, DiskCatalog | None]:
+    """The availability table of a source of bases, and its disk catalog:
+    ``None`` for a table (element mode, one base per PRF), the catalog
+    itself in subarray mode (one base per disk)."""
+    if isinstance(source, DiskCatalog):
+        return source.table, source
+    if isinstance(source, AvailabilityTable):
+        return source, None
+    raise TypeError("source must be an AvailabilityTable or DiskCatalog")
+
+
+def schedule_of(source, looks, meta: dict) -> Schedule:
+    """The schedule of ``looks`` over the bases of ``source``: look j (from
+    1) is the j-th (base, rows) pair, at a base of ``source`` (a PRF index
+    of a table, a disk id of a catalog), with table rows ``rows`` in slots
+    1..len(rows).  The looks must place every schedulable row once; the
+    table's unschedulable ids ride along.
+
+    The assignment columns are sized once, one entry per schedulable row:
+    grown look by look, the three lists' reallocations fragment the heap,
+    and the memory a process holds after a 64k-task run creeps up from run
+    to run.
+    """
+    table, catalog = split_source(source)
+    ids = table.tasks.ids
+    size = table.n_tasks - len(table.unschedulable)
+    task, look, slot = [0] * size, [0] * size, [0] * size
+    built = []
+    k = 0
+    for j, (base, rows) in enumerate(looks, 1):
+        built.append(make_look(j, table, base) if catalog is None else
+                     make_look(j, table, catalog.prf_index[base], catalog, base))
+        m = len(rows)
+        task[k:k + m] = map(ids.__getitem__, rows)
+        look[k:k + m] = [j] * m
+        slot[k:k + m] = range(1, m + 1)
+        k += m
+    if k != size:
+        raise InternalInvariantError(f"the looks place {k} rows of {size} schedulable")
+    return Schedule(built, Assignments(task, look, slot), meta, table.unschedulable)
 
 
 @dataclass
@@ -250,13 +291,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
     """
     if copies is not None and copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
-    if isinstance(source, DiskCatalog):
-        catalog, table = source, source.table
-    elif isinstance(source, AvailabilityTable):
-        catalog, table = None, source
-    else:
-        raise TypeError("source must be an AvailabilityTable or DiskCatalog")
-
+    table, catalog = split_source(source)
     if table.unschedulable:
         raise InfeasibleError(
             f"{len(table.unschedulable)} task(s) trackable with no PRF",
@@ -420,7 +455,7 @@ def solve_exact(
     ar = [[int(table.ar[row, p]) for p, _ in bases] for row in range(n_t)]
 
     best_obj = None
-    best = None                     # (base, slots) of each look of the incumbent
+    best = None                     # (base, rows in slot order) of each incumbent look
     open_looks: list[_OpenLook] = []
     used = [0] * len(bases)
     # objective of the open looks, their free slots, the unfilled slots
@@ -461,7 +496,7 @@ def solve_exact(
         if rem == 0:
             if gaps == 0 and (best_obj is None or obj < best_obj):
                 best_obj = obj
-                best = [(ol.base, list(ol.slots)) for ol in open_looks]
+                best = [(ol.base, ol.slots[1:ol.max_slot + 1]) for ol in open_looks]
             return
         if gaps > rem:
             return
@@ -488,16 +523,8 @@ def solve_exact(
     dfs(0)
     if best is None:
         return None
-    looks, assignments = [], []
-    for j, (b, slots) in enumerate(best, 1):
-        p, d = bases[b]
-        looks.append(make_look(j, table, p, catalog, d))
-        assignments += [(ids[row], j, k) for k, row in enumerate(slots) if row is not None]
-    return Schedule(
-        looks=looks,
-        assignments=assignments,
-        meta={"mode": f"exact-{inst.mode}", "nodes": str(nodes)},
-    )
+    return schedule_of(table if catalog is None else catalog, best,
+                       {"mode": f"exact-{inst.mode}", "nodes": str(nodes)})
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from .radar import (
     RadarConfig,
     TaskColumns,
     availability_arrays,
+    blind_widths,
     build_availability_table,
     default_prf_set,
+    unambiguous_range,
 )
 from .sdbf import MODES, look_source, mode_source
 from .structures import OpCounters
@@ -64,6 +66,40 @@ def _uniform_disk(rng, n, radius):
 _MAX_EMPTY_DRAWS = 100
 
 
+def _fits(width: float, blind_plus: float, blind_minus: float, need: float) -> bool:
+    """Whether an interval of length ``need`` fits in a clear region of
+    ``width`` less both edge blind widths.  The relative slack is far above
+    float rounding in the per-draw test, so a config that some draw could
+    track is never refused; a NaN or infinite ``need`` fits nowhere, as in
+    that test."""
+    slack = 1e-9 * (abs(width) + abs(blind_plus) + abs(blind_minus))
+    return need <= width - blind_plus - blind_minus + slack
+
+
+def _check_some_prf_fits(spec: ScenarioSpec, cfg: RadarConfig, prfs) -> None:
+    """Raise ``ScenarioError`` when no draw of ``spec`` can be trackable.
+
+    A draw is trackable at a PRF only if its confidence intervals fit the
+    clear regions: 2 n_r sigma_r <= R_u - eps_r+ - eps_r- in range and
+    2 n_f sigma_f <= f_r - eps_f+ - eps_f- in Doppler.  Intervals are
+    narrowest at the lowest sigma bounds, so if every PRF fails one of the
+    two there, every draw is untrackable and no draw is needed to tell.
+    """
+    need_r = 2.0 * cfg.n_r * spec.sigma_r_bounds[0]
+    need_f = 2.0 * cfg.n_f * spec.sigma_f_bounds[0]
+    for prf in prfs:
+        erp, erm, efp, efm = blind_widths(prf, cfg)
+        if (_fits(unambiguous_range(prf, cfg), erp, erm, need_r)
+                and _fits(prf.f_r, efp, efm, need_f)):
+            return
+    raise ScenarioError(
+        f"no track is trackable with these radar and PRF settings: at the lowest "
+        f"sigma bounds (sigma_r={spec.sigma_r_bounds[0]!r}, "
+        f"sigma_f={spec.sigma_f_bounds[0]!r}) every PRF's clear range or Doppler "
+        f"region is narrower than the confidence interval "
+        f"(n_r={cfg.n_r!r}, n_f={cfg.n_f!r})")
+
+
 def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
                  prfs=None):
     """Draw tasks until the requested count is reached: (cfg, prfs,
@@ -77,11 +113,15 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
     when each kept row became its own ``TrackTask``; ``TaskColumns`` still
     runs the ``TrackTask`` checks on every row.
 
-    ``ScenarioError`` is raised after ``_MAX_EMPTY_DRAWS`` draws in a row
-    keep no row: the radar and PRFs make (almost) no draw trackable.
+    ``ScenarioError`` is raised before the first draw when the lowest
+    sigma bounds fit no PRF's clear regions (so no draw is trackable), and
+    after ``_MAX_EMPTY_DRAWS`` draws in a row keep no row: the radar and
+    PRFs make (almost) no draw trackable.
     """
     cfg = cfg if cfg is not None else RadarConfig()
     prfs = tuple(prfs) if prfs is not None else default_prf_set()
+    if spec.n_tasks > 0 and not spec.keep_unschedulable:
+        _check_some_prf_fits(spec, cfg, prfs)
     rng = np.random.default_rng(spec.seed)
 
     centers = None

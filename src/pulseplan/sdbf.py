@@ -3,15 +3,17 @@
 Looks are tied to re-steering disks from the catalog.  ``SdbfRun`` plugs
 into ``edbf.run_looks``, the loop both schedulers share: each round it
 selects a disk by cardinality (greedy, reverse greedy) or weighted
-cardinality and builds a selection backend over the disk's rows that the
-run's task store still holds live, sorted by the store's priority rank at
-the disk's PRF; the loop packs them with the backward procedure, and the
-source then removes each scheduled task from every disk that encloses it,
-in one ``DiskSelector.consume`` call per task.  The selector is the one
-place that computes a disk rule, the WGD weights included, on the bucket
-list or on a heap refreshed at its top.  Duplicate and subset disks stay
-in play; consuming tasks empties them out.  Every structure here indexes
-tasks by table row; task ids are looked up only for ``dump_structures``.
+cardinality and hands the loop the disk id, the look's base, with a
+selection backend over the disk's rows that the run's task store still
+holds live, sorted by the store's priority rank at the disk's PRF; the loop
+packs them with the backward procedure (``ip.schedule_of`` builds the look
+from the disk id), and the source then removes each scheduled task from
+every disk that encloses it, in one ``DiskSelector.consume`` call per task.
+The selector is the one place that computes a disk rule, the WGD weights
+included, on the bucket list or on a heap refreshed at its top.  Duplicate
+and subset disks stay in play; consuming tasks empties them out.  Every
+structure here indexes tasks by table row; task ids are looked up only for
+``dump_structures``.
 
 The module ends with the one mode switch: ``MODES`` maps each mode to its
 config, ``mode_source`` turns a mode into the bases it schedules on (the
@@ -34,7 +36,7 @@ from .errors import InternalInvariantError
 from .edbf import (TASK_RULES, EdbfRun, HeuristicConfig, check_choices, derive_rngs,
                    run_looks, schedule_meta, task_store)
 from .geometry import DiskCatalog, GridSpec, dedup_disks, enumerate_disks
-from .ip import Schedule, make_look
+from .ip import Schedule
 from .radar import AvailabilityTable
 from .structures import BucketList, OpCounters, build_backend
 
@@ -229,23 +231,24 @@ class SdbfRun:
             )
         return "\n".join(parts)
 
-    def next_look(self, j: int):
+    def next_look(self):
+        """Select the disk of the next look: (its backend, its disk id)."""
         d = self.selector.select(self.rngs["disk"])
         if d is None:
             raise InternalInvariantError("disk selection returned an empty disk")
-        look = make_look(j, self.table, self.catalog.prf_index[d], self.catalog, d)
-        return self._disk_backend(d), look
+        return self._disk_backend(d), d
 
-    def consume(self, rows) -> None:
+    def consume(self, disk, rows) -> None:
         """The store and the look's backend dropped each row when it was
         placed; only the disk selector is left, which takes each row in
-        turn (a WGD share is per task)."""
+        turn (a WGD share is per task), from every disk that encloses it,
+        ``disk`` among them."""
         task_disks, consume = self.catalog.task_disks, self.selector.consume
         for row in rows:
             consume(task_disks[row])
 
     def run(self) -> Schedule:
-        return run_looks(self, self.table, self.counters, schedule_meta(self.cfg))
+        return run_looks(self, self.catalog, self.counters, schedule_meta(self.cfg))
 
 
 def hisd(catalog: DiskCatalog, cfg: DiskHeuristicConfig,

@@ -552,15 +552,15 @@ def full_table_orders(ids, av, prio):
     return orders
 
 
-def rowwise_edbf_consume(run, rows):
+def rowwise_edbf_consume(run, look_prf, rows):
     """``EdbfRun.consume`` one placed row at a time, in slot order: a
-    ``delete`` from each other PRF's backend, one ``decrement`` of the row's
-    PRF set, then the random rule's set loses each of the row's PRFs whose
-    count is 0."""
+    ``delete`` from each backend of a PRF other than ``look_prf``, one
+    ``decrement`` of the row's PRF set, then the random rule's set loses
+    each of the row's PRFs whose count is 0."""
     for row in rows:
         prf_set = run.table.prf_sets[row]
         for p in prf_set:
-            if p != run._look_prf:
+            if p != look_prf:
                 run.backends[p].delete((row,))
         run.buckets.decrement(prf_set)
         if run.live_prfs is not None:

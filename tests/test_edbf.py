@@ -10,7 +10,6 @@ from pulseplan import (
     InternalInvariantError,
     PrfConfig,
     RadarConfig,
-    ScheduledLook,
     TrackTask,
     BucketList,
     build_availability_table,
@@ -246,11 +245,11 @@ def prf_run(rule, counts, live_prfs=None, seed=0):
     return run
 
 
-def look_prf(run, j=1):
-    """The PRF ``run.next_look(j)`` picks."""
-    backend, look = run.next_look(j)
-    assert backend is run.backends[look.prf_index]
-    return look.prf_index
+def look_prf(run):
+    """The PRF ``run.next_look()`` picks."""
+    backend, p = run.next_look()
+    assert backend is run.backends[p]
+    return p
 
 
 class TestPrfSelect:
@@ -265,14 +264,14 @@ class TestPrfSelect:
     def test_random_rule_reproducible(self):
         counts = [p + 1 for p in range(6)]
         runs = [prf_run("R", counts, IndexedSet(range(6)), seed=42) for _ in range(2)]
-        picks = [[look_prf(run, j) for j in range(1, 11)] for run in runs]
+        picks = [[look_prf(run) for _ in range(10)] for run in runs]
         assert picks[0] == picks[1]
         assert set(picks[0]) <= set(range(6))
 
     def test_random_rule_without_live_prf_counts_nothing(self):
         run = prf_run("R", [0, 0], IndexedSet())
         with pytest.raises(InternalInvariantError, match="empty task set"):
-            run.next_look(1)
+            run.next_look()
         assert run.counters.selector_ops == 0
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -285,8 +284,8 @@ class TestPrfSelect:
         consume = run.consume
         checked = []
 
-        def checked_consume(rows):
-            consume(rows)
+        def checked_consume(p, rows):
+            consume(p, rows)
             nonzero = {p for p in range(table.n_prfs) if run.buckets.count(p)}
             assert set(run.live_prfs) == nonzero
             assert len(run.live_prfs) == len(nonzero)
@@ -304,7 +303,7 @@ def _lockstep_looks(table, cfg):
     time (``oracles.rowwise_edbf_consume``).  Yields, after every look, both
     runs and the number of PRFs whose count the look took to 0."""
     runs = [EdbfRun(table, cfg), EdbfRun(table, cfg)]
-    consumes = [runs[0].consume, lambda rows: rowwise_edbf_consume(runs[1], rows)]
+    consumes = [runs[0].consume, lambda p, rows: rowwise_edbf_consume(runs[1], p, rows)]
     live = len(table.schedulable_rows())
     j = 0
     while live:
@@ -312,9 +311,9 @@ def _lockstep_looks(table, cfg):
         placed = []
         before = sum(runs[0].buckets.count(p) > 0 for p in range(table.n_prfs))
         for run, consume in zip(runs, consumes):
-            backend, _ = run.next_look(j)
+            backend, p = run.next_look()
             rows = Episode(backend, table.cfg.n_intlv, run.counters).run()
-            consume(rows)
+            consume(p, rows)
             placed.append(rows)
         assert placed[0] == placed[1], j
         live -= len(placed[0])
@@ -508,12 +507,10 @@ class TestHied:
         table = build_availability_table(tasks, prfs, cfg)
 
         class EmptyLooks:
-            def next_look(self, j):
-                look = ScheduledLook(index=j, prf_index=0, f_r=prfs[0].f_r,
-                                     dwell=table.dwell(0))
-                return backend_over("brute", cfg.n_intlv, []), look
+            def next_look(self):
+                return backend_over("brute", cfg.n_intlv, []), 0
 
-            def consume(self, tid):
+            def consume(self, p, rows):
                 raise AssertionError("nothing was placed")
 
         with pytest.raises(InternalInvariantError,

@@ -29,6 +29,7 @@ from pulseplan import (
     gen_scenario,
     hied,
     hisd,
+    solve_exact,
 )
 from pulseplan.edbf import PRF_RULES, TASK_RULES
 from pulseplan.io import disks_text, scenario_to_text, schedule_to_text
@@ -362,6 +363,31 @@ def lp_sources():
 def test_lp_export_bytes_pinned(lp_sources, mode, copies, sscfl):
     text = export_lp(build_instance(lp_sources[mode], copies=copies), sscfl=sscfl)
     assert hashlib.sha256(text.encode()).hexdigest() == LP_DIGESTS[mode, copies, sscfl]
+
+
+# sha256 of the exact solver's schedule text on three scenarios shaped like
+# oracle-10 (n_intlv 4, 3 PRFs), in element mode and in subarray mode on the
+# deduplicated disk catalog, recorded while ``solve_exact`` still built its
+# own looks and assignments.  The objectives are checked elsewhere; these pin
+# the optimal schedule the search keeps, its look order, slots and meta.
+EXACT_DIGESTS = {
+    (6, 1, "edbf"): "072ec0bdfb95be2c3afa29940fe02ca254dbcc39e8ca046de622fb9771ccb09b",
+    (6, 1, "sdbf"): "b9cb1ba1f87d28582da9793ee55354afabbd81e289a3cb9699925a4de33a40b6",
+    (7, 2, "edbf"): "c5df945e2a6b6d8deaa066cd755fab5f5c0f114c9c670bb5d637b6bd8d88cea2",
+    (7, 2, "sdbf"): "49bba657fc9d65baaf867767639243a8d8b3d4417c1c77361b5709224379156d",
+    (8, 3, "edbf"): "2d3c6e987dc3245a8af53eff1abd7c866adb366c380fd96035894afcb3b000b4",
+    (8, 3, "sdbf"): "549c8e571cd1a7836de4c26e76da4dfad2accc6feec9965079db37cdecf94afe",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_exact_schedule_bytes_pinned(key):
+    n_tasks, seed, mode = key
+    cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=n_tasks, seed=seed),
+                                    RadarConfig(n_intlv=4), default_prf_set(count=3))
+    table = build_availability_table(tasks, prfs, cfg)
+    source = table if mode == "edbf" else dedup_disks(enumerate_disks(table, GridSpec()))
+    assert _digest(solve_exact(build_instance(source))) == EXACT_DIGESTS[key]
 
 
 # sha256 of disks_text (what ``pulseplan disks`` writes) for two generated

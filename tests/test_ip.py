@@ -12,6 +12,7 @@ from pulseplan import (
     DiskHeuristicConfig,
     GridSpec,
     HeuristicConfig,
+    InternalInvariantError,
     PrfConfig,
     RadarConfig,
     ResourceLimitError,
@@ -32,7 +33,7 @@ from pulseplan import (
     solve_exact,
 )
 from pulseplan.io import schedule_to_text
-from pulseplan.ip import LP_MAX_TERMS, make_look
+from pulseplan.ip import LP_MAX_TERMS, make_look, schedule_of
 from pulseplan.radar import _TASK_FLOATS
 from pulseplan.scenario import ScenarioSpec
 from oracles import exhaustive_optimum, timeline_feasible
@@ -253,7 +254,9 @@ class TestChecker:
 def one_look_prf_swap(sched, table):
     """(position, PRF) of a look whose tasks all fit another PRF's A_v, A_r
     and A_l in their slots, so only the look's own fields tell it apart."""
-    by_look = sched.by_look()
+    by_look = {}
+    for tid, j, k in sched.assignments:
+        by_look.setdefault(j, []).append((tid, k))
     for pos, lk in enumerate(sched.looks):
         rows = by_look[lk.index]
         m = max(k for _, k in rows)
@@ -336,6 +339,17 @@ class TestObjective:
         split = manual_schedule(inst, [(1, 1, 1), (2, 2, 1)], p).objective()
         merged = manual_schedule(inst, [(1, 1, 1), (2, 1, 2)], p).objective()
         assert merged < split
+
+
+class TestScheduleOf:
+    def test_looks_must_place_every_schedulable_row_once(self):
+        table, _ = small_instance(5, seed=1)
+        p = table.prf_sets[0][0]
+        for looks in ([], [(p, [0])], [(p, [0])] * 6):
+            placed = sum(len(rows) for _, rows in looks)
+            with pytest.raises(InternalInvariantError,
+                               match=f"the looks place {placed} rows of 5 schedulable"):
+                schedule_of(table, looks, {})
 
 
 class TestExactSolver:

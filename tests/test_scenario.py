@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import pulseplan
 from pulseplan import (
     RadarConfig,
+    ScenarioError,
     ScenarioSpec,
     TrackTask,
     build_availability_table,
@@ -69,8 +70,33 @@ class TestGeneration:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == ("100 draws in a row kept no task: no drawn track is trackable "
-                               "with these radar and PRF settings (0 of 1 drawn)\n")
+        assert done.stdout == (
+            "no track is trackable with these radar and PRF settings: at the lowest "
+            "sigma bounds (sigma_r=10.0, sigma_f=10.0) every PRF's clear range or "
+            "Doppler region is narrower than the confidence interval "
+            "(n_r=1000000000.0, n_f=3.0)\n")
+
+    def test_untrackable_config_is_refused_before_any_draw(self, monkeypatch):
+        # the lowest sigma bounds fit no PRF, so no draw can be trackable:
+        # refused without a single availability_arrays call, at any size
+        calls = []
+        arrays = pulseplan.scenario.availability_arrays
+        monkeypatch.setattr(pulseplan.scenario, "availability_arrays",
+                            lambda *args: calls.append(1) or arrays(*args))
+        with pytest.raises(ScenarioError, match="lowest sigma bounds"):
+            gen_scenario(ScenarioSpec(n_tasks=64_000), RadarConfig(n_r=1e9))
+        assert calls == []
+        # no task to draw, or none that must be trackable: nothing to refuse
+        assert len(gen_scenario(ScenarioSpec(n_tasks=0), RadarConfig(n_r=1e9))[2]) == 0
+        kept = ScenarioSpec(n_tasks=5, keep_unschedulable=True)
+        assert len(gen_scenario(kept, RadarConfig(n_r=1e9))[2]) == 5
+
+    def test_blind_draws_are_refused_after_100_draws(self):
+        # every drawn range (1 m) lies in each PRF's near blind zone, though
+        # the lowest sigma bounds fit every PRF: only the draws can tell
+        with pytest.raises(ScenarioError, match="^100 draws in a row kept no task: "
+                           r".* \(0 of 1 drawn\)$"):
+            gen_scenario(ScenarioSpec(n_tasks=1, range_bounds=(1.0, 1.0)))
 
     def test_keep_unschedulable_keeps_raw_draws(self):
         spec = ScenarioSpec(n_tasks=200, seed=4, keep_unschedulable=True)
