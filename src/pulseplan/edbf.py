@@ -15,7 +15,8 @@ one place that orders a PRF's task set K_p; every backend takes its rows in
 that order.  ``Episode`` kills a placed row in the store and deletes it
 from the look's backend; the source then consumes the look's placed rows in
 one call, which deletes each once from every other backend that holds it
-and updates the base selector.  What a delete does is the backend's own:
+and updates the base selector: ``EdbfRun`` groups the rows by PRF and
+makes one ``delete`` and one bucket-list ``decrement`` per PRF.  What a delete does is the backend's own:
 the pairwise lists unlink the row, while a range tree, whose queries skip
 rows the store marks dead, only lowers its live count.  Every backend
 keeps that count exact, since the pass reads it.  ``EdbfRun`` is the
@@ -381,33 +382,33 @@ class EdbfRun:
         return self.backends[p], p
 
     def consume(self, look_prf, rows) -> None:
-        """Drop a look's placed rows, in slot order, from the backends of
-        the PRFs other than ``look_prf`` (one ``delete`` call each) and
-        from the bucket list (one ``decrement`` over the rows' PRF sets in
-        turn).  The look's own backend dropped each row when it was placed.
+        """Drop a look's placed rows, in slot order, from the structures of
+        their PRFs: the rows are grouped by PRF once, and each PRF makes one
+        ``delete`` from its backend (but ``look_prf``, whose backend
+        dropped each row when it was placed) and one bucket-list
+        ``decrement`` by its row count.
 
-        The random rule's set loses each PRF whose count reached 0, in the
-        order the counts did: that of each PRF's last occurrence in the
-        decremented keys.
+        The random rule's set loses each PRF whose count reached 0 in the
+        order one decrement per row gives: by the slot of the last row
+        holding the PRF, then by PRF index.
         """
         prf_sets = self.table.prf_sets
-        keys = []
         groups = [[] for _ in self.backends]
         for row in rows:
-            prf_set = prf_sets[row]
-            keys += prf_set
-            for p in prf_set:
+            for p in prf_sets[row]:
                 groups[p].append(row)
-        groups[look_prf] = ()
-        for backend, placed in zip(self.backends, groups):
+        decrement = self.buckets.decrement
+        for p, (backend, placed) in enumerate(zip(self.backends, groups)):
             if placed:
-                backend.delete(placed)
-        self.buckets.decrement(keys)
+                if p != look_prf:
+                    backend.delete(placed)
+                decrement((p,), len(placed))
         if self.live_prfs is not None:
             count = self.buckets.count
-            for p in reversed(dict.fromkeys(reversed(keys))):
-                if count(p) == 0:
-                    self.live_prfs.discard(p)
+            zeroed = [p for p, placed in enumerate(groups) if placed and not count(p)]
+            # a stable sort keeps PRF order among PRFs of one last row
+            for p in sorted(zeroed, key=lambda p: rows.index(groups[p][-1])):
+                self.live_prfs.discard(p)
 
     def run(self) -> Schedule:
         return run_looks(self, self.table, self.counters, schedule_meta(self.cfg))

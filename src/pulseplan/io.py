@@ -15,6 +15,12 @@ if its task lines (in a schedule, its look and assign lines) come last
 and all are in the written form, they are read in bulk and the lines
 before them line by line; any other file goes through the line-by-line
 reader, which gives the values and errors of both.
+
+A schedule's looks are columns (``ip.Looks``): an index per look and a key
+into a table of look fields.  The writer formats each key's look-line tail
+once and the bulk reader converts each distinct tail text once, so neither
+builds an object per look, and values that compare equal but are written
+apart (0.0 and -0.0) keep apart keys.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .geometry import DiskCatalog
-from .ip import Assignments, Schedule, ScheduledLook
+from .ip import Assignments, Looks, Schedule, ScheduledLook
 from .radar import (
     _TASK_FLOATS,
     AvailabilityTable,
@@ -256,31 +262,54 @@ def _parse_records(text: str):
 _LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
 _DISK_LOOK_FIELDS = dict(_LOOK_FIELDS, disk=int, disk_u=float, disk_v=float)
 _ASSIGN_FIELDS = dict(task=int, look=int, slot=int)
-_LOOK_LINE = _template("look", _LOOK_FIELDS)
-_DISK_LOOK_LINE = _template("look", _DISK_LOOK_FIELDS)
 _ASSIGN_LINE = _template("assign", _ASSIGN_FIELDS)
 # the fields of each written look line form, by its count of "="
 _LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
+# a look line is ``look index=j`` and the tail of its fields after the
+# index, one template per form, written once per look key
+_LOOK_TAIL, _DISK_LOOK_TAIL = (_template("look", fields).removeprefix("look index=%s ")
+                               for fields in (_LOOK_FIELDS, _DISK_LOOK_FIELDS))
 
 
-def _look_chunk(lines, fields):
-    """The ``ScheduledLook``s of look lines in the written form ``fields``,
-    as an iterator that holds the column iterators.  It stops at the end of
-    ``index``, so the other columns keep unread tokens; held by the
-    reader's locals, they would stay alive through the next chunk and the
-    assign read."""
-    index, prf, f_r, dwell, *disk = _columns(lines, "look", fields)
-    if disk:
-        disk_id, u, v = disk
-        return map(ScheduledLook, index, prf, f_r, dwell, disk_id, zip(u, v))
-    return map(ScheduledLook, index, prf, f_r, dwell)
+def _look_tail(fields) -> str:
+    """The look line tail of a key's fields (``ip.Looks.fields``)."""
+    prf, f_r, dwell, disk_id, center = fields
+    if disk_id is None:
+        return _LOOK_TAIL % (prf, f_r, dwell)
+    return _DISK_LOOK_TAIL % (prf, f_r, dwell, disk_id, *center)
 
 
-def _look_line(lk: ScheduledLook) -> str:
-    if lk.disk_id is None:
-        return _LOOK_LINE % (lk.index, lk.prf_index, lk.f_r, lk.dwell)
-    return _DISK_LOOK_LINE % (lk.index, lk.prf_index, lk.f_r, lk.dwell,
-                              lk.disk_id, *lk.disk_center)
+def _read_looks(lines) -> Looks:
+    """The ``Looks`` of look lines in either written form, read in runs of
+    one "=" count, in chunks: each line's index, and as its key the key of
+    the text of its other fields.  A text met for the first time gets the
+    next key, and its values, converted once, enter ``fields``; values that
+    compare equal but are written apart (0.0 and -0.0) keep their keys
+    apart.  ``ValueError`` if a line is in neither form.  ``_columns``
+    hands over the texts unconverted (``str``); each distinct text is
+    converted here, so every value is checked as it requires.  The texts
+    are let go on return, before the assign lines are read."""
+    looks, keys = Looks(), {}
+    end = 0
+    for eqs, run in groupby(map(str.count, lines, repeat("="))):
+        if eqs not in _LOOK_FORMS:
+            raise ValueError("not look lines in the written form")
+        form = _LOOK_FORMS[eqs]
+        convs = list(form.values())[1:]
+        run0, end = end, end + len(list(run))
+        for i in range(run0, end, _CHUNK):
+            index, *rest = _columns(lines[i:min(i + _CHUNK, end)], "look",
+                                    dict.fromkeys(form, str))
+            looks.index += map(int, index)
+            texts = list(zip(*rest))
+            for text in texts:
+                if text not in keys:
+                    keys[text] = key = len(keys)
+                    values = [conv(value) for conv, value in zip(convs, text)]
+                    disk = (values[3], tuple(values[4:])) if len(values) > 3 else (None, None)
+                    looks.fields[key] = (*values[:3], *disk)
+            looks.key += map(keys.__getitem__, texts)
+    return looks
 
 
 def schedule_to_text(schedule: Schedule) -> str:
@@ -295,7 +324,10 @@ def schedule_to_text(schedule: Schedule) -> str:
     meta["objective"] = repr(schedule.objective())
     meta["looks_used"] = str(schedule.n_looks_used())
     lines.append("meta " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    lines.extend(map(_look_line, schedule.looks))
+    looks = schedule.looks
+    tails = {k: _look_tail(fields) for k, fields in looks.fields.items()}
+    lines.extend(map("look index=%s %s".__mod__,
+                     zip(looks.index, map(tails.__getitem__, looks.key))))
     a = schedule.assignments
     rows = iter(a)
     if any(map(gt, zip(a.look, a.slot), zip(a.look[1:], a.slot[1:]))):
@@ -324,26 +356,27 @@ def _schedule_record(kind: str, tokens):
 
 def _schedule_from(records, looks=None, columns=None) -> Schedule:
     """A ``Schedule`` from (line number, kind, record) triples of the line
-    reader; its looks are ``looks``, those of look lines read in bulk, or
-    else the look records, and its assignments are ``columns``, the (task,
-    look, slot) columns of assign lines read in bulk, or else the assign
-    records."""
+    reader; its looks are ``looks``, the ``Looks`` of look lines read in
+    bulk, or else the look records, and its assignments are ``columns``,
+    the (task, look, slot) columns of assign lines read in bulk, or else
+    the assign records."""
     meta: dict[str, str] = {}
-    looks = [] if looks is None else looks
+    look_records: list[ScheduledLook] = []
     triples: list[tuple[int, int, int]] = []
     unschedulable: tuple[int, ...] = ()
     for _, kind, record in records:
         if kind == "meta":
             meta.update(record)
         elif kind == "look":
-            looks.append(record)
+            look_records.append(record)
         elif kind == "assign":
             triples.append(record)
         else:
             unschedulable = record
     meta.pop("objective", None)
     meta.pop("looks_used", None)
-    return Schedule(looks=looks, assignments=triples if columns is None else Assignments(*columns),
+    return Schedule(looks=look_records if looks is None else looks,
+                    assignments=triples if columns is None else Assignments(*columns),
                     meta=meta, unschedulable=unschedulable)
 
 
@@ -361,9 +394,9 @@ def parse_schedule(text: str) -> Schedule:
     end is an assign line in the written form, and every line from the
     first one that starts with ``look`` to the first assign line is a look
     line in either written form, those lines are read by ``_columns`` in
-    chunks: the assign lines straight into columns, the look lines, in
-    runs of one "=" count, into ``ScheduledLook``s.  The other lines go
-    through the line-by-line reader.  Any other file is read whole by
+    chunks straight into columns: the look lines as their indices and keys
+    (``_read_looks``), then the assign lines.  The other lines go through
+    the line-by-line reader.  Any other file is read whole by
     ``_parse_schedule_records``, so errors always come from that reader,
     and the result equals its result.
     """
@@ -379,15 +412,8 @@ def parse_schedule(text: str) -> Schedule:
     # columns sized once and filled in chunks, as task lines are read: a
     # whole file's tokens at once would set the reader's peak memory
     columns = [0] * (stop - first), [0] * (stop - first), [0] * (stop - first)
-    looks = []
     try:
-        end = look0
-        for eqs, run in groupby(map(str.count, lines[look0:first], repeat("="))):
-            if eqs not in _LOOK_FORMS:
-                raise ValueError("not look lines in the written form")
-            run0, end = end, end + len(list(run))
-            for i in range(run0, end, _CHUNK):
-                looks += _look_chunk(lines[i:min(i + _CHUNK, end)], _LOOK_FORMS[eqs])
+        looks = _read_looks(lines[look0:first])
         for i in range(first, stop, _CHUNK):
             block = lines[i:min(i + _CHUNK, stop)]
             for col, values in zip(columns, _columns(block, "assign", _ASSIGN_FIELDS)):

@@ -14,18 +14,21 @@ assignment variables h_ijk (task i at slot k of look j) subject to:
   C8  binary domains
 
 One look type serves both sides: a ``ScheduledLook`` is a look of a
-schedule and a candidate look of an instance alike, and ``make_look`` builds
-every one.  A look is a base plus the table rows in its slots 1..m; a base
-is a PRF of an availability table or a disk of a disk catalog, the two
-sources ``split_source`` tells apart.  ``schedule_of`` is the one
+schedule and a candidate look of an instance alike, and ``make_look``
+builds every one.  A schedule holds its looks as ``Looks`` columns, an index
+and a key per look into a table of look fields, and reads them as
+``ScheduledLook``s.  A look is a base plus the table rows in its slots 1..m;
+a base is a PRF of an availability table or a disk of a disk catalog, the
+two sources ``split_source`` tells apart.  ``schedule_of`` is the one
 constructor from looks given as (base, rows in slot order) to a
 ``Schedule``: the look loop of both schedulers and the exact solver return
-through it.  An ``IpInstance`` is the availability table (and, in subarray
-mode, the disk catalog) plus a copy count, read by table row and by base; it
-builds its candidate looks when ``looks`` is first read, so the checker and
-the exact solver, which read none of them, never pay for them.  A schedule
-look that is no candidate look of the instance, or that repeats an index, is
-a C8 violation.
+through it.  It keys each look by its base and builds each base's fields
+once, so it builds no object per look.  An ``IpInstance`` is the
+availability table (and, in subarray mode, the disk catalog) plus a copy
+count, read by table row and by base; it builds its candidate looks when
+``looks`` is first read, so the checker and the exact solver, which read
+none of them, never pay for them.  A schedule look that is no candidate look
+of the instance, or that repeats an index, is a C8 violation.
 
 This module validates any schedule against those constraints, solves small
 instances exactly by depth-first branch and bound, and writes instances as
@@ -67,6 +70,59 @@ class ScheduledLook:
     disk_center: tuple[float, float] | None = None
 
 
+def _look_fields(look: ScheduledLook) -> tuple:
+    """A look's fields but its index, in ``ScheduledLook`` order."""
+    return look.prf_index, look.f_r, look.dwell, look.disk_id, look.disk_center
+
+
+class Looks(Sequence):
+    """A schedule's looks as columns, one entry per look: ``index`` (look
+    index) and ``key``, a key into ``fields``, which maps each key to the
+    fields of its looks but the index, in ``ScheduledLook`` order (PRF
+    index, f_r, dwell, disk id, disk center).  A scheduler's looks are
+    keyed by their base, so the table holds one entry per base used.
+
+    It reads as a sequence of ``ScheduledLook``, built on each read, and
+    equals a list or tuple of the same looks.  ``Looks.of`` gives each
+    look of a sequence its own key, so no two looks whose fields compare
+    equal but write differently (0.0 and -0.0) share one.
+    """
+
+    __slots__ = ("index", "key", "fields")
+
+    def __init__(self, index=(), key=(), fields=None):
+        self.index, self.key = list(index), list(key)
+        self.fields = {} if fields is None else fields
+        if len(self.index) != len(self.key):
+            raise ValueError("look columns differ in length")
+
+    @classmethod
+    def of(cls, looks) -> Looks:
+        looks = list(looks)
+        return cls([lk.index for lk in looks], range(len(looks)),
+                   dict(enumerate(map(_look_fields, looks))))
+
+    def __len__(self):
+        return len(self.index)
+
+    def __iter__(self):
+        fields = self.fields
+        return (ScheduledLook(j, *fields[k]) for j, k in zip(self.index, self.key))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Looks(self.index[i], self.key[i], self.fields)
+        return ScheduledLook(self.index[i], *self.fields[self.key[i]])
+
+    def __eq__(self, other):
+        if isinstance(other, (Looks, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Looks({list(self)!r})"
+
+
 class Assignments(Sequence):
     """A schedule's assignments as three int columns, one entry per
     assignment: ``task`` (task id), ``look`` (look index) and ``slot``.
@@ -104,19 +160,23 @@ class Assignments(Sequence):
 
 @dataclass
 class Schedule:
-    """Assignment columns plus per-look metadata; the scheduler's output.
+    """Look and assignment columns plus metadata; the scheduler's output.
 
-    ``assignments`` may be given as any iterable of (task id, look, slot)
-    tuples; it is kept as ``Assignments`` columns.  The used looks are found
-    once, on first read: a schedule is not edited after it is built.
+    ``looks`` may be given as any iterable of ``ScheduledLook`` and is kept
+    as ``Looks`` columns (``Looks.of``); ``assignments`` may be given as
+    any iterable of (task id, look, slot) tuples and is kept as
+    ``Assignments`` columns.  The used looks are found once, on first read:
+    a schedule is not edited after it is built.
     """
 
-    looks: list[ScheduledLook]
+    looks: Looks
     assignments: Assignments
     meta: dict = field(default_factory=dict)
     unschedulable: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.looks, Looks):
+            self.looks = Looks.of(self.looks)
         if not isinstance(self.assignments, Assignments):
             self.assignments = Assignments(*zip(*self.assignments))
 
@@ -125,20 +185,21 @@ class Schedule:
         return set(self.assignments.look)
 
     @cached_property
-    def used_looks(self) -> list[ScheduledLook]:
-        """The looks that carry an assignment, in schedule order: the one
-        set both objectives sum over."""
-        assigned = self._assigned
-        return [lk for lk in self.looks if lk.index in assigned]
+    def _used_keys(self) -> list:
+        """The keys of the looks that carry an assignment, in look order:
+        the one set both objectives sum over."""
+        looks, assigned = self.looks, self._assigned
+        return [k for j, k in zip(looks.index, looks.key) if j in assigned]
 
     def objective(self) -> float:
-        """Total dwell (s) of the used looks; the exact rational form is
-        ``exact_objective``."""
-        return sum(lk.dwell for lk in self.used_looks)
+        """Total dwell (s) of the used looks, summed in look order; the
+        exact rational form is ``exact_objective``."""
+        dwell = {k: fields[2] for k, fields in self.looks.fields.items()}
+        return sum(map(dwell.__getitem__, self._used_keys))
 
     def n_looks_used(self) -> int:
         """Distinct looks the assignments name; a hand-built schedule may
-        name a look it does not list, which ``used_looks`` cannot hold."""
+        name a look it does not list, which no objective sums."""
         return len(self._assigned)
 
 
@@ -198,11 +259,10 @@ def schedule_of(source, looks, meta: dict) -> Schedule:
     ids = table.tasks.ids
     size = table.n_tasks - len(table.unschedulable)
     task, look, slot = [0] * size, [0] * size, [0] * size
-    built = []
+    bases = []
     k = 0
     for j, (base, rows) in enumerate(looks, 1):
-        built.append(make_look(j, table, base) if catalog is None else
-                     make_look(j, table, catalog.prf_index[base], catalog, base))
+        bases.append(base)
         m = len(rows)
         task[k:k + m] = map(ids.__getitem__, rows)
         look[k:k + m] = [j] * m
@@ -210,7 +270,12 @@ def schedule_of(source, looks, meta: dict) -> Schedule:
         k += m
     if k != size:
         raise InternalInvariantError(f"the looks place {k} rows of {size} schedulable")
-    return Schedule(built, Assignments(task, look, slot), meta, table.unschedulable)
+    fields = {base: _look_fields(
+        make_look(0, table, base) if catalog is None else
+        make_look(0, table, catalog.prf_index[base], catalog, base))
+        for base in dict.fromkeys(bases)}
+    return Schedule(Looks(range(1, len(bases) + 1), bases, fields),
+                    Assignments(task, look, slot), meta, table.unschedulable)
 
 
 @dataclass
@@ -326,17 +391,24 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
     out: list[Violation] = []
     n = inst.n_intlv
     table = inst.table
-    look_map: dict[int, ScheduledLook] = {}
+    looks = schedule.looks
+    # the looks of one key share their fields, so one check answers for
+    # all of them, and a look is read from its key only when its
+    # assignments are checked
+    candidate: dict = {}
+    look_map: dict = {}                 # look index -> key of its first look
     foreign: set[int] = set()
-    for lk in schedule.looks:
-        j = lk.index
+    for j, key in zip(looks.index, looks.key):
         if j in look_map:
             out.append(Violation("C8", "look index declared more than once", look=j))
             foreign.add(j)
-        elif not inst.is_candidate(lk):
+            continue
+        if key not in candidate:
+            candidate[key] = inst.is_candidate(ScheduledLook(j, *looks.fields[key]))
+        if not candidate[key]:
             out.append(Violation("C8", "look is not a candidate look of the instance", look=j))
             foreign.add(j)
-        look_map.setdefault(j, lk)
+        look_map[j] = key
 
     task_rows = table.task_rows
     seen = [0] * table.n_tasks
@@ -360,7 +432,7 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
             out.append(Violation("C2", f"task scheduled {count} times", task=tid))
 
     for j, members in sorted(per_look.items()):
-        lk = look_map[j]
+        lk = ScheduledLook(j, *looks.fields[look_map[j]])
         if len(members) > n:
             out.append(Violation("C1", f"{len(members)} tasks in one look", look=j))
         slots = [k for _, _, k in members]
@@ -395,7 +467,8 @@ def check_feasible(schedule: Schedule, inst: IpInstance) -> list[Violation]:
 
 def exact_objective(schedule: Schedule, inst: IpInstance) -> Fraction:
     """Exact rational sum of the dwell times of the schedule's used looks."""
-    return sum((dwell_fraction(inst.table, lk.prf_index) for lk in schedule.used_looks),
+    fields = schedule.looks.fields
+    return sum((dwell_fraction(inst.table, fields[k][0]) for k in schedule._used_keys),
                Fraction(0))
 
 

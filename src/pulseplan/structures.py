@@ -21,9 +21,9 @@ own index once.
 A bucket list provides greedy / reverse-greedy selection of PRFs, and of
 disks under the random tie-break.  Its keys are dense ints (PRF indices,
 disk ids), its buckets are plain lists held in one list indexed by count,
-and its one update is ``decrement``: counts only fall, one at a time, as
-placed tasks are consumed, so a selection's walk past empty buckets is O(1)
-amortized.
+and its one update is ``decrement``: counts only fall, by one placed
+task's memberships or by one PRF's share of a look, so a selection's walk
+past empty buckets is O(1) amortized.
 
 Every structure is built in bulk: the store from the table's columns, the
 backends from a PRF's rows of it in priority order (a range tree of any size
@@ -111,17 +111,18 @@ class BucketList:
     key leaves a bucket by swap-remove (the last member fills its slot) and
     joins one by append.  Every nonzero count lies in ``_lo.._hi``, and
     ``select`` walks the one it reads past empty buckets.  Counts only fall,
-    one at a time, so ``_hi`` only falls and ``_lo`` falls at most once per
-    decrement: over a run the walks take O(K + max count + decrements)
-    steps in all, O(1) amortized per call.
+    so ``_hi`` only falls and ``_lo`` falls at most once per decremented
+    key: over a run the walks take O(K + max count + decrements) steps in
+    all, O(1) amortized per call.
 
     The buckets are built in bulk from ``counts``, one starting count per
     key, in O(K + max count): ``bincount`` sizes them and a radix sort of
     the narrowed counts fills them, with no per-membership step and no
     ``bucket_ops``.  Each bucket lists its keys in key order, the order
     that counting every membership up from zero, key after key, gives; the
-    ``random`` tie-break reads it.  ``decrement(keys)`` is the one update:
-    one membership of each key, O(1) and one ``bucket_ops`` per key.
+    ``random`` tie-break reads it.  ``decrement(keys, by)`` is the one
+    update: ``by`` memberships of each key in turn, O(1) per key and
+    ``by`` ``bucket_ops``.
     """
 
     def __init__(self, counts, counters=None):
@@ -148,11 +149,14 @@ class BucketList:
         """The key's current cardinality."""
         return self._count[key]
 
-    def decrement(self, keys) -> None:
-        """Take one membership from each key of the sequence ``keys`` in
-        turn: the key moves from bucket v to bucket v - 1.  All
-        ``len(keys)`` ``bucket_ops`` are counted up front."""
-        self.counters.bucket_ops += len(keys)
+    def decrement(self, keys, by=1) -> None:
+        """Take ``by`` memberships from each key of the sequence ``keys`` in
+        turn: the key moves from bucket v to bucket v - by in one step.
+        The buckets end as ``by`` single steps of each key in turn leave
+        them, member order included: each step after the first appends the
+        key to a bucket that the next step takes it off again.  All
+        ``by * len(keys)`` ``bucket_ops`` are counted up front."""
+        self.counters.bucket_ops += by * len(keys)
         buckets = self._buckets
         count = self._count
         pos = self._pos
@@ -160,7 +164,7 @@ class BucketList:
         for key in keys:
             value = count[key]
             members = buckets[value]
-            value -= 1
+            value -= by
             if value < lo:
                 if value < 0:
                     raise InternalInvariantError(f"key {key!r} decremented below zero")
@@ -173,7 +177,7 @@ class BucketList:
                 members[i] = last
                 pos[last] = i
             elif not members:
-                buckets[value + 1] = None
+                buckets[value + by] = None
             dest = buckets[value]
             if dest is None:
                 buckets[value] = dest = []

@@ -569,6 +569,17 @@ def rowwise_edbf_consume(run, look_prf, rows):
                     run.live_prfs.discard(p)
 
 
+def look_line(lk):
+    """The look line of one ``ScheduledLook``, each field from the look
+    itself: the per-look writer ``schedule_to_text`` used before a
+    schedule's looks became columns with one written tail per key."""
+    if lk.disk_id is None:
+        return "look index=%s prf=%s f_r=%s dwell=%s" % (lk.index, lk.prf_index, lk.f_r,
+                                                         lk.dwell)
+    return "look index=%s prf=%s f_r=%s dwell=%s disk=%s disk_u=%s disk_v=%s" % (
+        lk.index, lk.prf_index, lk.f_r, lk.dwell, lk.disk_id, *lk.disk_center)
+
+
 def tuple_schedule_text(schedule):
     """``schedule_to_text`` from assignment tuples: the objective and looks
     used from the set of assigned look indices, one ``_fields`` list per

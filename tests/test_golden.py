@@ -233,6 +233,18 @@ PINNED_OPS = {
         _EDBF_OPS, list_inspections=11862, pairwise_touches=0, node_entries=26153),
     ("edbf", "G", "SAR", "pairwise"): dict(
         _EDBF_OPS, list_inspections=0, pairwise_touches=35852, node_entries=35852),
+    # the reverse greedy and random PRF rules: the same deletes and bucket
+    # updates as G, one per membership, and under R the order in which
+    # PRFs that reach a count of 0 leave the rule's set (which its draws
+    # read) shows in the queries
+    ("edbf", "RG", "SAR", "rangetree"): dict(
+        backend_queries=5840, backend_deletes=5934, list_inspections=18007,
+        pairwise_touches=0, fallback_scans=0, bucket_ops=5934, selector_ops=722,
+        bi_iterations=5770, bi_calls=722, bi_max_iterations=11, node_entries=26153),
+    ("edbf", "R", "SAR", "rangetree"): dict(
+        backend_queries=3569, backend_deletes=5934, list_inspections=12238,
+        pairwise_touches=0, fallback_scans=0, bucket_ops=5934, selector_ops=442,
+        bi_iterations=3524, bi_calls=442, bi_max_iterations=9, node_entries=26153),
     ("sdbf", "GD", "R", "rangetree"): dict(
         backend_queries=1591, backend_deletes=600, list_inspections=5108,
         pairwise_touches=0, fallback_scans=0, bucket_ops=38340,

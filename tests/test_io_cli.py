@@ -35,11 +35,11 @@ from pulseplan import io as pio
 from pulseplan.cli import _build_parser, main
 from pulseplan.edbf import EdbfRun
 from pulseplan.geometry import MAX_CATALOG_CELLS
-from pulseplan.ip import LP_MAX_TERMS
+from pulseplan.ip import LP_MAX_TERMS, make_look
 from pulseplan.sdbf import SdbfRun
 from pulseplan.structures import BACKEND_KINDS
 from pulseplan.radar import _TASK_FLOATS, TaskColumns, slot_cap
-from oracles import tuple_schedule_text
+from oracles import look_line, tuple_schedule_text
 from pulseplan.io import (
     availability_text,
     disks_text,
@@ -417,6 +417,25 @@ class TestScheduleWriter:
         assert sched.unschedulable
         assert schedule_to_text(sched) == tuple_schedule_text(sched)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hand_built_schedules(floats=st.floats()))
+    def test_look_lines_match_the_per_look_writer(self, schedule):
+        lines = schedule_to_text(schedule).splitlines()
+        assert [ln for ln in lines if ln.startswith("look ")] == list(map(look_line,
+                                                                          schedule.looks))
+
+    @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
+    def test_scheduler_look_lines_match_the_per_look_writer(self, mode):
+        # a scheduler keys its looks by base, PRF or disk: one fields entry,
+        # and one written tail, per base used
+        sched = _scheduler_output(mode, 1)
+        assert list(sched.looks.fields) == list(dict.fromkeys(sched.looks.key))
+        assert [lk.disk_id if mode == "sdbf" else lk.prf_index
+                for lk in sched.looks] == sched.looks.key
+        lines = schedule_to_text(sched).splitlines()
+        assert [ln for ln in lines if ln.startswith("look ")] == list(map(look_line,
+                                                                          sched.looks))
+
     def test_empty_schedule(self):
         empty = Schedule(looks=[], assignments=[])
         assert schedule_to_text(empty) == tuple_schedule_text(empty) == \
@@ -584,6 +603,47 @@ class TestColumnarScheduleReader:
         assert back.assignments == sched.assignments and back.looks == sched.looks
         assert back.unschedulable == sched.unschedulable
         assert schedule_to_text(back) == text
+
+    def test_hand_written_file_round_trips(self):
+        # look indices out of order with gaps, index 7 declared twice (once
+        # in each look form), look 12 with no assignment, and two looks
+        # whose f_r compare equal but are written apart, 0.0 and -0.0
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=4, seed=1))
+        table = build_availability_table(tasks, prfs, cfg)
+        real = make_look(7, table, 1)
+        real_tail = f"prf=1 f_r={real.f_r!r} dwell={real.dwell!r}"
+        used = [real.dwell, 0.004, 0.004, 0.007]
+        text = "\n".join([
+            pio.SCHEDULE_TAG,
+            f"meta looks_used=3 mode=edbf objective={sum(used)!r} seed=0",
+            f"look index=7 {real_tail}",
+            "look index=3 prf=0 f_r=0.0 dwell=0.004",
+            "look index=4 prf=0 f_r=-0.0 dwell=0.004",
+            "look index=7 prf=2 f_r=9000.0 dwell=0.007 disk=5 disk_u=0.25 disk_v=-0.5",
+            f"look index=12 {real_tail}",
+            *(f"assign task={t} look={j} slot={k}"
+              for t, j, k in ((1, 3, 1), (2, 4, 1), (3, 7, 1), (4, 7, 2))),
+            "unschedulable 99",
+            ""])
+        with mock.patch.object(pio, "_parse_schedule_records",
+                               wraps=pio._parse_schedule_records) as slow:
+            back = parse_schedule(text)
+        slow.assert_not_called()
+        assert schedule_to_text(back) == text
+        assert back == pio._parse_schedule_records(text)
+        assert back.looks.index == [7, 3, 4, 7, 12]
+        assert [repr(lk.f_r) for lk in back.looks][1:3] == ["0.0", "-0.0"]
+        assert back.looks[3].disk_center == (0.25, -0.5) and back.looks[-1] == replace(real,
+                                                                                       index=12)
+        assert back.objective() == sum(used) and back.n_looks_used() == 3
+        violations = check_feasible(back, build_instance(table, copies=1))
+        assert [str(v) for v in violations] == [
+            str(v) for v in check_feasible(pio._parse_schedule_records(text),
+                                           build_instance(table, copies=1))]
+        c8 = [(v.look, v.detail) for v in violations if v.constraint == "C8"]
+        assert c8 == [(3, "look is not a candidate look of the instance"),
+                      (4, "look is not a candidate look of the instance"),
+                      (7, "look index declared more than once")]
 
     def test_a_comment_among_the_assigns_reads_the_file_by_lines(self):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=40, seed=6))

@@ -33,7 +33,7 @@ from pulseplan import (
     solve_exact,
 )
 from pulseplan.io import schedule_to_text
-from pulseplan.ip import LP_MAX_TERMS, make_look, schedule_of
+from pulseplan.ip import LP_MAX_TERMS, Looks, make_look, schedule_of
 from pulseplan.radar import _TASK_FLOATS
 from pulseplan.scenario import ScenarioSpec
 from oracles import exhaustive_optimum, timeline_feasible
@@ -341,7 +341,60 @@ class TestObjective:
         assert merged < split
 
 
+LOOKS = [ScheduledLook(5, 0, 1.0, 0.5), ScheduledLook(2, 1, 2.0, 0.25, 3, (0.5, -0.5)),
+         ScheduledLook(9, 0, 1.0, 0.5)]
+
+
+class TestLooks:
+    def test_reads_as_its_looks(self):
+        looks = Looks.of(LOOKS)
+        assert len(looks) == 3 and list(looks) == LOOKS
+        assert looks == LOOKS and looks == tuple(LOOKS) and LOOKS == looks
+        assert looks != LOOKS[:2] and looks != LOOKS[::-1] and looks != "looks"
+        assert [looks[i] for i in range(-3, 3)] == LOOKS + LOOKS
+        with pytest.raises(IndexError):
+            looks[3]
+        for cut in (slice(1, None), slice(None, -1), slice(None, None, -1), slice(2, 0),
+                    slice(-2, None, 2)):
+            assert isinstance(looks[cut], Looks) and looks[cut] == LOOKS[cut]
+        assert looks[1:][-1] == LOOKS[2] and looks[:0] == []
+
+    def test_equality_between_looks(self):
+        # the same looks through shared keys
+        shared = Looks([5, 2, 9], ["p", "d", "p"], {"p": (0, 1.0, 0.5, None, None),
+                                                    "d": (1, 2.0, 0.25, 3, (0.5, -0.5))})
+        assert shared == Looks.of(LOOKS) and Looks.of(LOOKS) == shared
+        assert shared != Looks.of(LOOKS[:2]) and shared[:2] == Looks.of(LOOKS[:2])
+        assert repr(shared) == repr(Looks.of(LOOKS)) == f"Looks({LOOKS!r})"
+        assert Schedule(looks=LOOKS, assignments=[]).looks == shared
+        # looks compare as ScheduledLook does: 0.0 == -0.0, though each
+        # keeps its own key and repr
+        zero, negative = (Looks.of([ScheduledLook(1, 0, f_r, 0.5)]) for f_r in (0.0, -0.0))
+        assert zero == negative and repr(zero) != repr(negative)
+        both = Looks.of([*zero, *negative])
+        assert len(both.fields) == 2 and [repr(lk.f_r) for lk in both] == ["0.0", "-0.0"]
+
+    def test_columns_differ_in_length(self):
+        with pytest.raises(ValueError, match="look columns differ in length"):
+            Looks([1, 2], [0], {0: (0, 1.0, 0.5, None, None)})
+
+    def test_objective_sums_the_used_looks_in_look_order(self):
+        # look 2 carries no assignment; look 5 is declared twice and both
+        # copies are summed, as a list of looks summed them
+        looks = LOOKS + [ScheduledLook(5, 1, 3.0, 0.125)]
+        sched = Schedule(looks=looks, assignments=[(1, 5, 1), (2, 9, 1)])
+        assert sched.objective() == 0.5 + 0.5 + 0.125
+        assert sched.n_looks_used() == 2
+
+
 class TestScheduleOf:
+    def test_looks_are_keyed_by_base(self):
+        table, _ = small_instance(5, seed=1)
+        p = table.prf_sets[0][0]
+        sched = schedule_of(table, [(p, [0, 1]), (p, [2]), (p, [3, 4])], {})
+        assert sched.looks.index == [1, 2, 3] and sched.looks.key == [p, p, p]
+        assert sched.looks == [make_look(j, table, p) for j in (1, 2, 3)]
+
     def test_looks_must_place_every_schedulable_row_once(self):
         table, _ = small_instance(5, seed=1)
         p = table.prf_sets[0][0]

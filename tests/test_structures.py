@@ -220,6 +220,40 @@ class TestBucketListDecrement:
                     pos[k] = i
             assert fused._pos == pos
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(SPARSE_COUNTS, min_size=1, max_size=12),
+        calls=st.lists(st.tuples(st.lists(st.integers(0, 11), max_size=8), st.integers(1, 5)),
+                       max_size=25),
+    )
+    def test_decrement_by_matches_each_key_repeated(self, counts, calls):
+        # ``decrement(keys, by)`` against each key repeated ``by`` times in
+        # turn: one step at a time in the stepwise reference (bucket state,
+        # selections and bucket_ops) and in a second bucket list (the
+        # positions, the zero bucket's member order included)
+        keys = list(range(len(counts)))
+        fused = BucketList(counts)
+        single = BucketList(counts)
+        ref = StepwiseBucketList(keys, [k for k, c in zip(keys, counts) for _ in range(c)])
+        left = list(counts)
+        for picks, by in calls:
+            call = []
+            for i in picks:
+                k = keys[i % len(keys)]
+                if left[k] >= by:
+                    left[k] -= by
+                    call.append(k)
+            fused.decrement(call, by)
+            for k in call:
+                for _ in range(by):
+                    ref.decrement([k])
+                    single.decrement([k])
+            assert fused.counters.bucket_ops == ref.counters.bucket_ops == \
+                single.counters.bucket_ops
+            assert bucket_state(fused) == bucket_state(ref)
+            assert fused._buckets == single._buckets and fused._pos == single._pos
+            assert selections(fused) == selections(ref) == selections(single)
+
     def test_decrement_through_zero_mid_call(self):
         b = BucketList([2, 1, 3])
         b.decrement([0, 1, 0, 2])
