@@ -14,6 +14,10 @@ Slot k occupies time [(k-1)*t_p, k*t_p) from the start of each PRI; transmit
 pulses of interleaved tasks sit back to back from the PRI start.  ``A_l`` and
 ``A_r`` are clamped to the interleaving capacity so they double as slot
 indices.
+
+The vectorized fold and clear-region test is written once, in
+``clear_regions``.  It has two callers: ``availability_arrays`` builds the
+table's columns on it, and ``gen_scenario`` tests its draws with it alone.
 """
 
 from __future__ import annotations
@@ -332,12 +336,43 @@ class AvailabilityTable:
         return np.flatnonzero(self.av.any(axis=1)).tolist()
 
 
+def clear_regions(r, sr, vt, sf, prfs, cfg: RadarConfig):
+    """The fold and clear-region test (C5) of task parameter arrays, one
+    PRF at a time: yields (ok, ra, dr) for each PRF in turn, arrays of one
+    entry per task.
+
+    ``ra`` is the range folded into [0, R_u) and ``dr`` = n_r sigma_r the
+    half-width of its confidence interval (the same array at every PRF);
+    ``ok`` holds where that interval and the Doppler one, folded into
+    [0, f_r), both clear the PRF's blind zones.  A shift or interval that
+    overflows to inf (and folds to NaN) fails every comparison: the pair
+    is untrackable, as in ``is_trackable``.  ``availability_arrays``
+    counts its slots from ra and dr; ``gen_scenario`` ORs ok over the PRFs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = -2.0 * vt / cfg.wavelength
+        dr = cfg.n_r * sr
+        df = cfg.n_f * sf
+    for prf in prfs:
+        ru = unambiguous_range(prf, cfg)
+        erp, erm, efp, efm = blind_widths(prf, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ra = r % ru
+            ra[ra >= ru] = 0.0
+            fa = shift % prf.f_r
+            fa[fa >= prf.f_r] = 0.0
+            ok = ((ra - dr >= erp) & (ra + dr <= ru - erm)
+                  & (fa - df >= efp) & (fa + df <= prf.f_r - efm))
+        yield ok, ra, dr
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     """Vectorized availabilities for task parameter arrays; returns
     (av, al, ar, ra) shaped [n_tasks, n_prfs] with clamped slot counts.
-    A shift or interval that overflows to inf (and folds to NaN) fails every
-    comparison: the pair is untrackable, as in the scalar functions."""
+    Each PRF's column takes ``clear_regions``' test as av and its folded
+    range as ra, and counts the slots on both sides of the range interval
+    of each trackable pair."""
     n_t, n_p = len(r), len(prfs)
     av = np.zeros((n_t, n_p), dtype=bool)
     al = np.zeros((n_t, n_p), dtype=np.int64)
@@ -345,22 +380,10 @@ def availability_arrays(r, sr, vt, sf, prfs, cfg: RadarConfig):
     ra_table = np.zeros((n_t, n_p), dtype=np.float64)
 
     inv_slot = 2.0 / (cfg.c * cfg.pulse_width)
-    shift = -2.0 * vt / cfg.wavelength
-    dr = cfg.n_r * sr
-    df = cfg.n_f * sf
-    for p, prf in enumerate(prfs):
+    regions = clear_regions(r, sr, vt, sf, prfs, cfg)
+    for p, (prf, (ok, ra, dr)) in enumerate(zip(prfs, regions)):
         ru = unambiguous_range(prf, cfg)
-        erp, erm, efp, efm = blind_widths(prf, cfg)
-        ra = r % ru
-        ra[ra >= ru] = 0.0
-        fa = shift % prf.f_r
-        fa[fa >= prf.f_r] = 0.0
-        ok = (
-            (ra - dr >= erp)
-            & (ra + dr <= ru - erm)
-            & (fa - df >= efp)
-            & (fa + df <= prf.f_r - efm)
-        )
+        erp, erm = blind_widths(prf, cfg)[:2]
         # clipped while still float, so the int64 columns take only
         # 0..n_intlv; an infinite slot rate times a zero gap (NaN) counts 0
         raw_l = np.floor(np.fmax(inv_slot * (ra - dr - erp), 0.0))

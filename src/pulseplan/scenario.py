@@ -20,9 +20,9 @@ from .geometry import GridSpec
 from .radar import (
     RadarConfig,
     TaskColumns,
-    availability_arrays,
     blind_widths,
     build_availability_table,
+    clear_regions,
     default_prf_set,
     unambiguous_range,
 )
@@ -50,6 +50,13 @@ class ScenarioSpec:
                        self.sigma_r_bounds, self.sigma_f_bounds):
             if lo > hi:
                 raise ValueError("scenario bounds must be ordered")
+            # NaN, an infinite bound and a span past the largest float all
+            # fail this; numpy's uniform draw would raise OverflowError
+            if not hi - lo < math.inf:
+                raise ValueError("scenario bounds must be finite, with a finite span")
+        if not (-math.inf < self.scan_extent < math.inf
+                and -math.inf < self.cluster_radius < math.inf):
+            raise ValueError("scan_extent and cluster_radius must be finite")
         if self.n_tasks < 0:
             raise ValueError("n_tasks must be nonnegative")
         if self.seed < 0:
@@ -100,6 +107,37 @@ def _check_some_prf_fits(spec: ScenarioSpec, cfg: RadarConfig, prfs) -> None:
         f"(n_r={cfg.n_r!r}, n_f={cfg.n_f!r})")
 
 
+def _first_trackable(r, sr, vt, sf, prfs, cfg: RadarConfig, need: int) -> np.ndarray:
+    """Indices of the first ``need`` rows of a draw trackable with some PRF,
+    in draw order, or of all of them when the draw holds fewer.
+
+    The rows are tested a prefix at a time with ``clear_regions``, and
+    each PRF tests only the rows of the prefix that no earlier PRF found
+    trackable.  Each prefix is sized from the trackable share so far, so
+    the last one rarely runs far past the last kept row.  The test is row
+    by row, so the indices do not depend on the prefix sizes.
+    """
+    parts = []
+    found = end = 0
+    while found < need and end < len(r):
+        start = end
+        short = need - found
+        # rows expected to hold the rest at the share found so far, or
+        # twice the rows so far when none was found, and 64 rows of slack
+        size = -(-short * start // found) if found else max(short, start)
+        end = min(len(r), start + size + 64)
+        left = np.arange(start, end)
+        for prf in prfs:
+            hit = next(clear_regions(r[left], sr[left], vt[left], sf[left], (prf,), cfg))[0]
+            left = left[~hit]
+        ok = np.ones(end - start, dtype=bool)
+        ok[left - start] = False
+        rows = np.flatnonzero(ok)[:short] + start
+        parts.append(rows)
+        found += len(rows)
+    return np.concatenate(parts)
+
+
 def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
                  prfs=None):
     """Draw tasks until the requested count is reached: (cfg, prfs,
@@ -108,10 +146,14 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
     Unless ``keep_unschedulable`` is set, draws trackable with no PRF are
     discarded and redrawn, so the emitted scenario has exactly ``n_tasks``
     schedulable tasks.  Identical spec and defaults give identical output.
-    The kept rows of each draw are taken from its columns whole.  The
-    values, and the bytes ``scenario_to_text`` writes, are the same as
-    when each kept row became its own ``TrackTask``; ``TaskColumns`` still
-    runs the ``TrackTask`` checks on every row.
+    Each draw is made whole, but its rows are tested for trackability
+    (``radar.clear_regions`` alone, no slot counts) a prefix at a time,
+    only up to the last row kept: the same draws and the same kept rows,
+    in draw order, as testing every row of the draw.  The kept rows are
+    taken from the draw's columns whole.  The values, and the bytes
+    ``scenario_to_text`` writes, are the same as when each kept row became
+    its own ``TrackTask``; ``TaskColumns`` still runs the ``TrackTask``
+    checks on every row.
 
     ``ScenarioError`` is raised before the first draw when the lowest
     sigma bounds fit no PRF's clear regions (so no draw is trackable), and
@@ -144,19 +186,18 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
             du, dv = _uniform_disk(rng, m, spec.cluster_radius)
             u = centers[which, 0] + du
             v = centers[which, 1] + dv
+        if spec.keep_unschedulable:
+            keep = np.arange(spec.n_tasks - have)
+        else:
+            keep = _first_trackable(r, sr, vt, sf, prfs, cfg, spec.n_tasks - have)
+        u, v = u[keep], v[keep]
         norm = np.sqrt(u * u + v * v)
         over = norm > 0.999
         if over.any():
             u = np.where(over, u * 0.999 / norm, u)
             v = np.where(over, v * 0.999 / norm, v)
-        if spec.keep_unschedulable:
-            ok = np.ones(m, dtype=bool)
-        else:
-            av = availability_arrays(r, sr, vt, sf, prfs, cfg)[0]
-            ok = av.any(axis=1)
-        keep = np.flatnonzero(ok)[:spec.n_tasks - have]
-        for col, drawn in zip(cols, (r, sr, vt, sf, u, v)):
-            col.append(drawn[keep])
+        for col, drawn in zip(cols, (r[keep], sr[keep], vt[keep], sf[keep], u, v)):
+            col.append(drawn)
         have += len(keep)
         empty = 0 if len(keep) else empty + 1
         if empty == _MAX_EMPTY_DRAWS:

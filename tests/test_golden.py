@@ -113,6 +113,8 @@ SCENARIO_DIGESTS = {
     "500-unschedulable-kept": "2c0366d02641c14ba8d5006d1c68ce0716df05885500d8433a43147bc7ee8159",
     "empty": "8491aad4c3e75e96b4b256b3e6fd72ee9c5893aca67493c01b6746978336c4b6",
     "int-fields": "00e458e6343aba2d22eaa73812f73215c114590cee34544513f3578f6c9202ab",
+    # recorded with the generator that tested every row of each draw
+    "2k-low-trackability": "a13bba222020a4c28b98017c369c0219172e8159b10884d60f637b09202abbf6",
 }
 SCENARIO_CASES = {
     # the benchmark's edbf-64k scenario
@@ -127,6 +129,10 @@ SCENARIO_CASES = {
     # ("n_r=3", "f_r=10000", "c_r_plus=500"), not as floats
     "int-fields": (ScenarioSpec(n_tasks=20, seed=1), RadarConfig(n_r=3, n_f=3),
                    (PrfConfig(f_r=10000), PrfConfig(f_r=12000, c_r_plus=500))),
+    # wide Doppler clutter leaves about 46% of the draws trackable: a second
+    # draw, and several prefixes tested in each
+    "2k-low-trackability": (ScenarioSpec(n_tasks=2000, seed=1), None,
+                            default_prf_set(doppler_clutter=4700.0)),
 }
 
 

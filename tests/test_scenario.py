@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pulseplan
 from pulseplan import (
@@ -23,7 +23,7 @@ from pulseplan import (
     run_scaling,
 )
 from pulseplan.io import parse_scenario, scenario_to_text
-from pulseplan.radar import TaskColumns, availability_arrays
+from pulseplan.radar import TaskColumns, availability_arrays, clear_regions
 
 from oracles import fields_scenario_text, rowwise_gen_scenario
 
@@ -78,11 +78,11 @@ class TestGeneration:
 
     def test_untrackable_config_is_refused_before_any_draw(self, monkeypatch):
         # the lowest sigma bounds fit no PRF, so no draw can be trackable:
-        # refused without a single availability_arrays call, at any size
+        # refused without a single clear_regions call, at any size
         calls = []
-        arrays = pulseplan.scenario.availability_arrays
-        monkeypatch.setattr(pulseplan.scenario, "availability_arrays",
-                            lambda *args: calls.append(1) or arrays(*args))
+        regions = pulseplan.scenario.clear_regions
+        monkeypatch.setattr(pulseplan.scenario, "clear_regions",
+                            lambda *args: calls.append(1) or regions(*args))
         with pytest.raises(ScenarioError, match="lowest sigma bounds"):
             gen_scenario(ScenarioSpec(n_tasks=64_000), RadarConfig(n_r=1e9))
         assert calls == []
@@ -97,6 +97,24 @@ class TestGeneration:
         with pytest.raises(ScenarioError, match="^100 draws in a row kept no task: "
                            r".* \(0 of 1 drawn\)$"):
             gen_scenario(ScenarioSpec(n_tasks=1, range_bounds=(1.0, 1.0)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("range_bounds", (20e3, math.inf)),
+        ("velocity_bounds", (-math.inf, 300.0)),
+        ("sigma_r_bounds", (math.nan, 50.0)),
+        ("sigma_f_bounds", (10.0, math.nan)),
+        ("scan_extent", math.nan),
+        ("cluster_radius", math.inf),
+    ])
+    def test_non_finite_fields_are_refused(self, field, value):
+        # numpy's uniform draw would raise OverflowError on such a bound, and
+        # an infinite cluster radius would warn in the unit-disk clipping
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec(n_tasks=5, cluster_count=2, **{field: value})
+
+    def test_bounds_past_the_largest_float_span_are_refused(self):
+        with pytest.raises(ValueError, match="finite span"):
+            ScenarioSpec(n_tasks=5, range_bounds=(-1e308, 1e308))
 
     def test_keep_unschedulable_keeps_raw_draws(self):
         spec = ScenarioSpec(n_tasks=200, seed=4, keep_unschedulable=True)
@@ -146,6 +164,17 @@ _TASKS = st.lists(st.builds(TrackTask, id=st.integers(-10**23, 10**23), **_TASK_
                   max_size=20)
 
 
+def _draw_field(lo, hi):
+    # a drawn value in the spec's default bounds, or one that folds to NaN
+    # or overflows to inf in the clear-region test
+    return st.one_of(st.floats(lo, hi), st.floats(), st.sampled_from(
+        (0.0, -0.0, 5e-324, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf)))
+
+
+_DRAW_FIELDS = (_draw_field(20e3, 120e3), _draw_field(10.0, 50.0),
+                _draw_field(-300.0, 300.0), _draw_field(10.0, 60.0))
+
+
 def _as_floats(task):
     return TrackTask(task.id, *(float(x) for x in dataclasses.astuple(task)[1:]))
 
@@ -166,6 +195,42 @@ class TestColumnarSynthesis:
         assert tasks == TaskColumns.from_tasks(want[2])
         assert tasks.ids == list(range(1, n + 1))
         assert scenario_to_text(cfg, prfs, tasks) == fields_scenario_text(*want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
+           clutter=st.floats(4000.0, 4700.0), clusters=st.integers(0, 4),
+           keep=st.booleans())
+    @example(n=300, seed=1, clutter=4700.0, clusters=0, keep=False)   # two draws
+    def test_generation_matches_the_row_loop_when_most_draws_are_untrackable(
+            self, n, seed, clutter, clusters, keep):
+        # wide Doppler clutter leaves about half the draws trackable (46% at
+        # 4,700 Hz): a scenario takes a second draw and each draw is tested
+        # over several prefixes
+        prfs = default_prf_set(doppler_clutter=clutter)
+        spec = ScenarioSpec(n_tasks=n, seed=seed, cluster_count=clusters,
+                            keep_unschedulable=keep)
+        cfg, got_prfs, tasks = gen_scenario(spec, None, prfs)
+        want = rowwise_gen_scenario(spec, None, prfs)
+        assert (cfg, got_prfs) == want[:2]
+        assert tasks == TaskColumns.from_tasks(want[2])
+        assert scenario_to_text(cfg, got_prfs, tasks) == fields_scenario_text(*want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*_DRAW_FIELDS), min_size=1, max_size=60),
+           clutter=st.floats(1500.0, 4700.0), need=st.integers(1, 80))
+    def test_clear_regions_match_the_table(self, rows, clutter, need):
+        # the draw test ORs clear_regions over the PRFs: the rows the table
+        # finds trackable with some PRF, and the first `need` of them kept
+        prfs = default_prf_set(doppler_clutter=clutter)
+        cfg = RadarConfig()
+        r, sr, vt, sf = (np.array(col, dtype=np.float64) for col in zip(*rows))
+        want = availability_arrays(r, sr, vt, sf, prfs, cfg)[0].any(axis=1)
+        ok = np.zeros(len(rows), dtype=bool)
+        for hit, _, _ in clear_regions(r, sr, vt, sf, prfs, cfg):
+            ok |= hit
+        assert np.array_equal(ok, want)
+        kept = pulseplan.scenario._first_trackable(r, sr, vt, sf, prfs, cfg, need)
+        assert np.array_equal(kept, np.flatnonzero(want)[:need])
 
     @settings(max_examples=200, deadline=None)
     @given(_TASKS)
