@@ -21,7 +21,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InternalInvariantError, ResourceLimitError, ScenarioError
+from .errors import (InfeasibleError, InternalInvariantError, ResourceLimitError,
+                     ScenarioError)
 from .radar import AvailabilityTable
 
 # Worst-case grid points per task within radius r on an eps-grid is below
@@ -250,6 +251,18 @@ def enumerate_disks(table: AvailabilityTable, grid: GridSpec) -> DiskCatalog:
     )
     _check_density_bound(catalog)
     return catalog
+
+
+def check_enclosed(catalog: DiskCatalog) -> None:
+    """Raise ``InfeasibleError`` naming each schedulable task that no disk
+    encloses, as a disk radius below the float resolution of the task's
+    direction cosines leaves it.  Unschedulable rows have no disks by
+    design and are not counted."""
+    ids, task_disks = catalog.table.tasks.ids, catalog.task_disks
+    uncovered = [ids[row] for row in catalog.table.schedulable_rows() if not task_disks[row]]
+    if uncovered:
+        raise InfeasibleError(f"{len(uncovered)} task(s) enclosed by no disk",
+                              task_ids=uncovered)
 
 
 def _check_density_bound(catalog: DiskCatalog) -> None:

@@ -7,25 +7,24 @@ are written with ``repr`` to survive the round trip exactly.
 Each line kind of the scenario and schedule files (radar, prf, task, the
 two look forms, assign) has one field table: its keys in written order,
 each with the converter of its value.  The table sets the kind's written
-form for all three of its users: the writer's line template
-(``_template``), the line-by-line reader, which takes the fields in any
-order, and the bulk reader (``_columns``), which reads lines in the
-written form a field column at a time.  A file's reader is chosen once:
-if its task lines (in a schedule, its look and assign lines) come last
-and all are in the written form, they are read in bulk and the lines
-before them line by line; any other file goes through the line-by-line
-reader, which gives the values and errors of both.
+form for its users: the writer's line template (``_template``) and the
+line-by-line reader, which takes the fields in any order.  Scenario task
+lines, the one bulk read, also go through ``_columns``, which reads lines
+in the written form a field column at a time; a scenario file is read in
+bulk only if its task lines come last and all are in the written form,
+else whole by the line-by-line reader, which gives the same values and
+errors.  Schedule files are read line by line.
 
 A schedule's looks are columns (``ip.Looks``): an index per look and a key
 into a table of look fields.  The writer formats each key's look-line tail
-once and the bulk reader converts each distinct tail text once, so neither
-builds an object per look, and values that compare equal but are written
-apart (0.0 and -0.0) keep apart keys.
+once, so it builds no object per look.  The reader gives each look its own
+key, so values that compare equal but are written apart (0.0 and -0.0)
+keep apart keys.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import attrgetter, gt, itemgetter
 
 import numpy as np
@@ -72,9 +71,9 @@ def _template(kind: str, fields) -> str:
     return " ".join([kind, *(f"{key}=%s" for key in fields)])
 
 
-# Lines in the written form are read in bulk in chunks of this many lines:
-# one chunk's tokens take a few MB, where a 64k-task file's would take over
-# 100 MB.
+# Task lines in the written form are read in bulk in chunks of this many
+# lines: one chunk's tokens take a few MB, where a 64k-task file's would
+# take over 100 MB.
 _CHUNK = 4096
 
 
@@ -84,12 +83,13 @@ def _columns(lines, kind: str, fields) -> list:
     and the fields in the written form; else ``ValueError``, here or from
     an iterator whose value does not convert.
 
-    Each line starts with ``kind`` after its leading whitespace, and no
-    converter takes a token that starts with ``kind``, so if every value
-    converts, each line is ``kind`` and one token per field.  From each
-    field's tokens its ``key=`` prefix is stripped; int and float reject
-    "=", so each token held at most one "=", and one only right after its
-    own key.  One "=" per field and line in all then means every token did.
+    The converters are int and float.  Each line starts with ``kind``
+    after its leading whitespace, and neither converter takes a token that
+    starts with ``kind``, so if every value converts, each line is ``kind``
+    and one token per field.  From each field's tokens its ``key=`` prefix
+    is stripped; int and float reject "=", so each token held at most one
+    "=", and one only right after its own key.  One "=" per field and line
+    in all then means every token did.
     """
     n, width = len(lines), len(fields) + 1
     text = "\n".join(lines)
@@ -263,8 +263,6 @@ _LOOK_FIELDS = dict(index=int, prf=int, f_r=float, dwell=float)
 _DISK_LOOK_FIELDS = dict(_LOOK_FIELDS, disk=int, disk_u=float, disk_v=float)
 _ASSIGN_FIELDS = dict(task=int, look=int, slot=int)
 _ASSIGN_LINE = _template("assign", _ASSIGN_FIELDS)
-# the fields of each written look line form, by its count of "="
-_LOOK_FORMS = {len(_LOOK_FIELDS): _LOOK_FIELDS, len(_DISK_LOOK_FIELDS): _DISK_LOOK_FIELDS}
 # a look line is ``look index=j`` and the tail of its fields after the
 # index, one template per form, written once per look key
 _LOOK_TAIL, _DISK_LOOK_TAIL = (_template("look", fields).removeprefix("look index=%s ")
@@ -277,39 +275,6 @@ def _look_tail(fields) -> str:
     if disk_id is None:
         return _LOOK_TAIL % (prf, f_r, dwell)
     return _DISK_LOOK_TAIL % (prf, f_r, dwell, disk_id, *center)
-
-
-def _read_looks(lines) -> Looks:
-    """The ``Looks`` of look lines in either written form, read in runs of
-    one "=" count, in chunks: each line's index, and as its key the key of
-    the text of its other fields.  A text met for the first time gets the
-    next key, and its values, converted once, enter ``fields``; values that
-    compare equal but are written apart (0.0 and -0.0) keep their keys
-    apart.  ``ValueError`` if a line is in neither form.  ``_columns``
-    hands over the texts unconverted (``str``); each distinct text is
-    converted here, so every value is checked as it requires.  The texts
-    are let go on return, before the assign lines are read."""
-    looks, keys = Looks(), {}
-    end = 0
-    for eqs, run in groupby(map(str.count, lines, repeat("="))):
-        if eqs not in _LOOK_FORMS:
-            raise ValueError("not look lines in the written form")
-        form = _LOOK_FORMS[eqs]
-        convs = list(form.values())[1:]
-        run0, end = end, end + len(list(run))
-        for i in range(run0, end, _CHUNK):
-            index, *rest = _columns(lines[i:min(i + _CHUNK, end)], "look",
-                                    dict.fromkeys(form, str))
-            looks.index += map(int, index)
-            texts = list(zip(*rest))
-            for text in texts:
-                if text not in keys:
-                    keys[text] = key = len(keys)
-                    values = [conv(value) for conv, value in zip(convs, text)]
-                    disk = (values[3], tuple(values[4:])) if len(values) > 3 else (None, None)
-                    looks.fields[key] = (*values[:3], *disk)
-            looks.key += map(keys.__getitem__, texts)
-    return looks
 
 
 def schedule_to_text(schedule: Schedule) -> str:
@@ -341,7 +306,7 @@ def schedule_to_text(schedule: Schedule) -> str:
 
 def _schedule_record(kind: str, tokens):
     if kind == "assign":
-        return tuple(_record_args(kind, tokens, _ASSIGN_FIELDS))
+        return _record_args(kind, tokens, _ASSIGN_FIELDS)
     if kind == "meta":
         return _parse_fields(tokens)
     if kind == "look":
@@ -354,83 +319,41 @@ def _schedule_record(kind: str, tokens):
     raise ScenarioError(f"unknown schedule record {kind!r}")
 
 
-def _schedule_from(records, looks=None, columns=None) -> Schedule:
-    """A ``Schedule`` from (line number, kind, record) triples of the line
-    reader; its looks are ``looks``, the ``Looks`` of look lines read in
-    bulk, or else the look records, and its assignments are ``columns``,
-    the (task, look, slot) columns of assign lines read in bulk, or else
-    the assign records."""
+def parse_schedule(text: str) -> Schedule:
+    """Schedule file text to a ``Schedule``, read one line at a time.
+
+    Blank and comment lines are skipped, and a record's fields may come in
+    any order.  A malformed line (unknown record, a missing, unknown or
+    repeated field of a ``look`` or ``assign`` record, a ``look`` with only
+    some of ``disk``/``disk_u``/``disk_v``, or a value that does not
+    convert) raises ``ScenarioError`` naming its line number.  Each look
+    gets its own key (``Looks.of``), so values that compare equal but are
+    written apart (0.0 and -0.0) stay apart; each assign line's values are
+    appended to the three assignment columns as it is read.
+    """
+    lines = text.splitlines()
+    start = _tag_end(lines, SCHEDULE_TAG, "schedule")
     meta: dict[str, str] = {}
-    look_records: list[ScheduledLook] = []
-    triples: list[tuple[int, int, int]] = []
+    looks: list[ScheduledLook] = []
+    task: list[int] = []
+    look: list[int] = []
+    slot: list[int] = []
     unschedulable: tuple[int, ...] = ()
-    for _, kind, record in records:
-        if kind == "meta":
-            meta.update(record)
+    for _, kind, record in _records(lines, start, len(lines), _schedule_record):
+        if kind == "assign":
+            task.append(record[0])
+            look.append(record[1])
+            slot.append(record[2])
         elif kind == "look":
-            look_records.append(record)
-        elif kind == "assign":
-            triples.append(record)
+            looks.append(record)
+        elif kind == "meta":
+            meta.update(record)
         else:
             unschedulable = record
     meta.pop("objective", None)
     meta.pop("looks_used", None)
-    return Schedule(looks=look_records if looks is None else looks,
-                    assignments=triples if columns is None else Assignments(*columns),
+    return Schedule(looks=Looks.of(looks), assignments=Assignments(task, look, slot),
                     meta=meta, unschedulable=unschedulable)
-
-
-def parse_schedule(text: str) -> Schedule:
-    """Schedule file text to a ``Schedule``.
-
-    A malformed line (unknown record, a missing, unknown or repeated field
-    of a ``look`` or ``assign`` record, a ``look`` with only some of
-    ``disk``/``disk_u``/``disk_v``, or a value that does not convert)
-    raises ``ScenarioError`` naming its line number.
-
-    One decision per file picks the reader, as ``parse_scenario`` makes it.
-    A last ``unschedulable`` line is set apart.  If every line from the
-    first one that starts with ``assign`` (after leading whitespace) to the
-    end is an assign line in the written form, and every line from the
-    first one that starts with ``look`` to the first assign line is a look
-    line in either written form, those lines are read by ``_columns`` in
-    chunks straight into columns: the look lines as their indices and keys
-    (``_read_looks``), then the assign lines.  The other lines go through
-    the line-by-line reader.  Any other file is read whole by
-    ``_parse_schedule_records``, so errors always come from that reader,
-    and the result equals its result.
-    """
-    lines = text.splitlines()
-    start = _tag_end(lines, SCHEDULE_TAG, "schedule")
-    stop = len(lines)
-    if stop > start and lines[-1].lstrip().startswith("unschedulable"):
-        stop -= 1
-    first = next((i for i in range(start, stop)
-                  if lines[i].lstrip().startswith("assign")), stop)
-    look0 = next((i for i in range(start, first)
-                  if lines[i].lstrip().startswith("look")), first)
-    # columns sized once and filled in chunks, as task lines are read: a
-    # whole file's tokens at once would set the reader's peak memory
-    columns = [0] * (stop - first), [0] * (stop - first), [0] * (stop - first)
-    try:
-        looks = _read_looks(lines[look0:first])
-        for i in range(first, stop, _CHUNK):
-            block = lines[i:min(i + _CHUNK, stop)]
-            for col, values in zip(columns, _columns(block, "assign", _ASSIGN_FIELDS)):
-                col[i - first:i - first + len(block)] = values
-    except ValueError:
-        return _parse_schedule_records(text)
-    records = _records(lines, start, look0, _schedule_record)
-    tail = _records(lines, stop, len(lines), _schedule_record)
-    return _schedule_from([*records, *tail], looks, columns)
-
-
-def _parse_schedule_records(text: str) -> Schedule:
-    """The line-by-line schedule reader; ``parse_schedule`` gives the same
-    values and errors."""
-    lines = text.splitlines()
-    start = _tag_end(lines, SCHEDULE_TAG, "schedule")
-    return _schedule_from(_records(lines, start, len(lines), _schedule_record))
 
 
 # --- dumps -----------------------------------------------------------------

@@ -48,7 +48,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleError, InternalInvariantError, ResourceLimitError
-from .geometry import DiskCatalog
+from .geometry import DiskCatalog, check_enclosed
 from .radar import AvailabilityTable
 
 ORACLE_MAX_TASKS = 10
@@ -366,12 +366,7 @@ def build_instance(source, copies: int | None = None) -> IpInstance:
         n_copies = max(1, table.n_tasks) if copies is None else copies
     else:
         n_copies = 1 if copies is None else copies
-        uncovered = [tid for tid, disks in zip(table.tasks.ids, catalog.task_disks)
-                     if not disks]
-        if uncovered:
-            raise InfeasibleError(
-                f"{len(uncovered)} task(s) enclosed by no disk", task_ids=uncovered
-            )
+        check_enclosed(catalog)
     return IpInstance(table=table, catalog=catalog, copies=n_copies)
 
 

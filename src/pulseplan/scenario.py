@@ -50,17 +50,29 @@ class ScenarioSpec:
                        self.sigma_r_bounds, self.sigma_f_bounds):
             if lo > hi:
                 raise ValueError("scenario bounds must be ordered")
-            # NaN, an infinite bound and a span past the largest float all
-            # fail this; numpy's uniform draw would raise OverflowError
-            if not hi - lo < math.inf:
+            # NaN, an infinite bound, an int past float range and a span
+            # past the largest float all fail this; numpy's uniform draw
+            # would raise OverflowError
+            if not _as_float(hi) - _as_float(lo) < math.inf:
                 raise ValueError("scenario bounds must be finite, with a finite span")
-        if not (-math.inf < self.scan_extent < math.inf
-                and -math.inf < self.cluster_radius < math.inf):
+        extent, radius = _as_float(self.scan_extent), _as_float(self.cluster_radius)
+        if not (math.isfinite(extent) and math.isfinite(radius)):
             raise ValueError("scan_extent and cluster_radius must be finite")
+        # a cluster center plus a point of its disk must stay finite
+        if self.cluster_count > 0 and not math.isfinite(abs(extent) + abs(radius)):
+            raise ValueError("scan_extent plus cluster_radius must be finite")
         if self.n_tasks < 0:
             raise ValueError("n_tasks must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+
+def _as_float(x) -> float:
+    """``x`` as a float; an int past float range is the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _uniform_disk(rng, n, radius):
@@ -190,12 +202,16 @@ def gen_scenario(spec: ScenarioSpec, cfg: RadarConfig | None = None,
             keep = np.arange(spec.n_tasks - have)
         else:
             keep = _first_trackable(r, sr, vt, sf, prfs, cfg, spec.n_tasks - have)
+        # rows with a cosine past 1e150 are scaled into [-1, 1] first, so
+        # u * u cannot overflow; the other rows are divided by 1, exactly
         u, v = u[keep], v[keep]
+        scale = np.maximum(np.abs(u), np.abs(v))
+        scale[scale <= 1e150] = 1.0
+        u, v = u / scale, v / scale
         norm = np.sqrt(u * u + v * v)
         over = norm > 0.999
-        if over.any():
-            u = np.where(over, u * 0.999 / norm, u)
-            v = np.where(over, v * 0.999 / norm, v)
+        u[over] = u[over] * 0.999 / norm[over]
+        v[over] = v[over] * 0.999 / norm[over]
         for col, drawn in zip(cols, (r[keep], sr[keep], vt[keep], sf[keep], u, v)):
             col.append(drawn)
         have += len(keep)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InternalInvariantError
 from .edbf import (TASK_RULES, EdbfRun, HeuristicConfig, check_choices, derive_rngs,
                    run_looks, schedule_meta, task_store)
-from .geometry import DiskCatalog, GridSpec, dedup_disks, enumerate_disks
+from .geometry import DiskCatalog, GridSpec, check_enclosed, dedup_disks, enumerate_disks
 from .ip import Schedule
 from .radar import AvailabilityTable
 from .structures import BucketList, OpCounters, build_backend
@@ -187,11 +187,13 @@ class SdbfRun:
     """Subarray-level look source: disk selection plus per-look backends.
 
     Preprocessing (``__init__``) and the look loop (``run``) are split so
-    benchmarks can time them apart.
+    benchmarks can time them apart.  A catalog that leaves a schedulable
+    task enclosed by no disk is refused first (``check_enclosed``).
     """
 
     def __init__(self, catalog: DiskCatalog, cfg: DiskHeuristicConfig,
                  counters: OpCounters | None = None):
+        check_enclosed(catalog)
         self.catalog = catalog
         self.table = catalog.table
         self.cfg = cfg

@@ -1,16 +1,19 @@
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulseplan import (
     DiskHeuristicConfig,
@@ -514,20 +517,23 @@ _LOOK_EDITS = ("reorder", "comment", "drop a disk field")
 
 @st.composite
 def look_edited_texts(draw):
-    """(text, edit) for a written schedule, of either scheduler or hand
-    built, with its look lines as written (edit None) or edited: one look
-    line's fields reordered, a comment among the look lines, or one field
-    of a disk look line dropped."""
+    """(text, edit, written, n) for a written schedule ``written``, of
+    either scheduler or hand built, and ``text``, its look lines as written
+    (edit None) or edited: one look line's fields reordered, a comment among
+    the look lines, or a field of disk look line ``n`` (1-based) dropped."""
     if draw(st.booleans()):
         schedule = draw(hand_built_schedules())
     else:
         schedule = _scheduler_output(draw(st.sampled_from(("edbf", "sdbf"))),
                                      draw(st.integers(0, 3)))
-    lines = schedule_to_text(schedule).splitlines()
+    written = schedule_to_text(schedule)
+    lines = written.splitlines()
     looks = [i for i, ln in enumerate(lines) if ln.startswith("look")]
     edit = draw(st.sampled_from((None,) * len(_LOOK_EDITS) + _LOOK_EDITS))
+    if edit == "drop a disk field":
+        looks = [i for i in looks if "disk=" in lines[i]]
     if not looks or edit is None:
-        return "\n".join(lines) + "\n", None
+        return written, None, written, None
     i = draw(st.sampled_from(looks))
     kind, *fields = lines[i].split()
     if edit == "comment":
@@ -536,58 +542,62 @@ def look_edited_texts(draw):
         lines[i] = " ".join([kind, *draw(st.permutations(fields))])
     else:
         disk = [k for k, field in enumerate(fields) if field.startswith("disk")]
-        if disk:
-            del fields[draw(st.sampled_from(disk))]
-            lines[i] = " ".join([kind, *fields])
-    return "\n".join(lines) + "\n", edit
+        del fields[draw(st.sampled_from(disk))]
+        lines[i] = " ".join([kind, *fields])
+    return "\n".join(lines) + "\n", edit, written, i + 1
 
 
-def _schedule_outcome(parse, text):
-    """What a schedule reader makes of ``text``: the schedule's repr (typed
-    values) or the error."""
+def _line_fails(line) -> bool:
+    """Whether ``line`` alone, after the version tag, fails to parse."""
     try:
-        schedule = parse(text)
-    except ScenarioError as exc:
-        return "error", str(exc)
-    a = schedule.assignments
-    assert all(type(v) is int for col in (a.task, a.look, a.slot) for v in col)
-    return "ok", repr(schedule)
+        parse_schedule(f"{pio.SCHEDULE_TAG}\n{line}\n")
+    except ScenarioError:
+        return True
+    return False
 
 
 class TestColumnarScheduleReader:
     @settings(max_examples=400, deadline=None)
-    @given(schedule_texts(), st.integers(1, 4))
-    def test_matches_the_line_reader(self, text, chunk):
-        with mock.patch.object(pio, "_CHUNK", chunk):
-            fast = _schedule_outcome(parse_schedule, text)
-        assert fast == _schedule_outcome(pio._parse_schedule_records, text)
+    @given(schedule_texts())
+    def test_matches_the_line_reader(self, text):
+        # the first line that fails on its own is the one the error names;
+        # with none, every assign line gives one row of int columns
+        lines = text.splitlines()
+        bad = [n for n, line in enumerate(lines[1:], 2) if _line_fails(line)]
+        if bad:
+            with pytest.raises(ScenarioError, match=rf"^line {bad[0]}: "):
+                parse_schedule(text)
+            return
+        a = parse_schedule(text).assignments
+        assert all(type(v) is int for col in (a.task, a.look, a.slot) for v in col)
+        fields = [dict(tok.split("=", 1) for tok in line.split()[1:])
+                  for line in lines if line.split()[:1] == ["assign"]]
+        assert list(a) == [(int(f["task"]), int(f["look"]), int(f["slot"])) for f in fields]
 
     @settings(max_examples=100, deadline=None)
     @given(hand_built_schedules())
-    def test_written_files_skip_the_line_reader(self, schedule):
+    def test_written_files_round_trip(self, schedule):
         text = schedule_to_text(schedule)
-        with mock.patch.object(pio, "_parse_schedule_records",
-                               wraps=pio._parse_schedule_records) as slow:
-            back = parse_schedule(text)
-        slow.assert_not_called()
+        back = parse_schedule(text)
         assert schedule_to_text(back) == text
-        assert back == pio._parse_schedule_records(text)
+        assert back.looks == schedule.looks and back.meta == schedule.meta
+        assert list(back.assignments) == sorted(schedule.assignments, key=itemgetter(1, 2))
+        assert back.unschedulable == schedule.unschedulable
 
     @settings(max_examples=300, deadline=None)
-    @given(look_edited_texts(), st.integers(1, 4))
-    def test_look_lines_match_the_line_reader(self, case, chunk):
-        text, edit = case
-        with mock.patch.object(pio, "_CHUNK", chunk), \
-                mock.patch.object(pio, "_parse_schedule_records",
-                                  wraps=pio._parse_schedule_records) as slow:
-            fast = _schedule_outcome(parse_schedule, text)
-        if edit is None:
-            slow.assert_not_called()
-        assert fast == _schedule_outcome(pio._parse_schedule_records, text)
+    @given(look_edited_texts())
+    def test_look_lines_match_the_line_reader(self, case):
+        # reordered fields and comments read as the written lines; a disk
+        # look short of a disk field is an error naming its line
+        text, edit, written, n = case
+        if edit == "drop a disk field":
+            with pytest.raises(ScenarioError, match=rf"^line {n}: look record needs each of"):
+                parse_schedule(text)
+        else:
+            assert schedule_to_text(parse_schedule(text)) == written
 
-    @pytest.mark.parametrize("chunk", [7, None])
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
-    def test_scheduler_output_round_trips(self, mode, chunk):
+    def test_scheduler_output_round_trips(self, mode):
         cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=6, keep_unschedulable=True))
         table = build_availability_table(tasks, prfs, cfg)
         if mode == "edbf":
@@ -595,11 +605,7 @@ class TestColumnarScheduleReader:
         else:
             sched = hisd(enumerate_disks(table, GridSpec()), DiskHeuristicConfig(seed=2))
         text = schedule_to_text(sched)
-        with mock.patch.object(pio, "_parse_schedule_records",
-                               wraps=pio._parse_schedule_records) as slow, \
-                mock.patch.object(pio, "_CHUNK", chunk or pio._CHUNK):
-            back = parse_schedule(text)
-        slow.assert_not_called()
+        back = parse_schedule(text)
         assert back.assignments == sched.assignments and back.looks == sched.looks
         assert back.unschedulable == sched.unschedulable
         assert schedule_to_text(back) == text
@@ -625,21 +631,14 @@ class TestColumnarScheduleReader:
               for t, j, k in ((1, 3, 1), (2, 4, 1), (3, 7, 1), (4, 7, 2))),
             "unschedulable 99",
             ""])
-        with mock.patch.object(pio, "_parse_schedule_records",
-                               wraps=pio._parse_schedule_records) as slow:
-            back = parse_schedule(text)
-        slow.assert_not_called()
+        back = parse_schedule(text)
         assert schedule_to_text(back) == text
-        assert back == pio._parse_schedule_records(text)
-        assert back.looks.index == [7, 3, 4, 7, 12]
+        assert back.looks.index == [7, 3, 4, 7, 12] and back.looks.key == [0, 1, 2, 3, 4]
         assert [repr(lk.f_r) for lk in back.looks][1:3] == ["0.0", "-0.0"]
         assert back.looks[3].disk_center == (0.25, -0.5) and back.looks[-1] == replace(real,
                                                                                        index=12)
         assert back.objective() == sum(used) and back.n_looks_used() == 3
         violations = check_feasible(back, build_instance(table, copies=1))
-        assert [str(v) for v in violations] == [
-            str(v) for v in check_feasible(pio._parse_schedule_records(text),
-                                           build_instance(table, copies=1))]
         c8 = [(v.look, v.detail) for v in violations if v.constraint == "C8"]
         assert c8 == [(3, "look is not a candidate look of the instance"),
                       (4, "look is not a candidate look of the instance"),
@@ -651,22 +650,14 @@ class TestColumnarScheduleReader:
                                      HeuristicConfig()))
         lines = text.splitlines()
         lines.insert(len(lines) - 5, "# a comment")
-        with mock.patch.object(pio, "_parse_schedule_records",
-                               wraps=pio._parse_schedule_records) as slow:
-            back = parse_schedule("\n".join(lines))
-        slow.assert_called_once()
-        assert schedule_to_text(back) == text
+        assert schedule_to_text(parse_schedule("\n".join(lines))) == text
 
     def test_a_comment_among_the_looks_reads_the_file_by_lines(self):
         text = schedule_to_text(_scheduler_output("sdbf", 0))
         lines = text.splitlines()
         lines.insert(3, "# a comment")
         assert lines[2].startswith("look") and lines[4].startswith("look")
-        with mock.patch.object(pio, "_parse_schedule_records",
-                               wraps=pio._parse_schedule_records) as slow:
-            back = parse_schedule("\n".join(lines))
-        slow.assert_called_once()
-        assert schedule_to_text(back) == text
+        assert schedule_to_text(parse_schedule("\n".join(lines))) == text
 
 
 class TestDumps:
@@ -1172,6 +1163,23 @@ class TestCli:
         assert main(["availability", str(path)]) == 2
         assert "pulse_width=1e-320 is too short" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["schedule", None, "--mode", "sdbf"],
+        ["bench", "--mode", "sdbf", "--sizes", "5,6,7,8", "--reps", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_task_enclosed_by_no_disk_exits_two(self, command, tmp_path, capsys):
+        # a disk radius below the float resolution of a task's direction
+        # cosines leaves the task with no grid point: bad input, as in
+        # build_instance, not an empty disk selected in the look loop
+        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=5, seed=2),
+                                        RadarConfig(n_intlv=4), default_prf_set(count=3))
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_to_text(cfg, prfs, tasks))
+        argv = [str(path) if arg is None else arg for arg in command]
+        assert main([*argv, "--grid-eps", "1e-17", "--disk-radius", "1e-17"]) == 2
+        assert re.search(r"^error: \d+ task\(s\) enclosed by no disk$", capsys.readouterr().err,
+                         re.M)
+
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
     def test_internal_invariant_maps_to_exit_three(self, mode, scenario_file, monkeypatch):
         from pulseplan import InternalInvariantError
@@ -1191,6 +1199,18 @@ _EXTREMES = ("5e-324", "1e-310", "-1e-310", "1e-300", "-1e-300", "1e+300", "-1e+
 _SUBCOMMANDS = (("availability",), ("disks",), ("export-lp", "--mode", "edbf"),
                 ("export-lp", "--mode", "sdbf"), ("schedule", "--mode", "edbf"),
                 ("schedule", "--mode", "sdbf"), ("oracle-compare", "--mode", "both"))
+
+# --grid-eps and --disk-radius values: NaN, infinities, zeros, a spacing
+# below the float resolution of a direction cosine (1e-17), the grid floor
+# 2**-60, values well under the catalog cap, and ints past 2**63; --copies
+# and --seed values: ints around 0, values under the LP cap (5 tasks, 3
+# PRFs: 40 copies write about 29k terms) and past 2**63
+_GRID_KNOBS = ("nan", "inf", "-inf", "0", "-0.0", "1e-17", repr(2.0 ** -60), "0.02", "0.05",
+               "0.25", "1.0", str(2 ** 63), str(10 ** 30))
+_INT_KNOBS = ("0", "-1", "1", "2", "5", "40", str(2 ** 63), str(-2 ** 64), str(10 ** 30))
+_KNOB_COMMANDS = (("schedule", "--mode", "edbf"), ("schedule", "--mode", "sdbf"), ("disks",),
+                  ("export-lp", "--mode", "edbf"), ("export-lp", "--mode", "sdbf"),
+                  ("oracle-compare", "--heuristic-only", "--mode", "both"))
 
 
 class TestFuzzedScenarios:
@@ -1232,3 +1252,26 @@ class TestFuzzedScenarios:
                 source = enumerate_disks(table, GridSpec()) if "sdbf" in command else table
                 schedule = parse_schedule(out.read_text())
                 assert check_feasible(schedule, build_instance(source, copies=1)) == [], edits
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.sampled_from(_GRID_KNOBS), radius=st.sampled_from(_GRID_KNOBS),
+           copies=st.sampled_from(_INT_KNOBS), seed=st.sampled_from(_INT_KNOBS))
+    # a disk radius below the float resolution of the tasks' direction
+    # cosines: the stencil finds no grid point for some task
+    @example(eps="1e-17", radius="1e-17", copies="1", seed="0")
+    def test_size_knobs_exit_cleanly(self, written, eps, radius, copies, seed):
+        # every command that takes a size knob exits 0, 1 or 2, with no
+        # exception, traceback or warning
+        lines, _, work = written
+        path, out = work / "knobs.txt", work / "knobs-out.txt"
+        path.write_text("\n".join(map(" ".join, lines)) + "\n")
+        flags = {"schedule": ["--seed", seed], "export-lp": ["--copies", copies],
+                 "oracle-compare": ["--seed", seed]}
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            for command in _KNOB_COMMANDS:
+                code = main([command[0], str(path), *command[1:], *flags.get(command[0], []),
+                             "--grid-eps", eps, "--disk-radius", radius, "--out", str(out)])
+                assert code in (0, 1, 2), (command, err.getvalue())
+        assert "Traceback" not in err.getvalue()

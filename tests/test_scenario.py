@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +106,35 @@ class TestGeneration:
         ("sigma_f_bounds", (10.0, math.nan)),
         ("scan_extent", math.nan),
         ("cluster_radius", math.inf),
+        ("range_bounds", (0, 10**400)),
+        ("scan_extent", 10**400),
     ])
     def test_non_finite_fields_are_refused(self, field, value):
-        # numpy's uniform draw would raise OverflowError on such a bound, and
-        # an infinite cluster radius would warn in the unit-disk clipping
+        # numpy's uniform draw would raise OverflowError on such a bound (an
+        # int past float range too), and an infinite cluster radius would
+        # warn in the unit-disk clipping
         with pytest.raises(ValueError, match="must be finite"):
             ScenarioSpec(n_tasks=5, cluster_count=2, **{field: value})
 
     def test_bounds_past_the_largest_float_span_are_refused(self):
         with pytest.raises(ValueError, match="finite span"):
             ScenarioSpec(n_tasks=5, range_bounds=(-1e308, 1e308))
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(n_tasks=5, scan_extent=1e200),
+        ScenarioSpec(n_tasks=5, cluster_count=2, cluster_radius=1e200),
+    ], ids=["scan extent", "cluster radius"])
+    def test_huge_scan_points_clip_to_the_circle(self, spec):
+        # u * u would overflow: the clipping scales such rows first, with
+        # no warning, onto the 0.999 circle rather than the origin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tasks = gen_scenario(spec)[2]
+        assert np.allclose(np.hypot(tasks.u, tasks.v), 0.999)
+
+    def test_a_clustered_extent_and_radius_past_float_range_are_refused(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec(n_tasks=5, cluster_count=2, scan_extent=1e308, cluster_radius=1e308)
 
     def test_keep_unschedulable_keeps_raw_draws(self):
         spec = ScenarioSpec(n_tasks=200, seed=4, keep_unschedulable=True)
@@ -185,10 +205,11 @@ class TestColumnarSynthesis:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
-           clusters=st.integers(0, 4), keep=st.booleans())
-    def test_generation_matches_the_row_loop(self, n, seed, clusters, keep):
+           clusters=st.integers(0, 4), keep=st.booleans(), extent=st.sampled_from((0.95, 2.0)))
+    def test_generation_matches_the_row_loop(self, n, seed, clusters, keep, extent):
+        # a scan extent of 2 clips rows to the 0.999 circle
         spec = ScenarioSpec(n_tasks=n, seed=seed, cluster_count=clusters,
-                            keep_unschedulable=keep)
+                            keep_unschedulable=keep, scan_extent=extent)
         cfg, prfs, tasks = gen_scenario(spec)
         want = rowwise_gen_scenario(spec)
         assert isinstance(tasks, TaskColumns) and (cfg, prfs) == want[:2]
