@@ -596,9 +596,17 @@ class TestColumnarScheduleReader:
         else:
             assert schedule_to_text(parse_schedule(text)) == written
 
+    @pytest.mark.parametrize("chunk", [7, None])
     @pytest.mark.parametrize("mode", ["edbf", "sdbf"])
-    def test_scheduler_output_round_trips(self, mode):
-        cfg, prfs, tasks = gen_scenario(ScenarioSpec(n_tasks=300, seed=6, keep_unschedulable=True))
+    def test_scheduler_output_round_trips(self, mode, chunk):
+        # end to end from a scenario file whose task lines are read in
+        # chunks of ``chunk`` (None: the default size); the schedule file
+        # the scheduler writes reads back to the same schedule
+        written = scenario_to_text(*gen_scenario(ScenarioSpec(n_tasks=300, seed=6,
+                                                              keep_unschedulable=True)))
+        with mock.patch.object(pio, "_CHUNK", chunk or pio._CHUNK):
+            cfg, prfs, tasks = parse_scenario(written)
+        assert scenario_to_text(cfg, prfs, tasks) == written
         table = build_availability_table(tasks, prfs, cfg)
         if mode == "edbf":
             sched = hied(table, HeuristicConfig(seed=2))
